@@ -134,46 +134,39 @@ fn bench_write_1m_splice_vs_copy(c: &mut Criterion) {
 }
 
 /// Write-back flush throughput over a FUSE mount: 256 contiguous dirty
-/// pages flushed as one coalesced (spliced) WRITE request vs 256 per-page
-/// requests — the round-trip amortization behind the Figure 2 FIO win.
-fn bench_flush_batched_vs_unbatched(c: &mut Criterion) {
-    let run = |label: &str, coalesce: bool, c: &mut Criterion| {
-        let fs = mounted();
-        let ctx = FsContext::root();
-        let st = fs
-            .mknod(Ino::ROOT, "wb", FileType::Regular, Mode::RW_R__R__, 0, &ctx)
-            .unwrap();
-        let fh = fs.open(st.ino, OpenFlags::RDWR).unwrap();
-        let file = Arc::new(FileRef {
-            fs: Arc::clone(&fs) as Arc<dyn Filesystem>,
-            ino: st.ino,
-            fh,
-        });
-        let cache = PageCache::new(SimClock::new(), CostModel::calibrated(), 256 << 20, 1 << 30)
-            .with_coalesce(coalesce);
-        let dev = DevId(2);
-        let data = vec![1u8; 256 * 4096];
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                cache
-                    .write(dev, CacheMode::native(), &file, 0, &data)
-                    .unwrap();
-                cache.flush_file(dev, file.ino).unwrap();
-            })
-        });
-    };
-    run("pagecache_flush_256p_batched", true, c);
-    run("pagecache_flush_256p_unbatched", false, c);
+/// pages flushed as one coalesced (spliced) WRITE request — the round-trip
+/// amortization behind the Figure 2 FIO win.
+fn bench_flush_batched(c: &mut Criterion) {
+    let fs = mounted();
+    let ctx = FsContext::root();
+    let st = fs
+        .mknod(Ino::ROOT, "wb", FileType::Regular, Mode::RW_R__R__, 0, &ctx)
+        .unwrap();
+    let fh = fs.open(st.ino, OpenFlags::RDWR).unwrap();
+    let file = Arc::new(FileRef {
+        fs: Arc::clone(&fs) as Arc<dyn Filesystem>,
+        ino: st.ino,
+        fh,
+    });
+    let cache = PageCache::new(SimClock::new(), CostModel::calibrated(), 256 << 20, 1 << 30);
+    let dev = DevId(2);
+    let data = vec![1u8; 256 * 4096];
+    c.bench_function("pagecache_flush_256p_batched", |b| {
+        b.iter(|| {
+            cache
+                .write(dev, CacheMode::native(), &file, 0, &data)
+                .unwrap();
+            cache.flush_file(dev, file.ino).unwrap();
+        })
+    });
 }
 
-/// Raw transport throughput, ring vs threaded: `depth` submitter threads
-/// (the effective queue depth) hammer `transport.call` with small LOOKUPs
-/// for a fixed window. At depth 1 the ring degenerates to one wakeup per
-/// request and should match the threaded channel; at depth ≥ 8 batched
-/// doorbells and multi-reap amortize the per-request synchronization and
-/// the ring should pull ahead.
-fn bench_transport_ring_vs_threaded(_c: &mut Criterion) {
-    use cntr_fuse::conn::ThreadedTransport;
+/// Raw ring transport throughput: `depth` submitter threads (the
+/// effective queue depth) hammer `transport.call` with small LOOKUPs for a
+/// fixed window. At depth 1 the ring degenerates to one wakeup per
+/// request; at depth ≥ 8 batched doorbells and multi-reap amortize the
+/// per-request synchronization.
+fn bench_transport_ring(_c: &mut Criterion) {
     use cntr_fuse::proto::{Request, RequestCtx};
     use cntr_fuse::{RingTransport, Transport};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,14 +214,10 @@ fn bench_transport_ring_vs_threaded(_c: &mut Criterion) {
         ops
     }
 
-    println!("fuse transport: LOOKUP round-trips/sec, threaded vs ring");
-    println!(
-        "{:<8} {:>6} {:>14} {:>14} {:>8}",
-        "workers", "depth", "threaded", "ring", "ring/thr"
-    );
+    println!("fuse transport: LOOKUP round-trips/sec over the ring");
+    println!("{:<8} {:>6} {:>14}", "workers", "depth", "ring");
     for &workers in &[1usize, 2, 4, 8] {
         for &depth in &[1usize, 8, 64] {
-            let threaded = drive(Arc::new(ThreadedTransport::new(handler(), workers)), depth);
             // Batch scales with the expected per-ring queue depth:
             // submitters round-robin across `workers` rings, so each
             // ring sees ~depth/workers outstanding requests.
@@ -241,14 +230,7 @@ fn bench_transport_ring_vs_threaded(_c: &mut Criterion) {
                 )),
                 depth,
             );
-            println!(
-                "{:<8} {:>6} {:>14.0} {:>14.0} {:>7.2}x",
-                workers,
-                depth,
-                threaded,
-                ring,
-                ring / threaded.max(1.0)
-            );
+            println!("{:<8} {:>6} {:>14.0}", workers, depth, ring);
         }
     }
 }
@@ -279,8 +261,8 @@ criterion_group!(
     bench_write,
     bench_read_1m_splice_vs_copy,
     bench_write_1m_splice_vs_copy,
-    bench_flush_batched_vs_unbatched,
-    bench_transport_ring_vs_threaded,
+    bench_flush_batched,
+    bench_transport_ring,
     bench_getxattr_uncached,
     report_metrics_snapshot
 );

@@ -3,16 +3,13 @@
 //! The scaling experiment drives metadata-heavy syscalls (`setenv`,
 //! `getenv`, `stat`, `proc_info`) from N OS threads, each thread acting as
 //! one container: its own process (own pid shard), its own mount namespace
-//! and its own filesystem. With the old giant `Mutex<KState>` every one of
-//! those syscalls serialized; with the sharded tables (16 shards by
-//! default) threads only contend on the subsystems they actually share.
+//! and its own filesystem. With the sharded tables (16 pid shards) threads
+//! only contend on the subsystems they actually share.
 //!
-//! Output is a table of ops/sec per `(shards, threads)` cell plus the 1→N
-//! scaling factor. On a multi-core host the 16-shard table scales with the
-//! thread count while the 1-shard configuration flatlines; on a single-core
-//! host both curves are flat (there is no parallel hardware to win on) and
-//! the informative signal is the per-cell throughput delta between the two
-//! shard counts.
+//! Output is a table of ops/sec per thread count plus the 1→N scaling
+//! factor. On a multi-core host throughput scales with the thread count; on
+//! a single-core host the curve is flat (there is no parallel hardware to
+//! win on).
 
 use cntr_fs::memfs::memfs;
 use cntr_kernel::kernel::KernelConfig;
@@ -30,14 +27,15 @@ struct Container {
     dir: String,
 }
 
-fn boot(shards: usize, containers: usize) -> (Kernel, Vec<Container>) {
+fn boot(containers: usize) -> (Kernel, Vec<Container>) {
     let clock = SimClock::new();
     let root = memfs(DevId(1), clock.clone());
-    let config = KernelConfig {
-        proc_shards: shards,
-        ..KernelConfig::default()
-    };
-    let kernel = Kernel::with_clock(clock.clone(), root, CacheMode::native(), config);
+    let kernel = Kernel::with_clock(
+        clock.clone(),
+        root,
+        CacheMode::native(),
+        KernelConfig::default(),
+    );
     let mut out = Vec::with_capacity(containers);
     for i in 0..containers {
         let pid = kernel.fork(Pid::INIT).expect("fork container");
@@ -121,58 +119,40 @@ fn throughput(kernel: &Kernel, containers: &[Container], threads: usize, window:
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The headline experiment: ops/sec for 1-shard (giant-lock equivalent)
-/// vs 16-shard tables at 1..=8 threads over 64 containers.
+/// The headline experiment: ops/sec of the sharded tables at 1..=8
+/// threads over 64 containers.
 fn bench_shard_scaling(_c: &mut Criterion) {
     const CONTAINERS: usize = 64;
     const WINDOW: Duration = Duration::from_millis(250);
-    let threads = [1usize, 2, 4, 8];
     println!("kernel_scale: {CONTAINERS} containers, metadata syscall mix");
-    println!(
-        "{:<10} {:>8} {:>14} {:>10}",
-        "shards", "threads", "ops/sec", "vs 1thr"
-    );
-    for &shards in &[1usize, 16] {
-        let (kernel, containers) = boot(shards, CONTAINERS);
-        let mut base = 0.0f64;
-        for &t in &threads {
-            let ops = throughput(&kernel, &containers, t, WINDOW);
-            if t == 1 {
-                base = ops;
-            }
-            println!(
-                "{:<10} {:>8} {:>14.0} {:>9.2}x",
-                kernel.proc_shard_count(),
-                t,
-                ops,
-                ops / base.max(1.0)
-            );
+    println!("{:>8} {:>14} {:>10}", "threads", "ops/sec", "vs 1thr");
+    let (kernel, containers) = boot(CONTAINERS);
+    let mut base = 0.0f64;
+    for &t in &[1usize, 2, 4, 8] {
+        let ops = throughput(&kernel, &containers, t, WINDOW);
+        if t == 1 {
+            base = ops;
         }
+        println!("{:>8} {:>14.0} {:>9.2}x", t, ops, ops / base.max(1.0));
     }
 }
 
 /// FUSE dispatch scaling: a 4 KiB write+read mix through a mounted
-/// `FuseClientFs` at 1..=8 client threads (workers matched to threads),
-/// threaded channel vs io_uring-style ring. The ring's batched doorbells
-/// and multi-reap only pay off when several requests are in flight, so
-/// the interesting cells are the multi-threaded ones.
+/// `FuseClientFs` over the io_uring-style ring at 1..=8 client threads
+/// (workers matched to threads). The ring's batched doorbells and
+/// multi-reap only pay off when several requests are in flight, so the
+/// interesting cells are the multi-threaded ones.
 fn bench_fuse_transport_scaling(_c: &mut Criterion) {
     use cntr_fs::Filesystem;
-    use cntr_fuse::conn::ThreadedTransport;
-    use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport, Transport};
+    use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
     use cntr_types::{CostModel, FileType, Ino};
 
     const WINDOW: Duration = Duration::from_millis(200);
 
-    fn ops_per_sec(ring: bool, threads: usize, window: Duration) -> f64 {
+    fn ops_per_sec(threads: usize, window: Duration) -> f64 {
         let clock = SimClock::new();
         let backing = memfs(DevId(50), clock.clone());
-        let handler = FsHandler::new(backing);
-        let transport: Arc<dyn Transport> = if ring {
-            Arc::new(RingTransport::new(handler, threads, 64, 8))
-        } else {
-            Arc::new(ThreadedTransport::new(handler, threads))
-        };
+        let transport = Arc::new(RingTransport::new(FsHandler::new(backing), threads, 64, 8));
         let client = FuseClientFs::mount(
             DevId(0xBE),
             clock,
@@ -225,28 +205,22 @@ fn bench_fuse_transport_scaling(_c: &mut Criterion) {
         total as f64 / start.elapsed().as_secs_f64()
     }
 
-    println!("kernel_scale: FUSE 4k write+read ops/sec, threaded vs ring");
-    println!(
-        "{:<8} {:>14} {:>14} {:>8}",
-        "threads", "threaded", "ring", "ring/thr"
-    );
+    println!("kernel_scale: FUSE 4k write+read ops/sec over the ring");
+    println!("{:<8} {:>14} {:>10}", "threads", "ops/sec", "vs 1thr");
+    let mut base = 0.0f64;
     for &t in &[1usize, 2, 4, 8] {
-        let threaded = ops_per_sec(false, t, WINDOW);
-        let ring = ops_per_sec(true, t, WINDOW);
-        println!(
-            "{:<8} {:>14.0} {:>14.0} {:>7.2}x",
-            t,
-            threaded,
-            ring,
-            ring / threaded.max(1.0)
-        );
+        let ops = ops_per_sec(t, WINDOW);
+        if t == 1 {
+            base = ops;
+        }
+        println!("{:<8} {:>14.0} {:>9.2}x", t, ops, ops / base.max(1.0));
     }
 }
 
 /// Single-thread syscall latency on the sharded table (criterion-timed),
 /// the sanity check that fine-grained locking did not tax the fast path.
 fn bench_syscall_latency(c: &mut Criterion) {
-    let (kernel, containers) = boot(16, 1);
+    let (kernel, containers) = boot(1);
     let mut group = c.benchmark_group("kernel_scale");
     let mut round = 0usize;
     group.bench_function("syscall_mix_1thread_16shards", |b| {

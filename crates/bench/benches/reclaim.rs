@@ -20,7 +20,7 @@
 //!    where the time went.
 
 use cntr_fs::memfs::memfs;
-use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, ThreadedTransport, Transport};
+use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport, Transport};
 use cntr_kernel::kernel::KernelConfig;
 use cntr_kernel::{CacheMode, Kernel, MountFlags};
 use cntr_types::{DevId, Mode, OpenFlags, Pid, SimClock};
@@ -135,7 +135,7 @@ fn boot_fuse(config: KernelConfig) -> (Kernel, Pid, u32) {
     let pid = kernel.fork(Pid::INIT).expect("fork");
     let backing = memfs(DevId(7), clock.clone());
     let handler = FsHandler::new(backing);
-    let transport: Arc<dyn Transport> = Arc::new(ThreadedTransport::new(handler, 2));
+    let transport: Arc<dyn Transport> = Arc::new(RingTransport::new(handler, 2, 64, 8));
     let client = FuseClientFs::mount(
         DevId(0xCAFE),
         clock,

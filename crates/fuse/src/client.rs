@@ -1156,50 +1156,19 @@ mod tests {
         assert_eq!(fs.conn_stats().getattrs, before);
     }
 
+    /// 8 caller threads over one client on a 4-worker
+    /// [`RingTransport`](crate::ring::RingTransport): the entry/attr caches
+    /// and the nlookup/forget accounting must stay consistent under real
+    /// concurrent dispatch.
     #[test]
-    fn threaded_transport_end_to_end() {
+    fn ring_client_cache_stress() {
         let clock = SimClock::new();
         let backing = memfs(DevId(1), clock.clone());
-        let transport = Arc::new(crate::conn::ThreadedTransport::new(
+        let transport = Arc::new(crate::ring::RingTransport::new(
             FsHandler::new(backing),
             4,
-        ));
-        let fs = FuseClientFs::mount(
-            DevId(100),
-            clock,
-            CostModel::calibrated(),
-            FuseConfig::optimized(),
-            transport,
-        )
-        .unwrap();
-        let st = fs
-            .mknod(
-                Ino::ROOT,
-                "f",
-                FileType::Regular,
-                Mode::RW_R__R__,
-                0,
-                &root_ctx(),
-            )
-            .unwrap();
-        let fh = fs.open(st.ino, OpenFlags::RDWR).unwrap();
-        fs.write(st.ino, fh, 0, b"threads").unwrap();
-        let mut buf = [0u8; 16];
-        let n = fs.read(st.ino, fh, 0, &mut buf).unwrap();
-        assert_eq!(&buf[..n], b"threads");
-    }
-
-    /// 8 caller threads over one client on a 4-worker [`ThreadedTransport`]:
-    /// the entry/attr caches and the nlookup/forget accounting must stay
-    /// consistent under real concurrent dispatch (ROADMAP: "stress-test the
-    /// client caches under that concurrency").
-    #[test]
-    fn threaded_client_cache_stress() {
-        let clock = SimClock::new();
-        let backing = memfs(DevId(1), clock.clone());
-        let transport = Arc::new(crate::conn::ThreadedTransport::new(
-            FsHandler::new(backing),
-            4,
+            64,
+            8,
         ));
         let fs = FuseClientFs::mount(
             DevId(100),

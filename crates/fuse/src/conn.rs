@@ -1,29 +1,26 @@
 //! The `/dev/fuse` connection: request transport between the kernel half
 //! and the userspace server.
 //!
-//! Three transports share one interface:
+//! Two transports share one interface:
 //!
 //! * [`InlineTransport`] executes the handler on the calling thread. All
 //!   timing is charged through the virtual clock by the client and the
 //!   handler itself, so experiments are deterministic.
-//! * [`ThreadedTransport`] runs real worker threads fed by a crossbeam
-//!   channel — the shape of a real FUSE daemon's read loop ("CNTR spawns
-//!   independent threads to read from the CNTRFS file descriptor", §3.3).
-//!   Used by stress tests to shake out synchronization bugs.
 //! * [`RingTransport`](crate::ring::RingTransport) (in [`crate::ring`])
-//!   feeds per-worker submission/completion ring pairs with batched
-//!   doorbells, amortizing wakeups across many requests the way
-//!   FUSE-over-io_uring does.
+//!   runs real worker threads — the shape of a real FUSE daemon's read
+//!   loop ("CNTR spawns independent threads to read from the CNTRFS file
+//!   descriptor", §3.3) — fed by per-worker submission/completion ring
+//!   pairs with batched doorbells, amortizing wakeups across many
+//!   requests the way FUSE-over-io_uring does. Stress tests use it to
+//!   shake out synchronization bugs.
 
 use crate::proto::{Opcode, Reply, Request};
 use crate::server::FuseHandler;
 use cntr_types::Errno;
-use crossbeam::channel::{bounded, unbounded, Sender};
-use obs::trace::{Span, TraceScope};
+use obs::trace::Span;
 use obs::{LazyCounter, LazyGauge, Subsystem};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
 // Global (cross-connection) request accounting, exported via
 // `/proc/cntrstats`. Everything here is a relaxed atomic: these fire inside
@@ -257,154 +254,12 @@ impl<H: FuseHandler> Transport for InlineTransport<H> {
     }
 }
 
-/// A queued request: the payload, its reply channel, and the submitting
-/// thread's trace id (0 = untraced) so worker-side spans attribute to the
-/// originating request.
-type Job = (Request, Sender<Reply>, u64);
-
-/// Connection ids for worker re-entrancy detection (0 = not a worker).
-static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Allocates a fresh connection id (shared with [`crate::ring`] so ring and
-/// threaded connections draw from one namespace).
-pub(crate) fn next_conn_id() -> u64 {
-    NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-thread_local! {
-    /// The connection id this thread serves as a worker, if any.
-    pub(crate) static WORKER_OF: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Real-thread transport: `workers` threads pull requests off a shared
-/// queue, as in a real multithreaded FUSE daemon.
-///
-/// A request issued *from one of this connection's own workers* (the
-/// server's backing I/O tripped page-cache writeback of dirty FUSE pages,
-/// re-entering the mount it is itself serving) executes inline on that
-/// worker instead of being queued: queueing it behind the very request the
-/// worker is blocked on is the classic FUSE writeback deadlock, which the
-/// real kernel likewise refuses to create.
-pub struct ThreadedTransport {
-    id: u64,
-    tx: Sender<Job>,
-    /// Handler clone for re-entrant (worker-originated) requests.
-    reentrant: Box<dyn Fn(Request) -> Reply + Send + Sync>,
-    alive: Arc<AtomicBool>,
-    stats: Arc<ConnStats>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ThreadedTransport {
-    /// Spawns `workers` threads serving `handler`.
-    pub fn new<H: FuseHandler + Clone + 'static>(handler: H, workers: usize) -> ThreadedTransport {
-        let id = next_conn_id();
-        let (tx, rx) = unbounded::<Job>();
-        let alive = Arc::new(AtomicBool::new(true));
-        let stats = Arc::new(ConnStats::default());
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let handler = handler.clone();
-                let stats = Arc::clone(&stats);
-                std::thread::spawn(move || {
-                    WORKER_OF.with(|w| w.set(id));
-                    while let Ok((req, reply_tx, trace)) = rx.recv() {
-                        // Adopt the submitter's trace so handler/storage
-                        // spans land on the right request.
-                        let _scope = TraceScope::enter(trace);
-                        let (op, req_bytes) = (req.opcode(), req.wire_bytes());
-                        let reply = {
-                            let _span = Span::start_for(trace, "handler");
-                            handler.handle(req)
-                        };
-                        stats.record(op, req_bytes, &reply);
-                        let _ = reply_tx.send(reply);
-                    }
-                })
-            })
-            .collect();
-        let reentrant_handler = handler;
-        ThreadedTransport {
-            id,
-            tx,
-            reentrant: Box::new(move |req| reentrant_handler.handle(req)),
-            alive,
-            stats,
-            workers: handles,
-        }
-    }
-
-    /// Waits for all workers to finish (after shutdown).
-    pub fn join(mut self) {
-        // Dropping the sender ends the worker loops.
-        let (dead_tx, _) = unbounded();
-        self.tx = dead_tx;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-
-    /// Number of live worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-}
-
-impl Transport for ThreadedTransport {
-    fn call(&self, req: Request) -> Reply {
-        // Blocking-context checkpoint: both paths below either park on
-        // `reply_rx.recv()` or execute the handler inline; doing so while
-        // holding a lock a worker could need is the PR-3 writeback deadlock
-        // class. `kernel.fd_offset` is exempt — see `InlineTransport::call`.
-        #[cfg(any(debug_assertions, feature = "lockdep"))]
-        lockdep::assert_no_locks_held_except(&["kernel.fd_offset"]);
-        if !self.alive.load(Ordering::Acquire) {
-            return Reply::Err(Errno::ENOTCONN);
-        }
-        let (op, req_bytes) = (req.opcode(), req.wire_bytes());
-        let _req_guard = ReqGuard::begin(op);
-        if WORKER_OF.with(std::cell::Cell::get) == self.id {
-            // Re-entrant request from one of our own workers: execute it on
-            // this thread rather than deadlocking the pool (see type docs).
-            let reply = {
-                let _span = Span::start("handler");
-                (self.reentrant)(req)
-            };
-            self.stats.record(op, req_bytes, &reply);
-            return reply;
-        }
-        // The transport span covers queue + park + wake: everything between
-        // submission and the worker's reply landing back on this thread.
-        let _span = Span::start("transport");
-        let trace = obs::trace::current_trace();
-        let (reply_tx, reply_rx) = bounded(1);
-        if self.tx.send((req, reply_tx, trace)).is_err() {
-            return Reply::Err(Errno::ENOTCONN);
-        }
-        reply_rx.recv().unwrap_or(Reply::Err(Errno::ENOTCONN))
-    }
-
-    fn shutdown(&self) {
-        self.alive.store(false, Ordering::Release);
-    }
-
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
-    }
-
-    fn stats(&self) -> ConnSnapshot {
-        self.stats.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::RequestCtx;
     use cntr_types::Ino;
 
-    #[derive(Clone)]
     struct EchoHandler;
 
     impl FuseHandler for EchoHandler {
@@ -448,57 +303,26 @@ mod tests {
         assert!(matches!(t.call(lookup()), Reply::Err(Errno::ENOTCONN)));
     }
 
-    #[test]
-    fn threaded_transport_serves_concurrently() {
-        let t = Arc::new(ThreadedTransport::new(EchoHandler, 4));
-        let mut joins = Vec::new();
-        for _ in 0..8 {
-            let t = Arc::clone(&t);
-            joins.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    assert!(matches!(t.call(lookup()), Reply::Ok));
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        assert_eq!(t.stats().lookups, 800);
-    }
-
-    /// Entering either transport with a lock held is the PR-3 writeback
+    /// Entering the transport with a lock held is the PR-3 writeback
     /// deadlock class; the checkpoint must turn it into a deterministic
     /// panic that names the held class — on every run, not only under the
     /// losing schedule.
     #[test]
     #[cfg(any(debug_assertions, feature = "lockdep"))]
     fn call_with_lock_held_panics_at_the_checkpoint() {
-        for threaded in [false, true] {
-            let err = std::thread::spawn(move || {
-                let t: Arc<dyn Transport> = if threaded {
-                    Arc::new(ThreadedTransport::new(EchoHandler, 2))
-                } else {
-                    InlineTransport::new(EchoHandler)
-                };
-                let guard = parking_lot::Mutex::new_class("fuse.test.outer", ());
-                let _held = guard.lock();
-                t.call(lookup())
-            })
-            .join()
-            .expect_err("call with a lock held must be rejected");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .expect("panic carries a message");
-            assert!(msg.contains("blocking-context violation"), "{msg}");
-            assert!(msg.contains("fuse.test.outer"), "{msg}");
-        }
-    }
-
-    #[test]
-    fn threaded_shutdown() {
-        let t = ThreadedTransport::new(EchoHandler, 2);
-        t.shutdown();
-        assert!(matches!(t.call(lookup()), Reply::Err(Errno::ENOTCONN)));
+        let err = std::thread::spawn(|| {
+            let t = InlineTransport::new(EchoHandler);
+            let guard = parking_lot::Mutex::new_class("fuse.test.outer", ());
+            let _held = guard.lock();
+            t.call(lookup())
+        })
+        .join()
+        .expect_err("call with a lock held must be rejected");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("panic carries a message");
+        assert!(msg.contains("blocking-context violation"), "{msg}");
+        assert!(msg.contains("fuse.test.outer"), "{msg}");
     }
 }

@@ -10,13 +10,12 @@
 //!   (`FUSE_WRITEBACK_CACHE`, `FUSE_PARALLEL_DIROPS`, `FUSE_ASYNC_READ`,
 //!   splice, batched `FORGET`),
 //! * [`conn`] — the `/dev/fuse` queue with the [`conn::Transport`] trait
-//!   and two of its three implementations: **inline** (deterministic,
-//!   same-thread) and **threaded** (real worker threads over crossbeam
-//!   channels, with FUSE-writeback re-entrancy avoidance — used by the
-//!   Figure 4 runner and the concurrency stress tests),
-//! * [`ring`] — the third transport, FUSE-over-io_uring style: per-worker
-//!   submission/completion ring pairs, batched doorbells, multi-reap
-//!   completions — one worker wakeup serves many requests,
+//!   and the deterministic same-thread **inline** transport,
+//! * [`ring`] — the threaded transport, FUSE-over-io_uring style: real
+//!   worker threads behind per-worker submission/completion ring pairs,
+//!   batched doorbells, multi-reap completions — one worker wakeup serves
+//!   many requests — with FUSE-writeback re-entrancy avoidance; used by
+//!   the Figure 4 runner and the concurrency stress tests,
 //! * [`client`] — the kernel half: a [`cntr_fs::Filesystem`] implementation
 //!   that turns VFS calls into FUSE requests, with entry/attr caches,
 //!   readahead, forget batching and the cost accounting that makes the
@@ -39,7 +38,7 @@ pub mod testing;
 
 pub use client::FuseClientFs;
 pub use config::FuseConfig;
-pub use conn::{ConnStats, InlineTransport, ThreadedTransport, Transport};
+pub use conn::{ConnStats, InlineTransport, Transport};
 pub use proto::{InitFlags, Opcode, Reply, Request};
 pub use ring::RingTransport;
 pub use server::{FsHandler, FuseHandler};

@@ -1,13 +1,13 @@
 //! FUSE-over-io_uring style ring transport.
 //!
-//! [`ThreadedTransport`](crate::conn::ThreadedTransport) pays one worker
-//! wakeup per request: every `call` is a channel send (mutex + condvar),
-//! a park on the reply channel, and a wakeup on the worker — the exact
-//! per-request synchronization tax the paper's Figure 4 curve measures.
-//! Linux has since amortized this with FUSE-over-io_uring: userspace and
-//! the kernel share fixed-capacity submission/completion rings, the
-//! client batches submissions behind a doorbell, and the server reaps
-//! many completions per wakeup.
+//! A classic multithreaded FUSE daemon pays one worker wakeup per
+//! request: every request is a queue push, a park on the reply, and a
+//! wakeup on the worker — the exact per-request synchronization tax the
+//! paper's Figure 4 curve measures. Linux has since amortized this with
+//! FUSE-over-io_uring: userspace and the kernel share fixed-capacity
+//! submission/completion rings, the client batches submissions behind a
+//! doorbell, and the server reaps many completions per wakeup. At depth 1
+//! / batch 1 the ring degenerates to that one-wakeup-per-request daemon.
 //!
 //! [`RingTransport`] reproduces that shape:
 //!
@@ -36,11 +36,11 @@
 //! kernel's groups 0–5 (see [`lock_class`]), so teardown paths that reach
 //! the transport while a ranked kernel lock is held stay
 //! ascending-legal, and the park/reap points carry the same
-//! `lockdep::assert_no_locks_held_except` checkpoints as the other
-//! transports.
+//! `lockdep::assert_no_locks_held_except` checkpoints as
+//! [`InlineTransport`](crate::conn::InlineTransport).
 
 use crate::config::FuseConfig;
-use crate::conn::{next_conn_id, ConnSnapshot, ConnStats, ReqGuard, Transport, WORKER_OF};
+use crate::conn::{ConnSnapshot, ConnStats, ReqGuard, Transport};
 use crate::proto::{Opcode, Reply, Request};
 use crate::server::FuseHandler;
 use cntr_types::Errno;
@@ -48,7 +48,7 @@ use crossbeam::queue::ArrayQueue;
 use obs::trace::{Span, TraceScope};
 use obs::{LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -60,8 +60,16 @@ static SUBMIT_BATCH: LazyHistogram =
 /// claimed by a worker).
 static RING_DEPTH: LazyGauge = LazyGauge::new(Subsystem::Fuse, "fuse.ring.queue-depth");
 /// Requests a worker claimed per wakeup (the multi-reap win: 1 means the
-/// ring degenerated to threaded behaviour).
+/// ring degenerated to one wakeup per request).
 static REAPED: LazyHistogram = LazyHistogram::new(Subsystem::Fuse, "fuse.ring.reaped-per-wakeup");
+
+/// Connection ids for worker re-entrancy detection (0 = not a worker).
+static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The connection id this thread serves as a worker, if any.
+    static WORKER_OF: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Lock-class names of the ring transport, ranked above the kernel table.
 /// The submit fast path is lock-free; these cover the slow paths where a
@@ -263,10 +271,12 @@ fn is_sync_op(op: Opcode) -> bool {
 /// Shared SQ/CQ ring transport: `workers` reaper threads, each owning one
 /// ring pair; submitters batch behind per-ring doorbells.
 ///
-/// Like [`ThreadedTransport`](crate::conn::ThreadedTransport), a request
-/// issued *from one of this connection's own workers* (FUSE-writeback
-/// re-entrancy) executes inline on that worker instead of being queued
-/// behind the very request the worker is handling.
+/// A request issued *from one of this connection's own workers* (the
+/// server's backing I/O tripped page-cache writeback of dirty FUSE pages,
+/// re-entering the mount it is itself serving) executes inline on that
+/// worker instead of being queued: queueing it behind the very request the
+/// worker is handling is the classic FUSE writeback deadlock, which the
+/// real kernel likewise refuses to create.
 pub struct RingTransport {
     id: u64,
     rings: Vec<Arc<Ring>>,
@@ -289,7 +299,7 @@ impl RingTransport {
         batch: usize,
     ) -> RingTransport {
         declare_ring_lock_discipline();
-        let id = next_conn_id();
+        let id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
         let depth = depth.max(1);
         let batch = batch.clamp(1, depth);
         let alive = Arc::new(AtomicBool::new(true));

@@ -55,14 +55,6 @@ pub struct KernelConfig {
     /// deterministic, used by the paper profile and the differential
     /// oracle.
     pub background_writeback: bool,
-    /// Whether write-back coalesces contiguous dirty runs into single
-    /// large writes (on by default; the differential I/O tests and the
-    /// flush benches run both settings).
-    pub coalesce_writeback: bool,
-    /// Process-table shards (rounded up to a power of two). More shards
-    /// let syscalls against unrelated pids run concurrently; `1` recreates
-    /// the old giant-lock behaviour for comparison benchmarks.
-    pub proc_shards: usize,
 }
 
 impl Default for KernelConfig {
@@ -75,8 +67,6 @@ impl Default for KernelConfig {
             dirty_bytes: 0,
             dirty_background_bytes: 0,
             background_writeback: true,
-            coalesce_writeback: true,
-            proc_shards: DEFAULT_PROC_SHARDS,
         }
     }
 }
@@ -256,12 +246,11 @@ impl Kernel {
                     config.page_cache_limit,
                     config.resolved_dirty_bytes(),
                 )
-                .with_coalesce(config.coalesce_writeback)
                 .with_dirty_background_bytes(config.resolved_dirty_background_bytes())
                 .with_background_writeback(config.background_writeback),
                 clock,
                 cost: config.cost,
-                procs: ProcTable::new(config.proc_shards, init),
+                procs: ProcTable::new(DEFAULT_PROC_SHARDS, init),
                 mounts: MountTable::new(root_ns),
                 ns_refs: NsRefs::new(&init_ns),
                 next_ns: AtomicU64::new(2),
@@ -271,11 +260,6 @@ impl Kernel {
                 fanotify: Mutex::new_class(lock_class::FANOTIFY, HashMap::new()),
             }),
         }
-    }
-
-    /// Number of process-table shards this machine was booted with.
-    pub fn proc_shard_count(&self) -> usize {
-        self.inner.procs.shard_count()
     }
 
     /// The machine's virtual clock.

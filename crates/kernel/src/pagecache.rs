@@ -610,11 +610,6 @@ pub struct CacheShared {
     /// to it). Always below `dirty_limit_pages`. Atomic only so the
     /// pre-sharing builders can set it; relaxed loads everywhere.
     dirty_bg_pages: AtomicUsize,
-    /// Whether write-back coalesces contiguous dirty runs into single large
-    /// writes (the shipping behaviour). Off = one write per page — the
-    /// unbatched baseline the differential tests and benches compare
-    /// against. Atomic for the builders, like `dirty_bg_pages`.
-    coalesce: AtomicBool,
     /// Whether a kworker-style flusher thread handles background
     /// write-back. Off = writers drain inline (deterministic). Atomic for
     /// the builders.
@@ -675,10 +670,9 @@ impl Drop for PageCache {
 
 impl PageCache {
     /// Creates a cache with the given capacity and hard dirty threshold
-    /// (bytes), write-back coalescing on, the background threshold at half
-    /// the hard limit, and no flusher thread (writers drain inline —
-    /// deterministic). [`PageCache::with_background_writeback`] turns the
-    /// flusher on.
+    /// (bytes), the background threshold at half the hard limit, and no
+    /// flusher thread (writers drain inline — deterministic).
+    /// [`PageCache::with_background_writeback`] turns the flusher on.
     pub fn new(
         clock: SimClock,
         cost: CostModel,
@@ -693,7 +687,6 @@ impl PageCache {
                 capacity_pages: (capacity_bytes / PAGE_SIZE as u64).max(16) as usize,
                 dirty_limit_pages,
                 dirty_bg_pages: AtomicUsize::new((dirty_limit_pages / 2).max(1)),
-                coalesce: AtomicBool::new(true),
                 flusher_enabled: AtomicBool::new(false),
                 self_ref: self_ref.clone(),
                 stop: AtomicBool::new(false),
@@ -727,15 +720,6 @@ impl PageCache {
                 writeback_wakeups: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Disables (or re-enables) write-back coalescing. With it off, every
-    /// dirty page flushes as its own write — the per-page baseline that
-    /// shows what batching buys.
-    #[must_use]
-    pub fn with_coalesce(self, coalesce: bool) -> PageCache {
-        self.inner.coalesce.store(coalesce, Ordering::Relaxed);
-        self
     }
 
     /// Sets the background write-back threshold in bytes (clamped below
@@ -1242,7 +1226,6 @@ impl CacheShared {
             // drops, so a concurrent writer is never stalled behind a
             // megabyte memcpy (it COWs away from the aliased bytes
             // instead).
-            let coalesce = self.coalesce.load(Ordering::Relaxed);
             // A bounded flush (flusher chunk, writer pacing) skips pages a
             // concurrent flush already has in flight — submitting them
             // again would double the write traffic for nothing. A full
@@ -1266,7 +1249,7 @@ impl CacheShared {
                 };
                 picked += 1;
                 match runs.last_mut() {
-                    Some((start, members)) if coalesce && *start + members.len() as u64 == page => {
+                    Some((start, members)) if *start + members.len() as u64 == page => {
                         members.push((page, version, snapshot));
                     }
                     _ => runs.push((page, vec![(page, version, snapshot)])),

@@ -173,11 +173,6 @@ impl ProcTable {
         table
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn index(&self, pid: Pid) -> usize {
         pid.raw() as usize & self.mask
     }
@@ -544,9 +539,9 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let t = ProcTable::new(10, proc(Pid(1)));
-        assert_eq!(t.shard_count(), 16);
+        assert_eq!(t.shards.len(), 16);
         let t = ProcTable::new(1, proc(Pid(1)));
-        assert_eq!(t.shard_count(), 1);
+        assert_eq!(t.shards.len(), 1);
     }
 
     #[test]

@@ -278,11 +278,9 @@ fn stress_fork_exec_attach_umount_across_containers() {
         "every lookup is exactly one hit or one miss"
     );
 
-    // A threaded-FUSE bout and a ring-FUSE bout after the stress: request
-    // accounting must be symmetric (started == completed) across both
-    // dispatch shapes and the in-flight gauge must drain back to zero once
-    // every worker went home.
-    fuse_request_accounting_bout();
+    // A ring-FUSE bout after the stress: request accounting must be
+    // symmetric (started == completed) and the in-flight gauge must drain
+    // back to zero once every worker went home.
     fuse_ring_accounting_bout();
     let started = obs::counter_value("fuse.req.started").unwrap_or(0);
     let completed = obs::counter_value("fuse.req.completed").unwrap_or(0);
@@ -300,59 +298,10 @@ fn stress_fork_exec_attach_umount_across_containers() {
     );
 }
 
-/// Hammers a threaded FUSE mount from several threads, then tears it down.
-fn fuse_request_accounting_bout() {
-    use cntr_fs::Filesystem;
-    use cntr_fuse::conn::ThreadedTransport;
-    use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig};
-    use cntr_types::{CostModel, FileType, Ino};
-
-    let clock = SimClock::new();
-    let backing = memfs(DevId(7_000), clock.clone());
-    let transport = Arc::new(ThreadedTransport::new(FsHandler::new(backing), 4));
-    let client = FuseClientFs::mount(
-        DevId(0xF0),
-        clock,
-        CostModel::calibrated(),
-        FuseConfig::optimized(),
-        transport,
-    )
-    .expect("fuse mount");
-
-    let mut handles = Vec::new();
-    for t in 0..THREADS {
-        let client = Arc::clone(&client);
-        handles.push(std::thread::spawn(move || {
-            let ctx = cntr_fs::FsContext::root();
-            let st = client
-                .mknod(
-                    Ino::ROOT,
-                    &format!("f{t}"),
-                    FileType::Regular,
-                    Mode::RW_R__R__,
-                    0,
-                    &ctx,
-                )
-                .expect("mknod");
-            let fh = client.open(st.ino, OpenFlags::RDWR).expect("open");
-            let payload = vec![t as u8; 4096];
-            for i in 0..32u64 {
-                client.write(st.ino, fh, i * 4096, &payload).expect("write");
-                let mut buf = [0u8; 4096];
-                client.read(st.ino, fh, i * 4096, &mut buf).expect("read");
-            }
-            client.release(st.ino, fh).expect("release");
-        }));
-    }
-    for h in handles {
-        h.join().expect("fuse bout thread must not panic");
-    }
-}
-
-/// The same hammering through the io_uring-style ring transport: batched
-/// doorbells and multi-reap must preserve the exact accounting symmetry
-/// the threaded path has, under the lockdep checkpoints at the ring's
-/// park/reap points.
+/// Hammers a FUSE mount over the io_uring-style ring transport from
+/// several threads, then tears it down: batched doorbells and multi-reap
+/// must preserve exact request accounting, under the lockdep checkpoints
+/// at the ring's park/reap points.
 fn fuse_ring_accounting_bout() {
     use cntr_fs::Filesystem;
     use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};

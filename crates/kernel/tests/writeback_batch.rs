@@ -1,13 +1,11 @@
 //! Write-back batching: contiguous dirty runs flush as single large
 //! writes, observable in `flush_batches`/`flushed_pages` — plus the
-//! threaded-transport write-back deadlock regression re-run with batching
-//! enabled.
+//! ring-transport write-back deadlock regression re-run with batching.
 
 use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, FsContext};
-use cntr_fuse::conn::ThreadedTransport;
 use cntr_fuse::proto::{Reply, Request};
-use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, FuseHandler, Transport};
+use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, FuseHandler, RingTransport, Transport};
 use cntr_kernel::pagecache::{FileRef, PageCache};
 use cntr_kernel::CacheMode;
 use cntr_types::{CostModel, DevId, FileType, Ino, Mode, OpenFlags, SimClock};
@@ -17,7 +15,7 @@ use std::time::Duration;
 
 const PAGE: usize = 4096;
 
-fn cache_with(coalesce: bool, dirty_limit: u64) -> (Arc<PageCache>, Arc<FileRef>, DevId) {
+fn cache_with(dirty_limit: u64) -> (Arc<PageCache>, Arc<FileRef>, DevId) {
     let clock = SimClock::new();
     let fs = memfs(DevId(1), clock.clone());
     let st = fs
@@ -36,17 +34,19 @@ fn cache_with(coalesce: bool, dirty_limit: u64) -> (Arc<PageCache>, Arc<FileRef>
         ino: st.ino,
         fh,
     });
-    let cache = Arc::new(
-        PageCache::new(clock, CostModel::calibrated(), 256 << 20, dirty_limit)
-            .with_coalesce(coalesce),
-    );
+    let cache = Arc::new(PageCache::new(
+        clock,
+        CostModel::calibrated(),
+        256 << 20,
+        dirty_limit,
+    ));
     (cache, file, DevId(1))
 }
 
 /// 256 contiguous dirty pages must flush as exactly one batched write.
 #[test]
 fn contiguous_run_flushes_as_one_batch() {
-    let (cache, file, dev) = cache_with(true, 1 << 30);
+    let (cache, file, dev) = cache_with(1 << 30);
     let mode = CacheMode::native();
     cache
         .write(dev, mode, &file, 0, &vec![7u8; 256 * PAGE])
@@ -62,7 +62,7 @@ fn contiguous_run_flushes_as_one_batch() {
 /// A one-page hole splits the dirty set into exactly two batches.
 #[test]
 fn a_hole_splits_the_run_into_two_batches() {
-    let (cache, file, dev) = cache_with(true, 1 << 30);
+    let (cache, file, dev) = cache_with(1 << 30);
     let mode = CacheMode::native();
     // Pages 0..128 dirty, page 128 clean (hole), pages 129..256 dirty.
     cache
@@ -75,21 +75,6 @@ fn a_hole_splits_the_run_into_two_batches() {
     let stats = cache.stats();
     assert_eq!(stats.flushed_pages, 255);
     assert_eq!(stats.flush_batches, 2, "the hole forces exactly two runs");
-}
-
-/// With coalescing disabled every page is its own write — the per-page
-/// baseline the batched path is measured against.
-#[test]
-fn uncoalesced_writeback_is_one_write_per_page() {
-    let (cache, file, dev) = cache_with(false, 1 << 30);
-    let mode = CacheMode::native();
-    cache
-        .write(dev, mode, &file, 0, &vec![9u8; 256 * PAGE])
-        .unwrap();
-    cache.flush_file(dev, file.ino).unwrap();
-    let stats = cache.stats();
-    assert_eq!(stats.flushed_pages, 256);
-    assert_eq!(stats.flush_batches, 256, "no coalescing = per-page writes");
 }
 
 /// A server handler whose request handling *re-enters the transport it is
@@ -121,95 +106,13 @@ impl FuseHandler for ReentrantHandler {
     }
 }
 
-#[test]
-fn batched_writeback_survives_threaded_reentrancy() {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let clock = SimClock::new();
-        let backing = memfs(DevId(5), clock.clone());
-        let transport_slot = Arc::new(Mutex::new(None));
-        let handler = ReentrantHandler {
-            inner: FsHandler::new(backing),
-            transport: Arc::clone(&transport_slot),
-        };
-        // One worker: a queued re-entrant request can never be served.
-        let transport = Arc::new(ThreadedTransport::new(handler, 1));
-        *transport_slot.lock() = Some(Arc::clone(&transport) as Arc<dyn Transport>);
-        let client = FuseClientFs::mount(
-            DevId(0xC1),
-            clock.clone(),
-            CostModel::calibrated(),
-            FuseConfig::optimized(),
-            transport,
-        )
-        .unwrap();
-        let st = client
-            .mknod(
-                Ino::ROOT,
-                "wb",
-                FileType::Regular,
-                Mode::RW_R__R__,
-                0,
-                &FsContext::root(),
-            )
-            .unwrap();
-        let fh = client.open(st.ino, OpenFlags::RDWR).unwrap();
-        // A small dirty limit so write-back (batched, splice-write on)
-        // triggers repeatedly while ops are in flight.
-        let cache = Arc::new(
-            PageCache::new(clock, CostModel::calibrated(), 64 << 20, 8 * PAGE as u64)
-                .with_coalesce(true),
-        );
-        let dev = DevId(0xC1);
-        let fref = Arc::new(FileRef {
-            fs: Arc::clone(&client) as Arc<dyn Filesystem>,
-            ino: st.ino,
-            fh,
-        });
-        let mode = CacheMode::native();
-        let payload = vec![0xABu8; 16 * PAGE];
-        for round in 0..8u64 {
-            cache
-                .write(dev, mode, &fref, round * payload.len() as u64, &payload)
-                .unwrap();
-        }
-        cache.fsync(dev, &fref, false).unwrap();
-        // Everything flushed; the batched runs really landed.
-        assert_eq!(cache.dirty_bytes(), 0);
-        assert_eq!(
-            client.getattr(st.ino).unwrap().size,
-            8 * 16 * PAGE as u64,
-            "batched write-back must deliver every run"
-        );
-        let mut buf = vec![0u8; PAGE];
-        cache.read(dev, mode, &fref, 0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0xAB));
-        let stats = cache.stats();
-        assert!(stats.flush_batches > 0);
-        assert!(
-            stats.flush_batches < stats.flushed_pages,
-            "write-back stayed batched under the threaded transport: \
-             batches={} pages={}",
-            stats.flush_batches,
-            stats.flushed_pages
-        );
-        tx.send(()).unwrap();
-    });
-    rx.recv_timeout(Duration::from_secs(60)).expect(
-        "deadlock: a worker-originated (re-entrant) write-back request \
-         was queued behind itself instead of executing inline",
-    );
-}
-
-/// The same re-entrancy trap over the io_uring-style ring transport: a
-/// single reaper with a depth-8 SQ and batched doorbells. A worker whose
-/// handler re-enters `call` would queue the request on its own ring and
-/// park behind it forever — the ring must execute worker-originated
-/// requests inline exactly like the threaded path.
+/// The re-entrancy trap over the io_uring-style ring transport: a single
+/// reaper with a depth-8 SQ and batched doorbells. A worker whose handler
+/// re-enters `call` would queue the request on its own ring and park
+/// behind it forever — the ring must execute worker-originated requests
+/// inline.
 #[test]
 fn batched_writeback_survives_ring_reentrancy() {
-    use cntr_fuse::RingTransport;
-
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let clock = SimClock::new();
@@ -241,10 +144,12 @@ fn batched_writeback_survives_ring_reentrancy() {
             )
             .unwrap();
         let fh = client.open(st.ino, OpenFlags::RDWR).unwrap();
-        let cache = Arc::new(
-            PageCache::new(clock, CostModel::calibrated(), 64 << 20, 8 * PAGE as u64)
-                .with_coalesce(true),
-        );
+        let cache = Arc::new(PageCache::new(
+            clock,
+            CostModel::calibrated(),
+            64 << 20,
+            8 * PAGE as u64,
+        ));
         let dev = DevId(0xC2);
         let fref = Arc::new(FileRef {
             fs: Arc::clone(&client) as Arc<dyn Filesystem>,

@@ -361,12 +361,17 @@ mod tests {
 
     #[test]
     fn span_without_current_trace_is_noop() {
+        // Only this thread writes its own ring, so its cursor is immune to
+        // spans that parallel tests record on theirs.
+        let my_cursor =
+            || MY_RING.with(|r| r.get().map(|ring| ring.cursor.load(Ordering::Relaxed)));
         assert_eq!(current_trace(), 0);
-        let before = all_spans().len();
+        let before = my_cursor();
         {
             let _s = Span::start("client");
         }
-        assert_eq!(all_spans().len(), before);
+        assert_eq!(my_cursor(), before);
+        assert!(spans_for(0).is_empty());
     }
 
     #[test]

@@ -4,9 +4,7 @@ use cntr_blockdev::{BlockDevice, DiskModel};
 use cntr_core::CntrfsServer;
 use cntr_fs::diskfs::diskfs_on;
 use cntr_fs::memfs::memfs;
-use cntr_fuse::{
-    FuseClientFs, FuseConfig, InlineTransport, RingTransport, ThreadedTransport, Transport,
-};
+use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport, RingTransport, Transport};
 use cntr_kernel::kernel::KernelConfig;
 use cntr_kernel::{CacheMode, Kernel, MountFlags};
 use cntr_types::{DevId, Errno, Mode, OpenFlags, Pid, SimClock, SysResult, Timespec};
@@ -21,16 +19,13 @@ pub enum Target {
     /// the calling thread (deterministic inline transport).
     Cntrfs(FuseConfig),
     /// Through CntrFS with `config.workers` **real OS worker threads**
-    /// pulling requests off the `/dev/fuse` queue ([`ThreadedTransport`]) —
-    /// the dispatch shape of the paper's Figure 4. Virtual-time accounting
+    /// behind the io_uring-style [`RingTransport`]'s per-worker
+    /// submission/completion rings (`config.ring_depth`/`config.ring_batch`)
+    /// — the dispatch shape of the paper's Figure 4. Virtual-time accounting
     /// is unchanged (one request in flight per caller), so results stay
-    /// deterministic while every request crosses a real thread boundary.
-    CntrfsThreaded(FuseConfig),
-    /// Through CntrFS over the io_uring-style [`RingTransport`]: real
-    /// worker threads behind per-worker submission/completion rings with
-    /// batched doorbells (`config.ring_depth`/`config.ring_batch`).
-    /// Virtual-time accounting mirrors [`Target::CntrfsThreaded`] except
-    /// the per-request worker-sync cost amortizes over the batch.
+    /// deterministic while every request crosses a real thread boundary;
+    /// only a negotiated ring amortizes the per-request worker-sync cost
+    /// over the batch.
     CntrfsRing(FuseConfig),
 }
 
@@ -92,15 +87,10 @@ impl PerfEnv {
                 device,
                 client: None,
             },
-            Target::Cntrfs(config)
-            | Target::CntrfsThreaded(config)
-            | Target::CntrfsRing(config) => {
+            Target::Cntrfs(config) | Target::CntrfsRing(config) => {
                 let server_pid = kernel.fork(Pid::INIT).expect("fork server");
                 let server = CntrfsServer::new(kernel.clone(), server_pid);
                 let transport: Arc<dyn Transport> = match target {
-                    Target::CntrfsThreaded(_) => {
-                        Arc::new(ThreadedTransport::new(server, config.workers))
-                    }
                     Target::CntrfsRing(_) => Arc::new(RingTransport::from_config(server, &config)),
                     _ => InlineTransport::new(server),
                 };

@@ -794,10 +794,9 @@ pub struct Figure4Row {
 
 /// Figure 4: IOzone sequential read with 1–16 CntrFS threads.
 ///
-/// Each point runs over [`Target::CntrfsThreaded`]: the configured worker
+/// Each point runs over [`Target::CntrfsRing`]: the configured worker
 /// count is a pool of **real OS threads**, and every FUSE request crosses
-/// the threaded `/dev/fuse` queue to be served on a worker against the
-/// sharded kernel. As in the paper's experiment the workload itself is a
+/// a worker's submission ring to be served against the sharded kernel. As in the paper's experiment the workload itself is a
 /// single sequential reader, so one request is in flight at a time and the
 /// thread-count *deltas* in the curve come from the virtual clock pricing
 /// the per-request worker synchronization — the dispatch is real, the
@@ -809,7 +808,7 @@ pub fn figure4() -> Vec<Figure4Row> {
         .iter()
         .map(|&threads| {
             let cfg = FuseConfig::paper().with_workers(threads);
-            let env = PerfEnv::build(Target::CntrfsThreaded(cfg));
+            let env = PerfEnv::build(Target::CntrfsRing(cfg));
             let t = iozone_read_fuse_cold(&env);
             let mb = 96.0;
             Figure4Row {
@@ -909,5 +908,25 @@ mod tests {
             t16 > t1 * 0.80,
             "degradation stays mild (paper: up to ~8%): 1thr={t1:.0} 16thr={t16:.0}"
         );
+    }
+
+    /// Figure 4 is virtual time, so it reproduces bit for bit: the points
+    /// depend only on the negotiated FUSE features and worker count, never
+    /// on how the real worker threads are scheduled.
+    #[test]
+    fn figure4_points_are_pinned() {
+        let expected: [(usize, f64); 5] = [
+            (1, 2264.229710821308),
+            (2, 2253.5610666339276),
+            (4, 2242.992488428437),
+            (8, 2232.522574931074),
+            (16, 2222.1499509101614),
+        ];
+        let got: Vec<(usize, u64)> = figure4()
+            .iter()
+            .map(|r| (r.threads, r.throughput_mb_s.to_bits()))
+            .collect();
+        let want: Vec<(usize, u64)> = expected.iter().map(|&(t, v)| (t, v.to_bits())).collect();
+        assert_eq!(got, want, "Figure 4 drifted from its pinned values");
     }
 }

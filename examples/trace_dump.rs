@@ -8,17 +8,16 @@
 //! Perfetto); stderr is the `/proc/cntrstats` snapshot taken after the
 //! workload, so one run yields both CI artifacts. The workload exercises
 //! the full stack — boot, image pull, container start, attach, shell
-//! traffic, teardown — and finishes with spliced 1 MiB reads through a
-//! threaded FUSE transport and through the io_uring-style ring transport,
-//! so the dump contains complete client → transport → handler → storage
-//! request pipelines for both dispatch shapes and the cntrstats snapshot
-//! carries the `fuse.ring.*` batch-size/reap distributions.
+//! traffic, teardown — and finishes with a spliced 1 MiB read through the
+//! io_uring-style ring transport, so the dump contains complete client →
+//! transport → handler → storage request pipelines across the
+//! worker-thread boundary and the cntrstats snapshot carries the
+//! `fuse.ring.*` batch-size/reap distributions.
 
 use std::sync::Arc;
 
 use cntr::fs::Filesystem;
 use cntr::prelude::*;
-use cntr_fuse::conn::ThreadedTransport;
 use cntr_fuse::{FsHandler, FuseClientFs, RingTransport};
 use cntr_types::{CostModel, DevId, FileType, Ino};
 
@@ -43,38 +42,10 @@ fn main() {
     session.detach().unwrap();
     docker.stop("probe").unwrap();
 
-    // A spliced read over a threaded transport: its trace records spans
-    // from all four pipeline stages, across the worker-thread boundary.
-    let clock = SimClock::new();
-    let backing = cntr::fs::memfs::memfs(DevId(900), clock.clone());
-    let transport = Arc::new(ThreadedTransport::new(FsHandler::new(backing), 2));
-    let client = FuseClientFs::mount(
-        DevId(0xAB),
-        clock,
-        CostModel::calibrated(),
-        FuseConfig::optimized(),
-        transport,
-    )
-    .unwrap();
-    let st = client
-        .mknod(
-            Ino::ROOT,
-            "big",
-            FileType::Regular,
-            Mode::RW_R__R__,
-            0,
-            &cntr::fs::FsContext::root(),
-        )
-        .unwrap();
-    let fh = client.open(st.ino, OpenFlags::RDWR).unwrap();
-    client.write(st.ino, fh, 0, &vec![0x5A; 1 << 20]).unwrap();
-    let data = client.read_bytes_gather(st.ino, fh, 0, 1 << 20).unwrap();
-    assert_eq!(data.len(), 1 << 20);
-    client.release(st.ino, fh).unwrap();
-
-    // The same spliced read over the ring transport: batched submission
-    // and multi-reap leave their fuse.ring.* distributions in the
-    // snapshot, and the trace shows the request crossing the ring.
+    // A spliced read over the ring transport: its trace records spans from
+    // all four pipeline stages, across the worker-thread boundary, and
+    // batched submission and multi-reap leave their fuse.ring.*
+    // distributions in the snapshot.
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(901), clock.clone());
     let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4));

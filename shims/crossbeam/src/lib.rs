@@ -1,172 +1,5 @@
-//! Offline subset of `crossbeam`: a multi-producer multi-consumer channel
-//! (`crossbeam::channel`) built on a mutex-guarded deque and condvars, and
-//! a lock-free bounded MPMC queue (`crossbeam::queue::ArrayQueue`).
-
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Shared<T> {
-        inner: Mutex<Inner<T>>,
-        /// Signalled when an item arrives or the last sender disconnects.
-        recv_ready: Condvar,
-        /// Signalled when an item is taken or the last receiver disconnects.
-        send_ready: Condvar,
-        cap: Option<usize>,
-    }
-
-    struct Inner<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    /// Error returned by [`Sender::send`] when all receivers are gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// all senders are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "receiving on an empty and disconnected channel")
-        }
-    }
-
-    /// The sending half of a channel. Clonable.
-    pub struct Sender<T>(Arc<Shared<T>>);
-
-    /// The receiving half of a channel. Clonable (multi-consumer).
-    pub struct Receiver<T>(Arc<Shared<T>>);
-
-    /// Creates a channel of unbounded capacity.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    /// Creates a channel holding at most `cap` in-flight messages.
-    ///
-    /// Unlike upstream crossbeam, `cap == 0` (a rendezvous channel) is not
-    /// supported and panics rather than silently deadlocking.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        assert!(
-            cap > 0,
-            "this crossbeam shim does not support rendezvous (zero-capacity) channels"
-        );
-        with_capacity(Some(cap))
-    }
-
-    fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            recv_ready: Condvar::new(),
-            send_ready: Condvar::new(),
-            cap,
-        });
-        (Sender(Arc::clone(&shared)), Receiver(shared))
-    }
-
-    impl<T> Sender<T> {
-        /// Blocks until there is queue room (bounded channels), then
-        /// enqueues. Fails if every receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut inner = self.0.inner.lock().unwrap();
-            loop {
-                if inner.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                match self.0.cap {
-                    Some(cap) if inner.queue.len() >= cap => {
-                        inner = self.0.send_ready.wait(inner).unwrap();
-                    }
-                    _ => break,
-                }
-            }
-            inner.queue.push_back(value);
-            drop(inner);
-            self.0.recv_ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Sender<T> {
-            self.0.inner.lock().unwrap().senders += 1;
-            Sender(Arc::clone(&self.0))
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut inner = self.0.inner.lock().unwrap();
-            inner.senders -= 1;
-            if inner.senders == 0 {
-                drop(inner);
-                self.0.recv_ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives. Fails once the channel is empty
-        /// and every sender has been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut inner = self.0.inner.lock().unwrap();
-            loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.0.send_ready.notify_one();
-                    return Ok(v);
-                }
-                if inner.senders == 0 {
-                    return Err(RecvError);
-                }
-                inner = self.0.recv_ready.wait(inner).unwrap();
-            }
-        }
-
-        /// Takes a message if one is ready.
-        pub fn try_recv(&self) -> Option<T> {
-            let v = self.0.inner.lock().unwrap().queue.pop_front();
-            if v.is_some() {
-                self.0.send_ready.notify_one();
-            }
-            v
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Receiver<T> {
-            self.0.inner.lock().unwrap().receivers += 1;
-            Receiver(Arc::clone(&self.0))
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut inner = self.0.inner.lock().unwrap();
-            inner.receivers -= 1;
-            if inner.receivers == 0 {
-                drop(inner);
-                self.0.send_ready.notify_all();
-            }
-        }
-    }
-}
+//! Offline subset of `crossbeam`: the lock-free bounded MPMC queue
+//! (`crossbeam::queue::ArrayQueue`).
 
 pub mod queue {
     //! Lock-free bounded queues, API-compatible with
@@ -372,54 +205,8 @@ pub mod queue {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError};
     use super::queue::ArrayQueue;
     use std::sync::Arc;
-
-    #[test]
-    fn round_trip() {
-        let (tx, rx) = unbounded();
-        tx.send(7).unwrap();
-        assert_eq!(rx.recv(), Ok(7));
-    }
-
-    #[test]
-    fn recv_fails_after_all_senders_drop() {
-        let (tx, rx) = unbounded::<i32>();
-        drop(tx);
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn send_fails_after_all_receivers_drop() {
-        let (tx, rx) = bounded(1);
-        drop(rx);
-        assert!(tx.send(1).is_err());
-    }
-
-    #[test]
-    fn multi_consumer_work_sharing() {
-        let (tx, rx) = unbounded();
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::spawn(move || {
-                    let mut n = 0u32;
-                    while rx.recv().is_ok() {
-                        n += 1;
-                    }
-                    n
-                })
-            })
-            .collect();
-        drop(rx);
-        for i in 0..100 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let total: u32 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert_eq!(total, 100);
-    }
 
     #[test]
     fn array_queue_fifo_and_capacity() {

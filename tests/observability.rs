@@ -7,8 +7,7 @@
 //! binary means no concurrent test can perturb the assertions.
 
 use cntr::prelude::*;
-use cntr_fuse::conn::ThreadedTransport;
-use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig};
+use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
 use cntr_types::{CostModel, DevId, FileType, Ino};
 use std::sync::Arc;
 
@@ -110,7 +109,7 @@ fn cntrstats_and_tracing_cover_the_stack() {
     // ---- A spliced 1 MiB read carries a full trace. ----
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(900), clock.clone());
-    let transport = Arc::new(ThreadedTransport::new(FsHandler::new(backing), 2));
+    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 64, 8));
     let client = FuseClientFs::mount(
         DevId(0xAB),
         clock,
