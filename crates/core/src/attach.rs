@@ -571,6 +571,35 @@ mod tests {
         session.detach().unwrap();
     }
 
+    /// A LOOKUP reply leaves its parent's attributes cached, so a second
+    /// `stat` of a deep tools path crosses no FUSE round trip: two stats of
+    /// seven components send seven LOOKUPs.
+    #[test]
+    fn repeated_stat_of_a_deep_path_looks_up_each_component_once() {
+        let (k, rt) = setup();
+        let mut dir = String::new();
+        for name in ["opt", "a", "b", "c", "d", "e"] {
+            dir = format!("{dir}/{name}");
+            k.mkdir(Pid::INIT, &dir, Mode::RWXR_XR_X).unwrap();
+        }
+        let path = format!("{dir}/tool");
+        let fd = k
+            .open(Pid::INIT, &path, OpenFlags::create(), Mode::RWXR_XR_X)
+            .unwrap();
+        k.close(Pid::INIT, fd).unwrap();
+        let c = rt.run("db", "mysql:slim").unwrap();
+        let cntr = Cntr::new(k.clone());
+        let session = cntr.attach(c.pid, CntrOptions::default()).unwrap();
+        let before = session.client.conn_stats();
+        for _ in 0..2 {
+            assert!(k.stat(session.attached, &path).unwrap().is_file());
+        }
+        let after = session.client.conn_stats();
+        assert_eq!(after.lookups - before.lookups, 7);
+        assert_eq!(after.getattrs, before.getattrs);
+        session.detach().unwrap();
+    }
+
     #[test]
     fn etc_files_bound_from_application() {
         let (k, rt) = setup();

@@ -5,7 +5,12 @@
 //! performance story lives:
 //!
 //! * **entry/attr caches** absorb repeat lookups (their *absence* on cold
-//!   trees is why compilebench-read is 13.3× slower on CntrFS, §5.2.2);
+//!   trees is why compilebench-read is 13.3× slower on CntrFS, §5.2.2).
+//!   As in Linux, a directory's attributes are evicted only when its
+//!   contents change; the paper profile also evicts them on every LOOKUP
+//!   below it ([`FuseConfig::lookup_drops_parent_attr`]);
+//! * the **symlink cache** (`FUSE_CACHE_SYMLINKS`) keeps each link's
+//!   target after the first READLINK;
 //! * **readahead** (`FUSE_ASYNC_READ`, 128 KiB requests) batches sequential
 //!   reads;
 //! * **forget batching** (`FUSE_BATCH_FORGET`) folds many forgets into one
@@ -54,10 +59,22 @@ struct ReadAhead {
 struct ClientState {
     entry_cache: HashMap<(Ino, String), CachedEntry>,
     attr_cache: HashMap<Ino, Stat>,
+    /// Symlink targets, filled only when `cache_symlinks` was negotiated.
+    /// A target never changes under one inode number (servers never reuse
+    /// one), so only the inode leaving the caches drops it.
+    symlinks: HashMap<Ino, String>,
     nlookup: HashMap<Ino, u64>,
     forget_queue: Vec<(Ino, u64)>,
     readahead: HashMap<u64, ReadAhead>,
     tick: u64,
+}
+
+impl ClientState {
+    /// Forgets everything cached about one inode.
+    fn drop_inode(&mut self, ino: Ino) {
+        self.attr_cache.remove(&ino);
+        self.symlinks.remove(&ino);
+    }
 }
 
 /// Cache behaviour counters of one client.
@@ -160,13 +177,14 @@ impl FuseClientFs {
         self.transport.shutdown();
     }
 
-    /// Drops the entry/attr caches and readahead buffers (cold-cache
-    /// benchmark phases). Queued forgets are flushed first.
+    /// Drops the entry/attr/symlink caches and readahead buffers
+    /// (cold-cache benchmark phases). Queued forgets are flushed first.
     pub fn drop_caches(&self) {
         self.flush_forgets();
         let mut st = self.state.lock();
         st.entry_cache.clear();
         st.attr_cache.clear();
+        st.symlinks.clear();
         st.readahead.clear();
     }
 
@@ -233,7 +251,9 @@ impl FuseClientFs {
         }
     }
 
-    fn remember(&self, parent: Ino, name: &str, stat: Stat) {
+    /// Caches the entry `parent/name` and its attributes. `dir_changed`
+    /// evicts the parent's attributes too: its nlink or mtime moved.
+    fn remember(&self, parent: Ino, name: &str, stat: Stat, dir_changed: bool) {
         let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
@@ -245,7 +265,9 @@ impl FuseClientFs {
             },
         );
         st.attr_cache.insert(stat.ino, stat);
-        st.attr_cache.remove(&parent);
+        if dir_changed {
+            st.attr_cache.remove(&parent);
+        }
         *st.nlookup.entry(stat.ino).or_insert(0) += 1;
         let over = st.entry_cache.len() > self.config.entry_cache_cap;
         drop(st);
@@ -273,7 +295,7 @@ impl FuseClientFs {
                 };
                 st.forget_queue.push((e.ino, 1));
                 if remaining == 0 {
-                    st.attr_cache.remove(&e.ino);
+                    st.drop_inode(e.ino);
                 }
             }
         }
@@ -306,7 +328,7 @@ impl FuseClientFs {
     fn invalidate_entry(&self, parent: Ino, name: &str) {
         let mut st = self.state.lock();
         if let Some(e) = st.entry_cache.remove(&(parent, name.to_string())) {
-            st.attr_cache.remove(&e.ino);
+            st.drop_inode(e.ino);
         }
         st.attr_cache.remove(&parent);
     }
@@ -383,7 +405,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat);
+                self.remember(parent, name, stat, self.config.lookup_drops_parent_attr);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -443,7 +465,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat);
+                self.remember(parent, name, stat, true);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -459,7 +481,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat);
+                self.remember(parent, name, stat, true);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -493,7 +515,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat);
+                self.remember(parent, name, stat, true);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -501,8 +523,20 @@ impl Filesystem for FuseClientFs {
     }
 
     fn readlink(&self, ino: Ino) -> SysResult<String> {
+        let cache = self.config.flags.cache_symlinks;
+        if cache {
+            if let Some(target) = self.state.lock().symlinks.get(&ino).cloned() {
+                self.clock.advance(self.cost.dcache_hit_ns);
+                return Ok(target);
+            }
+        }
         match self.call(Request::Readlink { ino })? {
-            Reply::Target(t) => Ok(t),
+            Reply::Target(t) => {
+                if cache {
+                    self.state.lock().symlinks.insert(ino, t.clone());
+                }
+                Ok(t)
+            }
             _ => Err(Errno::EPROTO),
         }
     }
@@ -515,7 +549,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(newparent, newname, stat);
+                self.remember(newparent, newname, stat, true);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -775,7 +809,7 @@ impl Filesystem for FuseClientFs {
         let flush = {
             let mut st = self.state.lock();
             // A forgotten inode must vanish from the kernel-side caches too.
-            st.attr_cache.remove(&ino);
+            st.drop_inode(ino);
             st.entry_cache.retain(|_, e| e.ino != ino);
             st.nlookup.remove(&ino);
             st.forget_queue.push((ino, nlookup));
@@ -849,6 +883,153 @@ mod tests {
         assert_eq!(conn.lookups, 0, "mkdir primed the cache; no LOOKUPs");
         let stats = fs.stats();
         assert_eq!(stats.entry_hits, 10);
+    }
+
+    /// Builds `/a/b/c/f`, then drops the caches so the next walk is cold.
+    fn deep_tree(fs: &FuseClientFs) {
+        let mut dir = Ino::ROOT;
+        for name in ["a", "b", "c"] {
+            dir = fs
+                .mkdir(dir, name, Mode::RWXR_XR_X, &root_ctx())
+                .unwrap()
+                .ino;
+        }
+        fs.mknod(dir, "f", FileType::Regular, Mode::RW_R__R__, 0, &root_ctx())
+            .unwrap();
+        fs.drop_caches();
+    }
+
+    /// Walks `/a/b/c/f` as the VFS does (a lookup per component, then the
+    /// final getattr) and returns the LOOKUPs it sent.
+    fn walk_lookups(fs: &FuseClientFs) -> u64 {
+        let before = fs.conn_stats().lookups;
+        let mut ino = Ino::ROOT;
+        for name in ["a", "b", "c", "f"] {
+            ino = fs.lookup(ino, name).unwrap().ino;
+        }
+        fs.getattr(ino).unwrap();
+        fs.conn_stats().lookups - before
+    }
+
+    #[test]
+    fn second_walk_is_served_from_the_caches() {
+        let (fs, _) = mounted(FuseConfig::optimized());
+        deep_tree(&fs);
+        assert_eq!(walk_lookups(&fs), 4, "a cold walk looks up every component");
+        let getattrs = fs.conn_stats().getattrs;
+        assert_eq!(
+            walk_lookups(&fs),
+            0,
+            "a LOOKUP reply must leave its parent's attributes cached"
+        );
+        assert_eq!(fs.conn_stats().getattrs, getattrs);
+    }
+
+    /// The paper profile keeps the published eviction: each LOOKUP reply
+    /// drops its parent's attributes, so a warm walk looks the directories
+    /// up again. Only a directory whose child hits keeps its attributes,
+    /// so the re-lookups recede one level per walk: `a b c`, `a b`, `a`.
+    #[test]
+    fn paper_profile_relooks_up_directories() {
+        let (fs, _) = mounted(FuseConfig::paper());
+        deep_tree(&fs);
+        let walks: Vec<u64> = (0..5).map(|_| walk_lookups(&fs)).collect();
+        assert_eq!(walks, [4, 3, 2, 1, 0]);
+    }
+
+    /// Every op that changes a directory's entries evicts its attributes:
+    /// the next `getattr` is one GETATTR, and its reply shows the new nlink
+    /// and mtime.
+    #[test]
+    fn directory_changes_force_a_getattr() {
+        let (fs, clock) = mounted(FuseConfig::optimized());
+        let ctx = root_ctx();
+        let d = fs.mkdir(Ino::ROOT, "d", Mode::RWXR_XR_X, &ctx).unwrap().ino;
+        let e = fs.mkdir(Ino::ROOT, "e", Mode::RWXR_XR_X, &ctx).unwrap().ino;
+        let outside = fs
+            .mknod(e, "x", FileType::Regular, Mode::RW_R__R__, 0, &ctx)
+            .unwrap()
+            .ino;
+        let changes_d = |op: &str, nlink_delta: i64, change: &dyn Fn() -> SysResult<()>| {
+            let before = fs.getattr(d).unwrap();
+            clock.advance(1_000_000);
+            change().unwrap_or_else(|err| panic!("{op}: {err:?}"));
+            let getattrs = fs.conn_stats().getattrs;
+            let after = fs.getattr(d).unwrap();
+            assert_eq!(fs.conn_stats().getattrs, getattrs + 1, "{op} must evict");
+            assert_eq!(
+                after.nlink as i64,
+                before.nlink as i64 + nlink_delta,
+                "{op}: nlink"
+            );
+            assert!(after.mtime > before.mtime, "{op}: mtime must move");
+            fs.getattr(d).unwrap();
+            assert_eq!(fs.conn_stats().getattrs, getattrs + 1, "{op}: then cached");
+        };
+        changes_d("mkdir", 1, &|| {
+            fs.mkdir(d, "sub", Mode::RWXR_XR_X, &ctx).map(drop)
+        });
+        changes_d("mknod", 0, &|| {
+            fs.mknod(d, "f", FileType::Regular, Mode::RW_R__R__, 0, &ctx)
+                .map(drop)
+        });
+        changes_d("symlink", 0, &|| fs.symlink(d, "l", "f", &ctx).map(drop));
+        changes_d("link", 0, &|| fs.link(outside, d, "hard").map(drop));
+        changes_d("rename", 0, &|| {
+            fs.rename(d, "f", d, "g", RenameFlags::NONE)
+        });
+        changes_d("rename in", 0, &|| {
+            fs.rename(e, "x", d, "x", RenameFlags::NONE)
+        });
+        changes_d("unlink", 0, &|| fs.unlink(d, "g"));
+        changes_d("rmdir", -1, &|| fs.rmdir(d, "sub"));
+    }
+
+    /// Requests one `readlink` sent, with the target it returned.
+    fn readlink_counted(fs: &FuseClientFs, ino: Ino) -> (String, u64) {
+        let before = fs.conn_stats().total();
+        let target = fs.readlink(ino).unwrap();
+        (target, fs.conn_stats().total() - before)
+    }
+
+    #[test]
+    fn second_readlink_is_served_from_the_symlink_cache() {
+        let (fs, _) = mounted(FuseConfig::optimized());
+        let l = fs.symlink(Ino::ROOT, "l", "/t", &root_ctx()).unwrap().ino;
+        assert_eq!(readlink_counted(&fs, l), ("/t".into(), 1));
+        assert_eq!(readlink_counted(&fs, l), ("/t".into(), 0));
+        // The paper profile predates FUSE_CACHE_SYMLINKS: every call asks.
+        let (paper, _) = mounted(FuseConfig::paper());
+        let l = paper
+            .symlink(Ino::ROOT, "l", "/t", &root_ctx())
+            .unwrap()
+            .ino;
+        assert_eq!(readlink_counted(&paper, l), ("/t".into(), 1));
+        assert_eq!(readlink_counted(&paper, l), ("/t".into(), 1));
+    }
+
+    #[test]
+    fn recreated_symlink_reads_its_new_target() {
+        let (fs, _) = mounted(FuseConfig::optimized());
+        let old = fs.symlink(Ino::ROOT, "l", "/old", &root_ctx()).unwrap().ino;
+        assert_eq!(fs.readlink(old).unwrap(), "/old");
+        fs.unlink(Ino::ROOT, "l").unwrap();
+        fs.symlink(Ino::ROOT, "l", "/new", &root_ctx()).unwrap();
+        let new = fs.lookup(Ino::ROOT, "l").unwrap().ino;
+        assert_eq!(readlink_counted(&fs, new), ("/new".into(), 1));
+        assert_eq!(readlink_counted(&fs, new), ("/new".into(), 0));
+    }
+
+    #[test]
+    fn drop_caches_and_forget_empty_the_symlink_cache() {
+        let (fs, _) = mounted(FuseConfig::optimized());
+        let l = fs.symlink(Ino::ROOT, "l", "/t", &root_ctx()).unwrap().ino;
+        fs.readlink(l).unwrap();
+        fs.drop_caches();
+        assert_eq!(readlink_counted(&fs, l), ("/t".into(), 1));
+        assert_eq!(readlink_counted(&fs, l), ("/t".into(), 0));
+        fs.forget(l, 1);
+        assert_eq!(readlink_counted(&fs, l), ("/t".into(), 1));
     }
 
     #[test]

@@ -13,8 +13,14 @@ pub struct FuseConfig {
     pub max_read: usize,
     /// Entry-cache capacity (dentries).
     pub entry_cache_cap: usize,
-    /// Attribute-cache capacity (inodes).
-    pub attr_cache_cap: usize,
+    /// The published client's invalidation rule: every LOOKUP reply also
+    /// evicts the *parent's* cached attributes, so the next walk through
+    /// that directory looks it up again. Linux evicts a directory's
+    /// attributes only when its contents change (create, link, unlink,
+    /// rename: `fuse_dir_changed`), which those ops still do either way.
+    /// On only in [`FuseConfig::paper`], whose Figure 2–3 calibration
+    /// (compilebench-read above all) depends on the extra round trips.
+    pub lookup_drops_parent_attr: bool,
     /// Forgets queued before a flush.
     pub forget_batch: usize,
     /// Metadata pipeline depth when `parallel_dirops` is on: how many
@@ -39,7 +45,7 @@ impl FuseConfig {
             workers: 4,
             max_read: 128 * 1024,
             entry_cache_cap: 65_536,
-            attr_cache_cap: 65_536,
+            lookup_drops_parent_attr: false,
             forget_batch: 64,
             meta_pipeline: 4,
             ring_depth: 64,
@@ -48,12 +54,15 @@ impl FuseConfig {
     }
 
     /// The configuration the paper published (§3.3): identical to
-    /// [`FuseConfig::optimized`] except splice-write stays off. The
-    /// Phoronix figure reproductions pin this profile so the calibrated
-    /// Figure 2–4 bands keep matching the paper.
+    /// [`FuseConfig::optimized`] except for the post-paper flags
+    /// [`InitFlags::paper_legacy`] leaves off and the legacy
+    /// [`lookup_drops_parent_attr`](FuseConfig::lookup_drops_parent_attr)
+    /// eviction. The Phoronix figure reproductions pin this profile so
+    /// the calibrated Figure 2–4 bands keep matching the paper.
     pub const fn paper() -> FuseConfig {
         FuseConfig {
             flags: InitFlags::paper_legacy(),
+            lookup_drops_parent_attr: true,
             ..FuseConfig::optimized()
         }
     }
@@ -66,7 +75,7 @@ impl FuseConfig {
             workers: 1,
             max_read: 128 * 1024,
             entry_cache_cap: 65_536,
-            attr_cache_cap: 65_536,
+            lookup_drops_parent_attr: false,
             forget_batch: 64,
             meta_pipeline: 1,
             ring_depth: 1,
@@ -122,6 +131,12 @@ mod tests {
             "paper profile keeps splice-write off"
         );
         assert!(!p.flags.ring, "paper profile keeps the ring transport off");
+        assert!(
+            p.lookup_drops_parent_attr,
+            "paper profile keeps the legacy eviction"
+        );
+        assert!(!o.lookup_drops_parent_attr && !u.lookup_drops_parent_attr);
+        assert!(o.flags.cache_symlinks && !p.flags.cache_symlinks);
         assert_eq!(p.workers, o.workers);
         assert!(o.flags.ring, "shipping default negotiates the ring");
         assert_eq!(o.ring_depth, 64);

@@ -149,6 +149,11 @@ pub struct InitFlags {
     /// request. Post-dates the paper, so [`InitFlags::paper_legacy`] keeps
     /// it off — same pattern as splice-write.
     pub ring: bool,
+    /// `FUSE_CACHE_SYMLINKS` (Linux 4.20): the kernel keeps a symlink's
+    /// target after the first READLINK instead of asking on every
+    /// traversal. Post-dates the paper, so [`InitFlags::paper_legacy`]
+    /// keeps it off.
+    pub cache_symlinks: bool,
 }
 
 impl InitFlags {
@@ -170,11 +175,12 @@ impl InitFlags {
             splice_write: true,
             batch_forget: true,
             ring: true,
+            cache_symlinks: true,
         }
     }
 
     /// CNTR's shipping defaults *as published* (§3.3): everything on except
-    /// splice-write and the (post-paper) ring transport bit. The
+    /// splice-write and the post-paper ring transport and symlink cache. The
     /// paper-figure reproductions (`cntr-phoronix`) pin this profile so
     /// Figures 2–4 keep the published calibration.
     pub const fn paper_legacy() -> InitFlags {
@@ -187,6 +193,7 @@ impl InitFlags {
             splice_write: false,
             batch_forget: true,
             ring: false,
+            cache_symlinks: false,
         }
     }
 
@@ -201,6 +208,7 @@ impl InitFlags {
             splice_write: false,
             batch_forget: false,
             ring: false,
+            cache_symlinks: false,
         }
     }
 
@@ -215,6 +223,7 @@ impl InitFlags {
             splice_write: true,
             batch_forget: true,
             ring: true,
+            cache_symlinks: true,
         }
     }
 
@@ -230,6 +239,7 @@ impl InitFlags {
             splice_write: self.splice_write && other.splice_write,
             batch_forget: self.batch_forget && other.batch_forget,
             ring: self.ring && other.ring,
+            cache_symlinks: self.cache_symlinks && other.cache_symlinks,
         }
     }
 }
@@ -657,10 +667,16 @@ mod tests {
         let legacy = InitFlags::paper_legacy();
         assert!(!legacy.splice_write, "the paper shipped splice-write off");
         assert!(!legacy.ring, "ring transport post-dates the paper");
+        assert!(
+            !legacy.cache_symlinks,
+            "symlink caching post-dates the paper"
+        );
+        assert!(!InitFlags::none().cache_symlinks);
         // Identical to the shipping default in every other flag.
         let mut modern = InitFlags::cntr_default();
         modern.splice_write = false;
         modern.ring = false;
+        modern.cache_symlinks = false;
         assert_eq!(legacy, modern);
     }
 

@@ -32,7 +32,7 @@
 pub mod trace;
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -287,8 +287,10 @@ pub const MAX_METRICS: usize = 1024;
 
 #[allow(clippy::declare_interior_mutable_const)]
 const NULL_METRIC: AtomicPtr<Metric> = AtomicPtr::new(std::ptr::null_mut());
+/// Filled strictly in index order: a slot is claimed only by a CAS from
+/// null, by a registrant that saw every earlier slot already filled, so
+/// the live metrics are always a prefix of the array.
 static SLOTS: [AtomicPtr<Metric>; MAX_METRICS] = [NULL_METRIC; MAX_METRICS];
-static LEN: AtomicUsize = AtomicUsize::new(0);
 
 fn assert_name(subsystem: Subsystem, name: &str) {
     assert!(
@@ -308,37 +310,52 @@ fn assert_name(subsystem: Subsystem, name: &str) {
     assert!(kebab_dot, "obs: metric `{name}` is not kebab/dot-cased");
 }
 
-/// Register (or find) a metric cell. Lock-free: a slot index is claimed with
-/// one `fetch_add`, the leaked cell is published with a release store, and
-/// readers skip not-yet-published slots. The linear duplicate scan only runs
-/// at registration time, never on the update path.
+/// Register (or find) a metric cell. Lock-free and idempotent by name: the
+/// registrant walks the slots in order, returns an existing cell of the
+/// same name, and publishes its own with a CAS into the first empty slot.
+/// Two racing registrants of one name meet at that slot; the loser of the
+/// CAS finds the winner's cell there and returns it, so both share one
+/// cell. The linear scan only runs at registration time, never on the
+/// update path.
 fn register(subsystem: Subsystem, name: &str, make: impl FnOnce() -> Cell) -> &'static Metric {
     assert_name(subsystem, name);
-    // Idempotent by name: return the existing cell if someone beat us here.
-    if let Some(m) = find(name) {
-        assert_eq!(
-            m.subsystem, subsystem,
-            "obs: metric `{name}` registered under two subsystems"
-        );
-        return m;
+    let mut make = Some(make);
+    let mut ours: *mut Metric = std::ptr::null_mut();
+    for slot in &SLOTS {
+        let mut p = slot.load(Ordering::Acquire);
+        if p.is_null() {
+            if ours.is_null() {
+                let cell = make.take().expect("built once")();
+                ours = Box::into_raw(Box::new(Metric {
+                    subsystem,
+                    name: Box::leak(name.to_owned().into_boxed_str()),
+                    cell,
+                }));
+            }
+            match slot.compare_exchange(p, ours, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => return unsafe { &*ours },
+                Err(winner) => p = winner,
+            }
+        }
+        let m: &'static Metric = unsafe { &*p };
+        if m.name == name {
+            if !ours.is_null() {
+                // Never published: nobody else can hold it.
+                drop(unsafe { Box::from_raw(ours) });
+            }
+            assert_eq!(
+                m.subsystem, subsystem,
+                "obs: metric `{name}` registered under two subsystems"
+            );
+            return m;
+        }
     }
-    let metric: &'static Metric = Box::leak(Box::new(Metric {
-        subsystem,
-        name: Box::leak(name.to_owned().into_boxed_str()),
-        cell: make(),
-    }));
-    let i = LEN.fetch_add(1, Ordering::AcqRel);
-    assert!(i < MAX_METRICS, "obs: metric registry full ({MAX_METRICS})");
-    SLOTS[i].store(metric as *const Metric as *mut Metric, Ordering::Release);
-    metric
+    panic!("obs: metric registry full ({MAX_METRICS})");
 }
 
 fn iter_metrics() -> impl Iterator<Item = &'static Metric> {
-    let len = LEN.load(Ordering::Acquire).min(MAX_METRICS);
-    SLOTS[..len].iter().filter_map(|slot| {
+    SLOTS.iter().map_while(|slot| {
         let p = slot.load(Ordering::Acquire);
-        // A concurrent register() may have claimed the slot but not yet
-        // published the cell; skip it this pass.
         (!p.is_null()).then(|| unsafe { &*p })
     })
 }
@@ -608,7 +625,6 @@ pub fn render_subsystem(sub: Subsystem) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn bucket_index_monotone_and_consistent() {
@@ -681,23 +697,29 @@ mod tests {
         assert!(fuse_pos < hist_pos && hist_pos < pc_pos);
     }
 
+    /// Eight threads register one name at the same instant and count
+    /// through whatever cell they got: every increment must land in the
+    /// one cell the registry reports. Repeated over fresh names, since a
+    /// lost race only shows when the registrations truly overlap.
     #[test]
     fn concurrent_registration_and_updates() {
-        static DONE: AtomicBool = AtomicBool::new(false);
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..1000 {
-                        register_counter(Subsystem::Engine, "engine.test.race").inc();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+        const THREADS: usize = 8;
+        for round in 0..64 {
+            let name = format!("engine.test.race-{round}");
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..1000 {
+                            register_counter(Subsystem::Engine, &name).inc();
+                        }
+                    });
+                }
+            });
+            assert_eq!(counter_value(&name), Some(8000), "{name}");
+            assert_eq!(iter_metrics().filter(|m| m.name == name).count(), 1);
         }
-        DONE.store(true, Ordering::Relaxed);
-        assert_eq!(counter_value("engine.test.race"), Some(8000));
     }
 
     #[test]

@@ -865,6 +865,35 @@ mod tests {
             below_1_5 >= 10,
             "most benchmarks have moderate overhead; got {below_1_5}/20 below 1.5x"
         );
+        // Virtual time reproduces bit for bit, so beyond the bands every
+        // row's native and CntrFS nanoseconds are pinned.
+        let expected: [(&str, u64, u64); 20] = [
+            ("AIO-Stress", 314804250, 625280570),
+            ("Apachebench", 88852650, 130618228),
+            ("Compileb.: Comp.", 2722000, 6115256),
+            ("Compileb.: Create", 1191000, 8749869),
+            ("Compileb.: Read", 948000, 6811790),
+            ("Dbench: 1 Clients", 141950, 239866),
+            ("Dbench: 12 Clients", 1764100, 2800089),
+            ("Dbench: 128 Clients", 18809350, 29906271),
+            ("Dbench: 48 Clients", 7047050, 11278259),
+            ("FS-Mark", 383487500, 429736980),
+            ("FIO", 1059600817, 35198877),
+            ("Gzip", 2317201708, 2333017171),
+            ("IOzone: Read", 17204100, 20896857),
+            ("IOzone: Write", 641119350, 694654239),
+            ("PostMark", 2134800, 11705305),
+            ("Pgbench", 190420450, 103349966),
+            ("SQlite", 443695300, 654350009),
+            ("Threaded I/O: Read", 13722500, 14036057),
+            ("Threaded I/O: Write", 856100600, 51594104),
+            ("Unpack tarball", 622642800, 636809099),
+        ];
+        let got: Vec<(&str, u64, u64)> = rows
+            .iter()
+            .map(|r| (r.name.as_str(), r.native.as_nanos(), r.cntrfs.as_nanos()))
+            .collect();
+        assert_eq!(got, expected, "Figure 2 drifted from its pinned values");
     }
 
     #[test]
@@ -896,6 +925,18 @@ mod tests {
             "splice read must be a small win: {:.2}",
             rows[3].speedup()
         );
+        // Pinned like Figure 2: each panel's before/after nanoseconds.
+        let expected: [(&str, u64, u64); 4] = [
+            ("(a)", 29652430, 14036057),
+            ("(b)", 762537723, 694654239),
+            ("(c)", 13027790, 6811790),
+            ("(d)", 54106461, 42799965),
+        ];
+        let got: Vec<(&str, u64, u64)> = rows
+            .iter()
+            .map(|r| (r.panel, r.before.as_nanos(), r.after.as_nanos()))
+            .collect();
+        assert_eq!(got, expected, "Figure 3 drifted from its pinned values");
     }
 
     #[test]
