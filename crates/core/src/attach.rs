@@ -600,6 +600,53 @@ mod tests {
         session.detach().unwrap();
     }
 
+    /// A cold 4 KiB `pread` straddling two pages of a tools file is one
+    /// 8 KiB READ: the client page cache fills the run it misses with one
+    /// request, and a read that does not continue the last reply opens no
+    /// readahead window.
+    #[test]
+    fn cold_pread_across_two_pages_is_one_8k_read() {
+        let (k, rt) = setup();
+        let fd = k
+            .open(
+                Pid::INIT,
+                "/usr/bin/big",
+                OpenFlags::create(),
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        k.write_fd(Pid::INIT, fd, &vec![7u8; 64 * 1024]).unwrap();
+        k.close(Pid::INIT, fd).unwrap();
+        let c = rt.run("db", "mysql:slim").unwrap();
+        let cntr = Cntr::new(k.clone());
+        let session = cntr.attach(c.pid, CntrOptions::default()).unwrap();
+        let fd = k
+            .open(
+                session.attached,
+                "/usr/bin/big",
+                OpenFlags::RDONLY,
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        let before = session.client.conn_stats();
+        let mut buf = [0u8; 4096];
+        let n = k
+            .pread(session.attached, fd, 16384 + 2048, &mut buf)
+            .unwrap();
+        assert_eq!((n, buf), (4096, [7u8; 4096]));
+        let after = session.client.conn_stats();
+        assert_eq!(after.total() - before.total(), 1, "one request");
+        assert_eq!(after.reads - before.reads, 1, "and it is a READ");
+        let reply = cntr_fuse::Reply::Data(vec![0u8; 8192].into());
+        assert_eq!(
+            after.bytes_out - before.bytes_out,
+            reply.wire_bytes() as u64,
+            "of 8 KiB"
+        );
+        k.close(session.attached, fd).unwrap();
+        session.detach().unwrap();
+    }
+
     #[test]
     fn etc_files_bound_from_application() {
         let (k, rt) = setup();

@@ -264,9 +264,9 @@ pub trait Filesystem: Send + Sync {
     /// answer: when one [`Filesystem::read_bytes`] call satisfies the read
     /// (full, or short because of EOF), its buffer is returned unchanged;
     /// only a short read at an internal chunk boundary pays a gather into
-    /// one owned buffer. Not meant to be overridden — it exists so the
-    /// FUSE server's reply assembly and the page cache's fill path share
-    /// one copy of this boundary logic.
+    /// one owned buffer. Not meant to be overridden. The FUSE server
+    /// assembles its READ replies with it; the page cache does not, since
+    /// it caches each chunk of a chunked store by reference instead.
     fn read_bytes_gather(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
         let first = self.read_bytes(ino, fh, offset, len)?;
         if first.len() == len || first.is_empty() {

@@ -11,8 +11,8 @@
 //!   below it ([`FuseConfig::lookup_drops_parent_attr`]);
 //! * the **symlink cache** (`FUSE_CACHE_SYMLINKS`) keeps each link's
 //!   target after the first READLINK;
-//! * **readahead** (`FUSE_ASYNC_READ`, 128 KiB requests) batches sequential
-//!   reads;
+//! * **readahead** (`FUSE_ASYNC_READ`) batches sequential reads into
+//!   128 KiB requests, while a random read asks only for its own pages;
 //! * **forget batching** (`FUSE_BATCH_FORGET`) folds many forgets into one
 //!   request;
 //! * **metadata pipelining** (`FUSE_PARALLEL_DIROPS`) overlaps lookup round
@@ -32,14 +32,20 @@ use crate::conn::{ConnSnapshot, Transport};
 use crate::proto::{InitFlags, Reply, Request, RequestCtx};
 use bytes::Bytes;
 use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags};
+use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
     CostModel, DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr,
     SimClock, Stat, Statfs, SysResult,
 };
+use obs::{LazyHistogram, Subsystem};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Bytes asked for by each READ request issued: the readahead window of a
+/// sequential read, the page-rounded length of any other.
+static READ_REQ_BYTES: LazyHistogram = LazyHistogram::new(Subsystem::Fuse, "fuse.read.req-bytes");
 
 struct CachedEntry {
     ino: Ino,
@@ -90,8 +96,6 @@ pub struct ClientStats {
     pub attr_misses: u64,
     /// Reads served from the readahead buffer.
     pub readahead_hits: u64,
-    /// READ requests issued.
-    pub read_requests: u64,
 }
 
 /// The FUSE mount as seen by the simulated kernel.
@@ -107,7 +111,6 @@ pub struct FuseClientFs {
     attr_hits: AtomicU64,
     attr_misses: AtomicU64,
     readahead_hits: AtomicU64,
-    read_requests: AtomicU64,
 }
 
 impl FuseClientFs {
@@ -141,7 +144,6 @@ impl FuseClientFs {
             attr_hits: AtomicU64::new(0),
             attr_misses: AtomicU64::new(0),
             readahead_hits: AtomicU64::new(0),
-            read_requests: AtomicU64::new(0),
         }))
     }
 
@@ -163,7 +165,6 @@ impl FuseClientFs {
             attr_hits: self.attr_hits.load(Ordering::Relaxed),
             attr_misses: self.attr_misses.load(Ordering::Relaxed),
             readahead_hits: self.readahead_hits.load(Ordering::Relaxed),
-            read_requests: self.read_requests.load(Ordering::Relaxed),
         }
     }
 
@@ -626,10 +627,10 @@ impl Filesystem for FuseClientFs {
         // Readahead-buffer hit: no round trip. The virtual clock charges the
         // classic buffer-copy cost (calibration-stable); at the pointer
         // level the returned buffer is a slice of the retained reply.
-        {
+        let sequential = {
             let st = self.state.lock();
-            if let Some(ra) = st.readahead.get(&fh.0) {
-                if offset >= ra.start && offset < ra.start + ra.data.len() as u64 {
+            match st.readahead.get(&fh.0) {
+                Some(ra) if offset >= ra.start && offset < ra.start + ra.data.len() as u64 => {
                     let begin = (offset - ra.start) as usize;
                     let n = (ra.data.len() - begin).min(len);
                     let out = ra.data.slice(begin..begin + n);
@@ -638,16 +639,22 @@ impl Filesystem for FuseClientFs {
                     self.clock.advance(self.cost.copy(n as u64));
                     return Ok(out);
                 }
+                Some(ra) => offset == ra.start + ra.data.len() as u64,
+                None => false,
             }
-        }
-        // Issue a READ; with async_read the request is a full readahead
-        // window regardless of how little the caller wants.
-        let req_size = if self.config.flags.async_read {
+        };
+        // Issue a READ. With async_read a sequential read (at offset 0, or
+        // where this handle's last reply ended) opens a full readahead
+        // window, as Linux's on-demand readahead does; any other read asks
+        // for just the pages it covers.
+        let req_size = if !self.config.flags.async_read {
+            len
+        } else if sequential || offset == 0 {
             self.config.max_read.max(len)
         } else {
-            len
+            len.next_multiple_of(PAGE_SIZE)
         };
-        self.read_requests.fetch_add(1, Ordering::Relaxed);
+        READ_REQ_BYTES.record(req_size as u64);
         let reply = self.call(Request::Read {
             ino,
             fh: fh.0,
@@ -802,6 +809,9 @@ impl Filesystem for FuseClientFs {
             mode,
         })?;
         self.invalidate_attr(ino);
+        // A punched hole or zeroed range must not read back from a window
+        // filled before it.
+        self.drop_readahead_for(ino);
         Ok(())
     }
 
@@ -826,6 +836,7 @@ mod tests {
     use super::*;
     use crate::conn::InlineTransport;
     use crate::server::FsHandler;
+    use crate::testing::{CountingTransport, PayloadLog};
     use cntr_fs::memfs::memfs;
     use cntr_types::Timespec;
 
@@ -1056,6 +1067,86 @@ mod tests {
         // 256 KiB read in 4 KiB chunks with 128 KiB readahead = 2 requests.
         assert_eq!(issued, 2, "readahead must batch");
         assert!(fs.stats().readahead_hits >= 62);
+    }
+
+    /// An optimized mount logging reply payloads, holding one 256 KiB file
+    /// of `7`s, opened read-write.
+    fn big_file_with_reply_log() -> (Arc<FuseClientFs>, Arc<PayloadLog>, Ino, Fh) {
+        let backing = memfs(DevId(1), SimClock::new());
+        let log = PayloadLog::new();
+        let transport = CountingTransport::new(
+            InlineTransport::new(FsHandler::new(backing)),
+            Arc::clone(&log),
+        );
+        let fs = FuseClientFs::mount(
+            DevId(100),
+            SimClock::new(),
+            CostModel::calibrated(),
+            FuseConfig::optimized(),
+            transport,
+        )
+        .expect("mount");
+        let st = fs
+            .mknod(
+                Ino::ROOT,
+                "big",
+                FileType::Regular,
+                Mode::RW_R__R__,
+                0,
+                &root_ctx(),
+            )
+            .unwrap();
+        let fh = fs.open(st.ino, OpenFlags::RDWR).unwrap();
+        fs.write(st.ino, fh, 0, &vec![7u8; 256 * 1024]).unwrap();
+        (fs, log, st.ino, fh)
+    }
+
+    /// Only a sequential read opens the 128 KiB window: a read elsewhere
+    /// asks for its own pages, and the read that continues where its reply
+    /// ended is the one that reads ahead. (Every READ here lies inside the
+    /// file, so each reply is as long as its request.)
+    #[test]
+    fn random_read_asks_only_for_its_pages() {
+        let (fs, log, ino, fh) = big_file_with_reply_log();
+        fs.drop_caches();
+        let replies = || -> Vec<usize> {
+            let hops = log.all().into_iter().filter(|h| h.hop == "wire-reply");
+            hops.map(|h| h.len).collect()
+        };
+        let mut buf = vec![0u8; 5000];
+        fs.read(ino, fh, 81920, &mut buf).unwrap();
+        assert_eq!(replies(), [8192], "5000 bytes round up to two pages");
+        fs.read(ino, fh, 81920 + 8192, &mut buf).unwrap();
+        fs.read(ino, fh, 4096, &mut buf[..100]).unwrap();
+        assert_eq!(replies(), [8192, 128 * 1024, 4096]);
+        assert!(buf[..100].iter().all(|&b| b == 7));
+    }
+
+    /// A punched hole must read as zeroes, not from a readahead window
+    /// filled before the punch.
+    #[test]
+    fn punched_hole_is_not_served_from_the_readahead_window() {
+        let (fs, _) = mounted(FuseConfig::optimized());
+        let st = fs
+            .mknod(
+                Ino::ROOT,
+                "f",
+                FileType::Regular,
+                Mode::RW_R__R__,
+                0,
+                &root_ctx(),
+            )
+            .unwrap();
+        let fh = fs.open(st.ino, OpenFlags::RDWR).unwrap();
+        fs.write(st.ino, fh, 0, &vec![7u8; 64 * 1024]).unwrap();
+        let mut buf = [0u8; 4096];
+        fs.read(st.ino, fh, 0, &mut buf).unwrap();
+        fs.fallocate(st.ino, fh, 4096, 4096, FallocateMode::PunchHole)
+            .unwrap();
+        assert_eq!(fs.read(st.ino, fh, 4096, &mut buf).unwrap(), 4096);
+        assert_eq!(buf, [0u8; 4096], "the hole reads as zeroes");
+        fs.read(st.ino, fh, 8192, &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 4096], "bytes past the hole survive");
     }
 
     #[test]

@@ -128,7 +128,8 @@ pub struct InitFlags {
     pub keep_cache: bool,
     /// `FUSE_PARALLEL_DIROPS`: concurrent lookups/readdirs in one directory.
     pub parallel_dirops: bool,
-    /// `FUSE_ASYNC_READ`: batch concurrent read requests (large readahead).
+    /// `FUSE_ASYNC_READ`: sequential reads fetch a full `max_read`
+    /// readahead window per request; other reads fetch only their pages.
     pub async_read: bool,
     /// `FUSE_SPLICE_READ` (+`MOVE`): zero-copy read replies.
     pub splice_read: bool,

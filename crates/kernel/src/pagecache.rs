@@ -71,8 +71,8 @@ use std::time::Duration;
 // Global observability metrics, aggregated across every `PageCache` instance
 // in the process (the per-instance [`PageCacheStats`] snapshot remains the
 // per-cache view). All updates are single relaxed atomic ops. Invariant kept
-// by [`PageCache::read`]: each page iteration bumps `lookups` exactly once
-// and then exactly one of `hits`/`misses`, so at quiescence
+// by [`PageCache::read`]: a hit bumps `lookups` and `hits` by one, a filled
+// run bumps `lookups` and `misses` by its page count, so at quiescence
 // `hits + misses == lookups`.
 static OBS_LOOKUPS: LazyCounter = LazyCounter::new(Subsystem::PageCache, "pagecache.lookups");
 static OBS_HITS: LazyCounter = LazyCounter::new(Subsystem::PageCache, "pagecache.hits");
@@ -596,6 +596,10 @@ const FLUSHER_CHUNK_PAGES: usize = 256;
 /// Tiny writers crossing the hard limit still make real progress.
 const MIN_THROTTLE_QUOTA: usize = 32;
 
+/// The most pages one read miss fills in a single run: 128 KiB, the FUSE
+/// `max_read` window.
+const FILL_RUN_PAGES: usize = 32;
+
 /// The shared body of a [`PageCache`]: all state and behaviour. The
 /// background flusher holds a [`Weak`] to it, so the cache's lifetime stays
 /// owned by the [`PageCache`] handle (whose drop stops and joins the
@@ -847,11 +851,13 @@ impl CacheShared {
             .and_then(|f| f.pending_mtime)
     }
 
-    /// Drops cached pages fully inside `[offset, offset+len)` — used after a
-    /// hole punch so stale buffered data cannot shadow the hole.
+    /// Drops every cached page overlapping `[offset, offset+len)` — used
+    /// after a hole punch so stale buffered data cannot shadow the hole. A
+    /// page the hole only partly covers goes too: the next read refetches
+    /// it with its zeroed part.
     pub fn drop_range(&self, dev: DevId, ino: Ino, offset: u64, len: u64) {
-        let first = offset.div_ceil(PAGE_SIZE as u64);
-        let last = (offset + len) / PAGE_SIZE as u64;
+        let first = offset / PAGE_SIZE as u64;
+        let last = (offset + len).div_ceil(PAGE_SIZE as u64);
         let mut st = self.lru.lock();
         let doomed: Vec<u64> = match st.files.get(&(dev, ino)) {
             Some(f) => f.pages.range(first..last).copied().collect(),
@@ -867,8 +873,14 @@ impl CacheShared {
         drop(removed);
     }
 
-    /// Reads through the cache. `file` supplies the fill path; `size` is the
-    /// effective file size (reads are clipped to it by the caller).
+    /// Reads through the cache. `file` supplies the fill path; the caller
+    /// clips reads to the effective file size.
+    ///
+    /// A miss fills the whole run of consecutive non-resident pages the
+    /// read covers from that point (up to [`FILL_RUN_PAGES`]) with one
+    /// filesystem read, the way Linux sizes a read to its access: a 4 KiB
+    /// read across two cold pages is one 8 KiB request. A resident page,
+    /// clean or dirty, ends the run and is served from the cache.
     pub fn read(
         &self,
         dev: DevId,
@@ -878,6 +890,11 @@ impl CacheShared {
         buf: &mut [u8],
     ) -> SysResult<usize> {
         let ino = file.ino;
+        let last_page = match buf.len() {
+            0 => return Ok(0),
+            len => (offset + len as u64 - 1) / PAGE_SIZE as u64,
+        };
+        let max_run = if mode.synthetic { 1 } else { FILL_RUN_PAGES };
         let mut done = 0usize;
         while done < buf.len() {
             let off = offset + done as u64;
@@ -890,7 +907,9 @@ impl CacheShared {
                 page: page_no,
             };
 
-            let hit = {
+            // A hit reads the page under the lock; a miss measures the run
+            // of absent pages starting here.
+            let run = {
                 let mut st = self.lru.lock();
                 if let Some(&slot) = st.map.get(&key) {
                     // A touch on a referenced inactive page is the second
@@ -908,76 +927,137 @@ impl CacheShared {
                     st.page(slot)
                         .data
                         .read_into(in_page, &mut buf[done..done + n]);
-                    true
+                    0
                 } else {
-                    false
+                    let limit = (last_page - page_no + 1).min(max_run as u64);
+                    (1..limit)
+                        .take_while(|i| {
+                            !st.map.contains_key(&PageKey {
+                                page: page_no + i,
+                                ..key
+                            })
+                        })
+                        .count()
+                        + 1
                 }
             };
 
-            OBS_LOOKUPS.inc();
-            if hit {
+            if run == 0 {
+                OBS_LOOKUPS.inc();
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 OBS_HITS.inc();
                 self.clock.advance(self.cost.page_cache_hit_ns);
+                done += n;
+                continue;
+            }
+            OBS_LOOKUPS.add(run as u64);
+            self.misses.fetch_add(run as u64, Ordering::Relaxed);
+            OBS_MISSES.add(run as u64);
+            // Fill the run from the filesystem (outside the lock: a FUSE
+            // fill re-enters the kernel through the server).
+            let page_off = page_no * PAGE_SIZE as u64;
+            let pages = if mode.synthetic {
+                // Synthetic mode: the fill must still be a real page-sized
+                // read so every layer below (FUSE round trips, readahead,
+                // disk) charges its true cost — only the bytes are
+                // discarded. It stays one page per fill: the virtual-time
+                // figures are calibrated against that request stream.
+                // Stack-allocated: the fill re-enters this function through
+                // the FUSE server.
+                let mut sink = [0u8; PAGE_SIZE];
+                file.fs.read(ino, file.fh, page_off, &mut sink)?;
+                vec![PageData::Synthetic]
             } else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                OBS_MISSES.inc();
-                // Fill the whole page from the filesystem (outside the lock:
-                // a FUSE fill re-enters the kernel through the server).
-                let page_off = page_no * PAGE_SIZE as u64;
-                let data = if mode.synthetic {
-                    // Synthetic mode: the fill must still be a real
-                    // page-sized read so every layer below (FUSE round trips,
-                    // readahead, disk) charges its true cost — only the bytes
-                    // are discarded. Stack-allocated: the fill re-enters this
-                    // function through the FUSE server.
-                    let mut sink = [0u8; PAGE_SIZE];
-                    file.fs.read(ino, file.fh, page_off, &mut sink)?;
-                    PageData::Synthetic
-                } else {
-                    // The splice fill: the buffer the filesystem returns is
-                    // cached *by reference* — for a spliced FUSE read this is
-                    // the server's own allocation, mapped into the page cache
-                    // without a copy (a short buffer is an EOF page; its tail
-                    // reads as zeroes).
-                    self.fill_page(file, ino, page_off)?
-                };
-                data.read_into(in_page, &mut buf[done..done + n]);
-                let over = {
-                    let mut st = self.lru.lock();
-                    // The fill ran outside the lock; another thread may have
-                    // populated (and even dirtied) the page meanwhile. Theirs
-                    // wins — replacing a dirty entry with our clean fill
-                    // would lose the write and strand the dirty accounting.
+                Self::fill_run(file, page_off, run)?
+            };
+            // Pages past the filesystem's EOF are not cached; they read as
+            // zeroes.
+            for i in 0..run {
+                let off = offset + done as u64;
+                let in_page = (off % PAGE_SIZE as u64) as usize;
+                let n = (PAGE_SIZE - in_page).min(buf.len() - done);
+                match pages.get(i) {
+                    Some(data) => data.read_into(in_page, &mut buf[done..done + n]),
+                    None => buf[done..done + n].fill(0),
+                }
+                done += n;
+            }
+            let over = {
+                let mut st = self.lru.lock();
+                for (i, data) in pages.into_iter().enumerate() {
+                    let key = PageKey {
+                        page: page_no + i as u64,
+                        ..key
+                    };
+                    // The fill ran outside the lock; another thread may
+                    // have populated (and even dirtied) the page meanwhile.
+                    // Theirs wins — replacing a dirty entry with our clean
+                    // fill would lose the write and strand the dirty
+                    // accounting.
                     if let Some(&slot) = st.map.get(&key) {
                         st.page_mut(slot).referenced = true;
                     } else {
                         st.insert(key, data, false, 0);
                     }
-                    st.resident() > self.capacity_pages
-                };
-                if over {
-                    self.reclaim()?;
                 }
+                st.resident() > self.capacity_pages
+            };
+            if over {
+                self.reclaim()?;
             }
-            done += n;
         }
         Ok(done)
     }
 
-    /// Reads one page of data at `page_off`, preferring the zero-copy
-    /// `read_bytes` path: a filesystem that answers the whole page (or an
-    /// EOF prefix of it) in one buffer has that buffer cached by reference
-    /// ([`PageData::Shared`] — the FUSE splice "page remap").
-    fn fill_page(&self, file: &Arc<FileRef>, ino: Ino, page_off: u64) -> SysResult<PageData> {
-        // `read_bytes_gather` forwards a single full-or-EOF answer
-        // untouched (the zero-copy case) and only gathers across chunk
-        // boundaries; either way the buffer is cached by reference, and a
-        // short buffer is an EOF page whose tail reads as zeroes.
-        Ok(PageData::Shared(
-            file.fs
-                .read_bytes_gather(ino, file.fh, page_off, PAGE_SIZE)?,
-        ))
+    /// Reads `pages` pages at `page_off` for the cache, one page per
+    /// [`PageData`] and none past EOF (the last may be a short EOF page
+    /// whose tail reads as zeroes).
+    ///
+    /// The splice fill: `read_bytes` is called until the run is covered,
+    /// and each page is cached *by reference* as a slice of the buffer that
+    /// holds it whole — for a spliced FUSE read the server's own reply, for
+    /// a blob-backed store the stored chunk — so no byte is copied to cache
+    /// it. Only a page straddling two buffers is gathered into its own.
+    /// (`read_bytes_gather` would copy every chunked run into one buffer.)
+    fn fill_run(file: &FileRef, page_off: u64, pages: usize) -> SysResult<Vec<PageData>> {
+        let len = pages * PAGE_SIZE;
+        let mut bufs = Vec::new();
+        let mut got = 0usize;
+        while got < len {
+            let chunk = file
+                .fs
+                .read_bytes(file.ino, file.fh, page_off + got as u64, len - got)?;
+            if chunk.is_empty() {
+                break;
+            }
+            got += chunk.len();
+            bufs.push(chunk);
+        }
+        let mut out = Vec::with_capacity(got.div_ceil(PAGE_SIZE));
+        let mut bufs = bufs.into_iter();
+        let mut cur = Bytes::new();
+        for start in (0..got).step_by(PAGE_SIZE) {
+            let want = PAGE_SIZE.min(got - start);
+            if cur.is_empty() {
+                cur = bufs.next().expect("buffers cover `got`");
+            }
+            if cur.len() >= want {
+                out.push(PageData::Shared(cur.slice(..want)));
+                cur = cur.slice(want..);
+                continue;
+            }
+            let mut page = Vec::with_capacity(want);
+            while page.len() < want {
+                if cur.is_empty() {
+                    cur = bufs.next().expect("buffers cover `got`");
+                }
+                let take = cur.len().min(want - page.len());
+                page.extend_from_slice(&cur[..take]);
+                cur = cur.slice(take..);
+            }
+            out.push(PageData::Shared(Bytes::from(page)));
+        }
+        Ok(out)
     }
 
     /// Writes through the cache according to `mode`.
@@ -1761,6 +1841,128 @@ mod tests {
         let s2 = cache.stats();
         assert_eq!(s2.hits, s1.hits + 1);
         assert_eq!(s2.misses, 1);
+    }
+
+    /// The address of the first byte of a resident page, if it is
+    /// resident and holds real bytes.
+    fn page_ptr(cache: &PageCache, dev: DevId, ino: Ino, page: u64) -> Option<usize> {
+        let st = cache.lru.lock();
+        let slot = *st.map.get(&PageKey { dev, ino, page })?;
+        match &st.page(slot).data {
+            PageData::Owned(p) => Some(p.as_ptr() as usize),
+            PageData::Shared(b) => Some(b.as_ptr() as usize),
+            PageData::Synthetic => None,
+        }
+    }
+
+    /// A cold multi-page read fills its run with one filesystem read: every
+    /// page is a slice of that one buffer.
+    #[test]
+    fn cold_run_is_one_fill_sliced_into_pages() {
+        let (cache, file, dev) = setup(1 << 20, 1 << 20);
+        file.fs
+            .write(file.ino, file.fh, 0, &[4u8; 4 * PAGE_SIZE])
+            .unwrap();
+        let mut buf = vec![0u8; 3 * PAGE_SIZE];
+        let n = cache
+            .read(dev, CacheMode::native(), &file, 100, &mut buf)
+            .unwrap();
+        assert_eq!((n, buf.iter().all(|&b| b == 4)), (3 * PAGE_SIZE, true));
+        assert_eq!(cache.stats().misses, 4, "every page of the run is a miss");
+        let base = page_ptr(&cache, dev, file.ino, 0).unwrap();
+        for page in 1..4u64 {
+            assert_eq!(
+                page_ptr(&cache, dev, file.ino, page),
+                Some(base + page as usize * PAGE_SIZE)
+            );
+        }
+    }
+
+    /// Over a blob-backed store, which answers one chunk per call, each
+    /// page of a cold run is cached as a slice of its own stored chunk: no
+    /// byte is copied to fill the cache.
+    #[test]
+    fn cold_run_over_blob_chunks_is_zero_copy() {
+        use cntr_overlay::{blobfs, BlobStore};
+        let clock = SimClock::new();
+        let store = BlobStore::new();
+        let fs = blobfs(DevId(2), clock.clone(), Arc::clone(&store)) as Arc<dyn Filesystem>;
+        let file = file_on(&fs, "b");
+        let content: Vec<u8> = (0..8 * PAGE_SIZE)
+            .map(|i| (i / PAGE_SIZE) as u8 + 1)
+            .collect();
+        fs.write(file.ino, file.fh, 0, &content).unwrap();
+        let cache = PageCache::new(clock, CostModel::calibrated(), 1 << 20, 1 << 20);
+        let dev = DevId(2);
+        let mut buf = vec![0u8; content.len()];
+        cache
+            .read(dev, CacheMode::native(), &file, 0, &mut buf)
+            .unwrap();
+        assert_eq!(buf, content);
+        for page in 0..8usize {
+            let chunk = &content[page * PAGE_SIZE..][..PAGE_SIZE];
+            let id = store.lookup_chunk(chunk).expect("chunk stored");
+            assert_eq!(
+                page_ptr(&cache, dev, file.ino, page as u64),
+                Some(store.chunk_bytes(id).as_ptr() as usize),
+                "page {page} must be a slice of its stored chunk"
+            );
+        }
+    }
+
+    /// A resident dirty page inside the range ends the run: the pages
+    /// around it are filled from the filesystem, it is served from the
+    /// cache and keeps its unflushed bytes.
+    #[test]
+    fn dirty_page_ends_the_run_and_keeps_its_bytes() {
+        let (cache, file, dev) = setup(1 << 20, 1 << 20);
+        let mode = CacheMode::native();
+        file.fs
+            .write(file.ino, file.fh, 0, &[3u8; 8 * PAGE_SIZE])
+            .unwrap();
+        cache
+            .write(dev, mode, &file, 3 * PAGE_SIZE as u64, &[9u8; PAGE_SIZE])
+            .unwrap();
+        let dirty = page_ptr(&cache, dev, file.ino, 3);
+        let mut buf = vec![0u8; 8 * PAGE_SIZE];
+        cache.read(dev, mode, &file, 0, &mut buf).unwrap();
+        for (page, bytes) in buf.chunks(PAGE_SIZE).enumerate() {
+            let want = if page == 3 { 9 } else { 3 };
+            assert!(bytes.iter().all(|&b| b == want), "page {page}");
+        }
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (7, 1));
+        assert_eq!(page_ptr(&cache, dev, file.ino, 3), dirty, "not refilled");
+        assert_eq!(cache.dirty_bytes(), PAGE_SIZE as u64);
+        // Two runs, two buffers: 0..3 and 4..8.
+        let ptr = |page| page_ptr(&cache, dev, file.ino, page).unwrap();
+        assert_eq!(ptr(2), ptr(0) + 2 * PAGE_SIZE);
+        assert_eq!(ptr(7), ptr(4) + 3 * PAGE_SIZE);
+        cache.flush_file(dev, file.ino).unwrap();
+        let mut page = [0u8; PAGE_SIZE];
+        file.fs
+            .read(file.ino, file.fh, 3 * PAGE_SIZE as u64, &mut page)
+            .unwrap();
+        assert_eq!(page, [9u8; PAGE_SIZE]);
+    }
+
+    /// A run reaching past the filesystem's EOF caches only the pages
+    /// before it (the last one short); the rest read as zeroes.
+    #[test]
+    fn run_past_eof_caches_only_pages_before_eof() {
+        let (cache, file, dev) = setup(1 << 20, 1 << 20);
+        let size = 2 * PAGE_SIZE + 1000;
+        file.fs
+            .write(file.ino, file.fh, 0, &vec![6u8; size])
+            .unwrap();
+        let mut buf = vec![1u8; 6 * PAGE_SIZE];
+        cache
+            .read(dev, CacheMode::native(), &file, 0, &mut buf)
+            .unwrap();
+        assert!(buf[..size].iter().all(|&b| b == 6));
+        assert!(buf[size..].iter().all(|&b| b == 0));
+        assert_eq!(cache.resident_pages(), 3);
+        assert_eq!(cache.stats().misses, 6);
     }
 
     #[test]

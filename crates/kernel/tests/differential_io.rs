@@ -3,21 +3,24 @@
 //! Splice and write-back batching are *transport* optimizations: they may
 //! change how bytes move, never what they say. This property test replays
 //! random operation sequences — write / aligned write / read / truncate /
-//! fsync / remount — through the full kernel VFS + page cache + FUSE stack
-//! under **all four `InitFlags` splice combinations**, with write-back
-//! batching coalescing contiguous dirty runs, plus a native (non-FUSE)
-//! mount as the ground-truth oracle, and demands byte-identical
-//! observations and final file contents from every configuration.
+//! hole punch / fsync / remount — through the full kernel VFS + page
+//! cache + FUSE stack under **all four `InitFlags` splice combinations**,
+//! with write-back batching coalescing contiguous dirty runs, plus a
+//! native (non-FUSE) mount as the ground-truth oracle, and demands
+//! byte-identical observations and final file contents from every
+//! configuration.
 //!
 //! A divergence here means a real data-path bug: a spliced buffer aliased
 //! after mutation, a batched flush writing the wrong run, a shared page
-//! surviving a truncate.
+//! surviving a truncate, a readahead window outliving a hole punch.
 
 use cntr_fs::memfs::memfs;
+use cntr_fs::FallocateMode;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_kernel::{CacheMode, Kernel, KernelConfig, MountFlags};
-use cntr_types::{CostModel, DevId, Mode, OpenFlags, Pid, SimClock};
+use cntr_types::{CostModel, DevId, Errno, Mode, OpenFlags, Pid, SimClock};
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 const PAGE: u64 = 4096;
@@ -33,6 +36,8 @@ enum Op {
     Read(u8, u32, u16),
     /// `truncate(2)` to `(slot, size)`.
     Truncate(u8, u32),
+    /// `fallocate(2)` punching a hole at `(slot, offset, len)`.
+    PunchHole(u8, u32, u16),
     /// `fsync(2)` the slot's file.
     Fsync(u8),
     /// The umount/mount cycle: sync everything dirty, drop every cache
@@ -47,6 +52,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..4, 0u8..48, 1u8..16).prop_map(|(s, p, n)| Op::WriteRun(s, p, n)),
         (0u8..4, 0u32..262_144, 1u16..16_384).prop_map(|(s, o, l)| Op::Read(s, o, l)),
         (0u8..4, 0u32..262_144).prop_map(|(s, z)| Op::Truncate(s, z)),
+        (0u8..4, 0u32..196_608, 1u16..16_384).prop_map(|(s, o, l)| Op::PunchHole(s, o, l)),
         (0u8..4).prop_map(Op::Fsync),
         Just(Op::Remount),
     ]
@@ -75,6 +81,8 @@ struct Env {
     /// The FUSE client, when this env mounts one (None = native oracle).
     client: Option<Arc<FuseClientFs>>,
     label: String,
+    /// Per-slot descriptors held across ops (see [`Env::held_fd`]).
+    held: RefCell<[Option<u32>; 4]>,
 }
 
 impl Env {
@@ -128,6 +136,7 @@ impl Env {
             pid,
             client: Some(client),
             label: format!("fuse(sr={splice_read},sw={splice_write})"),
+            held: RefCell::default(),
         }
     }
 
@@ -158,11 +167,31 @@ impl Env {
             pid,
             client: None,
             label: "native".to_string(),
+            held: RefCell::default(),
         }
     }
 
     fn path(slot: u8) -> String {
         format!("/mnt/f{slot}")
+    }
+
+    /// The slot's long-lived descriptor, opened on first use. Reads and
+    /// hole punches share it, so a FUSE readahead window one of them fills
+    /// outlives the op (as it does for a process holding a file open);
+    /// writes, truncates and fsyncs come in through fresh opens.
+    fn held_fd(&self, slot: u8) -> Result<u32, Errno> {
+        let held = &mut self.held.borrow_mut()[slot as usize];
+        if let Some(fd) = *held {
+            return Ok(fd);
+        }
+        let fd = self.k.open(
+            self.pid,
+            &Self::path(slot),
+            OpenFlags::RDWR,
+            Mode::RW_R__R__,
+        )?;
+        *held = Some(fd);
+        Ok(fd)
     }
 
     /// Applies one op, producing an observation string every configuration
@@ -178,22 +207,15 @@ impl Env {
                 *pages as usize * PAGE as usize,
             ),
             Op::Read(slot, offset, len) => {
-                let fd = match self.k.open(
-                    self.pid,
-                    &Self::path(*slot),
-                    OpenFlags::RDONLY,
-                    Mode::RW_R__R__,
-                ) {
+                let fd = match self.held_fd(*slot) {
                     Ok(fd) => fd,
                     Err(e) => return format!("read open {e}"),
                 };
                 let mut buf = vec![0u8; *len as usize];
-                let out = match self.k.pread(self.pid, fd, u64::from(*offset), &mut buf) {
+                match self.k.pread(self.pid, fd, u64::from(*offset), &mut buf) {
                     Ok(n) => format!("read {n} {:08x}", fletcher(&buf[..n])),
                     Err(e) => format!("read {e}"),
-                };
-                let _ = self.k.close(self.pid, fd);
-                out
+                }
             }
             Op::Truncate(slot, size) => {
                 match self
@@ -202,6 +224,22 @@ impl Env {
                 {
                     Ok(()) => "trunc ok".to_string(),
                     Err(e) => format!("trunc {e}"),
+                }
+            }
+            Op::PunchHole(slot, offset, len) => {
+                let fd = match self.held_fd(*slot) {
+                    Ok(fd) => fd,
+                    Err(e) => return format!("punch open {e}"),
+                };
+                match self.k.fallocate(
+                    self.pid,
+                    fd,
+                    u64::from(*offset),
+                    u64::from(*len),
+                    FallocateMode::PunchHole,
+                ) {
+                    Ok(()) => "punch ok".to_string(),
+                    Err(e) => format!("punch {e}"),
                 }
             }
             Op::Fsync(slot) => {
@@ -347,4 +385,41 @@ fn batching_is_invisible_in_content_but_visible_in_counters() {
         b.flush_batches,
         b.flushed_pages
     );
+}
+
+/// A hole punched after a read must read back as zeroes everywhere: not
+/// from the page cache, and not from the FUSE readahead window the first
+/// read filled on the same descriptor. The unaligned punch also zeroes the
+/// edges of the pages it only partly covers.
+#[test]
+fn read_punch_read_sees_the_hole() {
+    let zeroes = |len: usize| format!("read {len} {:08x}", fletcher(&vec![0u8; len]));
+    for env in all_envs() {
+        assert_eq!(env.apply(&Op::WriteRun(0, 0, 16)), "write 65536");
+        // Cold caches: the first read fetches its page from the server,
+        // which fills the held descriptor's readahead window.
+        assert_eq!(env.apply(&Op::Remount), "remount ok");
+        assert_eq!(env.apply(&Op::Read(0, 0, 4096)), fill_read(0, 4096));
+        assert_eq!(env.apply(&Op::PunchHole(0, 4096, 4096)), "punch ok");
+        assert_eq!(
+            env.apply(&Op::Read(0, 4096, 4096)),
+            zeroes(4096),
+            "{}: aligned hole",
+            env.label
+        );
+        assert_eq!(env.apply(&Op::Read(0, 16384, 4096)), fill_read(16384, 4096));
+        assert_eq!(env.apply(&Op::PunchHole(0, 16384 + 100, 5000)), "punch ok");
+        assert_eq!(
+            env.apply(&Op::Read(0, 16384 + 100, 5000)),
+            zeroes(5000),
+            "{}: unaligned hole",
+            env.label
+        );
+    }
+}
+
+/// The observation a read of bytes a [`Op::WriteRun`] at page 0 wrote.
+fn fill_read(offset: usize, len: usize) -> String {
+    let data = fill(0, 0, 65536);
+    format!("read {len} {:08x}", fletcher(&data[offset..offset + len]))
 }
