@@ -27,6 +27,26 @@
 //! writability event unparks the direction and pumping resumes — no
 //! busy-looping, no dropped bytes.
 //!
+//! # Readiness
+//!
+//! The plane's epoll is level-triggered: every wait reports each watched
+//! source that is readable *now*, whatever earlier waits reported. A
+//! direction's pump therefore stops at the first short splice (fewer than
+//! the 64 KiB chunk moved), as nginx stops reading on a short `recv`,
+//! instead of splicing again only to learn the source is empty. One
+//! forwarded message costs one splice. Nothing is stranded:
+//!
+//! - bytes that arrive later make the next wait report the source;
+//! - a destination that took only part of the bytes pushed the rest back
+//!   onto the source, so the next wait reports it, the splice after that
+//!   gets `EAGAIN`, and the direction parks;
+//! - an EOF queued behind the data shows up on a later wait of the same
+//!   [`EventLoop::pump_until_quiet`], since the short splice was progress;
+//! - a full 64 KiB splice keeps the pump looping.
+//!
+//! For the same reason an accept does not pump its new pair: bytes that
+//! raced ahead of registration are reported by the next wait.
+//!
 //! # Half-close
 //!
 //! `splice` returning `Ok(0)` means the source sent EOF. Only the
@@ -51,6 +71,7 @@ static OBS_ENDPOINTS: LazyGauge = LazyGauge::new(Subsystem::Core, "core.attach.e
 static OBS_ACCEPTED: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.accepted");
 static OBS_DIAL_ERRORS: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.dial-errors");
 static OBS_BYTES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.forwarded-bytes");
+static OBS_SPLICES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.splices");
 static OBS_LIVE: LazyGauge = LazyGauge::new(Subsystem::Core, "core.proxy.live-connections");
 static OBS_PARKED: LazyGauge = LazyGauge::new(Subsystem::Core, "core.proxy.parked-directions");
 static OBS_HALF_CLOSES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.half-closes");
@@ -534,9 +555,10 @@ impl EventLoop {
     /// Accepts every pending client on a listener, dialing upstream for
     /// each. A failed dial closes that client and increments the
     /// dial-error counters — it never aborts the loop or other
-    /// sessions. Freshly-registered pairs are pumped immediately so
-    /// bytes that raced ahead of registration are not stranded until
-    /// the next wait.
+    /// sessions. Freshly-registered pairs are not pumped here: bytes
+    /// that raced ahead of registration make the next (level-triggered)
+    /// wait report the new source, and the accept itself is progress,
+    /// so `pump_until_quiet` runs that wait.
     fn accept_burst(&self, proxy: &Arc<ProxyCore>) -> SysResult<usize> {
         let k = &self.kernel;
         let mut moved = 0;
@@ -558,11 +580,7 @@ impl EventLoop {
                     Ok(local)
                 });
             match upstream {
-                Ok(up) => {
-                    let (a, b) = self.register_pair(proxy, client, up)?;
-                    moved += self.pump_direction(a)?;
-                    moved += self.pump_direction(b)?;
-                }
+                Ok(up) => self.register_pair(proxy, client, up)?,
                 Err(_) => {
                     proxy.dial_errors.fetch_add(1, Ordering::Relaxed);
                     OBS_DIAL_ERRORS.inc();
@@ -574,13 +592,8 @@ impl EventLoop {
     }
 
     /// Registers a forwarded pair under fresh tokens.
-    fn register_pair(
-        &self,
-        proxy: &Arc<ProxyCore>,
-        client: u32,
-        upstream: u32,
-    ) -> SysResult<(usize, usize)> {
-        let (ct, ut, cidx, uidx) = {
+    fn register_pair(&self, proxy: &Arc<ProxyCore>, client: u32, upstream: u32) -> SysResult<()> {
+        let (ct, ut) = {
             let mut st = self.state.lock();
             let cidx = st.alloc();
             let uidx = st.alloc();
@@ -598,7 +611,7 @@ impl EventLoop {
                 out_open: true,
                 parked: false,
             });
-            (st.token(cidx), st.token(uidx), cidx, uidx)
+            (st.token(cidx), st.token(uidx))
         };
         self.kernel
             .epoll_add(self.pid, self.epfd, client, ct, Events::IN)?;
@@ -607,11 +620,13 @@ impl EventLoop {
         proxy.live.fetch_add(1, Ordering::Relaxed);
         OBS_LIVE.inc();
         OBS_ENDPOINTS.get().add(2);
-        Ok((cidx, uidx))
+        Ok(())
     }
 
-    /// Splices one forwarded direction until it would block, parks on a
-    /// full destination, and propagates EOF as a half-close.
+    /// Splices one forwarded direction until a splice comes up short,
+    /// parks on a full destination, and propagates EOF as a half-close.
+    /// See the module's "Readiness" section for why a short splice ends
+    /// the pump.
     fn pump_direction(&self, idx: usize) -> SysResult<usize> {
         let (src_fd, dst_fd) = {
             let st = self.state.lock();
@@ -631,6 +646,7 @@ impl EventLoop {
         };
         let mut moved = 0;
         loop {
+            OBS_SPLICES.inc();
             match self.kernel.splice(self.pid, src_fd, dst_fd, SPLICE_CHUNK) {
                 Ok(0) => {
                     // A state transition is progress: `pump_until_quiet`
@@ -643,6 +659,12 @@ impl EventLoop {
                 Ok(n) => {
                     moved += n;
                     OBS_BYTES.add(n as u64);
+                    // A short splice emptied the source (or filled the
+                    // destination, which pushed the rest back): the next
+                    // wait reports whatever is left.
+                    if n < SPLICE_CHUNK {
+                        break;
+                    }
                 }
                 Err(Errno::EAGAIN) => {
                     // Distinguish a drained source from a full
@@ -977,8 +999,101 @@ impl Drop for EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SocketProxy;
     use cntr_engine::runtime::boot_host;
     use cntr_types::SimClock;
+
+    /// A standalone proxy from `/run/in.sock` to a service listening on
+    /// `/run/svc.sock`: returns the proxy, the service's listener fd and
+    /// an application process to connect from.
+    fn proxy_to_service(k: &Kernel) -> (Arc<SocketProxy>, u32, Pid) {
+        let srv = k.bind_listener(Pid::INIT, "/run/svc.sock").unwrap();
+        let proxy_pid = k.fork(Pid::INIT).unwrap();
+        let connect_pid = k.fork(Pid::INIT).unwrap();
+        let proxy = SocketProxy::new(
+            k.clone(),
+            proxy_pid,
+            connect_pid,
+            "/run/in.sock",
+            "/run/svc.sock",
+        )
+        .unwrap();
+        (proxy, srv, k.fork(Pid::INIT).unwrap())
+    }
+
+    /// Connects through the proxy and accepts as the service: returns
+    /// the app's client fd and the service's end.
+    fn forwarded_pair(k: &Kernel, proxy: &SocketProxy, srv: u32, app: Pid) -> (u32, u32) {
+        let c = k.connect(app, "/run/in.sock").unwrap();
+        proxy.pump_until_quiet().unwrap();
+        (c, k.accept(Pid::INIT, srv).unwrap())
+    }
+
+    #[test]
+    fn forwarded_message_costs_one_splice() {
+        let k = boot_host(SimClock::new());
+        let (proxy, srv, app) = proxy_to_service(&k);
+        let (c, s) = forwarded_pair(&k, &proxy, srv, app);
+        let msg = vec![7u8; 4096];
+        k.write_fd(app, c, &msg).unwrap();
+        let cost = k.cost();
+        let before = k.clock().now();
+        assert_eq!(proxy.pump_until_quiet().unwrap(), msg.len());
+        // One wait finds the source, one splice moves the message and
+        // ends the pump, and a second wait finds nothing.
+        let (waits, splices) = (2, 1);
+        assert_eq!(
+            (k.clock().now() - before).as_nanos(),
+            (waits + splices) * cost.syscall_ns + cost.splice(4096)
+        );
+        let mut buf = vec![0u8; 8192];
+        assert_eq!(k.read_fd(Pid::INIT, s, &mut buf), Ok(msg.len()));
+        assert_eq!(&buf[..msg.len()], &msg[..]);
+    }
+
+    #[test]
+    fn message_then_eof_before_any_pump_arrives_whole() {
+        let k = boot_host(SimClock::new());
+        let (proxy, srv, app) = proxy_to_service(&k);
+        // The client connects, writes and half-closes before the plane
+        // has even accepted it.
+        let c = k.connect(app, "/run/in.sock").unwrap();
+        k.write_fd(app, c, b"last words").unwrap();
+        k.shutdown_write(app, c).unwrap();
+        proxy.pump_until_quiet().unwrap();
+        let s = k.accept(Pid::INIT, srv).unwrap();
+        let mut buf = [0u8; 32];
+        let n = k.read_fd(Pid::INIT, s, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"last words");
+        assert_eq!(k.read_fd(Pid::INIT, s, &mut buf), Ok(0), "EOF follows");
+        assert_eq!(proxy.connections(), 1, "reverse direction still open");
+    }
+
+    #[test]
+    fn full_chunk_keeps_the_pump_splicing() {
+        let k = boot_host(SimClock::new());
+        let (proxy, srv, app) = proxy_to_service(&k);
+        let (c, s) = forwarded_pair(&k, &proxy, srv, app);
+        let payload: Vec<u8> = (0..SPLICE_CHUNK as u32).map(|i| (i % 251) as u8).collect();
+        assert_eq!(k.write_fd(app, c, &payload), Ok(SPLICE_CHUNK));
+        let cost = k.cost();
+        let before = k.clock().now();
+        assert_eq!(proxy.pump().unwrap(), SPLICE_CHUNK);
+        // A full splice does not end the pump: within the one wait a
+        // second splice finds the source empty and a poll tells a
+        // drained source from a full destination.
+        let (waits, splices, polls) = (1, 2, 1);
+        assert_eq!(
+            (k.clock().now() - before).as_nanos(),
+            (waits + splices + polls) * cost.syscall_ns + cost.splice(SPLICE_CHUNK as u64)
+        );
+        let mut got = Vec::new();
+        let mut buf = vec![0u8; SPLICE_CHUNK];
+        while let Ok(n) = k.read_fd(Pid::INIT, s, &mut buf) {
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got, payload);
+    }
 
     #[test]
     fn plane_process_starts_with_clean_fd_table() {

@@ -57,11 +57,15 @@ struct Watch {
 
 /// An epoll instance.
 ///
-/// Wait-queue semantics: the ready set is served like Linux's `rdllist`
-/// under a `maxevents` budget — [`Epoll::wait_budget`] starts each sweep
-/// just past the last token it served, so a hot low-numbered endpoint
-/// cannot starve higher tokens when more sources are ready than the
-/// caller's per-wait budget.
+/// Readiness is level-triggered and computed on demand: there is no
+/// ready list fed by wake-ups. [`Epoll::wait`] polls every watch, so a
+/// wait costs O(watches) host time however few sources are ready.
+///
+/// Only the budgeted rotation matches Linux's `rdllist`: under a
+/// `maxevents` budget, [`Epoll::wait_budget`] starts each sweep just past
+/// the last token it served, so a hot low-numbered endpoint cannot starve
+/// higher tokens when more sources are ready than the caller's per-wait
+/// budget.
 pub struct Epoll {
     watches: Mutex<HashMap<u64, Watch>>,
     /// Rotation cursor of the budgeted wait: the token after which the

@@ -1123,6 +1123,7 @@ impl Kernel {
     /// loops use this to tell a drained source apart from a full
     /// destination after `splice` returns `EAGAIN`.
     pub fn poll_fd(&self, pid: Pid, fd: u32) -> SysResult<Events> {
+        self.charge_syscall();
         let source = self.with_proc(pid, |p| {
             Self::pollable_of(p.fds.get(&fd).ok_or(Errno::EBADF)?)
         })?;
@@ -1195,8 +1196,9 @@ impl Kernel {
     }
 
     /// `splice(2)`: moves up to `len` bytes between two descriptors without
-    /// copying through userspace. Supports pipe→pipe, socket→pipe and
-    /// pipe→socket — the combinations CNTR's socket proxy uses (§3.2.4).
+    /// copying through userspace. Supports pipe→pipe, socket→pipe,
+    /// pipe→socket and socket→socket; the last is how the attach plane
+    /// forwards a proxied connection (§3.2.4).
     /// Loss-free under backpressure: whatever the destination does not
     /// accept is pushed back onto the source, so a caller that sees
     /// `EAGAIN` or a short count can retry later without dropping bytes.
@@ -1207,19 +1209,22 @@ impl Kernel {
             let b = Arc::clone(&p.fds.get(&fd_out).ok_or(Errno::EBADF)?.file);
             Ok((a, b))
         })?;
-        // Stage through a bounded kernel buffer; remap cost, not copy cost.
-        let mut buf = vec![0u8; len.min(crate::pipe::PIPE_CAPACITY)];
-        let n = match &src.kind {
-            FileKind::PipeRead(pipe) => pipe.read(&mut buf)?,
-            FileKind::Socket(s) => s.recv(&mut buf)?,
+        // Stage through a kernel buffer sized to the bytes queued (at most
+        // one pipe's worth); remap cost, not copy cost. An empty source
+        // still gives `EAGAIN`, one at EOF an empty buffer.
+        let cap = len.min(crate::pipe::PIPE_CAPACITY);
+        let buf = match &src.kind {
+            FileKind::PipeRead(pipe) => pipe.read_up_to(cap)?,
+            FileKind::Socket(s) => s.recv_up_to(cap)?,
             _ => return Err(Errno::EINVAL),
         };
+        let n = buf.len();
         if n == 0 {
             return Ok(0);
         }
         let written = match &dst.kind {
-            FileKind::PipeWrite(pipe) => pipe.write(&buf[..n]),
-            FileKind::Socket(s) => s.send(&buf[..n]),
+            FileKind::PipeWrite(pipe) => pipe.write(&buf),
+            FileKind::Socket(s) => s.send(&buf),
             _ => Err(Errno::EINVAL),
         };
         let written = match written {
@@ -1227,12 +1232,12 @@ impl Kernel {
             Err(e) => {
                 // Destination refused everything: return the staged bytes
                 // to the source before surfacing the error.
-                Self::splice_unread(&src.kind, &buf[..n]);
+                Self::splice_unread(&src.kind, &buf);
                 return Err(e);
             }
         };
         if written < n {
-            Self::splice_unread(&src.kind, &buf[written..n]);
+            Self::splice_unread(&src.kind, &buf[written..]);
         }
         // Charge splice (page-remap) cost for what actually moved.
         self.inner
@@ -1580,6 +1585,43 @@ mod tests {
         let mut buf = [0u8; 32];
         let n = k.read_fd(Pid::INIT, r2, &mut buf).unwrap();
         assert_eq!(&buf[..n], b"spliced bytes");
+    }
+
+    #[test]
+    fn splice_stages_only_what_is_queued() {
+        let k = kernel();
+        let (a, b) = k.socketpair(Pid::INIT).unwrap();
+        let (c, d) = k.socketpair(Pid::INIT).unwrap();
+        // Empty source: EAGAIN, nothing charged beyond the syscall.
+        let before = k.clock().now();
+        assert_eq!(k.splice(Pid::INIT, b, c, 64 * 1024), Err(Errno::EAGAIN));
+        assert_eq!((k.clock().now() - before).as_nanos(), k.cost().syscall_ns);
+        // A queued message moves whole under a larger request, socket to
+        // socket, and is charged by the pages it covers.
+        let msg: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+        k.write_fd(Pid::INIT, a, &msg).unwrap();
+        let before = k.clock().now();
+        assert_eq!(k.splice(Pid::INIT, b, c, 64 * 1024), Ok(msg.len()));
+        assert_eq!(
+            (k.clock().now() - before).as_nanos(),
+            k.cost().syscall_ns + k.cost().splice(msg.len() as u64)
+        );
+        let mut buf = vec![0u8; 8192];
+        let n = k.read_fd(Pid::INIT, d, &mut buf).unwrap();
+        assert_eq!(&buf[..n], &msg[..]);
+        // A shut-down source reads as EOF.
+        k.shutdown_write(Pid::INIT, a).unwrap();
+        assert_eq!(k.splice(Pid::INIT, b, c, 64 * 1024), Ok(0));
+    }
+
+    #[test]
+    fn poll_fd_is_charged_as_a_syscall() {
+        let k = kernel();
+        let (r, w) = k.pipe(Pid::INIT).unwrap();
+        k.write_fd(Pid::INIT, w, b"!").unwrap();
+        let before = k.clock().now();
+        assert!(k.poll_fd(Pid::INIT, r).unwrap().readable);
+        assert_eq!((k.clock().now() - before).as_nanos(), k.cost().syscall_ns);
     }
 
     #[test]

@@ -83,6 +83,12 @@ impl SocketEnd {
         self.in_pipe().read(buf)
     }
 
+    /// Receives up to `max` bytes into a buffer sized to what was queued
+    /// (empty = orderly shutdown); see [`Pipe::read_up_to`].
+    pub fn recv_up_to(&self, max: usize) -> SysResult<Vec<u8>> {
+        self.in_pipe().read_up_to(max)
+    }
+
     /// Shuts down this endpoint (both directions).
     pub fn shutdown(&self) {
         self.out_pipe().close_write();

@@ -6,6 +6,7 @@
 //! registry and the span rings are process-global, so a single test per
 //! binary means no concurrent test can perturb the assertions.
 
+use cntr::core::SocketProxy;
 use cntr::prelude::*;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
 use cntr_types::{CostModel, DevId, FileType, Ino};
@@ -55,7 +56,48 @@ fn cntrstats_and_tracing_cover_the_stack() {
     session.detach().unwrap();
     docker.stop("probe").unwrap();
 
+    // ---- Forwarded messages, both ways, through a socket proxy. ----
+    let splices_before = obs::counter_value("core.proxy.splices").unwrap_or(0);
+    let srv = kernel
+        .bind_listener(Pid::INIT, "/run/obs-svc.sock")
+        .unwrap();
+    let proxy_pid = kernel.fork(Pid::INIT).unwrap();
+    let connect_pid = kernel.fork(Pid::INIT).unwrap();
+    let proxy = SocketProxy::new(
+        kernel.clone(),
+        proxy_pid,
+        connect_pid,
+        "/run/obs-in.sock",
+        "/run/obs-svc.sock",
+    )
+    .unwrap();
+    let app = kernel.fork(Pid::INIT).unwrap();
+    let client = kernel.connect(app, "/run/obs-in.sock").unwrap();
+    proxy.pump_until_quiet().unwrap();
+    let conn = kernel.accept(Pid::INIT, srv).unwrap();
+    let messages = 16u64;
+    let mut buf = vec![0u8; 8192];
+    for i in 0..messages {
+        let msg = vec![i as u8; 1024 + 256 * i as usize];
+        let ((from_pid, from), (to_pid, to)) = if i % 2 == 0 {
+            ((app, client), (Pid::INIT, conn))
+        } else {
+            ((Pid::INIT, conn), (app, client))
+        };
+        kernel.write_fd(from_pid, from, &msg).unwrap();
+        proxy.pump_until_quiet().unwrap();
+        assert_eq!(kernel.read_fd(to_pid, to, &mut buf), Ok(msg.len()));
+    }
+    proxy.unregister();
+
     let text = read_proc_cntrstats(&kernel);
+
+    // One splice per forwarded message, readable from cntrstats.
+    assert!(
+        text.lines()
+            .any(|l| l == format!("core.proxy.splices {}", splices_before + messages)),
+        "expected {messages} splices past {splices_before} in:\n{text}"
+    );
 
     // vmstat shape: every line is exactly `name value`.
     for line in text.lines() {
