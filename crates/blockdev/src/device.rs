@@ -84,7 +84,7 @@ struct DeviceState {
 pub struct BlockDevice {
     model: DiskModel,
     clock: SimClock,
-    stats: Arc<IoStats>,
+    stats: IoStats,
     /// When false, block contents are not materialized (benchmark mode):
     /// timing, heads and statistics behave identically, reads return zeroes.
     store_data: bool,
@@ -97,7 +97,7 @@ impl BlockDevice {
         Arc::new(BlockDevice {
             model,
             clock,
-            stats: Arc::new(IoStats::default()),
+            stats: IoStats::default(),
             store_data: true,
             state: Mutex::new_class("blockdev.device_state", DeviceState::default()),
         })
@@ -110,7 +110,7 @@ impl BlockDevice {
         Arc::new(BlockDevice {
             model,
             clock,
-            stats: Arc::new(IoStats::default()),
+            stats: IoStats::default(),
             store_data: false,
             state: Mutex::new_class("blockdev.device_state", DeviceState::default()),
         })
@@ -197,7 +197,7 @@ impl BlockDevice {
     pub fn flush(&self) {
         let st = self.state.lock();
         self.clock.advance_to(st.busy_until);
-        self.stats.record_flush();
+        self.stats.flushes.inc();
     }
 
     /// Number of blocks currently allocated.

@@ -8,7 +8,7 @@
 //! * [`BlockDevice`] — a thread-safe block store that executes reads and
 //!   writes, charges their cost to a shared [`cntr_types::SimClock`], and
 //!   keeps I/O statistics,
-//! * [`IoStats`] — counters used by benchmarks to explain *why* a
+//! * [`IoSnapshot`] — counters used by benchmarks to explain *why* a
 //!   configuration is fast or slow (e.g. writeback caching turning many small
 //!   random writes into few large sequential ones — the FIO result in
 //!   Figure 2).
@@ -19,7 +19,7 @@ mod stats;
 
 pub use device::{BackgroundIo, BlockDevice};
 pub use model::DiskModel;
-pub use stats::IoStats;
+pub use stats::IoSnapshot;
 
 /// Size of one device block (equal to the page size: 4 KiB).
 pub const BLOCK_SIZE: usize = cntr_types::cost::PAGE_SIZE;

@@ -1,52 +1,27 @@
 //! I/O statistics counters.
 
-use obs::{Counter, LazyCounter, Subsystem};
-
-// Machine-wide totals, registered in the observability registry so
-// `/proc/cntrstats` carries a blockdev section; the per-device `IoStats`
-// cells below stay out of the registry (devices are created in bulk).
-static OBS_READS: LazyCounter = LazyCounter::new(Subsystem::BlockDev, "blockdev.reads");
-static OBS_WRITES: LazyCounter = LazyCounter::new(Subsystem::BlockDev, "blockdev.writes");
-static OBS_BYTES_READ: LazyCounter = LazyCounter::new(Subsystem::BlockDev, "blockdev.bytes-read");
-static OBS_BYTES_WRITTEN: LazyCounter =
-    LazyCounter::new(Subsystem::BlockDev, "blockdev.bytes-written");
-static OBS_FLUSHES: LazyCounter = LazyCounter::new(Subsystem::BlockDev, "blockdev.flushes");
-
-/// Cumulative I/O statistics of a [`crate::BlockDevice`].
-///
-/// A thin view over [`obs::Counter`] cells: monotonically increasing and
-/// thread-safe, mirrored into the machine-wide registered totals above.
-/// Benchmarks use them to explain results: e.g. the FIO reproduction asserts
-/// that the CntrFS-with-writeback run issues *fewer, larger* writes than
-/// native.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    reads: Counter,
-    writes: Counter,
-    bytes_read: Counter,
-    bytes_written: Counter,
-    seq_ops: Counter,
-    rand_ops: Counter,
-    flushes: Counter,
-}
-
-/// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
-    /// Read operations completed.
-    pub reads: u64,
-    /// Write operations completed.
-    pub writes: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Operations classified as sequential.
-    pub seq_ops: u64,
-    /// Operations classified as random.
-    pub rand_ops: u64,
-    /// Explicit cache flushes / barriers.
-    pub flushes: u64,
+obs::counter_scope! {
+    /// Per-device I/O counters, writing through to `blockdev.*`.
+    pub(crate) struct IoStats(Subsystem::BlockDev);
+    /// A point-in-time copy of a device's I/O counters. Benchmarks use them
+    /// to explain results: e.g. the FIO reproduction asserts that the
+    /// CntrFS-with-writeback run issues *fewer, larger* writes than native.
+    pub struct IoSnapshot {
+        /// Read operations completed.
+        reads: "blockdev.reads",
+        /// Write operations completed.
+        writes: "blockdev.writes",
+        /// Bytes read.
+        bytes_read: "blockdev.bytes-read",
+        /// Bytes written.
+        bytes_written: "blockdev.bytes-written",
+        /// Operations classified as sequential.
+        seq_ops: "blockdev.seq-ops",
+        /// Operations classified as random.
+        rand_ops: "blockdev.rand-ops",
+        /// Explicit cache flushes / barriers.
+        flushes: "blockdev.flushes",
+    }
 }
 
 impl IoSnapshot {
@@ -59,45 +34,21 @@ impl IoSnapshot {
     pub fn avg_write_size(&self) -> u64 {
         self.bytes_written.checked_div(self.writes).unwrap_or(0)
     }
-
-    /// Counter-wise difference (`self - earlier`), saturating.
-    #[must_use]
-    pub const fn delta(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            seq_ops: self.seq_ops.saturating_sub(earlier.seq_ops),
-            rand_ops: self.rand_ops.saturating_sub(earlier.rand_ops),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
-        }
-    }
 }
 
 impl IoStats {
     /// Records a read of `len` bytes.
-    pub fn record_read(&self, len: u64, sequential: bool) {
+    pub(crate) fn record_read(&self, len: u64, sequential: bool) {
         self.reads.inc();
         self.bytes_read.add(len);
-        OBS_READS.inc();
-        OBS_BYTES_READ.add(len);
         self.record_kind(sequential);
     }
 
     /// Records a write of `len` bytes.
-    pub fn record_write(&self, len: u64, sequential: bool) {
+    pub(crate) fn record_write(&self, len: u64, sequential: bool) {
         self.writes.inc();
         self.bytes_written.add(len);
-        OBS_WRITES.inc();
-        OBS_BYTES_WRITTEN.add(len);
         self.record_kind(sequential);
-    }
-
-    /// Records a flush/barrier.
-    pub fn record_flush(&self) {
-        self.flushes.inc();
-        OBS_FLUSHES.inc();
     }
 
     fn record_kind(&self, sequential: bool) {
@@ -105,19 +56,6 @@ impl IoStats {
             self.seq_ops.inc();
         } else {
             self.rand_ops.inc();
-        }
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads.value(),
-            writes: self.writes.value(),
-            bytes_read: self.bytes_read.value(),
-            bytes_written: self.bytes_written.value(),
-            seq_ops: self.seq_ops.value(),
-            rand_ops: self.rand_ops.value(),
-            flushes: self.flushes.value(),
         }
     }
 }
@@ -132,7 +70,7 @@ mod tests {
         s.record_read(4096, true);
         s.record_write(8192, false);
         s.record_write(100, false);
-        s.record_flush();
+        s.flushes.inc();
         let snap = s.snapshot();
         assert_eq!(snap.reads, 1);
         assert_eq!(snap.writes, 2);
@@ -143,18 +81,6 @@ mod tests {
         assert_eq!(snap.flushes, 1);
         assert_eq!(snap.ops(), 3);
         assert_eq!(snap.avg_write_size(), 4146);
-    }
-
-    #[test]
-    fn delta_subtracts() {
-        let s = IoStats::default();
-        s.record_write(10, true);
-        let a = s.snapshot();
-        s.record_write(30, true);
-        let b = s.snapshot();
-        let d = b.delta(&a);
-        assert_eq!(d.writes, 1);
-        assert_eq!(d.bytes_written, 30);
     }
 
     #[test]

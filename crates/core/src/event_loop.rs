@@ -68,14 +68,22 @@ use std::sync::Arc;
 
 static OBS_POLLS: LazyCounter = LazyCounter::new(Subsystem::Core, "core.attach.loop-polls");
 static OBS_ENDPOINTS: LazyGauge = LazyGauge::new(Subsystem::Core, "core.attach.endpoints");
-static OBS_ACCEPTED: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.accepted");
-static OBS_DIAL_ERRORS: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.dial-errors");
 static OBS_BYTES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.forwarded-bytes");
 static OBS_SPLICES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.splices");
 static OBS_LIVE: LazyGauge = LazyGauge::new(Subsystem::Core, "core.proxy.live-connections");
 static OBS_PARKED: LazyGauge = LazyGauge::new(Subsystem::Core, "core.proxy.parked-directions");
 static OBS_HALF_CLOSES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.half-closes");
 static OBS_PTY_PARKS: LazyCounter = LazyCounter::new(Subsystem::Core, "core.pty.parked-flushes");
+
+obs::counter_scope! {
+    /// Event counters of one proxy, writing through to `core.proxy.*`.
+    pub(crate) struct ProxyCounters(Subsystem::Core) {
+        /// Connections accepted over the lifetime.
+        accepted: "core.proxy.accepted",
+        /// Upstream dials that failed (the proxy keeps serving).
+        dial_errors: "core.proxy.dial-errors",
+    }
+}
 
 /// Lock classes of the attach plane, ranked above the kernel's and the
 /// FUSE ring's in the global lock-ordering table: plane locks are leaves
@@ -135,27 +143,13 @@ pub(crate) struct ProxyCore {
     target_path: String,
     /// Live forwarded pairs.
     live: AtomicUsize,
-    /// Connections accepted over the lifetime.
-    accepted: AtomicU64,
-    /// Upstream dials that failed (the client is closed, the proxy
-    /// keeps serving).
-    dial_errors: AtomicU64,
+    pub(crate) counters: ProxyCounters,
 }
 
 impl ProxyCore {
     /// Live forwarded connection pairs.
     pub(crate) fn live(&self) -> usize {
         self.live.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted so far.
-    pub(crate) fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Failed upstream dials so far.
-    pub(crate) fn dial_errors(&self) -> u64 {
-        self.dial_errors.load(Ordering::Relaxed)
     }
 }
 
@@ -503,8 +497,7 @@ impl EventLoop {
             connect_pid,
             target_path: target_path.to_string(),
             live: AtomicUsize::new(0),
-            accepted: AtomicU64::new(0),
-            dial_errors: AtomicU64::new(0),
+            counters: ProxyCounters::default(),
         });
         let token = {
             let mut st = self.state.lock();
@@ -567,8 +560,7 @@ impl EventLoop {
             // `pump_until_quiet` must keep iterating while listeners
             // beyond this wait's budget still hold pending clients.
             moved += 1;
-            proxy.accepted.fetch_add(1, Ordering::Relaxed);
-            OBS_ACCEPTED.inc();
+            proxy.counters.accepted.inc();
             // Originate upstream in the connect process's namespace,
             // then bring the fd home over SCM_RIGHTS so the plane owns
             // both ends.
@@ -582,8 +574,7 @@ impl EventLoop {
             match upstream {
                 Ok(up) => self.register_pair(proxy, client, up)?,
                 Err(_) => {
-                    proxy.dial_errors.fetch_add(1, Ordering::Relaxed);
-                    OBS_DIAL_ERRORS.inc();
+                    proxy.counters.dial_errors.inc();
                     let _ = k.close(self.pid, client);
                 }
             }

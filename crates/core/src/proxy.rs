@@ -85,13 +85,13 @@ impl SocketProxy {
 
     /// Connections accepted over the proxy's lifetime.
     pub fn accepted(&self) -> u64 {
-        self.core.accepted()
+        self.core.counters.accepted.value()
     }
 
     /// Upstream dials that failed. Each failure closes only the affected
     /// client; the proxy keeps serving.
     pub fn dial_errors(&self) -> u64 {
-        self.core.dial_errors()
+        self.core.counters.dial_errors.value()
     }
 
     /// One iteration of the plane's event loop. Returns progress made

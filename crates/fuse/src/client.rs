@@ -40,7 +40,6 @@ use cntr_types::{
 use obs::{LazyHistogram, Subsystem};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bytes asked for by each READ request issued: the readahead window of a
@@ -83,19 +82,22 @@ impl ClientState {
     }
 }
 
-/// Cache behaviour counters of one client.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Entry-cache hits.
-    pub entry_hits: u64,
-    /// Entry-cache misses (→ LOOKUP request).
-    pub entry_misses: u64,
-    /// Attr-cache hits.
-    pub attr_hits: u64,
-    /// Attr-cache misses (→ GETATTR request).
-    pub attr_misses: u64,
-    /// Reads served from the readahead buffer.
-    pub readahead_hits: u64,
+obs::counter_scope! {
+    /// Cache counters of one client, writing through to `fuse.client.*`.
+    struct ClientCounters(Subsystem::Fuse);
+    /// Cache behaviour counters of one client.
+    pub struct ClientStats {
+        /// Entry-cache hits.
+        entry_hits: "fuse.client.entry-hits",
+        /// Entry-cache misses (→ LOOKUP request).
+        entry_misses: "fuse.client.entry-misses",
+        /// Attr-cache hits.
+        attr_hits: "fuse.client.attr-hits",
+        /// Attr-cache misses (→ GETATTR request).
+        attr_misses: "fuse.client.attr-misses",
+        /// Reads served from the readahead buffer.
+        readahead_hits: "fuse.client.readahead-hits",
+    }
 }
 
 /// The FUSE mount as seen by the simulated kernel.
@@ -106,11 +108,7 @@ pub struct FuseClientFs {
     config: FuseConfig,
     transport: Arc<dyn Transport>,
     state: Mutex<ClientState>,
-    entry_hits: AtomicU64,
-    entry_misses: AtomicU64,
-    attr_hits: AtomicU64,
-    attr_misses: AtomicU64,
-    readahead_hits: AtomicU64,
+    counters: ClientCounters,
 }
 
 impl FuseClientFs {
@@ -139,11 +137,7 @@ impl FuseClientFs {
             config,
             transport,
             state: Mutex::new_class("fuse.client_state", ClientState::default()),
-            entry_hits: AtomicU64::new(0),
-            entry_misses: AtomicU64::new(0),
-            attr_hits: AtomicU64::new(0),
-            attr_misses: AtomicU64::new(0),
-            readahead_hits: AtomicU64::new(0),
+            counters: ClientCounters::default(),
         }))
     }
 
@@ -159,13 +153,7 @@ impl FuseClientFs {
 
     /// Client-side cache counters.
     pub fn stats(&self) -> ClientStats {
-        ClientStats {
-            entry_hits: self.entry_hits.load(Ordering::Relaxed),
-            entry_misses: self.entry_misses.load(Ordering::Relaxed),
-            attr_hits: self.attr_hits.load(Ordering::Relaxed),
-            attr_misses: self.attr_misses.load(Ordering::Relaxed),
-            readahead_hits: self.readahead_hits.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Transport-level request counters.
@@ -392,13 +380,13 @@ impl Filesystem for FuseClientFs {
                 if let Some(stat) = st.attr_cache.get(&ino) {
                     let stat = *stat;
                     drop(st);
-                    self.entry_hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.entry_hits.inc();
                     self.clock.advance(self.cost.dcache_hit_ns);
                     return Ok(stat);
                 }
             }
         }
-        self.entry_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.entry_misses.inc();
         let reply = self.call(Request::Lookup {
             parent,
             name: name.to_string(),
@@ -415,11 +403,11 @@ impl Filesystem for FuseClientFs {
 
     fn getattr(&self, ino: Ino) -> SysResult<Stat> {
         if let Some(stat) = self.state.lock().attr_cache.get(&ino).copied() {
-            self.attr_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.attr_hits.inc();
             self.clock.advance(self.cost.dcache_hit_ns);
             return Ok(stat);
         }
-        self.attr_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.attr_misses.inc();
         match self.call(Request::Getattr { ino })? {
             Reply::Attr(stat) => {
                 self.update_attr(stat);
@@ -635,7 +623,7 @@ impl Filesystem for FuseClientFs {
                     let n = (ra.data.len() - begin).min(len);
                     let out = ra.data.slice(begin..begin + n);
                     drop(st);
-                    self.readahead_hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.readahead_hits.inc();
                     self.clock.advance(self.cost.copy(n as u64));
                     return Ok(out);
                 }

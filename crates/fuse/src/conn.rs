@@ -13,13 +13,21 @@
 //!   pairs with batched doorbells, amortizing wakeups across many
 //!   requests the way FUSE-over-io_uring does. Stress tests use it to
 //!   shake out synchronization bugs.
+//!
+//! # Accounting
+//!
+//! Every dispatched request counts in `fuse.req.started`/`completed`, the
+//! in-flight gauge and its opcode's latency histogram. `fuse.op.<name>.count`
+//! counts *handled* requests: the connection records one after the handler
+//! replied. So a ring request failed with `ENOTCONN` at shutdown stays in
+//! the started/completed pair and the histogram, but not in the op count.
 
 use crate::proto::{Opcode, Reply, Request};
 use crate::server::FuseHandler;
 use cntr_types::Errno;
 use obs::trace::Span;
-use obs::{LazyCounter, LazyGauge, Subsystem};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use obs::{KeyedCounterScope, LazyCounter, LazyGauge, Subsystem};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // Global (cross-connection) request accounting, exported via
@@ -55,7 +63,7 @@ fn op_metrics(op: Opcode) -> &'static OpMetrics {
 /// RAII accounting for one dispatched request: counts it started, holds the
 /// in-flight gauge up for its lifetime, and records the per-opcode
 /// round-trip latency on drop (panic-safe, so `started == completed` holds
-/// even across handler panics).
+/// even across handler panics). The opcode's count is [`ConnStats`]'s.
 pub(crate) struct ReqGuard {
     latency: &'static obs::Histogram,
     start_ns: u64,
@@ -65,10 +73,8 @@ impl ReqGuard {
     pub(crate) fn begin(op: Opcode) -> ReqGuard {
         REQ_STARTED.inc();
         QUEUE_DEPTH.inc();
-        let m = op_metrics(op);
-        m.count.inc();
         ReqGuard {
-            latency: m.latency,
+            latency: op_metrics(op).latency,
             start_ns: obs::now_ns(),
         }
     }
@@ -83,22 +89,33 @@ impl Drop for ReqGuard {
     }
 }
 
-/// Per-opcode request counters of one connection.
-#[derive(Debug, Default)]
-pub struct ConnStats {
-    lookups: AtomicU64,
-    getattrs: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    getxattrs: AtomicU64,
-    forgets: AtomicU64,
-    batch_forgets: AtomicU64,
-    others: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
+obs::counter_scope! {
+    /// Wire traffic of one connection.
+    struct WireBytes(Subsystem::Fuse) {
+        /// Request bytes, kernel to server.
+        bytes_in: "fuse.conn.bytes-in",
+        /// Reply bytes, server to kernel.
+        bytes_out: "fuse.conn.bytes-out",
+    }
 }
 
-/// Snapshot of [`ConnStats`].
+/// Request counters of one connection: a per-opcode scope whose totals
+/// are the `fuse.op.<name>.count` cells, plus its wire traffic.
+pub(crate) struct ConnStats {
+    ops: KeyedCounterScope<Opcode, 64>,
+    wire: WireBytes,
+}
+
+impl Default for ConnStats {
+    fn default() -> Self {
+        ConnStats {
+            ops: KeyedCounterScope::new(|op| op_metrics(op).count),
+            wire: WireBytes::default(),
+        }
+    }
+}
+
+/// Request counters of one connection, as [`Transport::stats`] reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnSnapshot {
     /// LOOKUP requests.
@@ -138,41 +155,32 @@ impl ConnSnapshot {
 }
 
 impl ConnStats {
-    /// Records one round trip. Takes the opcode and request wire size
-    /// captured *before* dispatch — the hot path hands the `Request`
-    /// itself to the handler by value, so transports no longer clone every
-    /// request just to inspect it after the reply comes back.
+    /// Records one handled round trip, from the opcode and request size
+    /// captured *before* dispatch (the handler takes the `Request` by value).
     pub(crate) fn record(&self, op: Opcode, req_bytes: usize, reply: &Reply) {
-        let counter = match op {
-            Opcode::Lookup => &self.lookups,
-            Opcode::Getattr => &self.getattrs,
-            Opcode::Read => &self.reads,
-            Opcode::Write => &self.writes,
-            Opcode::Getxattr => &self.getxattrs,
-            Opcode::Forget => &self.forgets,
-            Opcode::BatchForget => &self.batch_forgets,
-            _ => &self.others,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.bytes_in.fetch_add(req_bytes as u64, Ordering::Relaxed);
-        self.bytes_out
-            .fetch_add(reply.wire_bytes() as u64, Ordering::Relaxed);
+        self.ops.inc(op);
+        self.wire.bytes_in.add(req_bytes as u64);
+        self.wire.bytes_out.add(reply.wire_bytes() as u64);
     }
 
     /// Takes a snapshot.
-    pub fn snapshot(&self) -> ConnSnapshot {
-        ConnSnapshot {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            getattrs: self.getattrs.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            getxattrs: self.getxattrs.load(Ordering::Relaxed),
-            forgets: self.forgets.load(Ordering::Relaxed),
-            batch_forgets: self.batch_forgets.load(Ordering::Relaxed),
-            others: self.others.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
+    pub(crate) fn snapshot(&self) -> ConnSnapshot {
+        let ops = self.ops.values();
+        let count = |op: Opcode| ops[usize::from(op)];
+        let mut snap = ConnSnapshot {
+            lookups: count(Opcode::Lookup),
+            getattrs: count(Opcode::Getattr),
+            reads: count(Opcode::Read),
+            writes: count(Opcode::Write),
+            getxattrs: count(Opcode::Getxattr),
+            forgets: count(Opcode::Forget),
+            batch_forgets: count(Opcode::BatchForget),
+            others: 0,
+            bytes_in: self.wire.bytes_in.value(),
+            bytes_out: self.wire.bytes_out.value(),
+        };
+        snap.others = ops.iter().sum::<u64>() - snap.total();
+        snap
     }
 }
 

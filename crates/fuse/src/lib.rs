@@ -38,7 +38,7 @@ pub mod testing;
 
 pub use client::FuseClientFs;
 pub use config::FuseConfig;
-pub use conn::{ConnStats, InlineTransport, Transport};
+pub use conn::{InlineTransport, Transport};
 pub use proto::{InitFlags, Opcode, Reply, Request};
 pub use ring::RingTransport;
 pub use server::{FsHandler, FuseHandler};

@@ -80,6 +80,13 @@ pub enum Opcode {
     Fallocate = 43,
 }
 
+/// The uapi opcode value, as a per-opcode counter index.
+impl From<Opcode> for usize {
+    fn from(op: Opcode) -> usize {
+        op as usize
+    }
+}
+
 impl Opcode {
     /// Kebab-cased opcode name, used to build the per-opcode obs metric
     /// family (`fuse.op.<name>.count` / `fuse.op.<name>.latency-ns`).

@@ -63,39 +63,42 @@ use cntr_types::{CostModel, DevId, Errno, Ino, SimClock, SysResult};
 use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-// Global observability metrics, aggregated across every `PageCache` instance
-// in the process (the per-instance [`PageCacheStats`] snapshot remains the
-// per-cache view). All updates are single relaxed atomic ops. Invariant kept
-// by [`PageCache::read`]: a hit bumps `lookups` and `hits` by one, a filled
-// run bumps `lookups` and `misses` by its page count, so at quiescence
-// `hits + misses == lookups`.
+obs::counter_scope! {
+    /// Event counters of one page cache, writing through to `pagecache.*`.
+    struct CacheCounters(Subsystem::PageCache);
+    /// Observable page-cache counters.
+    pub struct PageCacheStats {
+        /// Pages served from cache.
+        hits: "pagecache.hits",
+        /// Pages that had to be read from the filesystem.
+        misses: "pagecache.misses",
+        /// Pages written back to the filesystem.
+        flushed_pages: "pagecache.flushed-pages",
+        /// Writeback batches issued (contiguous runs).
+        flush_batches: "pagecache.flush-batches",
+        /// Pages evicted for capacity.
+        evictions: "pagecache.evictions",
+        /// Whole-file invalidations (`open` without keep_cache, truncate).
+        invalidations: "pagecache.invalidations",
+        /// Pages examined by the reclaim scan (`pgscan` in `/proc/vmstat`).
+        reclaim_scans: "pagecache.reclaim-scans",
+        /// Writers stalled at the hard dirty limit.
+        throttle_stalls: "pagecache.throttle-stalls",
+        /// Background-flusher wakeups that found work.
+        writeback_wakeups: "pagecache.writeback-wakeups",
+    }
+}
+
+/// Page lookups, summed over all caches. Invariant kept by
+/// [`PageCache::read`]: a hit bumps `lookups` and `hits` by one, a filled
+/// run bumps `lookups` and `misses` by its page count, so at quiescence
+/// `hits + misses == lookups`.
 static OBS_LOOKUPS: LazyCounter = LazyCounter::new(Subsystem::PageCache, "pagecache.lookups");
-static OBS_HITS: LazyCounter = LazyCounter::new(Subsystem::PageCache, "pagecache.hits");
-static OBS_MISSES: LazyCounter = LazyCounter::new(Subsystem::PageCache, "pagecache.misses");
-static OBS_EVICTIONS: LazyCounter = LazyCounter::new(Subsystem::PageCache, "pagecache.evictions");
-static OBS_FLUSHED_PAGES: LazyCounter =
-    LazyCounter::new(Subsystem::PageCache, "pagecache.flushed-pages");
-static OBS_FLUSH_BATCHES: LazyCounter =
-    LazyCounter::new(Subsystem::PageCache, "pagecache.flush-batches");
-static OBS_INVALIDATIONS: LazyCounter =
-    LazyCounter::new(Subsystem::PageCache, "pagecache.invalidations");
-/// Pages examined by the reclaim scan (both lists — the analogue of
-/// `pgscan` in `/proc/vmstat`).
-static OBS_RECLAIM_SCANS: LazyCounter =
-    LazyCounter::new(Subsystem::PageCache, "pagecache.reclaim-scans");
-/// Times the background flusher woke up and found work above the
-/// background threshold.
-static OBS_WRITEBACK_WAKEUPS: LazyCounter =
-    LazyCounter::new(Subsystem::PageCache, "pagecache.writeback-wakeups");
-/// Writers that crossed the hard dirty limit and paid a foreground
-/// write-back stall.
-static OBS_THROTTLE_STALLS: LazyCounter =
-    LazyCounter::new(Subsystem::PageCache, "pagecache.throttle-stalls");
 /// Real (wall-clock) nanoseconds a throttled writer spent in its
 /// foreground write-back stall.
 static OBS_THROTTLE_STALL_NS: LazyHistogram =
@@ -104,8 +107,9 @@ static OBS_THROTTLE_STALL_NS: LazyHistogram =
 /// site that changes a cache's `dirty_total` applies the same delta here
 /// while still holding that cache's state lock. The same delta discipline
 /// holds for the residency gauges below: every LRU helper that links,
-/// unlinks or moves a page adjusts them under the lock, so the gauges stay
-/// exact sums across cache instances.
+/// unlinks or moves a page adjusts them under the lock, and a dropped cache
+/// state takes its levels back out, so the gauges stay exact sums across
+/// live cache instances.
 static OBS_DIRTY_PAGES: LazyGauge = LazyGauge::new(Subsystem::PageCache, "pagecache.dirty-pages");
 /// Pages on active lists, summed over all caches.
 static OBS_ACTIVE_PAGES: LazyGauge = LazyGauge::new(Subsystem::PageCache, "pagecache.active-pages");
@@ -234,8 +238,8 @@ struct LruList {
     len: usize,
 }
 
-impl LruList {
-    const fn new() -> LruList {
+impl Default for LruList {
+    fn default() -> LruList {
         LruList {
             head: NIL,
             tail: NIL,
@@ -313,6 +317,7 @@ impl FileState {
 
 /// Everything behind the `pagecache.lru` lock: the page slab, the lookup
 /// index, the two LRU lists and the per-file state.
+#[derive(Default)]
 struct CacheState {
     /// Page slab; `free` holds recycled slot indices.
     slots: Vec<Option<Page>>,
@@ -323,6 +328,15 @@ struct CacheState {
     active: LruList,
     inactive: LruList,
     dirty_total: usize,
+}
+
+impl Drop for CacheState {
+    fn drop(&mut self) {
+        OBS_RESIDENT_PAGES.add(-(self.resident() as i64));
+        OBS_ACTIVE_PAGES.add(-(self.active.len as i64));
+        OBS_INACTIVE_PAGES.add(-(self.inactive.len as i64));
+        OBS_DIRTY_PAGES.add(-(self.dirty_total as i64));
+    }
 }
 
 impl CacheState {
@@ -554,29 +568,6 @@ fn in_flush() -> bool {
     IN_FLUSH.with(std::cell::Cell::get)
 }
 
-/// Observable page-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageCacheStats {
-    /// Pages served from cache.
-    pub hits: u64,
-    /// Pages that had to be read from the filesystem.
-    pub misses: u64,
-    /// Pages written back to the filesystem.
-    pub flushed_pages: u64,
-    /// Writeback batches issued (contiguous runs).
-    pub flush_batches: u64,
-    /// Pages evicted for capacity.
-    pub evictions: u64,
-    /// Whole-file invalidations (`open` without keep_cache, truncate).
-    pub invalidations: u64,
-    /// Pages examined by the reclaim scan.
-    pub reclaim_scans: u64,
-    /// Writers stalled at the hard dirty limit.
-    pub throttle_stalls: u64,
-    /// Background-flusher wakeups that found work.
-    pub writeback_wakeups: u64,
-}
-
 /// The background flusher's control block: the spawn-once state behind the
 /// `pagecache.flusher` lock. The running thread itself never takes this
 /// lock — wake/stop travel through atomics and `unpark`.
@@ -626,15 +617,7 @@ pub struct CacheShared {
     stop: AtomicBool,
     lru: Mutex<CacheState>,
     flusher: Mutex<FlusherCtl>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    flushed_pages: AtomicU64,
-    flush_batches: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    reclaim_scans: AtomicU64,
-    throttle_stalls: AtomicU64,
-    writeback_wakeups: AtomicU64,
+    counters: CacheCounters,
 }
 
 /// The page cache shared by all mounts of a [`crate::Kernel`].
@@ -694,18 +677,7 @@ impl PageCache {
                 flusher_enabled: AtomicBool::new(false),
                 self_ref: self_ref.clone(),
                 stop: AtomicBool::new(false),
-                lru: Mutex::new_class(
-                    lock_class::PAGECACHE_LRU,
-                    CacheState {
-                        slots: Vec::new(),
-                        free: Vec::new(),
-                        map: HashMap::new(),
-                        files: HashMap::new(),
-                        active: LruList::new(),
-                        inactive: LruList::new(),
-                        dirty_total: 0,
-                    },
-                ),
+                lru: Mutex::new_class(lock_class::PAGECACHE_LRU, CacheState::default()),
                 flusher: Mutex::new_class(
                     lock_class::PAGECACHE_FLUSHER,
                     FlusherCtl {
@@ -713,15 +685,7 @@ impl PageCache {
                         join: None,
                     },
                 ),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                flushed_pages: AtomicU64::new(0),
-                flush_batches: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                invalidations: AtomicU64::new(0),
-                reclaim_scans: AtomicU64::new(0),
-                throttle_stalls: AtomicU64::new(0),
-                writeback_wakeups: AtomicU64::new(0),
+                counters: CacheCounters::default(),
             }),
         }
     }
@@ -775,8 +739,7 @@ fn flusher_main(cache: Weak<CacheShared>) {
                 let Some((dev, ino)) = victim else { break };
                 if !woke_with_work {
                     woke_with_work = true;
-                    c.writeback_wakeups.fetch_add(1, Ordering::Relaxed);
-                    OBS_WRITEBACK_WAKEUPS.inc();
+                    c.counters.writeback_wakeups.inc();
                 }
                 // A flush error (EIO, ENOSPC, a torn-down mount) ends this
                 // drain; the dirty pages stay and the next wakeup retries.
@@ -799,17 +762,7 @@ fn flusher_main(cache: Weak<CacheShared>) {
 impl CacheShared {
     /// Counter snapshot.
     pub fn stats(&self) -> PageCacheStats {
-        PageCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            flushed_pages: self.flushed_pages.load(Ordering::Relaxed),
-            flush_batches: self.flush_batches.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            reclaim_scans: self.reclaim_scans.load(Ordering::Relaxed),
-            throttle_stalls: self.throttle_stalls.load(Ordering::Relaxed),
-            writeback_wakeups: self.writeback_wakeups.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Number of resident pages.
@@ -944,15 +897,13 @@ impl CacheShared {
 
             if run == 0 {
                 OBS_LOOKUPS.inc();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                OBS_HITS.inc();
+                self.counters.hits.inc();
                 self.clock.advance(self.cost.page_cache_hit_ns);
                 done += n;
                 continue;
             }
             OBS_LOOKUPS.add(run as u64);
-            self.misses.fetch_add(run as u64, Ordering::Relaxed);
-            OBS_MISSES.add(run as u64);
+            self.counters.misses.add(run as u64);
             // Fill the run from the filesystem (outside the lock: a FUSE
             // fill re-enters the kernel through the server).
             let page_off = page_no * PAGE_SIZE as u64;
@@ -1219,8 +1170,7 @@ impl CacheShared {
         if dirty <= self.dirty_limit_pages {
             return Ok(());
         }
-        self.throttle_stalls.fetch_add(1, Ordering::Relaxed);
-        OBS_THROTTLE_STALLS.inc();
+        self.counters.throttle_stalls.inc();
         let stall_start = obs::now_ns();
         let paced = self.flusher_enabled.load(Ordering::Relaxed);
         let mut quota = newly_dirtied.saturating_mul(2).max(MIN_THROTTLE_QUOTA);
@@ -1374,11 +1324,8 @@ impl CacheShared {
                     .write_bytes(ino, flush_ref.fh, offset, Bytes::from(buf))
             };
             if wrote.is_ok() {
-                self.flush_batches.fetch_add(1, Ordering::Relaxed);
-                OBS_FLUSH_BATCHES.inc();
-                self.flushed_pages
-                    .fetch_add(members.len() as u64, Ordering::Relaxed);
-                OBS_FLUSHED_PAGES.add(members.len() as u64);
+                self.counters.flush_batches.inc();
+                self.counters.flushed_pages.add(members.len() as u64);
             }
             let mut st = self.lru.lock();
             for (page, version, _) in members {
@@ -1517,12 +1464,10 @@ impl CacheShared {
                     }
                 }
                 if evicted > 0 {
-                    self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                    OBS_EVICTIONS.add(evicted);
+                    self.counters.evictions.add(evicted);
                 }
                 if scanned > 0 {
-                    self.reclaim_scans.fetch_add(scanned, Ordering::Relaxed);
-                    OBS_RECLAIM_SCANS.add(scanned);
+                    self.counters.reclaim_scans.add(scanned);
                 }
                 let done = st.resident() <= self.capacity_pages;
                 drop(st);
@@ -1577,8 +1522,7 @@ impl CacheShared {
         drop(st);
         drop(dropped);
         drop(removed);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        OBS_INVALIDATIONS.inc();
+        self.counters.invalidations.inc();
         Ok(())
     }
 
@@ -1654,22 +1598,9 @@ impl CacheShared {
     pub fn drop_clean(&self) -> SysResult<()> {
         self.sync_all()?;
         let mut st = self.lru.lock();
-        let resident = st.resident();
-        let active = st.active.len;
-        let inactive = st.inactive.len;
-        let dirty = st.dirty_total;
-        st.slots.clear();
-        st.free.clear();
-        st.map.clear();
-        st.active = LruList::new();
-        st.inactive = LruList::new();
-        st.dirty_total = 0;
-        OBS_RESIDENT_PAGES.add(-(resident as i64));
-        OBS_ACTIVE_PAGES.add(-(active as i64));
-        OBS_INACTIVE_PAGES.add(-(inactive as i64));
-        OBS_DIRTY_PAGES.add(-(dirty as i64));
-        let dropped: Vec<FileState> = st.files.drain().map(|(_, f)| f).collect();
+        let dropped = std::mem::take(&mut *st);
         drop(st);
+        // Outside the lock: drops the file handles and unwinds the gauges.
         drop(dropped);
         Ok(())
     }

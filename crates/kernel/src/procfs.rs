@@ -144,12 +144,10 @@ impl ProcFs {
     }
 
     /// `/proc/cntrstats`: every registered observability metric as
-    /// vmstat-style `name value` lines, one subsystem block after another
-    /// (each block is rendered in a single pass over its metrics, so —
-    /// like `/proc/vmstat` — the snapshot is consistent per subsystem),
-    /// followed by lock-contention counters bridged from the lockdep
-    /// core, which sits below the metrics crate and cannot register its
-    /// own metrics without a dependency cycle.
+    /// vmstat-style `name value` lines ([`obs::render`]), followed by
+    /// lock-contention counters bridged from the lockdep core, which sits
+    /// below the metrics crate and cannot register its own metrics without
+    /// a dependency cycle.
     fn cntrstats_content(&self) -> Vec<u8> {
         let mut out = obs::render();
         let report = lockdep::report();

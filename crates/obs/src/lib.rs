@@ -19,12 +19,15 @@
 //! Registration is idempotent by name, so two components naming the same
 //! metric share one cell.
 //!
+//! Event counts a subsystem also reports per instance go through a
+//! *counter scope* ([`counter_scope!`], [`KeyedCounterScope`]): one call
+//! writes the instance's cell and the family's registered total.
+//!
 //! [`render`] produces the vmstat-style `name value` report mounted at
-//! `/proc/cntrstats`: subsystems appear in rank order ([`Subsystem::rank`]),
-//! names sorted within a subsystem, and each subsystem is read in one tight
-//! pass so its lines are snapshot-consistent relative to each other (metrics
-//! are independent atomics, so cross-subsystem tearing is possible and
-//! documented — same contract as Linux `/proc/vmstat`).
+//! `/proc/cntrstats`: subsystems appear in rank order ([`SUBSYSTEMS`]),
+//! names sorted within a subsystem. Every line is an independent relaxed
+//! atomic read one after another, so lines may tear against each other
+//! under concurrent updates — the same contract as Linux `/proc/vmstat`.
 //!
 //! Request tracing (trace ids, per-thread span rings, chrome-trace export)
 //! lives in [`trace`].
@@ -68,11 +71,6 @@ pub const SUBSYSTEMS: [Subsystem; 7] = [
 ];
 
 impl Subsystem {
-    /// Render order in `/proc/cntrstats` (lower renders first).
-    pub fn rank(self) -> usize {
-        self as usize
-    }
-
     /// The metric-name prefix this subsystem's metrics must carry.
     pub fn prefix(self) -> &'static str {
         match self {
@@ -96,9 +94,8 @@ impl Subsystem {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A standalone (unregistered) counter — usable as a plain struct field,
-    /// e.g. `blockdev::IoStats` keeps per-device counters out of the global
-    /// registry.
+    /// A standalone (unregistered) counter — the per-instance cell of a
+    /// [`ScopedCounter`] or [`KeyedCounterScope`].
     pub const fn new() -> Self {
         Counter(AtomicU64::new(0))
     }
@@ -533,6 +530,147 @@ impl LazyHistogram {
 }
 
 // ---------------------------------------------------------------------------
+// Counter scopes
+// ---------------------------------------------------------------------------
+
+/// One instance's copy of a registered counter: [`ScopedCounter::add`]
+/// bumps this instance's cell and writes through to the family's
+/// machine-wide total. Totals are written through, not summed at render
+/// time — summing live scopes would need a live-scope list with safe
+/// unlink — so a dropped scope's counts stay in the total, as a monotonic
+/// counter's must. Declared in named groups with [`counter_scope!`].
+pub struct ScopedCounter {
+    cell: Counter,
+    total: &'static LazyCounter,
+}
+
+impl ScopedCounter {
+    pub const fn new(total: &'static LazyCounter) -> Self {
+        ScopedCounter {
+            cell: Counter::new(),
+            total,
+        }
+    }
+
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.cell.add(n);
+        self.total.add(n);
+    }
+
+    /// This instance's count.
+    #[inline]
+    pub fn value(&self) -> u64 {
+        self.cell.value()
+    }
+}
+
+/// Declares a counter scope: a struct of [`ScopedCounter`] fields, one per
+/// member of a counter family, each naming its registered total once.
+/// `Default` builds a zeroed scope. An optional second struct declares the
+/// scope's snapshot: a `Copy` value with one `pub u64` per member, filled
+/// by the generated `snapshot()`.
+///
+/// ```
+/// obs::counter_scope! {
+///     struct WidgetCounters(Subsystem::Engine);
+///     /// What a widget did.
+///     pub struct WidgetStats {
+///         /// Spins performed.
+///         spins: "engine.widget.spins",
+///     }
+/// }
+/// let (a, b) = (WidgetCounters::default(), WidgetCounters::default());
+/// a.spins.add(2);
+/// b.spins.inc();
+/// assert_eq!(a.snapshot(), WidgetStats { spins: 2 });
+/// assert_eq!(obs::counter_value("engine.widget.spins"), Some(3));
+/// ```
+#[macro_export]
+macro_rules! counter_scope {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident(Subsystem::$sub:ident) {
+            $( $(#[$fmeta:meta])* $field:ident: $metric:literal ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $vis $field: $crate::ScopedCounter, )*
+        }
+
+        impl ::core::default::Default for $name {
+            fn default() -> Self {
+                $name {
+                    $( $field: {
+                        static TOTAL: $crate::LazyCounter =
+                            $crate::LazyCounter::new($crate::Subsystem::$sub, $metric);
+                        $crate::ScopedCounter::new(&TOTAL)
+                    }, )*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident(Subsystem::$sub:ident);
+        $(#[$smeta:meta])*
+        $svis:vis struct $snap:ident {
+            $( $(#[$fmeta:meta])* $field:ident: $metric:literal ),* $(,)?
+        }
+    ) => {
+        $crate::counter_scope! {
+            $(#[$meta])*
+            $vis struct $name(Subsystem::$sub) { $( $field: $metric, )* }
+        }
+
+        $(#[$smeta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $svis struct $snap {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $name {
+            $vis fn snapshot(&self) -> $snap {
+                $snap { $( $field: self.$field.value(), )* }
+            }
+        }
+    };
+}
+
+/// A counter scope indexed by a run-time key below `N` (an opcode, say):
+/// each update writes the instance's cell and the total `total(key)`.
+pub struct KeyedCounterScope<K, const N: usize> {
+    cells: [Counter; N],
+    total: fn(K) -> &'static Counter,
+}
+
+impl<K: Copy + Into<usize>, const N: usize> KeyedCounterScope<K, N> {
+    pub fn new(total: fn(K) -> &'static Counter) -> Self {
+        KeyedCounterScope {
+            cells: std::array::from_fn(|_| Counter::new()),
+            total,
+        }
+    }
+
+    #[inline]
+    pub fn inc(&self, key: K) {
+        self.cells[key.into()].inc();
+        (self.total)(key).inc();
+    }
+
+    /// This instance's count of every key, indexed by key.
+    pub fn values(&self) -> [u64; N] {
+        std::array::from_fn(|i| self.cells[i].value())
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Wall clock
 // ---------------------------------------------------------------------------
 
@@ -595,9 +733,9 @@ fn render_metric(out: &mut String, m: &Metric) {
 }
 
 /// Render every registered metric as vmstat-style `name value` lines:
-/// subsystems in rank order, names sorted within a subsystem, each
-/// subsystem read in a single tight pass (snapshot-consistent per
-/// subsystem; cross-subsystem tearing is possible, as in `/proc/vmstat`).
+/// subsystems in rank order, names sorted within a subsystem. Each value is
+/// read on its own, so lines may tear against each other, as in
+/// `/proc/vmstat`.
 pub fn render() -> String {
     let mut out = String::new();
     for sub in SUBSYSTEMS {
@@ -607,17 +745,6 @@ pub fn render() -> String {
         for m in metrics {
             render_metric(&mut out, m);
         }
-    }
-    out
-}
-
-/// Render one subsystem's metrics (used by benches to scope their report).
-pub fn render_subsystem(sub: Subsystem) -> String {
-    let mut out = String::new();
-    let mut metrics: Vec<&'static Metric> = iter_metrics().filter(|m| m.subsystem == sub).collect();
-    metrics.sort_by_key(|m| m.name);
-    for m in metrics {
-        render_metric(&mut out, m);
     }
     out
 }
@@ -720,6 +847,49 @@ mod tests {
             assert_eq!(counter_value(&name), Some(8000), "{name}");
             assert_eq!(iter_metrics().filter(|m| m.name == name).count(), 1);
         }
+    }
+
+    counter_scope! {
+        struct TestScope(Subsystem::Engine) {
+            ticks: "engine.test.scope-ticks",
+            tocks: "engine.test.scope-tocks",
+        }
+    }
+
+    /// Two scopes of one family, one of them dropped: each keeps its own
+    /// count, and the family total is the sum of both.
+    #[test]
+    fn scopes_add_up_to_the_family_total() {
+        let kept = TestScope::default();
+        {
+            let dropped = TestScope::default();
+            kept.ticks.add(5);
+            dropped.ticks.add(3);
+            dropped.tocks.inc();
+            assert_eq!((kept.ticks.value(), dropped.ticks.value()), (5, 3));
+            assert_eq!((kept.tocks.value(), dropped.tocks.value()), (0, 1));
+        }
+        kept.ticks.inc();
+        assert_eq!(counter_value("engine.test.scope-ticks"), Some(6 + 3));
+        assert_eq!(counter_value("engine.test.scope-tocks"), Some(1));
+    }
+
+    #[test]
+    fn keyed_scopes_count_per_key_and_into_each_total() {
+        fn total(key: usize) -> &'static Counter {
+            register_counter(Subsystem::Engine, &format!("engine.test.keyed-{key}"))
+        }
+        let a = KeyedCounterScope::<usize, 4>::new(total);
+        let b = KeyedCounterScope::<usize, 4>::new(total);
+        a.inc(1);
+        a.inc(1);
+        b.inc(1);
+        b.inc(3);
+        assert_eq!(a.values(), [0, 2, 0, 0]);
+        assert_eq!(b.values(), [0, 1, 0, 1]);
+        assert_eq!(counter_value("engine.test.keyed-1"), Some(3));
+        assert_eq!(counter_value("engine.test.keyed-3"), Some(1));
+        assert_eq!(counter_value("engine.test.keyed-0"), None);
     }
 
     #[test]

@@ -49,10 +49,16 @@ struct BlobState {
     buckets: HashMap<u64, Vec<ChunkSlot>>,
     /// Unique bytes physically stored right now.
     physical_bytes: u64,
-    /// Bytes handed to `put` over the store's lifetime (incl. duplicates).
-    ingested_bytes: u64,
-    /// `put` calls satisfied by an existing chunk.
-    dedup_hits: u64,
+}
+
+obs::counter_scope! {
+    /// Ingest events of one store, writing through to `overlay.blob.*`.
+    struct BlobCounters(Subsystem::Overlay) {
+        /// Bytes handed to `put`, duplicates included.
+        ingested_bytes: "overlay.blob.ingested-bytes",
+        /// `put` calls satisfied by an existing chunk.
+        dedup_hits: "overlay.blob.dedup-hits",
+    }
 }
 
 /// Content-addressed, chunked, refcounted storage for file data.
@@ -62,12 +68,14 @@ struct BlobState {
 /// against each other here.
 pub struct BlobStore {
     state: Mutex<BlobState>,
+    counters: BlobCounters,
 }
 
 impl Default for BlobStore {
     fn default() -> BlobStore {
         BlobStore {
             state: Mutex::new_class("overlay.blob.state", BlobState::default()),
+            counters: BlobCounters::default(),
         }
     }
 }
@@ -135,13 +143,13 @@ impl BlobStore {
         debug_assert!(!is_zero(data), "zero chunks must be elided by callers");
         let hash = fnv1a(data);
         let mut st = self.state.lock();
-        st.ingested_bytes += data.len() as u64;
+        self.counters.ingested_bytes.add(data.len() as u64);
         let bucket = st.buckets.entry(hash).or_default();
         // Existing identical chunk?
         for (slot, entry) in bucket.iter_mut().enumerate() {
             if entry.data.as_deref() == Some(data) {
                 entry.refs += 1;
-                st.dedup_hits += 1;
+                self.counters.dedup_hits.inc();
                 return BlobId {
                     hash,
                     slot: slot as u32,
@@ -263,14 +271,14 @@ impl BlobStore {
         let st = self.state.lock();
         BlobStoreStats {
             physical_bytes: st.physical_bytes,
-            ingested_bytes: st.ingested_bytes,
+            ingested_bytes: self.counters.ingested_bytes.value(),
             unique_chunks: st
                 .buckets
                 .values()
                 .flat_map(|b| b.iter())
                 .filter(|s| s.data.is_some())
                 .count() as u64,
-            dedup_hits: st.dedup_hits,
+            dedup_hits: self.counters.dedup_hits.value(),
         }
     }
 

@@ -12,6 +12,9 @@ use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
 use cntr_types::{CostModel, DevId, FileType, Ino};
 use std::sync::Arc;
 
+/// Reads `/proc/cntrstats` in one 64 KiB read: the page cache fills the
+/// whole report in one run, whose misses count before the report renders,
+/// and no later read of a grown report adds hits.
 fn read_proc_cntrstats(kernel: &Kernel) -> String {
     let fd = kernel
         .open(
@@ -21,19 +24,14 @@ fn read_proc_cntrstats(kernel: &Kernel) -> String {
             Mode::RW_R__R__,
         )
         .expect("open /proc/cntrstats");
-    let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        let n = kernel
-            .read_fd(Pid::INIT, fd, &mut buf)
-            .expect("read /proc/cntrstats");
-        if n == 0 {
-            break;
-        }
-        out.extend_from_slice(&buf[..n]);
-    }
+    let mut buf = vec![0u8; 64 << 10];
+    let n = kernel
+        .read_fd(Pid::INIT, fd, &mut buf)
+        .expect("read /proc/cntrstats");
+    assert!(n > 0 && n < buf.len(), "report of {n} bytes");
     kernel.close(Pid::INIT, fd).expect("close");
-    String::from_utf8(out).expect("cntrstats is utf-8")
+    buf.truncate(n);
+    String::from_utf8(buf).expect("cntrstats is utf-8")
 }
 
 #[test]
@@ -90,12 +88,56 @@ fn cntrstats_and_tracing_cover_the_stack() {
     }
     proxy.unregister();
 
+    // Read one host file twice: misses, then page-cache hits.
+    let fd = kernel
+        .open(
+            Pid::INIT,
+            "/run/obs-probe",
+            OpenFlags::create(),
+            Mode::RW_R__R__,
+        )
+        .unwrap();
+    kernel.write_fd(Pid::INIT, fd, &[7u8; 16 << 10]).unwrap();
+    kernel.close(Pid::INIT, fd).unwrap();
+    for _ in 0..2 {
+        let fd = kernel
+            .open(
+                Pid::INIT,
+                "/run/obs-probe",
+                OpenFlags::RDONLY,
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        assert_eq!(kernel.read_fd(Pid::INIT, fd, &mut buf), Ok(8192));
+        kernel.close(Pid::INIT, fd).unwrap();
+    }
+
     let text = read_proc_cntrstats(&kernel);
+    let line = |name: &str| -> Option<u64> {
+        text.lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} ")))
+            .map(|v| v.parse().unwrap())
+    };
+
+    // One recording per event: this binary runs one kernel, so its page
+    // cache's own counters and the cntrstats totals are the same numbers.
+    let pc = kernel.page_cache_stats();
+    assert!(pc.hits > 0 && pc.misses > 0, "{pc:?}");
+    assert_eq!(line("pagecache.hits"), Some(pc.hits), "{text}");
+    assert_eq!(line("pagecache.misses"), Some(pc.misses), "{text}");
+    // The CntrFS clients' cache counters reach cntrstats through their
+    // scopes with no code of their own.
+    for name in ["fuse.client.entry-hits", "fuse.client.attr-hits"] {
+        assert!(
+            line(name).is_some_and(|n| n > 0),
+            "missing {name} in:\n{text}"
+        );
+    }
 
     // One splice per forwarded message, readable from cntrstats.
-    assert!(
-        text.lines()
-            .any(|l| l == format!("core.proxy.splices {}", splices_before + messages)),
+    assert_eq!(
+        line("core.proxy.splices"),
+        Some(splices_before + messages),
         "expected {messages} splices past {splices_before} in:\n{text}"
     );
 

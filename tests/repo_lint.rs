@@ -19,10 +19,11 @@
 //!    std lock snuck in (or poison handling is being skipped).
 //!
 //! A fourth, observability-flavoured pass checks the metric names passed to
-//! `LazyCounter::new` / `LazyGauge::new` / `LazyHistogram::new`: names must
-//! be workspace-unique, kebab/dot-cased (`subsystem.noun-phrase`), and
-//! carry the prefix of the subsystem they register under — `/proc/cntrstats`
-//! is sorted by those names, so a malformed one corrupts the report shape.
+//! `LazyCounter::new` / `LazyGauge::new` / `LazyHistogram::new` and the
+//! members of every `obs::counter_scope!` family: names must be
+//! workspace-unique, kebab/dot-cased (`subsystem.noun-phrase`), and carry
+//! the prefix of the subsystem they register under — `/proc/cntrstats` is
+//! sorted by those names, so a malformed one corrupts the report shape.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -486,8 +487,8 @@ struct MetricDecl {
 }
 
 /// Extracts every `Lazy{Counter,Gauge,Histogram}::new(Subsystem::X, "...")`
-/// in non-test code. Works on whole-file text because the declarations
-/// routinely wrap across lines under rustfmt.
+/// and every `counter_scope!` member in non-test code. Works on whole-file
+/// text because the declarations routinely wrap across lines under rustfmt.
 fn metric_decls(root: &Path) -> Vec<MetricDecl> {
     let mut files = Vec::new();
     rust_files(&root.join("crates"), &mut files);
@@ -542,8 +543,45 @@ fn metric_decls(root: &Path) -> Vec<MetricDecl> {
                 });
             }
         }
+        scope_decls(&rel, &text, &mut decls);
     }
     decls
+}
+
+/// The members of each `counter_scope! { ... }` invocation in `text`: the
+/// family's `(Subsystem::X)` and every `field: "name"` line of its body.
+fn scope_decls(rel: &str, text: &str, decls: &mut Vec<MetricDecl>) {
+    const PAT: &str = "counter_scope! {";
+    let mut from = 0;
+    while let Some(pos) = text[from..].find(PAT) {
+        let start = from + pos + PAT.len();
+        let first_line = text[..start].lines().count();
+        let mut subsystem = None;
+        let mut depth = 1;
+        for (i, line) in text[start..].lines().enumerate() {
+            let code = line.split("//").next().unwrap_or_default();
+            if subsystem.is_none() {
+                subsystem = code
+                    .split_once("(Subsystem::")
+                    .and_then(|(_, rest)| rest.split(')').next())
+                    .map(str::to_string);
+            }
+            if let Some((_, lit)) = code.split_once(": \"") {
+                decls.push(MetricDecl {
+                    file: rel.to_string(),
+                    line: first_line + i,
+                    subsystem: subsystem.clone().unwrap_or_default(),
+                    name: lit.split('"').next().unwrap_or_default().to_string(),
+                });
+            }
+            depth += code.matches('{').count();
+            depth -= code.matches('}').count();
+            if depth == 0 {
+                break;
+            }
+        }
+        from = start;
+    }
 }
 
 /// `subsystem.noun-phrase[...]`: lowercase alphanumeric segments joined by
