@@ -13,7 +13,7 @@
 
 use cntr_fs::memfs::memfs;
 use cntr_kernel::kernel::KernelConfig;
-use cntr_kernel::{CacheMode, Kernel, MountFlags, NamespaceKind};
+use cntr_kernel::{Kernel, MountFlags, NamespaceKind};
 use cntr_types::{DevId, Mode, OpenFlags, Pid, SimClock};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,12 +30,7 @@ struct Container {
 fn boot(containers: usize) -> (Kernel, Vec<Container>) {
     let clock = SimClock::new();
     let root = memfs(DevId(1), clock.clone());
-    let kernel = Kernel::with_clock(
-        clock.clone(),
-        root,
-        CacheMode::native(),
-        KernelConfig::default(),
-    );
+    let kernel = Kernel::with_clock(clock.clone(), root, KernelConfig::default());
     let mut out = Vec::with_capacity(containers);
     for i in 0..containers {
         let pid = kernel.fork(Pid::INIT).expect("fork container");
@@ -46,7 +41,7 @@ fn boot(containers: usize) -> (Kernel, Vec<Container>) {
         kernel.mkdir(pid, &dir, Mode::RWXR_XR_X).expect("mkdir");
         let fs = memfs(DevId(100 + i as u64), clock.clone());
         kernel
-            .mount_fs(pid, &dir, fs, CacheMode::native(), MountFlags::default())
+            .mount_fs(pid, &dir, fs, MountFlags::default())
             .expect("mount");
         for f in 0..4 {
             let fd = kernel

@@ -22,7 +22,7 @@
 use cntr_fs::memfs::memfs;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport, Transport};
 use cntr_kernel::kernel::KernelConfig;
-use cntr_kernel::{CacheMode, Kernel, MountFlags};
+use cntr_kernel::{Kernel, MountFlags};
 use cntr_types::{DevId, Mode, OpenFlags, Pid, SimClock};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -35,7 +35,7 @@ const PAGE: usize = 4096;
 fn boot(config: KernelConfig) -> (Kernel, Pid, u32) {
     let clock = SimClock::new();
     let root = memfs(DevId(1), clock.clone());
-    let kernel = Kernel::with_clock(clock, root, CacheMode::native(), config);
+    let kernel = Kernel::with_clock(clock, root, config);
     let pid = kernel.fork(Pid::INIT).expect("fork");
     let fd = kernel
         .open(
@@ -131,7 +131,7 @@ fn bench_hit_rate(_c: &mut Criterion) {
 fn boot_fuse(config: KernelConfig) -> (Kernel, Pid, u32) {
     let clock = SimClock::new();
     let root = memfs(DevId(1), clock.clone());
-    let kernel = Kernel::with_clock(clock.clone(), root, CacheMode::native(), config);
+    let kernel = Kernel::with_clock(clock.clone(), root, config);
     let pid = kernel.fork(Pid::INIT).expect("fork");
     let backing = memfs(DevId(7), clock.clone());
     let handler = FsHandler::new(backing);
@@ -144,15 +144,9 @@ fn boot_fuse(config: KernelConfig) -> (Kernel, Pid, u32) {
         transport,
     )
     .expect("mount cntrfs");
-    let flags = client.effective_flags();
-    let cache = CacheMode {
-        writeback: flags.writeback_cache,
-        keep_cache: flags.keep_cache,
-        synthetic: false,
-    };
     kernel.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
     kernel
-        .mount_fs(pid, "/mnt", client, cache, MountFlags::default())
+        .mount_fs(pid, "/mnt", client, MountFlags::default())
         .expect("mount cntrfs at /mnt");
     let fd = kernel
         .open(

@@ -222,12 +222,6 @@ impl BlockDevice {
             self.clock.advance_to(done);
         }
     }
-
-    /// Nanoseconds of queued (not yet completed) work.
-    pub fn backlog_ns(&self) -> u64 {
-        let st = self.state.lock();
-        st.busy_until.saturating_sub(self.clock.now()).as_nanos()
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::pty::Pty;
 use crate::shell::Shell;
 use cntr_engine::ContainerRuntime;
 use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
-use cntr_kernel::{CacheMode, Kernel, MountFlags, NamespaceKind};
+use cntr_kernel::{Kernel, MountFlags, NamespaceKind};
 use cntr_types::{DevId, Errno, Mode, OpenFlags, Pid, SysResult};
 use obs::{LazyCounter, LazyHistogram, Subsystem, Timed};
 use parking_lot::Mutex;
@@ -127,12 +127,6 @@ impl Cntr {
         let transport = InlineTransport::new(server.clone());
         let dev = DevId(NEXT_FUSE_DEV.fetch_add(1, Ordering::Relaxed));
         let client = FuseClientFs::mount(dev, k.clock().clone(), k.cost(), opts.fuse, transport)?;
-        let flags = client.effective_flags();
-        let cache = CacheMode {
-            writeback: flags.writeback_cache,
-            keep_cache: flags.keep_cache,
-            synthetic: false,
-        };
 
         // ------------------------------------------------------------------
         // Step #3: initialize the tools namespace.
@@ -169,7 +163,7 @@ impl Cntr {
             Ok(()) | Err(Errno::EEXIST) => {}
             Err(e) => return Err(e),
         }
-        k.mount_fs(attached, &tmp, client.clone(), cache, MountFlags::default())?;
+        k.mount_fs(attached, &tmp, client.clone(), MountFlags::default())?;
 
         // Re-mount the application's tree under TMP/var/lib/cntr. The
         // directory is created *through CntrFS* (i.e. on the tools side).

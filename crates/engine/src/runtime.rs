@@ -14,7 +14,7 @@ use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, FsContext};
 use cntr_kernel::cred::Credentials;
 use cntr_kernel::devfs;
-use cntr_kernel::{CacheMode, CgroupPath, Kernel, MountFlags, NamespaceKind};
+use cntr_kernel::{CgroupPath, Kernel, MountFlags, NamespaceKind};
 use cntr_overlay::{blobfs, BlobFs, BlobStore, OverlayFs};
 use cntr_types::{DevId, Errno, Mode, Pid, SysResult};
 use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem, Timed};
@@ -315,7 +315,6 @@ impl ContainerRuntime {
             pid,
             &host_dir,
             Arc::clone(&rootfs) as Arc<dyn Filesystem>,
-            CacheMode::native(),
             MountFlags::default(),
         )?;
         k.pivot_root(pid, &host_dir)?;
@@ -453,7 +452,7 @@ pub fn boot_host_with(
     config: cntr_kernel::kernel::KernelConfig,
 ) -> Kernel {
     let root = memfs(DevId(1), clock.clone());
-    let k = Kernel::with_clock(clock, root, CacheMode::native(), config);
+    let k = Kernel::with_clock(clock, root, config);
     for d in [
         "/proc", "/dev", "/etc", "/var", "/var/lib", "/tmp", "/usr", "/usr/bin", "/run",
     ] {

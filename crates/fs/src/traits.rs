@@ -91,6 +91,11 @@ pub enum FallocateMode {
 /// `RLIMIT_FSIZE` is not enforced (test #228), and it delegates POSIX ACLs to
 /// the backing filesystem so the setgid-clearing corner case is missed
 /// (test #375).
+///
+/// They also state the page-cache contract the kernel applies to a mount of
+/// the filesystem: a disk or tmpfs caches both ways, a FUSE mount reports
+/// what INIT negotiated (two of the paper's §3.3 optimizations), and
+/// `/proc` caches nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsFeatures {
     /// `open(O_DIRECT)` is honoured.
@@ -114,6 +119,12 @@ pub struct FsFeatures {
     /// overhead (§5.2.2: "the kernel currently neither caches such
     /// attributes nor provides an option for caching them").
     pub xattr_cached: bool,
+    /// Writes may be buffered dirty in the page cache and flushed in
+    /// batches (`FUSE_WRITEBACK_CACHE`). Off = write-through.
+    pub writeback_cache: bool,
+    /// Cached pages survive `open()` (`FOPEN_KEEP_CACHE`). Off = a file's
+    /// cached pages are invalidated each time it is opened.
+    pub keep_cache: bool,
 }
 
 impl FsFeatures {
@@ -127,6 +138,8 @@ impl FsFeatures {
             block_backed: true,
             reflink: false,
             xattr_cached: true,
+            writeback_cache: true,
+            keep_cache: true,
         }
     }
 
@@ -140,6 +153,8 @@ impl FsFeatures {
             block_backed: false,
             reflink: false,
             xattr_cached: true,
+            writeback_cache: true,
+            keep_cache: true,
         }
     }
 }
@@ -364,5 +379,8 @@ mod tests {
         assert!(FsFeatures::full().block_backed);
         assert!(!FsFeatures::tmpfs().block_backed);
         assert!(FsFeatures::tmpfs().direct_io);
+        for f in [FsFeatures::full(), FsFeatures::tmpfs()] {
+            assert!(f.writeback_cache && f.keep_cache);
+        }
     }
 }

@@ -19,15 +19,20 @@
 //!   trips (Figure 3c);
 //! * **splice** replaces per-byte copies with page remaps (Figure 3d); the
 //!   splice-*write* variant taxes every request with an extra context
-//!   switch, which is why CNTR ships with it disabled (§3.3);
+//!   switch, which is why the paper shipped with it disabled (§3.3). The
+//!   shipping profile turns it on: batched write-back makes WRITEs few and
+//!   large, so the peek amortizes ([`InitFlags::cntr_default`]);
 //! * **worker threads** add per-request synchronization overhead
 //!   (Figure 4).
 //!
 //! The page cache itself lives in the simulated kernel (`cntr-kernel`); the
-//! negotiated `writeback_cache`/`keep_cache` flags are exported via
-//! [`FuseClientFs::effective_flags`] for the mount to configure.
+//! negotiated `writeback_cache`/`keep_cache` flags are reported through
+//! [`Filesystem::features`], from which the kernel sets the mount's cache
+//! policy.
 
-use crate::config::FuseConfig;
+use crate::config::{
+    FuseConfig, ENTRY_CACHE_CAP, FORGET_BATCH, MAX_READ, META_PIPELINE, RING_BATCH,
+};
 use crate::conn::{ConnSnapshot, Transport};
 use crate::proto::{InitFlags, Reply, Request, RequestCtx};
 use bytes::Bytes;
@@ -181,7 +186,7 @@ impl FuseClientFs {
     fn charge(&self, req: &Request, reply: &Reply) {
         let f = &self.config.flags;
         let depth = if req.is_meta() && f.parallel_dirops {
-            self.config.meta_pipeline.max(1) as u64
+            META_PIPELINE as u64
         } else {
             1
         };
@@ -202,7 +207,7 @@ impl FuseClientFs {
         if workers > 1 {
             let sync = self.cost.mt_sync_ns * workers.ilog2() as u64;
             ns += if f.ring {
-                sync / self.config.ring_batch.max(1) as u64
+                sync / RING_BATCH as u64
             } else {
                 sync
             };
@@ -258,7 +263,7 @@ impl FuseClientFs {
             st.attr_cache.remove(&parent);
         }
         *st.nlookup.entry(stat.ino).or_insert(0) += 1;
-        let over = st.entry_cache.len() > self.config.entry_cache_cap;
+        let over = st.entry_cache.len() > ENTRY_CACHE_CAP;
         drop(st);
         if over {
             self.evict_entries();
@@ -288,7 +293,7 @@ impl FuseClientFs {
                 }
             }
         }
-        let flush = st.forget_queue.len() >= self.config.forget_batch;
+        let flush = st.forget_queue.len() >= FORGET_BATCH;
         drop(st);
         if flush {
             self.flush_forgets();
@@ -357,7 +362,9 @@ impl Filesystem for FuseClientFs {
 
     fn features(&self) -> FsFeatures {
         // The four xfstests failures (§5.1) plus the uncached
-        // security.capability xattr (§5.2.2 Apache) in feature-flag form.
+        // security.capability xattr (§5.2.2 Apache) in feature-flag form,
+        // and the page-cache policy INIT negotiated.
+        let flags = self.config.flags;
         FsFeatures {
             direct_io: false,
             exportable_handles: false,
@@ -366,6 +373,8 @@ impl Filesystem for FuseClientFs {
             block_backed: false,
             reflink: false,
             xattr_cached: false,
+            writeback_cache: flags.writeback_cache,
+            keep_cache: flags.keep_cache,
         }
     }
 
@@ -638,7 +647,7 @@ impl Filesystem for FuseClientFs {
         let req_size = if !self.config.flags.async_read {
             len
         } else if sequential || offset == 0 {
-            self.config.max_read.max(len)
+            MAX_READ.max(len)
         } else {
             len.next_multiple_of(PAGE_SIZE)
         };
@@ -811,7 +820,7 @@ impl Filesystem for FuseClientFs {
             st.entry_cache.retain(|_, e| e.ino != ino);
             st.nlookup.remove(&ino);
             st.forget_queue.push((ino, nlookup));
-            st.forget_queue.len() >= self.config.forget_batch
+            st.forget_queue.len() >= FORGET_BATCH
         };
         if flush {
             self.flush_forgets();
@@ -1139,7 +1148,11 @@ mod tests {
 
     #[test]
     fn no_async_read_means_per_call_requests() {
-        let (fs, _) = mounted(FuseConfig::unoptimized());
+        let (fs, _) = mounted(
+            FuseConfig::optimized()
+                .with_flags(InitFlags::none())
+                .with_workers(1),
+        );
         let st = fs
             .mknod(
                 Ino::ROOT,
@@ -1162,12 +1175,10 @@ mod tests {
 
     #[test]
     fn forget_batching_folds_requests() {
-        let mut config = FuseConfig::optimized();
-        config.forget_batch = 8;
-        let (fs, _) = mounted(config);
-        for (i, ino) in (0..8).map(|i| (i, Ino(100 + i))).collect::<Vec<_>>() {
-            let _ = i;
-            fs.forget(ino, 1);
+        let batch = FORGET_BATCH as u64;
+        let (fs, _) = mounted(FuseConfig::optimized());
+        for i in 0..batch {
+            fs.forget(Ino(100 + i), 1);
         }
         let conn = fs.conn_stats();
         assert_eq!(conn.batch_forgets, 1);
@@ -1176,14 +1187,13 @@ mod tests {
         // Without batch support: individual FORGETs.
         let mut unbatched = FuseConfig::optimized();
         unbatched.flags.batch_forget = false;
-        unbatched.forget_batch = 8;
         let (fs2, _) = mounted(unbatched);
-        for i in 0..8 {
+        for i in 0..batch {
             fs2.forget(Ino(200 + i), 1);
         }
         let conn2 = fs2.conn_stats();
         assert_eq!(conn2.batch_forgets, 0);
-        assert_eq!(conn2.forgets, 8);
+        assert_eq!(conn2.forgets, batch);
     }
 
     #[test]

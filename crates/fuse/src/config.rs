@@ -2,17 +2,38 @@
 
 use crate::proto::InitFlags;
 
-/// Configuration of one FUSE mount (kernel side).
+/// Maximum bytes per READ request (`max_read`; 128 KiB as in CNTR): the
+/// readahead window of a sequential read.
+pub(crate) const MAX_READ: usize = 128 * 1024;
+
+/// Entry-cache capacity (dentries) before the oldest eighth is evicted.
+pub(crate) const ENTRY_CACHE_CAP: usize = 65_536;
+
+/// Forgets queued before a flush.
+pub(crate) const FORGET_BATCH: usize = 64;
+
+/// Metadata pipeline depth when `parallel_dirops` is negotiated: how many
+/// lookup round trips the kernel keeps in flight.
+pub(crate) const META_PIPELINE: usize = 4;
+
+/// Per-worker submission/completion ring capacity when the `ring` flag is
+/// negotiated (entries; io_uring's `sq_entries` analog).
+pub(crate) const RING_DEPTH: usize = 64;
+
+/// Submissions accumulated before the doorbell rings when the worker is
+/// already busy (adaptive flush still fires immediately on a parked worker
+/// or a sync-op boundary).
+pub(crate) const RING_BATCH: usize = 8;
+
+/// Configuration of one FUSE mount (kernel side): the knobs the paper's
+/// figures and the paper/shipping profiles set differently. Everything
+/// else about a mount is one of this module's constants.
 #[derive(Debug, Clone, Copy)]
 pub struct FuseConfig {
     /// Optimization flags requested at INIT.
     pub flags: InitFlags,
     /// Server worker threads (paper §3.3 "Multithreading"; drives Figure 4).
     pub workers: usize,
-    /// Maximum bytes per READ request (`max_read`; 128 KiB as in CNTR).
-    pub max_read: usize,
-    /// Entry-cache capacity (dentries).
-    pub entry_cache_cap: usize,
     /// The published client's invalidation rule: every LOOKUP reply also
     /// evicts the *parent's* cached attributes, so the next walk through
     /// that directory looks it up again. Linux evicts a directory's
@@ -21,18 +42,6 @@ pub struct FuseConfig {
     /// On only in [`FuseConfig::paper`], whose Figure 2–3 calibration
     /// (compilebench-read above all) depends on the extra round trips.
     pub lookup_drops_parent_attr: bool,
-    /// Forgets queued before a flush.
-    pub forget_batch: usize,
-    /// Metadata pipeline depth when `parallel_dirops` is on: how many
-    /// lookup round trips the kernel keeps in flight.
-    pub meta_pipeline: usize,
-    /// Per-worker submission/completion ring capacity when the `ring`
-    /// flag is negotiated (entries; io_uring's `sq_entries` analog).
-    pub ring_depth: usize,
-    /// Submissions accumulated before the doorbell rings when the worker
-    /// is already busy (adaptive flush still fires immediately on a parked
-    /// worker or a sync-op boundary).
-    pub ring_batch: usize,
 }
 
 impl FuseConfig {
@@ -43,13 +52,7 @@ impl FuseConfig {
         FuseConfig {
             flags: InitFlags::cntr_default(),
             workers: 4,
-            max_read: 128 * 1024,
-            entry_cache_cap: 65_536,
             lookup_drops_parent_attr: false,
-            forget_batch: 64,
-            meta_pipeline: 4,
-            ring_depth: 64,
-            ring_batch: 8,
         }
     }
 
@@ -67,22 +70,6 @@ impl FuseConfig {
         }
     }
 
-    /// The unoptimized baseline of §5.2.3: no caches, no batching, no
-    /// splice, single-threaded.
-    pub const fn unoptimized() -> FuseConfig {
-        FuseConfig {
-            flags: InitFlags::none(),
-            workers: 1,
-            max_read: 128 * 1024,
-            entry_cache_cap: 65_536,
-            lookup_drops_parent_attr: false,
-            forget_batch: 64,
-            meta_pipeline: 1,
-            ring_depth: 1,
-            ring_batch: 1,
-        }
-    }
-
     /// Returns a copy with one field replaced (ablation helper).
     #[must_use]
     pub const fn with_flags(mut self, flags: InitFlags) -> FuseConfig {
@@ -94,14 +81,6 @@ impl FuseConfig {
     #[must_use]
     pub const fn with_workers(mut self, workers: usize) -> FuseConfig {
         self.workers = workers;
-        self
-    }
-
-    /// Returns a copy with different ring batching knobs.
-    #[must_use]
-    pub const fn with_ring(mut self, depth: usize, batch: usize) -> FuseConfig {
-        self.ring_depth = depth;
-        self.ring_batch = batch;
         self
     }
 }
@@ -122,9 +101,6 @@ mod tests {
         assert!(o.flags.writeback_cache);
         assert!(o.flags.splice_write, "shipping default splices writes");
         assert_eq!(o.workers, 4);
-        let u = FuseConfig::unoptimized();
-        assert!(!u.flags.writeback_cache);
-        assert_eq!(u.workers, 1);
         let p = FuseConfig::paper();
         assert!(
             !p.flags.splice_write,
@@ -135,12 +111,10 @@ mod tests {
             p.lookup_drops_parent_attr,
             "paper profile keeps the legacy eviction"
         );
-        assert!(!o.lookup_drops_parent_attr && !u.lookup_drops_parent_attr);
+        assert!(!o.lookup_drops_parent_attr);
         assert!(o.flags.cache_symlinks && !p.flags.cache_symlinks);
         assert_eq!(p.workers, o.workers);
         assert!(o.flags.ring, "shipping default negotiates the ring");
-        assert_eq!(o.ring_depth, 64);
-        assert_eq!(o.ring_batch, 8);
     }
 
     #[test]
@@ -152,7 +126,5 @@ mod tests {
         let c = FuseConfig::optimized().with_flags(f);
         assert!(!c.flags.keep_cache);
         assert!(c.flags.writeback_cache);
-        let c = FuseConfig::optimized().with_ring(128, 16);
-        assert_eq!((c.ring_depth, c.ring_batch), (128, 16));
     }
 }

@@ -635,14 +635,6 @@ impl Reply {
         };
         HEADER_BYTES + payload
     }
-
-    /// Extracts an error, if this is one.
-    pub fn as_err(&self) -> Option<Errno> {
-        match self {
-            Reply::Err(e) => Some(*e),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   lock on the hot path at all.
 //! * **Batched submission with adaptive flush** — a submission bumps a
 //!   lock-free batch counter and only rings the doorbell (worker unpark)
-//!   when the batch fills (`FuseConfig::ring_batch`), the worker
+//!   when the batch fills (`RING_BATCH` on a mount), the worker
 //!   advertises queue-idle (waiting costs more than a wakeup saves), or
 //!   the op is a sync boundary (FSYNC/FLUSH/INIT/DESTROY must not sit in
 //!   a queue). The submit fast path takes no lock at all.
@@ -39,7 +39,7 @@
 //! `lockdep::assert_no_locks_held_except` checkpoints as
 //! [`InlineTransport`](crate::conn::InlineTransport).
 
-use crate::config::FuseConfig;
+use crate::config::{self, FuseConfig};
 use crate::conn::{ConnSnapshot, ConnStats, ReqGuard, Transport};
 use crate::proto::{Opcode, Reply, Request};
 use crate::server::FuseHandler;
@@ -329,16 +329,17 @@ impl RingTransport {
         }
     }
 
-    /// [`RingTransport::new`] with the knobs a [`FuseConfig`] carries.
+    /// [`RingTransport::new`] with `fuse`'s worker count and the depth and
+    /// batch every mount uses (64/8).
     pub fn from_config<H: FuseHandler + Clone + 'static>(
         handler: H,
-        config: &FuseConfig,
+        fuse: &FuseConfig,
     ) -> RingTransport {
         RingTransport::new(
             handler,
-            config.workers,
-            config.ring_depth,
-            config.ring_batch,
+            fuse.workers,
+            config::RING_DEPTH,
+            config::RING_BATCH,
         )
     }
 

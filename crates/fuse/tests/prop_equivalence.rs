@@ -9,7 +9,7 @@
 
 use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, FsContext};
-use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InlineTransport};
+use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_types::{CostModel, DevId, Errno, FileType, Ino, Mode, OpenFlags, SimClock};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -163,7 +163,9 @@ proptest! {
             DevId(100),
             clock,
             CostModel::calibrated(),
-            FuseConfig::unoptimized(),
+            FuseConfig::optimized()
+                .with_flags(InitFlags::none())
+                .with_workers(1),
             transport,
         )
         .expect("mount");

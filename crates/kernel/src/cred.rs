@@ -65,11 +65,6 @@ impl Credentials {
         self.bounding = self.bounding.intersect(other.bounding);
         self.lsm_profile = other.lsm_profile.clone();
     }
-
-    /// True if the identity (not the capabilities) matches `uid`.
-    pub fn is_uid(&self, uid: Uid) -> bool {
-        self.uid == uid
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! [`populate_dev`] to give each container rootfs a realistic `/dev`.
 
 use crate::kernel::Kernel;
-use crate::mount::{CacheMode, MountFlags};
+use crate::mount::MountFlags;
 use cntr_fs::Filesystem;
 use cntr_fs::{memfs::memfs, MemFs};
 use cntr_types::{DevId, FileType, Mode, Pid, SimClock, SysResult};
@@ -82,7 +82,7 @@ pub fn new_devfs(dev_id: DevId, clock: SimClock) -> Arc<MemFs> {
 /// Mounts a fresh devtmpfs at `path`.
 pub fn mount_devfs(kernel: &Kernel, pid: Pid, path: &str, dev_id: DevId) -> SysResult<()> {
     let fs = new_devfs(dev_id, kernel.clock().clone());
-    kernel.mount_fs(pid, path, fs, CacheMode::native(), MountFlags::default())?;
+    kernel.mount_fs(pid, path, fs, MountFlags::default())?;
     Ok(())
 }
 
@@ -96,7 +96,7 @@ mod tests {
     fn populated_dev_nodes_behave() {
         let clock = SimClock::new();
         let root = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, root, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, root, KernelConfig::default());
         k.mkdir(Pid::INIT, "/dev", Mode::RWXR_XR_X).unwrap();
         populate_dev(&k, Pid::INIT, "/dev").unwrap();
         let fd = k
@@ -119,7 +119,7 @@ mod tests {
     fn mountable_devfs() {
         let clock = SimClock::new();
         let root = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, root, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, root, KernelConfig::default());
         k.mkdir(Pid::INIT, "/dev", Mode::RWXR_XR_X).unwrap();
         mount_devfs(&k, Pid::INIT, "/dev", DevId(100)).unwrap();
         assert_eq!(k.stat(Pid::INIT, "/dev/null").unwrap().dev, DevId(100));

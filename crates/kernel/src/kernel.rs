@@ -7,7 +7,7 @@
 use crate::cgroup::{CgroupLimits, CgroupPath, CgroupTree};
 use crate::cred::Credentials;
 use crate::epoll::{Epoll, Events};
-use crate::mount::{CacheMode, MountId, MountNs};
+use crate::mount::{MountId, MountNs};
 use crate::ns::{NamespaceId, NamespaceKind, NamespaceSet};
 use crate::pagecache::{PageCache, PageCacheStats};
 use crate::pipe::Pipe;
@@ -23,6 +23,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Hard dirty threshold as a percentage of the page-cache limit when no
+/// absolute [`KernelConfig::dirty_bytes`] is set: Linux's default
+/// `vm.dirty_ratio`.
+const DIRTY_RATIO: u64 = 20;
+
+/// Background write-back threshold as a percentage of the page-cache limit
+/// when no absolute [`KernelConfig::dirty_background_bytes`] is set:
+/// Linux's default `vm.dirty_background_ratio`.
+const DIRTY_BACKGROUND_RATIO: u64 = 10;
+
 /// Tunables of a simulated machine.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
@@ -34,21 +44,15 @@ pub struct KernelConfig {
     /// [`KernelConfig::paper_legacy`] restores the published 12 GiB
     /// profile.
     pub page_cache_limit: u64,
-    /// Hard dirty threshold as a percentage of `page_cache_limit`
-    /// (`vm.dirty_ratio`). A writer crossing it is throttled into
-    /// foreground write-back.
-    pub dirty_ratio: u32,
-    /// Background write-back threshold as a percentage of
-    /// `page_cache_limit` (`vm.dirty_background_ratio`). Crossing it wakes
-    /// the flusher; both background and inline write-back drain down to
-    /// it.
-    pub dirty_background_ratio: u32,
-    /// Absolute hard dirty threshold in bytes (`vm.dirty_bytes`);
-    /// overrides `dirty_ratio` when nonzero.
+    /// Absolute hard dirty threshold in bytes (`vm.dirty_bytes`); a writer
+    /// crossing it is throttled into foreground write-back. Zero means 20%
+    /// of `page_cache_limit` (Linux's default `vm.dirty_ratio`).
     pub dirty_bytes: u64,
     /// Absolute background threshold in bytes
-    /// (`vm.dirty_background_bytes`); overrides `dirty_background_ratio`
-    /// when nonzero.
+    /// (`vm.dirty_background_bytes`); crossing it wakes the flusher, and
+    /// both background and inline write-back drain down to it. Zero means
+    /// 10% of `page_cache_limit` (Linux's default
+    /// `vm.dirty_background_ratio`).
     pub dirty_background_bytes: u64,
     /// Whether a kworker-style flusher thread drains dirty data in the
     /// background. Off, writers drain inline at the thresholds —
@@ -62,8 +66,6 @@ impl Default for KernelConfig {
         KernelConfig {
             cost: CostModel::calibrated(),
             page_cache_limit: 256 << 20,
-            dirty_ratio: 20,
-            dirty_background_ratio: 10,
             dirty_bytes: 0,
             dirty_background_bytes: 0,
             background_writeback: true,
@@ -88,12 +90,12 @@ impl KernelConfig {
     }
 
     /// The hard dirty threshold in bytes this config resolves to
-    /// (`dirty_bytes` if set, else `dirty_ratio` of the cache limit).
+    /// (`dirty_bytes` if set, else 20% of the cache limit).
     pub fn resolved_dirty_bytes(&self) -> u64 {
         if self.dirty_bytes != 0 {
             self.dirty_bytes
         } else {
-            self.page_cache_limit / 100 * self.dirty_ratio.min(100) as u64
+            self.page_cache_limit / 100 * DIRTY_RATIO
         }
     }
 
@@ -103,7 +105,7 @@ impl KernelConfig {
         let bg = if self.dirty_background_bytes != 0 {
             self.dirty_background_bytes
         } else {
-            self.page_cache_limit / 100 * self.dirty_background_ratio.min(100) as u64
+            self.page_cache_limit / 100 * DIRTY_BACKGROUND_RATIO
         };
         bg.min(self.resolved_dirty_bytes()).max(1)
     }
@@ -194,8 +196,8 @@ pub struct ProcInfo {
 impl Kernel {
     /// Boots a machine: namespace 1, mount 1 on `root_fs`, and `init`
     /// (pid 1, host root credentials).
-    pub fn new(root_fs: Arc<dyn Filesystem>, cache: CacheMode, config: KernelConfig) -> Kernel {
-        Kernel::with_clock(SimClock::new(), root_fs, cache, config)
+    pub fn new(root_fs: Arc<dyn Filesystem>, config: KernelConfig) -> Kernel {
+        Kernel::with_clock(SimClock::new(), root_fs, config)
     }
 
     /// Boots a machine on an existing clock (so filesystems created earlier
@@ -203,12 +205,11 @@ impl Kernel {
     pub fn with_clock(
         clock: SimClock,
         root_fs: Arc<dyn Filesystem>,
-        cache: CacheMode,
         config: KernelConfig,
     ) -> Kernel {
         let ns_id = NamespaceId(1);
         let mount_id = MountId(1);
-        let root_ns = MountNs::new(ns_id, mount_id, root_fs, cache);
+        let root_ns = MountNs::new(ns_id, mount_id, root_fs);
         let init = Process {
             pid: Pid::INIT,
             ppid: Pid(0),
@@ -650,16 +651,6 @@ impl Kernel {
         let mnt = self.with_proc(pid, |p| Ok(p.ns.mount))?;
         self.inner.fanotify.lock().insert(mnt, Vec::new());
         Ok(())
-    }
-
-    /// Drains events recorded in `pid`'s mount namespace, keeping the
-    /// recorder armed.
-    pub fn fanotify_drain(&self, pid: Pid) -> SysResult<Vec<FanotifyEvent>> {
-        let mnt = self.with_proc(pid, |p| Ok(p.ns.mount))?;
-        Ok(match self.inner.fanotify.lock().get_mut(&mnt) {
-            Some(events) => std::mem::take(events),
-            None => Vec::new(),
-        })
     }
 
     /// Disarms `pid`'s mount namespace's recorder and returns the
@@ -1264,7 +1255,7 @@ mod tests {
     fn kernel() -> Kernel {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default())
+        Kernel::with_clock(clock, fs, KernelConfig::default())
     }
 
     #[test]
@@ -1444,7 +1435,6 @@ mod tests {
             child,
             "/priv",
             Arc::clone(&sub) as Arc<dyn cntr_fs::Filesystem>,
-            CacheMode::native(),
             crate::mount::MountFlags::default(),
         )
         .unwrap();

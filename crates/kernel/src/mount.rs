@@ -8,7 +8,7 @@
 //! tree, and `chroot` into it.
 
 use crate::ns::NamespaceId;
-use cntr_fs::Filesystem;
+use cntr_fs::{Filesystem, FsFeatures};
 use cntr_types::{Errno, Ino, SysResult};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,23 +36,36 @@ pub enum Propagation {
 
 /// Page-cache policy of a mount.
 ///
-/// For an ordinary disk filesystem both flags are on. For a FUSE mount they
-/// are *negotiated*: `keep_cache` is `FOPEN_KEEP_CACHE`, `writeback` is
-/// `FUSE_WRITEBACK_CACHE` — two of the paper's four optimizations (§3.3).
+/// The kernel derives it when it mounts a filesystem, from the contract the
+/// filesystem states in its [`FsFeatures`] (`writeback_cache`,
+/// `keep_cache`) and from [`MountFlags::synthetic`]; a bind mount inherits
+/// its source mount's policy. For an ordinary disk filesystem both caches
+/// are on. For a FUSE mount they are what INIT *negotiated*: `keep_cache` is
+/// `FOPEN_KEEP_CACHE`, `writeback` is `FUSE_WRITEBACK_CACHE` — two of the
+/// paper's four optimizations (§3.3). `/proc` caches nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheMode {
     /// Writes are buffered dirty in the page cache and flushed in batches.
     /// Off = write-through: every write goes to the filesystem immediately.
-    pub writeback: bool,
+    pub(crate) writeback: bool,
     /// Cached pages survive `open()` (`FOPEN_KEEP_CACHE`). Off = the page
     /// cache for a file is invalidated each time it is opened.
-    pub keep_cache: bool,
-    /// Pages carry no real bytes (benchmark mode): reads return zeroes.
-    /// Correctness tests never set this.
-    pub synthetic: bool,
+    pub(crate) keep_cache: bool,
+    /// Pages carry no real bytes (see [`MountFlags::synthetic`]).
+    pub(crate) synthetic: bool,
 }
 
 impl CacheMode {
+    /// The policy of a mount of a filesystem with `features`, mounted with
+    /// `flags`.
+    pub(crate) const fn for_mount(features: FsFeatures, flags: MountFlags) -> CacheMode {
+        CacheMode {
+            writeback: features.writeback_cache,
+            keep_cache: features.keep_cache,
+            synthetic: flags.synthetic,
+        }
+    }
+
     /// Normal local-filesystem caching.
     pub const fn native() -> CacheMode {
         CacheMode {
@@ -77,6 +90,10 @@ impl CacheMode {
 pub struct MountFlags {
     /// `MS_RDONLY`.
     pub readonly: bool,
+    /// Pages carry no real bytes (benchmark mode): reads return zeroes, so
+    /// multi-gigabyte workloads cost time but no memory. Correctness tests
+    /// never set this.
+    pub synthetic: bool,
 }
 
 /// One mounted filesystem (or bind-mounted subtree).
@@ -123,13 +140,9 @@ pub struct MountNs {
 
 impl MountNs {
     /// Creates a namespace with `fs` as its root mount.
-    pub fn new(
-        id: NamespaceId,
-        root_mount_id: MountId,
-        fs: Arc<dyn Filesystem>,
-        cache: CacheMode,
-    ) -> MountNs {
+    pub fn new(id: NamespaceId, root_mount_id: MountId, fs: Arc<dyn Filesystem>) -> MountNs {
         let root_ino = fs.root_ino();
+        let cache = CacheMode::for_mount(fs.features(), MountFlags::default());
         let mut mounts = BTreeMap::new();
         mounts.insert(
             root_mount_id,
@@ -307,7 +320,7 @@ mod tests {
 
     fn ns() -> MountNs {
         let fs = memfs(DevId(1), SimClock::new());
-        MountNs::new(NamespaceId(1), MountId(1), fs, CacheMode::native())
+        MountNs::new(NamespaceId(1), MountId(1), fs)
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The unified page cache — memory-bounded, Linux-mm style.
 //!
-//! Reads and writes on cached mounts go through here. Two per-mount flags —
-//! [`CacheMode::writeback`] and [`CacheMode::keep_cache`] — correspond to
-//! the FUSE optimizations the paper evaluates in §3.3/§5.2.3: a FUSE mount
+//! Reads and writes on cached mounts go through here. Two per-mount flags
+//! of the [`CacheMode`] the kernel derives from a filesystem's
+//! `FsFeatures` — `writeback` and `keep_cache` — correspond to the FUSE
+//! optimizations the paper evaluates in §3.3/§5.2.3: a FUSE mount
 //! without `FOPEN_KEEP_CACHE` has its pages invalidated on every `open`, and
 //! without `FUSE_WRITEBACK_CACHE` every write crosses into the server
 //! immediately (write-through). The paper's "double buffering in the page
@@ -1016,7 +1017,10 @@ impl CacheShared {
     /// Write-through: the filesystem sees the write immediately and pages are
     /// updated in place. Writeback: pages go dirty, the dirty-ratio
     /// throttle backpressures the writer, and the flusher (or an
-    /// over-limit writer) drains coalesced batches.
+    /// over-limit writer) drains coalesced batches. A write covering part
+    /// of a page the cache does not hold first reads that page from the
+    /// filesystem, as Linux's `write_begin` does for a page that is not up
+    /// to date: flushing it must not zero the bytes the write left alone.
     pub fn write(
         &self,
         dev: DevId,
@@ -1045,6 +1049,13 @@ impl CacheShared {
                 ino,
                 page: page_no,
             };
+            // Synthetic pages hold no bytes to keep, and the virtual-time
+            // figures are calibrated against their request stream.
+            let mut filled = if n < PAGE_SIZE && !mode.synthetic && !self.is_resident(key) {
+                Some(Self::read_page(file, page_no)?)
+            } else {
+                None
+            };
             let now = self.clock.now();
             let over = {
                 let mut st = self.lru.lock();
@@ -1064,7 +1075,9 @@ impl CacheShared {
                             if mode.synthetic {
                                 PageData::Synthetic
                             } else {
-                                PageData::Owned(Box::new([0u8; PAGE_SIZE]))
+                                PageData::Owned(
+                                    filled.take().unwrap_or_else(|| Box::new([0u8; PAGE_SIZE])),
+                                )
                             },
                             true,
                             0,
@@ -1097,7 +1110,26 @@ impl CacheShared {
         Ok(data.len())
     }
 
-    /// Updates (or populates) clean cached pages after a write-through.
+    /// Whether the cache holds `key`.
+    fn is_resident(&self, key: PageKey) -> bool {
+        self.lru.lock().map.contains_key(&key)
+    }
+
+    /// Page `page_no` of `file` as the filesystem holds it: read when the
+    /// page starts below its end of file, zeroes past it.
+    fn read_page(file: &FileRef, page_no: u64) -> SysResult<Box<[u8; PAGE_SIZE]>> {
+        let mut page = Box::new([0u8; PAGE_SIZE]);
+        let off = page_no * PAGE_SIZE as u64;
+        if off < file.fs.getattr(file.ino)?.size {
+            file.fs.read(file.ino, file.fh, off, &mut page[..])?;
+        }
+        Ok(page)
+    }
+
+    /// Updates (or populates) clean cached pages after a write-through. A
+    /// page the write covers only in part is updated if cached and left
+    /// uncached otherwise: only its written bytes would be up to date
+    /// (synthetic pages excepted, as in `write`).
     fn update_clean_pages(
         &self,
         dev: DevId,
@@ -1124,6 +1156,10 @@ impl CacheShared {
                     Some(&slot) => {
                         st.page_mut(slot).referenced = true;
                         slot
+                    }
+                    None if n < PAGE_SIZE && !mode.synthetic => {
+                        done += n;
+                        continue;
                     }
                     None => st.insert(
                         key,
@@ -1526,7 +1562,9 @@ impl CacheShared {
         Ok(())
     }
 
-    /// Drops pages beyond `new_size` after a truncate.
+    /// Drops pages beyond `new_size` after a truncate, and zeroes the bytes
+    /// of the last page past it (Linux's `truncate_inode_partial_folio`),
+    /// so they read back as zeroes if the file grows again.
     pub fn truncate_file(&self, dev: DevId, ino: Ino, new_size: u64) {
         let first_gone = new_size.div_ceil(PAGE_SIZE as u64);
         let mut st = self.lru.lock();
@@ -1538,6 +1576,19 @@ impl CacheShared {
         for page in doomed {
             if let Some(&slot) = st.map.get(&PageKey { dev, ino, page }) {
                 dropped.extend(st.remove(slot));
+            }
+        }
+        let tail = (new_size % PAGE_SIZE as u64) as usize;
+        if tail != 0 {
+            let last = PageKey {
+                dev,
+                ino,
+                page: new_size / PAGE_SIZE as u64,
+            };
+            if let Some(&slot) = st.map.get(&last) {
+                if let Some(p) = st.page_mut(slot).data.make_mut() {
+                    p[tail..].fill(0);
+                }
             }
         }
         let mut removed = None;
@@ -1664,7 +1715,7 @@ mod tests {
     use super::*;
     use cntr_fs::memfs::memfs;
     use cntr_fs::FsContext;
-    use cntr_types::{FileType, Mode, OpenFlags};
+    use cntr_types::{FileType, Mode, OpenFlags, SetAttr};
 
     fn file_on(fs: &Arc<dyn Filesystem>, name: &str) -> Arc<FileRef> {
         let st = fs
@@ -2052,6 +2103,62 @@ mod tests {
             cache.effective_size(dev, file.ino, PAGE_SIZE as u64),
             PAGE_SIZE as u64
         );
+    }
+
+    /// A file's bytes as the filesystem holds them.
+    fn fs_bytes(file: &FileRef, len: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        let n = file.fs.read(file.ino, file.fh, 0, &mut buf).unwrap();
+        buf.truncate(n);
+        buf
+    }
+
+    #[test]
+    fn partial_write_to_an_evicted_page_keeps_its_other_bytes() {
+        let (cache, file, dev) = setup(1 << 20, 1 << 30);
+        let mode = CacheMode::native();
+        cache.write(dev, mode, &file, 0, &[7u8; PAGE_SIZE]).unwrap();
+        cache.invalidate_file(dev, file.ino).unwrap();
+        cache.write(dev, mode, &file, 100, &[9u8; 10]).unwrap();
+        cache.flush_file(dev, file.ino).unwrap();
+        let mut want = vec![7u8; PAGE_SIZE];
+        want[100..110].fill(9);
+        assert_eq!(fs_bytes(&file, 2 * PAGE_SIZE), want);
+    }
+
+    #[test]
+    fn write_through_caches_only_whole_pages_it_did_not_hold() {
+        let (cache, file, dev) = setup(1 << 20, 1 << 30);
+        let mode = CacheMode::uncached();
+        file.fs
+            .write(file.ino, file.fh, 0, &[7u8; PAGE_SIZE])
+            .unwrap();
+        cache.write(dev, mode, &file, 100, &[9u8; 10]).unwrap();
+        assert_eq!(cache.resident_pages(), 0, "a partial page is not cached");
+        let mut buf = [0u8; 4];
+        cache.read(dev, mode, &file, 96, &mut buf).unwrap();
+        assert_eq!(buf, [7, 7, 7, 7]);
+        cache.write(dev, mode, &file, 0, &[5u8; PAGE_SIZE]).unwrap();
+        assert_eq!(cache.resident_pages(), 1, "a whole page is");
+    }
+
+    #[test]
+    fn truncate_zeroes_the_last_page_past_the_new_end() {
+        let (cache, file, dev) = setup(1 << 20, 1 << 30);
+        let mode = CacheMode::native();
+        cache.write(dev, mode, &file, 0, &[7u8; PAGE_SIZE]).unwrap();
+        cache.truncate_file(dev, file.ino, 100);
+        file.fs
+            .setattr(file.ino, &SetAttr::truncate(100), &FsContext::root())
+            .unwrap();
+        // Growing the file again exposes the truncated bytes as zeroes.
+        cache.write(dev, mode, &file, 200, &[9u8; 10]).unwrap();
+        let mut buf = vec![0u8; 210];
+        cache.read(dev, mode, &file, 0, &mut buf).unwrap();
+        let mut want = vec![0u8; 210];
+        want[..100].fill(7);
+        want[200..].fill(9);
+        assert_eq!(buf, want);
     }
 
     #[test]

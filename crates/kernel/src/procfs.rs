@@ -358,6 +358,9 @@ impl Filesystem for ProcFs {
             block_backed: false,
             reflink: false,
             xattr_cached: true,
+            // Contents are generated on every read: nothing is cached.
+            writeback_cache: false,
+            keep_cache: false,
         }
     }
 
@@ -604,7 +607,7 @@ impl Filesystem for ProcFs {
 mod tests {
     use super::*;
     use crate::kernel::{Kernel, KernelConfig};
-    use crate::mount::{CacheMode, MountFlags};
+    use crate::mount::MountFlags;
     use cntr_fs::memfs::memfs;
     use cntr_types::SimClock;
 
@@ -612,7 +615,7 @@ mod tests {
     fn procfs_reflects_processes() {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
         k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
         k.mount_procfs(Pid::INIT, "/proc").unwrap();
         k.setenv(Pid::INIT, "MYSQL_HOST", "db.internal").unwrap();
@@ -677,7 +680,7 @@ mod tests {
         use crate::ns::NamespaceKind;
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
         k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
         k.mount_procfs(Pid::INIT, "/proc").unwrap();
         let read = |k: &Kernel| {
@@ -718,7 +721,7 @@ mod tests {
     fn proc_lockdep_exposes_the_dependency_report() {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
         k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
         k.mount_procfs(Pid::INIT, "/proc").unwrap();
         let fd = k
@@ -750,7 +753,7 @@ mod tests {
     fn procfs_is_read_only() {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
         k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
         k.mount_procfs(Pid::INIT, "/proc").unwrap();
         assert_eq!(
@@ -772,12 +775,7 @@ mod tests {
     fn mounts_file_shows_fs_options_and_readonly() {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(
-            clock.clone(),
-            fs,
-            CacheMode::native(),
-            KernelConfig::default(),
-        );
+        let k = Kernel::with_clock(clock.clone(), fs, KernelConfig::default());
         k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
         k.mount_procfs(Pid::INIT, "/proc").unwrap();
         // An overlay mount advertises its layering in the options column.
@@ -786,14 +784,8 @@ mod tests {
         let upper = cntr_overlay::blobfs(DevId(22), clock.clone(), store);
         let overlay = cntr_overlay::OverlayFs::new(DevId(23), vec![lower], upper);
         k.mkdir(Pid::INIT, "/merged", Mode::RWXR_XR_X).unwrap();
-        k.mount_fs(
-            Pid::INIT,
-            "/merged",
-            overlay,
-            CacheMode::native(),
-            MountFlags::default(),
-        )
-        .unwrap();
+        k.mount_fs(Pid::INIT, "/merged", overlay, MountFlags::default())
+            .unwrap();
         // A read-only mount overrides the leading `rw`.
         let ro = memfs(DevId(24), clock.clone());
         k.mkdir(Pid::INIT, "/ro", Mode::RWXR_XR_X).unwrap();
@@ -801,8 +793,10 @@ mod tests {
             Pid::INIT,
             "/ro",
             ro,
-            CacheMode::native(),
-            MountFlags { readonly: true },
+            MountFlags {
+                readonly: true,
+                ..MountFlags::default()
+            },
         )
         .unwrap();
 
@@ -860,7 +854,7 @@ mod tests {
     fn proc_cntrstats_renders_live_metrics() {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
         k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
         k.mount_procfs(Pid::INIT, "/proc").unwrap();
         // Generate page-cache traffic so the pagecache block is non-trivial.
@@ -904,7 +898,7 @@ mod tests {
     fn bind_mount_proc_into_subtree() {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        let k = Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
         k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
         k.mount_procfs(Pid::INIT, "/proc").unwrap();
         k.mkdir(Pid::INIT, "/jail", Mode::RWXR_XR_X).unwrap();

@@ -103,11 +103,6 @@ impl SocketEnd {
         self.out_pipe().close_write();
     }
 
-    /// True once this endpoint's outbound direction has been shut down.
-    pub fn write_shutdown(&self) -> bool {
-        self.out_pipe().write_closed()
-    }
-
     /// Puts bytes back at the front of the receive queue, undoing a
     /// `recv` (the `splice` push-back path).
     pub fn unrecv(&self, data: &[u8]) {
@@ -171,11 +166,6 @@ impl SocketListener {
     /// Stops accepting connections.
     pub fn close(&self) {
         *self.closed.lock() = true;
-    }
-
-    /// Pending un-accepted connections.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog.lock().len()
     }
 }
 

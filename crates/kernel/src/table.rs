@@ -678,15 +678,9 @@ mod tests {
 
     #[test]
     fn mount_table_remove_returns_table_for_deferred_drop() {
-        use crate::mount::CacheMode;
         use cntr_fs::memfs::memfs;
         use cntr_types::{DevId, SimClock};
-        let root = MountNs::new(
-            NamespaceId(1),
-            MountId(1),
-            memfs(DevId(1), SimClock::new()),
-            CacheMode::native(),
-        );
+        let root = MountNs::new(NamespaceId(1), MountId(1), memfs(DevId(1), SimClock::new()));
         let t = MountTable::new(root);
         let clone = t
             .with_read(NamespaceId(1), |ns| Ok(ns.clone_for(NamespaceId(2))))
@@ -701,15 +695,9 @@ mod tests {
 
     #[test]
     fn mount_table_snapshot_missing_ns() {
-        use crate::mount::CacheMode;
         use cntr_fs::memfs::memfs;
         use cntr_types::{DevId, SimClock};
-        let ns = MountNs::new(
-            NamespaceId(1),
-            MountId(1),
-            memfs(DevId(1), SimClock::new()),
-            CacheMode::native(),
-        );
+        let ns = MountNs::new(NamespaceId(1), MountId(1), memfs(DevId(1), SimClock::new()));
         let t = MountTable::new(ns);
         assert!(t.snapshot(NamespaceId(1)).is_ok());
         assert_eq!(t.snapshot(NamespaceId(9)).map(|_| ()), Err(Errno::EINVAL));

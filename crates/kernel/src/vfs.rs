@@ -1154,7 +1154,6 @@ impl Kernel {
         pid: Pid,
         path: &str,
         fs: Arc<dyn Filesystem>,
-        cache: CacheMode,
         flags: MountFlags,
     ) -> SysResult<MountId> {
         self.charge_syscall();
@@ -1167,6 +1166,7 @@ impl Kernel {
             return Err(Errno::ENOTDIR);
         }
         let root_ino = fs.root_ino();
+        let cache = CacheMode::for_mount(fs.features(), flags);
         let id = self.alloc_mount_id();
         let ns_id = self.with_proc(pid, |p| Ok(p.ns.mount))?;
         self.inner.mounts.with_write(ns_id, |ns| {
@@ -1490,13 +1490,7 @@ impl Kernel {
             DevId(0x70726F63), // "proc"
             Arc::downgrade(&self.inner),
         );
-        self.mount_fs(
-            pid,
-            path,
-            procfs,
-            CacheMode::uncached(),
-            MountFlags::default(),
-        )
+        self.mount_fs(pid, path, procfs, MountFlags::default())
     }
 
     /// Lists mounts visible to `pid` (`/proc/self/mounts`-ish).
@@ -1592,7 +1586,7 @@ mod tests {
     fn kernel() -> Kernel {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
-        Kernel::with_clock(clock, fs, CacheMode::native(), KernelConfig::default())
+        Kernel::with_clock(clock, fs, KernelConfig::default())
     }
 
     const P: Pid = Pid::INIT;
@@ -1674,8 +1668,7 @@ mod tests {
         let k = kernel();
         k.mkdir(P, "/mnt", Mode::RWXR_XR_X).unwrap();
         let sub = memfs(DevId(2), k.clock().clone());
-        k.mount_fs(P, "/mnt", sub, CacheMode::native(), MountFlags::default())
-            .unwrap();
+        k.mount_fs(P, "/mnt", sub, MountFlags::default()).unwrap();
         let fd = k
             .open(P, "/mnt/inside", OpenFlags::create(), Mode::RW_R__R__)
             .unwrap();
@@ -1703,8 +1696,16 @@ mod tests {
         assert!(k.stat(P, "/view/f").unwrap().is_file());
         // Readonly bind.
         k.mkdir(P, "/roview", Mode::RWXR_XR_X).unwrap();
-        k.bind_mount(P, "/data/sub", "/roview", MountFlags { readonly: true })
-            .unwrap();
+        k.bind_mount(
+            P,
+            "/data/sub",
+            "/roview",
+            MountFlags {
+                readonly: true,
+                ..MountFlags::default()
+            },
+        )
+        .unwrap();
         assert_eq!(
             k.open(P, "/roview/new", OpenFlags::create(), Mode::RW_R__R__),
             Err(Errno::EROFS)
@@ -1891,8 +1892,7 @@ mod tests {
         let k = kernel();
         k.mkdir(P, "/mnt", Mode::RWXR_XR_X).unwrap();
         let sub = memfs(DevId(2), k.clock().clone());
-        k.mount_fs(P, "/mnt", sub, CacheMode::native(), MountFlags::default())
-            .unwrap();
+        k.mount_fs(P, "/mnt", sub, MountFlags::default()).unwrap();
         let fd = k
             .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
             .unwrap();
@@ -1979,14 +1979,8 @@ mod tests {
             .unwrap();
         // Keep the clone's root shared too (clone preserved propagation).
         let sub = memfs(DevId(7), k.clock().clone());
-        k.mount_fs(
-            P,
-            "/shared",
-            sub,
-            CacheMode::native(),
-            MountFlags::default(),
-        )
-        .unwrap();
+        k.mount_fs(P, "/shared", sub, MountFlags::default())
+            .unwrap();
         // The mount propagated into the child's namespace.
         let fd = k
             .open(child, "/shared/x", OpenFlags::create(), Mode::RW_R__R__)
@@ -2005,8 +1999,7 @@ mod tests {
             .unwrap();
         k.make_rprivate(child).unwrap();
         let sub = memfs(DevId(8), k.clock().clone());
-        k.mount_fs(P, "/vol", sub, CacheMode::native(), MountFlags::default())
-            .unwrap();
+        k.mount_fs(P, "/vol", sub, MountFlags::default()).unwrap();
         // Host sees it; the private child namespace does not.
         assert_eq!(k.stat(P, "/vol").unwrap().dev, DevId(8));
         assert_eq!(k.stat(child, "/vol").unwrap().dev, DevId(1));

@@ -21,7 +21,7 @@
 
 use cntr_fs::memfs::memfs;
 use cntr_kernel::kernel::KernelConfig;
-use cntr_kernel::{CacheMode, Kernel, MountFlags, NamespaceKind};
+use cntr_kernel::{Kernel, MountFlags, NamespaceKind};
 use cntr_types::{DevId, Mode, OpenFlags, Pid, SimClock};
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -70,12 +70,7 @@ fn read_to_string(kernel: &Kernel, pid: Pid, path: &str) -> String {
 fn stress_fork_exec_attach_umount_across_containers() {
     let clock = SimClock::new();
     let root = memfs(DevId(1), clock.clone());
-    let kernel = Kernel::with_clock(
-        clock.clone(),
-        root,
-        CacheMode::native(),
-        KernelConfig::default(),
-    );
+    let kernel = Kernel::with_clock(clock.clone(), root, KernelConfig::default());
     kernel.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
     kernel.mount_procfs(Pid::INIT, "/proc").unwrap();
 
@@ -165,7 +160,6 @@ fn stress_fork_exec_attach_umount_across_containers() {
                             cpid,
                             &at,
                             Arc::clone(&sub) as Arc<dyn cntr_fs::Filesystem>,
-                            CacheMode::native(),
                             MountFlags::default(),
                         )
                         .expect("mount");

@@ -1,23 +1,26 @@
-//! The differential splice/batching oracle.
+//! The differential splice/batching/caching oracle.
 //!
-//! Splice and write-back batching are *transport* optimizations: they may
-//! change how bytes move, never what they say. This property test replays
-//! random operation sequences — write / aligned write / read / truncate /
-//! hole punch / fsync / remount — through the full kernel VFS + page
-//! cache + FUSE stack under **all four `InitFlags` splice combinations**,
-//! with write-back batching coalescing contiguous dirty runs, plus a
-//! native (non-FUSE) mount as the ground-truth oracle, and demands
-//! byte-identical observations and final file contents from every
-//! configuration.
+//! Splice, write-back batching and the negotiated page-cache policy are
+//! *transport* optimizations: they may change how bytes move, never what
+//! they say. This property test replays random operation sequences —
+//! write / aligned write / read / truncate / hole punch / fsync / remount —
+//! through the full kernel VFS + page cache + FUSE stack under **all four
+//! `InitFlags` splice combinations**, with write-back batching coalescing
+//! contiguous dirty runs, plus a write-through mount (`writeback_cache`
+//! off) and an invalidate-on-open mount (`keep_cache` off), each with the
+//! cache policy the kernel derives from the negotiated flags, and a native
+//! (non-FUSE) mount as the ground-truth oracle. It demands byte-identical
+//! observations and final file contents from every configuration.
 //!
 //! A divergence here means a real data-path bug: a spliced buffer aliased
 //! after mutation, a batched flush writing the wrong run, a shared page
-//! surviving a truncate, a readahead window outliving a hole punch.
+//! surviving a truncate, a readahead window outliving a hole punch, a
+//! write-through update of a stale page.
 
 use cntr_fs::memfs::memfs;
 use cntr_fs::FallocateMode;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
-use cntr_kernel::{CacheMode, Kernel, KernelConfig, MountFlags};
+use cntr_kernel::{Kernel, KernelConfig, MountFlags};
 use cntr_types::{CostModel, DevId, Errno, Mode, OpenFlags, Pid, SimClock};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -86,7 +89,9 @@ struct Env {
 }
 
 impl Env {
-    fn fuse(splice_read: bool, splice_write: bool) -> Env {
+    /// A FUSE mount negotiating `flags`; the kernel sets its page-cache
+    /// policy from what INIT granted.
+    fn fuse(flags: InitFlags) -> Env {
         let clock = SimClock::new();
         let root = memfs(DevId(1), clock.clone());
         let config = KernelConfig {
@@ -101,13 +106,10 @@ impl Env {
             background_writeback: false,
             ..KernelConfig::default()
         };
-        let k = Kernel::with_clock(clock.clone(), root, CacheMode::native(), config);
+        let k = Kernel::with_clock(clock.clone(), root, config);
         let pid = k.fork(Pid::INIT).expect("fork");
         k.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
         let backing = memfs(DevId(2), clock.clone());
-        let mut flags = InitFlags::cntr_default();
-        flags.splice_read = splice_read;
-        flags.splice_write = splice_write;
         let transport = InlineTransport::new(FsHandler::new(backing));
         let client = FuseClientFs::mount(
             DevId(0xC0),
@@ -117,17 +119,10 @@ impl Env {
             transport,
         )
         .expect("mount fuse");
-        let eff = client.effective_flags();
-        let cache = CacheMode {
-            writeback: eff.writeback_cache,
-            keep_cache: eff.keep_cache,
-            synthetic: false,
-        };
         k.mount_fs(
             pid,
             "/mnt",
             Arc::clone(&client) as Arc<dyn cntr_fs::Filesystem>,
-            cache,
             MountFlags::default(),
         )
         .expect("mount");
@@ -135,7 +130,10 @@ impl Env {
             k,
             pid,
             client: Some(client),
-            label: format!("fuse(sr={splice_read},sw={splice_write})"),
+            label: format!(
+                "fuse(sr={},sw={},wb={},kc={})",
+                flags.splice_read, flags.splice_write, flags.writeback_cache, flags.keep_cache
+            ),
             held: RefCell::default(),
         }
     }
@@ -149,7 +147,6 @@ impl Env {
         let k = Kernel::with_clock(
             clock.clone(),
             root,
-            CacheMode::native(),
             KernelConfig {
                 page_cache_limit: 240 * PAGE,
                 dirty_bytes: 48 * PAGE,
@@ -160,7 +157,7 @@ impl Env {
         let pid = k.fork(Pid::INIT).expect("fork");
         k.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
         let fs = memfs(DevId(2), clock);
-        k.mount_fs(pid, "/mnt", fs, CacheMode::native(), MountFlags::default())
+        k.mount_fs(pid, "/mnt", fs, MountFlags::default())
             .expect("mount");
         Env {
             k,
@@ -323,14 +320,27 @@ impl Env {
     }
 }
 
-/// The four FUSE splice configurations plus the native oracle.
+/// The four FUSE splice configurations, the write-through and
+/// invalidate-on-open FUSE mounts, and the native oracle.
 fn all_envs() -> Vec<Env> {
     let mut envs = vec![Env::native()];
-    for &sr in &[false, true] {
-        for &sw in &[false, true] {
-            envs.push(Env::fuse(sr, sw));
+    for &splice_read in &[false, true] {
+        for &splice_write in &[false, true] {
+            envs.push(Env::fuse(InitFlags {
+                splice_read,
+                splice_write,
+                ..InitFlags::cntr_default()
+            }));
         }
     }
+    envs.push(Env::fuse(InitFlags {
+        writeback_cache: false,
+        ..InitFlags::cntr_default()
+    }));
+    envs.push(Env::fuse(InitFlags {
+        keep_cache: false,
+        ..InitFlags::cntr_default()
+    }));
     envs
 }
 
@@ -369,7 +379,7 @@ proptest! {
 #[test]
 fn batching_is_invisible_in_content_but_visible_in_counters() {
     let native = Env::native();
-    let batched = Env::fuse(true, true);
+    let batched = Env::fuse(InitFlags::cntr_default());
     for env in [&native, &batched] {
         let out = env.apply(&Op::WriteRun(0, 0, 64));
         assert_eq!(out, "write 262144");
@@ -385,6 +395,32 @@ fn batching_is_invisible_in_content_but_visible_in_counters() {
         b.flush_batches,
         b.flushed_pages
     );
+}
+
+/// The kernel takes a FUSE mount's page-cache policy from the flags INIT
+/// negotiated: a write-through mount never leaves a dirty page to flush,
+/// and a mount without keep-cache invalidates a file's pages on open.
+#[test]
+fn negotiated_cache_flags_set_the_mount_policy() {
+    let observe = |flags: InitFlags| {
+        let env = Env::fuse(flags);
+        assert_eq!(env.apply(&Op::WriteRun(0, 0, 4)), "write 16384");
+        assert_eq!(env.apply(&Op::Fsync(0)), "fsync ok");
+        let s = env.k.page_cache_stats();
+        (s.flushed_pages > 0, s.invalidations > 0)
+    };
+    let shipping = InitFlags::cntr_default();
+    assert_eq!(observe(shipping), (true, false), "write-back, keep-cache");
+    let write_through = InitFlags {
+        writeback_cache: false,
+        ..shipping
+    };
+    assert_eq!(observe(write_through), (false, false), "write-through");
+    let no_keep = InitFlags {
+        keep_cache: false,
+        ..shipping
+    };
+    assert_eq!(observe(no_keep), (true, true), "invalidate on open");
 }
 
 /// A hole punched after a read must read back as zeroes everywhere: not

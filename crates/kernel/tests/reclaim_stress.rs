@@ -17,7 +17,7 @@
 
 use cntr_fs::memfs::memfs;
 use cntr_kernel::kernel::KernelConfig;
-use cntr_kernel::{CacheMode, Kernel, MountFlags, NamespaceKind};
+use cntr_kernel::{Kernel, MountFlags, NamespaceKind};
 use cntr_types::{DevId, Mode, OpenFlags, Pid, SimClock};
 use std::sync::Arc;
 
@@ -44,7 +44,6 @@ fn tight_kernel(background_writeback: bool) -> Kernel {
     Kernel::with_clock(
         clock,
         root,
-        CacheMode::native(),
         KernelConfig {
             page_cache_limit: (CEILING_PAGES * PAGE) as u64,
             // The hard dirty threshold sits above the ceiling: the throttle
@@ -76,7 +75,6 @@ fn containers(kernel: &Kernel, n: usize) -> Vec<(Pid, String)> {
                     pid,
                     &dir,
                     fs as Arc<dyn cntr_fs::Filesystem>,
-                    CacheMode::native(),
                     MountFlags::default(),
                 )
                 .expect("mount container fs");

@@ -575,13 +575,6 @@ pub struct Report {
     pub edges: Vec<EdgeReport>,
 }
 
-impl Report {
-    /// Number of distinct observed dependencies.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

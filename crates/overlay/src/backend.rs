@@ -96,13 +96,6 @@ pub struct BlobContent {
     chunks: BTreeMap<u64, BlobId>,
 }
 
-impl BlobContent {
-    /// The live chunk references `(page, id)` of this file.
-    pub fn chunk_refs(&self) -> impl Iterator<Item = (u64, BlobId)> + '_ {
-        self.chunks.iter().map(|(&p, &id)| (p, id))
-    }
-}
-
 impl FileStore for BlobBackend {
     type Content = BlobContent;
 

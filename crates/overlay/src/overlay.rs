@@ -299,11 +299,6 @@ impl OverlayFs {
         &self.upper
     }
 
-    /// The read-only lower layers, topmost first.
-    pub fn lower_layers(&self) -> &[Arc<dyn Filesystem>] {
-        &self.lowers
-    }
-
     /// Enables or disables read-access tracking. Enabling clears the log.
     pub fn set_access_tracking(&self, on: bool) {
         if on {

@@ -6,7 +6,7 @@ use cntr_fs::diskfs::diskfs_on;
 use cntr_fs::memfs::memfs;
 use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport, RingTransport, Transport};
 use cntr_kernel::kernel::KernelConfig;
-use cntr_kernel::{CacheMode, Kernel, MountFlags};
+use cntr_kernel::{Kernel, MountFlags};
 use cntr_types::{DevId, Errno, Mode, OpenFlags, Pid, SimClock, SysResult, Timespec};
 use std::sync::Arc;
 
@@ -20,12 +20,12 @@ pub enum Target {
     Cntrfs(FuseConfig),
     /// Through CntrFS with `config.workers` **real OS worker threads**
     /// behind the io_uring-style [`RingTransport`]'s per-worker
-    /// submission/completion rings (`config.ring_depth`/`config.ring_batch`)
-    /// — the dispatch shape of the paper's Figure 4. Virtual-time accounting
-    /// is unchanged (one request in flight per caller), so results stay
-    /// deterministic while every request crosses a real thread boundary;
-    /// only a negotiated ring amortizes the per-request worker-sync cost
-    /// over the batch.
+    /// submission/completion rings (64 deep, doorbell every 8) — the
+    /// dispatch shape of the paper's Figure 4.
+    /// Virtual-time accounting is unchanged (one request in flight per
+    /// caller), so results stay deterministic while every request crosses
+    /// a real thread boundary; only a negotiated ring amortizes the
+    /// per-request worker-sync cost over the batch.
     CntrfsRing(FuseConfig),
 }
 
@@ -65,7 +65,7 @@ impl PerfEnv {
             page_cache_limit: page_cache_bytes,
             ..KernelConfig::paper_legacy()
         };
-        let kernel = Kernel::with_clock(clock.clone(), root, CacheMode::native(), config);
+        let kernel = Kernel::with_clock(clock.clone(), root, config);
         let pid = kernel.fork(Pid::INIT).expect("fork workload proc");
         kernel
             .mkdir(pid, "/data", Mode::RWXR_XR_X)
@@ -73,10 +73,12 @@ impl PerfEnv {
 
         let device = BlockDevice::new_synthetic(DiskModel::gp2(), clock.clone());
         let disk = diskfs_on(DevId(2), clock.clone(), Arc::clone(&device), 100 << 30);
-        let mut cache = CacheMode::native();
-        cache.synthetic = true;
+        let synthetic = MountFlags {
+            synthetic: true,
+            ..MountFlags::default()
+        };
         kernel
-            .mount_fs(pid, "/data", disk, cache, MountFlags::default())
+            .mount_fs(pid, "/data", disk, synthetic)
             .expect("mount /data");
 
         match target {
@@ -97,24 +99,12 @@ impl PerfEnv {
                 let client =
                     FuseClientFs::mount(DevId(0xF00D), clock, kernel.cost(), config, transport)
                         .expect("mount cntrfs");
-                let flags = client.effective_flags();
-                let fuse_cache = CacheMode {
-                    writeback: flags.writeback_cache,
-                    keep_cache: flags.keep_cache,
-                    synthetic: true,
-                };
                 kernel.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
                 kernel
                     .mkdir(pid, "/mnt/cntr", Mode::RWXR_XR_X)
                     .expect("mkdir");
                 kernel
-                    .mount_fs(
-                        pid,
-                        "/mnt/cntr",
-                        client.clone(),
-                        fuse_cache,
-                        MountFlags::default(),
-                    )
+                    .mount_fs(pid, "/mnt/cntr", client.clone(), synthetic)
                     .expect("mount");
                 PerfEnv {
                     kernel,

@@ -5,7 +5,7 @@ use cntr_engine::runtime::boot_host;
 use cntr_fs::XattrFlags;
 use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
 use cntr_kernel::vfs::Whence;
-use cntr_kernel::{CacheMode, Kernel, MountFlags};
+use cntr_kernel::{Kernel, MountFlags};
 use cntr_types::{
     DevId, Errno, FileType, Gid, Mode, OpenFlags, Pid, RenameFlags, SimClock, Stat, Timespec, Uid,
 };
@@ -135,13 +135,7 @@ pub fn cntrfs_over_tmpfs() -> TestEnv {
         transport,
     )
     .expect("mount cntrfs");
-    let flags = client.effective_flags();
-    let cache = CacheMode {
-        writeback: flags.writeback_cache,
-        keep_cache: flags.keep_cache,
-        synthetic: false,
-    };
-    k.mount_fs(pid, "/mnt/cntrfs", client, cache, MountFlags::default())
+    k.mount_fs(pid, "/mnt/cntrfs", client, MountFlags::default())
         .expect("mount");
     // Tests operate in a scratch area that maps to host /xfstests.
     k.mkdir(pid, "/mnt/cntrfs/xfstests", Mode::RWXR_XR_X)
@@ -165,14 +159,8 @@ pub fn native_overlayfs() -> TestEnv {
     k.mkdir(pid, "/mnt/overlay", Mode::RWXR_XR_X)
         .expect("mkdir");
     let overlay = build_overlay(k.clock().clone(), 0xA000);
-    k.mount_fs(
-        pid,
-        "/mnt/overlay",
-        overlay,
-        CacheMode::native(),
-        MountFlags::default(),
-    )
-    .expect("mount");
+    k.mount_fs(pid, "/mnt/overlay", overlay, MountFlags::default())
+        .expect("mount");
     k.mkdir(pid, "/mnt/overlay/xfstests", Mode::RWXR_XR_X)
         .expect("scratch dir");
     TestEnv {
@@ -195,14 +183,8 @@ pub fn cntrfs_over_overlayfs() -> TestEnv {
     k.mkdir(Pid::INIT, "/xfstests", Mode::RWXR_XR_X)
         .expect("backing dir");
     let overlay = build_overlay(k.clock().clone(), 0xB000);
-    k.mount_fs(
-        Pid::INIT,
-        "/xfstests",
-        overlay,
-        CacheMode::native(),
-        MountFlags::default(),
-    )
-    .expect("mount backing overlay");
+    k.mount_fs(Pid::INIT, "/xfstests", overlay, MountFlags::default())
+        .expect("mount backing overlay");
 
     k.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir /mnt");
     k.mkdir(pid, "/mnt/cntrfs", Mode::RWXR_XR_X)
@@ -218,13 +200,7 @@ pub fn cntrfs_over_overlayfs() -> TestEnv {
         transport,
     )
     .expect("mount cntrfs");
-    let flags = client.effective_flags();
-    let cache = CacheMode {
-        writeback: flags.writeback_cache,
-        keep_cache: flags.keep_cache,
-        synthetic: false,
-    };
-    k.mount_fs(pid, "/mnt/cntrfs", client, cache, MountFlags::default())
+    k.mount_fs(pid, "/mnt/cntrfs", client, MountFlags::default())
         .expect("mount");
     TestEnv {
         kernel: k,
@@ -275,14 +251,8 @@ pub fn native_tmpfs() -> TestEnv {
     k.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
     k.mkdir(pid, "/mnt/tmpfs", Mode::RWXR_XR_X).expect("mkdir");
     let fs = cntr_fs::memfs::memfs(DevId(0xEEEE), k.clock().clone());
-    k.mount_fs(
-        pid,
-        "/mnt/tmpfs",
-        fs,
-        CacheMode::native(),
-        MountFlags::default(),
-    )
-    .expect("mount");
+    k.mount_fs(pid, "/mnt/tmpfs", fs, MountFlags::default())
+        .expect("mount");
     TestEnv {
         kernel: k,
         pid,

@@ -50,11 +50,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Accepted for API compatibility.
-    pub fn measurement_time(&mut self, _t: Duration) -> &mut Self {
-        self
-    }
-
     /// Runs one benchmark inside the group.
     pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
     where
