@@ -306,6 +306,15 @@ pub trait Filesystem: Send + Sync {
         Ok(Bytes::from(buf))
     }
 
+    /// Reads the page at `offset` into `buf` (one page long) for the page
+    /// cache, which must complete a page before caching a write that covers
+    /// only part of it (Linux's `read_folio` from `write_begin`). Unlike
+    /// `read` it is no readahead trigger: a filesystem that keeps readahead
+    /// windows neither opens nor moves one for it. The default is `read`.
+    fn read_page(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
+        self.read(ino, fh, offset, buf)
+    }
+
     /// Flushes file data (and metadata unless `datasync`) to stable storage.
     fn fsync(&self, ino: Ino, fh: Fh, datasync: bool) -> SysResult<()>;
 

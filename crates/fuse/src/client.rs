@@ -689,6 +689,24 @@ impl Filesystem for FuseClientFs {
         Ok(out)
     }
 
+    fn read_page(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
+        // Exactly the page, outside the readahead windows (Linux's
+        // `fuse_do_readpage`).
+        READ_REQ_BYTES.record(buf.len() as u64);
+        let reply = self.call(Request::Read {
+            ino,
+            fh: fh.0,
+            offset,
+            size: buf.len() as u32,
+        })?;
+        let Reply::Data(data) = reply else {
+            return Err(Errno::EPROTO);
+        };
+        let n = data.len().min(buf.len());
+        buf[..n].copy_from_slice(&data[..n]);
+        Ok(n)
+    }
+
     fn write(&self, ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize> {
         // The copy_from_user: the kernel must own the payload before it can
         // queue the request. In-kernel writers (page-cache write-back) call
@@ -1117,6 +1135,25 @@ mod tests {
         fs.read(ino, fh, 4096, &mut buf[..100]).unwrap();
         assert_eq!(replies(), [8192, 128 * 1024, 4096]);
         assert!(buf[..100].iter().all(|&b| b == 7));
+    }
+
+    /// The page the kernel reads to complete a partial write is one 4 KiB
+    /// READ, even at offset 0, and it leaves no readahead window: the next
+    /// read asks the server for its own page.
+    #[test]
+    fn read_page_asks_for_one_page_and_opens_no_window() {
+        let (fs, log, ino, fh) = big_file_with_reply_log();
+        fs.drop_caches();
+        let replies = || -> Vec<usize> {
+            let hops = log.all().into_iter().filter(|h| h.hop == "wire-reply");
+            hops.map(|h| h.len).collect()
+        };
+        let mut page = [0u8; 4096];
+        assert_eq!(fs.read_page(ino, fh, 0, &mut page).unwrap(), 4096);
+        assert_eq!(page, [7u8; 4096]);
+        assert_eq!(replies(), [4096]);
+        fs.read(ino, fh, 4096, &mut page[..100]).unwrap();
+        assert_eq!(replies(), [4096, 4096]);
     }
 
     /// A punched hole must read as zeroes, not from a readahead window

@@ -92,7 +92,9 @@ pub struct MountFlags {
     pub readonly: bool,
     /// Pages carry no real bytes (benchmark mode): reads return zeroes, so
     /// multi-gigabyte workloads cost time but no memory. Correctness tests
-    /// never set this.
+    /// never set this. Only `Kernel::mount_fs` reads it, into the mount's
+    /// [`CacheMode`]; a bind mount takes its source's policy and ignores
+    /// it. A [`Mount`]'s stored flags never carry it.
     pub synthetic: bool,
 }
 
@@ -111,9 +113,9 @@ pub struct Mount {
     pub parent: Option<(MountId, Ino)>,
     /// Propagation type.
     pub propagation: Propagation,
-    /// Page-cache policy.
+    /// Page-cache policy, synthetic pages included.
     pub cache: CacheMode,
-    /// Mount flags.
+    /// Mount flags; `synthetic` is always false here (it lives in `cache`).
     pub flags: MountFlags,
 }
 
@@ -221,7 +223,10 @@ impl MountNs {
                 parent: Some((parent, at_ino)),
                 propagation: Propagation::Private,
                 cache,
-                flags,
+                flags: MountFlags {
+                    synthetic: false,
+                    ..flags
+                },
             },
         );
         Ok(id)

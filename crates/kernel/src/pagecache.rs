@@ -1049,15 +1049,9 @@ impl CacheShared {
                 ino,
                 page: page_no,
             };
-            // Synthetic pages hold no bytes to keep, and the virtual-time
-            // figures are calibrated against their request stream.
-            let mut filled = if n < PAGE_SIZE && !mode.synthetic && !self.is_resident(key) {
-                Some(Self::read_page(file, page_no)?)
-            } else {
-                None
-            };
-            let now = self.clock.now();
-            let over = {
+            let mut filled = None;
+            let over = loop {
+                let now = self.clock.now();
                 let mut st = self.lru.lock();
                 let slot = match st.map.get(&key) {
                     Some(&slot) => {
@@ -1067,6 +1061,15 @@ impl CacheShared {
                         }
                         st.mark_dirty(slot);
                         slot
+                    }
+                    // Read the page outside the lock, then look again.
+                    // Synthetic pages hold no bytes to keep, and the
+                    // virtual-time figures are calibrated against their
+                    // request stream.
+                    None if n < PAGE_SIZE && !mode.synthetic && filled.is_none() => {
+                        drop(st);
+                        filled = Some(Self::read_page(file, page_no)?);
+                        continue;
                     }
                     None => {
                         newly_dirtied += 1;
@@ -1095,7 +1098,7 @@ impl CacheShared {
                     fstate.flush_ref = Some(Arc::clone(file));
                 }
                 fstate.pending_size = Some(fstate.pending_size.unwrap_or(0).max(end));
-                st.resident() > self.capacity_pages
+                break st.resident() > self.capacity_pages;
             };
             self.clock.advance(self.cost.page_cache_hit_ns);
             if over {
@@ -1110,18 +1113,13 @@ impl CacheShared {
         Ok(data.len())
     }
 
-    /// Whether the cache holds `key`.
-    fn is_resident(&self, key: PageKey) -> bool {
-        self.lru.lock().map.contains_key(&key)
-    }
-
     /// Page `page_no` of `file` as the filesystem holds it: read when the
     /// page starts below its end of file, zeroes past it.
     fn read_page(file: &FileRef, page_no: u64) -> SysResult<Box<[u8; PAGE_SIZE]>> {
         let mut page = Box::new([0u8; PAGE_SIZE]);
         let off = page_no * PAGE_SIZE as u64;
         if off < file.fs.getattr(file.ino)?.size {
-            file.fs.read(file.ino, file.fh, off, &mut page[..])?;
+            file.fs.read_page(file.ino, file.fh, off, &mut page[..])?;
         }
         Ok(page)
     }

@@ -14,8 +14,8 @@ use crate::process::{FdEntry, FileKind, OpenFile, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
 use cntr_fs::{Filesystem, FsContext, XattrFlags};
 use cntr_types::{
-    Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, RenameFlags,
-    SetAttr, Stat, SysResult, Uid,
+    AccessMode, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid,
+    RenameFlags, SetAttr, Stat, SysResult, Uid,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -358,7 +358,19 @@ impl Kernel {
                         .page_cache
                         .invalidate_file(dev, resolved.loc.ino)?;
                 }
-                let fh = resolved.fs.open(resolved.loc.ino, flags)?;
+                // Under write-back the page cache reads a page before
+                // caching a write that covers part of it, and flushes dirty
+                // pages at their own offsets: the filesystem handle of a
+                // writer must read, and must not append. The descriptor
+                // keeps the caller's flags, which the fd checks enforce.
+                // (libfuse's passthrough_ll does the same under
+                // writeback_cache.)
+                let fs_flags = if resolved.cache.writeback && flags.mode.writable() {
+                    OpenFlags::new(AccessMode::ReadWrite, flags.bits() & !OpenFlags::APPEND)
+                } else {
+                    flags
+                };
+                let fh = resolved.fs.open(resolved.loc.ino, fs_flags)?;
                 if flags.contains(OpenFlags::TRUNC) && flags.mode.writable() {
                     self.inner
                         .page_cache
@@ -900,13 +912,16 @@ impl Kernel {
         self.setattr_path(pid, path, &SetAttr::chown(uid, gid))
     }
 
-    /// `truncate(2)`.
+    /// `truncate(2)`. The page cache follows only once the filesystem has
+    /// accepted the new size (Linux's `truncate_setsize`): a refused
+    /// truncate leaves the cached bytes as they were.
     pub fn truncate(&self, pid: Pid, path: &str, size: u64) -> SysResult<()> {
         let r = self.resolve(pid, path, true)?;
+        self.setattr_path(pid, path, &SetAttr::truncate(size))?;
         self.inner
             .page_cache
             .truncate_file(r.fs.fs_id(), r.loc.ino, size);
-        self.setattr_path(pid, path, &SetAttr::truncate(size))
+        Ok(())
     }
 
     /// `ftruncate(2)`.
@@ -921,10 +936,10 @@ impl Kernel {
                 if !file.flags.mode.writable() {
                     return Err(Errno::EBADF);
                 }
-                self.inner.page_cache.truncate_file(*dev, fref.ino, size);
                 fref.fs
-                    .setattr(fref.ino, &SetAttr::truncate(size), &fs_context(&creds))
-                    .map(|_| ())
+                    .setattr(fref.ino, &SetAttr::truncate(size), &fs_context(&creds))?;
+                self.inner.page_cache.truncate_file(*dev, fref.ino, size);
+                Ok(())
             }
             _ => Err(Errno::EINVAL),
         }
@@ -1710,6 +1725,35 @@ mod tests {
             k.open(P, "/roview/new", OpenFlags::create(), Mode::RW_R__R__),
             Err(Errno::EROFS)
         );
+    }
+
+    /// The page cache is shared by every mount of a file, so a truncate
+    /// the filesystem never sees must not touch its cached pages.
+    #[test]
+    fn refused_truncate_keeps_the_cached_bytes() {
+        let k = kernel();
+        k.mkdir(P, "/data", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(P, "/data/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.write_fd(P, fd, &[7u8; 8192]).unwrap();
+        k.close(P, fd).unwrap();
+        k.mkdir(P, "/ro", Mode::RWXR_XR_X).unwrap();
+        let ro = MountFlags {
+            readonly: true,
+            ..MountFlags::default()
+        };
+        k.bind_mount(P, "/data", "/ro", ro).unwrap();
+        assert_eq!(k.truncate(P, "/ro/f", 100), Err(Errno::EROFS));
+        let fd = k
+            .open(P, "/data/f", OpenFlags::RDONLY, Mode::RW_R__R__)
+            .unwrap();
+        let mut buf = [0u8; 8192];
+        assert_eq!(k.read_fd(P, fd, &mut buf).unwrap(), 8192);
+        assert_eq!(buf, [7u8; 8192]);
+        k.close(P, fd).unwrap();
+        k.sync().unwrap();
+        assert_eq!(k.stat(P, "/data/f").unwrap().size, 8192);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Splice, write-back batching and the negotiated page-cache policy are
 //! *transport* optimizations: they may change how bytes move, never what
 //! they say. This property test replays random operation sequences —
-//! write / aligned write / read / truncate / hole punch / fsync / remount —
+//! write / aligned write / append / read / truncate / hole punch / fsync /
+//! remount —
 //! through the full kernel VFS + page cache + FUSE stack under **all four
 //! `InitFlags` splice combinations**, with write-back batching coalescing
 //! contiguous dirty runs, plus a write-through mount (`writeback_cache`
@@ -35,6 +36,8 @@ enum Op {
     /// Page-aligned contiguous write — the shape batching coalesces:
     /// `(slot, start_page, pages)`.
     WriteRun(u8, u8, u8),
+    /// Write through an `O_WRONLY | O_APPEND` descriptor: `(slot, len-seed)`.
+    Append(u8, u16),
     /// Read back `(slot, offset, len)`.
     Read(u8, u32, u16),
     /// `truncate(2)` to `(slot, size)`.
@@ -53,6 +56,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..4, 0u32..196_608, 1u16..16_384).prop_map(|(s, o, l)| Op::Write(s, o, l)),
         (0u8..4, 0u8..48, 1u8..16).prop_map(|(s, p, n)| Op::WriteRun(s, p, n)),
+        (0u8..4, 1u16..16_384).prop_map(|(s, l)| Op::Append(s, l)),
         (0u8..4, 0u32..262_144, 1u16..16_384).prop_map(|(s, o, l)| Op::Read(s, o, l)),
         (0u8..4, 0u32..262_144).prop_map(|(s, z)| Op::Truncate(s, z)),
         (0u8..4, 0u32..196_608, 1u16..16_384).prop_map(|(s, o, l)| Op::PunchHole(s, o, l)),
@@ -203,6 +207,9 @@ impl Env {
                 u64::from(*page) * PAGE,
                 *pages as usize * PAGE as usize,
             ),
+            Op::Append(slot, lseed) => {
+                self.write_with(*slot, OpenFlags::append(), 0, *lseed as usize)
+            }
             Op::Read(slot, offset, len) => {
                 let fd = match self.held_fd(*slot) {
                     Ok(fd) => fd,
@@ -268,12 +275,16 @@ impl Env {
     }
 
     fn write_at(&self, slot: u8, offset: u64, len: usize) -> String {
-        let fd = match self.k.open(
-            self.pid,
-            &Self::path(slot),
-            OpenFlags::RDWR.with(OpenFlags::CREAT),
-            Mode::RW_R__R__,
-        ) {
+        self.write_with(slot, OpenFlags::RDWR.with(OpenFlags::CREAT), offset, len)
+    }
+
+    /// One write of `len` bytes at `offset` (which `O_APPEND` overrides)
+    /// through a fresh descriptor opened with `flags`.
+    fn write_with(&self, slot: u8, flags: OpenFlags, offset: u64, len: usize) -> String {
+        let fd = match self
+            .k
+            .open(self.pid, &Self::path(slot), flags, Mode::RW_R__R__)
+        {
             Ok(fd) => fd,
             Err(e) => return format!("write open {e}"),
         };
@@ -449,6 +460,30 @@ fn read_punch_read_sees_the_hole() {
             env.apply(&Op::Read(0, 16384 + 100, 5000)),
             zeroes(5000),
             "{}: unaligned hole",
+            env.label
+        );
+    }
+}
+
+/// An `O_APPEND` write to a file whose last page the cache does not hold
+/// keeps the bytes already there: the page is read in through the
+/// descriptor's filesystem handle, which must be readable even though the
+/// descriptor is write-only, and the flush lands at the page's own offset.
+#[test]
+fn append_to_an_uncached_page_keeps_its_bytes() {
+    let mut want = fill(0, 0, 10);
+    want.extend_from_slice(&fill(0, 0, 10));
+    let want = format!("read 20 {:08x}", fletcher(&want));
+    for env in all_envs() {
+        assert_eq!(env.apply(&Op::Write(0, 0, 10)), "write 10");
+        assert_eq!(env.apply(&Op::Remount), "remount ok");
+        assert_eq!(env.apply(&Op::Append(0, 10)), "write 10", "{}", env.label);
+        assert_eq!(env.apply(&Op::Read(0, 0, 64)), want, "{}", env.label);
+        assert_eq!(env.apply(&Op::Remount), "remount ok");
+        assert_eq!(
+            env.apply(&Op::Read(0, 0, 64)),
+            want,
+            "{}: flushed",
             env.label
         );
     }
