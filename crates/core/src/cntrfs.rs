@@ -8,12 +8,17 @@
 //!
 //! Faithful details from the paper:
 //!
-//! * inodes are resolved to **paths** and re-opened per lookup: "for every
+//! * **one `O_PATH` fd per inode; `openat`+`fstat` per lookup**: "for every
 //!   lookup, we need one `open()` system call to get a file handle to the
 //!   inode, followed by a `stat()` system call to check if we already have
-//!   looked up this inode in a different path due \[to\] hardlinks" (§5.2.2) —
-//!   this server does exactly that, which is why CntrFS lookups are slower
-//!   than native dcache hits (compilebench-read's 13.3×),
+//!   looked up this inode in a different path due \[to\] hardlinks" (§5.2.2).
+//!   The handle is taken relative to the parent's, as libfuse's
+//!   `passthrough_ll` does, and a duplicate of a known inode is closed
+//!   again. Every other request starts at the inode's handle with an `*at`
+//!   call, so no request walks a path from the root, and a rename by the
+//!   fat container itself cannot leave an inode pointing at the wrong file.
+//!   This is still why CntrFS lookups are slower than native dcache hits
+//!   (compilebench-read's 13.3×),
 //! * ownership of created files is stamped with the caller's ids
 //!   (`setfsuid`/`setfsgid` emulation), while mode-bit decisions run under
 //!   the *server's* root identity — the cause of xfstests #375,
@@ -23,17 +28,61 @@
 use cntr_fuse::proto::{Reply, Request, RequestCtx};
 use cntr_fuse::server::FuseHandler;
 use cntr_fuse::InitFlags;
-use cntr_kernel::vfs::Whence;
 use cntr_kernel::Kernel;
 use cntr_types::{
-    DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, SetAttr, Stat, SysResult, Uid,
+    AtFlags, DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, SetAttr, Stat, SysResult, Uid,
 };
+use obs::{LazyGauge, Subsystem};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+obs::counter_scope! {
+    /// Event counters of one server, writing through to `core.cntrfs.*`.
+    struct ServerCounters(Subsystem::Core) {
+        /// LOOKUP requests served.
+        lookups: "core.cntrfs.lookups",
+        /// LOOKUPs that found a known inode and closed their new handle.
+        lookup_dups: "core.cntrfs.lookup-dups",
+        /// Requests answered with an error.
+        errors: "core.cntrfs.errors",
+    }
+}
+
+/// `O_PATH` handles held by live servers, one per remembered inode.
+static OBS_ANCHORS: LazyGauge = LazyGauge::new(Subsystem::Core, "core.cntrfs.anchors");
+
+/// How an inode's handle is opened: it only locates the inode, and a
+/// symlink is held itself.
+const ANCHOR: OpenFlags = OpenFlags::RDONLY.with(OpenFlags::PATH | OpenFlags::NOFOLLOW);
+
+/// Lock class of a server's inode and handle maps.
+const STATE_CLASS: &str = "core.cntrfs.state";
+
+/// Ranks the server's state lock as the leaf above every other declared
+/// group (kernel 0–5, FUSE ring 6–8, attach plane 9–10): nothing is taken
+/// while it is held, so every system call — the `openat` of a LOOKUP
+/// included — runs with it released.
+fn declare_server_lock_discipline() {
+    lockdep::ordering(&[
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[STATE_CLASS],
+    ]);
+}
+
 struct InodeEntry {
-    path: String,
+    /// The `O_PATH` descriptor, in the server process, locating the inode.
+    fd: u32,
     backing: (DevId, Ino),
     nlookup: u64,
 }
@@ -42,9 +91,16 @@ struct ServerState {
     inodes: HashMap<u64, InodeEntry>,
     by_backing: HashMap<(DevId, Ino), u64>,
     next_ino: u64,
-    /// FUSE fh → (kernel fd in the server process, inode).
-    handles: HashMap<u64, (u32, Ino)>,
+    /// FUSE fh → kernel fd in the server process.
+    handles: HashMap<u64, u32>,
     next_fh: u64,
+}
+
+/// The anchors of a dropped server die with its process's fd table.
+impl Drop for ServerState {
+    fn drop(&mut self) {
+        OBS_ANCHORS.add(-(self.inodes.len() as i64));
+    }
 }
 
 /// The CntrFS passthrough server.
@@ -55,14 +111,17 @@ pub struct CntrfsServer {
     /// tools come from an image rather than the host.
     server_pid: Pid,
     state: Arc<Mutex<ServerState>>,
+    counters: Arc<ServerCounters>,
 }
 
 impl CntrfsServer {
-    /// Creates a server rooted at `server_pid`'s `/`.
-    pub fn new(kernel: Kernel, server_pid: Pid) -> CntrfsServer {
-        // A FUSE daemon holds an open file per active handle — including
-        // handles pinned by deferred writeback — so it raises its fd limit,
-        // as the real cntr does.
+    /// Creates a server rooted at `server_pid`'s `/`: its first handle is
+    /// the `O_PATH` descriptor of that root, FUSE inode 1.
+    pub fn new(kernel: Kernel, server_pid: Pid) -> SysResult<CntrfsServer> {
+        declare_server_lock_discipline();
+        // A FUSE daemon holds a descriptor per remembered inode and per
+        // active handle — including handles pinned by deferred writeback —
+        // so it raises its fd limit, as the real cntr does.
         if let Ok(mut limits) = kernel.rlimits(server_pid) {
             let _ = limits.set(
                 cntr_types::RlimitKind::Nofile,
@@ -73,20 +132,22 @@ impl CntrfsServer {
             );
             let _ = kernel.set_rlimits(server_pid, limits);
         }
+        let root = kernel.open(server_pid, "/", ANCHOR, Mode::RW_R__R__)?;
         let mut inodes = HashMap::new();
         inodes.insert(
             1,
             InodeEntry {
-                path: "/".to_string(),
+                fd: root,
                 backing: (DevId(0), Ino(0)),
                 nlookup: 1,
             },
         );
-        CntrfsServer {
+        OBS_ANCHORS.inc();
+        Ok(CntrfsServer {
             kernel,
             server_pid,
             state: Arc::new(Mutex::new_class(
-                "core.cntrfs.state",
+                STATE_CLASS,
                 ServerState {
                     inodes,
                     by_backing: HashMap::new(),
@@ -95,7 +156,8 @@ impl CntrfsServer {
                     next_fh: 1,
                 },
             )),
-        }
+            counters: Arc::new(ServerCounters::default()),
+        })
     }
 
     /// The process serving requests.
@@ -108,63 +170,53 @@ impl CntrfsServer {
         self.state.lock().inodes.len()
     }
 
-    fn path_of(&self, ino: Ino) -> SysResult<String> {
+    /// The `O_PATH` descriptor of a remembered inode.
+    fn anchor(&self, ino: Ino) -> SysResult<u32> {
         self.state
             .lock()
             .inodes
             .get(&ino.raw())
-            .map(|e| e.path.clone())
+            .map(|e| e.fd)
             .ok_or(Errno::ESTALE)
     }
 
-    fn child_path(parent: &str, name: &str) -> String {
-        if parent == "/" {
-            format!("/{name}")
-        } else {
-            format!("{parent}/{name}")
-        }
-    }
-
-    /// Registers (or refreshes) an inode for `path`, performing the paper's
-    /// open+stat hardlink detection, and returns the stat with the FUSE
-    /// inode number substituted.
-    fn register(&self, path: &str, st: Stat) -> Stat {
-        // The open() of the open+stat pair: take (and immediately release) a
-        // handle so the cost profile matches the real CntrFS lookup path.
-        if st.ftype == FileType::Regular {
-            if let Ok(fd) =
-                self.kernel
-                    .open(self.server_pid, path, OpenFlags::RDONLY, Mode::RW_R__R__)
-            {
-                let _ = self.kernel.close(self.server_pid, fd);
-            }
-        }
-        let mut state = self.state.lock();
+    /// Remembers the inode behind the freshly opened handle `fd` — or, if
+    /// the paper's hardlink check finds it already known, counts the
+    /// lookup and closes `fd` again — and returns `st` with the FUSE inode
+    /// number substituted.
+    fn register(&self, fd: u32, st: Stat) -> Stat {
         let backing = (st.dev, st.ino);
-        let fuse_ino = match state.by_backing.get(&backing) {
-            // Hardlink (or re-lookup): same backing inode, possibly via a
-            // different path — reuse the FUSE inode.
-            Some(&ino) => {
-                let e = state.inodes.get_mut(&ino).expect("maps in sync");
-                e.nlookup += 1;
-                e.path = path.to_string();
-                ino
-            }
-            None => {
-                let ino = state.next_ino;
-                state.next_ino += 1;
-                state.inodes.insert(
-                    ino,
-                    InodeEntry {
-                        path: path.to_string(),
-                        backing,
-                        nlookup: 1,
-                    },
-                );
-                state.by_backing.insert(backing, ino);
-                ino
+        let (fuse_ino, known) = {
+            let mut state = self.state.lock();
+            match state.by_backing.get(&backing) {
+                // Hardlink (or re-lookup): same backing inode, possibly via
+                // a different name — reuse the FUSE inode.
+                Some(&ino) => {
+                    state.inodes.get_mut(&ino).expect("maps in sync").nlookup += 1;
+                    (ino, true)
+                }
+                None => {
+                    let ino = state.next_ino;
+                    state.next_ino += 1;
+                    state.inodes.insert(
+                        ino,
+                        InodeEntry {
+                            fd,
+                            backing,
+                            nlookup: 1,
+                        },
+                    );
+                    state.by_backing.insert(backing, ino);
+                    (ino, false)
+                }
             }
         };
+        if known {
+            self.counters.lookup_dups.inc();
+            let _ = self.kernel.close(self.server_pid, fd);
+        } else {
+            OBS_ANCHORS.inc();
+        }
         let mut out = st;
         out.ino = Ino(fuse_ino);
         out
@@ -175,111 +227,133 @@ impl CntrfsServer {
             .lock()
             .handles
             .get(&fh)
-            .map(|&(fd, _)| fd)
+            .copied()
             .ok_or(Errno::EBADF)
     }
 
-    /// Any open kernel fd for `ino` — getattr uses it so attributes of
-    /// open-but-unlinked files stay reachable (the real CntrFS keeps a file
-    /// handle per inode for the same reason).
-    fn any_fd_for(&self, ino: Ino) -> Option<u32> {
-        self.state
-            .lock()
-            .handles
-            .values()
-            .find(|&&(_, i)| i == ino)
-            .map(|&(fd, _)| fd)
+    /// Registers a new FUSE handle for the kernel fd `fd`.
+    fn add_handle(&self, fd: u32) -> u64 {
+        let mut st = self.state.lock();
+        let fh = st.next_fh;
+        st.next_fh += 1;
+        st.handles.insert(fh, fd);
+        fh
     }
 
     fn forget_one(&self, ino: Ino, n: u64) {
         if ino.raw() == 1 {
             return;
         }
-        let mut st = self.state.lock();
-        if let Some(e) = st.inodes.get_mut(&ino.raw()) {
-            e.nlookup = e.nlookup.saturating_sub(n);
-            if e.nlookup == 0 {
-                let backing = e.backing;
-                st.inodes.remove(&ino.raw());
-                st.by_backing.remove(&backing);
+        let dropped = {
+            let mut st = self.state.lock();
+            match st.inodes.get_mut(&ino.raw()) {
+                Some(e) if e.nlookup <= n => {
+                    let e = st.inodes.remove(&ino.raw()).expect("present");
+                    st.by_backing.remove(&e.backing);
+                    Some(e.fd)
+                }
+                Some(e) => {
+                    e.nlookup -= n;
+                    None
+                }
+                None => None,
             }
+        };
+        if let Some(fd) = dropped {
+            OBS_ANCHORS.dec();
+            let _ = self.kernel.close(self.server_pid, fd);
         }
     }
 
     /// Stamps ownership on a freshly created node with the caller's ids —
     /// the `setfsuid`/`setfsgid` delegation of the paper. Runs as the
     /// server's root identity, so no setgid-stripping logic applies (#375).
-    fn stamp_owner(&self, path: &str, ctx: RequestCtx) {
+    fn stamp_owner(&self, parent_fd: u32, name: &str, ctx: RequestCtx) {
         if ctx.uid != 0 || ctx.gid != 0 {
-            let _ = self
-                .kernel
-                .chown(self.server_pid, path, Uid(ctx.uid), Gid(ctx.gid));
+            let _ = self.kernel.fchownat(
+                self.server_pid,
+                parent_fd,
+                name,
+                Uid(ctx.uid),
+                Gid(ctx.gid),
+                AtFlags::SYMLINK_NOFOLLOW,
+            );
         }
     }
 
-    fn do_setattr(&self, path: &str, attr: &SetAttr) -> SysResult<Stat> {
-        // Replayed as individual syscalls under the server's identity.
+    fn do_setattr(&self, fd: u32, attr: &SetAttr) -> SysResult<Stat> {
+        // Replayed as individual syscalls on the inode's handle, under the
+        // server's identity.
+        let (k, pid, here) = (&self.kernel, self.server_pid, AtFlags::EMPTY_PATH);
         if let Some(mode) = attr.mode {
-            self.kernel.chmod(self.server_pid, path, mode)?;
+            k.fchmodat(pid, fd, "", mode, here)?;
         }
         match (attr.uid, attr.gid) {
-            (Some(uid), Some(gid)) => self.kernel.chown(self.server_pid, path, uid, gid)?,
+            (Some(uid), Some(gid)) => k.fchownat(pid, fd, "", uid, gid, here)?,
             (Some(uid), None) => {
-                let st = self.kernel.stat(self.server_pid, path)?;
-                self.kernel.chown(self.server_pid, path, uid, st.gid)?;
+                let st = k.fstat(pid, fd)?;
+                k.fchownat(pid, fd, "", uid, st.gid, here)?;
             }
             (None, Some(gid)) => {
-                let st = self.kernel.stat(self.server_pid, path)?;
-                self.kernel.chown(self.server_pid, path, st.uid, gid)?;
+                let st = k.fstat(pid, fd)?;
+                k.fchownat(pid, fd, "", st.uid, gid, here)?;
             }
             (None, None) => {}
         }
         if let Some(size) = attr.size {
-            self.kernel.truncate(self.server_pid, path, size)?;
+            // A handle cannot truncate: reopen the inode for writing.
+            let wfd = k.reopen(pid, fd, OpenFlags::WRONLY)?;
+            let r = k.ftruncate(pid, wfd, size);
+            let _ = k.close(pid, wfd);
+            r?;
         }
         if attr.atime.is_some() || attr.mtime.is_some() {
-            self.kernel
-                .utimens(self.server_pid, path, attr.atime, attr.mtime)?;
+            k.utimensat(pid, fd, "", attr.atime, attr.mtime, here)?;
         }
-        self.kernel.lstat(self.server_pid, path)
+        k.fstat(pid, fd)
     }
 
+    /// LOOKUP: `openat(parent, name, O_PATH | O_NOFOLLOW)` then `fstat`.
     fn lookup_impl(&self, parent: Ino, name: &str) -> SysResult<Stat> {
-        let parent_path = self.path_of(parent)?;
-        let path = Self::child_path(&parent_path, name);
-        let st = self.kernel.lstat(self.server_pid, &path)?;
-        Ok(self.register(&path, st))
-    }
-
-    fn rename_fixup(&self, old_path: &str, new_path: &str) {
-        let mut st = self.state.lock();
-        for e in st.inodes.values_mut() {
-            if e.path == old_path {
-                e.path = new_path.to_string();
-            } else if let Some(rest) = e.path.strip_prefix(&format!("{old_path}/")) {
-                e.path = format!("{new_path}/{rest}");
+        let parent_fd = self.anchor(parent)?;
+        let fd = self
+            .kernel
+            .openat(self.server_pid, parent_fd, name, ANCHOR, Mode::RW_R__R__)?;
+        match self.kernel.fstat(self.server_pid, fd) {
+            Ok(st) => Ok(self.register(fd, st)),
+            Err(e) => {
+                let _ = self.kernel.close(self.server_pid, fd);
+                Err(e)
             }
         }
     }
-}
 
-fn ok_or<T>(r: SysResult<T>, f: impl FnOnce(T) -> Reply) -> Reply {
-    match r {
-        Ok(v) => f(v),
-        Err(e) => Reply::Err(e),
+    /// Creates `name` under `parent` with `create`, stamps the caller's
+    /// ownership on it and looks it up.
+    fn create_entry(
+        &self,
+        parent: Ino,
+        name: &str,
+        ctx: RequestCtx,
+        create: impl FnOnce(u32) -> SysResult<()>,
+    ) -> SysResult<Stat> {
+        let parent_fd = self.anchor(parent)?;
+        create(parent_fd)?;
+        self.stamp_owner(parent_fd, name, ctx);
+        self.lookup_impl(parent, name)
     }
-}
 
-impl FuseHandler for CntrfsServer {
-    fn handle(&self, req: Request) -> Reply {
-        match req {
+    fn dispatch(&self, req: Request) -> SysResult<Reply> {
+        let (k, pid) = (&self.kernel, self.server_pid);
+        Ok(match req {
             Request::Init { wanted } => Reply::Init {
                 // CntrFS supports every optimization (splice write included,
                 // even though CNTR disables it by default).
                 granted: wanted.intersect(InitFlags::all()),
             },
             Request::Lookup { parent, name, .. } => {
-                ok_or(self.lookup_impl(parent, &name), Reply::Entry)
+                self.counters.lookups.inc();
+                Reply::Entry(self.lookup_impl(parent, &name)?)
             }
             Request::Forget { ino, nlookup } => {
                 self.forget_one(ino, nlookup);
@@ -292,67 +366,26 @@ impl FuseHandler for CntrfsServer {
                 Reply::Ok
             }
             Request::Getattr { ino } => {
-                // Prefer fstat through an open handle: it survives unlink.
-                if let Some(fd) = self.any_fd_for(ino) {
-                    return match self.kernel.fstat(self.server_pid, fd) {
-                        Ok(mut st) => {
-                            st.ino = ino;
-                            Reply::Attr(st)
-                        }
-                        Err(e) => Reply::Err(e),
-                    };
-                }
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                match self.kernel.lstat(self.server_pid, &path) {
-                    Ok(mut st) => {
-                        st.ino = ino;
-                        Reply::Attr(st)
-                    }
-                    Err(e) => Reply::Err(e),
-                }
+                // The handle keeps an unlinked inode's attributes
+                // reachable as long as the filesystem keeps the inode.
+                let mut st = k.fstat(pid, self.anchor(ino)?)?;
+                st.ino = ino;
+                Reply::Attr(st)
             }
             Request::Setattr { ino, attr, .. } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                match self.do_setattr(&path, &attr) {
-                    Ok(mut st) => {
-                        st.ino = ino;
-                        Reply::Attr(st)
-                    }
-                    Err(e) => Reply::Err(e),
-                }
+                let mut st = self.do_setattr(self.anchor(ino)?, &attr)?;
+                st.ino = ino;
+                Reply::Attr(st)
             }
-            Request::Readlink { ino } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(self.kernel.readlink(self.server_pid, &path), Reply::Target)
-            }
+            Request::Readlink { ino } => Reply::Target(k.readlinkat(pid, self.anchor(ino)?, "")?),
             Request::Symlink {
                 parent,
                 name,
                 target,
                 ctx,
-            } => {
-                let parent_path = match self.path_of(parent) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                let path = Self::child_path(&parent_path, &name);
-                match self.kernel.symlink(self.server_pid, &target, &path) {
-                    Ok(()) => {
-                        self.stamp_owner(&path, ctx);
-                        ok_or(self.lookup_impl(parent, &name), Reply::Entry)
-                    }
-                    Err(e) => Reply::Err(e),
-                }
-            }
+            } => Reply::Entry(self.create_entry(parent, &name, ctx, |dir| {
+                k.symlinkat(pid, &target, dir, &name)
+            })?),
             Request::Mknod {
                 parent,
                 name,
@@ -360,62 +393,30 @@ impl FuseHandler for CntrfsServer {
                 mode,
                 rdev,
                 ctx,
-            } => {
-                let parent_path = match self.path_of(parent) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                let path = Self::child_path(&parent_path, &name);
-                let res = if ftype == FileType::Regular {
-                    self.kernel
-                        .open(self.server_pid, &path, OpenFlags::create_new(), mode)
-                        .and_then(|fd| self.kernel.close(self.server_pid, fd))
-                        .and_then(|()| self.kernel.chmod(self.server_pid, &path, mode))
+            } => Reply::Entry(self.create_entry(parent, &name, ctx, |dir| {
+                if ftype == FileType::Regular {
+                    let fd = k.openat(pid, dir, &name, OpenFlags::create_new(), mode)?;
+                    k.close(pid, fd)?;
+                    k.fchmodat(pid, dir, &name, mode, AtFlags::NONE)
                 } else {
-                    self.kernel.mknod(self.server_pid, &path, ftype, mode, rdev)
-                };
-                match res {
-                    Ok(()) => {
-                        self.stamp_owner(&path, ctx);
-                        ok_or(self.lookup_impl(parent, &name), Reply::Entry)
-                    }
-                    Err(e) => Reply::Err(e),
+                    k.mknodat(pid, dir, &name, ftype, mode, rdev)
                 }
-            }
+            })?),
             Request::Mkdir {
                 parent,
                 name,
                 mode,
                 ctx,
-            } => {
-                let parent_path = match self.path_of(parent) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                let path = Self::child_path(&parent_path, &name);
-                match self.kernel.mkdir(self.server_pid, &path, mode) {
-                    Ok(()) => {
-                        self.stamp_owner(&path, ctx);
-                        ok_or(self.lookup_impl(parent, &name), Reply::Entry)
-                    }
-                    Err(e) => Reply::Err(e),
-                }
-            }
+            } => Reply::Entry(
+                self.create_entry(parent, &name, ctx, |dir| k.mkdirat(pid, dir, &name, mode))?,
+            ),
             Request::Unlink { parent, name } => {
-                let parent_path = match self.path_of(parent) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                let path = Self::child_path(&parent_path, &name);
-                ok_or(self.kernel.unlink(self.server_pid, &path), |()| Reply::Ok)
+                k.unlinkat(pid, self.anchor(parent)?, &name, AtFlags::NONE)?;
+                Reply::Ok
             }
             Request::Rmdir { parent, name } => {
-                let parent_path = match self.path_of(parent) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                let path = Self::child_path(&parent_path, &name);
-                ok_or(self.kernel.rmdir(self.server_pid, &path), |()| Reply::Ok)
+                k.unlinkat(pid, self.anchor(parent)?, &name, AtFlags::REMOVEDIR)?;
+                Reply::Ok
             }
             Request::Rename {
                 parent,
@@ -424,99 +425,45 @@ impl FuseHandler for CntrfsServer {
                 newname,
                 flags,
             } => {
-                let (old, new) = match (self.path_of(parent), self.path_of(newparent)) {
-                    (Ok(a), Ok(b)) => (Self::child_path(&a, &name), Self::child_path(&b, &newname)),
-                    (Err(e), _) | (_, Err(e)) => return Reply::Err(e),
-                };
-                match self.kernel.rename(self.server_pid, &old, &new, flags) {
-                    Ok(()) => {
-                        self.rename_fixup(&old, &new);
-                        Reply::Ok
-                    }
-                    Err(e) => Reply::Err(e),
-                }
+                let (from, to) = (self.anchor(parent)?, self.anchor(newparent)?);
+                k.renameat2(pid, from, &name, to, &newname, flags)?;
+                Reply::Ok
             }
             Request::Link {
                 ino,
                 newparent,
                 newname,
             } => {
-                let (src, parent_path) = match (self.path_of(ino), self.path_of(newparent)) {
-                    (Ok(a), Ok(b)) => (a, b),
-                    (Err(e), _) | (_, Err(e)) => return Reply::Err(e),
-                };
-                let new = Self::child_path(&parent_path, &newname);
-                match self.kernel.link(self.server_pid, &src, &new) {
-                    Ok(()) => ok_or(self.lookup_impl(newparent, &newname), Reply::Entry),
-                    Err(e) => Reply::Err(e),
-                }
+                let (src, dir) = (self.anchor(ino)?, self.anchor(newparent)?);
+                k.linkat(pid, src, "", dir, &newname, AtFlags::EMPTY_PATH)?;
+                Reply::Entry(self.lookup_impl(newparent, &newname)?)
             }
             Request::Open { ino, flags } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                match self
-                    .kernel
-                    .open(self.server_pid, &path, flags, Mode::RW_R__R__)
-                {
-                    Ok(fd) => {
-                        let mut st = self.state.lock();
-                        let fh = st.next_fh;
-                        st.next_fh += 1;
-                        st.handles.insert(fh, (fd, ino));
-                        Reply::Opened {
-                            fh,
-                            keep_cache: true,
-                        }
-                    }
-                    Err(e) => Reply::Err(e),
+                let fd = k.reopen(pid, self.anchor(ino)?, flags)?;
+                Reply::Opened {
+                    fh: self.add_handle(fd),
+                    keep_cache: true,
                 }
             }
             Request::Read {
                 fh, offset, size, ..
             } => {
-                let fd = match self.fd_of(fh) {
-                    Ok(fd) => fd,
-                    Err(e) => return Reply::Err(e),
-                };
                 let mut buf = vec![0u8; size as usize];
-                match self.kernel.pread(self.server_pid, fd, offset, &mut buf) {
-                    Ok(n) => {
-                        buf.truncate(n);
-                        Reply::Data(buf.into())
-                    }
-                    Err(e) => Reply::Err(e),
-                }
+                let n = k.pread(pid, self.fd_of(fh)?, offset, &mut buf)?;
+                buf.truncate(n);
+                Reply::Data(buf.into())
             }
             Request::Write {
                 fh, offset, data, ..
-            } => {
-                let fd = match self.fd_of(fh) {
-                    Ok(fd) => fd,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(
-                    self.kernel.pwrite(self.server_pid, fd, offset, &data),
-                    |n| Reply::Written(n as u32),
-                )
-            }
-            Request::Statfs => ok_or(self.kernel.statfs(self.server_pid, "/"), Reply::Statfs),
+            } => Reply::Written(k.pwrite(pid, self.fd_of(fh)?, offset, &data)? as u32),
+            Request::Statfs => Reply::Statfs(k.statfs(pid, "/")?),
             Request::Release { fh, .. } => {
-                let fd = {
-                    let mut st = self.state.lock();
-                    st.handles.remove(&fh)
-                };
-                match fd {
-                    Some((fd, _)) => ok_or(self.kernel.close(self.server_pid, fd), |()| Reply::Ok),
-                    None => Reply::Err(Errno::EBADF),
-                }
+                let fd = self.state.lock().handles.remove(&fh);
+                k.close(pid, fd.ok_or(Errno::EBADF)?)?;
+                Reply::Ok
             }
             Request::Fsync { fh, datasync, .. } => {
-                let fd = match self.fd_of(fh) {
-                    Ok(fd) => fd,
-                    Err(e) => return Reply::Err(e),
-                };
+                let fd = self.fd_of(fh)?;
                 // CNTR's delayed sync (§3.3): under the writeback cache a
                 // datasync is handed to background writeback without a
                 // durability barrier — "sacrific[ing] write consistency for
@@ -524,82 +471,43 @@ impl FuseHandler for CntrfsServer {
                 // barriers through FUSE (the data pass, then the metadata /
                 // parent-directory pass), which is why sync-per-operation
                 // workloads like SQLite see ~2× on CntrFS (§5.2.2).
-                let r = if datasync {
-                    self.kernel.fsync_relaxed(self.server_pid, fd)
+                if datasync {
+                    k.fsync_relaxed(pid, fd)?;
                 } else {
-                    self.kernel
-                        .fsync(self.server_pid, fd, true)
-                        .and_then(|()| self.kernel.fsync(self.server_pid, fd, false))
-                };
-                ok_or(r, |()| Reply::Ok)
-            }
-            Request::Readdir { ino } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                match self.kernel.readdir(self.server_pid, &path) {
-                    Ok(entries) => Reply::Dirents(
-                        entries
-                            .into_iter()
-                            .filter(|d| d.name != "." && d.name != "..")
-                            .collect(),
-                    ),
-                    Err(e) => Reply::Err(e),
+                    k.fsync(pid, fd, true)?;
+                    k.fsync(pid, fd, false)?;
                 }
+                Reply::Ok
             }
-            Request::Getxattr { ino, name } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(
-                    self.kernel.getxattr(self.server_pid, &path, &name),
-                    Reply::Xattr,
-                )
-            }
+            Request::Readdir { ino } => Reply::Dirents(
+                k.readdirat(pid, self.anchor(ino)?, "", AtFlags::EMPTY_PATH)?
+                    .into_iter()
+                    .filter(|d| d.name != "." && d.name != "..")
+                    .collect(),
+            ),
+            Request::Getxattr { ino, name } => Reply::Xattr(k.getxattrat(
+                pid,
+                self.anchor(ino)?,
+                "",
+                AtFlags::EMPTY_PATH,
+                &name,
+            )?),
             Request::Setxattr {
                 ino,
                 name,
                 value,
                 flags,
             } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(
-                    self.kernel
-                        .setxattr(self.server_pid, &path, &name, &value, flags),
-                    |()| Reply::Ok,
-                )
+                let fd = self.anchor(ino)?;
+                k.setxattrat(pid, fd, "", AtFlags::EMPTY_PATH, &name, &value, flags)?;
+                Reply::Ok
             }
             Request::Listxattr { ino } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(
-                    self.kernel.listxattr(self.server_pid, &path),
-                    Reply::XattrNames,
-                )
+                Reply::XattrNames(k.listxattrat(pid, self.anchor(ino)?, "", AtFlags::EMPTY_PATH)?)
             }
             Request::Removexattr { ino, name } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(
-                    self.kernel.removexattr(self.server_pid, &path, &name),
-                    |()| Reply::Ok,
-                )
-            }
-            Request::Access { ino, .. } => {
-                let path = match self.path_of(ino) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(self.kernel.lstat(self.server_pid, &path), |_| Reply::Ok)
+                k.removexattrat(pid, self.anchor(ino)?, "", AtFlags::EMPTY_PATH, &name)?;
+                Reply::Ok
             }
             Request::Create {
                 parent,
@@ -608,29 +516,19 @@ impl FuseHandler for CntrfsServer {
                 flags,
                 ctx,
             } => {
-                let parent_path = match self.path_of(parent) {
-                    Ok(p) => p,
-                    Err(e) => return Reply::Err(e),
-                };
-                let path = Self::child_path(&parent_path, &name);
-                match self
-                    .kernel
-                    .open(self.server_pid, &path, flags.with(OpenFlags::CREAT), mode)
-                {
-                    Ok(fd) => {
-                        self.stamp_owner(&path, ctx);
-                        let stat = match self.lookup_impl(parent, &name) {
-                            Ok(st) => st,
-                            Err(e) => return Reply::Err(e),
-                        };
-                        let ino = stat.ino;
-                        let mut st = self.state.lock();
-                        let fh = st.next_fh;
-                        st.next_fh += 1;
-                        st.handles.insert(fh, (fd, ino));
-                        Reply::Created { stat, fh }
+                let parent_fd = self.anchor(parent)?;
+                let fd = k.openat(pid, parent_fd, &name, flags.with(OpenFlags::CREAT), mode)?;
+                self.stamp_owner(parent_fd, &name, ctx);
+                let stat = match self.lookup_impl(parent, &name) {
+                    Ok(st) => st,
+                    Err(e) => {
+                        let _ = k.close(pid, fd);
+                        return Err(e);
                     }
-                    Err(e) => Reply::Err(e),
+                };
+                Reply::Created {
+                    stat,
+                    fh: self.add_handle(fd),
                 }
             }
             Request::Fallocate {
@@ -640,25 +538,20 @@ impl FuseHandler for CntrfsServer {
                 mode,
                 ..
             } => {
-                let fd = match self.fd_of(fh) {
-                    Ok(fd) => fd,
-                    Err(e) => return Reply::Err(e),
-                };
-                ok_or(
-                    self.kernel
-                        .fallocate(self.server_pid, fd, offset, len, mode),
-                    |()| Reply::Ok,
-                )
-            }
-            Request::Flush { fh, .. } => {
-                // Seek-position reset is the closest flush-visible effect.
-                if let Ok(fd) = self.fd_of(fh) {
-                    let _ = self.kernel.lseek(self.server_pid, fd, 0, Whence::Cur);
-                }
+                k.fallocate(pid, self.fd_of(fh)?, offset, len, mode)?;
                 Reply::Ok
             }
             Request::Destroy => Reply::Ok,
-        }
+        })
+    }
+}
+
+impl FuseHandler for CntrfsServer {
+    fn handle(&self, req: Request) -> Reply {
+        self.dispatch(req).unwrap_or_else(|e| {
+            self.counters.errors.inc();
+            Reply::Err(e)
+        })
     }
 }
 
@@ -668,7 +561,7 @@ mod tests {
     use cntr_engine::runtime::boot_host;
     use cntr_fs::{Filesystem, FsContext};
     use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
-    use cntr_types::SimClock;
+    use cntr_types::{RenameFlags, SimClock};
 
     fn setup() -> (Kernel, Arc<FuseClientFs>) {
         let k = boot_host(SimClock::new());
@@ -687,7 +580,7 @@ mod tests {
         k.chmod(Pid::INIT, "/usr/bin/gdb", Mode::RWXR_XR_X).unwrap();
 
         let server_pid = k.fork(Pid::INIT).unwrap();
-        let server = CntrfsServer::new(k.clone(), server_pid);
+        let server = CntrfsServer::new(k.clone(), server_pid).unwrap();
         let transport = InlineTransport::new(server);
         let client = FuseClientFs::mount(
             DevId(7777),
@@ -767,6 +660,71 @@ mod tests {
         assert_eq!(fs.getattr(usr.ino), Err(Errno::ESTALE));
     }
 
+    /// The fat container renames a directory itself and puts a new file
+    /// under the old name: a FUSE inode already looked up keeps naming the
+    /// directory it was looked up as, wherever that now lives.
+    #[test]
+    fn native_rename_does_not_redirect_a_known_inode() {
+        let (k, fs) = setup();
+        let usr = fs.lookup(Ino(1), "usr").unwrap();
+        let bin = fs.lookup(usr.ino, "bin").unwrap();
+        k.rename(Pid::INIT, "/usr/bin", "/usr/bin2", RenameFlags::NONE)
+            .unwrap();
+        k.mkdir(Pid::INIT, "/usr/bin", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(
+                Pid::INIT,
+                "/usr/bin/gdb",
+                OpenFlags::create(),
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        k.close(Pid::INIT, fd).unwrap();
+        let gdb = fs.lookup(bin.ino, "gdb").unwrap();
+        assert_eq!(gdb.size, 10, "the original gdb, not the new empty file");
+    }
+
+    /// An open file unlinked on the host keeps answering GETATTR: the open
+    /// handle keeps the inode alive, and the inode's own handle reaches it.
+    #[test]
+    fn unlinked_open_file_keeps_its_attributes() {
+        let (k, fs) = setup();
+        let usr = fs.lookup(Ino(1), "usr").unwrap();
+        let bin = fs.lookup(usr.ino, "bin").unwrap();
+        let gdb = fs.lookup(bin.ino, "gdb").unwrap();
+        let fh = fs.open(gdb.ino, OpenFlags::RDONLY).unwrap();
+        k.unlink(Pid::INIT, "/usr/bin/gdb").unwrap();
+        fs.drop_caches();
+        let st = fs.getattr(gdb.ino).unwrap();
+        assert_eq!((st.size, st.nlink), (10, 0));
+        let mut buf = [0u8; 16];
+        let n = fs.read(gdb.ino, fh, 0, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"GDB-BINARY");
+        fs.release(gdb.ino, fh).unwrap();
+    }
+
+    /// Every remembered inode holds exactly one descriptor in the server
+    /// process; FORGET closes it, and a re-lookup closes its duplicate.
+    #[test]
+    fn each_live_inode_holds_one_descriptor() {
+        let (k, fs) = setup();
+        let server_pid = *k.pids().last().unwrap();
+        let base = k.fd_count(server_pid).unwrap();
+        let usr = fs.lookup(Ino(1), "usr").unwrap();
+        let bin = fs.lookup(usr.ino, "bin").unwrap();
+        assert_eq!(k.fd_count(server_pid).unwrap(), base + 2);
+        fs.drop_caches();
+        assert_eq!(fs.lookup(Ino(1), "usr").unwrap().ino, usr.ino);
+        assert_eq!(
+            k.fd_count(server_pid).unwrap(),
+            base + 2,
+            "duplicate closed"
+        );
+        fs.forget(bin.ino, 1);
+        fs.flush_forgets();
+        assert_eq!(k.fd_count(server_pid).unwrap(), base + 1);
+    }
+
     #[test]
     fn rename_fixes_descendant_paths() {
         let (k, fs) = setup();
@@ -840,5 +798,196 @@ mod tests {
         assert_eq!(gdb.size, native.size);
         assert_eq!(gdb.mode, native.mode);
         assert_ne!(gdb.ino, native.ino, "FUSE inode numbering is private");
+    }
+
+    /// The server against the host's own view, with the fat container
+    /// renaming, unlinking and creating files itself between FUSE
+    /// requests. The client's caches are dropped before each request so
+    /// the server answers every one; the oracle tracks where each
+    /// remembered directory now lives on the host.
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        const DIRS: [&str; 4] = ["A", "B", "C", "D"];
+        const FILES: [&str; 3] = ["x", "y", "z"];
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            HostRenameDir(usize, usize),
+            HostRenameFile(usize, usize, usize, usize),
+            HostUnlink(usize, usize),
+            HostCreate(usize, usize, u8),
+            Lookup(usize, usize),
+            Read(usize, usize),
+            Create(usize, usize, u8),
+            Unlink(usize, usize),
+            Rename(usize, usize, usize, usize),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let (d, f) = (0usize..2, 0usize..FILES.len());
+            prop_oneof![
+                (d.clone(), 0usize..DIRS.len()).prop_map(|(i, n)| Op::HostRenameDir(i, n)),
+                (d.clone(), f.clone(), d.clone(), f.clone())
+                    .prop_map(|(i, a, j, b)| Op::HostRenameFile(i, a, j, b)),
+                (d.clone(), f.clone()).prop_map(|(i, a)| Op::HostUnlink(i, a)),
+                (d.clone(), f.clone(), 0u8..32).prop_map(|(i, a, n)| Op::HostCreate(i, a, n)),
+                (d.clone(), f.clone()).prop_map(|(i, a)| Op::Lookup(i, a)),
+                (d.clone(), f.clone()).prop_map(|(i, a)| Op::Read(i, a)),
+                (d.clone(), f.clone(), 0u8..32).prop_map(|(i, a, n)| Op::Create(i, a, n)),
+                (d.clone(), f.clone()).prop_map(|(i, a)| Op::Unlink(i, a)),
+                (d.clone(), f.clone(), d, f).prop_map(|(i, a, j, b)| Op::Rename(i, a, j, b)),
+            ]
+        }
+
+        fn host_write(k: &Kernel, path: &str, len: u8) -> SysResult<()> {
+            let fd = k.open(Pid::INIT, path, OpenFlags::create(), Mode::RW_R__R__)?;
+            k.write_fd(Pid::INIT, fd, &vec![len; len as usize])?;
+            k.close(Pid::INIT, fd)
+        }
+
+        fn host_read(k: &Kernel, path: &str) -> SysResult<Vec<u8>> {
+            let fd = k.open(Pid::INIT, path, OpenFlags::RDONLY, Mode::RW_R__R__)?;
+            let mut buf = vec![0u8; 64];
+            let n = k.read_fd(Pid::INIT, fd, &mut buf)?;
+            k.close(Pid::INIT, fd)?;
+            buf.truncate(n);
+            Ok(buf)
+        }
+
+        fn fuse_read(fs: &FuseClientFs, dir: Ino, name: &str) -> SysResult<Vec<u8>> {
+            let st = fs.lookup(dir, name)?;
+            let fh = fs.open(st.ino, OpenFlags::RDONLY)?;
+            let mut buf = vec![0u8; 64];
+            let n = fs.read(st.ino, fh, 0, &mut buf);
+            fs.release(st.ino, fh)?;
+            buf.truncate(n?);
+            Ok(buf)
+        }
+
+        /// The attributes both sides must agree on.
+        fn seen(st: SysResult<Stat>) -> SysResult<(FileType, u64, Mode, u32)> {
+            st.map(|st| (st.ftype, st.size, st.mode, st.nlink))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn server_follows_inodes_through_native_changes(
+                ops in proptest::collection::vec(op(), 1..32)
+            ) {
+                let (k, fs) = setup();
+                let host = |p: &str| k.mkdir(Pid::INIT, p, Mode::RWXR_XR_X).unwrap();
+                host("/t");
+                host("/t/A");
+                host("/t/B");
+                host_write(&k, "/t/A/x", 3).unwrap();
+                host_write(&k, "/t/B/y", 5).unwrap();
+                let t = fs.lookup(Ino(1), "t").unwrap().ino;
+                // Each remembered directory: its FUSE inode and where it
+                // lives on the host now (`None` once replaced).
+                let mut dirs: Vec<(Ino, Option<String>)> = ["A", "B"]
+                    .iter()
+                    .map(|n| (fs.lookup(t, n).unwrap().ino, Some(format!("/t/{n}"))))
+                    .collect();
+                for op in &ops {
+                    fs.drop_caches();
+                    let at = |i: usize, f: usize| {
+                        dirs[i].1.as_ref().map(|d| format!("{d}/{}", FILES[f]))
+                    };
+                    match *op {
+                        Op::HostRenameDir(i, n) => {
+                            let Some(from) = dirs[i].1.clone() else { continue };
+                            let to = format!("/t/{}", DIRS[n]);
+                            if k.rename(Pid::INIT, &from, &to, RenameFlags::NONE).is_ok()
+                                && from != to
+                            {
+                                for d in dirs.iter_mut() {
+                                    if d.1.as_deref() == Some(&to) {
+                                        d.1 = None;
+                                    } else if d.1.as_deref() == Some(&from) {
+                                        d.1 = Some(to.clone());
+                                    }
+                                }
+                            }
+                        }
+                        Op::HostRenameFile(i, a, j, b) => {
+                            if let (Some(from), Some(to)) = (at(i, a), at(j, b)) {
+                                let _ = k.rename(Pid::INIT, &from, &to, RenameFlags::NONE);
+                            }
+                        }
+                        Op::HostUnlink(i, a) => {
+                            if let Some(p) = at(i, a) {
+                                let _ = k.unlink(Pid::INIT, &p);
+                            }
+                        }
+                        Op::HostCreate(i, a, n) => {
+                            if let Some(p) = at(i, a) {
+                                host_write(&k, &p, n).unwrap();
+                            }
+                        }
+                        Op::Lookup(i, a) => {
+                            let Some(p) = at(i, a) else { continue };
+                            prop_assert_eq!(
+                                seen(fs.lookup(dirs[i].0, FILES[a])),
+                                seen(k.lstat(Pid::INIT, &p)),
+                                "{:?} at {}", op, p
+                            );
+                        }
+                        Op::Read(i, a) => {
+                            let Some(p) = at(i, a) else { continue };
+                            prop_assert_eq!(
+                                fuse_read(&fs, dirs[i].0, FILES[a]),
+                                host_read(&k, &p),
+                                "{:?} at {}", op, p
+                            );
+                        }
+                        Op::Create(i, a, n) => {
+                            let Some(p) = at(i, a) else { continue };
+                            let existed = k.lstat(Pid::INIT, &p).is_ok();
+                            let made = fs.mknod(
+                                dirs[i].0,
+                                FILES[a],
+                                FileType::Regular,
+                                Mode::RW_R__R__,
+                                0,
+                                &FsContext::root(),
+                            );
+                            prop_assert_eq!(made.is_ok(), !existed, "{:?} at {}", op, p);
+                            if let Ok(st) = made {
+                                let fh = fs.open(st.ino, OpenFlags::WRONLY).unwrap();
+                                fs.write(st.ino, fh, 0, &vec![n; n as usize]).unwrap();
+                                fs.release(st.ino, fh).unwrap();
+                                prop_assert_eq!(host_read(&k, &p), Ok(vec![n; n as usize]));
+                            }
+                        }
+                        Op::Unlink(i, a) => {
+                            let Some(p) = at(i, a) else { continue };
+                            let existed = k.lstat(Pid::INIT, &p).is_ok();
+                            let gone = fs.unlink(dirs[i].0, FILES[a]);
+                            prop_assert_eq!(gone.is_ok(), existed, "{:?} at {}", op, p);
+                            prop_assert_eq!(k.lstat(Pid::INIT, &p).err(), Some(Errno::ENOENT));
+                        }
+                        Op::Rename(i, a, j, b) => {
+                            let (Some(from), Some(to)) = (at(i, a), at(j, b)) else { continue };
+                            let body = host_read(&k, &from);
+                            let moved = fs.rename(
+                                dirs[i].0,
+                                FILES[a],
+                                dirs[j].0,
+                                FILES[b],
+                                RenameFlags::NONE,
+                            );
+                            prop_assert_eq!(moved.is_ok(), body.is_ok(), "{:?}", op);
+                            if let Ok(body) = body {
+                                prop_assert_eq!(host_read(&k, &to), Ok(body), "{:?}", op);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

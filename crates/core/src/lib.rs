@@ -13,8 +13,9 @@
 //!   and selected `/etc` files bound over the tools view), drop privileges,
 //!   and start the interactive shell (paper: 1549 LoC),
 //! * [`cntrfs`] — the CntrFS server: a FUSE passthrough filesystem that
-//!   resolves inodes to paths *in the server's mount namespace* (host or fat
-//!   container), with the open+stat hardlink detection the paper describes
+//!   holds one `O_PATH` descriptor per inode *in the server's mount
+//!   namespace* (host or fat container) and answers with `*at` calls from
+//!   it, with the open+stat hardlink detection the paper describes
 //!   (paper: 1481 LoC),
 //! * [`pty`] — the pseudo-TTY connecting the user's terminal to the shell
 //!   (paper: 221 LoC),

@@ -1,0 +1,96 @@
+//! The `core.cntrfs.anchors` gauge against the server it describes.
+//!
+//! Each remembered inode holds one `O_PATH` descriptor in the server
+//! process. After random LOOKUP / FORGET schedules, the gauge, the
+//! server's live inodes and the descriptors the kernel sees in the server
+//! process must all agree; once the server is gone the gauge is back to
+//! zero. The gauge is machine-wide, so this binary holds this one test.
+
+use cntr_core::CntrfsServer;
+use cntr_engine::runtime::boot_host;
+use cntr_fuse::proto::{Reply, Request, RequestCtx};
+use cntr_fuse::server::FuseHandler;
+use cntr_types::{Ino, Mode, OpenFlags, Pid, SimClock};
+use proptest::prelude::*;
+
+const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// Look a name up under the root or under a remembered inode.
+    Lookup(usize, usize),
+    /// Forget some lookups of a remembered inode.
+    Forget(usize, u64),
+}
+
+fn anchors() -> i64 {
+    obs::gauge_value("core.cntrfs.anchors").unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn anchors_gauge_tracks_live_inodes(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (0usize..8, 0usize..NAMES.len()).prop_map(|(p, n)| Op::Lookup(p, n)),
+                (0usize..8, 1u64..3).prop_map(|(i, n)| Op::Forget(i, n)),
+            ],
+            1..64,
+        )
+    ) {
+        prop_assert_eq!(anchors(), 0, "no server alive");
+        let k = boot_host(SimClock::new());
+        for dir in NAMES {
+            let top = format!("/{dir}");
+            k.mkdir(Pid::INIT, &top, Mode::RWXR_XR_X).unwrap();
+            for name in NAMES {
+                let path = format!("{top}/{name}");
+                let fd = k
+                    .open(Pid::INIT, &path, OpenFlags::create(), Mode::RW_R__R__)
+                    .unwrap();
+                k.close(Pid::INIT, fd).unwrap();
+            }
+        }
+        let server_pid = k.fork(Pid::INIT).unwrap();
+        let base = k.fd_count(server_pid).unwrap();
+        let server = CntrfsServer::new(k.clone(), server_pid).unwrap();
+        // Remembered FUSE inodes with the lookups the kernel holds on them.
+        let mut known: Vec<(Ino, u64)> = Vec::new();
+        for op in &ops {
+            match *op {
+                Op::Lookup(p, n) => {
+                    let parent = known.get(p).map_or(Ino(1), |&(ino, _)| ino);
+                    let req = Request::Lookup {
+                        parent,
+                        name: NAMES[n].to_string(),
+                        ctx: RequestCtx::default(),
+                    };
+                    if let Reply::Entry(st) = server.handle(req) {
+                        match known.iter_mut().find(|(ino, _)| *ino == st.ino) {
+                            Some(entry) => entry.1 += 1,
+                            None => known.push((st.ino, 1)),
+                        }
+                    }
+                }
+                Op::Forget(i, n) => {
+                    if i < known.len() {
+                        let n = n.min(known[i].1);
+                        server.handle(Request::Forget { ino: known[i].0, nlookup: n });
+                        known[i].1 -= n;
+                        if known[i].1 == 0 {
+                            known.remove(i);
+                        }
+                    }
+                }
+            }
+            let live = server.live_inodes();
+            prop_assert_eq!(live, known.len() + 1, "the root is always live");
+            prop_assert_eq!(anchors(), live as i64);
+            prop_assert_eq!(k.fd_count(server_pid).unwrap(), base + live);
+        }
+        drop(server);
+        prop_assert_eq!(anchors(), 0, "a dropped server's anchors leave the gauge");
+    }
+}

@@ -14,7 +14,9 @@ use cntr_types::{
 /// we charge a round 80 for header plus typical op body).
 pub const HEADER_BYTES: usize = 80;
 
-/// FUSE operation codes (values from the Linux uapi).
+/// FUSE operation codes (values from the Linux uapi). `FLUSH` and
+/// `ACCESS` stay although no [`Request`] carries them: the client checks
+/// permissions itself (`default_permissions`) and has nothing to flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum Opcode {
@@ -466,15 +468,6 @@ pub enum Request {
         /// Attribute name.
         name: String,
     },
-    /// Permission probe.
-    Access {
-        /// Inode.
-        ino: Ino,
-        /// `rwx` mask.
-        mask: u8,
-        /// Caller identity.
-        ctx: RequestCtx,
-    },
     /// Atomic create+open.
     Create {
         /// Parent inode.
@@ -500,13 +493,6 @@ pub enum Request {
         len: u64,
         /// Mode.
         mode: cntr_fs::FallocateMode,
-    },
-    /// Flush on close.
-    Flush {
-        /// Inode.
-        ino: Ino,
-        /// Server file handle.
-        fh: u64,
     },
     /// Unmount notification.
     Destroy,
@@ -541,10 +527,8 @@ impl Request {
             Request::Setxattr { .. } => Opcode::Setxattr,
             Request::Listxattr { .. } => Opcode::Listxattr,
             Request::Removexattr { .. } => Opcode::Removexattr,
-            Request::Access { .. } => Opcode::Access,
             Request::Create { .. } => Opcode::Create,
             Request::Fallocate { .. } => Opcode::Fallocate,
-            Request::Flush { .. } => Opcode::Flush,
             Request::Destroy => Opcode::Destroy,
         }
     }

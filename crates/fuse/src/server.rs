@@ -2,10 +2,10 @@
 //!
 //! [`FuseHandler`] is what a FUSE daemon implements. [`FsHandler`] adapts
 //! any [`Filesystem`] into a handler — the moral equivalent of serving a
-//! directory tree 1:1. CNTR's passthrough server (which resolves inodes to
-//! paths in *another mount namespace*, with the open+stat hardlink
-//! detection the paper describes) lives in `cntr-core` and implements this
-//! same trait.
+//! directory tree 1:1. CNTR's passthrough server (which holds one `O_PATH`
+//! descriptor per inode in *another mount namespace*, with the open+stat
+//! hardlink detection the paper describes) lives in `cntr-core` and
+//! implements this same trait.
 
 use crate::proto::{InitFlags, Reply, Request, RequestCtx};
 use cntr_fs::{Filesystem, FsContext};
@@ -242,11 +242,6 @@ impl FuseHandler for FsHandler {
             Request::Removexattr { ino, name } => {
                 reply(self.fs.removexattr(ino, &name), |()| Reply::Ok)
             }
-            Request::Access { ino, .. } => {
-                // Permission checking happens in the client VFS; the server
-                // only verifies existence (default_permissions model).
-                reply(self.fs.getattr(ino), |_| Reply::Ok)
-            }
             Request::Create {
                 parent,
                 name,
@@ -283,7 +278,6 @@ impl FuseHandler for FsHandler {
                 self.fs.fallocate(ino, cntr_fs::Fh(fh), offset, len, mode),
                 |()| Reply::Ok,
             ),
-            Request::Flush { .. } => Reply::Ok,
             Request::Destroy => Reply::Ok,
         }
     }

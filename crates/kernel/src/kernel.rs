@@ -118,7 +118,8 @@ pub struct FanotifyEvent {
     pub dev: DevId,
     /// Inode accessed.
     pub ino: Ino,
-    /// Path as resolved by the accessing process.
+    /// Path as the accessing process named it: relative to the `dirfd`
+    /// of an `openat`, empty for a `reopen`.
     pub path: String,
 }
 
@@ -569,6 +570,11 @@ impl Kernel {
     /// All live pids (ordered).
     pub fn pids(&self) -> Vec<Pid> {
         self.inner.procs.pids()
+    }
+
+    /// Number of open descriptors of `pid` (what `/proc/<pid>/fd` lists).
+    pub fn fd_count(&self, pid: Pid) -> SysResult<usize> {
+        self.with_proc(pid, |p| Ok(p.fds.len()))
     }
 
     /// The full context CNTR needs before attaching. All fields come from

@@ -16,6 +16,7 @@
 //! * a mount table per mount namespace with bind mounts, `MS_PRIVATE` /
 //!   `MS_SHARED` propagation, move-mounts and `chroot` ([`mount`]),
 //! * a VFS: path walking across mount boundaries with symlink resolution,
+//!   from the cwd or beneath an `O_PATH` descriptor (the `*at` calls),
 //!   permission checks, fd-level syscalls, and a page cache with
 //!   write-through/writeback policies per mount ([`vfs`], [`pagecache`]),
 //! * cgroups ([`cgroup`]), pipes with `splice` ([`pipe`]), Unix domain

@@ -8,6 +8,7 @@ use crate::ns::NamespaceSet;
 use crate::pagecache::FileRef;
 use crate::pipe::Pipe;
 use crate::socket::{SocketEnd, SocketListener};
+use cntr_fs::Filesystem;
 use cntr_types::{DevId, Ino, OpenFlags, Pid, RlimitSet};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -43,6 +44,15 @@ pub enum FileKind {
         dev: DevId,
         /// Directory inode.
         ino: Ino,
+    },
+    /// An `O_PATH` descriptor: it locates an inode, anchors the `*at`
+    /// calls and answers `fstat`, and can do no I/O. Like Linux's
+    /// `struct path`, it pins the filesystem, not the inode.
+    Path {
+        /// Where the descriptor points.
+        loc: VfsLoc,
+        /// The filesystem of `loc.mount`.
+        fs: Arc<dyn Filesystem>,
     },
     /// Read end of a pipe.
     PipeRead(Arc<Pipe>),

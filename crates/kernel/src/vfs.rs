@@ -6,6 +6,12 @@
 //! (never escaping a `chroot` jail), and chase symlinks up to a depth of 40.
 //! Reads and writes on regular files go through the shared page cache
 //! according to the mount's [`CacheMode`].
+//!
+//! Every path system call is the `*at` call it names, started at
+//! [`AT_FDCWD`], so there is one walker and one body per call. A walk from
+//! a real descriptor starts at that descriptor's inode and stays beneath
+//! it — the `RESOLVE_BENEATH` rule of `openat2(2)`: `..` at the anchor, an
+//! absolute path and an absolute symlink all fail with `EXDEV`.
 
 use crate::kernel::Kernel;
 use crate::mount::{CacheMode, Mount, MountFlags, MountId, MountNs, Propagation};
@@ -14,14 +20,19 @@ use crate::process::{FdEntry, FileKind, OpenFile, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
 use cntr_fs::{Filesystem, FsContext, XattrFlags};
 use cntr_types::{
-    AccessMode, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid,
-    RenameFlags, SetAttr, Stat, SysResult, Uid,
+    AccessMode, AtFlags, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags,
+    Pid, RenameFlags, SetAttr, Stat, SysResult, Uid,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Maximum symlink traversals in one resolution (Linux: 40).
 const MAX_SYMLINKS: u32 = 40;
+
+/// The `dirfd` of an `*at` call that starts a relative path at the
+/// caller's cwd (and an absolute one at its root), as the plain path calls
+/// do.
+pub const AT_FDCWD: u32 = u32::MAX;
 
 /// Result of resolving a path.
 #[derive(Clone)]
@@ -124,6 +135,22 @@ struct WalkState {
     cur: VfsLoc,
     stack: Vec<VfsLoc>,
     symlinks: u32,
+    /// The walk started at a descriptor and may not leave the subtree
+    /// beneath it.
+    beneath: bool,
+}
+
+impl WalkState {
+    /// Restarts at the process root, for an absolute path or symlink
+    /// target; a walk beneath a descriptor may not.
+    fn restart_at_root(&mut self) -> SysResult<()> {
+        if self.beneath {
+            return Err(Errno::EXDEV);
+        }
+        self.cur = Kernel::cross_mounts(&self.ns, self.root);
+        self.stack.clear();
+        Ok(())
+    }
 }
 
 impl Kernel {
@@ -149,8 +176,7 @@ impl Kernel {
     fn walk(&self, w: &mut WalkState, path: &str, follow_last: bool) -> SysResult<()> {
         let mut components: Vec<String> = Vec::new();
         if path.starts_with('/') {
-            w.cur = Self::cross_mounts(&w.ns, w.root);
-            w.stack.clear();
+            w.restart_at_root()?;
         }
         components.extend(
             path.split('/')
@@ -163,10 +189,13 @@ impl Kernel {
             let name = components[i].clone();
             let is_last = i == components.len() - 1;
             if name == ".." {
-                if let Some(prev) = w.stack.pop() {
-                    w.cur = prev;
+                match w.stack.pop() {
+                    Some(prev) => w.cur = prev,
+                    None if w.beneath => return Err(Errno::EXDEV),
+                    // At the root the stack is empty: `..` stays (chroot
+                    // jail).
+                    None => {}
                 }
-                // At the root the stack is empty: `..` stays (chroot jail).
                 i += 1;
                 continue;
             }
@@ -180,8 +209,7 @@ impl Kernel {
                 }
                 let target = mount.fs.readlink(stat.ino)?;
                 if target.starts_with('/') {
-                    w.cur = Self::cross_mounts(&w.ns, w.root);
-                    w.stack.clear();
+                    w.restart_at_root()?;
                 }
                 let mut rest: Vec<String> = target
                     .split('/')
@@ -209,6 +237,18 @@ impl Kernel {
     /// Resolves `path` for `pid`. `follow_last` controls final-symlink
     /// chasing (`stat` vs `lstat`, `O_NOFOLLOW`).
     pub fn resolve(&self, pid: Pid, path: &str, follow_last: bool) -> SysResult<Resolved> {
+        let flags = if follow_last {
+            AtFlags::NONE
+        } else {
+            AtFlags::SYMLINK_NOFOLLOW
+        };
+        self.resolve_at(pid, AT_FDCWD, path, flags)
+    }
+
+    /// Resolves `path` relative to `dirfd` for `pid`. `SYMLINK_NOFOLLOW`
+    /// stops at a final symlink; `EMPTY_PATH` lets an empty path name
+    /// `dirfd` itself.
+    fn resolve_at(&self, pid: Pid, dirfd: u32, path: &str, flags: AtFlags) -> SysResult<Resolved> {
         let (ns, root, cwd) = self.snapshot_ns(pid)?;
         let mut w = WalkState {
             ns,
@@ -216,15 +256,21 @@ impl Kernel {
             cur: cwd,
             stack: Vec::new(),
             symlinks: 0,
+            beneath: dirfd != AT_FDCWD,
         };
-        if !path.starts_with('/') {
+        if dirfd != AT_FDCWD {
+            if path.is_empty() && !flags.contains(AtFlags::EMPTY_PATH) {
+                return Err(Errno::ENOENT);
+            }
+            w.cur = self.fd_loc(pid, dirfd)?;
+        } else if !path.starts_with('/') {
             // Rebuild the ancestor stack for the cwd by resolving the stored
             // canonical cwd path (kept symlink-free by chdir).
             let cwd_path = self.with_proc(pid, |p| Ok(p.cwd_path.clone()))?;
             w.cur = Self::cross_mounts(&w.ns, w.root);
             self.walk(&mut w, &cwd_path, true)?;
         }
-        self.walk(&mut w, path, follow_last)?;
+        self.walk(&mut w, path, !flags.contains(AtFlags::SYMLINK_NOFOLLOW))?;
         let mount = w.ns.get(w.cur.mount)?.clone();
         let stat = mount.fs.getattr(w.cur.ino)?;
         Ok(Resolved {
@@ -236,9 +282,22 @@ impl Kernel {
         })
     }
 
-    /// Resolves the parent directory of `path`, returning the final
-    /// component name alongside.
-    pub fn resolve_parent(&self, pid: Pid, path: &str) -> SysResult<(Resolved, String)> {
+    /// The inode a descriptor locates: where a walk from it starts.
+    fn fd_loc(&self, pid: Pid, fd: u32) -> SysResult<VfsLoc> {
+        let file = self.get_file_raw(pid, fd)?;
+        match &file.kind {
+            FileKind::Path { loc, .. } => Ok(*loc),
+            FileKind::Directory { mount, ino, .. } => Ok(VfsLoc {
+                mount: *mount,
+                ino: *ino,
+            }),
+            _ => Err(Errno::ENOTDIR),
+        }
+    }
+
+    /// Resolves the parent directory of `path` relative to `dirfd`,
+    /// returning the final component name alongside.
+    fn resolve_parent_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return Err(Errno::EEXIST);
@@ -251,12 +310,7 @@ impl Kernel {
         if name.is_empty() || name == "." || name == ".." {
             return Err(Errno::EINVAL);
         }
-        let dir = if dir == "." && !path.starts_with('/') {
-            ".".to_string()
-        } else {
-            dir
-        };
-        let parent = self.resolve(pid, &dir, true)?;
+        let parent = self.resolve_at(pid, dirfd, &dir, AtFlags::NONE)?;
         if !parent.stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
@@ -267,13 +321,42 @@ impl Kernel {
     // open / close / read / write
     // ------------------------------------------------------------------
 
-    /// `open(2)` / `openat(2)` with `O_CREAT` support.
+    /// `open(2)`: [`Kernel::openat`] at [`AT_FDCWD`].
     pub fn open(&self, pid: Pid, path: &str, flags: OpenFlags, mode: Mode) -> SysResult<u32> {
+        self.openat(pid, AT_FDCWD, path, flags, mode)
+    }
+
+    /// `openat(2)` with `O_CREAT` support. `O_PATH` installs a descriptor
+    /// that only locates the inode — a symlink itself under `O_NOFOLLOW` —
+    /// without opening it on its filesystem.
+    pub fn openat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        flags: OpenFlags,
+        mode: Mode,
+    ) -> SysResult<u32> {
         self.charge_syscall();
         let (creds, mnt_ns) = self.with_proc(pid, |p| Ok((p.creds.clone(), p.ns.mount)))?;
-        let follow = !flags.contains(OpenFlags::NOFOLLOW);
+        let at = if flags.contains(OpenFlags::NOFOLLOW) {
+            AtFlags::SYMLINK_NOFOLLOW
+        } else {
+            AtFlags::NONE
+        };
+        if flags.contains(OpenFlags::PATH) {
+            let r = self.resolve_at(pid, dirfd, path, at)?;
+            return self.install_file(
+                pid,
+                FileKind::Path {
+                    loc: r.loc,
+                    fs: r.fs,
+                },
+                flags,
+            );
+        }
 
-        let resolved = match self.resolve(pid, path, follow) {
+        let resolved = match self.resolve_at(pid, dirfd, path, at) {
             Ok(r) => {
                 if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
                     return Err(Errno::EEXIST);
@@ -284,7 +367,7 @@ impl Kernel {
                 r
             }
             Err(Errno::ENOENT) if flags.contains(OpenFlags::CREAT) => {
-                let (parent, name) = self.resolve_parent(pid, path)?;
+                let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
                 if parent.readonly {
                     return Err(Errno::EROFS);
                 }
@@ -307,13 +390,42 @@ impl Kernel {
             }
             Err(e) => return Err(e),
         };
+        self.open_resolved(pid, &creds, mnt_ns, resolved, flags, path)
+    }
 
+    /// Opens the inode `fd` locates afresh, with `flags`: what
+    /// `open("/proc/self/fd/<fd>", flags)` does, and how a server turns an
+    /// `O_PATH` anchor into a descriptor that can do I/O. It costs one
+    /// system call and the one `/proc/self/fd` component.
+    pub fn reopen(&self, pid: Pid, fd: u32, flags: OpenFlags) -> SysResult<u32> {
+        self.charge_syscall();
+        self.inner.clock.advance(self.inner.cost.dcache_hit_ns);
+        let (creds, mnt_ns) = self.with_proc(pid, |p| Ok((p.creds.clone(), p.ns.mount)))?;
+        let r = self.resolve_at(pid, fd, "", AtFlags::EMPTY_PATH)?;
+        if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
+            return Err(Errno::EEXIST);
+        }
+        // The descriptor was never named by a path: fanotify records none.
+        self.open_resolved(pid, &creds, mnt_ns, r, flags, "")
+    }
+
+    /// The common tail of `openat` and `reopen`: permission checks, the
+    /// filesystem open, and the descriptor install.
+    fn open_resolved(
+        &self,
+        pid: Pid,
+        creds: &crate::cred::Credentials,
+        mnt_ns: crate::ns::NamespaceId,
+        resolved: Resolved,
+        flags: OpenFlags,
+        path: &str,
+    ) -> SysResult<u32> {
         let want = Access {
             r: flags.mode.readable(),
             w: flags.mode.writable(),
             x: false,
         };
-        check_access(&resolved.stat, &creds, want)?;
+        check_access(&resolved.stat, creds, want)?;
         if flags.mode.writable() && resolved.readonly {
             return Err(Errno::EROFS);
         }
@@ -388,7 +500,12 @@ impl Kernel {
                 }
             }
         };
+        self.install_file(pid, kind, flags)
+    }
 
+    /// Installs a new open file description in `pid`'s table, within its
+    /// `RLIMIT_NOFILE`.
+    fn install_file(&self, pid: Pid, kind: FileKind, flags: OpenFlags) -> SysResult<u32> {
         let limit = self.rlimits(pid)?.get(cntr_types::RlimitKind::Nofile).soft;
         self.with_proc_mut(pid, |p| {
             if p.fds.len() as u64 >= limit {
@@ -424,7 +541,19 @@ impl Kernel {
         })
     }
 
+    /// The open file behind `fd`, for a call that does I/O: an `O_PATH`
+    /// descriptor is `EBADF` here, as Linux's `fdget` refuses it.
     fn get_file(&self, pid: Pid, fd: u32) -> SysResult<Arc<OpenFile>> {
+        let file = self.get_file_raw(pid, fd)?;
+        if matches!(file.kind, FileKind::Path { .. }) {
+            return Err(Errno::EBADF);
+        }
+        Ok(file)
+    }
+
+    /// The open file behind `fd`, `O_PATH` descriptors included: for
+    /// `fstat` and the `*at` anchors (`fdget_raw`).
+    fn get_file_raw(&self, pid: Pid, fd: u32) -> SysResult<Arc<OpenFile>> {
         self.with_proc(pid, |p| {
             p.fds
                 .get(&fd)
@@ -484,7 +613,7 @@ impl Kernel {
             }
             FileKind::Directory { .. } => Err(Errno::EISDIR),
             FileKind::PipeRead(p) => p.read(buf),
-            FileKind::PipeWrite(_) => Err(Errno::EBADF),
+            FileKind::PipeWrite(_) | FileKind::Path { .. } => Err(Errno::EBADF),
             FileKind::Socket(s) => s.recv(buf),
             FileKind::Listener(_) | FileKind::Epoll(_) => Err(Errno::EINVAL),
             FileKind::DevNull => Ok(0),
@@ -604,7 +733,7 @@ impl Kernel {
             }
             FileKind::Directory { .. } => Err(Errno::EISDIR),
             FileKind::PipeWrite(p) => p.write(data),
-            FileKind::PipeRead(_) => Err(Errno::EBADF),
+            FileKind::PipeRead(_) | FileKind::Path { .. } => Err(Errno::EBADF),
             FileKind::Socket(s) => s.send(data),
             FileKind::Listener(_) | FileKind::Epoll(_) => Err(Errno::EINVAL),
             FileKind::DevNull | FileKind::DevZero | FileKind::DevUrandom => Ok(data.len()),
@@ -675,46 +804,31 @@ impl Kernel {
 
     /// `stat(2)` (follows symlinks).
     pub fn stat(&self, pid: Pid, path: &str) -> SysResult<Stat> {
-        self.charge_syscall();
-        let r = self.resolve(pid, path, true)?;
-        let mut st = r.stat;
-        // Writeback may hold a larger size and newer mtime than the
-        // filesystem has seen.
-        let dev = r.fs.fs_id();
-        st.size = self.inner.page_cache.effective_size(dev, st.ino, st.size);
-        if let Some(t) = self.inner.page_cache.pending_mtime(dev, st.ino) {
-            st.mtime = st.mtime.max(t);
-        }
-        Ok(st)
+        self.fstatat(pid, AT_FDCWD, path, AtFlags::NONE)
     }
 
     /// `lstat(2)` (does not follow the final symlink).
     pub fn lstat(&self, pid: Pid, path: &str) -> SysResult<Stat> {
+        self.fstatat(pid, AT_FDCWD, path, AtFlags::SYMLINK_NOFOLLOW)
+    }
+
+    /// `fstatat(2)`.
+    pub fn fstatat(&self, pid: Pid, dirfd: u32, path: &str, flags: AtFlags) -> SysResult<Stat> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, false)?;
-        let mut st = r.stat;
-        let dev = r.fs.fs_id();
-        st.size = self.inner.page_cache.effective_size(dev, st.ino, st.size);
-        if let Some(t) = self.inner.page_cache.pending_mtime(dev, st.ino) {
-            st.mtime = st.mtime.max(t);
-        }
-        Ok(st)
+        let r = self.resolve_at(pid, dirfd, path, flags)?;
+        Ok(self.with_cached_attrs(r.fs.fs_id(), r.stat))
     }
 
     /// `fstat(2)`.
     pub fn fstat(&self, pid: Pid, fd: u32) -> SysResult<Stat> {
         self.charge_syscall();
-        let file = self.get_file(pid, fd)?;
+        let file = self.get_file_raw(pid, fd)?;
         match &file.kind {
             FileKind::Regular {
                 dev, file: fref, ..
-            } => {
-                let mut st = fref.fs.getattr(fref.ino)?;
-                st.size = self.inner.page_cache.effective_size(*dev, st.ino, st.size);
-                if let Some(t) = self.inner.page_cache.pending_mtime(*dev, st.ino) {
-                    st.mtime = st.mtime.max(t);
-                }
-                Ok(st)
+            } => Ok(self.with_cached_attrs(*dev, fref.fs.getattr(fref.ino)?)),
+            FileKind::Path { loc, fs } => {
+                Ok(self.with_cached_attrs(fs.fs_id(), fs.getattr(loc.ino)?))
             }
             FileKind::Directory { mount, ino, .. } => {
                 let (ns, _, _) = self.snapshot_ns(pid)?;
@@ -724,11 +838,26 @@ impl Kernel {
         }
     }
 
-    /// `mkdir(2)`.
+    /// `st` as the page cache sees it: write-back may hold a larger size
+    /// and a newer mtime than the filesystem has seen.
+    fn with_cached_attrs(&self, dev: DevId, mut st: Stat) -> Stat {
+        st.size = self.inner.page_cache.effective_size(dev, st.ino, st.size);
+        if let Some(t) = self.inner.page_cache.pending_mtime(dev, st.ino) {
+            st.mtime = st.mtime.max(t);
+        }
+        st
+    }
+
+    /// `mkdir(2)`: [`Kernel::mkdirat`] at [`AT_FDCWD`].
     pub fn mkdir(&self, pid: Pid, path: &str, mode: Mode) -> SysResult<()> {
+        self.mkdirat(pid, AT_FDCWD, path, mode)
+    }
+
+    /// `mkdirat(2)`.
+    pub fn mkdirat(&self, pid: Pid, dirfd: u32, path: &str, mode: Mode) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
-        let (parent, name) = self.resolve_parent(pid, path)?;
+        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -748,6 +877,19 @@ impl Kernel {
         mode: Mode,
         rdev: u64,
     ) -> SysResult<()> {
+        self.mknodat(pid, AT_FDCWD, path, ftype, mode, rdev)
+    }
+
+    /// `mknodat(2)`.
+    pub fn mknodat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        ftype: FileType,
+        mode: Mode,
+        rdev: u64,
+    ) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
         if matches!(ftype, FileType::CharDevice | FileType::BlockDevice)
@@ -755,7 +897,7 @@ impl Kernel {
         {
             return Err(Errno::EPERM);
         }
-        let (parent, name) = self.resolve_parent(pid, path)?;
+        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -772,15 +914,29 @@ impl Kernel {
             .map(|_| ())
     }
 
-    /// `unlink(2)`.
+    /// `unlink(2)`: [`Kernel::unlinkat`] at [`AT_FDCWD`].
     pub fn unlink(&self, pid: Pid, path: &str) -> SysResult<()> {
+        self.unlinkat(pid, AT_FDCWD, path, AtFlags::NONE)
+    }
+
+    /// `rmdir(2)`: [`Kernel::unlinkat`] at [`AT_FDCWD`] with `REMOVEDIR`.
+    pub fn rmdir(&self, pid: Pid, path: &str) -> SysResult<()> {
+        self.unlinkat(pid, AT_FDCWD, path, AtFlags::REMOVEDIR)
+    }
+
+    /// `unlinkat(2)`: removes a directory under `REMOVEDIR`, any other
+    /// node without it.
+    pub fn unlinkat(&self, pid: Pid, dirfd: u32, path: &str, flags: AtFlags) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
-        let (parent, name) = self.resolve_parent(pid, path)?;
+        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
         check_access(&parent.stat, &creds, Access::W)?;
+        if flags.contains(AtFlags::REMOVEDIR) {
+            return parent.fs.rmdir(parent.loc.ino, &name);
+        }
         // Deregister a bound socket if one lived here; connections already
         // accepted stay open, new ones are refused.
         if let Ok(st) = parent.fs.lookup(parent.loc.ino, &name) {
@@ -798,23 +954,24 @@ impl Kernel {
         parent.fs.unlink(parent.loc.ino, &name)
     }
 
-    /// `rmdir(2)`.
-    pub fn rmdir(&self, pid: Pid, path: &str) -> SysResult<()> {
-        self.charge_syscall();
-        let creds = self.creds(pid)?;
-        let (parent, name) = self.resolve_parent(pid, path)?;
-        if parent.readonly {
-            return Err(Errno::EROFS);
-        }
-        check_access(&parent.stat, &creds, Access::W)?;
-        parent.fs.rmdir(parent.loc.ino, &name)
+    /// `rename(2)`: [`Kernel::renameat2`] at [`AT_FDCWD`].
+    pub fn rename(&self, pid: Pid, from: &str, to: &str, flags: RenameFlags) -> SysResult<()> {
+        self.renameat2(pid, AT_FDCWD, from, AT_FDCWD, to, flags)
     }
 
-    /// `rename(2)` / `renameat2(2)`.
-    pub fn rename(&self, pid: Pid, from: &str, to: &str, flags: RenameFlags) -> SysResult<()> {
+    /// `renameat2(2)`.
+    pub fn renameat2(
+        &self,
+        pid: Pid,
+        olddirfd: u32,
+        from: &str,
+        newdirfd: u32,
+        to: &str,
+        flags: RenameFlags,
+    ) -> SysResult<()> {
         self.charge_syscall();
-        let (src_parent, src_name) = self.resolve_parent(pid, from)?;
-        let (dst_parent, dst_name) = self.resolve_parent(pid, to)?;
+        let (src_parent, src_name) = self.resolve_parent_at(pid, olddirfd, from)?;
+        let (dst_parent, dst_name) = self.resolve_parent_at(pid, newdirfd, to)?;
         if src_parent.readonly || dst_parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -830,11 +987,25 @@ impl Kernel {
         )
     }
 
-    /// `link(2)`.
+    /// `link(2)`: [`Kernel::linkat`] at [`AT_FDCWD`].
     pub fn link(&self, pid: Pid, existing: &str, new: &str) -> SysResult<()> {
+        self.linkat(pid, AT_FDCWD, existing, AT_FDCWD, new, AtFlags::NONE)
+    }
+
+    /// `linkat(2)`. A final symlink in `existing` is linked itself;
+    /// `EMPTY_PATH` links the inode `olddirfd` locates.
+    pub fn linkat(
+        &self,
+        pid: Pid,
+        olddirfd: u32,
+        existing: &str,
+        newdirfd: u32,
+        new: &str,
+        flags: AtFlags,
+    ) -> SysResult<()> {
         self.charge_syscall();
-        let src = self.resolve(pid, existing, false)?;
-        let (dst_parent, name) = self.resolve_parent(pid, new)?;
+        let src = self.resolve_at(pid, olddirfd, existing, flags | AtFlags::SYMLINK_NOFOLLOW)?;
+        let (dst_parent, name) = self.resolve_parent_at(pid, newdirfd, new)?;
         if dst_parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -847,11 +1018,22 @@ impl Kernel {
             .map(|_| ())
     }
 
-    /// `symlink(2)`.
+    /// `symlink(2)`: [`Kernel::symlinkat`] at [`AT_FDCWD`].
     pub fn symlink(&self, pid: Pid, target: &str, linkpath: &str) -> SysResult<()> {
+        self.symlinkat(pid, target, AT_FDCWD, linkpath)
+    }
+
+    /// `symlinkat(2)`.
+    pub fn symlinkat(
+        &self,
+        pid: Pid,
+        target: &str,
+        newdirfd: u32,
+        linkpath: &str,
+    ) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
-        let (parent, name) = self.resolve_parent(pid, linkpath)?;
+        let (parent, name) = self.resolve_parent_at(pid, newdirfd, linkpath)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -861,17 +1043,41 @@ impl Kernel {
             .map(|_| ())
     }
 
-    /// `readlink(2)`.
+    /// `readlink(2)`: [`Kernel::readlinkat`] at [`AT_FDCWD`].
     pub fn readlink(&self, pid: Pid, path: &str) -> SysResult<String> {
+        self.readlinkat(pid, AT_FDCWD, path)
+    }
+
+    /// `readlinkat(2)`. An empty path reads the symlink `dirfd` locates
+    /// (an `O_PATH | O_NOFOLLOW` descriptor).
+    pub fn readlinkat(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<String> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, false)?;
+        let r = self.resolve_at(
+            pid,
+            dirfd,
+            path,
+            AtFlags::SYMLINK_NOFOLLOW | AtFlags::EMPTY_PATH,
+        )?;
         r.fs.readlink(r.loc.ino)
     }
 
     /// `getdents(2)`: directory entries including synthesized `.` and `..`.
+    /// One call stands in for `opendir`, `getdents` and `closedir`.
     pub fn readdir(&self, pid: Pid, path: &str) -> SysResult<Vec<Dirent>> {
+        self.readdirat(pid, AT_FDCWD, path, AtFlags::NONE)
+    }
+
+    /// The `*at` form of [`Kernel::readdir`]: with `EMPTY_PATH` it lists the
+    /// directory `dirfd` locates, as `fdopendir` lists an open directory.
+    pub fn readdirat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        flags: AtFlags,
+    ) -> SysResult<Vec<Dirent>> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, true)?;
+        let r = self.resolve_at(pid, dirfd, path, flags)?;
         if !r.stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
@@ -898,18 +1104,44 @@ impl Kernel {
         r.fs.statfs()
     }
 
-    /// `chmod(2)`.
+    /// `chmod(2)`: [`Kernel::fchmodat`] at [`AT_FDCWD`].
     pub fn chmod(&self, pid: Pid, path: &str, mode: Mode) -> SysResult<()> {
-        self.setattr_path(pid, path, &SetAttr::chmod(mode))
+        self.fchmodat(pid, AT_FDCWD, path, mode, AtFlags::NONE)
     }
 
-    /// `chown(2)`.
+    /// `fchmodat(2)` (`fchmodat2`: `EMPTY_PATH` and `SYMLINK_NOFOLLOW`
+    /// apply).
+    pub fn fchmodat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        mode: Mode,
+        flags: AtFlags,
+    ) -> SysResult<()> {
+        self.setattr_at(pid, dirfd, path, flags, &SetAttr::chmod(mode))
+    }
+
+    /// `chown(2)`: [`Kernel::fchownat`] at [`AT_FDCWD`].
     pub fn chown(&self, pid: Pid, path: &str, uid: Uid, gid: Gid) -> SysResult<()> {
+        self.fchownat(pid, AT_FDCWD, path, uid, gid, AtFlags::NONE)
+    }
+
+    /// `fchownat(2)`.
+    pub fn fchownat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        uid: Uid,
+        gid: Gid,
+        flags: AtFlags,
+    ) -> SysResult<()> {
         let creds = self.creds(pid)?;
         if !creds.caps.has(Capability::Chown) && creds.uid != uid {
             return Err(Errno::EPERM);
         }
-        self.setattr_path(pid, path, &SetAttr::chown(uid, gid))
+        self.setattr_at(pid, dirfd, path, flags, &SetAttr::chown(uid, gid))
     }
 
     /// `truncate(2)`. The page cache follows only once the filesystem has
@@ -917,7 +1149,7 @@ impl Kernel {
     /// truncate leaves the cached bytes as they were.
     pub fn truncate(&self, pid: Pid, path: &str, size: u64) -> SysResult<()> {
         let r = self.resolve(pid, path, true)?;
-        self.setattr_path(pid, path, &SetAttr::truncate(size))?;
+        self.setattr_at(pid, AT_FDCWD, path, AtFlags::NONE, &SetAttr::truncate(size))?;
         self.inner
             .page_cache
             .truncate_file(r.fs.fs_id(), r.loc.ino, size);
@@ -945,7 +1177,7 @@ impl Kernel {
         }
     }
 
-    /// `utimensat(2)`-style timestamp update.
+    /// `utimensat(2)`-style timestamp update at [`AT_FDCWD`].
     pub fn utimens(
         &self,
         pid: Pid,
@@ -953,9 +1185,24 @@ impl Kernel {
         atime: Option<cntr_types::Timespec>,
         mtime: Option<cntr_types::Timespec>,
     ) -> SysResult<()> {
-        self.setattr_path(
+        self.utimensat(pid, AT_FDCWD, path, atime, mtime, AtFlags::NONE)
+    }
+
+    /// `utimensat(2)`: `None` leaves a timestamp as it is (`UTIME_OMIT`).
+    pub fn utimensat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        atime: Option<cntr_types::Timespec>,
+        mtime: Option<cntr_types::Timespec>,
+        flags: AtFlags,
+    ) -> SysResult<()> {
+        self.setattr_at(
             pid,
+            dirfd,
             path,
+            flags,
             &SetAttr {
                 atime,
                 mtime,
@@ -964,10 +1211,17 @@ impl Kernel {
         )
     }
 
-    fn setattr_path(&self, pid: Pid, path: &str, attr: &SetAttr) -> SysResult<()> {
+    fn setattr_at(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        flags: AtFlags,
+        attr: &SetAttr,
+    ) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
-        let r = self.resolve(pid, path, true)?;
+        let r = self.resolve_at(pid, dirfd, path, flags)?;
         if r.readonly {
             return Err(Errno::EROFS);
         }
@@ -983,14 +1237,26 @@ impl Kernel {
         check_access(&r.stat, &creds, want)
     }
 
-    /// `getxattr(2)`.
+    /// `getxattr(2)`: [`Kernel::getxattrat`] at [`AT_FDCWD`].
     pub fn getxattr(&self, pid: Pid, path: &str, name: &str) -> SysResult<Vec<u8>> {
+        self.getxattrat(pid, AT_FDCWD, path, AtFlags::NONE, name)
+    }
+
+    /// `getxattrat(2)` (Linux 6.13).
+    pub fn getxattrat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        flags: AtFlags,
+        name: &str,
+    ) -> SysResult<Vec<u8>> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, true)?;
+        let r = self.resolve_at(pid, dirfd, path, flags)?;
         r.fs.getxattr(r.loc.ino, name)
     }
 
-    /// `setxattr(2)`.
+    /// `setxattr(2)`: [`Kernel::setxattrat`] at [`AT_FDCWD`].
     pub fn setxattr(
         &self,
         pid: Pid,
@@ -999,25 +1265,63 @@ impl Kernel {
         value: &[u8],
         flags: XattrFlags,
     ) -> SysResult<()> {
+        self.setxattrat(pid, AT_FDCWD, path, AtFlags::NONE, name, value, flags)
+    }
+
+    /// `setxattrat(2)` (Linux 6.13).
+    #[allow(clippy::too_many_arguments)]
+    pub fn setxattrat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        at: AtFlags,
+        name: &str,
+        value: &[u8],
+        flags: XattrFlags,
+    ) -> SysResult<()> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, true)?;
+        let r = self.resolve_at(pid, dirfd, path, at)?;
         if r.readonly {
             return Err(Errno::EROFS);
         }
         r.fs.setxattr(r.loc.ino, name, value, flags)
     }
 
-    /// `listxattr(2)`.
+    /// `listxattr(2)`: [`Kernel::listxattrat`] at [`AT_FDCWD`].
     pub fn listxattr(&self, pid: Pid, path: &str) -> SysResult<Vec<String>> {
+        self.listxattrat(pid, AT_FDCWD, path, AtFlags::NONE)
+    }
+
+    /// `listxattrat(2)` (Linux 6.13).
+    pub fn listxattrat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        flags: AtFlags,
+    ) -> SysResult<Vec<String>> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, true)?;
+        let r = self.resolve_at(pid, dirfd, path, flags)?;
         r.fs.listxattr(r.loc.ino)
     }
 
-    /// `removexattr(2)`.
+    /// `removexattr(2)`: [`Kernel::removexattrat`] at [`AT_FDCWD`].
     pub fn removexattr(&self, pid: Pid, path: &str, name: &str) -> SysResult<()> {
+        self.removexattrat(pid, AT_FDCWD, path, AtFlags::NONE, name)
+    }
+
+    /// `removexattrat(2)` (Linux 6.13).
+    pub fn removexattrat(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        flags: AtFlags,
+        name: &str,
+    ) -> SysResult<()> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, true)?;
+        let r = self.resolve_at(pid, dirfd, path, flags)?;
         if r.readonly {
             return Err(Errno::EROFS);
         }
@@ -1525,7 +1829,7 @@ impl Kernel {
     pub fn bind_listener(&self, pid: Pid, path: &str) -> SysResult<u32> {
         self.charge_syscall();
         let (creds, mnt_ns) = self.with_proc(pid, |p| Ok((p.creds.clone(), p.ns.mount)))?;
-        let (parent, name) = self.resolve_parent(pid, path)?;
+        let (parent, name) = self.resolve_parent_at(pid, AT_FDCWD, path)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }

@@ -868,26 +868,26 @@ mod tests {
         // Virtual time reproduces bit for bit, so beyond the bands every
         // row's native and CntrFS nanoseconds are pinned.
         let expected: [(&str, u64, u64); 20] = [
-            ("AIO-Stress", 314804250, 625280570),
-            ("Apachebench", 88852650, 130618228),
-            ("Compileb.: Comp.", 2722000, 6115256),
-            ("Compileb.: Create", 1191000, 8749869),
-            ("Compileb.: Read", 948000, 6811790),
-            ("Dbench: 1 Clients", 141950, 239866),
-            ("Dbench: 12 Clients", 1764100, 2800089),
-            ("Dbench: 128 Clients", 18809350, 29906271),
-            ("Dbench: 48 Clients", 7047050, 11278259),
-            ("FS-Mark", 383487500, 429736980),
-            ("FIO", 1059600817, 35198877),
-            ("Gzip", 2317201708, 2333017171),
-            ("IOzone: Read", 17204100, 20896857),
-            ("IOzone: Write", 641119350, 694654239),
-            ("PostMark", 2134800, 11705305),
-            ("Pgbench", 190420450, 103349966),
-            ("SQlite", 443695300, 654350009),
-            ("Threaded I/O: Read", 13722500, 14036057),
-            ("Threaded I/O: Write", 856100600, 51594104),
-            ("Unpack tarball", 622642800, 636809099),
+            ("AIO-Stress", 314804250, 625049570),
+            ("Apachebench", 88852650, 127917328),
+            ("Compileb.: Comp.", 2722000, 5778056),
+            ("Compileb.: Create", 1191000, 7571169),
+            ("Compileb.: Read", 948000, 6715790),
+            ("Dbench: 1 Clients", 141950, 232666),
+            ("Dbench: 12 Clients", 1764100, 2733039),
+            ("Dbench: 128 Clients", 18809350, 29181321),
+            ("Dbench: 48 Clients", 7047050, 10990709),
+            ("FS-Mark", 383487500, 428731680),
+            ("FIO", 1059600817, 35150427),
+            ("Gzip", 2317201708, 2332863571),
+            ("IOzone: Read", 17204100, 20897307),
+            ("IOzone: Write", 641119350, 689737539),
+            ("PostMark", 2134800, 11003005),
+            ("Pgbench", 190420450, 103108316),
+            ("SQlite", 443695300, 654049859),
+            ("Threaded I/O: Read", 13722500, 14036507),
+            ("Threaded I/O: Write", 856100600, 50975804),
+            ("Unpack tarball", 622642800, 636418649),
         ];
         let got: Vec<(&str, u64, u64)> = rows
             .iter()
@@ -927,9 +927,9 @@ mod tests {
         );
         // Pinned like Figure 2: each panel's before/after nanoseconds.
         let expected: [(&str, u64, u64); 4] = [
-            ("(a)", 29652430, 14036057),
-            ("(b)", 762537723, 694654239),
-            ("(c)", 13027790, 6811790),
+            ("(a)", 29652880, 14036507),
+            ("(b)", 757621023, 689737539),
+            ("(c)", 12931790, 6715790),
             ("(d)", 54106461, 42799965),
         ];
         let got: Vec<(&str, u64, u64)> = rows

@@ -63,6 +63,9 @@ impl OpenFlags {
     pub const CLOEXEC: u32 = 0o2000000;
     /// `O_TMPFILE`: create an unnamed temporary file.
     pub const TMPFILE: u32 = 0o20200000;
+    /// `O_PATH`: a descriptor that only locates an inode — an anchor for
+    /// the `*at` calls and `fstat`; it can do no I/O.
+    pub const PATH: u32 = 0o10000000;
 
     /// All currently understood non-access-mode bits.
     pub const ALL_BITS: u32 = Self::CREAT
@@ -75,7 +78,8 @@ impl OpenFlags {
         | Self::DIRECTORY
         | Self::NOFOLLOW
         | Self::CLOEXEC
-        | Self::TMPFILE;
+        | Self::TMPFILE
+        | Self::PATH;
 
     /// Read-only, no extra bits — the most common open.
     pub const RDONLY: OpenFlags = OpenFlags {
@@ -168,12 +172,41 @@ impl fmt::Display for OpenFlags {
             (Self::DIRECTORY, "O_DIRECTORY"),
             (Self::NOFOLLOW, "O_NOFOLLOW"),
             (Self::CLOEXEC, "O_CLOEXEC"),
+            (Self::PATH, "O_PATH"),
         ] {
             if self.contains(bit) {
                 write!(f, "|{name}")?;
             }
         }
         Ok(())
+    }
+}
+
+/// The `flags` argument of the `*at` system calls (values match Linux).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct AtFlags(u32);
+
+impl AtFlags {
+    /// No flags.
+    pub const NONE: AtFlags = AtFlags(0);
+    /// `AT_SYMLINK_NOFOLLOW`: do not follow a final symlink.
+    pub const SYMLINK_NOFOLLOW: AtFlags = AtFlags(0x100);
+    /// `AT_REMOVEDIR`: `unlinkat` removes a directory (`rmdir`).
+    pub const REMOVEDIR: AtFlags = AtFlags(0x200);
+    /// `AT_EMPTY_PATH`: an empty path names `dirfd` itself.
+    pub const EMPTY_PATH: AtFlags = AtFlags(0x1000);
+
+    /// True if every flag in `other` is set.
+    pub const fn contains(self, other: AtFlags) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl BitOr for AtFlags {
+    type Output = AtFlags;
+
+    fn bitor(self, rhs: AtFlags) -> AtFlags {
+        AtFlags(self.0 | rhs.0)
     }
 }
 
@@ -246,5 +279,15 @@ mod tests {
         assert_eq!(OpenFlags::APPEND, 0o2000);
         assert_eq!(OpenFlags::DIRECT, 0o40000);
         assert_eq!(OpenFlags::CLOEXEC, 0o2000000);
+        assert_eq!(OpenFlags::PATH, 0o10000000);
+    }
+
+    #[test]
+    fn at_flags_compose() {
+        let f = AtFlags::EMPTY_PATH | AtFlags::SYMLINK_NOFOLLOW;
+        assert!(f.contains(AtFlags::EMPTY_PATH));
+        assert!(f.contains(AtFlags::SYMLINK_NOFOLLOW));
+        assert!(!f.contains(AtFlags::REMOVEDIR));
+        assert!(AtFlags::NONE.contains(AtFlags::NONE));
     }
 }

@@ -23,7 +23,7 @@ pub use caps::{CapSet, Capability};
 pub use clock::SimClock;
 pub use cost::CostModel;
 pub use errno::{Errno, SysResult};
-pub use flags::{AccessMode, OpenFlags, RenameFlags};
+pub use flags::{AccessMode, AtFlags, OpenFlags, RenameFlags};
 pub use ids::{DevId, Fd, Gid, Ino, Pid, Uid};
 pub use rlimit::{Rlimit, RlimitKind, RlimitSet};
 pub use stat::{Dirent, FileType, Mode, SetAttr, Stat, Statfs};

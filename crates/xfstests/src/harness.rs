@@ -125,7 +125,7 @@ pub fn cntrfs_over_tmpfs() -> TestEnv {
     k.mkdir(pid, "/mnt/cntrfs", Mode::RWXR_XR_X)
         .expect("mkdir mnt");
     let server_pid = k.fork(Pid::INIT).expect("fork server");
-    let server = CntrfsServer::new(k.clone(), server_pid);
+    let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
     let transport = InlineTransport::new(server);
     let client = FuseClientFs::mount(
         DevId(0xCFFF),
@@ -190,7 +190,7 @@ pub fn cntrfs_over_overlayfs() -> TestEnv {
     k.mkdir(pid, "/mnt/cntrfs", Mode::RWXR_XR_X)
         .expect("mkdir mnt");
     let server_pid = k.fork(Pid::INIT).expect("fork server");
-    let server = CntrfsServer::new(k.clone(), server_pid);
+    let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
     let transport = InlineTransport::new(server);
     let client = FuseClientFs::mount(
         DevId(0xCFFE),

@@ -134,6 +134,14 @@ fn cntrstats_and_tracing_cover_the_stack() {
         );
     }
 
+    // The session's CntrFS server counted its lookups; its anchors left
+    // the gauge with it.
+    assert!(
+        line("core.cntrfs.lookups").is_some_and(|n| n > 0),
+        "missing core.cntrfs.lookups in:\n{text}"
+    );
+    assert_eq!(line("core.cntrfs.anchors"), Some(0), "{text}");
+
     // One splice per forwarded message, readable from cntrstats.
     assert_eq!(
         line("core.proxy.splices"),
