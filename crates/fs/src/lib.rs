@@ -23,4 +23,6 @@ mod traits;
 
 pub use diskfs::DiskFs;
 pub use memfs::MemFs;
-pub use traits::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags, MAX_NAME_LEN};
+pub use traits::{
+    FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags, MAX_NAME_LEN, XATTR_NAME_CAPS,
+};

@@ -9,6 +9,10 @@ use cntr_types::{
 /// Maximum length of one path component, as on Linux (`NAME_MAX`).
 pub const MAX_NAME_LEN: usize = 255;
 
+/// The xattr holding a file's capabilities, which a write strips
+/// ([`Filesystem::need_killpriv`]).
+pub const XATTR_NAME_CAPS: &str = "security.capability";
+
 /// An open-file handle issued by a filesystem (`fh` in FUSE terms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fh(pub u64);
@@ -113,12 +117,6 @@ pub struct FsFeatures {
     pub block_backed: bool,
     /// Copy-on-write ioctls (`FICLONE`) are supported.
     pub reflink: bool,
-    /// The kernel can cache the `security.capability` xattr for this
-    /// filesystem. When false (FUSE), every small write triggers an xattr
-    /// lookup round trip — the paper's explanation for the Apache benchmark
-    /// overhead (§5.2.2: "the kernel currently neither caches such
-    /// attributes nor provides an option for caching them").
-    pub xattr_cached: bool,
     /// Writes may be buffered dirty in the page cache and flushed in
     /// batches (`FUSE_WRITEBACK_CACHE`). Off = write-through.
     pub writeback_cache: bool,
@@ -137,7 +135,6 @@ impl FsFeatures {
             native_setgid_clearing: true,
             block_backed: true,
             reflink: false,
-            xattr_cached: true,
             writeback_cache: true,
             keep_cache: true,
         }
@@ -152,7 +149,6 @@ impl FsFeatures {
             native_setgid_clearing: true,
             block_backed: false,
             reflink: false,
-            xattr_cached: true,
             writeback_cache: true,
             keep_cache: true,
         }
@@ -336,6 +332,22 @@ pub trait Filesystem: Send + Sync {
 
     /// Removes an extended attribute.
     fn removexattr(&self, ino: Ino, name: &str) -> SysResult<()>;
+
+    /// Whether a write must strip `ino`'s file capability: it carries
+    /// [`XATTR_NAME_CAPS`] (Linux's `security_inode_need_killpriv`). An
+    /// error such as `EOPNOTSUPP` counts as "no". The kernel asks before
+    /// every write and removes the xattr on "yes" (`file_remove_privs`).
+    ///
+    /// A native filesystem answers from the inode. FUSE pays a GETXATTR
+    /// round trip per check, the paper's explanation for the Apache
+    /// overhead (§5.2.2: "the kernel currently neither caches such
+    /// attributes nor provides an option for caching them"). Linux 5.11
+    /// added that option, `FUSE_HANDLE_KILLPRIV_V2`: a client that
+    /// negotiated it remembers a "no" (Linux's `S_NOSEC`) until the
+    /// inode's attributes or xattrs change.
+    fn need_killpriv(&self, ino: Ino) -> bool {
+        self.getxattr(ino, XATTR_NAME_CAPS).is_ok()
+    }
 
     /// Manipulates file space.
     fn fallocate(

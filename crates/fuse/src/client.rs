@@ -11,6 +11,10 @@
 //!   below it ([`FuseConfig::lookup_drops_parent_attr`]);
 //! * the **symlink cache** (`FUSE_CACHE_SYMLINKS`) keeps each link's
 //!   target after the first READLINK;
+//! * the **`S_NOSEC` bit** (`FUSE_HANDLE_KILLPRIV_V2`) lets writes skip
+//!   the `security.capability` GETXATTR once a write found the inode
+//!   clean, until its attributes or xattrs change. Without it every write
+//!   asks: the Apache overhead of §5.2.2;
 //! * **readahead** (`FUSE_ASYNC_READ`) batches sequential reads into
 //!   128 KiB requests, while a random read asks only for its own pages;
 //! * **forget batching** (`FUSE_BATCH_FORGET`) folds many forgets into one
@@ -36,7 +40,7 @@ use crate::config::{
 use crate::conn::{ConnSnapshot, Transport};
 use crate::proto::{InitFlags, Reply, Request, RequestCtx};
 use bytes::Bytes;
-use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags};
+use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags, XATTR_NAME_CAPS};
 use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
     CostModel, DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr,
@@ -65,10 +69,27 @@ struct ReadAhead {
     data: Bytes,
 }
 
+/// Where a written inode stands with Linux's `S_NOSEC` ("no privileges
+/// to kill") bit, kept only with `handle_killpriv_v2`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NoSec {
+    /// A write's check, started at this [`ClientState::tick`], waits for
+    /// its GETXATTR.
+    Checking(u64),
+    /// The check found neither setuid/setgid nor `security.capability`:
+    /// writes skip it.
+    Set,
+}
+
 #[derive(Default)]
 struct ClientState {
     entry_cache: HashMap<(Ino, String), CachedEntry>,
     attr_cache: HashMap<Ino, Stat>,
+    /// Next to `attr_cache`: new attributes and xattr changes remove an
+    /// inode's entry, so a check whose GETXATTR raced one finds its
+    /// `Checking` gone and sets nothing (Linux serializes the two on
+    /// `i_rwsem`).
+    nosec: HashMap<Ino, NoSec>,
     /// Symlink targets, filled only when `cache_symlinks` was negotiated.
     /// A target never changes under one inode number (servers never reuse
     /// one), so only the inode leaving the caches drops it.
@@ -83,7 +104,15 @@ impl ClientState {
     /// Forgets everything cached about one inode.
     fn drop_inode(&mut self, ino: Ino) {
         self.attr_cache.remove(&ino);
+        self.nosec.remove(&ino);
         self.symlinks.remove(&ino);
+    }
+
+    /// Caches attributes the server sent. New attributes drop `S_NOSEC`,
+    /// as Linux drops it when an inode's attributes change.
+    fn cache_attr(&mut self, stat: Stat) {
+        self.attr_cache.insert(stat.ino, stat);
+        self.nosec.remove(&stat.ino);
     }
 }
 
@@ -102,6 +131,10 @@ obs::counter_scope! {
         attr_misses: "fuse.client.attr-misses",
         /// Reads served from the readahead buffer.
         readahead_hits: "fuse.client.readahead-hits",
+        /// GETXATTRs sent for a write's capability check.
+        killpriv_checks: "fuse.client.killpriv-checks",
+        /// Writes that skipped the check: the inode was `S_NOSEC`.
+        nosec_hits: "fuse.client.nosec-hits",
     }
 }
 
@@ -178,6 +211,7 @@ impl FuseClientFs {
         let mut st = self.state.lock();
         st.entry_cache.clear();
         st.attr_cache.clear();
+        st.nosec.clear();
         st.symlinks.clear();
         st.readahead.clear();
     }
@@ -258,7 +292,7 @@ impl FuseClientFs {
                 tick,
             },
         );
-        st.attr_cache.insert(stat.ino, stat);
+        st.cache_attr(stat);
         if dir_changed {
             st.attr_cache.remove(&parent);
         }
@@ -339,7 +373,7 @@ impl FuseClientFs {
     }
 
     fn update_attr(&self, stat: Stat) {
-        self.state.lock().attr_cache.insert(stat.ino, stat);
+        self.state.lock().cache_attr(stat);
     }
 }
 
@@ -361,9 +395,9 @@ impl Filesystem for FuseClientFs {
     }
 
     fn features(&self) -> FsFeatures {
-        // The four xfstests failures (§5.1) plus the uncached
-        // security.capability xattr (§5.2.2 Apache) in feature-flag form,
-        // and the page-cache policy INIT negotiated.
+        // The four xfstests failures (§5.1) in feature-flag form, and the
+        // page-cache policy INIT negotiated. The security.capability check
+        // of §5.2.2 (Apache) is `need_killpriv`.
         let flags = self.config.flags;
         FsFeatures {
             direct_io: false,
@@ -372,7 +406,6 @@ impl Filesystem for FuseClientFs {
             native_setgid_clearing: false,
             block_backed: false,
             reflink: false,
-            xattr_cached: false,
             writeback_cache: flags.writeback_cache,
             keep_cache: flags.keep_cache,
         }
@@ -773,7 +806,6 @@ impl Filesystem for FuseClientFs {
     }
 
     fn getxattr(&self, ino: Ino, name: &str) -> SysResult<Vec<u8>> {
-        // Never cached: the Apache overhead of Figure 2 (§5.2.2).
         match self.call(Request::Getxattr {
             ino,
             name: name.to_string(),
@@ -790,6 +822,7 @@ impl Filesystem for FuseClientFs {
             value: value.to_vec(),
             flags,
         })?;
+        self.state.lock().nosec.remove(&ino);
         Ok(())
     }
 
@@ -805,7 +838,44 @@ impl Filesystem for FuseClientFs {
             ino,
             name: name.to_string(),
         })?;
+        self.state.lock().nosec.remove(&ino);
         Ok(())
+    }
+
+    fn need_killpriv(&self, ino: Ino) -> bool {
+        let v2 = self.config.flags.handle_killpriv_v2;
+        let started = {
+            let mut st = self.state.lock();
+            if st.nosec.get(&ino) == Some(&NoSec::Set) && st.attr_cache.contains_key(&ino) {
+                drop(st);
+                self.counters.nosec_hits.inc();
+                return false;
+            }
+            st.tick += 1;
+            let tick = st.tick;
+            if v2 {
+                st.nosec.insert(ino, NoSec::Checking(tick));
+            }
+            tick
+        };
+        self.counters.killpriv_checks.inc();
+        let has_caps = self.getxattr(ino, XATTR_NAME_CAPS).is_ok();
+        if v2 {
+            let mut st = self.state.lock();
+            if st.nosec.get(&ino) == Some(&NoSec::Checking(started)) {
+                let clean = !has_caps
+                    && st
+                        .attr_cache
+                        .get(&ino)
+                        .is_some_and(|a| !a.mode.is_setuid() && !a.mode.is_setgid());
+                if clean {
+                    st.nosec.insert(ino, NoSec::Set);
+                } else {
+                    st.nosec.remove(&ino);
+                }
+            }
+        }
+        has_caps
     }
 
     fn fallocate(
@@ -1260,7 +1330,6 @@ mod tests {
         assert!(!f.exportable_handles); // #426
         assert!(!f.enforces_caller_fsize); // #228
         assert!(!f.native_setgid_clearing); // #375
-        assert!(!f.xattr_cached); // Apache overhead
         assert_eq!(fs.export_handle(Ino::ROOT), Err(Errno::EOPNOTSUPP));
     }
 

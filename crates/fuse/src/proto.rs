@@ -164,6 +164,14 @@ pub struct InitFlags {
     /// traversal. Post-dates the paper, so [`InitFlags::paper_legacy`]
     /// keeps it off.
     pub cache_symlinks: bool,
+    /// `FUSE_HANDLE_KILLPRIV_V2` (Linux 5.11): the mount is `SB_NOSEC`, so
+    /// once a write finds a file with neither setuid/setgid nor
+    /// `security.capability`, the client marks the inode `S_NOSEC` and
+    /// later writes skip the GETXATTR until its attributes or xattrs
+    /// change. Without it every write asks the server, the Apache overhead
+    /// of §5.2.2. Post-dates the paper, so [`InitFlags::paper_legacy`]
+    /// keeps it off.
+    pub handle_killpriv_v2: bool,
 }
 
 impl InitFlags {
@@ -186,13 +194,15 @@ impl InitFlags {
             batch_forget: true,
             ring: true,
             cache_symlinks: true,
+            handle_killpriv_v2: true,
         }
     }
 
     /// CNTR's shipping defaults *as published* (§3.3): everything on except
-    /// splice-write and the post-paper ring transport and symlink cache. The
-    /// paper-figure reproductions (`cntr-phoronix`) pin this profile so
-    /// Figures 2–4 keep the published calibration.
+    /// splice-write and the post-paper ring transport, symlink cache and
+    /// `handle_killpriv_v2`. The paper-figure reproductions
+    /// (`cntr-phoronix`) pin this profile so Figures 2–4 keep the published
+    /// calibration.
     pub const fn paper_legacy() -> InitFlags {
         InitFlags {
             writeback_cache: true,
@@ -204,6 +214,7 @@ impl InitFlags {
             batch_forget: true,
             ring: false,
             cache_symlinks: false,
+            handle_killpriv_v2: false,
         }
     }
 
@@ -219,6 +230,7 @@ impl InitFlags {
             batch_forget: false,
             ring: false,
             cache_symlinks: false,
+            handle_killpriv_v2: false,
         }
     }
 
@@ -234,6 +246,7 @@ impl InitFlags {
             batch_forget: true,
             ring: true,
             cache_symlinks: true,
+            handle_killpriv_v2: true,
         }
     }
 
@@ -250,6 +263,7 @@ impl InitFlags {
             batch_forget: self.batch_forget && other.batch_forget,
             ring: self.ring && other.ring,
             cache_symlinks: self.cache_symlinks && other.cache_symlinks,
+            handle_killpriv_v2: self.handle_killpriv_v2 && other.handle_killpriv_v2,
         }
     }
 }
@@ -655,12 +669,18 @@ mod tests {
             !legacy.cache_symlinks,
             "symlink caching post-dates the paper"
         );
+        assert!(
+            !legacy.handle_killpriv_v2,
+            "FUSE_HANDLE_KILLPRIV_V2 post-dates the paper"
+        );
         assert!(!InitFlags::none().cache_symlinks);
+        assert!(!InitFlags::none().handle_killpriv_v2);
         // Identical to the shipping default in every other flag.
         let mut modern = InitFlags::cntr_default();
         modern.splice_write = false;
         modern.ring = false;
         modern.cache_symlinks = false;
+        modern.handle_killpriv_v2 = false;
         assert_eq!(legacy, modern);
     }
 

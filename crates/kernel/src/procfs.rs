@@ -357,7 +357,6 @@ impl Filesystem for ProcFs {
             native_setgid_clearing: true,
             block_backed: false,
             reflink: false,
-            xattr_cached: true,
             // Contents are generated on every read: nothing is cached.
             writeback_cache: false,
             keep_cache: false,

@@ -18,7 +18,7 @@ use crate::mount::{CacheMode, Mount, MountFlags, MountId, MountNs, Propagation};
 use crate::pagecache::FileRef;
 use crate::process::{FdEntry, FileKind, OpenFile, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
-use cntr_fs::{Filesystem, FsContext, XattrFlags};
+use cntr_fs::{Filesystem, FsContext, XattrFlags, XATTR_NAME_CAPS};
 use cntr_types::{
     AccessMode, AtFlags, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags,
     Pid, RenameFlags, SetAttr, Stat, SysResult, Uid,
@@ -712,12 +712,12 @@ impl Kernel {
                         self.rlimits(pid)?.check_fsize(end)?;
                     }
                 }
-                // Capability stripping: the kernel consults
-                // `security.capability` before every write. Native
-                // filesystems answer from the inode; FUSE pays a round trip
-                // each time (the Apache result in Figure 2).
-                if !fref.fs.features().xattr_cached {
-                    let _ = fref.fs.getxattr(fref.ino, "security.capability");
+                // The rest of Linux's `file_remove_privs`: a write strips
+                // the file's capability too ([`Filesystem::need_killpriv`]
+                // says who pays for the check). A failed removal is
+                // ignored as above: a racing writer may have stripped it.
+                if fref.fs.need_killpriv(fref.ino) {
+                    let _ = fref.fs.removexattr(fref.ino, XATTR_NAME_CAPS);
                 }
                 if file.flags.contains(OpenFlags::DIRECT) {
                     return fref.fs.write(fref.ino, fref.fh, offset, data);
@@ -1119,7 +1119,8 @@ impl Kernel {
         mode: Mode,
         flags: AtFlags,
     ) -> SysResult<()> {
-        self.setattr_at(pid, dirfd, path, flags, &SetAttr::chmod(mode))
+        self.setattr_at(pid, dirfd, path, flags, &SetAttr::chmod(mode))?;
+        Ok(())
     }
 
     /// `chown(2)`: [`Kernel::fchownat`] at [`AT_FDCWD`].
@@ -1141,15 +1142,16 @@ impl Kernel {
         if !creds.caps.has(Capability::Chown) && creds.uid != uid {
             return Err(Errno::EPERM);
         }
-        self.setattr_at(pid, dirfd, path, flags, &SetAttr::chown(uid, gid))
+        self.setattr_at(pid, dirfd, path, flags, &SetAttr::chown(uid, gid))?;
+        Ok(())
     }
 
-    /// `truncate(2)`. The page cache follows only once the filesystem has
-    /// accepted the new size (Linux's `truncate_setsize`): a refused
+    /// `truncate(2)`: one walk, as Linux's `do_sys_truncate`. The page
+    /// cache of the inode that walk found follows only once the filesystem
+    /// has accepted the new size (Linux's `truncate_setsize`): a refused
     /// truncate leaves the cached bytes as they were.
     pub fn truncate(&self, pid: Pid, path: &str, size: u64) -> SysResult<()> {
-        let r = self.resolve(pid, path, true)?;
-        self.setattr_at(pid, AT_FDCWD, path, AtFlags::NONE, &SetAttr::truncate(size))?;
+        let r = self.setattr_at(pid, AT_FDCWD, path, AtFlags::NONE, &SetAttr::truncate(size))?;
         self.inner
             .page_cache
             .truncate_file(r.fs.fs_id(), r.loc.ino, size);
@@ -1208,9 +1210,12 @@ impl Kernel {
                 mtime,
                 ..SetAttr::default()
             },
-        )
+        )?;
+        Ok(())
     }
 
+    /// Applies `attr` to what `path` names, resolved once; returns that
+    /// resolution.
     fn setattr_at(
         &self,
         pid: Pid,
@@ -1218,15 +1223,15 @@ impl Kernel {
         path: &str,
         flags: AtFlags,
         attr: &SetAttr,
-    ) -> SysResult<()> {
+    ) -> SysResult<Resolved> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
         let r = self.resolve_at(pid, dirfd, path, flags)?;
         if r.readonly {
             return Err(Errno::EROFS);
         }
-        r.fs.setattr(r.loc.ino, attr, &fs_context(&creds))
-            .map(|_| ())
+        r.fs.setattr(r.loc.ino, attr, &fs_context(&creds))?;
+        Ok(r)
     }
 
     /// `access(2)`.

@@ -9,7 +9,8 @@
 //!   reference walker written here from the resolution rules: one
 //!   `dcache_hit_ns` per component looked up (symlink targets included),
 //!   the cwd re-walked for a relative path, and the extra walks of
-//!   `O_CREAT`, `rename` and `link`, on top of one `syscall_ns`;
+//!   `O_CREAT`, `rename` and `link`, on top of one `syscall_ns`
+//!   (`truncate`, which has no `*at` form, walks its path once);
 //! * the same call issued on a twin kernel as an `*at` call from an
 //!   `O_PATH` anchor returns what the path call returned and charges only
 //!   the walk beneath the anchor — or fails with `EXDEV` exactly when the
@@ -271,6 +272,7 @@ enum Op {
     Chmod(String),
     Chown(String),
     Utimens(String),
+    Truncate(String),
     Setxattr(String),
     Getxattr(String),
     Listxattr(String),
@@ -319,6 +321,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         p().prop_map(Op::Chmod),
         p().prop_map(Op::Chown),
         p().prop_map(Op::Utimens),
+        p().prop_map(Op::Truncate),
         p().prop_map(Op::Setxattr),
         p().prop_map(Op::Getxattr),
         p().prop_map(Op::Listxattr),
@@ -452,6 +455,9 @@ fn run_anchored(w: &World, op: &Op) -> Result<Out, Errno> {
             k.utimensat(P, fd, &p, t, t, none)?;
             Out::Unit
         }
+        // `truncate(2)` has no `*at` form: the twin issues the path call
+        // too, and [`reference`] walks it as one.
+        Op::Truncate(_) => return run_plain(w, op),
         Op::Setxattr(p) => {
             let (fd, p) = a(p);
             k.setxattrat(P, fd, &p, none, "user.k", b"v", XattrFlags::Any)?;
@@ -527,6 +533,10 @@ fn run_plain(w: &World, op: &Op) -> Result<Out, Errno> {
             k.utimens(P, p, t, t)?;
             Out::Unit
         }
+        Op::Truncate(p) => {
+            k.truncate(P, p, 3)?;
+            Out::Unit
+        }
         Op::Setxattr(p) => {
             k.setxattr(P, p, "user.k", b"v", XattrFlags::Any)?;
             Out::Unit
@@ -544,6 +554,10 @@ fn run_plain(w: &World, op: &Op) -> Result<Out, Errno> {
 /// them: the components looked up, and how resolution ended — an error
 /// there is the call's result.
 fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
+    let via = match op {
+        Op::Truncate(_) => Via::Path,
+        _ => via,
+    };
     let path = |p: &str| -> String {
         match via {
             Via::Anchor => p.strip_prefix('/').unwrap_or(p).to_string(),
@@ -565,7 +579,7 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
     };
     match op {
         Op::Stat(p) | Op::OpenRead(p) | Op::Readdir(p) => resolve(p, true),
-        Op::Chmod(p) | Op::Chown(p) | Op::Utimens(p) => resolve(p, true),
+        Op::Chmod(p) | Op::Chown(p) | Op::Utimens(p) | Op::Truncate(p) => resolve(p, true),
         Op::Setxattr(p) | Op::Getxattr(p) | Op::Listxattr(p) | Op::Removexattr(p) => {
             resolve(p, true)
         }

@@ -9,7 +9,9 @@
 //! * the slow outliers come from CntrFS's architecture: cold lookups
 //!   (Compilebench, PostMark), per-write `security.capability` round trips
 //!   (Apachebench, IOzone write), and serialized formerly-async requests
-//!   (AIO-Stress);
+//!   (AIO-Stress). The per-write round trip is paper-profile behaviour:
+//!   the shipping profile negotiates `FUSE_HANDLE_KILLPRIV_V2` and checks
+//!   a written file once;
 //! * the *faster-than-native* outliers (FIO, PGBench, Threaded-I/O write)
 //!   come from the writeback cache "delaying the sync operation" (§3.3):
 //!   `fdatasync` through CntrFS is absorbed by background writeback, while

@@ -24,7 +24,8 @@ pub enum Workload {
     AioStress,
     /// 20 K http requests: CPU + cached content read + a small access-log
     /// append, which costs an uncached `security.capability` lookup per
-    /// write on FUSE (paper: 1.5×).
+    /// write on the paper's FUSE profile (paper: 1.5×); a mount that
+    /// negotiated `FUSE_HANDLE_KILLPRIV_V2` would check the log once.
     ApacheBench,
     /// Compile a kernel module: read sources, write objects, compile CPU
     /// (paper: 2.3×).
@@ -253,8 +254,8 @@ fn apache_bench(env: &PerfEnv) -> Timespec {
             let fd = e.open(&format!("htdocs-{}.html", i % 16), OpenFlags::RDONLY)?;
             e.pread_discard(fd, 0, 3 * KB as usize)?;
             e.close(fd)?;
-            // The ~90-byte access-log line: on FUSE each write costs an
-            // uncached security.capability round trip.
+            // The ~90-byte access-log line: on the paper's FUSE profile
+            // each write costs an uncached security.capability round trip.
             e.pwrite_zeroes(log, log_off, 90)?;
             log_off += 90;
         }

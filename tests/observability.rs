@@ -9,6 +9,7 @@
 use cntr::core::SocketProxy;
 use cntr::prelude::*;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
+use cntr_kernel::MountFlags;
 use cntr_types::{CostModel, DevId, FileType, Ino};
 use std::sync::Arc;
 
@@ -255,4 +256,45 @@ fn cntrstats_and_tracing_cover_the_stack() {
     }
 
     client.release(st.ino, fh).unwrap();
+
+    // ---- The shipping mount checks a written file's capability once:
+    // the first write sends the GETXATTR and marks the inode S_NOSEC. ----
+    kernel
+        .mkdir(Pid::INIT, "/run/obs-fuse", Mode::RWXR_XR_X)
+        .unwrap();
+    kernel
+        .mount_fs(
+            Pid::INIT,
+            "/run/obs-fuse",
+            client.clone(),
+            MountFlags::default(),
+        )
+        .unwrap();
+    let fd = kernel
+        .open(
+            Pid::INIT,
+            "/run/obs-fuse/log",
+            OpenFlags::create(),
+            Mode::RW_R__R__,
+        )
+        .unwrap();
+    let killpriv = |text: &str| {
+        ["fuse.client.killpriv-checks", "fuse.client.nosec-hits"].map(|name| {
+            text.lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
+                .map_or(0, |v| v.parse::<u64>().unwrap())
+        })
+    };
+    let [checks, hits] = killpriv(&read_proc_cntrstats(&kernel));
+    let writes = 16;
+    for i in 0..writes {
+        assert_eq!(kernel.pwrite(Pid::INIT, fd, i * 90, &[b'x'; 90]), Ok(90));
+    }
+    let text = read_proc_cntrstats(&kernel);
+    assert_eq!(
+        killpriv(&text),
+        [checks + 1, hits + writes - 1],
+        "{writes} writes: one check, the rest S_NOSEC hits, in:\n{text}"
+    );
+    kernel.close(Pid::INIT, fd).unwrap();
 }
