@@ -10,5 +10,5 @@
 //! | `fig5_docker_slim` | Figure 5 + §5.3 — Top-50 size reductions |
 //! | `tab_xfstests` | §5.1 — the 90/94 xfstests table |
 //!
-//! `cargo bench` additionally runs criterion microbenchmarks over the FUSE
-//! request path and full figure regenerations on wall-clock time.
+//! The attach path's end-to-end benchmark, with per-layer attribution, is
+//! `cntr_bench` under `src/bin/cntr_bench`, a package of its own.

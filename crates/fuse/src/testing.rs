@@ -14,9 +14,9 @@
 //! * [`copies_along`] — folds a pointer chain into a copy count: every
 //!   pointer change between adjacent hops is one memcpy.
 //!
-//! The wrappers are shipped (not `#[cfg(test)]`) so integration tests in
-//! other crates — `cntr-kernel`'s differential oracle, the criterion
-//! benches — can reuse them; they are inert unless constructed.
+//! The wrappers are shipped (not `#[cfg(test)]`) so the integration tests
+//! (`splice_zero_copy`, `ring_transport`) can reuse them; they are inert
+//! unless constructed.
 
 use crate::conn::{ConnSnapshot, Transport};
 use crate::proto::{Reply, Request};

@@ -12,6 +12,9 @@
 //!   (`testing::copies_along == 0` along storage → wire → caller);
 //! * an 8-thread bout leaves `fuse.req.started == fuse.req.completed`
 //!   and `fuse.req.in-flight == 0`, with the ring batching metrics live;
+//! * multi-reap: seven submissions queued behind a reaper pinned in a
+//!   request are all reaped in its next wakeup (exact histogram deltas,
+//!   no clock);
 //! * shutdown mid-batch fails the queued submissions with `ENOTCONN`
 //!   while the request already in the handler completes normally;
 //! * the FUSE-writeback re-entrancy regression (PR-3 deadlock class)
@@ -210,6 +213,58 @@ impl FuseHandler for GatedHandler {
     }
 }
 
+/// Multi-reap amortizes wakeups: with the single reaper pinned inside a
+/// GETATTR, seven lookups queue behind it, and its next wakeup reaps all
+/// seven at once. Runs while no other ring is live, so the global
+/// `fuse.ring.reaped-per-wakeup` deltas are exactly this ring's: two
+/// wakeups, eight requests.
+fn check_multi_reap() {
+    let entered = Arc::new(AtomicBool::new(false));
+    let gate = Arc::new(AtomicBool::new(false));
+    let handler = GatedHandler {
+        entered: Arc::clone(&entered),
+        gate: Arc::clone(&gate),
+    };
+    let t = Arc::new(RingTransport::new(handler, 1, 8, 8));
+    let reaped = obs::histogram("fuse.ring.reaped-per-wakeup").expect("registered");
+    let (count0, sum0) = (reaped.count(), reaped.sum());
+
+    let pinned = {
+        let t = Arc::clone(&t);
+        std::thread::spawn(move || t.call(Request::Getattr { ino: Ino::ROOT }))
+    };
+    while !entered.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let queued: Vec<_> = (0..7)
+        .map(|_| {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || t.call(lookup()))
+        })
+        .collect();
+    while obs::gauge_value("fuse.ring.queue-depth").unwrap() < 7 {
+        std::thread::yield_now();
+    }
+    gate.store(true, Ordering::Release);
+
+    assert!(matches!(pinned.join().unwrap(), Reply::Ok));
+    for q in queued {
+        let reply = q.join().unwrap();
+        assert!(
+            matches!(reply, Reply::Ok),
+            "queued lookup served: {reply:?}"
+        );
+    }
+    assert_eq!(
+        (reaped.count() - count0, reaped.sum() - sum0),
+        (2, 8),
+        "one wakeup for the pinned GETATTR, one that reaps all seven lookups"
+    );
+    if let Ok(t) = Arc::try_unwrap(t) {
+        t.join();
+    }
+}
+
 /// Shutdown mid-batch: the request already in the handler completes
 /// normally; everything still queued in the SQ fails with `ENOTCONN`.
 fn check_shutdown_mid_batch() {
@@ -372,6 +427,7 @@ fn ring_transport_end_to_end() {
     check_negotiation();
     check_spliced_reads_zero_copy();
     check_eight_thread_bout();
+    check_multi_reap();
     check_shutdown_mid_batch();
     check_writeback_reentrancy();
     check_trace_spans_cross_the_ring();

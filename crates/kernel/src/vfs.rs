@@ -138,6 +138,9 @@ struct WalkState {
     /// The walk started at a descriptor and may not leave the subtree
     /// beneath it.
     beneath: bool,
+    /// The last component was followed by a `/`, in the path or in the
+    /// target of a final symlink: it must resolve to a directory.
+    dir_only: bool,
 }
 
 impl WalkState {
@@ -173,11 +176,16 @@ impl Kernel {
         loc
     }
 
+    /// Walks `path` from `w.cur`. A trailing `/` names a directory, so a
+    /// final symlink is followed even without `follow_last` (Linux's
+    /// `lookup_last` sets `LOOKUP_FOLLOW | LOOKUP_DIRECTORY`); the caller
+    /// checks the type through `w.dir_only`.
     fn walk(&self, w: &mut WalkState, path: &str, follow_last: bool) -> SysResult<()> {
         let mut components: Vec<String> = Vec::new();
         if path.starts_with('/') {
             w.restart_at_root()?;
         }
+        w.dir_only = path.ends_with('/');
         components.extend(
             path.split('/')
                 .filter(|c| !c.is_empty() && *c != ".")
@@ -202,7 +210,7 @@ impl Kernel {
             let mount = w.ns.get(w.cur.mount)?.clone();
             self.inner.clock.advance(self.inner.cost.dcache_hit_ns);
             let stat = mount.fs.lookup(w.cur.ino, &name)?;
-            if stat.is_symlink() && (!is_last || follow_last) {
+            if stat.is_symlink() && (!is_last || follow_last || w.dir_only) {
                 w.symlinks += 1;
                 if w.symlinks > MAX_SYMLINKS {
                     return Err(Errno::ELOOP);
@@ -211,6 +219,7 @@ impl Kernel {
                 if target.starts_with('/') {
                     w.restart_at_root()?;
                 }
+                w.dir_only |= is_last && target.ends_with('/');
                 let mut rest: Vec<String> = target
                     .split('/')
                     .filter(|c| !c.is_empty() && *c != ".")
@@ -257,6 +266,7 @@ impl Kernel {
             stack: Vec::new(),
             symlinks: 0,
             beneath: dirfd != AT_FDCWD,
+            dir_only: false,
         };
         if dirfd != AT_FDCWD {
             if path.is_empty() && !flags.contains(AtFlags::EMPTY_PATH) {
@@ -273,6 +283,9 @@ impl Kernel {
         self.walk(&mut w, path, !flags.contains(AtFlags::SYMLINK_NOFOLLOW))?;
         let mount = w.ns.get(w.cur.mount)?.clone();
         let stat = mount.fs.getattr(w.cur.ino)?;
+        if w.dir_only && !stat.is_dir() {
+            return Err(Errno::ENOTDIR);
+        }
         Ok(Resolved {
             loc: w.cur,
             fs: mount.fs,
@@ -296,7 +309,8 @@ impl Kernel {
     }
 
     /// Resolves the parent directory of `path` relative to `dirfd`,
-    /// returning the final component name alongside.
+    /// returning the final component name alongside. A trailing `/` is
+    /// dropped here: each caller applies its own rule for it.
     fn resolve_parent_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
@@ -313,6 +327,19 @@ impl Kernel {
         let parent = self.resolve_at(pid, dirfd, &dir, AtFlags::NONE)?;
         if !parent.stat.is_dir() {
             return Err(Errno::ENOTDIR);
+        }
+        Ok((parent, name))
+    }
+
+    /// [`Kernel::resolve_parent_at`] for a call that creates a node other
+    /// than a directory. A trailing slash asks for a directory the call
+    /// does not make: Linux's `filename_create` answers `EEXIST` if the
+    /// name exists, else `ENOENT`.
+    fn resolve_create_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
+        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
+        if path.ends_with('/') {
+            parent.fs.lookup(parent.loc.ino, &name)?;
+            return Err(Errno::EEXIST);
         }
         Ok((parent, name))
     }
@@ -356,6 +383,19 @@ impl Kernel {
             );
         }
 
+        if flags.contains(OpenFlags::CREAT) && path.ends_with('/') {
+            // A trailing slash names a directory, which O_CREAT does not
+            // make: Linux's `open_last_lookups` walks the parent, looks no
+            // further and refuses with EISDIR. A last `.`, `..` or `/`
+            // is walked too, and names a directory.
+            let last = path.trim_end_matches('/').rsplit('/').next();
+            if matches!(last, Some("" | "." | "..")) {
+                self.resolve_at(pid, dirfd, path, at)?;
+            } else {
+                self.resolve_parent_at(pid, dirfd, path)?;
+            }
+            return Err(Errno::EISDIR);
+        }
         let resolved = match self.resolve_at(pid, dirfd, path, at) {
             Ok(r) => {
                 if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
@@ -897,7 +937,7 @@ impl Kernel {
         {
             return Err(Errno::EPERM);
         }
-        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
+        let (parent, name) = self.resolve_create_at(pid, dirfd, path)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -933,8 +973,19 @@ impl Kernel {
         if parent.readonly {
             return Err(Errno::EROFS);
         }
+        let removedir = flags.contains(AtFlags::REMOVEDIR);
+        if !removedir && path.ends_with('/') {
+            // A trailing slash names a directory, which unlink does not
+            // remove (Linux's `do_unlinkat`, at `slashes:`).
+            let st = parent.fs.lookup(parent.loc.ino, &name)?;
+            return Err(if st.is_dir() {
+                Errno::EISDIR
+            } else {
+                Errno::ENOTDIR
+            });
+        }
         check_access(&parent.stat, &creds, Access::W)?;
-        if flags.contains(AtFlags::REMOVEDIR) {
+        if removedir {
             return parent.fs.rmdir(parent.loc.ino, &name);
         }
         // Deregister a bound socket if one lived here; connections already
@@ -978,6 +1029,23 @@ impl Kernel {
         if !Arc::ptr_eq(&src_parent.fs, &dst_parent.fs) {
             return Err(Errno::EXDEV);
         }
+        // A trailing slash names a directory (Linux's `do_renameat2`): a
+        // non-directory source refuses one on either side, except that
+        // an exchange holds each side's slash to its own node.
+        let (from_dir, to_dir) = (from.ends_with('/'), to.ends_with('/'));
+        if from_dir || to_dir {
+            let is_dir =
+                |p: &Resolved, name: &str| p.fs.lookup(p.loc.ino, name).map(|st| st.is_dir());
+            let src_dir = is_dir(&src_parent, &src_name)?;
+            let refused = if flags.exchange {
+                (from_dir && !src_dir) || (to_dir && !is_dir(&dst_parent, &dst_name)?)
+            } else {
+                !src_dir
+            };
+            if refused {
+                return Err(Errno::ENOTDIR);
+            }
+        }
         src_parent.fs.rename(
             src_parent.loc.ino,
             &src_name,
@@ -1005,7 +1073,7 @@ impl Kernel {
     ) -> SysResult<()> {
         self.charge_syscall();
         let src = self.resolve_at(pid, olddirfd, existing, flags | AtFlags::SYMLINK_NOFOLLOW)?;
-        let (dst_parent, name) = self.resolve_parent_at(pid, newdirfd, new)?;
+        let (dst_parent, name) = self.resolve_create_at(pid, newdirfd, new)?;
         if dst_parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -1033,7 +1101,7 @@ impl Kernel {
     ) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
-        let (parent, name) = self.resolve_parent_at(pid, newdirfd, linkpath)?;
+        let (parent, name) = self.resolve_create_at(pid, newdirfd, linkpath)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -1834,7 +1902,7 @@ impl Kernel {
     pub fn bind_listener(&self, pid: Pid, path: &str) -> SysResult<u32> {
         self.charge_syscall();
         let (creds, mnt_ns) = self.with_proc(pid, |p| Ok((p.creds.clone(), p.ns.mount)))?;
-        let (parent, name) = self.resolve_parent_at(pid, AT_FDCWD, path)?;
+        let (parent, name) = self.resolve_create_at(pid, AT_FDCWD, path)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -1948,6 +2016,83 @@ mod tests {
         // `..` above root stays at root.
         let st = k.stat(P, "/../../a").unwrap();
         assert!(st.is_dir());
+    }
+
+    /// A trailing slash names a directory, with the errors Linux gives
+    /// for a path that names anything else.
+    #[test]
+    fn trailing_slash_names_a_directory() {
+        let k = kernel();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        k.mkdir(P, "/d/", Mode::RWXR_XR_X).unwrap();
+        k.symlink(P, "d", "/ld").unwrap();
+        k.symlink(P, "f", "/lf").unwrap();
+        k.symlink(P, "f/", "/ls").unwrap();
+
+        // Resolution: the last component is followed and must be a
+        // directory.
+        assert_eq!(k.stat(P, "/f/"), Err(Errno::ENOTDIR));
+        assert_eq!(k.stat(P, "/lf/"), Err(Errno::ENOTDIR));
+        assert_eq!(k.stat(P, "/ls"), Err(Errno::ENOTDIR), "slash in a target");
+        assert!(k.lstat(P, "/ls").unwrap().is_symlink());
+        assert!(
+            k.lstat(P, "/ld/").unwrap().is_dir(),
+            "followed despite lstat"
+        );
+        assert!(k.stat(P, "/d/").unwrap().is_dir());
+        let ro = OpenFlags::RDONLY;
+        assert_eq!(k.open(P, "/f/", ro, Mode::RW_R__R__), Err(Errno::ENOTDIR));
+
+        // O_CREAT never makes a directory.
+        let creat = OpenFlags::create();
+        assert_eq!(k.open(P, "/h/", creat, Mode::RW_R__R__), Err(Errno::EISDIR));
+        assert_eq!(k.stat(P, "/h"), Err(Errno::ENOENT), "nothing created");
+        assert_eq!(k.open(P, "/f/", creat, Mode::RW_R__R__), Err(Errno::EISDIR));
+        assert_eq!(k.open(P, "/d/", creat, Mode::RW_R__R__), Err(Errno::EISDIR));
+        assert_eq!(
+            k.open(P, "/x/h/", creat, Mode::RW_R__R__),
+            Err(Errno::ENOENT),
+            "the parent walk fails first"
+        );
+
+        // unlink removes no directory, and the slash asks for one.
+        assert_eq!(k.unlink(P, "/f/"), Err(Errno::ENOTDIR));
+        assert_eq!(k.unlink(P, "/lf/"), Err(Errno::ENOTDIR));
+        assert_eq!(k.unlink(P, "/d/"), Err(Errno::EISDIR));
+        assert_eq!(k.unlink(P, "/h/"), Err(Errno::ENOENT));
+        assert!(k.stat(P, "/f").unwrap().is_file(), "f survives");
+
+        // Creates other than mkdir: EEXIST if the name exists, else ENOENT.
+        let fifo = |p| k.mknod(P, p, FileType::Fifo, Mode::RW_R__R__, 0);
+        assert_eq!(fifo("/f/"), Err(Errno::EEXIST));
+        assert_eq!(fifo("/h/"), Err(Errno::ENOENT));
+        assert_eq!(k.symlink(P, "f", "/h/"), Err(Errno::ENOENT));
+        assert_eq!(k.link(P, "/f", "/h/"), Err(Errno::ENOENT));
+        assert_eq!(k.link(P, "/f", "/lf/"), Err(Errno::EEXIST));
+        assert_eq!(k.link(P, "/f/", "/h"), Err(Errno::ENOTDIR));
+        assert_eq!(k.stat(P, "/h"), Err(Errno::ENOENT), "nothing created");
+
+        // rename: a non-directory source refuses a slash on either side.
+        let none = RenameFlags::NONE;
+        assert_eq!(k.rename(P, "/f/", "/g", none), Err(Errno::ENOTDIR));
+        assert_eq!(k.rename(P, "/f", "/g/", none), Err(Errno::ENOTDIR));
+        assert_eq!(k.rename(P, "/h/", "/g", none), Err(Errno::ENOENT));
+        k.rename(P, "/d/", "/e/", none).unwrap();
+        assert!(k.stat(P, "/e").unwrap().is_dir());
+
+        // mkdir and rmdir take the slash as before.
+        k.rmdir(P, "/e/").unwrap();
+        assert_eq!(k.stat(P, "/e"), Err(Errno::ENOENT));
+
+        // An exchange holds each side's slash to its own node.
+        k.mkdir(P, "/d", Mode::RWXR_XR_X).unwrap();
+        let xchg = RenameFlags::EXCHANGE;
+        assert_eq!(k.rename(P, "/d", "/f/", xchg), Err(Errno::ENOTDIR));
+        k.rename(P, "/f", "/d/", xchg).unwrap();
+        assert!(k.stat(P, "/f/").unwrap().is_dir());
     }
 
     #[test]

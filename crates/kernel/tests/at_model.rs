@@ -3,14 +3,18 @@
 //! Every path system call is its `*at` form started at `AT_FDCWD`, so the
 //! kernel has one walker. The property test pins that, two ways, over
 //! random trees and paths that use symlinks (relative, absolute, looping),
-//! `..` and a mount crossing:
+//! `..`, trailing slashes and a mount crossing:
 //!
 //! * a path call's result and the virtual nanoseconds it charges match a
 //!   reference walker written here from the resolution rules: one
 //!   `dcache_hit_ns` per component looked up (symlink targets included),
 //!   the cwd re-walked for a relative path, and the extra walks of
 //!   `O_CREAT`, `rename` and `link`, on top of one `syscall_ns`
-//!   (`truncate`, which has no `*at` form, walks its path once);
+//!   (`truncate`, which has no `*at` form, walks its path once), and
+//!   a trailing slash naming a directory as Linux has it: the last
+//!   component followed and `ENOTDIR` unless it is one, `EISDIR` for
+//!   `O_CREAT` and `unlink`, `EEXIST`/`ENOENT` for the other creates
+//!   (`mkdir` aside), `ENOTDIR` for `rename` of a non-directory;
 //! * the same call issued on a twin kernel as an `*at` call from an
 //!   `O_PATH` anchor returns what the path call returned and charges only
 //!   the walk beneath the anchor — or fails with `EXDEV` exactly when the
@@ -106,6 +110,9 @@ enum Layer {
 
 type Loc = (Layer, Ino);
 
+/// A resolved parent directory and the last component's name.
+type Parent = (Loc, String);
+
 /// Where a reference walk starts: the process root, its cwd (re-walked
 /// from the root), or a descriptor it may not climb above.
 #[derive(Clone, Copy)]
@@ -120,6 +127,8 @@ struct Walk {
     symlinks: u32,
     components: u64,
     beneath: bool,
+    /// A `/` followed the last component: it must be a directory.
+    dir_only: bool,
 }
 
 impl World {
@@ -151,6 +160,7 @@ impl World {
         if path.starts_with('/') {
             self.to_root(w)?;
         }
+        w.dir_only = path.ends_with('/');
         let mut names: Vec<String> = path
             .split('/')
             .filter(|c| !c.is_empty() && *c != ".")
@@ -171,7 +181,8 @@ impl World {
             w.components += 1;
             let fs = self.layer(w.cur.0);
             let st = fs.lookup(w.cur.1, &name)?;
-            if st.is_symlink() && (i + 1 < names.len() || follow_last) {
+            let is_last = i + 1 == names.len();
+            if st.is_symlink() && (!is_last || follow_last || w.dir_only) {
                 w.symlinks += 1;
                 if w.symlinks > 40 {
                     return Err(Errno::ELOOP);
@@ -180,6 +191,7 @@ impl World {
                 if target.starts_with('/') {
                     self.to_root(w)?;
                 }
+                w.dir_only |= is_last && target.ends_with('/');
                 let mut spliced: Vec<String> = target
                     .split('/')
                     .filter(|c| !c.is_empty() && *c != ".")
@@ -206,6 +218,7 @@ impl World {
             symlinks: 0,
             components: 0,
             beneath: false,
+            dir_only: false,
         };
         let r = match start {
             Start::Fdcwd if !path.starts_with('/') => self
@@ -218,13 +231,19 @@ impl World {
                 self.walk(&mut w, path, follow)
             }
         };
-        let r = r.and_then(|()| self.layer(w.cur.0).getattr(w.cur.1).map(|_| w.cur));
+        let r = r.and_then(|()| {
+            let st = self.layer(w.cur.0).getattr(w.cur.1)?;
+            if w.dir_only && !st.is_dir() {
+                return Err(Errno::ENOTDIR);
+            }
+            Ok(w.cur)
+        });
         (r, w.components)
     }
 
     /// `resolve_parent`: the directory part is walked unless the path is
     /// rejected first.
-    fn resolve_parent(&self, start: Start, path: &str) -> (Result<Loc, Errno>, u64) {
+    fn resolve_parent(&self, start: Start, path: &str) -> (Result<Parent, Errno>, u64) {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return (Err(Errno::EEXIST), 0);
@@ -241,12 +260,17 @@ impl World {
         let r = r.and_then(|loc| {
             let st = self.layer(loc.0).getattr(loc.1)?;
             if st.is_dir() {
-                Ok(loc)
+                Ok((loc, name.to_string()))
             } else {
                 Err(Errno::ENOTDIR)
             }
         });
         (r, n)
+    }
+
+    /// What the last component of a resolved parent names, unfollowed.
+    fn child(&self, (loc, name): &Parent) -> Result<Stat, Errno> {
+        self.layer(loc.0).lookup(loc.1, name)
     }
 }
 
@@ -300,7 +324,7 @@ fn path_strategy() -> impl Strategy<Value = String> {
         })
 }
 
-const TARGETS: [&str; 5] = ["a", "/a/b", "../a", "f", "/m"];
+const TARGETS: [&str; 6] = ["a", "/a/b", "../a", "f", "/m", "f/"];
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let p = path_strategy;
@@ -573,9 +597,19 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
         let (r, n) = w.resolve(start_of(p), &path(p), follow);
         (n, r.map(|_| ()))
     };
-    let parent = |p: &str| {
+    let parent_of = |p: &str| {
         let (r, n) = w.resolve_parent(start_of(p), &path(p));
+        (n, r)
+    };
+    let parent = |p: &str| {
+        let (n, r) = parent_of(p);
         (n, r.map(|_| ()))
+    };
+    // A create other than `mkdir` through a trailing slash: EEXIST if the
+    // name exists, else ENOENT.
+    let create = |p: &str| match parent_of(p) {
+        (n, Ok(at)) if p.ends_with('/') => (n, Err(w.child(&at).err().unwrap_or(Errno::EEXIST))),
+        (n, r) => (n, r.map(|_| ())),
     };
     match op {
         Op::Stat(p) | Op::OpenRead(p) | Op::Readdir(p) => resolve(p, true),
@@ -584,6 +618,17 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
             resolve(p, true)
         }
         Op::Lstat(p) | Op::Readlink(p) => resolve(p, false),
+        // O_CREAT through a trailing slash: EISDIR once the parent walk
+        // succeeds; a last `.` or `..` is walked with it.
+        Op::OpenCreate(p) if p.ends_with('/') => {
+            let last = p.trim_end_matches('/').rsplit('/').next();
+            let (n, r) = if matches!(last, Some("" | "." | "..")) {
+                resolve(p, true)
+            } else {
+                parent(p)
+            };
+            (n, r.and(Err(Errno::EISDIR)))
+        }
         Op::OpenCreate(p) => match resolve(p, true) {
             (n, Err(Errno::ENOENT)) => {
                 let (m, r) = parent(p);
@@ -591,23 +636,45 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
             }
             done => done,
         },
-        Op::Mkdir(p) | Op::Mknod(p) | Op::Unlink(p) | Op::Rmdir(p) => parent(p),
-        Op::Symlink(_, p) => parent(p),
-        Op::Rename(a, b) => match parent(a) {
-            (n, Ok(())) => {
-                let (m, r) = parent(b);
-                (n + m, r)
-            }
-            failed => failed,
+        Op::Mkdir(p) | Op::Rmdir(p) => parent(p),
+        Op::Mknod(p) | Op::Symlink(_, p) => create(p),
+        // unlink through a trailing slash: what the name is decides.
+        Op::Unlink(p) => match parent_of(p) {
+            (n, Ok(at)) if p.ends_with('/') => match w.child(&at) {
+                Ok(st) if st.is_dir() => (n, Err(Errno::EISDIR)),
+                Ok(_) => (n, Err(Errno::ENOTDIR)),
+                Err(e) => (n, Err(e)),
+            },
+            (n, r) => (n, r.map(|_| ())),
+        },
+        Op::Rename(a, b) => match parent_of(a) {
+            (n, Ok(from)) => match parent_of(b) {
+                (m, Ok(to)) => (n + m, renamed(w, &from, &to, a, b)),
+                (m, Err(e)) => (n + m, Err(e)),
+            },
+            (n, Err(e)) => (n, Err(e)),
         },
         Op::Link(a, b) => match resolve(a, false) {
             (n, Ok(())) => {
-                let (m, r) = parent(b);
+                let (m, r) = create(b);
                 (n + m, r)
             }
             failed => failed,
         },
     }
+}
+
+/// How `rename(a, b)` ends once both parents resolved: `EXDEV` across
+/// mounts, and `ENOTDIR` for a non-directory source with a trailing slash
+/// on either side.
+fn renamed(w: &World, from: &Parent, to: &Parent, a: &str, b: &str) -> Result<(), Errno> {
+    if from.0 .0 != to.0 .0 {
+        return Err(Errno::EXDEV);
+    }
+    if (a.ends_with('/') || b.ends_with('/')) && !w.child(from)?.is_dir() {
+        return Err(Errno::ENOTDIR);
+    }
+    Ok(())
 }
 
 impl World {

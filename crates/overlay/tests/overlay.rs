@@ -1,7 +1,7 @@
 //! Behavioural tests of [`OverlayFs`]: copy-up, whiteouts, opaque
 //! directories, readdir merging, and blob-store dedup across layers.
 
-use cntr_fs::{Filesystem, FsContext, XattrFlags};
+use cntr_fs::{Filesystem, FsContext, XattrFlags, XATTR_NAME_CAPS};
 use cntr_overlay::{blobfs, BlobStore, DiffKind, OverlayFs};
 use cntr_types::{
     DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, RenameFlags, SetAttr, SimClock, Uid,
@@ -198,6 +198,9 @@ fn copy_up_preserves_ownership_mode_and_xattrs() {
     s.lower_base
         .setxattr(lsh.ino, "user.origin", b"base", XattrFlags::Any)
         .unwrap();
+    s.lower_base
+        .setxattr(lsh.ino, XATTR_NAME_CAPS, b"caps", XattrFlags::Any)
+        .unwrap();
 
     // Any root-driven write copies the file up...
     write_at(s.overlay.as_ref(), "/bin/sh", CHUNK as u64, b"x");
@@ -210,6 +213,13 @@ fn copy_up_preserves_ownership_mode_and_xattrs() {
         s.overlay.getxattr(st.ino, "user.origin").unwrap(),
         b"base",
         "xattrs survive copy-up"
+    );
+    // File capabilities too (Linux's `ovl_copy_xattr`): stripping them
+    // on a write is the kernel's job, not the copy-up's.
+    assert_eq!(
+        s.overlay.getxattr(st.ino, XATTR_NAME_CAPS).unwrap(),
+        b"caps",
+        "security.capability survives copy-up"
     );
 }
 

@@ -801,9 +801,9 @@ pub struct Figure4Row {
 /// single sequential reader, so one request is in flight at a time and the
 /// thread-count *deltas* in the curve come from the virtual clock pricing
 /// the per-request worker synchronization — the dispatch is real, the
-/// worker-contention cost is modeled. (Real multi-threaded wall-clock
-/// scaling against the sharded kernel is measured by the `kernel_scale`
-/// criterion bench.)
+/// worker-contention cost is modeled. Real multi-threaded wall-clock
+/// scaling against the sharded kernel is not measured: the concurrency
+/// tests check its correctness only.
 pub fn figure4() -> Vec<Figure4Row> {
     [1usize, 2, 4, 8, 16]
         .iter()
