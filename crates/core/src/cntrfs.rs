@@ -559,7 +559,7 @@ impl FuseHandler for CntrfsServer {
 mod tests {
     use super::*;
     use cntr_engine::runtime::boot_host;
-    use cntr_fs::{Filesystem, FsContext};
+    use cntr_fs::{Filesystem, FilesystemExt, FsContext};
     use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
     use cntr_types::{RenameFlags, SimClock};
 

@@ -6,7 +6,7 @@
 //! stack them read-only under a per-container `OverlayFs` and share them
 //! across every container of the image.
 
-use cntr_fs::{Filesystem, FsContext, MemFs};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext, MemFs};
 use cntr_overlay::BlobHandle;
 use cntr_types::{FileType, Ino, Mode, OpenFlags, SysResult};
 use std::collections::BTreeMap;
@@ -291,10 +291,10 @@ fn apply_entry(fs: &dyn Filesystem, e: &FileEntry, ctx: &FsContext) -> SysResult
 /// Writes a [`Content`] into a freshly created file.
 ///
 /// Sparse content is a bare truncate (no pages are allocated), and blob
-/// content is streamed chunk-wise — on a blob-backed filesystem each chunk
-/// write re-addresses into the shared store and degenerates to a refcount
-/// bump, so materializing a layer never duplicates bytes the store already
-/// holds.
+/// content is streamed chunk-wise by reference (`write_bytes` of the stored
+/// chunk) — on a blob-backed filesystem each chunk write re-addresses into
+/// the shared store and degenerates to a refcount bump, so materializing a
+/// layer never duplicates bytes the store already holds.
 fn write_content(
     fs: &dyn Filesystem,
     ino: Ino,
@@ -314,12 +314,12 @@ fn write_content(
         Content::Blob(h) => {
             let fh = fs.open(ino, OpenFlags::WRONLY)?;
             for &(page, id) in h.chunks() {
-                let bytes = h.store().chunk(id);
+                let bytes = h.store().chunk_bytes(id);
                 let off = page * cntr_overlay::blob::CHUNK_SIZE as u64;
                 let end = (off + bytes.len() as u64).min(h.len());
                 let take = (end.saturating_sub(off)) as usize;
                 if take > 0 {
-                    fs.write(ino, fh, off, &bytes[..take])?;
+                    fs.write_bytes(ino, fh, off, bytes.slice(..take))?;
                 }
             }
             fs.release(ino, fh)?;

@@ -43,7 +43,7 @@ pub fn diskfs_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Filesystem, FsContext};
+    use crate::traits::{Filesystem, FilesystemExt, FsContext};
     use cntr_types::{FileType, Ino, Mode, OpenFlags};
 
     #[test]

@@ -39,7 +39,7 @@ pub fn memfs_with_capacity(dev_id: DevId, clock: SimClock, capacity: u64) -> Arc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Filesystem, FsContext, XattrFlags};
+    use crate::traits::{Filesystem, FilesystemExt, FsContext, XattrFlags};
     use cntr_types::{Errno, FileType, Gid, Ino, Mode, OpenFlags, RenameFlags, SetAttr, Uid};
 
     fn fs() -> Arc<MemFs> {

@@ -358,69 +358,6 @@ impl<S: FileStore> NodeFs<S> {
             _ => Err(Errno::EINVAL),
         }
     }
-
-    /// Shared body of `write`/`write_bytes`: handle validation, O_APPEND
-    /// resolution, the ENOSPC pre-check, and the size/mtime/suid updates.
-    /// `store_write` performs the actual byte transfer (copying or
-    /// retaining) at the resolved offset.
-    fn write_with(
-        &self,
-        ino: Ino,
-        fh: Fh,
-        offset: u64,
-        len: usize,
-        store_write: impl FnOnce(&S, &mut S::Content, u64),
-    ) -> SysResult<usize> {
-        let mut st = self.state.lock();
-        let offset = {
-            let info = st.handles.get(&fh).ok_or(Errno::EBADF)?;
-            if info.ino != ino {
-                return Err(Errno::EBADF);
-            }
-            if !info.flags.mode.writable() {
-                return Err(Errno::EBADF);
-            }
-            if info.flags.contains(OpenFlags::APPEND) {
-                st.inodes.get(&ino).ok_or(Errno::ENOENT)?.meta.size
-            } else {
-                offset
-            }
-        };
-        let now = self.clock.now();
-        let used = st.used_bytes;
-        let node = st.inodes.get_mut(&ino).ok_or(Errno::ENOENT)?;
-        match &mut node.kind {
-            NodeKind::File(content) => {
-                let before = self.store.allocated_bytes(content);
-                // Conservative ENOSPC pre-check: a write can allocate at most
-                // len + one page of slack.
-                let upper = len as u64 + BLOCK_SIZE as u64;
-                if used + upper > self.capacity {
-                    let exact_after = {
-                        // Compute precisely only when near the limit.
-                        let end = offset + len as u64;
-                        let pages = end.div_ceil(BLOCK_SIZE as u64) - offset / BLOCK_SIZE as u64;
-                        before + pages * BLOCK_SIZE as u64
-                    };
-                    if used.saturating_sub(before) + exact_after > self.capacity {
-                        return Err(Errno::ENOSPC);
-                    }
-                }
-                store_write(&self.store, content, offset);
-                let after = self.store.allocated_bytes(content);
-                st.used_bytes = used.saturating_sub(before).saturating_add(after);
-                let node = st.inodes.get_mut(&ino).expect("checked");
-                node.meta.size = node.meta.size.max(offset + len as u64);
-                node.meta.mtime = now;
-                node.meta.ctime = now;
-                // Writes strip setuid/setgid (unprivileged-writer model).
-                node.meta.mode = node.meta.mode.clear_suid_sgid();
-                Ok(len)
-            }
-            NodeKind::Dir(_) => Err(Errno::EISDIR),
-            _ => Err(Errno::EINVAL),
-        }
-    }
 }
 
 impl<S: FileStore> Filesystem for NodeFs<S> {
@@ -798,41 +735,6 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
         Ok(())
     }
 
-    fn read(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
-        let mut st = self.state.lock();
-        {
-            let info = st.handles.get(&fh).ok_or(Errno::EBADF)?;
-            if info.ino != ino {
-                return Err(Errno::EBADF);
-            }
-            if !info.flags.mode.readable() {
-                return Err(Errno::EBADF);
-            }
-        }
-        let now = self.clock.now();
-        let node = st.inodes.get_mut(&ino).ok_or(Errno::ENOENT)?;
-        let size = node.meta.size;
-        if offset >= size {
-            return Ok(0);
-        }
-        let n = (buf.len() as u64).min(size - offset) as usize;
-        match &node.kind {
-            NodeKind::File(content) => {
-                self.store.read(content, offset, &mut buf[..n]);
-                node.meta.atime = now;
-                Ok(n)
-            }
-            NodeKind::Dir(_) => Err(Errno::EISDIR),
-            _ => Err(Errno::EINVAL),
-        }
-    }
-
-    fn write(&self, ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize> {
-        self.write_with(ino, fh, offset, data.len(), |store, content, off| {
-            store.write(content, off, data);
-        })
-    }
-
     fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
         let mut st = self.state.lock();
         {
@@ -852,7 +754,7 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
             NodeKind::File(content) => {
                 // Zero-copy when the store can hand out a slice of what it
                 // already holds; otherwise a single gather into a fresh
-                // buffer (the same copy `read` pays).
+                // buffer.
                 let data = match self.store.read_bytes(content, offset, n) {
                     Some(b) => {
                         debug_assert!(!b.is_empty() && b.len() <= n);
@@ -873,9 +775,55 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
     }
 
     fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
-        self.write_with(ino, fh, offset, data.len(), |store, content, off| {
-            store.write_bytes(content, off, &data);
-        })
+        let mut st = self.state.lock();
+        let offset = {
+            let info = st.handles.get(&fh).ok_or(Errno::EBADF)?;
+            if info.ino != ino {
+                return Err(Errno::EBADF);
+            }
+            if !info.flags.mode.writable() {
+                return Err(Errno::EBADF);
+            }
+            if info.flags.contains(OpenFlags::APPEND) {
+                st.inodes.get(&ino).ok_or(Errno::ENOENT)?.meta.size
+            } else {
+                offset
+            }
+        };
+        let now = self.clock.now();
+        let used = st.used_bytes;
+        let node = st.inodes.get_mut(&ino).ok_or(Errno::ENOENT)?;
+        match &mut node.kind {
+            NodeKind::File(content) => {
+                let before = self.store.allocated_bytes(content);
+                // Conservative ENOSPC pre-check: a write can allocate at most
+                // len + one page of slack.
+                let upper = data.len() as u64 + BLOCK_SIZE as u64;
+                if used + upper > self.capacity {
+                    let exact_after = {
+                        // Compute precisely only when near the limit.
+                        let end = offset + data.len() as u64;
+                        let pages = end.div_ceil(BLOCK_SIZE as u64) - offset / BLOCK_SIZE as u64;
+                        before + pages * BLOCK_SIZE as u64
+                    };
+                    if used.saturating_sub(before) + exact_after > self.capacity {
+                        return Err(Errno::ENOSPC);
+                    }
+                }
+                self.store.write_bytes(content, offset, &data);
+                let after = self.store.allocated_bytes(content);
+                st.used_bytes = used.saturating_sub(before).saturating_add(after);
+                let node = st.inodes.get_mut(&ino).expect("checked");
+                node.meta.size = node.meta.size.max(offset + data.len() as u64);
+                node.meta.mtime = now;
+                node.meta.ctime = now;
+                // Writes strip setuid/setgid (unprivileged-writer model).
+                node.meta.mode = node.meta.mode.clear_suid_sgid();
+                Ok(data.len())
+            }
+            NodeKind::Dir(_) => Err(Errno::EISDIR),
+            _ => Err(Errno::EINVAL),
+        }
     }
 
     fn fsync(&self, _ino: Ino, _fh: Fh, _datasync: bool) -> SysResult<()> {

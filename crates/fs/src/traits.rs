@@ -236,79 +236,33 @@ pub trait Filesystem: Send + Sync {
     /// Releases a file handle.
     fn release(&self, ino: Ino, fh: Fh) -> SysResult<()>;
 
-    /// Reads up to `buf.len()` bytes at `offset`; returns bytes read
-    /// (0 at or past EOF).
-    fn read(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize>;
-
-    /// Writes `data` at `offset`; returns bytes written.
-    fn write(&self, ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize>;
-
-    /// Reads up to `len` bytes at `offset` as an owned [`Bytes`] buffer —
-    /// the splice data path.
+    /// Reads up to `len` bytes at `offset` as an owned [`Bytes`] buffer:
+    /// the one read path of every filesystem (the splice path of §3.3).
     ///
-    /// Filesystems whose storage already holds reference-counted buffers
-    /// override this to return a *slice of the stored bytes* (zero copy);
-    /// the default reads into a fresh allocation (one copy, exactly what
-    /// `read` costs).
+    /// A filesystem whose storage already holds reference-counted buffers
+    /// returns a *slice of the stored bytes* (zero copy); any other reads
+    /// into a fresh allocation (one copy).
     ///
     /// Like `read(2)` this may return **short**: fewer than `len` bytes
     /// even before EOF (e.g. at an internal chunk boundary). An empty
-    /// buffer means EOF. Callers wanting exactly `len` bytes must loop.
-    fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
-        let mut buf = vec![0u8; len];
-        let n = self.read(ino, fh, offset, &mut buf)?;
-        buf.truncate(n);
-        Ok(Bytes::from(buf))
-    }
+    /// buffer means EOF. Callers wanting exactly `len` bytes must loop, or
+    /// use [`FilesystemExt::read_bytes_gather`].
+    fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes>;
 
-    /// Writes an owned [`Bytes`] buffer at `offset` — the splice data path.
-    ///
-    /// Filesystems whose storage can *retain* the buffer (reference it
-    /// instead of copying it) override this; the default delegates to
-    /// `write` (one copy). Unlike `read_bytes` this never writes short:
-    /// on success all of `data` is written.
-    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
-        self.write(ino, fh, offset, &data)
-    }
-
-    /// Reads until `len` bytes or EOF, preferring a single zero-copy
-    /// answer: when one [`Filesystem::read_bytes`] call satisfies the read
-    /// (full, or short because of EOF), its buffer is returned unchanged;
-    /// only a short read at an internal chunk boundary pays a gather into
-    /// one owned buffer. Not meant to be overridden. The FUSE server
-    /// assembles its READ replies with it; the page cache does not, since
-    /// it caches each chunk of a chunked store by reference instead.
-    fn read_bytes_gather(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
-        let first = self.read_bytes(ino, fh, offset, len)?;
-        if first.len() == len || first.is_empty() {
-            return Ok(first);
-        }
-        // Short: probe whether it was EOF (forward the prefix as-is, still
-        // zero-copy) or a chunk boundary (gather the rest).
-        let next = self.read_bytes(ino, fh, offset + first.len() as u64, len - first.len())?;
-        if next.is_empty() {
-            return Ok(first);
-        }
-        let mut buf = Vec::with_capacity(len);
-        buf.extend_from_slice(&first);
-        buf.extend_from_slice(&next);
-        while buf.len() < len {
-            let chunk = self.read_bytes(ino, fh, offset + buf.len() as u64, len - buf.len())?;
-            if chunk.is_empty() {
-                break;
-            }
-            buf.extend_from_slice(&chunk);
-        }
-        Ok(Bytes::from(buf))
-    }
+    /// Writes an owned [`Bytes`] buffer at `offset`: the one write path of
+    /// every filesystem. A filesystem whose storage can *retain* the buffer
+    /// references it instead of copying it. Unlike `read_bytes` this never
+    /// writes short: on success all of `data` is written.
+    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize>;
 
     /// Reads the page at `offset` into `buf` (one page long) for the page
     /// cache, which must complete a page before caching a write that covers
     /// only part of it (Linux's `read_folio` from `write_begin`). Unlike
-    /// `read` it is no readahead trigger: a filesystem that keeps readahead
-    /// windows neither opens nor moves one for it. The default is `read`.
+    /// a plain read it is no readahead trigger: a filesystem that keeps
+    /// readahead windows neither opens nor moves one for it. The default
+    /// is [`FilesystemExt::read`].
     fn read_page(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
-        self.read(ino, fh, offset, buf)
+        FilesystemExt::read(self, ino, fh, offset, buf)
     }
 
     /// Flushes file data (and metadata unless `datasync`) to stable storage.
@@ -375,6 +329,62 @@ pub trait Filesystem: Send + Sync {
         }
     }
 }
+
+/// The data operations every [`Filesystem`] gets from its `Bytes` path.
+///
+/// Blanket-implemented for every filesystem and not meant to be
+/// implemented by hand, so no filesystem can fork a second data path: a
+/// slice `read` is a gather plus the copy into the caller's buffer
+/// (`copy_to_user`), and a slice `write` is the copy of the caller's
+/// bytes into an owned buffer (`copy_from_user`) plus
+/// [`Filesystem::write_bytes`].
+pub trait FilesystemExt: Filesystem {
+    /// Reads until `len` bytes or EOF, preferring a single zero-copy
+    /// answer: when one [`Filesystem::read_bytes`] call satisfies the read
+    /// (full, or short because of EOF), its buffer is returned unchanged;
+    /// only a short read at an internal chunk boundary pays a gather into
+    /// one owned buffer. The FUSE server assembles its READ replies with
+    /// it; the page cache does not, since it caches each chunk of a
+    /// chunked store by reference instead.
+    fn read_bytes_gather(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
+        let first = self.read_bytes(ino, fh, offset, len)?;
+        if first.len() == len || first.is_empty() {
+            return Ok(first);
+        }
+        // Short: probe whether it was EOF (forward the prefix as-is, still
+        // zero-copy) or a chunk boundary (gather the rest).
+        let next = self.read_bytes(ino, fh, offset + first.len() as u64, len - first.len())?;
+        if next.is_empty() {
+            return Ok(first);
+        }
+        let mut buf = Vec::with_capacity(len);
+        buf.extend_from_slice(&first);
+        buf.extend_from_slice(&next);
+        while buf.len() < len {
+            let chunk = self.read_bytes(ino, fh, offset + buf.len() as u64, len - buf.len())?;
+            if chunk.is_empty() {
+                break;
+            }
+            buf.extend_from_slice(&chunk);
+        }
+        Ok(Bytes::from(buf))
+    }
+
+    /// Reads up to `buf.len()` bytes at `offset` into `buf`; returns bytes
+    /// read (0 at or past EOF).
+    fn read(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
+        let data = self.read_bytes_gather(ino, fh, offset, buf.len())?;
+        buf[..data.len()].copy_from_slice(&data);
+        Ok(data.len())
+    }
+
+    /// Writes `data` at `offset`; returns bytes written.
+    fn write(&self, ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize> {
+        self.write_bytes(ino, fh, offset, Bytes::copy_from_slice(data))
+    }
+}
+
+impl<F: Filesystem + ?Sized> FilesystemExt for F {}
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! structural invariants (link counts, space accounting).
 
 use cntr_fs::memfs::memfs_with_capacity;
-use cntr_fs::{Filesystem, FsContext, MemFs};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext, MemFs};
 use cntr_types::{DevId, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr, SimClock};
 use proptest::prelude::*;
 use std::collections::HashMap;

@@ -641,15 +641,6 @@ impl Filesystem for FuseClientFs {
         Ok(())
     }
 
-    fn read(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
-        // `read(2)` semantics: the final hop into the caller's buffer is
-        // always a copy (copy_to_user); everything before it is the shared
-        // splice path below.
-        let data = self.read_bytes(ino, fh, offset, buf.len())?;
-        buf[..data.len()].copy_from_slice(&data);
-        Ok(data.len())
-    }
-
     fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
         if len == 0 {
             return Ok(Bytes::new());
@@ -738,13 +729,6 @@ impl Filesystem for FuseClientFs {
         let n = data.len().min(buf.len());
         buf[..n].copy_from_slice(&data[..n]);
         Ok(n)
-    }
-
-    fn write(&self, ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize> {
-        // The copy_from_user: the kernel must own the payload before it can
-        // queue the request. In-kernel writers (page-cache write-back) call
-        // `write_bytes` directly and skip it.
-        self.write_bytes(ino, fh, offset, Bytes::copy_from_slice(data))
     }
 
     fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
@@ -923,6 +907,7 @@ mod tests {
     use crate::server::FsHandler;
     use crate::testing::{CountingTransport, PayloadLog};
     use cntr_fs::memfs::memfs;
+    use cntr_fs::FilesystemExt;
     use cntr_types::Timespec;
 
     fn mounted(config: FuseConfig) -> (Arc<FuseClientFs>, SimClock) {

@@ -8,7 +8,7 @@
 //! implements this same trait.
 
 use crate::proto::{InitFlags, Reply, Request, RequestCtx};
-use cntr_fs::{Filesystem, FsContext};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_types::{Gid, Ino, SysResult, Uid};
 use parking_lot::Mutex;
 use std::collections::HashMap;

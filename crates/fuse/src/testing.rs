@@ -238,14 +238,6 @@ impl Filesystem for InstrumentedFs {
         self.inner.release(ino, fh)
     }
 
-    fn read(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
-        self.inner.read(ino, fh, offset, buf)
-    }
-
-    fn write(&self, ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize> {
-        self.inner.write(ino, fh, offset, data)
-    }
-
     fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
         let out = self.inner.read_bytes(ino, fh, offset, len)?;
         self.log.record("fs-read", &out);

@@ -8,7 +8,7 @@
 //! bookkeeping) to POSIX behaviour.
 
 use cntr_fs::memfs::memfs;
-use cntr_fs::{Filesystem, FsContext};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_types::{CostModel, DevId, Errno, FileType, Ino, Mode, OpenFlags, SimClock};
 use proptest::prelude::*;

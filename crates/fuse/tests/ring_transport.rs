@@ -23,7 +23,7 @@
 
 use bytes::Bytes;
 use cntr_fs::memfs::memfs;
-use cntr_fs::{Filesystem, FsContext};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_fuse::proto::{Reply, Request, RequestCtx};
 use cntr_fuse::testing::{copies_along, CountingTransport, InstrumentedFs, PayloadLog};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, FuseHandler, RingTransport, Transport};

@@ -11,11 +11,13 @@
 //! * without `splice_read`, the same read pays ≥ 1 memcpy;
 //! * a 1 MiB `splice_write` lands in blob chunk storage as *slices of the
 //!   caller's buffer* — storage retains the wire allocation itself;
-//! * without `splice_write`, the payload is copied at the boundary.
+//! * without `splice_write`, the payload is copied at the boundary;
+//! * overlay copy-up hands each stored lower chunk to the upper by
+//!   reference: **0** copies per chunk.
 
 use bytes::Bytes;
 use cntr_fs::memfs::memfs;
-use cntr_fs::{Filesystem, FsContext};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_fuse::testing::{copies_along, CountingTransport, InstrumentedFs, PayloadLog};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_overlay::{blobfs, BlobStore, CHUNK_SIZE};
@@ -220,4 +222,64 @@ fn readahead_hits_are_slices_of_the_spliced_reply() {
         1,
         "only the initial fill crossed the wire"
     );
+}
+
+/// Overlay copy-up moves each chunk by reference: the lower's `read_bytes`
+/// slice of its stored chunk is what the upper's `write_bytes` receives,
+/// and the upper, on the lower's store, takes it as a dedup refcount bump.
+#[test]
+fn copy_up_moves_chunks_by_reference() {
+    const N: usize = 8;
+    let store = BlobStore::new();
+    let clock = SimClock::new();
+    let ctx = FsContext::root();
+    let lower_fs = blobfs(DevId(4), clock.clone(), Arc::clone(&store));
+    let payload = unique_payload();
+    let st = lower_fs
+        .mknod(Ino::ROOT, "f", FileType::Regular, Mode::RW_R__R__, 0, &ctx)
+        .unwrap();
+    let fh = lower_fs.open(st.ino, OpenFlags::WRONLY).unwrap();
+    lower_fs
+        .write(st.ino, fh, 0, &payload[..N * CHUNK_SIZE])
+        .unwrap();
+    lower_fs.release(st.ino, fh).unwrap();
+
+    let log = PayloadLog::new();
+    let lower = InstrumentedFs::new(lower_fs, Arc::clone(&log));
+    let upper = InstrumentedFs::new(
+        blobfs(DevId(5), clock, Arc::clone(&store)),
+        Arc::clone(&log),
+    );
+    let overlay = cntr_overlay::OverlayFs::new(DevId(6), vec![lower], upper);
+    let before = store.stats();
+
+    let f = overlay.lookup(Ino::ROOT, "f").unwrap();
+    let ofh = overlay.open(f.ino, OpenFlags::WRONLY).unwrap();
+    overlay.release(f.ino, ofh).unwrap();
+
+    let hops = log.all();
+    assert_eq!(
+        hops.len(),
+        2 * N,
+        "one read and one write per chunk: {hops:?}"
+    );
+    for (k, pair) in hops.chunks(2).enumerate() {
+        let chunk = &payload[k * CHUNK_SIZE..(k + 1) * CHUNK_SIZE];
+        let stored = store.chunk_bytes(store.lookup_chunk(chunk).expect("chunk stored"));
+        assert_eq!((pair[0].hop, pair[1].hop), ("fs-read", "fs-write"));
+        assert_eq!((pair[0].len, pair[1].len), (CHUNK_SIZE, CHUNK_SIZE));
+        let chain = [stored.as_ptr() as usize, pair[0].ptr, pair[1].ptr];
+        assert_eq!(
+            copies_along(&chain),
+            0,
+            "chunk {k} must move as the lower's stored chunk: {chain:x?}"
+        );
+    }
+    let after = store.stats();
+    assert_eq!(after.physical_bytes, before.physical_bytes);
+    assert_eq!(after.dedup_hits, before.dedup_hits + N as u64);
+    let mut buf = vec![0u8; N * CHUNK_SIZE];
+    let rfh = overlay.open(f.ino, OpenFlags::RDONLY).unwrap();
+    assert_eq!(overlay.read(f.ino, rfh, 0, &mut buf).unwrap(), buf.len());
+    assert_eq!(&buf[..], &payload[..N * CHUNK_SIZE]);
 }

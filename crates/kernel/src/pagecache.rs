@@ -58,7 +58,7 @@
 use crate::mount::CacheMode;
 use crate::table::lock_class;
 use bytes::Bytes;
-use cntr_fs::{Fh, Filesystem};
+use cntr_fs::{Fh, Filesystem, FilesystemExt};
 use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{CostModel, DevId, Errno, Ino, SimClock, SysResult};
 use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
@@ -912,12 +912,10 @@ impl CacheShared {
                 // Synthetic mode: the fill must still be a real page-sized
                 // read so every layer below (FUSE round trips, readahead,
                 // disk) charges its true cost — only the bytes are
-                // discarded. It stays one page per fill: the virtual-time
-                // figures are calibrated against that request stream.
-                // Stack-allocated: the fill re-enters this function through
-                // the FUSE server.
-                let mut sink = [0u8; PAGE_SIZE];
-                file.fs.read(ino, file.fh, page_off, &mut sink)?;
+                // discarded. It stays one `read_bytes` call per fill: the
+                // virtual-time figures are calibrated against that request
+                // stream.
+                file.fs.read_bytes(ino, file.fh, page_off, PAGE_SIZE)?;
                 vec![PageData::Synthetic]
             } else {
                 Self::fill_run(file, page_off, run)?

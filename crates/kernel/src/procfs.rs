@@ -23,6 +23,7 @@
 
 use crate::kernel::KernelInner;
 use crate::ns::{NamespaceKind, ALL_KINDS};
+use bytes::Bytes;
 use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags};
 use cntr_types::{
     DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, RenameFlags, SetAttr, Stat,
@@ -477,7 +478,7 @@ impl Filesystem for ProcFs {
         Ok(())
     }
 
-    fn read(&self, ino: Ino, _fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
+    fn read_bytes(&self, ino: Ino, _fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
         let content = match Self::classify(ino) {
             ProcNode::File(pid, f) => self.content(pid, f)?,
             ProcNode::NsTable => self.namespaces_content()?,
@@ -486,14 +487,14 @@ impl Filesystem for ProcFs {
             _ => return Err(Errno::EISDIR),
         };
         if offset >= content.len() as u64 {
-            return Ok(0);
+            return Ok(Bytes::new());
         }
-        let n = buf.len().min(content.len() - offset as usize);
-        buf[..n].copy_from_slice(&content[offset as usize..offset as usize + n]);
-        Ok(n)
+        let start = offset as usize;
+        let end = content.len().min(start.saturating_add(len));
+        Ok(Bytes::from(content).slice(start..end))
     }
 
-    fn write(&self, _ino: Ino, _fh: Fh, _offset: u64, _data: &[u8]) -> SysResult<usize> {
+    fn write_bytes(&self, _ino: Ino, _fh: Fh, _offset: u64, _data: Bytes) -> SysResult<usize> {
         Err(Errno::EROFS)
     }
 

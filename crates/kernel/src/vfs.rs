@@ -18,7 +18,7 @@ use crate::mount::{CacheMode, Mount, MountFlags, MountId, MountNs, Propagation};
 use crate::pagecache::FileRef;
 use crate::process::{FdEntry, FileKind, OpenFile, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
-use cntr_fs::{Filesystem, FsContext, XattrFlags, XATTR_NAME_CAPS};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext, XattrFlags, XATTR_NAME_CAPS};
 use cntr_types::{
     AccessMode, AtFlags, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags,
     Pid, RenameFlags, SetAttr, Stat, SysResult, Uid,
@@ -503,8 +503,9 @@ impl Kernel {
                         .page_cache
                         .invalidate_file(dev, resolved.loc.ino)?;
                 }
-                // O_DIRECT coherency: flush and drop buffered pages so
-                // direct I/O observes (and produces) on-disk state.
+                // O_DIRECT coherency starts at open: flush and drop the
+                // buffered pages. Each direct read or write then flushes
+                // again, and a direct write drops the range it wrote.
                 if flags.contains(OpenFlags::DIRECT) {
                     self.inner
                         .page_cache
@@ -636,6 +637,9 @@ impl Kernel {
                     return Err(Errno::EBADF);
                 }
                 if file.flags.contains(OpenFlags::DIRECT) {
+                    // Linux's `filemap_write_and_wait_range`: a direct read
+                    // sees what buffered writers left dirty.
+                    self.inner.page_cache.flush_file(*dev, fref.ino)?;
                     return fref.fs.read(fref.ino, fref.fh, offset, buf);
                 }
                 let fs_size = fref.fs.getattr(fref.ino)?.size;
@@ -760,7 +764,16 @@ impl Kernel {
                     let _ = fref.fs.removexattr(fref.ino, XATTR_NAME_CAPS);
                 }
                 if file.flags.contains(OpenFlags::DIRECT) {
-                    return fref.fs.write(fref.ino, fref.fh, offset, data);
+                    // Write back first so a later flush cannot overwrite
+                    // the direct write with older bytes, then drop the
+                    // cached copy of the range it overwrote (Linux's
+                    // `kiocb_invalidate_post_direct_write`).
+                    self.inner.page_cache.flush_file(*dev, fref.ino)?;
+                    let n = fref.fs.write(fref.ino, fref.fh, offset, data)?;
+                    self.inner
+                        .page_cache
+                        .drop_range(*dev, fref.ino, offset, n as u64);
+                    return Ok(n);
                 }
                 let n = self
                     .inner
@@ -2452,6 +2465,43 @@ mod tests {
         k.write_fd(P, fd, b"direct").unwrap();
         k.close(P, fd).unwrap();
         assert_eq!(k.stat(P, "/d").unwrap().size, 6);
+    }
+
+    #[test]
+    fn o_direct_io_is_coherent_with_buffered_io() {
+        let k = kernel();
+        // Both descriptors open first, so open-time invalidation cannot
+        // hide a stale page.
+        let buffered = k
+            .open(
+                P,
+                "/co",
+                OpenFlags::RDWR.with(OpenFlags::CREAT),
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        let direct = k
+            .open(
+                P,
+                "/co",
+                OpenFlags::RDWR.with(OpenFlags::DIRECT),
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        // A direct read sees a buffered write still dirty in the cache.
+        k.pwrite(P, buffered, 0, b"buffered").unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(k.pread(P, direct, 0, &mut buf).unwrap(), 8);
+        assert_eq!(&buf, b"buffered");
+        // A buffered read after a direct write sees the direct bytes, not
+        // the page cached before it.
+        k.pwrite(P, direct, 0, b"DIRECT").unwrap();
+        assert_eq!(k.pread(P, buffered, 0, &mut buf).unwrap(), 8);
+        assert_eq!(&buf, b"DIRECTed");
+        // Write-back after the direct write cannot resurrect older bytes.
+        k.fsync(P, buffered, false).unwrap();
+        assert_eq!(k.pread(P, direct, 0, &mut buf).unwrap(), 8);
+        assert_eq!(&buf, b"DIRECTed");
     }
 
     #[test]

@@ -297,7 +297,7 @@ fn stress_fork_exec_attach_umount_across_containers() {
 /// must preserve exact request accounting, under the lockdep checkpoints
 /// at the ring's park/reap points.
 fn fuse_ring_accounting_bout() {
-    use cntr_fs::Filesystem;
+    use cntr_fs::{Filesystem, FilesystemExt};
     use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
     use cntr_types::{CostModel, FileType, Ino};
 

@@ -6,7 +6,7 @@
 //! so a concurrent test would perturb them.
 
 use cntr_fs::memfs::memfs;
-use cntr_fs::{Filesystem, FsContext};
+use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_kernel::pagecache::{FileRef, PageCache};
 use cntr_kernel::CacheMode;
 use cntr_types::{CostModel, DevId, FileType, Ino, Mode, OpenFlags, SimClock};

@@ -259,7 +259,7 @@ pub fn blobfs_with_capacity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cntr_fs::{Filesystem, FsContext};
+    use cntr_fs::{Filesystem, FilesystemExt, FsContext};
     use cntr_types::{FileType, Ino, Mode, OpenFlags, SetAttr};
 
     fn fs_pair() -> (Arc<BlobStore>, Arc<BlobFs>) {

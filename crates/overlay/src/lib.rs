@@ -33,4 +33,4 @@ pub mod overlay;
 
 pub use backend::{blobfs, blobfs_with_capacity, BlobBackend, BlobFs};
 pub use blob::{BlobHandle, BlobId, BlobStore, BlobStoreStats, CHUNK_SIZE};
-pub use overlay::{DiffEntry, DiffKind, OverlayFs};
+pub use overlay::OverlayFs;

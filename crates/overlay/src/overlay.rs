@@ -34,7 +34,6 @@ use cntr_types::{
 use obs::{LazyCounter, Subsystem};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The xattr marking an opaque directory (Linux overlayfs convention).
@@ -104,9 +103,6 @@ struct OvlState {
     handles: HashMap<Fh, OvlHandle>,
     next_ino: u64,
     next_fh: u64,
-    /// Paths opened for reading while access tracking is on (the overlay
-    /// replacement for fanotify in `cntr-slim`).
-    accessed: BTreeSet<String>,
     /// Dentry cache: parent overlay ino → name → `Some(child)` for a
     /// previously merged child, `None` for a confirmed-absent name (a
     /// negative entry). A hit answers a lookup with one `getattr` against
@@ -192,27 +188,6 @@ pub struct OverlayFs {
     /// Topmost first (`lowerdir=` order on Linux).
     lowers: Vec<Arc<dyn Filesystem>>,
     state: Mutex<OvlState>,
-    track_access: AtomicBool,
-}
-
-/// What one upper-layer entry means relative to the lowers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiffKind {
-    /// A node added or modified in the upper layer.
-    Upsert(FileType),
-    /// A whiteout hiding a lower entry.
-    Whiteout,
-    /// An opaque directory (its merged content is upper-only).
-    Opaque,
-}
-
-/// One entry of [`OverlayFs::upper_diff`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffEntry {
-    /// Absolute path within the overlay.
-    pub path: String,
-    /// Entry class.
-    pub kind: DiffKind,
 }
 
 fn is_whiteout(st: &Stat) -> bool {
@@ -284,74 +259,17 @@ impl OverlayFs {
                     handles: HashMap::new(),
                     next_ino: 2,
                     next_fh: 1,
-                    accessed: BTreeSet::new(),
                     dcache: HashMap::new(),
                     dcache_len: 0,
                     dir_cache: HashMap::new(),
                 },
             ),
-            track_access: AtomicBool::new(false),
         })
     }
 
     /// The writable upper layer.
     pub fn upper_layer(&self) -> &Arc<dyn Filesystem> {
         &self.upper
-    }
-
-    /// Enables or disables read-access tracking. Enabling clears the log.
-    pub fn set_access_tracking(&self, on: bool) {
-        if on {
-            self.state.lock().accessed.clear();
-        }
-        self.track_access.store(on, Ordering::Relaxed);
-    }
-
-    /// Paths opened for reading since tracking was enabled.
-    pub fn accessed_paths(&self) -> BTreeSet<String> {
-        self.state.lock().accessed.clone()
-    }
-
-    /// Walks the upper layer and classifies every entry — the container's
-    /// write set. `cntr-slim` diffs this instead of replaying access logs.
-    pub fn upper_diff(&self) -> Vec<DiffEntry> {
-        let mut out = Vec::new();
-        self.diff_dir(self.upper.root_ino(), "", &mut out);
-        out
-    }
-
-    fn diff_dir(&self, dir: Ino, prefix: &str, out: &mut Vec<DiffEntry>) {
-        let Ok(entries) = self.upper.readdir(dir) else {
-            return;
-        };
-        for e in entries {
-            let path = format!("{prefix}/{}", e.name);
-            let Ok(st) = self.upper.getattr(e.ino) else {
-                continue;
-            };
-            if is_whiteout(&st) {
-                out.push(DiffEntry {
-                    path,
-                    kind: DiffKind::Whiteout,
-                });
-            } else if st.ftype == FileType::Directory {
-                let opaque = self.upper.getxattr(e.ino, OPAQUE_XATTR).is_ok();
-                out.push(DiffEntry {
-                    path: path.clone(),
-                    kind: if opaque {
-                        DiffKind::Opaque
-                    } else {
-                        DiffKind::Upsert(FileType::Directory)
-                    },
-                });
-                self.diff_dir(e.ino, &path, out);
-            } else {
-                out.push(DiffEntry {
-                    path,
-                    kind: DiffKind::Upsert(st.ftype),
-                });
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -367,20 +285,6 @@ impl OverlayFs {
 
     fn node(st: &OvlState, ino: Ino) -> SysResult<&OvlNode> {
         st.nodes.get(&ino).ok_or(Errno::ENOENT)
-    }
-
-    /// Absolute overlay path of a node (access log, diffs).
-    fn path_of(st: &OvlState, mut ino: Ino) -> String {
-        let mut parts = Vec::new();
-        let mut hops = 0;
-        while ino != Ino::ROOT && hops < 4096 {
-            let Some(n) = st.nodes.get(&ino) else { break };
-            parts.push(n.name.clone());
-            ino = n.parent;
-            hops += 1;
-        }
-        parts.reverse();
-        format!("/{}", parts.join("/"))
     }
 
     /// True if `dir_upper` carries the opaque marker.
@@ -753,7 +657,10 @@ impl OverlayFs {
     }
 
     /// Streams file data from a lower file into a fresh upper file,
-    /// chunk-by-chunk, skipping holes (all-zero chunks).
+    /// chunk-by-chunk, skipping holes (all-zero chunks). Each chunk moves
+    /// by reference: the lower's `read_bytes` slice is what the upper's
+    /// `write_bytes` receives, so a blob-backed upper on the lower's store
+    /// takes it as a refcount bump.
     fn copy_data(
         &self,
         src: &Arc<dyn Filesystem>,
@@ -763,18 +670,18 @@ impl OverlayFs {
     ) -> SysResult<()> {
         let sfh = src.open(src_ino, OpenFlags::RDONLY)?;
         let dfh = self.upper.open(dst_ino, OpenFlags::WRONLY)?;
-        let mut buf = vec![0u8; CHUNK_SIZE];
         let mut off = 0u64;
         while off < size {
-            let n = src.read(src_ino, sfh, off, &mut buf)?;
+            let chunk = src.read_bytes(src_ino, sfh, off, CHUNK_SIZE)?;
+            let n = chunk.len() as u64;
             if n == 0 {
                 break;
             }
-            if !crate::blob::is_zero(&buf[..n]) {
-                self.upper.write(dst_ino, dfh, off, &buf[..n])?;
+            if !crate::blob::is_zero(&chunk) {
+                self.upper.write_bytes(dst_ino, dfh, off, chunk)?;
             }
-            OBS_COPY_UP_BYTES.add(n as u64);
-            off += n as u64;
+            OBS_COPY_UP_BYTES.add(n);
+            off += n;
         }
         src.release(src_ino, sfh)?;
         self.upper.release(dst_ino, dfh)?;
@@ -1284,10 +1191,6 @@ impl Filesystem for OverlayFs {
             (k, i)
         };
         let real_fh = self.layer_fs(layer).open(real_ino, flags)?;
-        if self.track_access.load(Ordering::Relaxed) && flags.mode.readable() {
-            let path = Self::path_of(&st, ino);
-            st.accessed.insert(path);
-        }
         let fh = Fh(st.next_fh);
         st.next_fh += 1;
         st.handles.insert(
@@ -1307,26 +1210,6 @@ impl Filesystem for OverlayFs {
         self.layer_fs(h.layer).release(h.real_ino, h.real_fh)
     }
 
-    fn read(&self, _ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
-        let st = self.state.lock();
-        let h = st.handles.get(&fh).ok_or(Errno::EBADF)?;
-        let (layer, real_ino, real_fh) = (h.layer, h.real_ino, h.real_fh);
-        drop(st);
-        self.layer_fs(layer).read(real_ino, real_fh, offset, buf)
-    }
-
-    fn write(&self, _ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize> {
-        let st = self.state.lock();
-        let h = st.handles.get(&fh).ok_or(Errno::EBADF)?;
-        let (layer, real_ino, real_fh) = (h.layer, h.real_ino, h.real_fh);
-        drop(st);
-        if matches!(layer, LayerKey::Lower(_)) {
-            // A lower handle is never writable (copy-up happens at open).
-            return Err(Errno::EBADF);
-        }
-        self.layer_fs(layer).write(real_ino, real_fh, offset, data)
-    }
-
     fn read_bytes(&self, _ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<bytes::Bytes> {
         // The splice path passes straight through to the layer that holds
         // the bytes (blob-backed layers answer with chunk slices, no copy).
@@ -1344,6 +1227,7 @@ impl Filesystem for OverlayFs {
         let (layer, real_ino, real_fh) = (h.layer, h.real_ino, h.real_fh);
         drop(st);
         if matches!(layer, LayerKey::Lower(_)) {
+            // A lower handle is never writable (copy-up happens at open).
             return Err(Errno::EBADF);
         }
         self.layer_fs(layer)

@@ -3,8 +3,7 @@
 use cntr_engine::image::{FileEntry, Image, ImageConfig, Layer, NodeSpec};
 use cntr_engine::ContainerRuntime;
 use cntr_kernel::Kernel;
-use cntr_overlay::DiffKind;
-use cntr_types::{FileType, Mode, OpenFlags, SysResult};
+use cntr_types::{Mode, OpenFlags, SysResult};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -88,13 +87,8 @@ impl DockerSlim {
 
     /// **Dynamic analysis**: runs the profiling workload (the "manually ran
     /// the application so it would load all the required files" step of
-    /// §5.3) and returns the set of accessed paths.
-    ///
-    /// For overlay-backed containers the data comes straight from the
-    /// storage layer: the overlay records read accesses per layer object,
-    /// and the container's write set is obtained by **diffing the upper
-    /// layer directly** — no replaying of access logs against a flattened
-    /// tree. Containers on other mounts fall back to fanotify recording.
+    /// §5.3) under fanotify recording and returns the set of accessed
+    /// paths.
     pub fn dynamic_analysis(
         &self,
         rt: &ContainerRuntime,
@@ -103,20 +97,6 @@ impl DockerSlim {
     ) -> SysResult<BTreeSet<String>> {
         let k = rt.kernel();
         let pid = rt.resolve(container)?;
-        if let Ok(overlay) = rt.overlay_of(container) {
-            overlay.set_access_tracking(true);
-            profile_workload(k, pid, image);
-            overlay.set_access_tracking(false);
-            let mut accessed = overlay.accessed_paths();
-            for d in overlay.upper_diff() {
-                if let DiffKind::Upsert(ftype) = d.kind {
-                    if ftype != FileType::Directory {
-                        accessed.insert(d.path);
-                    }
-                }
-            }
-            return Ok(accessed);
-        }
         // Recording is scoped to the container's mount namespace, so two
         // concurrent slim analyses never see each other's events; this
         // drain returns only this container's accesses.

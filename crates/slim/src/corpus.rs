@@ -297,6 +297,87 @@ mod tests {
         );
     }
 
+    /// Figure 5 as recorded: `(reference, slim_bytes, kept_files,
+    /// dropped_files)` per corpus image, in corpus order.
+    const FIGURE5_PIN: [(&str, u64, usize, usize); 50] = [
+        ("nginx:latest", 51444754, 8, 26),
+        ("httpd:latest", 20752397, 9, 26),
+        ("redis:latest", 16400124, 7, 26),
+        ("memcached:latest", 46027855, 10, 26),
+        ("mysql:latest", 59779932, 10, 26),
+        ("mariadb:latest", 50883230, 6, 26),
+        ("postgres:latest", 44513709, 10, 26),
+        ("mongo:latest", 50960201, 8, 26),
+        ("cassandra:latest", 61036062, 9, 26),
+        ("couchdb:latest", 17261229, 7, 26),
+        ("rabbitmq:latest", 39444290, 10, 26),
+        ("kafka:latest", 23854242, 8, 26),
+        ("zookeeper:latest", 30012539, 6, 26),
+        ("elasticsearch:latest", 59044078, 8, 26),
+        ("kibana:latest", 37618935, 7, 26),
+        ("logstash:latest", 57354182, 7, 26),
+        ("solr:latest", 70690959, 7, 26),
+        ("influxdb:latest", 33932470, 6, 26),
+        ("telegraf:latest", 47524743, 9, 26),
+        ("neo4j:latest", 21396884, 10, 26),
+        ("wordpress:latest", 66287032, 9, 26),
+        ("drupal:latest", 60954416, 10, 26),
+        ("joomla:latest", 41439748, 7, 26),
+        ("ghost:latest", 43941819, 10, 26),
+        ("nextcloud:latest", 14238412, 7, 26),
+        ("owncloud:latest", 13611559, 7, 26),
+        ("phpmyadmin:latest", 58154995, 7, 26),
+        ("adminer:latest", 65250724, 8, 26),
+        ("mediawiki:latest", 68174692, 7, 26),
+        ("redmine:latest", 44891792, 8, 26),
+        ("jenkins:latest", 42891209, 8, 26),
+        ("sonarqube:latest", 34251306, 8, 26),
+        ("nexus:latest", 70210059, 10, 26),
+        ("teamcity:latest", 55735175, 9, 26),
+        ("gitea:latest", 38438776, 8, 26),
+        ("haproxy:latest", 33505640, 6, 26),
+        ("varnish:latest", 64627608, 7, 26),
+        ("squid:latest", 61947606, 6, 26),
+        ("tomcat:latest", 58345113, 8, 26),
+        ("jetty:latest", 66776386, 7, 26),
+        ("node-app:latest", 67296811, 8, 26),
+        ("rails-app:latest", 55763658, 7, 26),
+        ("django-app:latest", 39435254, 7, 26),
+        ("flask-app:latest", 22308131, 7, 26),
+        ("traefik:latest", 40317109, 2, 1),
+        ("consul:latest", 46710433, 2, 1),
+        ("vault:latest", 47585810, 2, 1),
+        ("etcd:latest", 29048377, 2, 1),
+        ("prometheus:latest", 63769429, 2, 1),
+        ("registry:latest", 26058677, 2, 1),
+    ];
+
+    #[test]
+    fn figure5_pinned_exactly() {
+        let (reports, blobs) = run_figure5_detailed();
+        let got: Vec<(&str, u64, usize, usize)> = reports
+            .iter()
+            .map(|r| {
+                (
+                    r.reference.as_str(),
+                    r.slim_bytes,
+                    r.kept_files,
+                    r.dropped_files,
+                )
+            })
+            .collect();
+        assert_eq!(got, FIGURE5_PIN);
+        assert_eq!(
+            blobs,
+            cntr_overlay::BlobStoreStats {
+                physical_bytes: 188_416,
+                ingested_bytes: 385_024,
+                unique_chunks: 46,
+                dedup_hits: 48,
+            }
+        );
+    }
+
     #[test]
     fn go_images_are_single_binary_shaped() {
         let corpus = top50_corpus();

@@ -215,7 +215,7 @@ pub fn cntrfs_over_overlayfs() -> TestEnv {
 /// lookups traverse the merge path), lower1 is an empty base, the upper is
 /// writable; all three share one blob store.
 fn build_overlay(clock: SimClock, dev_base: u64) -> std::sync::Arc<cntr_overlay::OverlayFs> {
-    use cntr_fs::Filesystem;
+    use cntr_fs::{Filesystem, FilesystemExt};
     let store = cntr_overlay::BlobStore::new();
     let ctx = cntr_fs::FsContext::root();
     let seeded = cntr_overlay::blobfs(DevId(dev_base + 1), clock.clone(), store.clone());

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use cntr::fs::Filesystem;
+use cntr::fs::{Filesystem, FilesystemExt};
 use cntr::prelude::*;
 use cntr_fuse::{FsHandler, FuseClientFs, RingTransport};
 use cntr_types::{CostModel, DevId, FileType, Ino};

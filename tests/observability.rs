@@ -221,7 +221,7 @@ fn cntrstats_and_tracing_cover_the_stack() {
             &cntr::fs::FsContext::root(),
         )
         .unwrap();
-    use cntr::fs::Filesystem;
+    use cntr::fs::{Filesystem, FilesystemExt};
     let fh = client.open(st.ino, OpenFlags::RDWR).unwrap();
     let payload = vec![0x5Au8; 1 << 20];
     client.write(st.ino, fh, 0, &payload).unwrap();
