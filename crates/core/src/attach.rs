@@ -597,7 +597,8 @@ mod tests {
     /// A cold 4 KiB `pread` straddling two pages of a tools file is one
     /// 8 KiB READ: the client page cache fills the run it misses with one
     /// request, and a read that does not continue the last reply opens no
-    /// readahead window.
+    /// readahead window. (The shipping profile less passthrough, which
+    /// would send no READ at all.)
     #[test]
     fn cold_pread_across_two_pages_is_one_8k_read() {
         let (k, rt) = setup();
@@ -613,7 +614,15 @@ mod tests {
         k.close(Pid::INIT, fd).unwrap();
         let c = rt.run("db", "mysql:slim").unwrap();
         let cntr = Cntr::new(k.clone());
-        let session = cntr.attach(c.pid, CntrOptions::default()).unwrap();
+        let cached = cntr_fuse::InitFlags {
+            passthrough: false,
+            ..cntr_fuse::InitFlags::cntr_default()
+        };
+        let opts = CntrOptions {
+            fuse: FuseConfig::optimized().with_flags(cached),
+            ..CntrOptions::default()
+        };
+        let session = cntr.attach(c.pid, opts).unwrap();
         let fd = k
             .open(
                 session.attached,

@@ -24,6 +24,13 @@
 //!   the *server's* root identity — the cause of xfstests #375,
 //! * inodes are not persistent: once forgotten they are gone, so file
 //!   handles are not exportable (xfstests #426).
+//!
+//! Where the mount negotiated FUSE passthrough (Linux 6.9, a post-paper
+//! optimization), the first OPEN of an inode registers the descriptor it
+//! opened as the inode's backing file (`FUSE_DEV_IOC_BACKING_OPEN`), and
+//! every OPEN reply of that inode carries the id: the kernel then reads and
+//! writes the file directly, and this server sees no READ or WRITE of it.
+//! The id lives until the inode's FORGET.
 
 use cntr_fuse::proto::{Reply, Request, RequestCtx};
 use cntr_fuse::server::FuseHandler;
@@ -85,9 +92,23 @@ struct InodeEntry {
     fd: u32,
     backing: (DevId, Ino),
     nlookup: u64,
+    registration: Registration,
+}
+
+/// Where an inode stands with FUSE passthrough.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Registration {
+    /// Not opened since its LOOKUP.
+    Unregistered,
+    /// Its backing file's id.
+    Registered(u32),
+    /// The kernel refused the registration: its opens stay cached.
+    Refused,
 }
 
 struct ServerState {
+    /// The connection, once INIT negotiated passthrough for it.
+    passthrough_conn: Option<DevId>,
     inodes: HashMap<u64, InodeEntry>,
     by_backing: HashMap<(DevId, Ino), u64>,
     next_ino: u64,
@@ -140,6 +161,7 @@ impl CntrfsServer {
                 fd: root,
                 backing: (DevId(0), Ino(0)),
                 nlookup: 1,
+                registration: Registration::Unregistered,
             },
         );
         OBS_ANCHORS.inc();
@@ -149,6 +171,7 @@ impl CntrfsServer {
             state: Arc::new(Mutex::new_class(
                 STATE_CLASS,
                 ServerState {
+                    passthrough_conn: None,
                     inodes,
                     by_backing: HashMap::new(),
                     next_ino: 2,
@@ -204,6 +227,7 @@ impl CntrfsServer {
                             fd,
                             backing,
                             nlookup: 1,
+                            registration: Registration::Unregistered,
                         },
                     );
                     state.by_backing.insert(backing, ino);
@@ -244,24 +268,80 @@ impl CntrfsServer {
         if ino.raw() == 1 {
             return;
         }
-        let dropped = {
+        let (dropped, conn) = {
             let mut st = self.state.lock();
-            match st.inodes.get_mut(&ino.raw()) {
+            let dropped = match st.inodes.get_mut(&ino.raw()) {
                 Some(e) if e.nlookup <= n => {
                     let e = st.inodes.remove(&ino.raw()).expect("present");
                     st.by_backing.remove(&e.backing);
-                    Some(e.fd)
+                    Some(e)
                 }
                 Some(e) => {
                     e.nlookup -= n;
                     None
                 }
                 None => None,
+            };
+            (dropped, st.passthrough_conn)
+        };
+        if let Some(e) = dropped {
+            OBS_ANCHORS.dec();
+            let _ = self.kernel.close(self.server_pid, e.fd);
+            if let (Registration::Registered(id), Some(conn)) = (e.registration, conn) {
+                let _ = self.kernel.fuse_backing_close(self.server_pid, conn, id);
+            }
+        }
+    }
+
+    /// The backing id an OPEN of `ino` replies with: the inode's, or, on
+    /// its first OPEN, the id the kernel gives `fd` (the descriptor that
+    /// OPEN opened) as its backing file. `None` where passthrough was not
+    /// negotiated or the kernel refused.
+    fn backing_id(&self, ino: Ino, fd: u32) -> Option<u32> {
+        let conn = {
+            let st = self.state.lock();
+            match st.inodes.get(&ino.raw())?.registration {
+                Registration::Registered(id) => return Some(id),
+                Registration::Refused => return None,
+                Registration::Unregistered => st.passthrough_conn?,
             }
         };
-        if let Some(fd) = dropped {
-            OBS_ANCHORS.dec();
-            let _ = self.kernel.close(self.server_pid, fd);
+        let registered = self.kernel.fuse_backing_open(self.server_pid, conn, fd);
+        let mut st = self.state.lock();
+        if registered == Err(Errno::ENODEV) {
+            // The mount is not in this server's kernel: no backing file of
+            // ours can serve it.
+            st.passthrough_conn = None;
+            return None;
+        }
+        let Some(e) = st.inodes.get_mut(&ino.raw()) else {
+            // Forgotten meanwhile: nothing will close the id but us.
+            drop(st);
+            if let Ok(id) = registered {
+                let _ = self.kernel.fuse_backing_close(self.server_pid, conn, id);
+            }
+            return None;
+        };
+        match (e.registration, registered) {
+            (Registration::Unregistered, Ok(id)) => {
+                e.registration = Registration::Registered(id);
+                Some(id)
+            }
+            (Registration::Unregistered, Err(_)) => {
+                e.registration = Registration::Refused;
+                None
+            }
+            // A concurrent OPEN of the inode settled it first.
+            (settled, mine) => {
+                drop(st);
+                if let Ok(id) = mine {
+                    let _ = self.kernel.fuse_backing_close(self.server_pid, conn, id);
+                }
+                match settled {
+                    Registration::Registered(id) => Some(id),
+                    _ => None,
+                }
+            }
         }
     }
 
@@ -346,11 +426,15 @@ impl CntrfsServer {
     fn dispatch(&self, req: Request) -> SysResult<Reply> {
         let (k, pid) = (&self.kernel, self.server_pid);
         Ok(match req {
-            Request::Init { wanted } => Reply::Init {
+            Request::Init { wanted, conn } => {
                 // CntrFS supports every optimization (splice write included,
                 // even though CNTR disables it by default).
-                granted: wanted.intersect(InitFlags::all()),
-            },
+                let granted = wanted.intersect(InitFlags::all());
+                if granted.passthrough {
+                    self.state.lock().passthrough_conn = Some(conn);
+                }
+                Reply::Init { granted }
+            }
             Request::Lookup { parent, name, .. } => {
                 self.counters.lookups.inc();
                 Reply::Entry(self.lookup_impl(parent, &name)?)
@@ -439,8 +523,11 @@ impl CntrfsServer {
                 Reply::Entry(self.lookup_impl(newparent, &newname)?)
             }
             Request::Open { ino, flags } => {
+                // The descriptor serves FSYNC, FALLOCATE and, without
+                // passthrough, READ and WRITE of this open.
                 let fd = k.reopen(pid, self.anchor(ino)?, flags)?;
                 Reply::Opened {
+                    passthrough: self.backing_id(ino, fd),
                     fh: self.add_handle(fd),
                     keep_cache: true,
                 }

@@ -24,6 +24,6 @@ mod traits;
 pub use diskfs::DiskFs;
 pub use memfs::MemFs;
 pub use traits::{
-    FallocateMode, Fh, Filesystem, FilesystemExt, FsContext, FsFeatures, XattrFlags, MAX_NAME_LEN,
-    XATTR_NAME_CAPS,
+    FallocateMode, Fh, Filesystem, FilesystemExt, FsContext, FsFeatures, Passthrough, XattrFlags,
+    MAX_NAME_LEN, XATTR_NAME_CAPS,
 };

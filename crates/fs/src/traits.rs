@@ -5,6 +5,7 @@ use cntr_types::{
     DevId, Dirent, FileType, Gid, Ino, Mode, OpenFlags, RenameFlags, SetAttr, Stat, Statfs,
     SysResult, Uid,
 };
+use std::sync::Arc;
 
 /// Maximum length of one path component, as on Linux (`NAME_MAX`).
 pub const MAX_NAME_LEN: usize = 255;
@@ -99,7 +100,8 @@ pub enum FallocateMode {
 /// They also state the page-cache contract the kernel applies to a mount of
 /// the filesystem: a disk or tmpfs caches both ways, a FUSE mount reports
 /// what INIT negotiated (two of the paper's §3.3 optimizations), and
-/// `/proc` caches nothing.
+/// `/proc` caches nothing. A FUSE mount that negotiated passthrough also
+/// says so, and every filesystem states how deeply it stacks on others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsFeatures {
     /// `open(O_DIRECT)` is honoured.
@@ -123,6 +125,15 @@ pub struct FsFeatures {
     /// Cached pages survive `open()` (`FOPEN_KEEP_CACHE`). Off = a file's
     /// cached pages are invalidated each time it is opened.
     pub keep_cache: bool,
+    /// `FUSE_PASSTHROUGH` was negotiated: an open may hand its data I/O to
+    /// a backing file ([`Filesystem::passthrough`]), and the kernel keeps
+    /// the mount's backing table and each inode's I/O mode.
+    pub passthrough: bool,
+    /// How many filesystems this one stacks on (Linux's `s_stack_depth`):
+    /// 0 for a disk or tmpfs, 1 for an overlay of them. A FUSE mount that
+    /// negotiated passthrough reports its `max_stack_depth`, and refuses a
+    /// backing file at that depth or deeper.
+    pub stack_depth: u8,
 }
 
 impl FsFeatures {
@@ -137,6 +148,8 @@ impl FsFeatures {
             reflink: false,
             writeback_cache: true,
             keep_cache: true,
+            passthrough: false,
+            stack_depth: 0,
         }
     }
 
@@ -151,7 +164,31 @@ impl FsFeatures {
             reflink: false,
             writeback_cache: true,
             keep_cache: true,
+            passthrough: false,
+            stack_depth: 0,
         }
+    }
+}
+
+/// A FUSE handle whose data I/O bypasses the filesystem
+/// (`FOPEN_PASSTHROUGH`, Linux 6.9): the kernel reads and writes the
+/// backing file the server registered instead.
+#[derive(Clone)]
+pub struct Passthrough {
+    /// The id `FUSE_DEV_IOC_BACKING_OPEN` gave the server's backing file:
+    /// a key into the connection's backing table.
+    pub backing_id: u32,
+    /// Told the end offset of each passthrough write, so the filesystem
+    /// can extend the size it caches (Linux's `fuse_write_update_attr`,
+    /// called through `backing_file_ctx::end_write`).
+    pub end_write: Arc<dyn Fn(u64) + Send + Sync>,
+}
+
+impl std::fmt::Debug for Passthrough {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Passthrough")
+            .field("backing_id", &self.backing_id)
+            .finish_non_exhaustive()
     }
 }
 
@@ -235,6 +272,15 @@ pub trait Filesystem: Send + Sync {
 
     /// Releases a file handle.
     fn release(&self, ino: Ino, fh: Fh) -> SysResult<()>;
+
+    /// The backing file of handle `fh`, if its open was a FUSE
+    /// passthrough open: the kernel then routes the handle's reads and
+    /// writes to that file and never calls [`Filesystem::read_bytes`] or
+    /// [`Filesystem::write_bytes`] for it. `None` (the default) means the
+    /// handle's data goes through this filesystem.
+    fn passthrough(&self, _ino: Ino, _fh: Fh) -> Option<Passthrough> {
+        None
+    }
 
     /// Reads up to `len` bytes at `offset` as an owned [`Bytes`] buffer:
     /// the one read path of every filesystem (the splice path of §3.3).

@@ -27,7 +27,12 @@
 //!   shipping profile turns it on: batched write-back makes WRITEs few and
 //!   large, so the peek amortizes ([`InitFlags::cntr_default`]);
 //! * **worker threads** add per-request synchronization overhead
-//!   (Figure 4).
+//!   (Figure 4);
+//! * **passthrough** (`FUSE_PASSTHROUGH`, Linux 6.9) takes file data off
+//!   FUSE altogether: an OPEN reply with a backing id hands the handle to
+//!   the kernel ([`Filesystem::passthrough`]), which reads and writes the
+//!   server's backing file itself. Post-dates the paper, so its profile
+//!   keeps it off.
 //!
 //! The page cache itself lives in the simulated kernel (`cntr-kernel`); the
 //! negotiated `writeback_cache`/`keep_cache` flags are reported through
@@ -35,12 +40,14 @@
 //! policy.
 
 use crate::config::{
-    FuseConfig, ENTRY_CACHE_CAP, FORGET_BATCH, MAX_READ, META_PIPELINE, RING_BATCH,
+    FuseConfig, ENTRY_CACHE_CAP, FORGET_BATCH, MAX_READ, MAX_STACK_DEPTH, META_PIPELINE, RING_BATCH,
 };
 use crate::conn::{ConnSnapshot, Transport};
 use crate::proto::{InitFlags, Reply, Request, RequestCtx};
 use bytes::Bytes;
-use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags, XATTR_NAME_CAPS};
+use cntr_fs::{
+    FallocateMode, Fh, Filesystem, FsContext, FsFeatures, Passthrough, XattrFlags, XATTR_NAME_CAPS,
+};
 use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
     CostModel, DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr,
@@ -97,6 +104,9 @@ struct ClientState {
     nlookup: HashMap<Ino, u64>,
     forget_queue: Vec<(Ino, u64)>,
     readahead: HashMap<u64, ReadAhead>,
+    /// Backing ids of the open handles whose OPEN reply carried
+    /// `FOPEN_PASSTHROUGH`.
+    passthrough: HashMap<u64, u32>,
     tick: u64,
 }
 
@@ -145,7 +155,8 @@ pub struct FuseClientFs {
     cost: CostModel,
     config: FuseConfig,
     transport: Arc<dyn Transport>,
-    state: Mutex<ClientState>,
+    /// Shared with the `end_write` hooks of passthrough handles.
+    state: Arc<Mutex<ClientState>>,
     counters: ClientCounters,
 }
 
@@ -160,6 +171,7 @@ impl FuseClientFs {
     ) -> SysResult<Arc<FuseClientFs>> {
         let reply = transport.call(Request::Init {
             wanted: config.flags,
+            conn: dev,
         });
         let granted = match reply {
             Reply::Init { granted } => granted,
@@ -174,7 +186,10 @@ impl FuseClientFs {
             cost,
             config,
             transport,
-            state: Mutex::new_class("fuse.client_state", ClientState::default()),
+            state: Arc::new(Mutex::new_class(
+                "fuse.client_state",
+                ClientState::default(),
+            )),
             counters: ClientCounters::default(),
         }))
     }
@@ -408,6 +423,12 @@ impl Filesystem for FuseClientFs {
             reflink: false,
             writeback_cache: flags.writeback_cache,
             keep_cache: flags.keep_cache,
+            passthrough: flags.passthrough,
+            stack_depth: if flags.passthrough {
+                MAX_STACK_DEPTH
+            } else {
+                0
+            },
         }
     }
 
@@ -614,16 +635,26 @@ impl Filesystem for FuseClientFs {
             return Err(Errno::EINVAL);
         }
         match self.call(Request::Open { ino, flags })? {
-            Reply::Opened { fh, .. } => {
+            Reply::Opened {
+                fh, passthrough, ..
+            } => {
                 let mut st = self.state.lock();
-                st.readahead.insert(
-                    fh,
-                    ReadAhead {
-                        ino,
-                        start: 0,
-                        data: Bytes::new(),
-                    },
-                );
+                // A passthrough handle sends no READ: it needs no window.
+                match passthrough {
+                    Some(id) => {
+                        st.passthrough.insert(fh, id);
+                    }
+                    None => {
+                        st.readahead.insert(
+                            fh,
+                            ReadAhead {
+                                ino,
+                                start: 0,
+                                data: Bytes::new(),
+                            },
+                        );
+                    }
+                }
                 if flags.contains(OpenFlags::TRUNC) && flags.mode.writable() {
                     if let Some(stat) = st.attr_cache.get_mut(&ino) {
                         stat.size = 0;
@@ -636,9 +667,33 @@ impl Filesystem for FuseClientFs {
     }
 
     fn release(&self, ino: Ino, fh: Fh) -> SysResult<()> {
-        self.state.lock().readahead.remove(&fh.0);
+        {
+            let mut st = self.state.lock();
+            st.readahead.remove(&fh.0);
+            st.passthrough.remove(&fh.0);
+        }
         self.call(Request::Release { ino, fh: fh.0 })?;
         Ok(())
+    }
+
+    fn passthrough(&self, ino: Ino, fh: Fh) -> Option<Passthrough> {
+        let backing_id = *self.state.lock().passthrough.get(&fh.0)?;
+        let (state, clock) = (Arc::clone(&self.state), self.clock.clone());
+        Some(Passthrough {
+            backing_id,
+            // `fuse_write_update_attr`: no WRITE reply reports a
+            // passthrough write, so the cached size grows with it, and the
+            // cached times move to the write's, as the backing file's do.
+            // `S_NOSEC` stays: the write changed no privilege.
+            end_write: Arc::new(move |end| {
+                if let Some(stat) = state.lock().attr_cache.get_mut(&ino) {
+                    let now = clock.now();
+                    stat.size = stat.size.max(end);
+                    stat.mtime = stat.mtime.max(now);
+                    stat.ctime = stat.ctime.max(now);
+                }
+            }),
+        })
     }
 
     fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {

@@ -16,6 +16,11 @@ pub(crate) const FORGET_BATCH: usize = 64;
 /// lookup round trips the kernel keeps in flight.
 pub(crate) const META_PIPELINE: usize = 4;
 
+/// `max_stack_depth` of a mount that negotiated passthrough: Linux's
+/// `FILESYSTEM_MAX_STACK_DEPTH`, the deepest it allows. CntrFS serves a
+/// container's overlay (depth 1), so its backing files must sit below 2.
+pub(crate) const MAX_STACK_DEPTH: u8 = 2;
+
 /// Per-worker submission/completion ring capacity when the `ring` flag is
 /// negotiated (entries; io_uring's `sq_entries` analog).
 pub(crate) const RING_DEPTH: usize = 64;
@@ -115,6 +120,7 @@ mod tests {
         assert!(o.flags.cache_symlinks && !p.flags.cache_symlinks);
         assert_eq!(p.workers, o.workers);
         assert!(o.flags.ring, "shipping default negotiates the ring");
+        assert!(o.flags.passthrough && !p.flags.passthrough);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use cntr_types::{
-    Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr, Stat, Statfs,
+    DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr, Stat, Statfs,
 };
 
 /// Size of a FUSE request/reply header (`fuse_in_header` is 40 bytes;
@@ -172,10 +172,18 @@ pub struct InitFlags {
     /// of §5.2.2. Post-dates the paper, so [`InitFlags::paper_legacy`]
     /// keeps it off.
     pub handle_killpriv_v2: bool,
+    /// `FUSE_PASSTHROUGH` (Linux 6.9): an OPEN reply may carry
+    /// `FOPEN_PASSTHROUGH` and a backing id, and the kernel then reads and
+    /// writes the server's backing file directly — no READ/WRITE request,
+    /// and the FUSE mount caches none of the file's pages, so each page
+    /// is cached once (the double buffering of §5.2.2 is gone).
+    /// Post-dates the paper, so [`InitFlags::paper_legacy`] keeps it off.
+    pub passthrough: bool,
 }
 
 impl InitFlags {
-    /// The shipping defaults: everything on, **including splice-write**.
+    /// The shipping defaults: everything on, **including splice-write**
+    /// and passthrough.
     ///
     /// The paper disabled splice-write because the per-request header peek
     /// cost a context switch while writes were page-sized; now that
@@ -195,12 +203,13 @@ impl InitFlags {
             ring: true,
             cache_symlinks: true,
             handle_killpriv_v2: true,
+            passthrough: true,
         }
     }
 
     /// CNTR's shipping defaults *as published* (§3.3): everything on except
-    /// splice-write and the post-paper ring transport, symlink cache and
-    /// `handle_killpriv_v2`. The paper-figure reproductions
+    /// splice-write and the post-paper ring transport, symlink cache,
+    /// `handle_killpriv_v2` and passthrough. The paper-figure reproductions
     /// (`cntr-phoronix`) pin this profile so Figures 2–4 keep the published
     /// calibration.
     pub const fn paper_legacy() -> InitFlags {
@@ -215,6 +224,7 @@ impl InitFlags {
             ring: false,
             cache_symlinks: false,
             handle_killpriv_v2: false,
+            passthrough: false,
         }
     }
 
@@ -231,6 +241,7 @@ impl InitFlags {
             ring: false,
             cache_symlinks: false,
             handle_killpriv_v2: false,
+            passthrough: false,
         }
     }
 
@@ -247,6 +258,7 @@ impl InitFlags {
             ring: true,
             cache_symlinks: true,
             handle_killpriv_v2: true,
+            passthrough: true,
         }
     }
 
@@ -264,6 +276,7 @@ impl InitFlags {
             ring: self.ring && other.ring,
             cache_symlinks: self.cache_symlinks && other.cache_symlinks,
             handle_killpriv_v2: self.handle_killpriv_v2 && other.handle_killpriv_v2,
+            passthrough: self.passthrough && other.passthrough,
         }
     }
 }
@@ -286,6 +299,9 @@ pub enum Request {
     Init {
         /// Flags the kernel wants.
         wanted: InitFlags,
+        /// The connection: the FUSE mount's device, which the server's
+        /// `/dev/fuse` descriptor names. Its backing-file ioctls go to it.
+        conn: DevId,
     },
     /// Resolve `name` under `parent`.
     Lookup {
@@ -594,6 +610,9 @@ pub enum Reply {
         fh: u64,
         /// Whether `FOPEN_KEEP_CACHE` was set on this open.
         keep_cache: bool,
+        /// `FOPEN_PASSTHROUGH` with its backing id: the kernel routes this
+        /// open's reads and writes to that backing file.
+        passthrough: Option<u32>,
     },
     /// Created and opened (CREATE).
     Created {
@@ -673,14 +692,18 @@ mod tests {
             !legacy.handle_killpriv_v2,
             "FUSE_HANDLE_KILLPRIV_V2 post-dates the paper"
         );
+        assert!(!legacy.passthrough, "FUSE_PASSTHROUGH post-dates the paper");
         assert!(!InitFlags::none().cache_symlinks);
         assert!(!InitFlags::none().handle_killpriv_v2);
+        assert!(!InitFlags::none().passthrough);
+        assert!(InitFlags::cntr_default().passthrough && InitFlags::all().passthrough);
         // Identical to the shipping default in every other flag.
         let mut modern = InitFlags::cntr_default();
         modern.splice_write = false;
         modern.ring = false;
         modern.cache_symlinks = false;
         modern.handle_killpriv_v2 = false;
+        modern.passthrough = false;
         assert_eq!(legacy, modern);
     }
 

@@ -113,7 +113,7 @@ impl FsHandler {
 impl FuseHandler for FsHandler {
     fn handle(&self, req: Request) -> Reply {
         match req {
-            Request::Init { wanted } => Reply::Init {
+            Request::Init { wanted, .. } => Reply::Init {
                 granted: wanted.intersect(self.supported),
             },
             Request::Lookup { parent, name, .. } => reply(self.fs.lookup(parent, &name), |st| {
@@ -193,9 +193,12 @@ impl FuseHandler for FsHandler {
                 self.remember(st.ino);
                 Reply::Entry(st)
             }),
+            // A `Filesystem` has no kernel descriptor to register as a
+            // backing file: its opens are never passthrough.
             Request::Open { ino, flags } => reply(self.fs.open(ino, flags), |fh| Reply::Opened {
                 fh: fh.0,
                 keep_cache: self.supported.keep_cache,
+                passthrough: None,
             }),
             Request::Read {
                 ino,
@@ -305,6 +308,7 @@ mod tests {
         let h = handler().with_supported(InitFlags::none());
         let r = h.handle(Request::Init {
             wanted: InitFlags::all(),
+            conn: DevId(100),
         });
         match r {
             Reply::Init { granted } => assert_eq!(granted, InitFlags::none()),

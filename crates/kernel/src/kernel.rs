@@ -10,6 +10,7 @@ use crate::epoll::{Epoll, Events};
 use crate::mount::{MountId, MountNs};
 use crate::ns::{NamespaceId, NamespaceKind, NamespaceSet};
 use crate::pagecache::{PageCache, PageCacheStats};
+use crate::passthrough::BackingTables;
 use crate::pipe::Pipe;
 use crate::process::{FdEntry, FileKind, OpenFile, Process, ProcessState, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
@@ -161,6 +162,8 @@ pub(crate) struct KernelInner {
     /// events to its slot — two concurrent `cntr-slim` analyses never
     /// interleave each other's events.
     pub fanotify: Mutex<HashMap<NamespaceId, Vec<FanotifyEvent>>>,
+    /// FUSE passthrough connections: backing ids and inode I/O modes.
+    pub passthrough: Arc<BackingTables>,
 }
 
 /// A handle to the simulated machine. Cloning is cheap; all clones share
@@ -260,6 +263,7 @@ impl Kernel {
                 hostnames: RwLock::new_class(lock_class::HOSTNAMES, hostnames),
                 socket_nodes: Mutex::new_class(lock_class::SOCKET_NODES, HashMap::new()),
                 fanotify: Mutex::new_class(lock_class::FANOTIFY, HashMap::new()),
+                passthrough: BackingTables::new(),
             }),
         }
     }
@@ -287,6 +291,11 @@ impl Kernel {
     /// Resident page-cache pages (the number reclaim bounds).
     pub fn page_cache_resident_pages(&self) -> usize {
         self.inner.page_cache.resident_pages()
+    }
+
+    /// Resident page-cache pages of one filesystem (`dev`).
+    pub fn page_cache_resident_pages_of(&self, dev: DevId) -> usize {
+        self.inner.page_cache.resident_pages_of(dev)
     }
 
     /// The page-cache ceiling in pages.
@@ -546,6 +555,7 @@ impl Kernel {
                         .filter(|d| !live_devs.contains(d))
                         .collect();
                     let _ = self.inner.page_cache.drop_devs(&orphaned);
+                    self.inner.passthrough.detach(&orphaned);
                     drop(table);
                 }
             }

@@ -38,6 +38,7 @@ pub mod kernel;
 pub mod mount;
 pub mod ns;
 pub mod pagecache;
+pub mod passthrough;
 pub mod pipe;
 pub mod process;
 pub mod procfs;

@@ -771,6 +771,16 @@ impl CacheShared {
         self.lru.lock().resident()
     }
 
+    /// Resident pages of one filesystem: where a file's data is cached.
+    pub fn resident_pages_of(&self, dev: DevId) -> usize {
+        let st = self.lru.lock();
+        st.files
+            .iter()
+            .filter(|((d, _), _)| *d == dev)
+            .map(|(_, f)| f.pages.len())
+            .sum()
+    }
+
     /// Pages on the (active, inactive) LRU lists.
     pub fn residency(&self) -> (usize, usize) {
         let st = self.lru.lock();

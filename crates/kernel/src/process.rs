@@ -6,6 +6,7 @@ use crate::epoll::Epoll;
 use crate::mount::{CacheMode, MountId};
 use crate::ns::NamespaceSet;
 use crate::pagecache::FileRef;
+use crate::passthrough::IoOpen;
 use crate::pipe::Pipe;
 use crate::socket::{SocketEnd, SocketListener};
 use cntr_fs::Filesystem;
@@ -35,6 +36,10 @@ pub enum FileKind {
         cache: CacheMode,
         /// The pinned filesystem handle.
         file: Arc<FileRef>,
+        /// The file's place in its inode's I/O mode, on a mount that
+        /// negotiated FUSE passthrough; it holds the backing file of a
+        /// passthrough open.
+        io: Option<IoOpen>,
     },
     /// An open directory (for `readdir`).
     Directory {

@@ -361,6 +361,8 @@ impl Filesystem for ProcFs {
             // Contents are generated on every read: nothing is cached.
             writeback_cache: false,
             keep_cache: false,
+            passthrough: false,
+            stack_depth: 0,
         }
     }
 

@@ -97,6 +97,10 @@ pub mod lock_class {
     pub const SOCKET_NODES: &str = "kernel.socket_nodes";
     /// Fanotify recorders (leaf rank).
     pub const FANOTIFY: &str = "kernel.fanotify";
+    /// The backing tables and inode I/O modes of FUSE passthrough
+    /// connections (leaf rank): no backing file is opened or released,
+    /// and no filesystem called, while it is held.
+    pub const FUSE_BACKING: &str = "kernel.fuse_backing";
     /// Namespace refcounts (leaf rank; the rule-4 exception — may nest
     /// under a process shard, never acquires anything itself).
     pub const NS_REFS: &str = "kernel.ns_refs";
@@ -135,6 +139,7 @@ pub(crate) fn declare_lock_discipline() {
             lock_class::HOSTNAMES,
             lock_class::SOCKET_NODES,
             lock_class::FANOTIFY,
+            lock_class::FUSE_BACKING,
             lock_class::NS_REFS,
         ],
         &[lock_class::PAGECACHE_LRU],

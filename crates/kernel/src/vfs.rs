@@ -524,6 +524,12 @@ impl Kernel {
                     flags
                 };
                 let fh = resolved.fs.open(resolved.loc.ino, fs_flags)?;
+                let file = Arc::new(FileRef {
+                    fs: Arc::clone(&resolved.fs),
+                    ino: resolved.loc.ino,
+                    fh,
+                });
+                let io = self.io_open(&resolved.fs, &file, flags)?;
                 if flags.contains(OpenFlags::TRUNC) && flags.mode.writable() {
                     self.inner
                         .page_cache
@@ -533,11 +539,8 @@ impl Kernel {
                     mount: resolved.loc.mount,
                     dev,
                     cache: resolved.cache,
-                    file: Arc::new(FileRef {
-                        fs: Arc::clone(&resolved.fs),
-                        ino: resolved.loc.ino,
-                        fh,
-                    }),
+                    file,
+                    io,
                 }
             }
         };
@@ -584,7 +587,7 @@ impl Kernel {
 
     /// The open file behind `fd`, for a call that does I/O: an `O_PATH`
     /// descriptor is `EBADF` here, as Linux's `fdget` refuses it.
-    fn get_file(&self, pid: Pid, fd: u32) -> SysResult<Arc<OpenFile>> {
+    pub(crate) fn get_file(&self, pid: Pid, fd: u32) -> SysResult<Arc<OpenFile>> {
         let file = self.get_file_raw(pid, fd)?;
         if matches!(file.kind, FileKind::Path { .. }) {
             return Err(Errno::EBADF);
@@ -618,6 +621,34 @@ impl Kernel {
         self.read_at_inner(pid, &file, offset, buf)
     }
 
+    /// The regular-file part of a read: through the page cache of `dev`,
+    /// or straight to the filesystem for `O_DIRECT`.
+    fn read_file(
+        &self,
+        dev: DevId,
+        cache: CacheMode,
+        fref: &Arc<FileRef>,
+        flags: OpenFlags,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> SysResult<usize> {
+        if flags.contains(OpenFlags::DIRECT) {
+            // Linux's `filemap_write_and_wait_range`: a direct read
+            // sees what buffered writers left dirty.
+            self.inner.page_cache.flush_file(dev, fref.ino)?;
+            return fref.fs.read(fref.ino, fref.fh, offset, buf);
+        }
+        let fs_size = fref.fs.getattr(fref.ino)?.size;
+        let size = self.inner.page_cache.effective_size(dev, fref.ino, fs_size);
+        if offset >= size {
+            return Ok(0);
+        }
+        let n = (buf.len() as u64).min(size - offset) as usize;
+        self.inner
+            .page_cache
+            .read(dev, cache, fref, offset, &mut buf[..n])
+    }
+
     fn read_at_inner(
         &self,
         _pid: Pid,
@@ -631,29 +662,18 @@ impl Kernel {
                 dev,
                 cache,
                 file: fref,
+                io,
                 ..
             } => {
                 if !file.flags.mode.readable() {
                     return Err(Errno::EBADF);
                 }
-                if file.flags.contains(OpenFlags::DIRECT) {
-                    // Linux's `filemap_write_and_wait_range`: a direct read
-                    // sees what buffered writers left dirty.
-                    self.inner.page_cache.flush_file(*dev, fref.ino)?;
-                    return fref.fs.read(fref.ino, fref.fh, offset, buf);
+                // A passthrough open reads its backing file instead, as a
+                // native `pread` of that file would.
+                match io.as_ref().and_then(|io| io.backing.as_ref()) {
+                    Some(b) => self.read_file(b.dev, b.cache, &b.file, file.flags, offset, buf),
+                    None => self.read_file(*dev, *cache, fref, file.flags, offset, buf),
                 }
-                let fs_size = fref.fs.getattr(fref.ino)?.size;
-                let size = self
-                    .inner
-                    .page_cache
-                    .effective_size(*dev, fref.ino, fs_size);
-                if offset >= size {
-                    return Ok(0);
-                }
-                let n = (buf.len() as u64).min(size - offset) as usize;
-                self.inner
-                    .page_cache
-                    .read(*dev, *cache, fref, offset, &mut buf[..n])
             }
             FileKind::Directory { .. } => Err(Errno::EISDIR),
             FileKind::PipeRead(p) => p.read(buf),
@@ -709,6 +729,85 @@ impl Kernel {
         self.write_at_inner(pid, &file, offset, data)
     }
 
+    /// Linux's `file_remove_privs` before a write of `fref`, whose
+    /// attributes are `st`: a write strips setuid/setgid at once (the data
+    /// may sit in the page cache for a while, but the mode change is a
+    /// metadata operation and happens at write time), and the file's
+    /// capability ([`Filesystem::need_killpriv`] says who pays for the
+    /// check). A failed removal is ignored: a racing writer may have
+    /// stripped it.
+    fn remove_privs(&self, pid: Pid, fref: &FileRef, st: &Stat) -> SysResult<()> {
+        if st.mode.is_setuid() || st.mode.is_setgid() {
+            let cleared = st.mode.clear_suid_sgid();
+            let creds = self.creds(pid)?;
+            let _ = fref
+                .fs
+                .setattr(fref.ino, &SetAttr::chmod(cleared), &fs_context(&creds));
+        }
+        if fref.fs.need_killpriv(fref.ino) {
+            let _ = fref.fs.removexattr(fref.ino, XATTR_NAME_CAPS);
+        }
+        Ok(())
+    }
+
+    /// The regular-file part of a write: through the page cache of `dev`,
+    /// or straight to the filesystem for `O_DIRECT`. Returns the offset
+    /// written at (the end of file under `O_APPEND`) and the bytes written.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "pwrite(2) plus the page-cache key"
+    )]
+    fn write_file(
+        &self,
+        pid: Pid,
+        dev: DevId,
+        cache: CacheMode,
+        fref: &Arc<FileRef>,
+        flags: OpenFlags,
+        offset: u64,
+        data: &[u8],
+    ) -> SysResult<(u64, usize)> {
+        let fs_stat = fref.fs.getattr(fref.ino)?;
+        let eff = self
+            .inner
+            .page_cache
+            .effective_size(dev, fref.ino, fs_stat.size);
+        let offset = if flags.contains(OpenFlags::APPEND) {
+            eff
+        } else {
+            offset
+        };
+        // RLIMIT_FSIZE: enforced only when the filesystem replays the
+        // caller's limits (CntrFS does not — xfstests #228).
+        if fref.fs.features().enforces_caller_fsize {
+            let end = offset + data.len() as u64;
+            if end > eff {
+                self.rlimits(pid)?.check_fsize(end)?;
+            }
+        }
+        self.remove_privs(pid, fref, &fs_stat)?;
+        if flags.contains(OpenFlags::DIRECT) {
+            // Write back first so a later flush cannot overwrite the
+            // direct write with older bytes, then drop the cached copy of
+            // the range it overwrote (Linux's
+            // `kiocb_invalidate_post_direct_write`).
+            self.inner.page_cache.flush_file(dev, fref.ino)?;
+            let n = fref.fs.write(fref.ino, fref.fh, offset, data)?;
+            self.inner
+                .page_cache
+                .drop_range(dev, fref.ino, offset, n as u64);
+            return Ok((offset, n));
+        }
+        let n = self
+            .inner
+            .page_cache
+            .write(dev, cache, fref, offset, data)?;
+        if flags.contains(OpenFlags::SYNC) {
+            self.inner.page_cache.fsync(dev, fref, true)?;
+        }
+        Ok((offset, n))
+    }
+
     fn write_at_inner(
         &self,
         pid: Pid,
@@ -722,66 +821,26 @@ impl Kernel {
                 dev,
                 cache,
                 file: fref,
+                io,
                 ..
             } => {
                 if !file.flags.mode.writable() {
                     return Err(Errno::EBADF);
                 }
-                let fs_stat = fref.fs.getattr(fref.ino)?;
-                let fs_size = fs_stat.size;
-                let eff = self
-                    .inner
-                    .page_cache
-                    .effective_size(*dev, fref.ino, fs_size);
-                let offset = if file.flags.contains(OpenFlags::APPEND) {
-                    eff
-                } else {
-                    offset
+                let Some(b) = io.as_ref().and_then(|io| io.backing.as_ref()) else {
+                    return self
+                        .write_file(pid, *dev, *cache, fref, file.flags, offset, data)
+                        .map(|(_, n)| n);
                 };
-                // Writes strip setuid/setgid immediately (the data may sit
-                // in the page cache for a while, but the mode change is a
-                // metadata operation and happens at write time).
-                if fs_stat.mode.is_setuid() || fs_stat.mode.is_setgid() {
-                    let cleared = fs_stat.mode.clear_suid_sgid();
-                    let creds = self.creds(pid)?;
-                    let _ =
-                        fref.fs
-                            .setattr(fref.ino, &SetAttr::chmod(cleared), &fs_context(&creds));
-                }
-                // RLIMIT_FSIZE: enforced only when the filesystem replays the
-                // caller's limits (CntrFS does not — xfstests #228).
-                if fref.fs.features().enforces_caller_fsize {
-                    let end = offset + data.len() as u64;
-                    if end > eff {
-                        self.rlimits(pid)?.check_fsize(end)?;
-                    }
-                }
-                // The rest of Linux's `file_remove_privs`: a write strips
-                // the file's capability too ([`Filesystem::need_killpriv`]
-                // says who pays for the check). A failed removal is
-                // ignored as above: a racing writer may have stripped it.
-                if fref.fs.need_killpriv(fref.ino) {
-                    let _ = fref.fs.removexattr(fref.ino, XATTR_NAME_CAPS);
-                }
-                if file.flags.contains(OpenFlags::DIRECT) {
-                    // Write back first so a later flush cannot overwrite
-                    // the direct write with older bytes, then drop the
-                    // cached copy of the range it overwrote (Linux's
-                    // `kiocb_invalidate_post_direct_write`).
-                    self.inner.page_cache.flush_file(*dev, fref.ino)?;
-                    let n = fref.fs.write(fref.ino, fref.fh, offset, data)?;
-                    self.inner
-                        .page_cache
-                        .drop_range(*dev, fref.ino, offset, n as u64);
-                    return Ok(n);
-                }
-                let n = self
-                    .inner
-                    .page_cache
-                    .write(*dev, *cache, fref, offset, data)?;
-                if file.flags.contains(OpenFlags::SYNC) {
-                    self.inner.page_cache.fsync(*dev, fref, true)?;
-                }
+                // Passthrough (`backing_file_write_iter`): the FUSE file's
+                // privileges go first, then the backing file is written as
+                // a native write of it would be — its own privileges and
+                // the caller's RLIMIT_FSIZE included — and the FUSE inode
+                // learns the size it grew to.
+                self.remove_privs(pid, fref, &fref.fs.getattr(fref.ino)?)?;
+                let (at, n) =
+                    self.write_file(pid, b.dev, b.cache, &b.file, file.flags, offset, data)?;
+                (b.end_write)(at + n as u64);
                 Ok(n)
             }
             FileKind::Directory { .. } => Err(Errno::EISDIR),
@@ -1575,8 +1634,10 @@ impl Kernel {
         let id = self.alloc_mount_id();
         let ns_id = self.with_proc(pid, |p| Ok(p.ns.mount))?;
         self.inner.mounts.with_write(ns_id, |ns| {
+            let fs = Arc::clone(&fs);
             ns.add_mount(id, fs, root_ino, at.loc.mount, at.loc.ino, cache, flags)
         })?;
+        self.inner.passthrough.attach(&*fs);
         // Propagate into shared peers of the parent mount.
         self.propagate_mount(ns_id, at.loc.mount, at.loc.ino);
         Ok(id)

@@ -10,14 +10,18 @@
 //! contiguous dirty runs, plus a write-through mount (`writeback_cache`
 //! off) and an invalidate-on-open mount (`keep_cache` off), each with the
 //! cache policy the kernel derives from the negotiated flags, and a native
-//! (non-FUSE) mount as the ground-truth oracle. It demands byte-identical
-//! observations and final file contents from every configuration.
+//! (non-FUSE) mount as the ground-truth oracle. A passthrough mount runs
+//! the CntrFS server in the same kernel, so every data op of the shipping
+//! profile goes straight to the server's backing file. It demands
+//! byte-identical observations and final file contents from every
+//! configuration.
 //!
 //! A divergence here means a real data-path bug: a spliced buffer aliased
 //! after mutation, a batched flush writing the wrong run, a shared page
 //! surviving a truncate, a readahead window outliving a hole punch, a
 //! write-through update of a stale page.
 
+use cntr_core::CntrfsServer;
 use cntr_fs::memfs::memfs;
 use cntr_fs::FallocateMode;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
@@ -81,6 +85,22 @@ fn fletcher(data: &[u8]) -> u32 {
     (b << 16) | a
 }
 
+/// The kernel every env runs: a ceiling smaller than the op space's total
+/// footprint keeps LRU reclaim (writeback-then-evict) running
+/// mid-sequence, and a small dirty limit forces write-back too, so batched
+/// flushes interleave with the ops. The flusher stays off: every flush
+/// happens at a deterministic point, which the replay-comparison oracle
+/// depends on. The oracle runs under the same ceiling, so a reclaim-path
+/// divergence shows up on either side.
+fn tight() -> KernelConfig {
+    KernelConfig {
+        page_cache_limit: 240 * PAGE,
+        dirty_bytes: 48 * PAGE,
+        background_writeback: false,
+        ..KernelConfig::default()
+    }
+}
+
 /// One configuration under test.
 struct Env {
     k: Kernel,
@@ -98,19 +118,7 @@ impl Env {
     fn fuse(flags: InitFlags) -> Env {
         let clock = SimClock::new();
         let root = memfs(DevId(1), clock.clone());
-        let config = KernelConfig {
-            // A ceiling smaller than the op space's total footprint keeps
-            // LRU reclaim (writeback-then-evict) running mid-sequence, and
-            // a small dirty limit forces write-back too, so batched flushes
-            // interleave with the ops. The flusher stays
-            // off: every flush happens at a deterministic point, which the
-            // replay-comparison oracle depends on.
-            page_cache_limit: 240 * PAGE,
-            dirty_bytes: 48 * PAGE,
-            background_writeback: false,
-            ..KernelConfig::default()
-        };
-        let k = Kernel::with_clock(clock.clone(), root, config);
+        let k = Kernel::with_clock(clock.clone(), root, tight());
         let pid = k.fork(Pid::INIT).expect("fork");
         k.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
         let backing = memfs(DevId(2), clock.clone());
@@ -142,22 +150,55 @@ impl Env {
         }
     }
 
+    /// The shipping profile over the real CntrFS server, which serves a
+    /// memfs mounted in the same kernel: the flags grant passthrough, so
+    /// reads and writes go to the server's backing files.
+    fn passthrough() -> Env {
+        let clock = SimClock::new();
+        let k = Kernel::with_clock(clock.clone(), memfs(DevId(1), clock.clone()), tight());
+        let pid = k.fork(Pid::INIT).expect("fork");
+        for dir in ["/mnt", "/srv"] {
+            k.mkdir(pid, dir, Mode::RWXR_XR_X).expect("mkdir");
+        }
+        k.mount_fs(
+            pid,
+            "/srv",
+            memfs(DevId(2), clock.clone()),
+            MountFlags::default(),
+        )
+        .expect("mount backing");
+        let server_pid = k.fork(Pid::INIT).expect("fork server");
+        k.chroot(server_pid, "/srv").expect("chroot server");
+        let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
+        let client = FuseClientFs::mount(
+            DevId(0xC1),
+            clock,
+            CostModel::calibrated(),
+            FuseConfig::optimized(),
+            InlineTransport::new(server),
+        )
+        .expect("mount fuse");
+        assert!(client.effective_flags().passthrough);
+        k.mount_fs(
+            pid,
+            "/mnt",
+            Arc::clone(&client) as Arc<dyn cntr_fs::Filesystem>,
+            MountFlags::default(),
+        )
+        .expect("mount");
+        Env {
+            k,
+            pid,
+            client: Some(client),
+            label: "passthrough".to_string(),
+            held: RefCell::default(),
+        }
+    }
+
     fn native() -> Env {
         let clock = SimClock::new();
         let root = memfs(DevId(1), clock.clone());
-        // The oracle runs under the same tight ceiling as the FUSE
-        // configurations (reclaim enabled, deterministic inline flush), so
-        // a reclaim-path divergence shows up on either side.
-        let k = Kernel::with_clock(
-            clock.clone(),
-            root,
-            KernelConfig {
-                page_cache_limit: 240 * PAGE,
-                dirty_bytes: 48 * PAGE,
-                background_writeback: false,
-                ..KernelConfig::default()
-            },
-        );
+        let k = Kernel::with_clock(clock.clone(), root, tight());
         let pid = k.fork(Pid::INIT).expect("fork");
         k.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
         let fs = memfs(DevId(2), clock);
@@ -332,7 +373,8 @@ impl Env {
 }
 
 /// The four FUSE splice configurations, the write-through and
-/// invalidate-on-open FUSE mounts, and the native oracle.
+/// invalidate-on-open FUSE mounts, the passthrough mount, and the native
+/// oracle.
 fn all_envs() -> Vec<Env> {
     let mut envs = vec![Env::native()];
     for &splice_read in &[false, true] {
@@ -352,6 +394,7 @@ fn all_envs() -> Vec<Env> {
         keep_cache: false,
         ..InitFlags::cntr_default()
     }));
+    envs.push(Env::passthrough());
     envs
 }
 
@@ -493,4 +536,27 @@ fn append_to_an_uncached_page_keeps_its_bytes() {
 fn fill_read(offset: usize, len: usize) -> String {
     let data = fill(0, 0, 65536);
     format!("read {len} {:08x}", fletcher(&data[offset..offset + len]))
+}
+
+/// The passthrough mount is what it claims: the op mix moves no byte over
+/// FUSE, and every observation matches the oracle's.
+#[test]
+fn the_passthrough_mount_sends_no_data_request() {
+    let (native, passthrough) = (Env::native(), Env::passthrough());
+    for op in [
+        Op::WriteRun(0, 0, 16),
+        Op::Write(1, 5000, 3000),
+        Op::Append(1, 100),
+        Op::Read(0, 100, 9000),
+        Op::Truncate(0, 10_000),
+        Op::PunchHole(0, 100, 5000),
+        Op::Fsync(1),
+        Op::Remount,
+        Op::Read(1, 0, 16_384),
+    ] {
+        assert_eq!(passthrough.apply(&op), native.apply(&op), "{op:?}");
+    }
+    assert_eq!(passthrough.final_state(), native.final_state());
+    let s = passthrough.client.as_ref().unwrap().conn_stats();
+    assert_eq!((s.reads, s.writes), (0, 0));
 }

@@ -824,7 +824,12 @@ impl Filesystem for OverlayFs {
     }
 
     fn features(&self) -> FsFeatures {
-        FsFeatures::tmpfs()
+        // Stacked on its layers, which stack on nothing (Linux's
+        // `s_stack_depth` of an overlay over a disk or tmpfs).
+        FsFeatures {
+            stack_depth: 1,
+            ..FsFeatures::tmpfs()
+        }
     }
 
     fn lookup(&self, parent: Ino, name: &str) -> SysResult<Stat> {

@@ -4,6 +4,7 @@
 //!
 //! Usage: `cargo run -p cntr-xfstests --bin xfstests [-- native|cntrfs|both]`
 
+use cntr_fuse::FuseConfig;
 use cntr_xfstests::harness::run_suite;
 use cntr_xfstests::{all_tests, cntrfs_over_tmpfs, native_tmpfs};
 
@@ -14,7 +15,7 @@ fn main() {
     let cases = all_tests();
 
     if mode == "cntrfs" || mode == "both" {
-        let env = cntrfs_over_tmpfs();
+        let env = cntrfs_over_tmpfs(FuseConfig::paper());
         let report = run_suite(&env, &cases);
         print!("{}", report.render(&cases));
         println!(

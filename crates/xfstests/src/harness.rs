@@ -117,8 +117,10 @@ pub struct TestEnv {
 ///
 /// The backing tmpfs is the host root filesystem (a `MemFs`); the CntrFS
 /// server resolves paths there, and the client is mounted at `/mnt/cntrfs`
-/// with CNTR's optimized FUSE configuration.
-pub fn cntrfs_over_tmpfs() -> TestEnv {
+/// with `config`. The paper's 90/94 split belongs to
+/// [`FuseConfig::paper`]; the shipping profile's passthrough writes run in
+/// the caller's context and so honour its `RLIMIT_FSIZE` (#228).
+pub fn cntrfs_over_tmpfs(config: FuseConfig) -> TestEnv {
     let k = boot_host(SimClock::new());
     let pid = k.fork(Pid::INIT).expect("fork test proc");
     k.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir /mnt");
@@ -131,7 +133,7 @@ pub fn cntrfs_over_tmpfs() -> TestEnv {
         DevId(0xCFFF),
         k.clock().clone(),
         k.cost(),
-        FuseConfig::optimized(),
+        config,
         transport,
     )
     .expect("mount cntrfs");
@@ -173,10 +175,11 @@ pub fn native_overlayfs() -> TestEnv {
 }
 
 /// Builds the paper's environment over the new storage backend: CntrFS
-/// mounted on top of an **OverlayFs** (instead of tmpfs). The 90/94 split
-/// must be identical — the four failures are CntrFS architectural limits,
-/// not properties of the backing filesystem.
-pub fn cntrfs_over_overlayfs() -> TestEnv {
+/// mounted with `config` on top of an **OverlayFs** (instead of tmpfs).
+/// Each profile's split must be identical to its split over tmpfs — the
+/// failures are CntrFS architectural limits, not properties of the backing
+/// filesystem.
+pub fn cntrfs_over_overlayfs(config: FuseConfig) -> TestEnv {
     let k = boot_host(SimClock::new());
     let pid = k.fork(Pid::INIT).expect("fork test proc");
     // The backing overlay replaces tmpfs under the server's /xfstests.
@@ -196,7 +199,7 @@ pub fn cntrfs_over_overlayfs() -> TestEnv {
         DevId(0xCFFE),
         k.clock().clone(),
         k.cost(),
-        FuseConfig::optimized(),
+        config,
         transport,
     )
     .expect("mount cntrfs");

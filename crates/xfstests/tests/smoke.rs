@@ -5,16 +5,18 @@
 //! layer (VFS, mounts, FUSE protocol, CntrFS passthrough) fails `cargo test`
 //! rather than only skewing a regenerated table.
 
+use cntr_fuse::FuseConfig;
 use cntr_xfstests::harness::run_suite;
 use cntr_xfstests::{
     all_tests, cntrfs_over_overlayfs, cntrfs_over_tmpfs, native_overlayfs, native_tmpfs,
+    SHIPPING_FAILURES,
 };
 
 #[test]
 fn cntrfs_over_tmpfs_passes_at_least_90_of_94() {
     let cases = all_tests();
     assert_eq!(cases.len(), 94, "the generic group has 94 tests");
-    let report = run_suite(&cntrfs_over_tmpfs(), &cases);
+    let report = run_suite(&cntrfs_over_tmpfs(FuseConfig::paper()), &cases);
     assert!(
         report.passed() >= 90,
         "CntrFS regression: {}/{} passed (paper: 90/94); failures: {:?}",
@@ -61,7 +63,7 @@ fn native_overlayfs_passes_everything() {
 #[test]
 fn cntrfs_over_overlayfs_keeps_the_90_of_94_split() {
     let cases = all_tests();
-    let report = run_suite(&cntrfs_over_overlayfs(), &cases);
+    let report = run_suite(&cntrfs_over_overlayfs(FuseConfig::paper()), &cases);
     let expected: Vec<u32> = cases
         .iter()
         .filter(|c| c.expected_cntrfs_failure.is_some())
@@ -75,4 +77,26 @@ fn cntrfs_over_overlayfs_keeps_the_90_of_94_split() {
          properties"
     );
     assert_eq!(report.passed(), 90);
+}
+
+/// The shipping profile's split, pinned exactly over both backings: #228
+/// passes, since a passthrough write runs in the caller's context and the
+/// backing filesystem applies the caller's `RLIMIT_FSIZE`.
+#[test]
+fn shipping_profile_fails_exactly_375_391_426() {
+    let cases = all_tests();
+    for env in [
+        cntrfs_over_tmpfs(FuseConfig::optimized()),
+        cntrfs_over_overlayfs(FuseConfig::optimized()),
+    ] {
+        let report = run_suite(&env, &cases);
+        assert_eq!(
+            report.failed_ids(),
+            SHIPPING_FAILURES,
+            "{}: {}",
+            env.fs_type,
+            report.render(&cases)
+        );
+        assert_eq!(report.passed(), 91, "{}", env.fs_type);
+    }
 }

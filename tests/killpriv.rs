@@ -5,7 +5,10 @@
 //!
 //! The CntrFS mounts run the real server ([`CntrfsServer`]) in a kernel of
 //! its own, so each request is answered by system calls on that kernel's
-//! tmpfs; the client is mounted at `/mnt` of the kernel that writes.
+//! tmpfs; the client is mounted at `/mnt` of the kernel that writes. The
+//! passthrough mount runs the server in the writing kernel instead, which
+//! is what lets it register backing files: its writes go to the server's
+//! file directly, and that backing write strips the capability itself.
 
 use cntr::core::CntrfsServer;
 use cntr::fs::memfs::memfs;
@@ -27,9 +30,9 @@ struct Target {
     name: &'static str,
     k: Kernel,
     path: &'static str,
-    /// For CntrFS: the client and the server's kernel, whose `/f` is the
-    /// file behind `path`.
-    fuse: Option<(Arc<FuseClientFs>, Kernel)>,
+    /// For CntrFS: the client, the server's kernel, and the path there
+    /// (as `P` sees it) of the file behind `path`.
+    fuse: Option<(Arc<FuseClientFs>, Kernel, &'static str)>,
 }
 
 fn tmpfs() -> Target {
@@ -89,7 +92,36 @@ fn cntrfs(name: &'static str, config: FuseConfig, ring: bool) -> Target {
         name,
         k,
         path: "/mnt/f",
-        fuse: Some((client, host)),
+        fuse: Some((client, host, "/f")),
+    }
+}
+
+/// CntrFS with the shipping profile, its server in the writing kernel and
+/// serving `/srv`: every open passes through to the server's file.
+fn cntrfs_passthrough() -> Target {
+    let clock = SimClock::new();
+    let k = boot_host(clock.clone());
+    for dir in ["/mnt", "/srv"] {
+        k.mkdir(P, dir, Mode::RWXR_XR_X).unwrap();
+    }
+    let server_pid = k.fork(P).unwrap();
+    k.chroot(server_pid, "/srv").unwrap();
+    let server = CntrfsServer::new(k.clone(), server_pid).unwrap();
+    let client = FuseClientFs::mount(
+        DevId(0xCB),
+        clock,
+        CostModel::calibrated(),
+        FuseConfig::optimized(),
+        InlineTransport::new(server),
+    )
+    .unwrap();
+    k.mount_fs(P, "/mnt", client.clone(), MountFlags::default())
+        .unwrap();
+    Target {
+        name: "cntrfs-passthrough",
+        k: k.clone(),
+        path: "/mnt/f",
+        fuse: Some((client, k, "/srv/f")),
     }
 }
 
@@ -112,7 +144,7 @@ impl Target {
 
     /// GETXATTRs the CntrFS client has sent.
     fn getxattrs(&self) -> u64 {
-        let (client, _) = self.fuse.as_ref().expect("a CntrFS target");
+        let (client, _, _) = self.fuse.as_ref().expect("a CntrFS target");
         client.conn_stats().getxattrs
     }
 
@@ -133,6 +165,7 @@ fn a_write_strips_the_file_capability_on_every_mount() {
         overlay(),
         cntrfs("cntrfs-paper", FuseConfig::paper(), false),
         cntrfs("cntrfs-optimized", FuseConfig::optimized(), false),
+        cntrfs_passthrough(),
     ] {
         let fd = t.create();
         t.set_caps();
@@ -161,7 +194,7 @@ fn the_paper_profile_checks_every_write() {
 #[test]
 fn the_shipping_profile_checks_each_inode_once() {
     let t = cntrfs("cntrfs-optimized", FuseConfig::optimized(), false);
-    let (client, host) = t.fuse.as_ref().unwrap();
+    let (client, host, _) = t.fuse.as_ref().unwrap();
     assert!(client.effective_flags().handle_killpriv_v2);
     let fd = t.create();
     assert_eq!(t.writes(fd, 16), 1, "the first write marks the inode");
@@ -190,6 +223,35 @@ fn the_shipping_profile_checks_each_inode_once() {
     assert_eq!(t.writes(fd, 1), 1);
     assert_eq!(client.conn_stats().getattrs, getattrs + 1);
     assert_eq!(host.getxattr(P, "/f", XATTR_NAME_CAPS), Err(Errno::ENODATA));
+    t.k.close(P, fd).unwrap();
+}
+
+/// On a passthrough mount the client keeps `S_NOSEC` exactly as above, and
+/// the write itself lands on the server's file, whose own write path
+/// strips a capability the client could not know of.
+#[test]
+fn a_passthrough_write_strips_the_backing_files_capability() {
+    let t = cntrfs_passthrough();
+    let (client, host, backing) = t.fuse.as_ref().unwrap();
+    assert!(client.effective_flags().passthrough);
+    let fd = t.create();
+    assert_eq!(t.writes(fd, 16), 1, "the first write marks the inode");
+    // setxattr through the mount drops S_NOSEC: one check, which strips.
+    t.set_caps();
+    assert_eq!(t.writes(fd, 1), 1);
+    assert_eq!(t.caps(), Err(Errno::ENODATA));
+    assert_eq!(t.writes(fd, 4), 1);
+    // A capability set on the backing file behind the client's back: the
+    // inode is S_NOSEC, so the client sends no GETXATTR, and the backing
+    // write strips the capability on its own.
+    host.setxattr(P, backing, XATTR_NAME_CAPS, CAPS, XattrFlags::Any)
+        .unwrap();
+    assert_eq!(t.writes(fd, 1), 0);
+    assert_eq!(
+        host.getxattr(P, backing, XATTR_NAME_CAPS),
+        Err(Errno::ENODATA)
+    );
+    assert_eq!(client.conn_stats().writes, 0, "no WRITE crossed FUSE");
     t.k.close(P, fd).unwrap();
 }
 

@@ -49,9 +49,47 @@ fn cntrstats_and_tracing_cover_the_stack() {
     );
     let docker = ContainerRuntime::new(EngineKind::Docker, kernel.clone(), registry);
     let container = docker.run("probe", "app:slim").unwrap();
+    let tool = kernel
+        .open(
+            Pid::INIT,
+            "/usr/bin/obs-tool",
+            OpenFlags::create(),
+            Mode::RWXR_XR_X,
+        )
+        .unwrap();
+    kernel.write_fd(Pid::INIT, tool, &[9u8; 8192]).unwrap();
+    kernel.close(Pid::INIT, tool).unwrap();
     let cntr = Cntr::new(kernel.clone());
     let session = cntr.attach(container.pid, CntrOptions::default()).unwrap();
     session.run("ls /var/lib/cntr/usr/local/bin");
+    // The shipping profile reads a tools file through its backing file:
+    // one passthrough open, one live backing id, no refusal.
+    let opens_before = obs::counter_value("fuse.passthrough.opens").unwrap();
+    let (attached, reads) = (session.attached, session.client.conn_stats().reads);
+    let fd = kernel
+        .open(
+            attached,
+            "/usr/bin/obs-tool",
+            OpenFlags::RDONLY,
+            Mode::RW_R__R__,
+        )
+        .unwrap();
+    assert_eq!(kernel.pread(attached, fd, 0, &mut [0u8; 4096]), Ok(4096));
+    kernel.close(attached, fd).unwrap();
+    assert_eq!(session.client.conn_stats().reads, reads, "no FUSE READ");
+    let live = read_proc_cntrstats(&kernel);
+    let live_line = |name: &str| -> Option<i64> {
+        live.lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} ")))
+            .map(|v| v.parse().unwrap())
+    };
+    assert_eq!(
+        live_line("fuse.passthrough.opens"),
+        Some(opens_before as i64 + 1),
+        "{live}"
+    );
+    assert_eq!(live_line("fuse.passthrough.backing-ids"), Some(1), "{live}");
+    assert_eq!(live_line("fuse.passthrough.refused"), Some(0), "{live}");
     session.detach().unwrap();
     docker.stop("probe").unwrap();
 
@@ -142,6 +180,8 @@ fn cntrstats_and_tracing_cover_the_stack() {
         "missing core.cntrfs.lookups in:\n{text}"
     );
     assert_eq!(line("core.cntrfs.anchors"), Some(0), "{text}");
+    // The session's backing ids ended with its connection.
+    assert_eq!(line("fuse.passthrough.backing-ids"), Some(0), "{text}");
 
     // One splice per forwarded message, readable from cntrstats.
     assert_eq!(

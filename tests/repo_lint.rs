@@ -259,6 +259,7 @@ const KERNEL_LOCKS: &[(&str, &str, u32, Acq)] = &[
     ("fanotify.lock(", "kernel.fanotify", 3, Acq::Guard),
     ("ns_refs.", "kernel.ns_refs", 3, Acq::Internal),
     ("counts.lock(", "kernel.ns_refs", 3, Acq::Guard),
+    ("conns.lock(", "kernel.fuse_backing", 3, Acq::Guard),
     ("lru.lock(", "pagecache.lru", 4, Acq::Guard),
     ("flusher.lock(", "pagecache.flusher", 5, Acq::Guard),
 ];
