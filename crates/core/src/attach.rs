@@ -126,7 +126,7 @@ impl Cntr {
         let server = CntrfsServer::new(k.clone(), server_pid)?;
         let transport = InlineTransport::new(server.clone());
         let dev = DevId(NEXT_FUSE_DEV.fetch_add(1, Ordering::Relaxed));
-        let client = FuseClientFs::mount(dev, k.clock().clone(), k.cost(), opts.fuse, transport)?;
+        let client = FuseClientFs::mount(dev, k.clock().clone(), opts.fuse, transport)?;
 
         // ------------------------------------------------------------------
         // Step #3: initialize the tools namespace.

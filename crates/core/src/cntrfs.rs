@@ -672,7 +672,6 @@ mod tests {
         let client = FuseClientFs::mount(
             DevId(7777),
             k.clock().clone(),
-            k.cost(),
             FuseConfig::optimized(),
             transport,
         )

@@ -281,10 +281,9 @@ impl State {
 /// for the token, backpressure, and half-close schemes.
 pub struct EventLoop {
     kernel: Kernel,
-    /// The plane process owning every endpoint fd.
+    /// The plane process owning every endpoint fd, forked by
+    /// [`EventLoop::new`] and reaped on drop.
     pid: Pid,
-    /// Whether [`EventLoop::new`] forked `pid` (and should reap it).
-    owns_process: bool,
     /// The one epoll instance.
     epfd: u32,
     state: Mutex<State>,
@@ -302,23 +301,11 @@ impl EventLoop {
         let pid = kernel.fork(Pid::INIT)?;
         kernel.set_name(pid, "cntr-plane")?;
         kernel.close_range(pid, 0)?;
-        EventLoop::build(kernel, pid, true)
-    }
-
-    /// Creates a plane around an existing process (the caller keeps
-    /// ownership of the process's lifetime). Used by standalone
-    /// [`SocketProxy::new`](crate::SocketProxy::new).
-    pub fn with_process(kernel: Kernel, pid: Pid) -> SysResult<Arc<EventLoop>> {
-        EventLoop::build(kernel, pid, false)
-    }
-
-    fn build(kernel: Kernel, pid: Pid, owns_process: bool) -> SysResult<Arc<EventLoop>> {
         declare_plane_lock_discipline();
         let epfd = kernel.epoll_create(pid)?;
         Ok(Arc::new(EventLoop {
             kernel,
             pid,
-            owns_process,
             epfd,
             state: Mutex::new_class(
                 lock_class::LOOP_STATE,
@@ -980,10 +967,8 @@ impl EventLoop {
 
 impl Drop for EventLoop {
     fn drop(&mut self) {
-        if self.owns_process {
-            let _ = self.kernel.exit(self.pid);
-            let _ = self.kernel.reap(self.pid);
-        }
+        let _ = self.kernel.exit(self.pid);
+        let _ = self.kernel.reap(self.pid);
     }
 }
 
@@ -992,18 +977,18 @@ mod tests {
     use super::*;
     use crate::SocketProxy;
     use cntr_engine::runtime::boot_host;
-    use cntr_types::SimClock;
+    use cntr_types::{SimClock, COST};
 
-    /// A standalone proxy from `/run/in.sock` to a service listening on
+    /// A proxy on its own plane from `/run/in.sock` to a service listening on
     /// `/run/svc.sock`: returns the proxy, the service's listener fd and
     /// an application process to connect from.
     fn proxy_to_service(k: &Kernel) -> (Arc<SocketProxy>, u32, Pid) {
         let srv = k.bind_listener(Pid::INIT, "/run/svc.sock").unwrap();
-        let proxy_pid = k.fork(Pid::INIT).unwrap();
         let connect_pid = k.fork(Pid::INIT).unwrap();
-        let proxy = SocketProxy::new(
-            k.clone(),
-            proxy_pid,
+        let plane = EventLoop::new(k.clone()).unwrap();
+        let proxy = SocketProxy::on_plane(
+            &plane,
+            plane.pid(),
             connect_pid,
             "/run/in.sock",
             "/run/svc.sock",
@@ -1027,7 +1012,6 @@ mod tests {
         let (c, s) = forwarded_pair(&k, &proxy, srv, app);
         let msg = vec![7u8; 4096];
         k.write_fd(app, c, &msg).unwrap();
-        let cost = k.cost();
         let before = k.clock().now();
         assert_eq!(proxy.pump_until_quiet().unwrap(), msg.len());
         // One wait finds the source, one splice moves the message and
@@ -1035,7 +1019,7 @@ mod tests {
         let (waits, splices) = (2, 1);
         assert_eq!(
             (k.clock().now() - before).as_nanos(),
-            (waits + splices) * cost.syscall_ns + cost.splice(4096)
+            (waits + splices) * COST.syscall_ns + COST.splice(4096)
         );
         let mut buf = vec![0u8; 8192];
         assert_eq!(k.read_fd(Pid::INIT, s, &mut buf), Ok(msg.len()));
@@ -1067,7 +1051,6 @@ mod tests {
         let (c, s) = forwarded_pair(&k, &proxy, srv, app);
         let payload: Vec<u8> = (0..SPLICE_CHUNK as u32).map(|i| (i % 251) as u8).collect();
         assert_eq!(k.write_fd(app, c, &payload), Ok(SPLICE_CHUNK));
-        let cost = k.cost();
         let before = k.clock().now();
         assert_eq!(proxy.pump().unwrap(), SPLICE_CHUNK);
         // A full splice does not end the pump: within the one wait a
@@ -1076,7 +1059,7 @@ mod tests {
         let (waits, splices, polls) = (1, 2, 1);
         assert_eq!(
             (k.clock().now() - before).as_nanos(),
-            (waits + splices + polls) * cost.syscall_ns + cost.splice(SPLICE_CHUNK as u64)
+            (waits + splices + polls) * COST.syscall_ns + COST.splice(SPLICE_CHUNK as u64)
         );
         let mut got = Vec::new();
         let mut buf = vec![0u8; SPLICE_CHUNK];

@@ -10,12 +10,10 @@
 //! [`SocketProxy`] is a thin handle: the actual accepting, splicing,
 //! backpressure, and teardown live in the shared attach-plane
 //! [`EventLoop`], which multiplexes every proxy (and pty) of a plane
-//! through one epoll instance. A session-owned proxy joins its session's
-//! loop via [`SocketProxy::on_plane`]; the standalone constructor keeps
-//! the historical one-loop-per-proxy shape for direct use.
+//! through one epoll instance. A proxy joins its plane's loop via
+//! [`SocketProxy::on_plane`].
 
 use crate::event_loop::{EventLoop, ProxyCore};
-use cntr_kernel::Kernel;
 use cntr_types::{Pid, SysResult};
 use std::sync::Arc;
 
@@ -30,20 +28,6 @@ pub struct SocketProxy {
 }
 
 impl SocketProxy {
-    /// Binds `listen_path` in the proxy process's namespace and prepares to
-    /// forward to `target_path` in the connect process's namespace, on a
-    /// dedicated event loop owned by `proxy_pid`.
-    pub fn new(
-        kernel: Kernel,
-        proxy_pid: Pid,
-        connect_pid: Pid,
-        listen_path: &str,
-        target_path: &str,
-    ) -> SysResult<Arc<SocketProxy>> {
-        let plane = EventLoop::with_process(kernel, proxy_pid)?;
-        SocketProxy::on_plane(&plane, proxy_pid, connect_pid, listen_path, target_path)
-    }
-
     /// Registers a forwarder on an existing plane: the listener is bound
     /// in `bind_pid`'s mount namespace (so in-container clients resolve
     /// it) and its fd is moved into the plane process, which owns every
@@ -123,14 +107,14 @@ mod tests {
         let k = boot_host(SimClock::new());
         // The "X11 server" listens on the host.
         let x11 = k.bind_listener(Pid::INIT, "/run/x11.sock").unwrap();
-        // The proxy process (stands in for the attached cntr process).
-        let proxy_pid = k.fork(Pid::INIT).unwrap();
         let connect_pid = k.fork(Pid::INIT).unwrap();
         k.mkdir(Pid::INIT, "/app-run", cntr_types::Mode::RWXR_XR_X)
             .unwrap();
-        let proxy = SocketProxy::new(
-            k.clone(),
-            proxy_pid,
+        // The plane process stands in for the attached cntr process.
+        let plane = EventLoop::new(k.clone()).unwrap();
+        let proxy = SocketProxy::on_plane(
+            &plane,
+            plane.pid(),
             connect_pid,
             "/app-run/x11.sock",
             "/run/x11.sock",
@@ -161,11 +145,11 @@ mod tests {
     #[test]
     fn connect_refused_without_listener() {
         let k = boot_host(SimClock::new());
-        let proxy_pid = k.fork(Pid::INIT).unwrap();
         let connect_pid = k.fork(Pid::INIT).unwrap();
-        let proxy = SocketProxy::new(
-            k.clone(),
-            proxy_pid,
+        let plane = EventLoop::new(k.clone()).unwrap();
+        let proxy = SocketProxy::on_plane(
+            &plane,
+            plane.pid(),
             connect_pid,
             "/run/dead.sock",
             "/run/nothing-there.sock",
@@ -192,13 +176,13 @@ mod tests {
         let k = boot_host(SimClock::new());
         // Fork every participant BEFORE binding the upstream listener, so
         // closing the host fd really is the last reference.
-        let proxy_pid = k.fork(Pid::INIT).unwrap();
         let connect_pid = k.fork(Pid::INIT).unwrap();
         let app = k.fork(Pid::INIT).unwrap();
         let srv = k.bind_listener(Pid::INIT, "/run/db.sock").unwrap();
-        let proxy = SocketProxy::new(
-            k.clone(),
-            proxy_pid,
+        let plane = EventLoop::new(k.clone()).unwrap();
+        let proxy = SocketProxy::on_plane(
+            &plane,
+            plane.pid(),
             connect_pid,
             "/run/app.sock",
             "/run/db.sock",
@@ -245,11 +229,11 @@ mod tests {
     fn half_close_with_pending_server_data() {
         let k = boot_host(SimClock::new());
         let srv = k.bind_listener(Pid::INIT, "/run/svc.sock").unwrap();
-        let proxy_pid = k.fork(Pid::INIT).unwrap();
         let connect_pid = k.fork(Pid::INIT).unwrap();
-        let proxy = SocketProxy::new(
-            k.clone(),
-            proxy_pid,
+        let plane = EventLoop::new(k.clone()).unwrap();
+        let proxy = SocketProxy::on_plane(
+            &plane,
+            plane.pid(),
             connect_pid,
             "/run/in.sock",
             "/run/svc.sock",
@@ -289,11 +273,11 @@ mod tests {
     fn connect_close_cycles_stay_bounded() {
         let k = boot_host(SimClock::new());
         let srv = k.bind_listener(Pid::INIT, "/run/cycle.sock").unwrap();
-        let proxy_pid = k.fork(Pid::INIT).unwrap();
         let connect_pid = k.fork(Pid::INIT).unwrap();
-        let proxy = SocketProxy::new(
-            k.clone(),
-            proxy_pid,
+        let plane = EventLoop::new(k.clone()).unwrap();
+        let proxy = SocketProxy::on_plane(
+            &plane,
+            plane.pid(),
             connect_pid,
             "/run/cycle-in.sock",
             "/run/cycle.sock",
@@ -331,11 +315,11 @@ mod tests {
     fn stalled_reader_parks_only_its_own_direction() {
         let k = boot_host(SimClock::new());
         let srv = k.bind_listener(Pid::INIT, "/run/slow.sock").unwrap();
-        let proxy_pid = k.fork(Pid::INIT).unwrap();
         let connect_pid = k.fork(Pid::INIT).unwrap();
-        let proxy = SocketProxy::new(
-            k.clone(),
-            proxy_pid,
+        let plane = EventLoop::new(k.clone()).unwrap();
+        let proxy = SocketProxy::on_plane(
+            &plane,
+            plane.pid(),
             connect_pid,
             "/run/slow-in.sock",
             "/run/slow.sock",

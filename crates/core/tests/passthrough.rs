@@ -83,7 +83,6 @@ fn mount_with(config: FuseConfig, prepare: impl FnOnce(&Kernel, Pid)) -> Mount {
     let client = FuseClientFs::mount(
         FUSE,
         k.clock().clone(),
-        k.cost(),
         config,
         InlineTransport::new(handler),
     )
@@ -309,7 +308,6 @@ fn a_backing_file_at_max_stack_depth_is_refused() {
     let outer = FuseClientFs::mount(
         outer_dev,
         k.clock().clone(),
-        k.cost(),
         FuseConfig::optimized(),
         InlineTransport::new(CntrfsServer::new(k.clone(), server_pid).unwrap()),
     )

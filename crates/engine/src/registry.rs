@@ -24,17 +24,13 @@ pub struct DeploymentModel {
     pub start_ns: u64,
 }
 
-impl DeploymentModel {
-    /// A typical datacenter link: 1 Gbit/s, 20 ms per layer fetch, 300 ms
-    /// runtime start.
-    pub const fn datacenter() -> DeploymentModel {
-        DeploymentModel {
-            bandwidth_bps: 125_000_000,
-            layer_rtt_ns: 20_000_000,
-            start_ns: 300_000_000,
-        }
-    }
-}
+/// The one deployment every [`Registry::deploy`] charges: a typical
+/// datacenter link, 1 Gbit/s, 20 ms per layer fetch, 300 ms runtime start.
+pub const DATACENTER: DeploymentModel = DeploymentModel {
+    bandwidth_bps: 125_000_000,
+    layer_rtt_ns: 20_000_000,
+    start_ns: 300_000_000,
+};
 
 /// What one deployment cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,12 +101,7 @@ impl Registry {
     }
 
     /// Simulates pulling `reference` onto `host`, reusing cached layers.
-    pub fn deploy(
-        &self,
-        host: &str,
-        reference: &str,
-        model: DeploymentModel,
-    ) -> SysResult<DeployReport> {
+    pub fn deploy(&self, host: &str, reference: &str) -> SysResult<DeployReport> {
         let image = self.get(reference)?;
         let mut hosts = self.host_layers.lock();
         let cache = hosts.entry(host.to_string()).or_default();
@@ -126,9 +117,9 @@ impl Registry {
                 cache.insert(layer.id.clone());
             }
         }
-        let download_ns = pulled as u64 * model.layer_rtt_ns
-            + bytes.saturating_mul(1_000_000_000) / model.bandwidth_bps;
-        let total_ns = download_ns + model.start_ns;
+        let download_ns = pulled as u64 * DATACENTER.layer_rtt_ns
+            + bytes.saturating_mul(1_000_000_000) / DATACENTER.bandwidth_bps;
+        let total_ns = download_ns + DATACENTER.start_ns;
         Ok(DeployReport {
             bytes_pulled: bytes,
             layers_pulled: pulled,
@@ -180,9 +171,8 @@ mod tests {
         let r = Registry::new();
         r.push(fat_image());
         r.push(slim_image());
-        let m = DeploymentModel::datacenter();
-        let fat = r.deploy("host-a", "app:fat", m).unwrap();
-        let slim = r.deploy("host-b", "app:slim", m).unwrap();
+        let fat = r.deploy("host-a", "app:fat").unwrap();
+        let slim = r.deploy("host-b", "app:slim").unwrap();
         assert!(slim.total_time < fat.total_time);
         assert!(fat.bytes_pulled > slim.bytes_pulled);
         // Downloads dominate deployment (the paper's 92% motivation).
@@ -194,15 +184,14 @@ mod tests {
         let r = Registry::new();
         r.push(fat_image());
         r.push(slim_image());
-        let m = DeploymentModel::datacenter();
-        let first = r.deploy("host", "app:fat", m).unwrap();
+        let first = r.deploy("host", "app:fat").unwrap();
         assert_eq!(first.layers_pulled, 3);
         // The slim image shares the base layer: only the app layer moves...
-        let second = r.deploy("host", "app:slim", m).unwrap();
+        let second = r.deploy("host", "app:slim").unwrap();
         assert_eq!(second.layers_cached, 1, "base layer reused");
         assert_eq!(second.layers_pulled, 1);
         // Re-deploying is nearly free.
-        let third = r.deploy("host", "app:fat", m).unwrap();
+        let third = r.deploy("host", "app:fat").unwrap();
         assert_eq!(third.bytes_pulled, 0);
         assert_eq!(third.layers_cached, 3);
     }

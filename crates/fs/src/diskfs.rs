@@ -8,7 +8,6 @@
 
 use crate::nodefs::NodeFs;
 use crate::store::DiskStore;
-use crate::traits::FsFeatures;
 use cntr_blockdev::{BlockDevice, DiskModel};
 use cntr_types::{DevId, SimClock};
 use std::sync::Arc;
@@ -33,7 +32,6 @@ pub fn diskfs_on(
     Arc::new(NodeFs::new(
         dev_id,
         "ext4",
-        FsFeatures::full(),
         capacity,
         clock,
         DiskStore::new(device),
@@ -43,7 +41,7 @@ pub fn diskfs_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Filesystem, FilesystemExt, FsContext};
+    use crate::traits::{Filesystem, FilesystemExt, FsContext, FsFeatures};
     use cntr_types::{FileType, Ino, Mode, OpenFlags};
 
     #[test]
@@ -116,8 +114,22 @@ mod tests {
     fn features_are_full_disk() {
         let clock = SimClock::new();
         let f = diskfs_gp2(DevId(3), clock);
-        assert!(f.features().block_backed);
-        assert!(f.features().direct_io);
+        assert_eq!(f.features(), FsFeatures::local());
         assert_eq!(f.fs_type(), "ext4");
+        // A local disk honours O_DIRECT and exports handles.
+        let st = f
+            .mknod(
+                Ino::ROOT,
+                "file",
+                FileType::Regular,
+                Mode::RW_R__R__,
+                0,
+                &FsContext::root(),
+            )
+            .unwrap();
+        assert!(f
+            .open(st.ino, OpenFlags::RDWR.with(OpenFlags::DIRECT))
+            .is_ok());
+        assert_eq!(f.export_handle(st.ino), Ok(st.ino.raw()));
     }
 }

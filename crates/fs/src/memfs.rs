@@ -7,7 +7,6 @@
 
 use crate::nodefs::NodeFs;
 use crate::store::MemStore;
-use crate::traits::FsFeatures;
 use cntr_types::{DevId, SimClock};
 use std::sync::Arc;
 
@@ -26,14 +25,7 @@ pub fn memfs(dev_id: DevId, clock: SimClock) -> Arc<MemFs> {
 /// Creates a [`MemFs`] with an explicit capacity in bytes (for `ENOSPC`
 /// testing).
 pub fn memfs_with_capacity(dev_id: DevId, clock: SimClock, capacity: u64) -> Arc<MemFs> {
-    Arc::new(NodeFs::new(
-        dev_id,
-        "tmpfs",
-        FsFeatures::tmpfs(),
-        capacity,
-        clock,
-        MemStore,
-    ))
+    Arc::new(NodeFs::new(dev_id, "tmpfs", capacity, clock, MemStore))
 }
 
 #[cfg(test)]

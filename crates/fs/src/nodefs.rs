@@ -96,7 +96,6 @@ struct FsState<C> {
 pub struct NodeFs<S: FileStore> {
     dev_id: DevId,
     fs_type: &'static str,
-    features: FsFeatures,
     capacity: u64,
     clock: SimClock,
     store: S,
@@ -108,7 +107,6 @@ impl<S: FileStore> NodeFs<S> {
     pub fn new(
         dev_id: DevId,
         fs_type: &'static str,
-        features: FsFeatures,
         capacity: u64,
         clock: SimClock,
         store: S,
@@ -139,7 +137,6 @@ impl<S: FileStore> NodeFs<S> {
         NodeFs {
             dev_id,
             fs_type,
-            features,
             capacity,
             clock,
             store,
@@ -370,7 +367,7 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
     }
 
     fn features(&self) -> FsFeatures {
-        self.features
+        FsFeatures::local()
     }
 
     fn lookup(&self, parent: Ino, name: &str) -> SysResult<Stat> {
@@ -403,16 +400,15 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
         }
         let now = self.clock.now();
         let mut st = self.state.lock();
-        let native_clear = self.features.native_setgid_clearing;
         let node = st.inodes.get_mut(&ino).ok_or(Errno::ENOENT)?;
         if let Some(mode) = attr.mode {
             let mut mode = mode;
             // The setgid-clearing rule at the heart of xfstests #375: chmod
             // by a caller that is not in the file's owning group (and lacks
-            // CAP_FSETID) must not leave the setgid bit set. CntrFS delegates
-            // this decision to the backing filesystem under the *server's*
-            // identity and therefore misses it.
-            if native_clear && mode.is_setgid() && !ctx.cap_fsetid && !ctx.in_group(node.meta.gid) {
+            // CAP_FSETID) must not leave the setgid bit set. CntrFS replays
+            // chmod here under the *server's* root identity, which holds
+            // CAP_FSETID, and therefore misses it.
+            if mode.is_setgid() && !ctx.cap_fsetid && !ctx.in_group(node.meta.gid) {
                 mode = mode.clear_setgid();
             }
             node.meta.mode = mode;
@@ -693,11 +689,6 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
     }
 
     fn open(&self, ino: Ino, flags: OpenFlags) -> SysResult<Fh> {
-        if flags.contains(OpenFlags::DIRECT) && !self.features.direct_io {
-            // CntrFS: direct I/O and mmap support are mutually exclusive in
-            // FUSE; CNTR chose mmap (paper §5.1, test #391).
-            return Err(Errno::EINVAL);
-        }
         let mut st = self.state.lock();
         let node = st.inodes.get(&ino).ok_or(Errno::ENOENT)?;
         if flags.contains(OpenFlags::DIRECTORY) && node.meta.ftype != FileType::Directory {

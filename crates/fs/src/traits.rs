@@ -86,39 +86,27 @@ pub enum FallocateMode {
     PunchHole,
 }
 
-/// Feature flags a filesystem reports.
+/// What the kernel acts on about a filesystem: every field here is read by
+/// the VFS, the page cache or the passthrough table.
 ///
-/// These encode the implementation limits behind the paper's four xfstests
-/// failures (§5.1): CntrFS supports neither `O_DIRECT` (it needs `mmap` to
-/// execute binaries, and FUSE makes the two mutually exclusive — test #391),
-/// nor exportable file handles (its inodes are not persistent — test #426);
-/// it replays operations in the server process so the *caller's*
-/// `RLIMIT_FSIZE` is not enforced (test #228), and it delegates POSIX ACLs to
-/// the backing filesystem so the setgid-clearing corner case is missed
-/// (test #375).
+/// One field carries one of the paper's four xfstests failures (§5.1):
+/// CntrFS replays writes in the server process, so the *caller's*
+/// `RLIMIT_FSIZE` is not enforced (`enforces_caller_fsize`, test #228).
+/// The other three are behaviour, not flags: `FuseClientFs::open` refuses
+/// `O_DIRECT` (FUSE makes it and `mmap` mutually exclusive — #391), its
+/// [`Filesystem::export_handle`] returns `EOPNOTSUPP` (its inodes are not
+/// persistent — #426), and `CntrfsServer` runs `chmod` as root, so the
+/// backing filesystem's setgid-clearing rule never fires (#375).
 ///
-/// They also state the page-cache contract the kernel applies to a mount of
+/// The rest state the page-cache contract the kernel applies to a mount of
 /// the filesystem: a disk or tmpfs caches both ways, a FUSE mount reports
 /// what INIT negotiated (two of the paper's §3.3 optimizations), and
 /// `/proc` caches nothing. A FUSE mount that negotiated passthrough also
 /// says so, and every filesystem states how deeply it stacks on others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsFeatures {
-    /// `open(O_DIRECT)` is honoured.
-    pub direct_io: bool,
-    /// `name_to_handle_at(2)`-style inode export is possible.
-    pub exportable_handles: bool,
     /// Writes enforce the calling process's `RLIMIT_FSIZE`.
     pub enforces_caller_fsize: bool,
-    /// `chmod` applies the ACL-aware setgid-clearing rule itself (rather
-    /// than delegating ownership decisions to another identity).
-    pub native_setgid_clearing: bool,
-    /// The filesystem is backed by a block device (some xfstests are skipped
-    /// otherwise, matching the paper's "expected our filesystem to be backed
-    /// by a block device").
-    pub block_backed: bool,
-    /// Copy-on-write ioctls (`FICLONE`) are supported.
-    pub reflink: bool,
     /// Writes may be buffered dirty in the page cache and flushed in
     /// batches (`FUSE_WRITEBACK_CACHE`). Off = write-through.
     pub writeback_cache: bool,
@@ -137,31 +125,11 @@ pub struct FsFeatures {
 }
 
 impl FsFeatures {
-    /// Everything a well-behaved local disk filesystem supports.
-    pub const fn full() -> FsFeatures {
+    /// A local filesystem (disk or tmpfs): enforces the caller's limits,
+    /// caches both ways, and stacks on nothing.
+    pub const fn local() -> FsFeatures {
         FsFeatures {
-            direct_io: true,
-            exportable_handles: true,
             enforces_caller_fsize: true,
-            native_setgid_clearing: true,
-            block_backed: true,
-            reflink: false,
-            writeback_cache: true,
-            keep_cache: true,
-            passthrough: false,
-            stack_depth: 0,
-        }
-    }
-
-    /// tmpfs: everything except block backing and reflink.
-    pub const fn tmpfs() -> FsFeatures {
-        FsFeatures {
-            direct_io: true,
-            exportable_handles: true,
-            enforces_caller_fsize: true,
-            native_setgid_clearing: true,
-            block_backed: false,
-            reflink: false,
             writeback_cache: true,
             keep_cache: true,
             passthrough: false,
@@ -365,14 +333,10 @@ pub trait Filesystem: Send + Sync {
 
     /// Exports an inode as a persistent handle (`name_to_handle_at`).
     ///
-    /// Filesystems whose inodes are not persistent (CntrFS) return
-    /// `EOPNOTSUPP` — xfstests #426.
+    /// Filesystems whose inodes are not persistent (CntrFS, `/proc`)
+    /// override this to return `EOPNOTSUPP` — xfstests #426.
     fn export_handle(&self, ino: Ino) -> SysResult<u64> {
-        if self.features().exportable_handles {
-            Ok(ino.raw())
-        } else {
-            Err(cntr_types::Errno::EOPNOTSUPP)
-        }
+        Ok(ino.raw())
     }
 }
 
@@ -453,11 +417,9 @@ mod tests {
 
     #[test]
     fn feature_presets() {
-        assert!(FsFeatures::full().block_backed);
-        assert!(!FsFeatures::tmpfs().block_backed);
-        assert!(FsFeatures::tmpfs().direct_io);
-        for f in [FsFeatures::full(), FsFeatures::tmpfs()] {
-            assert!(f.writeback_cache && f.keep_cache);
-        }
+        let f = FsFeatures::local();
+        assert!(f.enforces_caller_fsize && f.writeback_cache && f.keep_cache);
+        assert!(!f.passthrough);
+        assert_eq!(f.stack_depth, 0);
     }
 }

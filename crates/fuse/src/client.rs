@@ -50,8 +50,8 @@ use cntr_fs::{
 };
 use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
-    CostModel, DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr,
-    SimClock, Stat, Statfs, SysResult,
+    DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr, SimClock, Stat,
+    Statfs, SysResult, COST,
 };
 use obs::{LazyHistogram, Subsystem};
 use parking_lot::Mutex;
@@ -152,7 +152,6 @@ obs::counter_scope! {
 pub struct FuseClientFs {
     dev: DevId,
     clock: SimClock,
-    cost: CostModel,
     config: FuseConfig,
     transport: Arc<dyn Transport>,
     /// Shared with the `end_write` hooks of passthrough handles.
@@ -165,7 +164,6 @@ impl FuseClientFs {
     pub fn mount(
         dev: DevId,
         clock: SimClock,
-        cost: CostModel,
         config: FuseConfig,
         transport: Arc<dyn Transport>,
     ) -> SysResult<Arc<FuseClientFs>> {
@@ -183,7 +181,6 @@ impl FuseClientFs {
         Ok(Arc::new(FuseClientFs {
             dev,
             clock,
-            cost,
             config,
             transport,
             state: Arc::new(Mutex::new_class(
@@ -239,14 +236,14 @@ impl FuseClientFs {
         } else {
             1
         };
-        let mut ns = self.cost.fuse_round_trip() / depth;
+        let mut ns = COST.fuse_round_trip() / depth;
         // Splice-write peeks the request header before deciding whether the
         // payload can stay in the kernel: one extra context switch per
         // *spliced* request (§3.3 — the reason the paper shipped with it
         // off). Batched write-back makes WRITE requests few and large, so
         // the peek amortizes against the page-remap payload cost below.
         if f.splice_write && matches!(req, Request::Write { .. }) {
-            ns += self.cost.ctx_switch_ns;
+            ns += COST.ctx_switch_ns;
         }
         // Worker synchronization overhead grows with the thread count. With
         // the ring negotiated, the doorbell amortizes that per-request
@@ -254,7 +251,7 @@ impl FuseClientFs {
         // FUSE-over-io_uring), so each request pays only its share.
         let workers = self.config.workers.max(1) as u64;
         if workers > 1 {
-            let sync = self.cost.mt_sync_ns * workers.ilog2() as u64;
+            let sync = COST.mt_sync_ns * workers.ilog2() as u64;
             ns += if f.ring {
                 sync / RING_BATCH as u64
             } else {
@@ -263,15 +260,15 @@ impl FuseClientFs {
         }
         let req_bytes = req.wire_bytes() as u64;
         ns += if matches!(req, Request::Write { .. }) && f.splice_write {
-            self.cost.splice(req_bytes)
+            COST.splice(req_bytes)
         } else {
-            self.cost.copy(req_bytes)
+            COST.copy(req_bytes)
         };
         let reply_bytes = reply.wire_bytes() as u64;
         ns += if matches!(reply, Reply::Data(_)) && f.splice_read {
-            self.cost.splice(reply_bytes)
+            COST.splice(reply_bytes)
         } else {
-            self.cost.copy(reply_bytes)
+            COST.copy(reply_bytes)
         };
         self.clock.advance(ns);
     }
@@ -410,17 +407,13 @@ impl Filesystem for FuseClientFs {
     }
 
     fn features(&self) -> FsFeatures {
-        // The four xfstests failures (§5.1) in feature-flag form, and the
-        // page-cache policy INIT negotiated. The security.capability check
-        // of §5.2.2 (Apache) is `need_killpriv`.
+        // Writes replay in the server, so the caller's RLIMIT_FSIZE is not
+        // enforced (xfstests #228), and the page-cache policy INIT
+        // negotiated. The security.capability check of §5.2.2 (Apache) is
+        // `need_killpriv`.
         let flags = self.config.flags;
         FsFeatures {
-            direct_io: false,
-            exportable_handles: false,
             enforces_caller_fsize: false,
-            native_setgid_clearing: false,
-            block_backed: false,
-            reflink: false,
             writeback_cache: flags.writeback_cache,
             keep_cache: flags.keep_cache,
             passthrough: flags.passthrough,
@@ -444,7 +437,7 @@ impl Filesystem for FuseClientFs {
                     let stat = *stat;
                     drop(st);
                     self.counters.entry_hits.inc();
-                    self.clock.advance(self.cost.dcache_hit_ns);
+                    self.clock.advance(COST.dcache_hit_ns);
                     return Ok(stat);
                 }
             }
@@ -467,7 +460,7 @@ impl Filesystem for FuseClientFs {
     fn getattr(&self, ino: Ino) -> SysResult<Stat> {
         if let Some(stat) = self.state.lock().attr_cache.get(&ino).copied() {
             self.counters.attr_hits.inc();
-            self.clock.advance(self.cost.dcache_hit_ns);
+            self.clock.advance(COST.dcache_hit_ns);
             return Ok(stat);
         }
         self.counters.attr_misses.inc();
@@ -578,7 +571,7 @@ impl Filesystem for FuseClientFs {
         let cache = self.config.flags.cache_symlinks;
         if cache {
             if let Some(target) = self.state.lock().symlinks.get(&ino).cloned() {
-                self.clock.advance(self.cost.dcache_hit_ns);
+                self.clock.advance(COST.dcache_hit_ns);
                 return Ok(target);
             }
         }
@@ -712,7 +705,7 @@ impl Filesystem for FuseClientFs {
                     let out = ra.data.slice(begin..begin + n);
                     drop(st);
                     self.counters.readahead_hits.inc();
-                    self.clock.advance(self.cost.copy(n as u64));
+                    self.clock.advance(COST.copy(n as u64));
                     return Ok(out);
                 }
                 Some(ra) => offset == ra.start + ra.data.len() as u64,
@@ -953,6 +946,12 @@ impl Filesystem for FuseClientFs {
             self.flush_forgets();
         }
     }
+
+    fn export_handle(&self, _ino: Ino) -> SysResult<u64> {
+        // Server inodes are assigned at LOOKUP and gone after FORGET, so
+        // none outlives the mount (xfstests #426).
+        Err(Errno::EOPNOTSUPP)
+    }
 }
 
 #[cfg(test)]
@@ -969,14 +968,8 @@ mod tests {
         let clock = SimClock::new();
         let backing = memfs(DevId(1), clock.clone());
         let transport = InlineTransport::new(FsHandler::new(backing));
-        let client = FuseClientFs::mount(
-            DevId(100),
-            clock.clone(),
-            CostModel::calibrated(),
-            config,
-            transport,
-        )
-        .expect("mount");
+        let client =
+            FuseClientFs::mount(DevId(100), clock.clone(), config, transport).expect("mount");
         (client, clock)
     }
 
@@ -1206,7 +1199,6 @@ mod tests {
         let fs = FuseClientFs::mount(
             DevId(100),
             SimClock::new(),
-            CostModel::calibrated(),
             FuseConfig::optimized(),
             transport,
         )
@@ -1363,14 +1355,12 @@ mod tests {
     }
 
     #[test]
-    fn features_encode_the_four_xfstests_failures() {
+    fn caller_fsize_unenforced_and_handles_not_exportable() {
+        // #391 is `o_direct_is_rejected`; #375 is the server's root chmod
+        // (`cntrfs` tests).
         let (fs, _) = mounted(FuseConfig::optimized());
-        let f = fs.features();
-        assert!(!f.direct_io); // #391
-        assert!(!f.exportable_handles); // #426
-        assert!(!f.enforces_caller_fsize); // #228
-        assert!(!f.native_setgid_clearing); // #375
-        assert_eq!(fs.export_handle(Ino::ROOT), Err(Errno::EOPNOTSUPP));
+        assert!(!fs.features().enforces_caller_fsize); // #228
+        assert_eq!(fs.export_handle(Ino::ROOT), Err(Errno::EOPNOTSUPP)); // #426
     }
 
     #[test]
@@ -1586,14 +1576,8 @@ mod tests {
             64,
             8,
         ));
-        let fs = FuseClientFs::mount(
-            DevId(100),
-            clock,
-            CostModel::calibrated(),
-            FuseConfig::optimized(),
-            transport,
-        )
-        .unwrap();
+        let fs =
+            FuseClientFs::mount(DevId(100), clock, FuseConfig::optimized(), transport).unwrap();
         let mut handles = Vec::new();
         for t in 0..8u32 {
             let fs = Arc::clone(&fs);

@@ -10,7 +10,7 @@
 use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
-use cntr_types::{CostModel, DevId, Errno, FileType, Ino, Mode, OpenFlags, SimClock};
+use cntr_types::{DevId, Errno, FileType, Ino, Mode, OpenFlags, SimClock};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -125,14 +125,7 @@ fn fuse_mounted() -> Arc<FuseClientFs> {
     let clock = SimClock::new();
     let backing = memfs(DevId(1), clock.clone());
     let transport = InlineTransport::new(FsHandler::new(backing));
-    FuseClientFs::mount(
-        DevId(100),
-        clock,
-        CostModel::calibrated(),
-        FuseConfig::optimized(),
-        transport,
-    )
-    .expect("mount")
+    FuseClientFs::mount(DevId(100), clock, FuseConfig::optimized(), transport).expect("mount")
 }
 
 proptest! {
@@ -162,7 +155,6 @@ proptest! {
         let fused = FuseClientFs::mount(
             DevId(100),
             clock,
-            CostModel::calibrated(),
             FuseConfig::optimized()
                 .with_flags(InitFlags::none())
                 .with_workers(1),

@@ -27,7 +27,7 @@ use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_fuse::proto::{Reply, Request, RequestCtx};
 use cntr_fuse::testing::{copies_along, CountingTransport, InstrumentedFs, PayloadLog};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, FuseHandler, RingTransport, Transport};
-use cntr_types::{CostModel, DevId, Errno, FileType, Ino, Mode, OpenFlags, SimClock};
+use cntr_types::{DevId, Errno, FileType, Ino, Mode, OpenFlags, SimClock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,7 +66,6 @@ fn check_negotiation() {
     let client = FuseClientFs::mount(
         DevId(0xA0),
         SimClock::new(),
-        CostModel::calibrated(),
         FuseConfig::optimized(),
         Arc::clone(&ring) as Arc<dyn Transport>,
     )
@@ -80,7 +79,6 @@ fn check_negotiation() {
     let legacy = FuseClientFs::mount(
         DevId(0xA1),
         SimClock::new(),
-        CostModel::calibrated(),
         FuseConfig::paper(),
         Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4)),
     )
@@ -104,7 +102,6 @@ fn check_spliced_reads_zero_copy() {
     let client = FuseClientFs::mount(
         DevId(0xA2),
         SimClock::new(),
-        CostModel::calibrated(),
         FuseConfig::optimized(),
         transport,
     )
@@ -352,14 +349,8 @@ fn check_writeback_reentrancy() {
         // One reaper: a queued re-entrant request can never be served.
         let transport = Arc::new(RingTransport::new(handler, 1, 8, 4));
         *transport_slot.lock() = Some(Arc::clone(&transport) as Arc<dyn Transport>);
-        let client = FuseClientFs::mount(
-            DevId(0xA3),
-            clock,
-            CostModel::calibrated(),
-            FuseConfig::optimized(),
-            transport,
-        )
-        .unwrap();
+        let client =
+            FuseClientFs::mount(DevId(0xA3), clock, FuseConfig::optimized(), transport).unwrap();
         let (ino, fh) = mknod_open(&client, "wb");
         // Every WRITE's handler re-enters with a GETATTR before landing.
         let payload = Bytes::from(vec![0xEEu8; 64 * 1024]);
@@ -388,14 +379,8 @@ fn check_trace_spans_cross_the_ring() {
     let clock = SimClock::new();
     let backing = memfs(DevId(15), clock.clone());
     let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4));
-    let client = FuseClientFs::mount(
-        DevId(0xA4),
-        clock,
-        CostModel::calibrated(),
-        FuseConfig::optimized(),
-        transport,
-    )
-    .unwrap();
+    let client =
+        FuseClientFs::mount(DevId(0xA4), clock, FuseConfig::optimized(), transport).unwrap();
     let (ino, fh) = mknod_open(&client, "traced");
     let payload = vec![0x11u8; MIB];
     client.write(ino, fh, 0, &payload).unwrap();

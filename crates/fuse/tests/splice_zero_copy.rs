@@ -21,7 +21,7 @@ use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_fuse::testing::{copies_along, CountingTransport, InstrumentedFs, PayloadLog};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_overlay::{blobfs, BlobStore, CHUNK_SIZE};
-use cntr_types::{CostModel, DevId, FileType, Ino, Mode, OpenFlags, SimClock};
+use cntr_types::{DevId, FileType, Ino, Mode, OpenFlags, SimClock};
 use std::sync::Arc;
 
 const MIB: usize = 1 << 20;
@@ -38,7 +38,6 @@ fn instrumented_mount(
     let client = FuseClientFs::mount(
         DevId(0xC0),
         SimClock::new(),
-        CostModel::calibrated(),
         FuseConfig::optimized().with_flags(flags),
         transport,
     )

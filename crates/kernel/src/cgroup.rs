@@ -33,8 +33,6 @@ impl CgroupPath {
 pub struct CgroupLimits {
     /// Memory limit in bytes (`memory.max`), if set.
     pub memory_max: Option<u64>,
-    /// CPU quota in micro-cores (1_000_000 = one full core), if set.
-    pub cpu_quota: Option<u64>,
     /// Max number of pids (`pids.max`), if set.
     pub pids_max: Option<u64>,
 }

@@ -17,7 +17,7 @@ use crate::socket::{SocketEnd, SocketListener};
 use crate::table::{lock_class, MountTable, NsRefs, ProcTable, DEFAULT_PROC_SHARDS};
 use cntr_fs::Filesystem;
 use cntr_types::{
-    Capability, CostModel, DevId, Errno, Ino, OpenFlags, Pid, RlimitSet, SimClock, SysResult,
+    Capability, DevId, Errno, Ino, OpenFlags, Pid, RlimitSet, SimClock, SysResult, COST,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -37,8 +37,6 @@ const DIRTY_BACKGROUND_RATIO: u64 = 10;
 /// Tunables of a simulated machine.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
-    /// Primitive cost model.
-    pub cost: CostModel,
     /// Page-cache ceiling in bytes — the memory budget reclaim enforces.
     /// Defaults to 256 MiB: a density-oriented bound (many slim containers
     /// per host), not the paper testbed's whole RAM.
@@ -65,7 +63,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> KernelConfig {
         KernelConfig {
-            cost: CostModel::calibrated(),
             page_cache_limit: 256 << 20,
             dirty_bytes: 0,
             dirty_background_bytes: 0,
@@ -86,7 +83,6 @@ impl KernelConfig {
             dirty_bytes: 64 << 20,
             dirty_background_bytes: 32 << 20,
             background_writeback: false,
-            ..KernelConfig::default()
         }
     }
 
@@ -138,7 +134,6 @@ pub(crate) struct BoundSocket {
 /// subsystems (see [`crate::table`] for the lock-ordering discipline).
 pub(crate) struct KernelInner {
     pub clock: SimClock,
-    pub cost: CostModel,
     pub page_cache: PageCache,
     /// The pid-sharded process table.
     pub procs: ProcTable,
@@ -247,14 +242,12 @@ impl Kernel {
             inner: Arc::new(KernelInner {
                 page_cache: PageCache::new(
                     clock.clone(),
-                    config.cost,
                     config.page_cache_limit,
                     config.resolved_dirty_bytes(),
                 )
                 .with_dirty_background_bytes(config.resolved_dirty_background_bytes())
                 .with_background_writeback(config.background_writeback),
                 clock,
-                cost: config.cost,
                 procs: ProcTable::new(DEFAULT_PROC_SHARDS, init),
                 mounts: MountTable::new(root_ns),
                 ns_refs: NsRefs::new(&init_ns),
@@ -271,11 +264,6 @@ impl Kernel {
     /// The machine's virtual clock.
     pub fn clock(&self) -> &SimClock {
         &self.inner.clock
-    }
-
-    /// The cost model.
-    pub fn cost(&self) -> CostModel {
-        self.inner.cost
     }
 
     /// Page-cache counters.
@@ -326,7 +314,7 @@ impl Kernel {
 
     /// Charges one syscall entry/exit.
     pub(crate) fn charge_syscall(&self) {
-        self.inner.clock.advance(self.inner.cost.syscall_ns);
+        self.inner.clock.advance(COST.syscall_ns);
     }
 
     pub(crate) fn with_proc<T>(
@@ -1247,9 +1235,7 @@ impl Kernel {
             Self::splice_unread(&src.kind, &buf[written..]);
         }
         // Charge splice (page-remap) cost for what actually moved.
-        self.inner
-            .clock
-            .advance(self.inner.cost.splice(written as u64));
+        self.inner.clock.advance(COST.splice(written as u64));
         Ok(written)
     }
 
@@ -1601,7 +1587,7 @@ mod tests {
         // Empty source: EAGAIN, nothing charged beyond the syscall.
         let before = k.clock().now();
         assert_eq!(k.splice(Pid::INIT, b, c, 64 * 1024), Err(Errno::EAGAIN));
-        assert_eq!((k.clock().now() - before).as_nanos(), k.cost().syscall_ns);
+        assert_eq!((k.clock().now() - before).as_nanos(), COST.syscall_ns);
         // A queued message moves whole under a larger request, socket to
         // socket, and is charged by the pages it covers.
         let msg: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
@@ -1610,7 +1596,7 @@ mod tests {
         assert_eq!(k.splice(Pid::INIT, b, c, 64 * 1024), Ok(msg.len()));
         assert_eq!(
             (k.clock().now() - before).as_nanos(),
-            k.cost().syscall_ns + k.cost().splice(msg.len() as u64)
+            COST.syscall_ns + COST.splice(msg.len() as u64)
         );
         let mut buf = vec![0u8; 8192];
         let n = k.read_fd(Pid::INIT, d, &mut buf).unwrap();
@@ -1627,7 +1613,7 @@ mod tests {
         k.write_fd(Pid::INIT, w, b"!").unwrap();
         let before = k.clock().now();
         assert!(k.poll_fd(Pid::INIT, r).unwrap().readable);
-        assert_eq!((k.clock().now() - before).as_nanos(), k.cost().syscall_ns);
+        assert_eq!((k.clock().now() - before).as_nanos(), COST.syscall_ns);
     }
 
     #[test]

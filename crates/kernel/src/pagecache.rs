@@ -60,7 +60,7 @@ use crate::table::lock_class;
 use bytes::Bytes;
 use cntr_fs::{Fh, Filesystem, FilesystemExt};
 use cntr_types::cost::PAGE_SIZE;
-use cntr_types::{CostModel, DevId, Errno, Ino, SimClock, SysResult};
+use cntr_types::{DevId, Errno, Ino, SimClock, SysResult, COST};
 use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -598,7 +598,6 @@ const FILL_RUN_PAGES: usize = 32;
 /// flusher).
 #[doc(hidden)]
 pub struct CacheShared {
-    cost: CostModel,
     clock: SimClock,
     capacity_pages: usize,
     dirty_limit_pages: usize,
@@ -661,16 +660,10 @@ impl PageCache {
     /// (bytes), the background threshold at half the hard limit, and no
     /// flusher thread (writers drain inline — deterministic).
     /// [`PageCache::with_background_writeback`] turns the flusher on.
-    pub fn new(
-        clock: SimClock,
-        cost: CostModel,
-        capacity_bytes: u64,
-        dirty_limit_bytes: u64,
-    ) -> PageCache {
+    pub fn new(clock: SimClock, capacity_bytes: u64, dirty_limit_bytes: u64) -> PageCache {
         let dirty_limit_pages = (dirty_limit_bytes / PAGE_SIZE as u64).max(4) as usize;
         PageCache {
             inner: Arc::new_cyclic(|self_ref| CacheShared {
-                cost,
                 clock,
                 capacity_pages: (capacity_bytes / PAGE_SIZE as u64).max(16) as usize,
                 dirty_limit_pages,
@@ -909,7 +902,7 @@ impl CacheShared {
             if run == 0 {
                 OBS_LOOKUPS.inc();
                 self.counters.hits.inc();
-                self.clock.advance(self.cost.page_cache_hit_ns);
+                self.clock.advance(COST.page_cache_hit_ns);
                 done += n;
                 continue;
             }
@@ -1108,7 +1101,7 @@ impl CacheShared {
                 fstate.pending_size = Some(fstate.pending_size.unwrap_or(0).max(end));
                 break st.resident() > self.capacity_pages;
             };
-            self.clock.advance(self.cost.page_cache_hit_ns);
+            self.clock.advance(COST.page_cache_hit_ns);
             if over {
                 // Per-page reclaim keeps the bound tight even when one
                 // syscall writes multiples of the whole cache.
@@ -1746,12 +1739,7 @@ mod tests {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone()) as Arc<dyn Filesystem>;
         let file = file_on(&fs, "f");
-        let cache = Arc::new(PageCache::new(
-            clock,
-            CostModel::calibrated(),
-            cache_bytes,
-            dirty_bytes,
-        ));
+        let cache = Arc::new(PageCache::new(clock, cache_bytes, dirty_bytes));
         (cache, file, DevId(1))
     }
 
@@ -1880,7 +1868,7 @@ mod tests {
             .map(|i| (i / PAGE_SIZE) as u8 + 1)
             .collect();
         fs.write(file.ino, file.fh, 0, &content).unwrap();
-        let cache = PageCache::new(clock, CostModel::calibrated(), 1 << 20, 1 << 20);
+        let cache = PageCache::new(clock, 1 << 20, 1 << 20);
         let dev = DevId(2);
         let mut buf = vec![0u8; content.len()];
         cache
@@ -2049,14 +2037,9 @@ mod tests {
         let fs = memfs(DevId(1), clock.clone()) as Arc<dyn Filesystem>;
         let file = file_on(&fs, "f");
         let cache = Arc::new(
-            PageCache::new(
-                clock,
-                CostModel::calibrated(),
-                256 << 20,
-                64 * PAGE_SIZE as u64,
-            )
-            .with_dirty_background_bytes(16 * PAGE_SIZE as u64)
-            .with_background_writeback(true),
+            PageCache::new(clock, 256 << 20, 64 * PAGE_SIZE as u64)
+                .with_dirty_background_bytes(16 * PAGE_SIZE as u64)
+                .with_background_writeback(true),
         );
         let dev = DevId(1);
         let mode = CacheMode::native();

@@ -352,12 +352,7 @@ impl Filesystem for ProcFs {
 
     fn features(&self) -> FsFeatures {
         FsFeatures {
-            direct_io: false,
-            exportable_handles: false,
             enforces_caller_fsize: true,
-            native_setgid_clearing: true,
-            block_backed: false,
-            reflink: false,
             // Contents are generated on every read: nothing is cached.
             writeback_cache: false,
             keep_cache: false,
@@ -603,6 +598,12 @@ impl Filesystem for ProcFs {
     ) -> SysResult<()> {
         Err(Errno::EROFS)
     }
+
+    fn export_handle(&self, _ino: Ino) -> SysResult<u64> {
+        // Like Linux's procfs (no `s_export_op`): an entry lives only as
+        // long as its process.
+        Err(Errno::EOPNOTSUPP)
+    }
 }
 
 #[cfg(test)]
@@ -637,6 +638,11 @@ mod tests {
         assert!(text.contains("Name:\tinit"), "{text}");
         assert!(text.contains("Pid:\t1"));
         k.close(Pid::INIT, fd).unwrap();
+        // Its files have no persistent handle.
+        assert_eq!(
+            k.name_to_handle(Pid::INIT, "/proc/1/status"),
+            Err(Errno::EOPNOTSUPP)
+        );
 
         // environ contains the variable.
         let fd = k

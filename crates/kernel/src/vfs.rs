@@ -21,7 +21,7 @@ use crate::socket::{SocketEnd, SocketListener};
 use cntr_fs::{Filesystem, FilesystemExt, FsContext, XattrFlags, XATTR_NAME_CAPS};
 use cntr_types::{
     AccessMode, AtFlags, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags,
-    Pid, RenameFlags, SetAttr, Stat, SysResult, Uid,
+    Pid, RenameFlags, SetAttr, Stat, SysResult, Uid, COST,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -208,7 +208,7 @@ impl Kernel {
                 continue;
             }
             let mount = w.ns.get(w.cur.mount)?.clone();
-            self.inner.clock.advance(self.inner.cost.dcache_hit_ns);
+            self.inner.clock.advance(COST.dcache_hit_ns);
             let stat = mount.fs.lookup(w.cur.ino, &name)?;
             if stat.is_symlink() && (!is_last || follow_last || w.dir_only) {
                 w.symlinks += 1;
@@ -439,7 +439,7 @@ impl Kernel {
     /// system call and the one `/proc/self/fd` component.
     pub fn reopen(&self, pid: Pid, fd: u32, flags: OpenFlags) -> SysResult<u32> {
         self.charge_syscall();
-        self.inner.clock.advance(self.inner.cost.dcache_hit_ns);
+        self.inner.clock.advance(COST.dcache_hit_ns);
         let (creds, mnt_ns) = self.with_proc(pid, |p| Ok((p.creds.clone(), p.ns.mount)))?;
         let r = self.resolve_at(pid, fd, "", AtFlags::EMPTY_PATH)?;
         if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
@@ -2511,9 +2511,9 @@ mod tests {
     }
 
     #[test]
-    fn o_direct_rejected_when_fs_lacks_it() {
-        // MemFs supports O_DIRECT; a features-stripped fs is exercised via
-        // CntrFS in the xfstests crate. Here we check O_DIRECT pass-through.
+    fn o_direct_accepted_by_tmpfs() {
+        // tmpfs honours O_DIRECT; CntrFS refuses it (`FuseClientFs::open`,
+        // xfstests #391).
         let k = kernel();
         let fd = k
             .open(

@@ -28,14 +28,13 @@ use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, XattrFlags};
 use cntr_kernel::{Kernel, KernelConfig, MountFlags};
 use cntr_types::{
-    AtFlags, CostModel, DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, RenameFlags,
-    SimClock, Stat, Uid,
+    AtFlags, DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, RenameFlags, SimClock, Stat,
+    Uid, COST,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const P: Pid = Pid::INIT;
-const COST: CostModel = CostModel::calibrated();
 
 /// One simulated machine: the root tmpfs, a second tmpfs mounted at `/m`,
 /// the process's cwd at `/w`, and `O_PATH` anchors on `/` and `/w`.

@@ -299,19 +299,13 @@ fn stress_fork_exec_attach_umount_across_containers() {
 fn fuse_ring_accounting_bout() {
     use cntr_fs::{Filesystem, FilesystemExt};
     use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
-    use cntr_types::{CostModel, FileType, Ino};
+    use cntr_types::{FileType, Ino};
 
     let clock = SimClock::new();
     let backing = memfs(DevId(7_001), clock.clone());
     let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 4, 64, 8));
-    let client = FuseClientFs::mount(
-        DevId(0xF1),
-        clock,
-        CostModel::calibrated(),
-        FuseConfig::optimized(),
-        transport,
-    )
-    .expect("fuse mount over ring");
+    let client = FuseClientFs::mount(DevId(0xF1), clock, FuseConfig::optimized(), transport)
+        .expect("fuse mount over ring");
 
     let mut handles = Vec::new();
     for t in 0..THREADS {

@@ -26,7 +26,7 @@ use cntr_fs::memfs::memfs;
 use cntr_fs::FallocateMode;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_kernel::{Kernel, KernelConfig, MountFlags};
-use cntr_types::{CostModel, DevId, Errno, Mode, OpenFlags, Pid, SimClock};
+use cntr_types::{DevId, Errno, Mode, OpenFlags, Pid, SimClock};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -126,7 +126,6 @@ impl Env {
         let client = FuseClientFs::mount(
             DevId(0xC0),
             clock,
-            CostModel::calibrated(),
             FuseConfig::optimized().with_flags(flags),
             transport,
         )
@@ -173,7 +172,6 @@ impl Env {
         let client = FuseClientFs::mount(
             DevId(0xC1),
             clock,
-            CostModel::calibrated(),
             FuseConfig::optimized(),
             InlineTransport::new(server),
         )

@@ -9,7 +9,7 @@ use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_kernel::pagecache::{FileRef, PageCache};
 use cntr_kernel::CacheMode;
-use cntr_types::{CostModel, DevId, FileType, Ino, Mode, OpenFlags, SimClock};
+use cntr_types::{DevId, FileType, Ino, Mode, OpenFlags, SimClock};
 use std::sync::Arc;
 
 const PAGE: usize = 4096;
@@ -45,7 +45,7 @@ fn dropped_caches_leave_the_gauges() {
         ino: st.ino,
         fh,
     });
-    let new_cache = || PageCache::new(clock.clone(), CostModel::calibrated(), 256 << 20, 1 << 30);
+    let new_cache = || PageCache::new(clock.clone(), 256 << 20, 1 << 30);
     let baseline = gauges();
 
     // Eight dirty pages, then the cache goes away with them still dirty.

@@ -8,7 +8,7 @@ use cntr_fuse::proto::{Reply, Request};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, FuseHandler, RingTransport, Transport};
 use cntr_kernel::pagecache::{FileRef, PageCache};
 use cntr_kernel::CacheMode;
-use cntr_types::{CostModel, DevId, FileType, Ino, Mode, OpenFlags, SimClock};
+use cntr_types::{DevId, FileType, Ino, Mode, OpenFlags, SimClock};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,12 +34,7 @@ fn cache_with(dirty_limit: u64) -> (Arc<PageCache>, Arc<FileRef>, DevId) {
         ino: st.ino,
         fh,
     });
-    let cache = Arc::new(PageCache::new(
-        clock,
-        CostModel::calibrated(),
-        256 << 20,
-        dirty_limit,
-    ));
+    let cache = Arc::new(PageCache::new(clock, 256 << 20, dirty_limit));
     (cache, file, DevId(1))
 }
 
@@ -128,7 +123,6 @@ fn batched_writeback_survives_ring_reentrancy() {
         let client = FuseClientFs::mount(
             DevId(0xC2),
             clock.clone(),
-            CostModel::calibrated(),
             FuseConfig::optimized(),
             transport,
         )
@@ -144,12 +138,7 @@ fn batched_writeback_survives_ring_reentrancy() {
             )
             .unwrap();
         let fh = client.open(st.ino, OpenFlags::RDWR).unwrap();
-        let cache = Arc::new(PageCache::new(
-            clock,
-            CostModel::calibrated(),
-            64 << 20,
-            8 * PAGE as u64,
-        ));
+        let cache = Arc::new(PageCache::new(clock, 64 << 20, 8 * PAGE as u64));
         let dev = DevId(0xC2);
         let fref = Arc::new(FileRef {
             fs: Arc::clone(&client) as Arc<dyn Filesystem>,

@@ -13,7 +13,6 @@ use crate::blob::{is_zero, BlobId, BlobStore, CHUNK_SIZE};
 use bytes::Bytes;
 use cntr_fs::nodefs::NodeFs;
 use cntr_fs::store::{for_each_page, punch_hole_pages, zero_partial_edges, FileStore};
-use cntr_fs::FsFeatures;
 use cntr_types::{DevId, SimClock};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -249,7 +248,6 @@ pub fn blobfs_with_capacity(
     Arc::new(NodeFs::new(
         dev_id,
         "blobfs",
-        FsFeatures::tmpfs(),
         capacity,
         clock,
         BlobBackend::new(store),

@@ -828,7 +828,7 @@ impl Filesystem for OverlayFs {
         // `s_stack_depth` of an overlay over a disk or tmpfs).
         FsFeatures {
             stack_depth: 1,
-            ..FsFeatures::tmpfs()
+            ..FsFeatures::local()
         }
     }
 

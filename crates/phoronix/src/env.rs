@@ -96,9 +96,8 @@ impl PerfEnv {
                     Target::CntrfsRing(_) => Arc::new(RingTransport::from_config(server, &config)),
                     _ => InlineTransport::new(server),
                 };
-                let client =
-                    FuseClientFs::mount(DevId(0xF00D), clock, kernel.cost(), config, transport)
-                        .expect("mount cntrfs");
+                let client = FuseClientFs::mount(DevId(0xF00D), clock, config, transport)
+                    .expect("mount cntrfs");
                 kernel.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
                 kernel
                     .mkdir(pid, "/mnt/cntr", Mode::RWXR_XR_X)

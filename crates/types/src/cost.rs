@@ -12,8 +12,7 @@
 
 /// Primitive cost constants (all nanoseconds unless stated otherwise).
 ///
-/// A [`CostModel`] is deliberately plain data: ablation experiments construct
-/// variants (e.g. "free context switches") to isolate one term's contribution.
+/// The one calibrated instance is [`COST`]; every component charges from it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Kernel entry/exit for one system call.
@@ -39,22 +38,20 @@ pub struct CostModel {
     pub mt_sync_ns: u64,
 }
 
-impl CostModel {
-    /// The calibrated model used by all paper-figure reproductions.
-    pub const fn calibrated() -> CostModel {
-        CostModel {
-            syscall_ns: 300,
-            ctx_switch_ns: 1_500,
-            copy_byte_ns_x1000: 150, // 0.15 ns/byte
-            splice_page_ns: 150,
-            page_cache_hit_ns: 400,
-            dcache_hit_ns: 150,
-            inode_init_ns: 500,
-            queue_wakeup_ns: 700,
-            mt_sync_ns: 260,
-        }
-    }
+/// The calibrated model behind every paper-figure reproduction.
+pub const COST: CostModel = CostModel {
+    syscall_ns: 300,
+    ctx_switch_ns: 1_500,
+    copy_byte_ns_x1000: 150, // 0.15 ns/byte
+    splice_page_ns: 150,
+    page_cache_hit_ns: 400,
+    dcache_hit_ns: 150,
+    inode_init_ns: 500,
+    queue_wakeup_ns: 700,
+    mt_sync_ns: 260,
+};
 
+impl CostModel {
     /// Cost of copying `len` bytes.
     pub const fn copy(&self, len: u64) -> u64 {
         len * self.copy_byte_ns_x1000 / 1000
@@ -81,12 +78,6 @@ impl CostModel {
     /// transfer and server-side work.
     pub const fn fuse_round_trip(&self) -> u64 {
         2 * self.ctx_switch_ns + self.queue_wakeup_ns
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel::calibrated()
     }
 }
 
@@ -139,7 +130,7 @@ mod tests {
 
     #[test]
     fn copy_scales_linearly() {
-        let m = CostModel::calibrated();
+        let m = COST;
         assert_eq!(m.copy(0), 0);
         assert_eq!(m.copy(1000), 150);
         assert_eq!(m.copy(2000), 2 * m.copy(1000));
@@ -147,14 +138,14 @@ mod tests {
 
     #[test]
     fn splice_is_cheaper_than_copy_for_large_transfers() {
-        let m = CostModel::calibrated();
+        let m = COST;
         let len = 1 << 20; // 1 MiB
         assert!(m.splice(len) < m.copy(len) / 2);
     }
 
     #[test]
     fn splice_charges_whole_pages() {
-        let m = CostModel::calibrated();
+        let m = COST;
         assert_eq!(m.splice(1), m.splice_page_ns);
         assert_eq!(m.splice(PAGE_SIZE as u64), m.splice_page_ns);
         assert_eq!(m.splice(PAGE_SIZE as u64 + 1), 2 * m.splice_page_ns);
@@ -164,7 +155,7 @@ mod tests {
     fn fuse_round_trip_dominates_page_cache_hit() {
         // The core asymmetry behind all of Figure 2: a cache hit must be far
         // cheaper than going to userspace and back.
-        let m = CostModel::calibrated();
+        let m = COST;
         assert!(m.fuse_round_trip() > 5 * m.page_cache_hit_ns);
     }
 
@@ -173,7 +164,7 @@ mod tests {
         // Guarantees Gzip stays compute-bound in the simulation (Figure 2
         // shows ~1.0x for gzip because compression dominates data access).
         let cpu = CpuCosts::calibrated();
-        let m = CostModel::calibrated();
+        let m = COST;
         let len = 1 << 20;
         assert!(cpu.gzip(len) > 10 * m.page_cache(len));
     }

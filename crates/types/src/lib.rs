@@ -21,7 +21,7 @@ pub mod time;
 
 pub use caps::{CapSet, Capability};
 pub use clock::SimClock;
-pub use cost::CostModel;
+pub use cost::{CostModel, COST};
 pub use errno::{Errno, SysResult};
 pub use flags::{AccessMode, AtFlags, OpenFlags, RenameFlags};
 pub use ids::{DevId, Fd, Gid, Ino, Pid, Uid};

@@ -93,11 +93,6 @@ impl Mode {
         self.0 & Self::SETGID != 0
     }
 
-    /// True if the sticky bit is set.
-    pub const fn is_sticky(self) -> bool {
-        self.0 & Self::STICKY != 0
-    }
-
     /// Returns a copy with the setgid bit cleared.
     ///
     /// Linux clears setgid on `chmod` by a non-owner-group caller and on

@@ -129,14 +129,8 @@ pub fn cntrfs_over_tmpfs(config: FuseConfig) -> TestEnv {
     let server_pid = k.fork(Pid::INIT).expect("fork server");
     let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
     let transport = InlineTransport::new(server);
-    let client = FuseClientFs::mount(
-        DevId(0xCFFF),
-        k.clock().clone(),
-        k.cost(),
-        config,
-        transport,
-    )
-    .expect("mount cntrfs");
+    let client = FuseClientFs::mount(DevId(0xCFFF), k.clock().clone(), config, transport)
+        .expect("mount cntrfs");
     k.mount_fs(pid, "/mnt/cntrfs", client, MountFlags::default())
         .expect("mount");
     // Tests operate in a scratch area that maps to host /xfstests.
@@ -195,14 +189,8 @@ pub fn cntrfs_over_overlayfs(config: FuseConfig) -> TestEnv {
     let server_pid = k.fork(Pid::INIT).expect("fork server");
     let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
     let transport = InlineTransport::new(server);
-    let client = FuseClientFs::mount(
-        DevId(0xCFFE),
-        k.clock().clone(),
-        k.cost(),
-        config,
-        transport,
-    )
-    .expect("mount cntrfs");
+    let client = FuseClientFs::mount(DevId(0xCFFE), k.clock().clone(), config, transport)
+        .expect("mount cntrfs");
     k.mount_fs(pid, "/mnt/cntrfs", client, MountFlags::default())
         .expect("mount");
     TestEnv {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use cntr::fs::{Filesystem, FilesystemExt};
 use cntr::prelude::*;
 use cntr_fuse::{FsHandler, FuseClientFs, RingTransport};
-use cntr_types::{CostModel, DevId, FileType, Ino};
+use cntr_types::{DevId, FileType, Ino};
 
 fn main() {
     // Exercise every subsystem once: boot, image pull, container start,
@@ -49,14 +49,8 @@ fn main() {
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(901), clock.clone());
     let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4));
-    let client = FuseClientFs::mount(
-        DevId(0xAC),
-        clock,
-        CostModel::calibrated(),
-        FuseConfig::optimized(),
-        transport,
-    )
-    .unwrap();
+    let client =
+        FuseClientFs::mount(DevId(0xAC), clock, FuseConfig::optimized(), transport).unwrap();
     let st = client
         .mknod(
             Ino::ROOT,

@@ -1,7 +1,6 @@
 //! End-to-end integration tests spanning every crate: registry → engines →
 //! slimming → deployment → attach → tools → failure injection.
 
-use cntr::engine::registry::DeploymentModel;
 use cntr::fs::Filesystem;
 use cntr::prelude::*;
 use cntr::slim::DockerSlim;
@@ -63,9 +62,8 @@ fn slim_deploy_attach_pipeline() {
     docker.stop("profile").unwrap();
 
     // 2. The slim image deploys faster onto a fresh host.
-    let model = DeploymentModel::datacenter();
-    let fat_deploy = registry.deploy("host-a", "nginx:fat", model).unwrap();
-    let slim_deploy = registry.deploy("host-b", "nginx:fat-slim", model).unwrap();
+    let fat_deploy = registry.deploy("host-a", "nginx:fat").unwrap();
+    let slim_deploy = registry.deploy("host-b", "nginx:fat-slim").unwrap();
     assert!(slim_deploy.total_time < fat_deploy.total_time);
     assert!(
         fat_deploy.download_fraction() > 0.5,

@@ -17,7 +17,7 @@ use cntr::fuse::{FuseClientFs, InlineTransport, RingTransport, Transport};
 use cntr::kernel::MountFlags;
 use cntr::overlay::OverlayFs;
 use cntr::prelude::*;
-use cntr::types::{CostModel, DevId, Errno};
+use cntr::types::{DevId, Errno};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -76,14 +76,7 @@ fn cntrfs(name: &'static str, config: FuseConfig, ring: bool) -> Target {
     } else {
         InlineTransport::new(server)
     };
-    let client = FuseClientFs::mount(
-        DevId(0xCA),
-        clock.clone(),
-        CostModel::calibrated(),
-        config,
-        transport,
-    )
-    .unwrap();
+    let client = FuseClientFs::mount(DevId(0xCA), clock.clone(), config, transport).unwrap();
     let k = boot_host(clock);
     k.mkdir(P, "/mnt", Mode::RWXR_XR_X).unwrap();
     k.mount_fs(P, "/mnt", client.clone(), MountFlags::default())
@@ -110,7 +103,6 @@ fn cntrfs_passthrough() -> Target {
     let client = FuseClientFs::mount(
         DevId(0xCB),
         clock,
-        CostModel::calibrated(),
         FuseConfig::optimized(),
         InlineTransport::new(server),
     )

@@ -6,11 +6,11 @@
 //! registry and the span rings are process-global, so a single test per
 //! binary means no concurrent test can perturb the assertions.
 
-use cntr::core::SocketProxy;
+use cntr::core::{EventLoop, SocketProxy};
 use cntr::prelude::*;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
 use cntr_kernel::MountFlags;
-use cntr_types::{CostModel, DevId, FileType, Ino};
+use cntr_types::{DevId, FileType, Ino};
 use std::sync::Arc;
 
 /// Reads `/proc/cntrstats` in one 64 KiB read: the page cache fills the
@@ -98,11 +98,11 @@ fn cntrstats_and_tracing_cover_the_stack() {
     let srv = kernel
         .bind_listener(Pid::INIT, "/run/obs-svc.sock")
         .unwrap();
-    let proxy_pid = kernel.fork(Pid::INIT).unwrap();
     let connect_pid = kernel.fork(Pid::INIT).unwrap();
-    let proxy = SocketProxy::new(
-        kernel.clone(),
-        proxy_pid,
+    let plane = EventLoop::new(kernel.clone()).unwrap();
+    let proxy = SocketProxy::on_plane(
+        &plane,
+        plane.pid(),
         connect_pid,
         "/run/obs-in.sock",
         "/run/obs-svc.sock",
@@ -243,14 +243,8 @@ fn cntrstats_and_tracing_cover_the_stack() {
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(900), clock.clone());
     let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 64, 8));
-    let client = FuseClientFs::mount(
-        DevId(0xAB),
-        clock,
-        CostModel::calibrated(),
-        FuseConfig::optimized(),
-        transport,
-    )
-    .unwrap();
+    let client =
+        FuseClientFs::mount(DevId(0xAB), clock, FuseConfig::optimized(), transport).unwrap();
     let st = client
         .mknod(
             Ino::ROOT,
