@@ -123,7 +123,7 @@ impl Cntr {
             // path resolution now happens inside the fat image.
             k.setns(server_pid, fat_pid, &[NamespaceKind::Mount])?;
         }
-        let server = CntrfsServer::new(k.clone(), server_pid)?;
+        let server = CntrfsServer::new(k.clone(), server_pid, opts.fuse.published_lookup)?;
         let transport = InlineTransport::new(server.clone());
         let dev = DevId(NEXT_FUSE_DEV.fetch_add(1, Ordering::Relaxed));
         let client = FuseClientFs::mount(dev, k.clock().clone(), opts.fuse, transport)?;

@@ -18,7 +18,9 @@
 //!   call, so no request walks a path from the root, and a rename by the
 //!   fat container itself cannot leave an inode pointing at the wrong file.
 //!   This is still why CntrFS lookups are slower than native dcache hits
-//!   (compilebench-read's 13.3×),
+//!   (compilebench-read's 13.3×). Every LOOKUP pays the open+stat only in
+//!   the paper profile ([`FuseConfig::published_lookup`]); see below for
+//!   the shipping one,
 //! * ownership of created files is stamped with the caller's ids
 //!   (`setfsuid`/`setfsgid` emulation), while mode-bit decisions run under
 //!   the *server's* root identity — the cause of xfstests #375,
@@ -31,6 +33,21 @@
 //! every OPEN reply of that inode carries the id: the kernel then reads and
 //! writes the file directly, and this server sees no READ or WRITE of it.
 //! The id lives until the inode's FORGET.
+//!
+//! Outside the paper profile, a LOOKUP of a name this server resolved
+//! before is a revalidation: one `fstatat(parent, name,
+//! AT_SYMLINK_NOFOLLOW)`. If the `(dev, ino)` it returns belongs to an
+//! inode the server holds, that inode's `O_PATH` anchor pins it — the pair
+//! cannot name another file while the anchor lives — so the server counts
+//! the lookup and replies with no `openat` and no `close`. "Resolved
+//! before" is a name hint, `(parent, name) → inode`, written when a LOOKUP
+//! or create registers a reply and dropped at FORGET, UNLINK, RMDIR and
+//! RENAME. A hint only chooses which system call to try first: the
+//! `(dev, ino)` check decides the answer, and a name that now names an
+//! object the server does not hold takes the open path. A hint is never
+//! used to walk a path.
+//!
+//! [`FuseConfig::published_lookup`]: cntr_fuse::FuseConfig::published_lookup
 
 use cntr_fuse::proto::{Reply, Request, RequestCtx};
 use cntr_fuse::server::FuseHandler;
@@ -42,6 +59,7 @@ use cntr_types::{
 use obs::{LazyGauge, Subsystem};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 obs::counter_scope! {
@@ -51,6 +69,11 @@ obs::counter_scope! {
         lookups: "core.cntrfs.lookups",
         /// LOOKUPs that found a known inode and closed their new handle.
         lookup_dups: "core.cntrfs.lookup-dups",
+        /// LOOKUPs of a hinted name answered by one `fstatat`.
+        lookup_revalidated: "core.cntrfs.lookup-revalidated",
+        /// Hinted names that now named an object the server does not
+        /// hold, so their LOOKUP fell back to `openat` + `fstat`.
+        lookup_stale_hints: "core.cntrfs.lookup-stale-hints",
         /// Requests answered with an error.
         errors: "core.cntrfs.errors",
     }
@@ -58,6 +81,9 @@ obs::counter_scope! {
 
 /// `O_PATH` handles held by live servers, one per remembered inode.
 static OBS_ANCHORS: LazyGauge = LazyGauge::new(Subsystem::Core, "core.cntrfs.anchors");
+
+/// Name hints held by live servers, at most one per remembered inode.
+static OBS_HINTS: LazyGauge = LazyGauge::new(Subsystem::Core, "core.cntrfs.name-hints");
 
 /// How an inode's handle is opened: it only locates the inode, and a
 /// symlink is held itself.
@@ -93,6 +119,8 @@ struct InodeEntry {
     backing: (DevId, Ino),
     nlookup: u64,
     registration: Registration,
+    /// The key of the name hint pointing here, if any.
+    hint: Option<u64>,
 }
 
 /// Where an inode stands with FUSE passthrough.
@@ -111,16 +139,52 @@ struct ServerState {
     passthrough_conn: Option<DevId>,
     inodes: HashMap<u64, InodeEntry>,
     by_backing: HashMap<(DevId, Ino), u64>,
+    /// Name hints: [`CntrfsServer::hint`] of a `(parent, name)` a LOOKUP
+    /// resolved → the FUSE inode it found. `hints[k] == i` exactly when inode `i`'s
+    /// `hint` is `Some(k)`.
+    hints: HashMap<u64, u64>,
     next_ino: u64,
     /// FUSE fh → kernel fd in the server process.
     handles: HashMap<u64, u32>,
     next_fh: u64,
 }
 
-/// The anchors of a dropped server die with its process's fd table.
+impl ServerState {
+    /// Points the hint `key` at inode `ino`, replacing the inode's earlier
+    /// hint and any other inode's hint of the same key.
+    fn set_hint(&mut self, key: u64, ino: u64) {
+        let Some(e) = self.inodes.get_mut(&ino) else {
+            return;
+        };
+        if let Some(old) = e.hint.replace(key) {
+            self.hints.remove(&old);
+            OBS_HINTS.dec();
+        }
+        if let Some(prev) = self.hints.insert(key, ino) {
+            if let Some(e) = self.inodes.get_mut(&prev) {
+                e.hint = None;
+            }
+            OBS_HINTS.dec();
+        }
+        OBS_HINTS.inc();
+    }
+
+    /// Drops the hint `key`, if there is one.
+    fn drop_hint(&mut self, key: u64) {
+        if let Some(ino) = self.hints.remove(&key) {
+            OBS_HINTS.dec();
+            if let Some(e) = self.inodes.get_mut(&ino) {
+                e.hint = None;
+            }
+        }
+    }
+}
+
+/// The anchors and hints of a dropped server die with it.
 impl Drop for ServerState {
     fn drop(&mut self) {
         OBS_ANCHORS.add(-(self.inodes.len() as i64));
+        OBS_HINTS.add(-(self.hints.len() as i64));
     }
 }
 
@@ -133,12 +197,21 @@ pub struct CntrfsServer {
     server_pid: Pid,
     state: Arc<Mutex<ServerState>>,
     counters: Arc<ServerCounters>,
+    /// Answers every LOOKUP the published way ([`CntrfsServer::new`]).
+    published_lookup: bool,
+    /// Keys the name hints, with this server's random seed.
+    hint_hasher: RandomState,
 }
 
 impl CntrfsServer {
     /// Creates a server rooted at `server_pid`'s `/`: its first handle is
     /// the `O_PATH` descriptor of that root, FUSE inode 1.
-    pub fn new(kernel: Kernel, server_pid: Pid) -> SysResult<CntrfsServer> {
+    ///
+    /// `published_lookup` is the mount's
+    /// [`FuseConfig::published_lookup`](cntr_fuse::FuseConfig::published_lookup):
+    /// when set, every LOOKUP pays the paper's `openat` + `fstat`, and the
+    /// server keeps no name hints.
+    pub fn new(kernel: Kernel, server_pid: Pid, published_lookup: bool) -> SysResult<CntrfsServer> {
         declare_server_lock_discipline();
         // A FUSE daemon holds a descriptor per remembered inode and per
         // active handle — including handles pinned by deferred writeback —
@@ -162,6 +235,7 @@ impl CntrfsServer {
                 backing: (DevId(0), Ino(0)),
                 nlookup: 1,
                 registration: Registration::Unregistered,
+                hint: None,
             },
         );
         OBS_ANCHORS.inc();
@@ -174,12 +248,15 @@ impl CntrfsServer {
                     passthrough_conn: None,
                     inodes,
                     by_backing: HashMap::new(),
+                    hints: HashMap::new(),
                     next_ino: 2,
                     handles: HashMap::new(),
                     next_fh: 1,
                 },
             )),
             counters: Arc::new(ServerCounters::default()),
+            published_lookup,
+            hint_hasher: RandomState::new(),
         })
     }
 
@@ -191,6 +268,13 @@ impl CntrfsServer {
     /// Number of live (remembered) inodes.
     pub fn live_inodes(&self) -> usize {
         self.state.lock().inodes.len()
+    }
+
+    /// The inodes a name hint points at, in ascending order.
+    pub fn hinted_inodes(&self) -> Vec<Ino> {
+        let mut inos: Vec<Ino> = self.state.lock().hints.values().map(|&i| Ino(i)).collect();
+        inos.sort_unstable();
+        inos
     }
 
     /// The `O_PATH` descriptor of a remembered inode.
@@ -205,13 +289,13 @@ impl CntrfsServer {
 
     /// Remembers the inode behind the freshly opened handle `fd` — or, if
     /// the paper's hardlink check finds it already known, counts the
-    /// lookup and closes `fd` again — and returns `st` with the FUSE inode
-    /// number substituted.
-    fn register(&self, fd: u32, st: Stat) -> Stat {
+    /// lookup and closes `fd` again — points the hint `key` at it, and
+    /// returns `st` with the FUSE inode number substituted.
+    fn register(&self, fd: u32, st: Stat, key: Option<u64>) -> Stat {
         let backing = (st.dev, st.ino);
         let (fuse_ino, known) = {
             let mut state = self.state.lock();
-            match state.by_backing.get(&backing) {
+            let found = match state.by_backing.get(&backing) {
                 // Hardlink (or re-lookup): same backing inode, possibly via
                 // a different name — reuse the FUSE inode.
                 Some(&ino) => {
@@ -228,12 +312,17 @@ impl CntrfsServer {
                             backing,
                             nlookup: 1,
                             registration: Registration::Unregistered,
+                            hint: None,
                         },
                     );
                     state.by_backing.insert(backing, ino);
                     (ino, false)
                 }
+            };
+            if let Some(key) = key {
+                state.set_hint(key, found.0);
             }
+            found
         };
         if known {
             self.counters.lookup_dups.inc();
@@ -274,6 +363,9 @@ impl CntrfsServer {
                 Some(e) if e.nlookup <= n => {
                     let e = st.inodes.remove(&ino.raw()).expect("present");
                     st.by_backing.remove(&e.backing);
+                    if let Some(key) = e.hint {
+                        st.drop_hint(key);
+                    }
                     Some(e)
                 }
                 Some(e) => {
@@ -393,14 +485,77 @@ impl CntrfsServer {
         k.fstat(pid, fd)
     }
 
-    /// LOOKUP: `openat(parent, name, O_PATH | O_NOFOLLOW)` then `fstat`.
+    /// The key of the name hint for `name` under `parent`, where this
+    /// server keeps hints: a digest, so a hint costs two words. Names
+    /// whose digests collide share one hint, which costs at most a fallback
+    /// to the open path: the `(dev, ino)` check, not the hint, decides
+    /// every answer, and the random seed keeps a client from choosing
+    /// names that collide.
+    fn hint(&self, parent: Ino, name: &str) -> Option<u64> {
+        (!self.published_lookup).then(|| self.hint_hasher.hash_one((parent.raw(), name)))
+    }
+
+    /// Drops the hint of a name the client removed or renamed.
+    fn drop_name_hint(&self, parent: Ino, name: &str) {
+        if let Some(key) = self.hint(parent, name) {
+            self.state.lock().drop_hint(key);
+        }
+    }
+
+    /// LOOKUP: a revalidation by one `fstatat` where `name` is hinted,
+    /// else (or if that finds an object the server does not hold) the
+    /// published open path.
     fn lookup_impl(&self, parent: Ino, name: &str) -> SysResult<Stat> {
-        let parent_fd = self.anchor(parent)?;
+        let key = self.hint(parent, name);
+        let (parent_fd, hinted) = {
+            let st = self.state.lock();
+            let fd = st.inodes.get(&parent.raw()).ok_or(Errno::ESTALE)?.fd;
+            (fd, key.filter(|k| st.hints.contains_key(k)))
+        };
+        if let Some(key) = hinted {
+            if let Some(st) = self.revalidate(parent_fd, name, key)? {
+                return Ok(st);
+            }
+        }
+        self.open_entry(parent_fd, name, key)
+    }
+
+    /// Answers a LOOKUP of the hinted `name` with one `fstatat`, if it
+    /// names an inode the server holds (`Ok(None)` if it does not). The
+    /// state lock is taken after the system call, not across it.
+    fn revalidate(&self, parent_fd: u32, name: &str, key: u64) -> SysResult<Option<Stat>> {
+        let flags = AtFlags::SYMLINK_NOFOLLOW;
+        let st = match self.kernel.fstatat(self.server_pid, parent_fd, name, flags) {
+            Ok(st) => st,
+            Err(e) => {
+                self.state.lock().drop_hint(key);
+                return Err(e);
+            }
+        };
+        let mut state = self.state.lock();
+        let Some(&ino) = state.by_backing.get(&(st.dev, st.ino)) else {
+            drop(state);
+            self.counters.lookup_stale_hints.inc();
+            return Ok(None);
+        };
+        state.inodes.get_mut(&ino).expect("maps in sync").nlookup += 1;
+        state.set_hint(key, ino);
+        drop(state);
+        self.counters.lookup_revalidated.inc();
+        Ok(Some(Stat {
+            ino: Ino(ino),
+            ..st
+        }))
+    }
+
+    /// The published LOOKUP: `openat(parent, name, O_PATH | O_NOFOLLOW)`,
+    /// `fstat`, and [`CntrfsServer::register`] with the hint `key`.
+    fn open_entry(&self, parent_fd: u32, name: &str, key: Option<u64>) -> SysResult<Stat> {
         let fd = self
             .kernel
             .openat(self.server_pid, parent_fd, name, ANCHOR, Mode::RW_R__R__)?;
         match self.kernel.fstat(self.server_pid, fd) {
-            Ok(st) => Ok(self.register(fd, st)),
+            Ok(st) => Ok(self.register(fd, st, key)),
             Err(e) => {
                 let _ = self.kernel.close(self.server_pid, fd);
                 Err(e)
@@ -409,7 +564,7 @@ impl CntrfsServer {
     }
 
     /// Creates `name` under `parent` with `create`, stamps the caller's
-    /// ownership on it and looks it up.
+    /// ownership on it and opens it: a new object has no hint to try.
     fn create_entry(
         &self,
         parent: Ino,
@@ -420,7 +575,7 @@ impl CntrfsServer {
         let parent_fd = self.anchor(parent)?;
         create(parent_fd)?;
         self.stamp_owner(parent_fd, name, ctx);
-        self.lookup_impl(parent, name)
+        self.open_entry(parent_fd, name, self.hint(parent, name))
     }
 
     fn dispatch(&self, req: Request) -> SysResult<Reply> {
@@ -496,10 +651,12 @@ impl CntrfsServer {
             ),
             Request::Unlink { parent, name } => {
                 k.unlinkat(pid, self.anchor(parent)?, &name, AtFlags::NONE)?;
+                self.drop_name_hint(parent, &name);
                 Reply::Ok
             }
             Request::Rmdir { parent, name } => {
                 k.unlinkat(pid, self.anchor(parent)?, &name, AtFlags::REMOVEDIR)?;
+                self.drop_name_hint(parent, &name);
                 Reply::Ok
             }
             Request::Rename {
@@ -511,6 +668,8 @@ impl CntrfsServer {
             } => {
                 let (from, to) = (self.anchor(parent)?, self.anchor(newparent)?);
                 k.renameat2(pid, from, &name, to, &newname, flags)?;
+                self.drop_name_hint(parent, &name);
+                self.drop_name_hint(newparent, &newname);
                 Reply::Ok
             }
             Request::Link {
@@ -606,7 +765,7 @@ impl CntrfsServer {
                 let parent_fd = self.anchor(parent)?;
                 let fd = k.openat(pid, parent_fd, &name, flags.with(OpenFlags::CREAT), mode)?;
                 self.stamp_owner(parent_fd, &name, ctx);
-                let stat = match self.lookup_impl(parent, &name) {
+                let stat = match self.open_entry(parent_fd, &name, self.hint(parent, &name)) {
                     Ok(st) => st,
                     Err(e) => {
                         let _ = k.close(pid, fd);
@@ -648,9 +807,15 @@ mod tests {
     use cntr_engine::runtime::boot_host;
     use cntr_fs::{Filesystem, FilesystemExt, FsContext};
     use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
-    use cntr_types::{RenameFlags, SimClock};
+    use cntr_types::{RenameFlags, SimClock, COST};
 
     fn setup() -> (Kernel, Arc<FuseClientFs>) {
+        let (k, fs, _) = setup_with(FuseConfig::optimized());
+        (k, fs)
+    }
+
+    /// Host files under `/usr`, served by a server mounted with `config`.
+    fn setup_with(config: FuseConfig) -> (Kernel, Arc<FuseClientFs>, CntrfsServer) {
         let k = boot_host(SimClock::new());
         // Host files the server will expose.
         k.mkdir(Pid::INIT, "/usr/share", Mode::RWXR_XR_X).unwrap();
@@ -667,16 +832,11 @@ mod tests {
         k.chmod(Pid::INIT, "/usr/bin/gdb", Mode::RWXR_XR_X).unwrap();
 
         let server_pid = k.fork(Pid::INIT).unwrap();
-        let server = CntrfsServer::new(k.clone(), server_pid).unwrap();
-        let transport = InlineTransport::new(server);
-        let client = FuseClientFs::mount(
-            DevId(7777),
-            k.clock().clone(),
-            FuseConfig::optimized(),
-            transport,
-        )
-        .unwrap();
-        (k, client)
+        let server = CntrfsServer::new(k.clone(), server_pid, config.published_lookup).unwrap();
+        let transport = InlineTransport::new(server.clone());
+        let client =
+            FuseClientFs::mount(DevId(7777), k.clock().clone(), config, transport).unwrap();
+        (k, client, server)
     }
 
     #[test]
@@ -748,26 +908,55 @@ mod tests {
 
     /// The fat container renames a directory itself and puts a new file
     /// under the old name: a FUSE inode already looked up keeps naming the
-    /// directory it was looked up as, wherever that now lives.
+    /// directory it was looked up as, wherever that now lives. The names
+    /// the server resolved before answer for what they name now, in both
+    /// profiles: a renamed-away inode's old name finds its replacement,
+    /// and an unlinked name is `ENOENT`.
     #[test]
     fn native_rename_does_not_redirect_a_known_inode() {
-        let (k, fs) = setup();
-        let usr = fs.lookup(Ino(1), "usr").unwrap();
-        let bin = fs.lookup(usr.ino, "bin").unwrap();
-        k.rename(Pid::INIT, "/usr/bin", "/usr/bin2", RenameFlags::NONE)
-            .unwrap();
-        k.mkdir(Pid::INIT, "/usr/bin", Mode::RWXR_XR_X).unwrap();
-        let fd = k
-            .open(
-                Pid::INIT,
-                "/usr/bin/gdb",
-                OpenFlags::create(),
-                Mode::RW_R__R__,
-            )
-            .unwrap();
-        k.close(Pid::INIT, fd).unwrap();
-        let gdb = fs.lookup(bin.ino, "gdb").unwrap();
-        assert_eq!(gdb.size, 10, "the original gdb, not the new empty file");
+        for config in [FuseConfig::optimized(), FuseConfig::paper()] {
+            let (k, fs, server) = setup_with(config);
+            let usr = fs.lookup(Ino(1), "usr").unwrap();
+            let bin = fs.lookup(usr.ino, "bin").unwrap();
+            let gdb = fs.lookup(bin.ino, "gdb").unwrap();
+            k.rename(Pid::INIT, "/usr/bin", "/usr/bin2", RenameFlags::NONE)
+                .unwrap();
+            k.mkdir(Pid::INIT, "/usr/bin", Mode::RWXR_XR_X).unwrap();
+            let fd = k
+                .open(
+                    Pid::INIT,
+                    "/usr/bin/gdb",
+                    OpenFlags::create(),
+                    Mode::RW_R__R__,
+                )
+                .unwrap();
+            k.close(Pid::INIT, fd).unwrap();
+            fs.drop_caches();
+            let again = fs.lookup(bin.ino, "gdb").unwrap();
+            assert_eq!(
+                (again.ino, again.size),
+                (gdb.ino, 10),
+                "the original gdb, not the new empty file"
+            );
+            let new_bin = fs.lookup(usr.ino, "bin").unwrap();
+            assert_ne!(new_bin.ino, bin.ino, "the directory now at the name");
+            assert_eq!(fs.lookup(new_bin.ino, "gdb").unwrap().size, 0);
+
+            k.unlink(Pid::INIT, "/usr/bin2/gdb").unwrap();
+            fs.drop_caches();
+            assert_eq!(fs.lookup(bin.ino, "gdb"), Err(Errno::ENOENT));
+
+            // Shipping: `gdb` was revalidated, `bin`'s hint had gone
+            // stale. Paper: every LOOKUP opened its name.
+            let c = &server.counters;
+            let seen = (c.lookup_revalidated.value(), c.lookup_stale_hints.value());
+            let want = if config.published_lookup {
+                (0, 0)
+            } else {
+                (1, 1)
+            };
+            assert_eq!(seen, want);
+        }
     }
 
     /// An open file unlinked on the host keeps answering GETATTR: the open
@@ -809,6 +998,40 @@ mod tests {
         fs.forget(bin.ino, 1);
         fs.flush_forgets();
         assert_eq!(k.fd_count(server_pid).unwrap(), base + 1);
+    }
+
+    /// Virtual ns of a client LOOKUP of `/usr/bin/gdb`'s last component:
+    /// the first, and one after `drop_caches` (a revalidation).
+    fn lookup_costs(config: FuseConfig) -> (u64, u64) {
+        let (k, fs, _server) = setup_with(config);
+        let usr = fs.lookup(Ino(1), "usr").unwrap();
+        let bin = fs.lookup(usr.ino, "bin").unwrap();
+        let (first, t1) = k.clock().measure(|| fs.lookup(bin.ino, "gdb").unwrap());
+        fs.drop_caches();
+        let (again, t2) = k.clock().measure(|| fs.lookup(bin.ino, "gdb").unwrap());
+        assert_eq!(first.ino, again.ino);
+        (t1.as_nanos(), t2.as_nanos())
+    }
+
+    /// A first LOOKUP opens and stats the name in both profiles. A
+    /// revalidation adds the `close` of the duplicate handle in the paper
+    /// profile, and is one `fstatat` in the shipping one.
+    #[test]
+    fn revalidation_lookup_costs_per_profile() {
+        // One component each for `openat` and `fstatat`.
+        let (syscall, component) = (COST.syscall_ns, COST.dcache_hit_ns);
+        let (openat, fstat, close) = (syscall + component, syscall, syscall);
+        let fstatat = syscall + component;
+        // The client's share: the round trip of each profile.
+        let (paper_rt, shipping_rt) = (1469, 1014);
+        assert_eq!(
+            lookup_costs(FuseConfig::paper()),
+            (paper_rt + openat + fstat, paper_rt + openat + fstat + close)
+        );
+        assert_eq!(
+            lookup_costs(FuseConfig::optimized()),
+            (shipping_rt + openat + fstat, shipping_rt + fstatat)
+        );
     }
 
     #[test]
@@ -888,9 +1111,11 @@ mod tests {
 
     /// The server against the host's own view, with the fat container
     /// renaming, unlinking and creating files itself between FUSE
-    /// requests. The client's caches are dropped before each request so
-    /// the server answers every one; the oracle tracks where each
-    /// remembered directory now lives on the host.
+    /// requests, in both profiles. The client's caches are dropped before
+    /// each request so the server answers every one, and once more between
+    /// a LOOKUP and its repeat, which the shipping server revalidates; the
+    /// oracle tracks where each remembered directory now lives on the
+    /// host.
     mod oracle {
         use super::*;
         use proptest::prelude::*;
@@ -964,111 +1189,130 @@ mod tests {
             fn server_follows_inodes_through_native_changes(
                 ops in proptest::collection::vec(op(), 1..32)
             ) {
-                let (k, fs) = setup();
-                let host = |p: &str| k.mkdir(Pid::INIT, p, Mode::RWXR_XR_X).unwrap();
-                host("/t");
-                host("/t/A");
-                host("/t/B");
-                host_write(&k, "/t/A/x", 3).unwrap();
-                host_write(&k, "/t/B/y", 5).unwrap();
-                let t = fs.lookup(Ino(1), "t").unwrap().ino;
-                // Each remembered directory: its FUSE inode and where it
-                // lives on the host now (`None` once replaced).
-                let mut dirs: Vec<(Ino, Option<String>)> = ["A", "B"]
-                    .iter()
-                    .map(|n| (fs.lookup(t, n).unwrap().ino, Some(format!("/t/{n}"))))
-                    .collect();
-                for op in &ops {
-                    fs.drop_caches();
-                    let at = |i: usize, f: usize| {
-                        dirs[i].1.as_ref().map(|d| format!("{d}/{}", FILES[f]))
-                    };
-                    match *op {
-                        Op::HostRenameDir(i, n) => {
-                            let Some(from) = dirs[i].1.clone() else { continue };
-                            let to = format!("/t/{}", DIRS[n]);
-                            if k.rename(Pid::INIT, &from, &to, RenameFlags::NONE).is_ok()
-                                && from != to
-                            {
-                                for d in dirs.iter_mut() {
-                                    if d.1.as_deref() == Some(&to) {
-                                        d.1 = None;
-                                    } else if d.1.as_deref() == Some(&from) {
-                                        d.1 = Some(to.clone());
+                // The published LOOKUP, and the shipping one revalidating
+                // the names it resolved before.
+                for config in [FuseConfig::optimized(), FuseConfig::paper()] {
+                    let (k, fs, server) = setup_with(config);
+                    let host = |p: &str| k.mkdir(Pid::INIT, p, Mode::RWXR_XR_X).unwrap();
+                    host("/t");
+                    host("/t/A");
+                    host("/t/B");
+                    host_write(&k, "/t/A/x", 3).unwrap();
+                    host_write(&k, "/t/B/y", 5).unwrap();
+                    let t = fs.lookup(Ino(1), "t").unwrap().ino;
+                    // Each remembered directory: its FUSE inode and where it
+                    // lives on the host now (`None` once replaced).
+                    let mut dirs: Vec<(Ino, Option<String>)> = ["A", "B"]
+                        .iter()
+                        .map(|n| (fs.lookup(t, n).unwrap().ino, Some(format!("/t/{n}"))))
+                        .collect();
+                    for op in &ops {
+                        fs.drop_caches();
+                        let at = |i: usize, f: usize| {
+                            dirs[i].1.as_ref().map(|d| format!("{d}/{}", FILES[f]))
+                        };
+                        match *op {
+                            Op::HostRenameDir(i, n) => {
+                                let Some(from) = dirs[i].1.clone() else { continue };
+                                let to = format!("/t/{}", DIRS[n]);
+                                if k.rename(Pid::INIT, &from, &to, RenameFlags::NONE).is_ok()
+                                    && from != to
+                                {
+                                    for d in dirs.iter_mut() {
+                                        if d.1.as_deref() == Some(&to) {
+                                            d.1 = None;
+                                        } else if d.1.as_deref() == Some(&from) {
+                                            d.1 = Some(to.clone());
+                                        }
                                     }
                                 }
                             }
-                        }
-                        Op::HostRenameFile(i, a, j, b) => {
-                            if let (Some(from), Some(to)) = (at(i, a), at(j, b)) {
-                                let _ = k.rename(Pid::INIT, &from, &to, RenameFlags::NONE);
+                            Op::HostRenameFile(i, a, j, b) => {
+                                if let (Some(from), Some(to)) = (at(i, a), at(j, b)) {
+                                    let _ = k.rename(Pid::INIT, &from, &to, RenameFlags::NONE);
+                                }
                             }
-                        }
-                        Op::HostUnlink(i, a) => {
-                            if let Some(p) = at(i, a) {
-                                let _ = k.unlink(Pid::INIT, &p);
+                            Op::HostUnlink(i, a) => {
+                                if let Some(p) = at(i, a) {
+                                    let _ = k.unlink(Pid::INIT, &p);
+                                }
                             }
-                        }
-                        Op::HostCreate(i, a, n) => {
-                            if let Some(p) = at(i, a) {
-                                host_write(&k, &p, n).unwrap();
+                            Op::HostCreate(i, a, n) => {
+                                if let Some(p) = at(i, a) {
+                                    host_write(&k, &p, n).unwrap();
+                                }
                             }
-                        }
-                        Op::Lookup(i, a) => {
-                            let Some(p) = at(i, a) else { continue };
-                            prop_assert_eq!(
-                                seen(fs.lookup(dirs[i].0, FILES[a])),
-                                seen(k.lstat(Pid::INIT, &p)),
-                                "{:?} at {}", op, p
-                            );
-                        }
-                        Op::Read(i, a) => {
-                            let Some(p) = at(i, a) else { continue };
-                            prop_assert_eq!(
-                                fuse_read(&fs, dirs[i].0, FILES[a]),
-                                host_read(&k, &p),
-                                "{:?} at {}", op, p
-                            );
-                        }
-                        Op::Create(i, a, n) => {
-                            let Some(p) = at(i, a) else { continue };
-                            let existed = k.lstat(Pid::INIT, &p).is_ok();
-                            let made = fs.mknod(
-                                dirs[i].0,
-                                FILES[a],
-                                FileType::Regular,
-                                Mode::RW_R__R__,
-                                0,
-                                &FsContext::root(),
-                            );
-                            prop_assert_eq!(made.is_ok(), !existed, "{:?} at {}", op, p);
-                            if let Ok(st) = made {
-                                let fh = fs.open(st.ino, OpenFlags::WRONLY).unwrap();
-                                fs.write(st.ino, fh, 0, &vec![n; n as usize]).unwrap();
-                                fs.release(st.ino, fh).unwrap();
-                                prop_assert_eq!(host_read(&k, &p), Ok(vec![n; n as usize]));
+                            Op::Lookup(i, a) => {
+                                let Some(p) = at(i, a) else { continue };
+                                let first = fs.lookup(dirs[i].0, FILES[a]);
+                                prop_assert_eq!(
+                                    seen(first),
+                                    seen(k.lstat(Pid::INIT, &p)),
+                                    "{:?} at {}", op, p
+                                );
+                                // Again once the entry timed out: the
+                                // same inode, a revalidation where the
+                                // server keeps hints.
+                                fs.drop_caches();
+                                let revalidated = || server.counters.lookup_revalidated.value();
+                                let before = revalidated();
+                                let again = fs.lookup(dirs[i].0, FILES[a]);
+                                prop_assert_eq!(
+                                    again.map(|st| st.ino),
+                                    first.map(|st| st.ino),
+                                    "{:?} at {}", op, p
+                                );
+                                let fast = first.is_ok() && !config.published_lookup;
+                                prop_assert_eq!(revalidated() - before, u64::from(fast));
                             }
-                        }
-                        Op::Unlink(i, a) => {
-                            let Some(p) = at(i, a) else { continue };
-                            let existed = k.lstat(Pid::INIT, &p).is_ok();
-                            let gone = fs.unlink(dirs[i].0, FILES[a]);
-                            prop_assert_eq!(gone.is_ok(), existed, "{:?} at {}", op, p);
-                            prop_assert_eq!(k.lstat(Pid::INIT, &p).err(), Some(Errno::ENOENT));
-                        }
-                        Op::Rename(i, a, j, b) => {
-                            let (Some(from), Some(to)) = (at(i, a), at(j, b)) else { continue };
-                            let body = host_read(&k, &from);
-                            let moved = fs.rename(
-                                dirs[i].0,
-                                FILES[a],
-                                dirs[j].0,
-                                FILES[b],
-                                RenameFlags::NONE,
-                            );
-                            prop_assert_eq!(moved.is_ok(), body.is_ok(), "{:?}", op);
-                            if let Ok(body) = body {
-                                prop_assert_eq!(host_read(&k, &to), Ok(body), "{:?}", op);
+                            Op::Read(i, a) => {
+                                let Some(p) = at(i, a) else { continue };
+                                prop_assert_eq!(
+                                    fuse_read(&fs, dirs[i].0, FILES[a]),
+                                    host_read(&k, &p),
+                                    "{:?} at {}", op, p
+                                );
+                            }
+                            Op::Create(i, a, n) => {
+                                let Some(p) = at(i, a) else { continue };
+                                let existed = k.lstat(Pid::INIT, &p).is_ok();
+                                let made = fs.mknod(
+                                    dirs[i].0,
+                                    FILES[a],
+                                    FileType::Regular,
+                                    Mode::RW_R__R__,
+                                    0,
+                                    &FsContext::root(),
+                                );
+                                prop_assert_eq!(made.is_ok(), !existed, "{:?} at {}", op, p);
+                                if let Ok(st) = made {
+                                    let fh = fs.open(st.ino, OpenFlags::WRONLY).unwrap();
+                                    fs.write(st.ino, fh, 0, &vec![n; n as usize]).unwrap();
+                                    fs.release(st.ino, fh).unwrap();
+                                    prop_assert_eq!(host_read(&k, &p), Ok(vec![n; n as usize]));
+                                }
+                            }
+                            Op::Unlink(i, a) => {
+                                let Some(p) = at(i, a) else { continue };
+                                let existed = k.lstat(Pid::INIT, &p).is_ok();
+                                let gone = fs.unlink(dirs[i].0, FILES[a]);
+                                prop_assert_eq!(gone.is_ok(), existed, "{:?} at {}", op, p);
+                                prop_assert_eq!(k.lstat(Pid::INIT, &p).err(), Some(Errno::ENOENT));
+                            }
+                            Op::Rename(i, a, j, b) => {
+                                let (Some(from), Some(to)) = (at(i, a), at(j, b)) else { continue };
+                                let body = host_read(&k, &from);
+                                let moved = fs.rename(
+                                    dirs[i].0,
+                                    FILES[a],
+                                    dirs[j].0,
+                                    FILES[b],
+                                    RenameFlags::NONE,
+                                );
+                                prop_assert_eq!(moved.is_ok(), body.is_ok(), "{:?}", op);
+                                if let Ok(body) = body {
+                                    prop_assert_eq!(host_read(&k, &to), Ok(body), "{:?}", op);
+                                }
                             }
                         }
                     }

@@ -74,7 +74,7 @@ fn mount_with(config: FuseConfig, prepare: impl FnOnce(&Kernel, Pid)) -> Mount {
     k.chroot(server_pid, "/srv").unwrap();
     prepare(&k, server_pid);
     let base_fds = k.fd_count(server_pid).unwrap();
-    let server = CntrfsServer::new(k.clone(), server_pid).unwrap();
+    let server = CntrfsServer::new(k.clone(), server_pid, config.published_lookup).unwrap();
     let strip = Arc::new(AtomicBool::new(false));
     let handler = Meddler {
         server: server.clone(),
@@ -305,11 +305,14 @@ fn a_backing_file_at_max_stack_depth_is_refused() {
     let server_pid = k.fork(P).unwrap();
     k.chroot(server_pid, "/mnt").unwrap();
     let outer_dev = DevId(0xF6);
+    let config = FuseConfig::optimized();
     let outer = FuseClientFs::mount(
         outer_dev,
         k.clock().clone(),
-        FuseConfig::optimized(),
-        InlineTransport::new(CntrfsServer::new(k.clone(), server_pid).unwrap()),
+        config,
+        InlineTransport::new(
+            CntrfsServer::new(k.clone(), server_pid, config.published_lookup).unwrap(),
+        ),
     )
     .unwrap();
     k.mount_fs(P, "/outer", outer.clone(), MountFlags::default())

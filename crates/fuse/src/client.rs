@@ -8,7 +8,7 @@
 //!   trees is why compilebench-read is 13.3× slower on CntrFS, §5.2.2).
 //!   As in Linux, a directory's attributes are evicted only when its
 //!   contents change; the paper profile also evicts them on every LOOKUP
-//!   below it ([`FuseConfig::lookup_drops_parent_attr`]);
+//!   below it ([`FuseConfig::published_lookup`]);
 //! * the **symlink cache** (`FUSE_CACHE_SYMLINKS`) keeps each link's
 //!   target after the first READLINK;
 //! * the **`S_NOSEC` bit** (`FUSE_HANDLE_KILLPRIV_V2`) lets writes skip
@@ -218,6 +218,11 @@ impl FuseClientFs {
 
     /// Drops the entry/attr/symlink caches and readahead buffers
     /// (cold-cache benchmark phases). Queued forgets are flushed first.
+    ///
+    /// This models every entry and attribute timeout expiring at once, not
+    /// an unmount: the inodes and their lookup counts stay, so the server
+    /// still holds each one, and the next LOOKUP of a name is a
+    /// revalidation of an inode the server already knows.
     pub fn drop_caches(&self) {
         self.flush_forgets();
         let mut st = self.state.lock();
@@ -450,7 +455,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat, self.config.lookup_drops_parent_attr);
+                self.remember(parent, name, stat, self.config.published_lookup);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),

@@ -39,14 +39,17 @@ pub struct FuseConfig {
     pub flags: InitFlags,
     /// Server worker threads (paper §3.3 "Multithreading"; drives Figure 4).
     pub workers: usize,
-    /// The published client's invalidation rule: every LOOKUP reply also
-    /// evicts the *parent's* cached attributes, so the next walk through
-    /// that directory looks it up again. Linux evicts a directory's
-    /// attributes only when its contents change (create, link, unlink,
-    /// rename: `fuse_dir_changed`), which those ops still do either way.
-    /// On only in [`FuseConfig::paper`], whose Figure 2–3 calibration
-    /// (compilebench-read above all) depends on the extra round trips.
-    pub lookup_drops_parent_attr: bool,
+    /// Selects the published LOOKUP path, on both sides of the mount.
+    /// The client evicts the *parent's* cached attributes with every LOOKUP
+    /// reply, so the next walk through that directory looks it up again;
+    /// Linux evicts a directory's attributes only when its contents change
+    /// (create, link, unlink, rename: `fuse_dir_changed`), which those ops
+    /// still do either way. The CntrFS server given it answers every
+    /// LOOKUP with `openat` + `fstat`, even for an inode it already holds;
+    /// without it, a name it resolved before costs one `fstatat`. On only
+    /// in [`FuseConfig::paper`], whose Figure 2–4 calibration
+    /// (compilebench-read above all) depends on both costs.
+    pub published_lookup: bool,
 }
 
 impl FuseConfig {
@@ -57,20 +60,19 @@ impl FuseConfig {
         FuseConfig {
             flags: InitFlags::cntr_default(),
             workers: 4,
-            lookup_drops_parent_attr: false,
+            published_lookup: false,
         }
     }
 
     /// The configuration the paper published (§3.3): identical to
     /// [`FuseConfig::optimized`] except for the post-paper flags
-    /// [`InitFlags::paper_legacy`] leaves off and the legacy
-    /// [`lookup_drops_parent_attr`](FuseConfig::lookup_drops_parent_attr)
-    /// eviction. The Phoronix figure reproductions pin this profile so
+    /// [`InitFlags::paper_legacy`] leaves off and the
+    /// [`published_lookup`](FuseConfig::published_lookup) path. The Phoronix figure reproductions pin this profile so
     /// the calibrated Figure 2–4 bands keep matching the paper.
     pub const fn paper() -> FuseConfig {
         FuseConfig {
             flags: InitFlags::paper_legacy(),
-            lookup_drops_parent_attr: true,
+            published_lookup: true,
             ..FuseConfig::optimized()
         }
     }
@@ -113,10 +115,10 @@ mod tests {
         );
         assert!(!p.flags.ring, "paper profile keeps the ring transport off");
         assert!(
-            p.lookup_drops_parent_attr,
-            "paper profile keeps the legacy eviction"
+            p.published_lookup,
+            "paper profile keeps the published LOOKUP"
         );
-        assert!(!o.lookup_drops_parent_attr);
+        assert!(!o.published_lookup);
         assert!(o.flags.cache_symlinks && !p.flags.cache_symlinks);
         assert_eq!(p.workers, o.workers);
         assert!(o.flags.ring, "shipping default negotiates the ring");

@@ -135,6 +135,9 @@ struct WalkState {
     cur: VfsLoc,
     stack: Vec<VfsLoc>,
     symlinks: u32,
+    /// `cur` is a directory, as far as the walk knows: false once a
+    /// component resolves to anything else.
+    at_dir: bool,
     /// The walk started at a descriptor and may not leave the subtree
     /// beneath it.
     beneath: bool,
@@ -152,6 +155,7 @@ impl WalkState {
         }
         self.cur = Kernel::cross_mounts(&self.ns, self.root);
         self.stack.clear();
+        self.at_dir = true;
         Ok(())
     }
 }
@@ -179,30 +183,33 @@ impl Kernel {
     /// Walks `path` from `w.cur`. A trailing `/` names a directory, so a
     /// final symlink is followed even without `follow_last` (Linux's
     /// `lookup_last` sets `LOOKUP_FOLLOW | LOOKUP_DIRECTORY`); the caller
-    /// checks the type through `w.dir_only`.
+    /// checks the type through `w.dir_only`. A `.` or `..` after anything
+    /// but a directory is `ENOTDIR`, as Linux's `link_path_walk` refuses
+    /// any component after a non-directory; neither costs a lookup.
     fn walk(&self, w: &mut WalkState, path: &str, follow_last: bool) -> SysResult<()> {
         let mut components: Vec<String> = Vec::new();
         if path.starts_with('/') {
             w.restart_at_root()?;
         }
         w.dir_only = path.ends_with('/');
-        components.extend(
-            path.split('/')
-                .filter(|c| !c.is_empty() && *c != ".")
-                .map(String::from),
-        );
+        components.extend(path.split('/').filter(|c| !c.is_empty()).map(String::from));
 
         let mut i = 0;
         while i < components.len() {
             let name = components[i].clone();
             let is_last = i == components.len() - 1;
-            if name == ".." {
-                match w.stack.pop() {
-                    Some(prev) => w.cur = prev,
-                    None if w.beneath => return Err(Errno::EXDEV),
-                    // At the root the stack is empty: `..` stays (chroot
-                    // jail).
-                    None => {}
+            if name == "." || name == ".." {
+                if !w.at_dir {
+                    return Err(Errno::ENOTDIR);
+                }
+                if name == ".." {
+                    match w.stack.pop() {
+                        Some(prev) => w.cur = prev,
+                        None if w.beneath => return Err(Errno::EXDEV),
+                        // At the root the stack is empty: `..` stays
+                        // (chroot jail).
+                        None => {}
+                    }
                 }
                 i += 1;
                 continue;
@@ -222,7 +229,7 @@ impl Kernel {
                 w.dir_only |= is_last && target.ends_with('/');
                 let mut rest: Vec<String> = target
                     .split('/')
-                    .filter(|c| !c.is_empty() && *c != ".")
+                    .filter(|c| !c.is_empty())
                     .map(String::from)
                     .collect();
                 rest.extend(components.drain(i + 1..));
@@ -238,6 +245,8 @@ impl Kernel {
             let crossed = Self::cross_mounts(&w.ns, next);
             w.stack.push(w.cur);
             w.cur = crossed;
+            // A mount covers a node of its own root's type.
+            w.at_dir = stat.is_dir();
             i += 1;
         }
         Ok(())
@@ -265,6 +274,7 @@ impl Kernel {
             cur: cwd,
             stack: Vec::new(),
             symlinks: 0,
+            at_dir: true,
             beneath: dirfd != AT_FDCWD,
             dir_only: false,
         };
@@ -2090,6 +2100,33 @@ mod tests {
         // `..` above root stays at root.
         let st = k.stat(P, "/../../a").unwrap();
         assert!(st.is_dir());
+    }
+
+    /// Linux's `link_path_walk` refuses any component after a
+    /// non-directory, `.` and `..` included; neither costs a lookup.
+    #[test]
+    fn dot_and_dotdot_after_a_file_are_enotdir() {
+        let k = kernel();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        k.mkdir(P, "/d", Mode::RWXR_XR_X).unwrap();
+        k.symlink(P, "f", "/lf").unwrap();
+        k.symlink(P, "d", "/ld").unwrap();
+
+        assert_eq!(k.stat(P, "/f/."), Err(Errno::ENOTDIR));
+        assert_eq!(k.stat(P, "/f/.."), Err(Errno::ENOTDIR));
+        assert_eq!(k.stat(P, "/d/../f/."), Err(Errno::ENOTDIR));
+        // A symlink before `.` is not the last component: it is followed,
+        // by `lstat` too.
+        assert_eq!(k.lstat(P, "/lf/."), Err(Errno::ENOTDIR));
+        assert!(k.lstat(P, "/ld/.").unwrap().is_dir());
+        assert!(k.stat(P, "/d/./..").unwrap().is_dir());
+
+        let cost = |path: &str| k.clock().measure(|| k.stat(P, path)).1;
+        assert_eq!(cost("/d/."), cost("/d"));
+        assert_eq!(cost("/f/.."), cost("/f"));
     }
 
     /// A trailing slash names a directory, with the errors Linux gives

@@ -125,6 +125,9 @@ struct Walk {
     stack: Vec<Loc>,
     symlinks: u32,
     components: u64,
+    /// `cur` is a directory: a `.` or `..` after anything else is
+    /// `ENOTDIR`.
+    at_dir: bool,
     beneath: bool,
     /// A `/` followed the last component: it must be a directory.
     dir_only: bool,
@@ -152,6 +155,7 @@ impl World {
         }
         w.cur = self.cross((Layer::Root, Ino::ROOT));
         w.stack.clear();
+        w.at_dir = true;
         Ok(())
     }
 
@@ -162,17 +166,22 @@ impl World {
         w.dir_only = path.ends_with('/');
         let mut names: Vec<String> = path
             .split('/')
-            .filter(|c| !c.is_empty() && *c != ".")
+            .filter(|c| !c.is_empty())
             .map(String::from)
             .collect();
         let mut i = 0;
         while i < names.len() {
             let name = names[i].clone();
-            if name == ".." {
-                match w.stack.pop() {
-                    Some(prev) => w.cur = prev,
-                    None if w.beneath => return Err(Errno::EXDEV),
-                    None => {}
+            if name == "." || name == ".." {
+                if !w.at_dir {
+                    return Err(Errno::ENOTDIR);
+                }
+                if name == ".." {
+                    match w.stack.pop() {
+                        Some(prev) => w.cur = prev,
+                        None if w.beneath => return Err(Errno::EXDEV),
+                        None => {}
+                    }
                 }
                 i += 1;
                 continue;
@@ -193,7 +202,7 @@ impl World {
                 w.dir_only |= is_last && target.ends_with('/');
                 let mut spliced: Vec<String> = target
                     .split('/')
-                    .filter(|c| !c.is_empty() && *c != ".")
+                    .filter(|c| !c.is_empty())
                     .map(String::from)
                     .collect();
                 spliced.extend(names.drain(i + 1..));
@@ -203,6 +212,7 @@ impl World {
             }
             w.stack.push(w.cur);
             w.cur = self.cross((w.cur.0, st.ino));
+            w.at_dir = st.is_dir();
             i += 1;
         }
         Ok(())
@@ -216,6 +226,7 @@ impl World {
             stack: Vec::new(),
             symlinks: 0,
             components: 0,
+            at_dir: true,
             beneath: false,
             dir_only: false,
         };

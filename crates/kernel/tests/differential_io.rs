@@ -168,14 +168,11 @@ impl Env {
         .expect("mount backing");
         let server_pid = k.fork(Pid::INIT).expect("fork server");
         k.chroot(server_pid, "/srv").expect("chroot server");
-        let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
-        let client = FuseClientFs::mount(
-            DevId(0xC1),
-            clock,
-            FuseConfig::optimized(),
-            InlineTransport::new(server),
-        )
-        .expect("mount fuse");
+        let config = FuseConfig::optimized();
+        let server = CntrfsServer::new(k.clone(), server_pid, config.published_lookup)
+            .expect("start server");
+        let client = FuseClientFs::mount(DevId(0xC1), clock, config, InlineTransport::new(server))
+            .expect("mount fuse");
         assert!(client.effective_flags().passthrough);
         k.mount_fs(
             pid,

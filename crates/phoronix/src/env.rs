@@ -91,7 +91,8 @@ impl PerfEnv {
             },
             Target::Cntrfs(config) | Target::CntrfsRing(config) => {
                 let server_pid = kernel.fork(Pid::INIT).expect("fork server");
-                let server = CntrfsServer::new(kernel.clone(), server_pid).expect("start server");
+                let server = CntrfsServer::new(kernel.clone(), server_pid, config.published_lookup)
+                    .expect("start server");
                 let transport: Arc<dyn Transport> = match target {
                     Target::CntrfsRing(_) => Arc::new(RingTransport::from_config(server, &config)),
                     _ => InlineTransport::new(server),

@@ -127,7 +127,8 @@ pub fn cntrfs_over_tmpfs(config: FuseConfig) -> TestEnv {
     k.mkdir(pid, "/mnt/cntrfs", Mode::RWXR_XR_X)
         .expect("mkdir mnt");
     let server_pid = k.fork(Pid::INIT).expect("fork server");
-    let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
+    let server =
+        CntrfsServer::new(k.clone(), server_pid, config.published_lookup).expect("start server");
     let transport = InlineTransport::new(server);
     let client = FuseClientFs::mount(DevId(0xCFFF), k.clock().clone(), config, transport)
         .expect("mount cntrfs");
@@ -187,7 +188,8 @@ pub fn cntrfs_over_overlayfs(config: FuseConfig) -> TestEnv {
     k.mkdir(pid, "/mnt/cntrfs", Mode::RWXR_XR_X)
         .expect("mkdir mnt");
     let server_pid = k.fork(Pid::INIT).expect("fork server");
-    let server = CntrfsServer::new(k.clone(), server_pid).expect("start server");
+    let server =
+        CntrfsServer::new(k.clone(), server_pid, config.published_lookup).expect("start server");
     let transport = InlineTransport::new(server);
     let client = FuseClientFs::mount(DevId(0xCFFE), k.clock().clone(), config, transport)
         .expect("mount cntrfs");

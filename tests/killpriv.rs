@@ -70,7 +70,7 @@ fn cntrfs(name: &'static str, config: FuseConfig, ring: bool) -> Target {
     let clock = SimClock::new();
     let host = boot_host(clock.clone());
     let server_pid = host.fork(P).unwrap();
-    let server = CntrfsServer::new(host.clone(), server_pid).unwrap();
+    let server = CntrfsServer::new(host.clone(), server_pid, config.published_lookup).unwrap();
     let transport: Arc<dyn Transport> = if ring {
         Arc::new(RingTransport::new(server, 4, 64, 8))
     } else {
@@ -99,14 +99,10 @@ fn cntrfs_passthrough() -> Target {
     }
     let server_pid = k.fork(P).unwrap();
     k.chroot(server_pid, "/srv").unwrap();
-    let server = CntrfsServer::new(k.clone(), server_pid).unwrap();
-    let client = FuseClientFs::mount(
-        DevId(0xCB),
-        clock,
-        FuseConfig::optimized(),
-        InlineTransport::new(server),
-    )
-    .unwrap();
+    let config = FuseConfig::optimized();
+    let server = CntrfsServer::new(k.clone(), server_pid, config.published_lookup).unwrap();
+    let client =
+        FuseClientFs::mount(DevId(0xCB), clock, config, InlineTransport::new(server)).unwrap();
     k.mount_fs(P, "/mnt", client.clone(), MountFlags::default())
         .unwrap();
     Target {

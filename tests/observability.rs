@@ -10,7 +10,7 @@ use cntr::core::{EventLoop, SocketProxy};
 use cntr::prelude::*;
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
 use cntr_kernel::MountFlags;
-use cntr_types::{DevId, FileType, Ino};
+use cntr_types::{DevId, FileType, Ino, RenameFlags};
 use std::sync::Arc;
 
 /// Reads `/proc/cntrstats` in one 64 KiB read: the page cache fills the
@@ -90,6 +90,40 @@ fn cntrstats_and_tracing_cover_the_stack() {
     );
     assert_eq!(live_line("fuse.passthrough.backing-ids"), Some(1), "{live}");
     assert_eq!(live_line("fuse.passthrough.refused"), Some(0), "{live}");
+    // Once the entries time out, each name of the path is revalidated by
+    // one fstatat. After the host replaces the file, its name's hint is
+    // stale and the server opens the name again.
+    let counts = || {
+        let c = |name| obs::counter_value(name).unwrap_or(0);
+        (
+            c("core.cntrfs.lookup-revalidated"),
+            c("core.cntrfs.lookup-stale-hints"),
+        )
+    };
+    let (revalidated, stale) = counts();
+    session.client.drop_caches();
+    kernel.stat(attached, "/usr/bin/obs-tool").unwrap();
+    assert_eq!(counts(), (revalidated + 3, stale));
+    kernel
+        .rename(
+            Pid::INIT,
+            "/usr/bin/obs-tool",
+            "/usr/bin/obs-tool.old",
+            RenameFlags::NONE,
+        )
+        .unwrap();
+    let tool = kernel
+        .open(
+            Pid::INIT,
+            "/usr/bin/obs-tool",
+            OpenFlags::create(),
+            Mode::RWXR_XR_X,
+        )
+        .unwrap();
+    kernel.close(Pid::INIT, tool).unwrap();
+    session.client.drop_caches();
+    assert_eq!(kernel.stat(attached, "/usr/bin/obs-tool").unwrap().size, 0);
+    assert_eq!(counts(), (revalidated + 5, stale + 1));
     session.detach().unwrap();
     docker.stop("probe").unwrap();
 
@@ -180,6 +214,16 @@ fn cntrstats_and_tracing_cover_the_stack() {
         "missing core.cntrfs.lookups in:\n{text}"
     );
     assert_eq!(line("core.cntrfs.anchors"), Some(0), "{text}");
+    assert_eq!(line("core.cntrfs.name-hints"), Some(0), "{text}");
+    for name in [
+        "core.cntrfs.lookup-revalidated",
+        "core.cntrfs.lookup-stale-hints",
+    ] {
+        assert!(
+            line(name).is_some_and(|n| n > 0),
+            "missing {name} in:\n{text}"
+        );
+    }
     // The session's backing ids ended with its connection.
     assert_eq!(line("fuse.passthrough.backing-ids"), Some(0), "{text}");
 
