@@ -25,31 +25,46 @@
 //! source drops out of the read interest set and the destination is
 //! re-armed with [`Events::OUT`]. When the destination drains, the
 //! writability event unparks the direction and pumping resumes — no
-//! busy-looping, no dropped bytes.
+//! busy-looping, no dropped bytes. A destination whose reader has gone
+//! reports writable too (a write would fail at once), so the parked
+//! direction wakes to its error and the pair is torn down.
 //!
 //! # Readiness
 //!
 //! The plane's epoll is level-triggered: every wait reports each watched
-//! source that is readable *now*, whatever earlier waits reported. A
-//! direction's pump therefore stops at the first short splice (fewer than
-//! the 64 KiB chunk moved), as nginx stops reading on a short `recv`,
-//! instead of splicing again only to learn the source is empty. One
-//! forwarded message costs one splice. Nothing is stranded:
+//! source that is readable *now*, whatever earlier waits reported. The
+//! plane forwards through an io_uring (`cntr_kernel::io_uring`): one
+//! forwarded message is one splice SQE, and one wait's ready set is one
+//! `io_uring_enter`. Every direction the wait made ready — its source
+//! readable, or its parked destination drained — becomes one SQE, each
+//! direction at most once, and the batch is split only at the ring's
+//! size (`WAIT_BUDGET`, the wait's own budget). A 1,000-lane round is
+//! four enters, not a thousand `splice` calls, while a batch of one costs
+//! exactly what one `splice` did.
+//!
+//! A direction is done at its first short completion (fewer than the
+//! 64 KiB chunk moved), as nginx stops reading on a short `recv`, instead
+//! of splicing again only to learn the source is empty. Nothing is
+//! stranded:
 //!
 //! - bytes that arrive later make the next wait report the source;
 //! - a destination that took only part of the bytes pushed the rest back
-//!   onto the source, so the next wait reports it, the splice after that
-//!   gets `EAGAIN`, and the direction parks;
+//!   onto the source, so the next wait reports it, the SQE after that
+//!   completes with `EAGAIN`, and the direction parks;
 //! - an EOF queued behind the data shows up on a later wait of the same
 //!   [`EventLoop::pump_until_quiet`], since the short splice was progress;
-//! - a full 64 KiB splice keeps the pump looping.
+//! - a full 64 KiB completion is resubmitted in the next enter of the
+//!   same iteration.
 //!
-//! For the same reason an accept does not pump its new pair: bytes that
-//! raced ahead of registration are reported by the next wait.
+//! Each completion is applied once the enter returns, under the slot's
+//! generation check: a completion whose pair an earlier completion of the
+//! batch tore down is ignored. An accept does not forward its new pair:
+//! the epoll being level-triggered, bytes that raced ahead of
+//! registration are reported by the next wait.
 //!
 //! # Half-close
 //!
-//! `splice` returning `Ok(0)` means the source sent EOF. Only the
+//! A splice completing with `0` means the source sent EOF. Only the
 //! forward direction shuts down (`shutdown(SHUT_WR)` on the
 //! destination); the reverse direction keeps flowing until it too
 //! drains, and only then is the pair deregistered and closed.
@@ -59,10 +74,12 @@
 use crate::pty::Pty;
 use crate::shell::Shell;
 use cntr_kernel::epoll::Events;
+use cntr_kernel::io_uring::Sqe;
 use cntr_kernel::Kernel;
 use cntr_types::{Errno, Pid, SysResult};
-use obs::{LazyCounter, LazyGauge, Subsystem};
+use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -70,6 +87,9 @@ static OBS_POLLS: LazyCounter = LazyCounter::new(Subsystem::Core, "core.attach.l
 static OBS_ENDPOINTS: LazyGauge = LazyGauge::new(Subsystem::Core, "core.attach.endpoints");
 static OBS_BYTES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.forwarded-bytes");
 static OBS_SPLICES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.splices");
+static OBS_SUBMISSIONS: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.submissions");
+static OBS_SQES_PER_SUBMISSION: LazyHistogram =
+    LazyHistogram::new(Subsystem::Core, "core.proxy.sqes-per-submission");
 static OBS_LIVE: LazyGauge = LazyGauge::new(Subsystem::Core, "core.proxy.live-connections");
 static OBS_PARKED: LazyGauge = LazyGauge::new(Subsystem::Core, "core.proxy.parked-directions");
 static OBS_HALF_CLOSES: LazyCounter = LazyCounter::new(Subsystem::Core, "core.proxy.half-closes");
@@ -120,7 +140,8 @@ fn declare_plane_lock_discipline() {
 }
 
 /// Per-wait event budget; the kernel serves the ready set round-robin
-/// across waits, so a small budget cannot starve high tokens.
+/// across waits, so a small budget cannot starve high tokens. It also
+/// sizes the plane's io_uring, so one wait's ready set fits one enter.
 const WAIT_BUDGET: usize = 256;
 /// Splice chunk per call, matching the real proxy's 64 KiB buffer.
 const SPLICE_CHUNK: usize = 64 * 1024;
@@ -286,6 +307,8 @@ pub struct EventLoop {
     pid: Pid,
     /// The one epoll instance.
     epfd: u32,
+    /// The io_uring every forwarded splice is submitted on.
+    ring: u32,
     state: Mutex<State>,
     /// Single-pumper gate: concurrent `poll_once` callers see `Ok(0)`.
     polling: AtomicBool,
@@ -303,10 +326,12 @@ impl EventLoop {
         kernel.close_range(pid, 0)?;
         declare_plane_lock_discipline();
         let epfd = kernel.epoll_create(pid)?;
+        let ring = kernel.io_uring_setup(pid, WAIT_BUDGET as u32)?;
         Ok(Arc::new(EventLoop {
             kernel,
             pid,
             epfd,
+            ring,
             state: Mutex::new_class(
                 lock_class::LOOP_STATE,
                 State {
@@ -344,8 +369,9 @@ impl EventLoop {
         self.kernel.epoll_len(self.pid, self.epfd)
     }
 
-    /// One event-loop iteration: a budgeted `epoll_wait` followed by
-    /// dispatch of every returned event. Returns units of progress:
+    /// One event-loop iteration: a budgeted `epoll_wait`, dispatch of
+    /// every returned event, and one io_uring submission for every
+    /// forwarded direction the wait made ready. Returns units of progress:
     /// bytes moved (spliced through proxies plus shell output written
     /// to ptys) plus one per freshly accepted connection. Re-entrant
     /// callers are turned away with `Ok(0)` — exactly one pumper runs
@@ -382,22 +408,25 @@ impl EventLoop {
             .epoll_wait_budget(self.pid, self.epfd, WAIT_BUDGET)?;
         OBS_POLLS.inc();
         let mut moved = 0usize;
+        let mut ready_dirs = Vec::new();
         for (token, ev) in ready {
-            moved += self.dispatch(token, ev)?;
+            moved += self.dispatch(token, ev, &mut ready_dirs)?;
         }
-        Ok(moved)
+        Ok(moved + self.forward(ready_dirs)?)
     }
 
     /// Routes one epoll event. Stale tokens (generation mismatch after
-    /// a teardown) are ignored.
-    fn dispatch(&self, token: u64, ev: Events) -> SysResult<usize> {
+    /// a teardown) are ignored. A forwarded direction the event makes
+    /// ready is not spliced here: its source slot's token joins
+    /// `ready_dirs`, which [`EventLoop::forward`] submits once the whole
+    /// wait is dispatched.
+    fn dispatch(&self, token: u64, ev: Events, ready_dirs: &mut Vec<u64>) -> SysResult<usize> {
         enum Act {
             Accept(Arc<ProxyCore>),
             ListenerGone(usize),
             /// Unpark the direction that reads from this slot (the
             /// event fired on its destination).
             Unpark(usize),
-            Pump(usize),
             DriveShell(usize),
             FlushPty(usize),
         }
@@ -429,7 +458,7 @@ impl EventLoop {
                         acts.push(Act::Unpark(*peer));
                     }
                     if (ev.readable || ev.hangup) && *out_open && !*parked {
-                        acts.push(Act::Pump(idx));
+                        ready_dirs.push(token);
                     }
                     acts
                 }
@@ -457,8 +486,12 @@ impl EventLoop {
                     self.drop_endpoint(idx);
                     0
                 }
-                Act::Unpark(idx) => self.unpark(idx)?,
-                Act::Pump(idx) => self.pump_direction(idx)?,
+                Act::Unpark(idx) => {
+                    if let Some(token) = self.unpark(idx)? {
+                        ready_dirs.push(token);
+                    }
+                    0
+                }
                 Act::DriveShell(idx) => self.drive_shell(idx)?,
                 Act::FlushPty(idx) => self.flush_pty(idx)?,
             };
@@ -601,63 +634,99 @@ impl EventLoop {
         Ok(())
     }
 
-    /// Splices one forwarded direction until a splice comes up short,
-    /// parks on a full destination, and propagates EOF as a half-close.
-    /// See the module's "Readiness" section for why a short splice ends
-    /// the pump.
-    fn pump_direction(&self, idx: usize) -> SysResult<usize> {
-        let (src_fd, dst_fd) = {
-            let st = self.state.lock();
-            match st.slots.get(idx).and_then(|s| s.ep.as_ref()) {
-                Some(Endpoint::Conn {
-                    fd,
-                    peer,
-                    out_open: true,
-                    parked: false,
-                    ..
-                }) => match &st.slots[*peer].ep {
-                    Some(peer_ep) => (*fd, peer_ep.fd()),
-                    None => return Ok(0),
-                },
-                _ => return Ok(0),
-            }
-        };
+    /// Splices every direction in `ready_dirs` (source-slot tokens), one
+    /// io_uring enter per ring-sized batch, and applies each completion:
+    /// EOF half-closes, a short count is done, `EAGAIN` parks on a full
+    /// destination, an error tears the pair down, and a full chunk queues
+    /// the direction for the next enter. See the module's "Readiness"
+    /// section.
+    fn forward(&self, mut ready_dirs: Vec<u64>) -> SysResult<usize> {
+        // A direction can be made ready twice in one wait (its
+        // destination's writability unparked it, then its source's
+        // hangup reported it): submit it once. Order within a batch is
+        // free, since no two directions share a destination.
+        ready_dirs.sort_unstable();
+        ready_dirs.dedup();
+        let mut queue = VecDeque::from(ready_dirs);
         let mut moved = 0;
-        loop {
-            OBS_SPLICES.inc();
-            match self.kernel.splice(self.pid, src_fd, dst_fd, SPLICE_CHUNK) {
-                Ok(0) => {
-                    // A state transition is progress: `pump_until_quiet`
-                    // must keep polling while endpoints beyond this
-                    // wait's budget still have EOFs to propagate.
-                    self.half_close(idx);
-                    moved += 1;
-                    break;
-                }
-                Ok(n) => {
-                    moved += n;
-                    OBS_BYTES.add(n as u64);
-                    // A short splice emptied the source (or filled the
-                    // destination, which pushed the rest back): the next
-                    // wait reports whatever is left.
-                    if n < SPLICE_CHUNK {
-                        break;
+        while !queue.is_empty() {
+            let batch: Vec<u64> = queue.drain(..queue.len().min(WAIT_BUDGET)).collect();
+            // Each SQE's source and destination, for the directions still
+            // open and unparked.
+            let (tokens, sqes): (Vec<u64>, Vec<Sqe>) = {
+                let st = self.state.lock();
+                batch
+                    .into_iter()
+                    .filter_map(|token| {
+                        let idx = st.resolve(token)?;
+                        let Some(Endpoint::Conn {
+                            fd,
+                            peer,
+                            out_open: true,
+                            parked: false,
+                            ..
+                        }) = &st.slots[idx].ep
+                        else {
+                            return None;
+                        };
+                        let sqe = Sqe::Splice {
+                            fd_in: *fd,
+                            fd_out: st.slots[*peer].ep.as_ref()?.fd(),
+                            len: SPLICE_CHUNK,
+                        };
+                        Some((token, sqe))
+                    })
+                    .unzip()
+            };
+            if sqes.is_empty() {
+                continue;
+            }
+            // The submission is a system call: no plane lock may be held
+            // across it.
+            lockdep::assert_no_locks_held_except(&[]);
+            OBS_SUBMISSIONS.inc();
+            OBS_SQES_PER_SUBMISSION.record(sqes.len() as u64);
+            OBS_SPLICES.add(sqes.len() as u64);
+            let done = self.kernel.io_uring_enter(self.pid, self.ring, &sqes)?;
+            for ((token, sqe), result) in tokens.into_iter().zip(sqes).zip(done) {
+                // A pair torn down by an earlier completion of this batch
+                // has a new generation: its peer's completion is ignored.
+                let Some(idx) = self.state.lock().resolve(token) else {
+                    continue;
+                };
+                let Sqe::Splice { fd_in, .. } = sqe;
+                match result {
+                    Ok(0) => {
+                        // A state transition is progress: `pump_until_quiet`
+                        // must keep polling while endpoints beyond this
+                        // wait's budget still have EOFs to propagate.
+                        self.half_close(idx);
+                        moved += 1;
                     }
-                }
-                Err(Errno::EAGAIN) => {
-                    // Distinguish a drained source from a full
-                    // destination: only the latter parks.
-                    if self.kernel.poll_fd(self.pid, src_fd)?.readable {
-                        self.park(idx)?;
+                    Ok(n) => {
+                        moved += n;
+                        OBS_BYTES.add(n as u64);
+                        // A short splice emptied the source (or filled the
+                        // destination, which pushed the rest back): the
+                        // next wait reports whatever is left. A full chunk
+                        // may have left more behind it.
+                        if n == SPLICE_CHUNK {
+                            queue.push_back(token);
+                        }
                     }
-                    break;
-                }
-                Err(_) => {
-                    // Connection error (e.g. reset): drop the pair —
-                    // also progress, as above.
-                    self.teardown_pair(idx);
-                    moved += 1;
-                    break;
+                    Err(Errno::EAGAIN) => {
+                        // Distinguish a drained source from a full
+                        // destination: only the latter parks.
+                        if self.kernel.poll_fd(self.pid, fd_in)?.readable {
+                            self.park(idx)?;
+                        }
+                    }
+                    Err(_) => {
+                        // Connection error (e.g. reset): drop the pair —
+                        // also progress, as above.
+                        self.teardown_pair(idx);
+                        moved += 1;
+                    }
                 }
             }
         }
@@ -692,19 +761,20 @@ impl EventLoop {
     }
 
     /// Unparks the direction reading from slot `idx` (its destination
-    /// became writable) and resumes pumping it.
-    fn unpark(&self, idx: usize) -> SysResult<usize> {
+    /// became writable). Returns the slot's token if it was parked: the
+    /// caller submits the direction with the rest of the wait's.
+    fn unpark(&self, idx: usize) -> SysResult<Option<u64>> {
         let mods = {
             let mut st = self.state.lock();
             let peer = match st.slots.get_mut(idx).and_then(|s| s.ep.as_mut()) {
                 Some(Endpoint::Conn { parked, peer, .. }) => {
                     if !*parked {
-                        return Ok(0);
+                        return Ok(None);
                     }
                     *parked = false;
                     *peer
                 }
-                _ => return Ok(0),
+                _ => return Ok(None),
             };
             [
                 (st.token(idx), st.conn_interest(idx)),
@@ -715,7 +785,7 @@ impl EventLoop {
         for (tok, interest) in mods {
             self.kernel.epoll_mod(self.pid, self.epfd, tok, interest)?;
         }
-        self.pump_direction(idx)
+        Ok(Some(mods[0].0))
     }
 
     /// EOF on `idx`'s source: shuts down the forward direction only.
@@ -1070,6 +1140,42 @@ mod tests {
     }
 
     #[test]
+    fn n_lane_round_costs_waits_enters_and_page_remaps() {
+        let k = boot_host(SimClock::new());
+        let (proxy, srv, app) = proxy_to_service(&k);
+        // More lanes than one wait reports: the round needs two full
+        // waits and a short one, each ready set one enter.
+        let lanes = 2 * WAIT_BUDGET + 44;
+        let clients: Vec<u32> = (0..lanes)
+            .map(|_| k.connect(app, "/run/in.sock").unwrap())
+            .collect();
+        proxy.pump_until_quiet().unwrap();
+        let conns: Vec<u32> = (0..lanes)
+            .map(|_| k.accept(Pid::INIT, srv).unwrap())
+            .collect();
+        let len = |i: usize| 100 + 37 * i;
+        for (i, &c) in clients.iter().enumerate() {
+            k.write_fd(app, c, &vec![i as u8; len(i)]).unwrap();
+        }
+        let before = k.clock().now();
+        let total: usize = (0..lanes).map(len).sum();
+        assert_eq!(proxy.pump_until_quiet().unwrap(), total);
+        let enters = lanes.div_ceil(WAIT_BUDGET) as u64;
+        // Each ready set is one enter; a last wait finds nothing.
+        let waits = enters + 1;
+        let remaps: u64 = (0..lanes).map(|i| COST.splice(len(i) as u64)).sum();
+        assert_eq!(
+            (k.clock().now() - before).as_nanos(),
+            (waits + enters) * COST.syscall_ns + remaps
+        );
+        let mut buf = vec![0u8; 32 * 1024];
+        for (i, &s) in conns.iter().enumerate() {
+            assert_eq!(k.read_fd(Pid::INIT, s, &mut buf), Ok(len(i)));
+            assert!(buf[..len(i)].iter().all(|&b| b == i as u8));
+        }
+    }
+
+    #[test]
     fn plane_process_starts_with_clean_fd_table() {
         let k = boot_host(SimClock::new());
         // INIT gains some fds the plane must not inherit.
@@ -1147,7 +1253,14 @@ mod tests {
         let pty2 = Pty::new();
         let shell2 = Arc::new(Shell::new(k.clone(), Pid::INIT, Arc::clone(&pty2)));
         let _handles2 = plane.register_pty(&pty2, &shell2).unwrap();
-        assert_eq!(plane.dispatch(handles.in_token, Events::IN).unwrap(), 0);
+        let mut ready_dirs = Vec::new();
+        assert_eq!(
+            plane
+                .dispatch(handles.in_token, Events::IN, &mut ready_dirs)
+                .unwrap(),
+            0
+        );
+        assert!(ready_dirs.is_empty());
         // Double-removal of the old registration is a no-op.
         plane.remove_pty(handles);
         assert_eq!(plane.endpoints(), 2);

@@ -1192,13 +1192,30 @@ impl Kernel {
 
     /// `splice(2)`: moves up to `len` bytes between two descriptors without
     /// copying through userspace. Supports pipe→pipe, socket→pipe,
-    /// pipe→socket and socket→socket; the last is how the attach plane
-    /// forwards a proxied connection (§3.2.4).
+    /// pipe→socket and socket→socket, with `SPLICE_F_NONBLOCK` semantics:
+    /// `EAGAIN` on an empty source or a full destination, `0` at EOF.
     /// Loss-free under backpressure: whatever the destination does not
     /// accept is pushed back onto the source, so a caller that sees
     /// `EAGAIN` or a short count can retry later without dropping bytes.
+    /// The attach plane does not call it: it submits the same operation
+    /// as [`Sqe::Splice`](crate::io_uring::Sqe::Splice), one
+    /// [`Kernel::io_uring_enter`] for every connection a wait reports
+    /// ready (§3.2.4's proxy, batched).
     pub fn splice(&self, pid: Pid, fd_in: u32, fd_out: u32, len: usize) -> SysResult<usize> {
         self.charge_syscall();
+        self.splice_body(pid, fd_in, fd_out, len)
+    }
+
+    /// What one splice does once the kernel is entered, by `splice(2)` or
+    /// by an io_uring SQE: stage, write, push back the rest, and charge
+    /// the page remaps of what moved.
+    pub(crate) fn splice_body(
+        &self,
+        pid: Pid,
+        fd_in: u32,
+        fd_out: u32,
+        len: usize,
+    ) -> SysResult<usize> {
         let (src, dst) = self.with_proc(pid, |p| {
             let a = Arc::clone(&p.fds.get(&fd_in).ok_or(Errno::EBADF)?.file);
             let b = Arc::clone(&p.fds.get(&fd_out).ok_or(Errno::EBADF)?.file);

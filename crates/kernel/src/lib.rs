@@ -20,7 +20,8 @@
 //!   permission checks, fd-level syscalls, and a page cache with
 //!   write-through/writeback policies per mount ([`vfs`], [`pagecache`]),
 //! * cgroups ([`cgroup`]), pipes with `splice` ([`pipe`]), Unix domain
-//!   sockets ([`socket`]), `epoll` ([`epoll`]),
+//!   sockets ([`socket`]), `epoll` ([`epoll`]), an io_uring that batches
+//!   splices ([`io_uring`]),
 //! * synthetic `/proc` ([`procfs`]) and `/dev` ([`devfs`]).
 //!
 //! The entry point is [`Kernel`]: a shared handle whose methods are the
@@ -34,6 +35,7 @@ pub mod cgroup;
 pub mod cred;
 pub mod devfs;
 pub mod epoll;
+pub mod io_uring;
 pub mod kernel;
 pub mod mount;
 pub mod ns;

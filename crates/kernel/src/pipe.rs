@@ -164,7 +164,11 @@ impl Pipe {
 pub trait Pollable: Send + Sync {
     /// Data can be read (or EOF/peer-hangup is observable).
     fn poll_readable(&self) -> bool;
-    /// A write of at least one byte would succeed.
+    /// A write would not block: it would take at least one byte, or
+    /// fail at once because the reading side is gone (Linux reports
+    /// `EPOLLOUT` for a Unix socket whose peer closed, `EPOLLERR` for a
+    /// pipe without readers), so a writer parked on it wakes to its
+    /// error.
     fn poll_writable(&self) -> bool;
     /// The other side is gone.
     fn poll_hangup(&self) -> bool;
@@ -178,7 +182,7 @@ impl Pollable for Pipe {
 
     fn poll_writable(&self) -> bool {
         let st = self.state.lock();
-        !st.read_closed && st.buf.len() < self.capacity
+        st.read_closed || st.buf.len() < self.capacity
     }
 
     fn poll_hangup(&self) -> bool {
@@ -262,5 +266,7 @@ mod tests {
         assert!(!p.poll_writable(), "full pipe is not writable");
         p.close_write();
         assert!(p.poll_readable(), "EOF counts as readable");
+        p.close_read();
+        assert!(p.poll_writable(), "a write without readers fails at once");
     }
 }

@@ -58,6 +58,8 @@ pub enum FileKind {
         loc: VfsLoc,
         /// The filesystem of `loc.mount`.
         fs: Arc<dyn Filesystem>,
+        /// `loc` is a directory: only then can a walk start at it.
+        dir: bool,
     },
     /// Read end of a pipe.
     PipeRead(Arc<Pipe>),
@@ -69,6 +71,12 @@ pub enum FileKind {
     Listener(Arc<SocketListener>),
     /// An epoll instance.
     Epoll(Arc<Epoll>),
+    /// An io_uring instance whose submission queue holds `entries` SQEs
+    /// (see [`crate::io_uring`]).
+    IoUring {
+        /// Submission-queue size.
+        entries: usize,
+    },
     /// `/dev/null`.
     DevNull,
     /// `/dev/zero`.

@@ -160,6 +160,45 @@ impl WalkState {
     }
 }
 
+/// What a call that resolves a parent answers when the path ends in `.`
+/// or `..` (Linux's `LAST_DOT` and `LAST_DOTDOT`), once the parent walk
+/// succeeded: such a name is never an entry to make or remove.
+#[derive(Debug, Clone, Copy)]
+struct LastDots {
+    dot: Errno,
+    dotdot: Errno,
+}
+
+impl LastDots {
+    /// `filename_create` (mkdir, mknod, symlink, link, bind): the name
+    /// exists.
+    const CREATE: LastDots = LastDots {
+        dot: Errno::EEXIST,
+        dotdot: Errno::EEXIST,
+    };
+    /// `do_unlinkat`: a directory, which unlink does not remove.
+    const UNLINK: LastDots = LastDots {
+        dot: Errno::EISDIR,
+        dotdot: Errno::EISDIR,
+    };
+    /// `do_rmdir`: `.` is invalid, `..` is a parent and so not empty.
+    const RMDIR: LastDots = LastDots {
+        dot: Errno::EINVAL,
+        dotdot: Errno::ENOTEMPTY,
+    };
+    /// `O_CREAT` names a directory, which open does not create.
+    const OPEN: LastDots = LastDots {
+        dot: Errno::EISDIR,
+        dotdot: Errno::EISDIR,
+    };
+    /// Linux's `do_renameat2` answers `EBUSY`; this kernel keeps its
+    /// `EINVAL`.
+    const RENAME: LastDots = LastDots {
+        dot: Errno::EINVAL,
+        dotdot: Errno::EINVAL,
+    };
+}
+
 impl Kernel {
     fn snapshot_ns(&self, pid: Pid) -> SysResult<(MountNs, VfsLoc, VfsLoc)> {
         // Processes-before-mounts: the shard lock is released before the
@@ -282,7 +321,7 @@ impl Kernel {
             if path.is_empty() && !flags.contains(AtFlags::EMPTY_PATH) {
                 return Err(Errno::ENOENT);
             }
-            w.cur = self.fd_loc(pid, dirfd)?;
+            (w.cur, w.at_dir) = self.fd_loc(pid, dirfd)?;
         } else if !path.starts_with('/') {
             // Rebuild the ancestor stack for the cwd by resolving the stored
             // canonical cwd path (kept symlink-free by chdir).
@@ -305,23 +344,38 @@ impl Kernel {
         })
     }
 
-    /// The inode a descriptor locates: where a walk from it starts.
-    fn fd_loc(&self, pid: Pid, fd: u32) -> SysResult<VfsLoc> {
+    /// The inode a descriptor locates, where a walk from it starts, and
+    /// whether it is a directory. An `O_PATH` descriptor of anything else
+    /// anchors only itself (`AT_EMPTY_PATH`): a walk from it starts with
+    /// `at_dir` false, so even a `.` or `..` is `ENOTDIR`, as Linux's
+    /// `path_init` refuses a non-directory `dirfd`.
+    fn fd_loc(&self, pid: Pid, fd: u32) -> SysResult<(VfsLoc, bool)> {
         let file = self.get_file_raw(pid, fd)?;
         match &file.kind {
-            FileKind::Path { loc, .. } => Ok(*loc),
-            FileKind::Directory { mount, ino, .. } => Ok(VfsLoc {
-                mount: *mount,
-                ino: *ino,
-            }),
+            FileKind::Path { loc, dir, .. } => Ok((*loc, *dir)),
+            FileKind::Directory { mount, ino, .. } => Ok((
+                VfsLoc {
+                    mount: *mount,
+                    ino: *ino,
+                },
+                true,
+            )),
             _ => Err(Errno::ENOTDIR),
         }
     }
 
     /// Resolves the parent directory of `path` relative to `dirfd`,
     /// returning the final component name alongside. A trailing `/` is
-    /// dropped here: each caller applies its own rule for it.
-    fn resolve_parent_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
+    /// dropped here: each caller applies its own rule for it. A last `.`
+    /// or `..` names no entry the call can make or remove: once the
+    /// parent walk succeeds, the call answers with its [`LastDots`].
+    fn resolve_parent_at(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        dots: LastDots,
+    ) -> SysResult<(Resolved, String)> {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return Err(Errno::EEXIST);
@@ -331,14 +385,15 @@ impl Kernel {
             Some((d, n)) => (d.to_string(), n.to_string()),
             None => (".".to_string(), trimmed.to_string()),
         };
-        if name.is_empty() || name == "." || name == ".." {
-            return Err(Errno::EINVAL);
-        }
         let parent = self.resolve_at(pid, dirfd, &dir, AtFlags::NONE)?;
         if !parent.stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        Ok((parent, name))
+        match name.as_str() {
+            "." => Err(dots.dot),
+            ".." => Err(dots.dotdot),
+            _ => Ok((parent, name)),
+        }
     }
 
     /// [`Kernel::resolve_parent_at`] for a call that creates a node other
@@ -346,7 +401,7 @@ impl Kernel {
     /// does not make: Linux's `filename_create` answers `EEXIST` if the
     /// name exists, else `ENOENT`.
     fn resolve_create_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
-        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
+        let (parent, name) = self.resolve_parent_at(pid, dirfd, path, LastDots::CREATE)?;
         if path.ends_with('/') {
             parent.fs.lookup(parent.loc.ino, &name)?;
             return Err(Errno::EEXIST);
@@ -388,6 +443,7 @@ impl Kernel {
                 FileKind::Path {
                     loc: r.loc,
                     fs: r.fs,
+                    dir: r.stat.is_dir(),
                 },
                 flags,
             );
@@ -402,7 +458,7 @@ impl Kernel {
             if matches!(last, Some("" | "." | "..")) {
                 self.resolve_at(pid, dirfd, path, at)?;
             } else {
-                self.resolve_parent_at(pid, dirfd, path)?;
+                self.resolve_parent_at(pid, dirfd, path, LastDots::OPEN)?;
             }
             return Err(Errno::EISDIR);
         }
@@ -417,7 +473,7 @@ impl Kernel {
                 r
             }
             Err(Errno::ENOENT) if flags.contains(OpenFlags::CREAT) => {
-                let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
+                let (parent, name) = self.resolve_parent_at(pid, dirfd, path, LastDots::OPEN)?;
                 if parent.readonly {
                     return Err(Errno::EROFS);
                 }
@@ -689,7 +745,9 @@ impl Kernel {
             FileKind::PipeRead(p) => p.read(buf),
             FileKind::PipeWrite(_) | FileKind::Path { .. } => Err(Errno::EBADF),
             FileKind::Socket(s) => s.recv(buf),
-            FileKind::Listener(_) | FileKind::Epoll(_) => Err(Errno::EINVAL),
+            FileKind::Listener(_) | FileKind::Epoll(_) | FileKind::IoUring { .. } => {
+                Err(Errno::EINVAL)
+            }
             FileKind::DevNull => Ok(0),
             FileKind::DevZero => {
                 buf.fill(0);
@@ -857,7 +915,9 @@ impl Kernel {
             FileKind::PipeWrite(p) => p.write(data),
             FileKind::PipeRead(_) | FileKind::Path { .. } => Err(Errno::EBADF),
             FileKind::Socket(s) => s.send(data),
-            FileKind::Listener(_) | FileKind::Epoll(_) => Err(Errno::EINVAL),
+            FileKind::Listener(_) | FileKind::Epoll(_) | FileKind::IoUring { .. } => {
+                Err(Errno::EINVAL)
+            }
             FileKind::DevNull | FileKind::DevZero | FileKind::DevUrandom => Ok(data.len()),
         }
     }
@@ -949,7 +1009,7 @@ impl Kernel {
             FileKind::Regular {
                 dev, file: fref, ..
             } => Ok(self.with_cached_attrs(*dev, fref.fs.getattr(fref.ino)?)),
-            FileKind::Path { loc, fs } => {
+            FileKind::Path { loc, fs, .. } => {
                 Ok(self.with_cached_attrs(fs.fs_id(), fs.getattr(loc.ino)?))
             }
             FileKind::Directory { mount, ino, .. } => {
@@ -979,7 +1039,7 @@ impl Kernel {
     pub fn mkdirat(&self, pid: Pid, dirfd: u32, path: &str, mode: Mode) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
-        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
+        let (parent, name) = self.resolve_parent_at(pid, dirfd, path, LastDots::CREATE)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -1051,11 +1111,16 @@ impl Kernel {
     pub fn unlinkat(&self, pid: Pid, dirfd: u32, path: &str, flags: AtFlags) -> SysResult<()> {
         self.charge_syscall();
         let creds = self.creds(pid)?;
-        let (parent, name) = self.resolve_parent_at(pid, dirfd, path)?;
+        let removedir = flags.contains(AtFlags::REMOVEDIR);
+        let dots = if removedir {
+            LastDots::RMDIR
+        } else {
+            LastDots::UNLINK
+        };
+        let (parent, name) = self.resolve_parent_at(pid, dirfd, path, dots)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
-        let removedir = flags.contains(AtFlags::REMOVEDIR);
         if !removedir && path.ends_with('/') {
             // A trailing slash names a directory, which unlink does not
             // remove (Linux's `do_unlinkat`, at `slashes:`).
@@ -1103,8 +1168,9 @@ impl Kernel {
         flags: RenameFlags,
     ) -> SysResult<()> {
         self.charge_syscall();
-        let (src_parent, src_name) = self.resolve_parent_at(pid, olddirfd, from)?;
-        let (dst_parent, dst_name) = self.resolve_parent_at(pid, newdirfd, to)?;
+        let (src_parent, src_name) =
+            self.resolve_parent_at(pid, olddirfd, from, LastDots::RENAME)?;
+        let (dst_parent, dst_name) = self.resolve_parent_at(pid, newdirfd, to, LastDots::RENAME)?;
         if src_parent.readonly || dst_parent.readonly {
             return Err(Errno::EROFS);
         }
@@ -2127,6 +2193,96 @@ mod tests {
         let cost = |path: &str| k.clock().measure(|| k.stat(P, path)).1;
         assert_eq!(cost("/d/."), cost("/d"));
         assert_eq!(cost("/f/.."), cost("/f"));
+    }
+
+    /// A walk beneath an `O_PATH` descriptor starts with the
+    /// descriptor's type: Linux's `path_init` refuses a non-directory
+    /// `dirfd`, so even `.` and `..` are `ENOTDIR`, at no extra charge.
+    #[test]
+    fn dot_and_dotdot_after_an_o_path_file_are_enotdir() {
+        let k = kernel();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        k.mkdir(P, "/d", Mode::RWXR_XR_X).unwrap();
+        let anchor = OpenFlags::RDONLY.with(OpenFlags::PATH);
+        let f = k.open(P, "/f", anchor, Mode::RW_R__R__).unwrap();
+        let d = k.open(P, "/d", anchor, Mode::RW_R__R__).unwrap();
+        let none = AtFlags::NONE;
+
+        for path in [".", "..", "./", "./.."] {
+            let (got, ns) = k.clock().measure(|| k.fstatat(P, f, path, none));
+            assert_eq!(got, Err(Errno::ENOTDIR), "{path:?}");
+            assert_eq!(ns.as_nanos(), COST.syscall_ns, "{path:?} walks nothing");
+        }
+        assert_eq!(k.mkdirat(P, f, ".", Mode::RWXR_XR_X), Err(Errno::ENOTDIR));
+        // The file itself, and a `.` beneath a directory anchor.
+        assert_eq!(k.fstatat(P, f, "", AtFlags::EMPTY_PATH), k.fstat(P, f));
+        assert_eq!(k.fstatat(P, d, ".", none), k.fstat(P, d));
+        // A directory descriptor opened for reading anchors as before.
+        let dir = k
+            .open(
+                P,
+                "/d",
+                OpenFlags::RDONLY.with(OpenFlags::DIRECTORY),
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        assert!(k.fstatat(P, dir, ".", none).unwrap().is_dir());
+    }
+
+    /// A last `.` or `..` is never an entry to make or remove; each call
+    /// answers as Linux does once the parent walk succeeded (errnos
+    /// confirmed on a Linux host under `/dev/shm`).
+    #[test]
+    fn last_dot_and_dotdot_answer_per_call() {
+        let k = kernel();
+        k.mkdir(P, "/a", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        for last in [".", ".."] {
+            let p = format!("/a/{last}");
+            assert_eq!(k.mkdir(P, &p, Mode::RWXR_XR_X), Err(Errno::EEXIST), "{p}");
+            assert_eq!(
+                k.mkdir(P, &format!("{p}/"), Mode::RWXR_XR_X),
+                Err(Errno::EEXIST)
+            );
+            assert_eq!(
+                k.mknod(P, &p, FileType::Fifo, Mode::RW_R__R__, 0),
+                Err(Errno::EEXIST)
+            );
+            assert_eq!(k.symlink(P, "x", &p), Err(Errno::EEXIST));
+            assert_eq!(k.link(P, "/f", &p), Err(Errno::EEXIST));
+            assert_eq!(k.unlink(P, &p), Err(Errno::EISDIR));
+            assert_eq!(k.unlink(P, &format!("{p}/")), Err(Errno::EISDIR));
+            // Linux answers EBUSY; rename keeps its EINVAL.
+            assert_eq!(k.rename(P, &p, "/z", RenameFlags::NONE), Err(Errno::EINVAL));
+            // The parent walk comes first.
+            assert_eq!(
+                k.mkdir(P, &format!("/missing/{last}"), Mode::RWXR_XR_X),
+                Err(Errno::ENOENT)
+            );
+            assert_eq!(k.unlink(P, &format!("/f/{last}")), Err(Errno::ENOTDIR));
+        }
+        assert_eq!(k.rmdir(P, "/a/."), Err(Errno::EINVAL));
+        assert_eq!(k.rmdir(P, "/a/.."), Err(Errno::ENOTEMPTY));
+        k.chdir(P, "/a").unwrap();
+        assert_eq!(k.mkdir(P, ".", Mode::RWXR_XR_X), Err(Errno::EEXIST));
+        assert_eq!(k.unlink(P, "."), Err(Errno::EISDIR));
+        assert_eq!(k.rmdir(P, ".."), Err(Errno::ENOTEMPTY));
+        // Nothing was made or removed.
+        let names = |dir: &str| -> Vec<String> {
+            k.readdir(P, dir)
+                .unwrap()
+                .into_iter()
+                .map(|d| d.name)
+                .collect()
+        };
+        assert_eq!(names("/a"), [".", ".."]);
+        assert_eq!(names("/"), [".", "..", "a", "f"]);
     }
 
     /// A trailing slash names a directory, with the errors Linux gives

@@ -14,7 +14,10 @@
 //!   a trailing slash naming a directory as Linux has it: the last
 //!   component followed and `ENOTDIR` unless it is one, `EISDIR` for
 //!   `O_CREAT` and `unlink`, `EEXIST`/`ENOENT` for the other creates
-//!   (`mkdir` aside), `ENOTDIR` for `rename` of a non-directory;
+//!   (`mkdir` aside), `ENOTDIR` for `rename` of a non-directory; and a
+//!   last `.` or `..` walked to its parent and then refused as each call
+//!   refuses it (`EEXIST` for the creates, `EISDIR` for `unlink`,
+//!   `EINVAL`/`ENOTEMPTY` for `rmdir`, `EINVAL` for `rename`);
 //! * the same call issued on a twin kernel as an `*at` call from an
 //!   `O_PATH` anchor returns what the path call returned and charges only
 //!   the walk beneath the anchor — or fails with `EXDEV` exactly when the
@@ -235,11 +238,14 @@ impl World {
                 .walk(&mut w, "/w", true)
                 .and_then(|()| self.walk(&mut w, path, follow)),
             Start::Fdcwd => self.walk(&mut w, path, follow),
-            Start::Beneath(anchor) => {
+            // A walk starts with its anchor's type: beneath anything but
+            // a directory even `.` and `..` are `ENOTDIR`.
+            Start::Beneath(anchor) => self.layer(anchor.0).getattr(anchor.1).and_then(|st| {
                 w.cur = anchor;
                 w.beneath = true;
+                w.at_dir = st.is_dir();
                 self.walk(&mut w, path, follow)
-            }
+            }),
         };
         let r = r.and_then(|()| {
             let st = self.layer(w.cur.0).getattr(w.cur.1)?;
@@ -252,8 +258,14 @@ impl World {
     }
 
     /// `resolve_parent`: the directory part is walked unless the path is
-    /// rejected first.
-    fn resolve_parent(&self, start: Start, path: &str) -> (Result<Parent, Errno>, u64) {
+    /// rejected first; a last `.` or `..` then answers the call's
+    /// `[dot, dotdot]` errors.
+    fn resolve_parent(
+        &self,
+        start: Start,
+        path: &str,
+        dots: [Errno; 2],
+    ) -> (Result<Parent, Errno>, u64) {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return (Err(Errno::EEXIST), 0);
@@ -263,16 +275,14 @@ impl World {
             Some((d, n)) => (d, n),
             None => (".", trimmed),
         };
-        if name.is_empty() || name == "." || name == ".." {
-            return (Err(Errno::EINVAL), 0);
-        }
         let (r, n) = self.resolve(start, dir, true);
         let r = r.and_then(|loc| {
             let st = self.layer(loc.0).getattr(loc.1)?;
-            if st.is_dir() {
-                Ok((loc, name.to_string()))
-            } else {
-                Err(Errno::ENOTDIR)
+            match name {
+                _ if !st.is_dir() => Err(Errno::ENOTDIR),
+                "." => Err(dots[0]),
+                ".." => Err(dots[1]),
+                _ => Ok((loc, name.to_string())),
             }
         });
         (r, n)
@@ -607,17 +617,25 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
         let (r, n) = w.resolve(start_of(p), &path(p), follow);
         (n, r.map(|_| ()))
     };
-    let parent_of = |p: &str| {
-        let (r, n) = w.resolve_parent(start_of(p), &path(p));
+    let parent_of = |p: &str, dots: [Errno; 2]| {
+        let (r, n) = w.resolve_parent(start_of(p), &path(p), dots);
         (n, r)
     };
-    let parent = |p: &str| {
-        let (n, r) = parent_of(p);
+    let parent = |p: &str, dots: [Errno; 2]| {
+        let (n, r) = parent_of(p, dots);
         (n, r.map(|_| ()))
     };
+    // What a last `.` or `..` answers once the parent walk succeeded, per
+    // call: Linux's `filename_create`, `do_unlinkat` and `do_rmdir`; open
+    // names a directory it does not create; rename keeps `EINVAL` where
+    // Linux says `EBUSY`.
+    let exists = [Errno::EEXIST; 2];
+    let is_dir = [Errno::EISDIR; 2];
+    let rmdir = [Errno::EINVAL, Errno::ENOTEMPTY];
+    let rename = [Errno::EINVAL; 2];
     // A create other than `mkdir` through a trailing slash: EEXIST if the
     // name exists, else ENOENT.
-    let create = |p: &str| match parent_of(p) {
+    let create = |p: &str| match parent_of(p, exists) {
         (n, Ok(at)) if p.ends_with('/') => (n, Err(w.child(&at).err().unwrap_or(Errno::EEXIST))),
         (n, r) => (n, r.map(|_| ())),
     };
@@ -635,21 +653,22 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
             let (n, r) = if matches!(last, Some("" | "." | "..")) {
                 resolve(p, true)
             } else {
-                parent(p)
+                parent(p, is_dir)
             };
             (n, r.and(Err(Errno::EISDIR)))
         }
         Op::OpenCreate(p) => match resolve(p, true) {
             (n, Err(Errno::ENOENT)) => {
-                let (m, r) = parent(p);
+                let (m, r) = parent(p, is_dir);
                 (n + m, r)
             }
             done => done,
         },
-        Op::Mkdir(p) | Op::Rmdir(p) => parent(p),
+        Op::Mkdir(p) => parent(p, exists),
+        Op::Rmdir(p) => parent(p, rmdir),
         Op::Mknod(p) | Op::Symlink(_, p) => create(p),
         // unlink through a trailing slash: what the name is decides.
-        Op::Unlink(p) => match parent_of(p) {
+        Op::Unlink(p) => match parent_of(p, is_dir) {
             (n, Ok(at)) if p.ends_with('/') => match w.child(&at) {
                 Ok(st) if st.is_dir() => (n, Err(Errno::EISDIR)),
                 Ok(_) => (n, Err(Errno::ENOTDIR)),
@@ -657,8 +676,8 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
             },
             (n, r) => (n, r.map(|_| ())),
         },
-        Op::Rename(a, b) => match parent_of(a) {
-            (n, Ok(from)) => match parent_of(b) {
+        Op::Rename(a, b) => match parent_of(a, rename) {
+            (n, Ok(from)) => match parent_of(b, rename) {
                 (m, Ok(to)) => (n + m, renamed(w, &from, &to, a, b)),
                 (m, Err(e)) => (n + m, Err(e)),
             },
@@ -812,11 +831,13 @@ fn empty_paths_need_empty_path() {
     let st = w.k.fstatat(P, f, "", AtFlags::EMPTY_PATH).unwrap();
     assert_eq!(st, w.k.fstat(P, f).unwrap());
     assert_eq!(st.size, 8);
-    assert_eq!(
-        w.k.fstatat(P, f, "x", AtFlags::NONE),
-        Err(Errno::ENOTDIR),
-        "a file anchors only itself"
-    );
+    for path in ["x", ".", "..", "./"] {
+        assert_eq!(
+            w.k.fstatat(P, f, path, AtFlags::NONE),
+            Err(Errno::ENOTDIR),
+            "a file anchors only itself: {path:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

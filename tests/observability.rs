@@ -129,6 +129,7 @@ fn cntrstats_and_tracing_cover_the_stack() {
 
     // ---- Forwarded messages, both ways, through a socket proxy. ----
     let splices_before = obs::counter_value("core.proxy.splices").unwrap_or(0);
+    let submissions_before = obs::counter_value("core.proxy.submissions").unwrap_or(0);
     let srv = kernel
         .bind_listener(Pid::INIT, "/run/obs-svc.sock")
         .unwrap();
@@ -232,6 +233,60 @@ fn cntrstats_and_tracing_cover_the_stack() {
         line("core.proxy.splices"),
         Some(splices_before + messages),
         "expected {messages} splices past {splices_before} in:\n{text}"
+    );
+    // Each wait found one message: a submission of one SQE apiece.
+    assert_eq!(
+        line("core.proxy.submissions"),
+        Some(submissions_before + messages),
+        "{text}"
+    );
+
+    // ---- One round over 16 connections: one submission of 16 SQEs. ----
+    let proxy = SocketProxy::on_plane(
+        &plane,
+        plane.pid(),
+        connect_pid,
+        "/run/obs-fan.sock",
+        "/run/obs-svc.sock",
+    )
+    .unwrap();
+    let lanes = 16;
+    let clients: Vec<u32> = (0..lanes)
+        .map(|_| kernel.connect(app, "/run/obs-fan.sock").unwrap())
+        .collect();
+    proxy.pump_until_quiet().unwrap();
+    let conns: Vec<u32> = (0..lanes)
+        .map(|_| kernel.accept(Pid::INIT, srv).unwrap())
+        .collect();
+    let (splices, submissions, batches) = (
+        line("core.proxy.splices").unwrap(),
+        line("core.proxy.submissions").unwrap(),
+        line("core.proxy.sqes-per-submission.count").unwrap(),
+    );
+    for (i, &c) in clients.iter().enumerate() {
+        kernel.write_fd(app, c, &vec![i as u8; 512 + i]).unwrap();
+    }
+    proxy.pump_until_quiet().unwrap();
+    for (i, &s) in conns.iter().enumerate() {
+        assert_eq!(kernel.read_fd(Pid::INIT, s, &mut buf), Ok(512 + i));
+    }
+    proxy.unregister();
+    let text = read_proc_cntrstats(&kernel);
+    let line = |name: &str| -> Option<u64> {
+        text.lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} ")))
+            .map(|v| v.parse().unwrap())
+    };
+    assert_eq!(line("core.proxy.splices"), Some(splices + lanes as u64));
+    assert_eq!(line("core.proxy.submissions"), Some(submissions + 1));
+    assert_eq!(
+        line("core.proxy.sqes-per-submission.count"),
+        Some(batches + 1)
+    );
+    assert_eq!(
+        line("core.proxy.sqes-per-submission.max"),
+        Some(16),
+        "{text}"
     );
 
     // vmstat shape: every line is exactly `name value`.
