@@ -594,6 +594,34 @@ mod tests {
         session.detach().unwrap();
     }
 
+    /// A name after a tools file is `ENOTDIR` before the walk asks CntrFS
+    /// about it: the `stat` crosses no FUSE round trip once the file's
+    /// own path is cached.
+    #[test]
+    fn a_name_after_a_tools_file_sends_no_lookup() {
+        let (k, rt) = setup();
+        let fd = k
+            .open(
+                Pid::INIT,
+                "/usr/bin/tool",
+                OpenFlags::create(),
+                Mode::RWXR_XR_X,
+            )
+            .unwrap();
+        k.close(Pid::INIT, fd).unwrap();
+        let c = rt.run("db", "mysql:slim").unwrap();
+        let cntr = Cntr::new(k.clone());
+        let session = cntr.attach(c.pid, CntrOptions::default()).unwrap();
+        assert!(k.stat(session.attached, "/usr/bin/tool").unwrap().is_file());
+        let before = session.client.conn_stats();
+        assert_eq!(
+            k.stat(session.attached, "/usr/bin/tool/x"),
+            Err(Errno::ENOTDIR)
+        );
+        assert_eq!(session.client.conn_stats().total(), before.total());
+        session.detach().unwrap();
+    }
+
     /// A cold 4 KiB `pread` straddling two pages of a tools file is one
     /// 8 KiB READ: the client page cache fills the run it misses with one
     /// request, and a read that does not continue the last reply opens no

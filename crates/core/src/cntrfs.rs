@@ -582,9 +582,10 @@ impl CntrfsServer {
         let (k, pid) = (&self.kernel, self.server_pid);
         Ok(match req {
             Request::Init { wanted, conn } => {
-                // CntrFS supports every optimization (splice write included,
-                // even though CNTR disables it by default).
-                let granted = wanted.intersect(InitFlags::all());
+                // CntrFS supports every optimization the shipping profile
+                // asks for (splice write included, which the paper's
+                // profile leaves off).
+                let granted = wanted.intersect(InitFlags::cntr_default());
                 if granted.passthrough {
                     self.state.lock().passthrough_conn = Some(conn);
                 }

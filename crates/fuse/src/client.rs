@@ -15,10 +15,9 @@
 //!   the `security.capability` GETXATTR once a write found the inode
 //!   clean, until its attributes or xattrs change. Without it every write
 //!   asks: the Apache overhead of §5.2.2;
-//! * **readahead** (`FUSE_ASYNC_READ`) batches sequential reads into
-//!   128 KiB requests, while a random read asks only for its own pages;
-//! * **forget batching** (`FUSE_BATCH_FORGET`) folds many forgets into one
-//!   request;
+//! * **readahead** batches sequential reads into 128 KiB requests, while
+//!   a random read asks only for its own pages;
+//! * **forget batching** folds many forgets into one BATCH_FORGET request;
 //! * **metadata pipelining** (`FUSE_PARALLEL_DIROPS`) overlaps lookup round
 //!   trips (Figure 3c);
 //! * **splice** replaces per-byte copies with page remaps (Figure 3d); the
@@ -351,22 +350,14 @@ impl FuseClientFs {
         }
     }
 
-    /// Sends the queued forgets — one BATCH_FORGET, or N FORGETs when the
-    /// server did not negotiate batching.
+    /// Sends the queued forgets as one BATCH_FORGET.
     pub fn flush_forgets(&self) {
         let items = {
             let mut st = self.state.lock();
             std::mem::take(&mut st.forget_queue)
         };
-        if items.is_empty() {
-            return;
-        }
-        if self.config.flags.batch_forget {
+        if !items.is_empty() {
             let _ = self.call(Request::BatchForget { items });
-        } else {
-            for (ino, nlookup) in items {
-                let _ = self.call(Request::Forget { ino, nlookup });
-            }
         }
     }
 
@@ -717,13 +708,11 @@ impl Filesystem for FuseClientFs {
                 None => false,
             }
         };
-        // Issue a READ. With async_read a sequential read (at offset 0, or
-        // where this handle's last reply ended) opens a full readahead
-        // window, as Linux's on-demand readahead does; any other read asks
-        // for just the pages it covers.
-        let req_size = if !self.config.flags.async_read {
-            len
-        } else if sequential || offset == 0 {
+        // Issue a READ. A sequential read (at offset 0, or where this
+        // handle's last reply ended) opens a full readahead window, as
+        // Linux's on-demand readahead does; any other read asks for just
+        // the pages it covers.
+        let req_size = if sequential || offset == 0 {
             MAX_READ.max(len)
         } else {
             len.next_multiple_of(PAGE_SIZE)
@@ -752,17 +741,14 @@ impl Filesystem for FuseClientFs {
         };
         let n = data.len().min(len);
         let out = data.slice(..n);
-        if self.config.flags.async_read {
-            let mut st = self.state.lock();
-            st.readahead.insert(
-                fh.0,
-                ReadAhead {
-                    ino,
-                    start: offset,
-                    data,
-                },
-            );
-        }
+        self.state.lock().readahead.insert(
+            fh.0,
+            ReadAhead {
+                ino,
+                start: offset,
+                data,
+            },
+        );
         Ok(out)
     }
 
@@ -1291,33 +1277,6 @@ mod tests {
     }
 
     #[test]
-    fn no_async_read_means_per_call_requests() {
-        let (fs, _) = mounted(
-            FuseConfig::optimized()
-                .with_flags(InitFlags::none())
-                .with_workers(1),
-        );
-        let st = fs
-            .mknod(
-                Ino::ROOT,
-                "big",
-                FileType::Regular,
-                Mode::RW_R__R__,
-                0,
-                &root_ctx(),
-            )
-            .unwrap();
-        let fh = fs.open(st.ino, OpenFlags::RDWR).unwrap();
-        fs.write(st.ino, fh, 0, &vec![7u8; 64 * 1024]).unwrap();
-        let before = fs.conn_stats().reads;
-        let mut buf = [0u8; 4096];
-        for page in 0..16u64 {
-            fs.read(st.ino, fh, page * 4096, &mut buf).unwrap();
-        }
-        assert_eq!(fs.conn_stats().reads - before, 16);
-    }
-
-    #[test]
     fn forget_batching_folds_requests() {
         let batch = FORGET_BATCH as u64;
         let (fs, _) = mounted(FuseConfig::optimized());
@@ -1327,17 +1286,6 @@ mod tests {
         let conn = fs.conn_stats();
         assert_eq!(conn.batch_forgets, 1);
         assert_eq!(conn.forgets, 0);
-
-        // Without batch support: individual FORGETs.
-        let mut unbatched = FuseConfig::optimized();
-        unbatched.flags.batch_forget = false;
-        let (fs2, _) = mounted(unbatched);
-        for i in 0..batch {
-            fs2.forget(Ino(200 + i), 1);
-        }
-        let conn2 = fs2.conn_stats();
-        assert_eq!(conn2.batch_forgets, 0);
-        assert_eq!(conn2.forgets, batch);
     }
 
     #[test]

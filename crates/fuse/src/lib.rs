@@ -6,9 +6,10 @@
 //! reproduces that machinery:
 //!
 //! * [`proto`] — the request/reply protocol with real FUSE opcode numbers
-//!   and the INIT negotiation flags behind every §3.3 optimization
-//!   (`FUSE_WRITEBACK_CACHE`, `FUSE_PARALLEL_DIROPS`, `FUSE_ASYNC_READ`,
-//!   splice, batched `FORGET`),
+//!   and the INIT negotiation flags behind the §3.3 optimizations that a
+//!   profile varies (`FUSE_WRITEBACK_CACHE`, `FOPEN_KEEP_CACHE`,
+//!   `FUSE_PARALLEL_DIROPS`, splice). Readahead and batched `FORGET` are
+//!   on in every profile, so they are not flags,
 //! * [`conn`] — the `/dev/fuse` queue with the [`conn::Transport`] trait
 //!   and the deterministic same-thread **inline** transport,
 //! * [`ring`] — the threaded transport, FUSE-over-io_uring style: real

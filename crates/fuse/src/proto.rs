@@ -137,9 +137,6 @@ pub struct InitFlags {
     pub keep_cache: bool,
     /// `FUSE_PARALLEL_DIROPS`: concurrent lookups/readdirs in one directory.
     pub parallel_dirops: bool,
-    /// `FUSE_ASYNC_READ`: sequential reads fetch a full `max_read`
-    /// readahead window per request; other reads fetch only their pages.
-    pub async_read: bool,
     /// `FUSE_SPLICE_READ` (+`MOVE`): zero-copy read replies.
     pub splice_read: bool,
     /// Splice writes. The paper's CNTR shipped with these *disabled*: every
@@ -151,8 +148,6 @@ pub struct InitFlags {
     /// [`InitFlags::cntr_default`]); [`InitFlags::paper_legacy`] keeps the
     /// paper's original profile selectable.
     pub splice_write: bool,
-    /// `FUSE_BATCH_FORGET` support.
-    pub batch_forget: bool,
     /// FUSE-over-io_uring style shared submission/completion rings
     /// (`FUSE_IO_URING`): the client batches submissions and a worker reaps
     /// many completions per wakeup instead of paying one wakeup per
@@ -196,10 +191,8 @@ impl InitFlags {
             writeback_cache: true,
             keep_cache: true,
             parallel_dirops: true,
-            async_read: true,
             splice_read: true,
             splice_write: true,
-            batch_forget: true,
             ring: true,
             cache_symlinks: true,
             handle_killpriv_v2: true,
@@ -217,10 +210,8 @@ impl InitFlags {
             writeback_cache: true,
             keep_cache: true,
             parallel_dirops: true,
-            async_read: true,
             splice_read: true,
             splice_write: false,
-            batch_forget: true,
             ring: false,
             cache_symlinks: false,
             handle_killpriv_v2: false,
@@ -228,37 +219,19 @@ impl InitFlags {
         }
     }
 
-    /// Everything off — the unoptimized baseline of §5.2.3.
+    /// Everything off — the unoptimized baseline of §5.2.3. Readahead and
+    /// batched forgets are not flags, so they stay on here too.
     pub const fn none() -> InitFlags {
         InitFlags {
             writeback_cache: false,
             keep_cache: false,
             parallel_dirops: false,
-            async_read: false,
             splice_read: false,
             splice_write: false,
-            batch_forget: false,
             ring: false,
             cache_symlinks: false,
             handle_killpriv_v2: false,
             passthrough: false,
-        }
-    }
-
-    /// Everything on (what a server may advertise as supported).
-    pub const fn all() -> InitFlags {
-        InitFlags {
-            writeback_cache: true,
-            keep_cache: true,
-            parallel_dirops: true,
-            async_read: true,
-            splice_read: true,
-            splice_write: true,
-            batch_forget: true,
-            ring: true,
-            cache_symlinks: true,
-            handle_killpriv_v2: true,
-            passthrough: true,
         }
     }
 
@@ -269,10 +242,8 @@ impl InitFlags {
             writeback_cache: self.writeback_cache && other.writeback_cache,
             keep_cache: self.keep_cache && other.keep_cache,
             parallel_dirops: self.parallel_dirops && other.parallel_dirops,
-            async_read: self.async_read && other.async_read,
             splice_read: self.splice_read && other.splice_read,
             splice_write: self.splice_write && other.splice_write,
-            batch_forget: self.batch_forget && other.batch_forget,
             ring: self.ring && other.ring,
             cache_symlinks: self.cache_symlinks && other.cache_symlinks,
             handle_killpriv_v2: self.handle_killpriv_v2 && other.handle_killpriv_v2,
@@ -671,8 +642,8 @@ mod tests {
     fn init_intersection() {
         let got = InitFlags::cntr_default().intersect(InitFlags::none());
         assert_eq!(got, InitFlags::none());
-        let got = InitFlags::cntr_default().intersect(InitFlags::all());
-        assert_eq!(got, InitFlags::cntr_default());
+        let got = InitFlags::cntr_default().intersect(InitFlags::paper_legacy());
+        assert_eq!(got, InitFlags::paper_legacy());
         assert!(
             InitFlags::cntr_default().splice_write,
             "splice-write ships on now that batched write-back makes it a win"
@@ -696,7 +667,7 @@ mod tests {
         assert!(!InitFlags::none().cache_symlinks);
         assert!(!InitFlags::none().handle_killpriv_v2);
         assert!(!InitFlags::none().passthrough);
-        assert!(InitFlags::cntr_default().passthrough && InitFlags::all().passthrough);
+        assert!(InitFlags::cntr_default().passthrough);
         // Identical to the shipping default in every other flag.
         let mut modern = InitFlags::cntr_default();
         modern.splice_write = false;

@@ -52,7 +52,7 @@ impl FsHandler {
     pub fn new(fs: Arc<dyn Filesystem>) -> FsHandler {
         FsHandler {
             fs,
-            supported: InitFlags::all(),
+            supported: InitFlags::cntr_default(),
             nlookup: Arc::new(Mutex::new_class("fuse.server.nlookup", HashMap::new())),
         }
     }
@@ -307,7 +307,7 @@ mod tests {
     fn init_negotiation_intersects() {
         let h = handler().with_supported(InitFlags::none());
         let r = h.handle(Request::Init {
-            wanted: InitFlags::all(),
+            wanted: InitFlags::cntr_default(),
             conn: DevId(100),
         });
         match r {

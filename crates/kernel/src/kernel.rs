@@ -16,6 +16,7 @@ use crate::process::{FdEntry, FileKind, OpenFile, Process, ProcessState, VfsLoc}
 use crate::socket::{SocketEnd, SocketListener};
 use crate::table::{lock_class, MountTable, NsRefs, ProcTable, DEFAULT_PROC_SHARDS};
 use cntr_fs::Filesystem;
+use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
     Capability, DevId, Errno, Ino, OpenFlags, Pid, RlimitSet, SimClock, SysResult, COST,
 };
@@ -96,15 +97,19 @@ impl KernelConfig {
         }
     }
 
-    /// The background threshold in bytes this config resolves to, clamped
-    /// below the hard threshold.
+    /// The background threshold in bytes this config resolves to
+    /// (`dirty_background_bytes` if set, else 10% of the cache limit),
+    /// clamped to at least one page and at least one page below the hard
+    /// threshold.
     pub fn resolved_dirty_background_bytes(&self) -> u64 {
         let bg = if self.dirty_background_bytes != 0 {
             self.dirty_background_bytes
         } else {
             self.page_cache_limit / 100 * DIRTY_BACKGROUND_RATIO
         };
-        bg.min(self.resolved_dirty_bytes()).max(1)
+        let page = PAGE_SIZE as u64;
+        bg.min(self.resolved_dirty_bytes().saturating_sub(page))
+            .max(page)
     }
 }
 
@@ -244,9 +249,9 @@ impl Kernel {
                     clock.clone(),
                     config.page_cache_limit,
                     config.resolved_dirty_bytes(),
-                )
-                .with_dirty_background_bytes(config.resolved_dirty_background_bytes())
-                .with_background_writeback(config.background_writeback),
+                    config.resolved_dirty_background_bytes(),
+                    config.background_writeback,
+                ),
                 clock,
                 procs: ProcTable::new(DEFAULT_PROC_SHARDS, init),
                 mounts: MountTable::new(root_ns),
@@ -1275,6 +1280,28 @@ mod tests {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone());
         Kernel::with_clock(clock, fs, KernelConfig::default())
+    }
+
+    /// The thresholds in pages: 20% and 10% of the cache by default, the
+    /// paper's 64/32 MiB, and a background threshold at or above the hard
+    /// one held a page below it.
+    #[test]
+    fn dirty_thresholds_resolve_to_pages() {
+        let pages = |c: KernelConfig| {
+            let page = PAGE_SIZE as u64;
+            (
+                c.resolved_dirty_bytes() / page,
+                c.resolved_dirty_background_bytes() / page,
+            )
+        };
+        assert_eq!(pages(KernelConfig::default()), (13_107, 6_553));
+        assert_eq!(pages(KernelConfig::paper_legacy()), (16_384, 8_192));
+        let tight = KernelConfig {
+            page_cache_limit: 1 << 30,
+            dirty_bytes: 64 * PAGE_SIZE as u64,
+            ..KernelConfig::default()
+        };
+        assert_eq!(pages(tight), (64, 63));
     }
 
     #[test]

@@ -91,8 +91,9 @@ pub struct MountFlags {
     /// `MS_RDONLY`.
     pub readonly: bool,
     /// Pages carry no real bytes (benchmark mode): reads return zeroes, so
-    /// multi-gigabyte workloads cost time but no memory. Correctness tests
-    /// never set this. Only `Kernel::mount_fs` reads it, into the mount's
+    /// multi-gigabyte workloads cost time but no memory. Writes take the
+    /// ordinary path; a read miss fills one page, not a run (the page
+    /// cache's `read` says why). Correctness tests never set this. Only `Kernel::mount_fs` reads it, into the mount's
     /// [`CacheMode`]; a bind mount takes its source's policy and ignores
     /// it. A [`Mount`]'s stored flags never carry it.
     pub synthetic: bool,

@@ -63,8 +63,9 @@ use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{DevId, Errno, Ino, SimClock, SysResult, COST};
 use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -164,6 +165,17 @@ enum PageData {
 }
 
 impl PageData {
+    /// A new page of a mount in `mode` holding `bytes` (zeroes if `None`).
+    /// A synthetic mount keeps no bytes: its page costs time but no
+    /// memory, whatever was read or written to make it.
+    fn new(mode: CacheMode, bytes: Option<Box<[u8; PAGE_SIZE]>>) -> PageData {
+        if mode.synthetic {
+            PageData::Synthetic
+        } else {
+            PageData::Owned(bytes.unwrap_or_else(|| Box::new([0u8; PAGE_SIZE])))
+        }
+    }
+
     /// Copies `[in_page, in_page+n)` of the page into `buf` (zeroes beyond
     /// the stored length).
     fn read_into(&self, in_page: usize, buf: &mut [u8]) {
@@ -521,13 +533,17 @@ impl CacheState {
         None
     }
 
-    /// The file with the most dirty pages — the write-back victim order
-    /// (largest dirty set first amortizes per-flush overhead best).
-    fn dirtiest_file(&self) -> Option<(DevId, Ino)> {
+    /// The file on a device `want` accepts with the most dirty pages — the
+    /// write-back victim order (largest dirty set first amortizes
+    /// per-flush overhead best). A tie goes to the lowest `(dev, ino)`:
+    /// the file table's iteration order is seeded per process, so it must
+    /// not pick the victim, or the flush order would move the virtual
+    /// clock from run to run.
+    fn dirtiest_file(&self, want: impl Fn(DevId) -> bool) -> Option<(DevId, Ino)> {
         self.files
             .iter()
-            .filter(|(_, f)| !f.dirty.is_empty())
-            .max_by_key(|(_, f)| f.dirty.len())
+            .filter(|(&(d, _), f)| !f.dirty.is_empty() && want(d))
+            .max_by_key(|(&k, f)| (f.dirty.len(), Reverse(k)))
             .map(|(&k, _)| k)
     }
 }
@@ -602,13 +618,11 @@ pub struct CacheShared {
     capacity_pages: usize,
     dirty_limit_pages: usize,
     /// Background write-back starts above this (and the flusher drains down
-    /// to it). Always below `dirty_limit_pages`. Atomic only so the
-    /// pre-sharing builders can set it; relaxed loads everywhere.
-    dirty_bg_pages: AtomicUsize,
+    /// to it). Below `dirty_limit_pages`.
+    dirty_bg_pages: usize,
     /// Whether a kworker-style flusher thread handles background
-    /// write-back. Off = writers drain inline (deterministic). Atomic for
-    /// the builders.
-    flusher_enabled: AtomicBool,
+    /// write-back. Off = writers drain inline (deterministic).
+    flusher_enabled: bool,
     /// Back-reference for spawning the flusher from a `&CacheShared`
     /// writer path (the thread itself must hold only a `Weak`, or the
     /// cache could never drop).
@@ -656,19 +670,33 @@ impl Drop for PageCache {
 }
 
 impl PageCache {
-    /// Creates a cache with the given capacity and hard dirty threshold
-    /// (bytes), the background threshold at half the hard limit, and no
-    /// flusher thread (writers drain inline — deterministic).
-    /// [`PageCache::with_background_writeback`] turns the flusher on.
-    pub fn new(clock: SimClock, capacity_bytes: u64, dirty_limit_bytes: u64) -> PageCache {
+    /// Creates a cache with the given capacity and the hard and background
+    /// dirty thresholds (bytes; [`crate::KernelConfig`] resolves them).
+    /// With `background_writeback` a kworker-style flusher thread drains
+    /// dirty data above the background threshold; it is spawned lazily on
+    /// the first crossing, so configurations that never buffer enough
+    /// dirty data stay single-threaded. Without it writers drain inline —
+    /// deterministic.
+    pub fn new(
+        clock: SimClock,
+        capacity_bytes: u64,
+        dirty_limit_bytes: u64,
+        dirty_background_bytes: u64,
+        background_writeback: bool,
+    ) -> PageCache {
         let dirty_limit_pages = (dirty_limit_bytes / PAGE_SIZE as u64).max(4) as usize;
+        let dirty_bg_pages = (dirty_background_bytes / PAGE_SIZE as u64) as usize;
+        debug_assert!(
+            (1..dirty_limit_pages).contains(&dirty_bg_pages),
+            "background threshold {dirty_bg_pages} pages outside 1..{dirty_limit_pages}"
+        );
         PageCache {
             inner: Arc::new_cyclic(|self_ref| CacheShared {
                 clock,
                 capacity_pages: (capacity_bytes / PAGE_SIZE as u64).max(16) as usize,
                 dirty_limit_pages,
-                dirty_bg_pages: AtomicUsize::new((dirty_limit_pages / 2).max(1)),
-                flusher_enabled: AtomicBool::new(false),
+                dirty_bg_pages,
+                flusher_enabled: background_writeback,
                 self_ref: self_ref.clone(),
                 stop: AtomicBool::new(false),
                 lru: Mutex::new_class(lock_class::PAGECACHE_LRU, CacheState::default()),
@@ -682,29 +710,6 @@ impl PageCache {
                 counters: CacheCounters::default(),
             }),
         }
-    }
-
-    /// Sets the background write-back threshold in bytes (clamped below
-    /// the hard limit). Crossing it wakes the flusher (when enabled); the
-    /// drain target for both background and inline write-back.
-    #[must_use]
-    pub fn with_dirty_background_bytes(self, bytes: u64) -> PageCache {
-        let hard = self.dirty_limit_pages;
-        self.inner.dirty_bg_pages.store(
-            ((bytes / PAGE_SIZE as u64) as usize).clamp(1, hard.saturating_sub(1).max(1)),
-            Ordering::Relaxed,
-        );
-        self
-    }
-
-    /// Enables (or disables) the kworker-style background flusher thread.
-    /// The thread is spawned lazily on the first background-threshold
-    /// crossing, so configurations that never buffer enough dirty data
-    /// stay single-threaded.
-    #[must_use]
-    pub fn with_background_writeback(self, enabled: bool) -> PageCache {
-        self.inner.flusher_enabled.store(enabled, Ordering::Relaxed);
-        self
     }
 }
 
@@ -721,13 +726,13 @@ fn flusher_main(cache: Weak<CacheShared>) {
                 if c.stop.load(Ordering::Acquire) {
                     return;
                 }
-                let bg = c.dirty_bg_pages.load(Ordering::Relaxed);
+                let bg = c.dirty_bg_pages;
                 let victim = {
                     let st = c.lru.lock();
                     if st.dirty_total <= bg {
                         None
                     } else {
-                        st.dirtiest_file()
+                        st.dirtiest_file(|_| true)
                     }
                 };
                 let Some((dev, ino)) = victim else { break };
@@ -838,6 +843,14 @@ impl CacheShared {
     /// filesystem read, the way Linux sizes a read to its access: a 4 KiB
     /// read across two cold pages is one 8 KiB request. A resident page,
     /// clean or dirty, ends the run and is served from the cache.
+    ///
+    /// A synthetic mount fills one page per miss instead. This is the one
+    /// read-side difference a synthetic mount keeps, and Figure 3(a)'s
+    /// `keep_cache` panel is the reason: with `keep_cache` off every open
+    /// invalidates the file, and fill runs make the re-read cheap enough
+    /// that the panel's gain falls from 2.11x to 1.94x (a Linux-style
+    /// readahead in place of the FUSE client's window gives 1.88x), below
+    /// the `> 2.0` the figure checks.
     pub fn read(
         &self,
         dev: DevId,
@@ -912,12 +925,9 @@ impl CacheShared {
             // fill re-enters the kernel through the server).
             let page_off = page_no * PAGE_SIZE as u64;
             let pages = if mode.synthetic {
-                // Synthetic mode: the fill must still be a real page-sized
-                // read so every layer below (FUSE round trips, readahead,
-                // disk) charges its true cost — only the bytes are
-                // discarded. It stays one `read_bytes` call per fill: the
-                // virtual-time figures are calibrated against that request
-                // stream.
+                // A real page-sized read, so every layer below (FUSE round
+                // trips, readahead, disk) charges its true cost; only the
+                // bytes are discarded.
                 file.fs.read_bytes(ino, file.fh, page_off, PAGE_SIZE)?;
                 vec![PageData::Synthetic]
             } else {
@@ -1064,28 +1074,14 @@ impl CacheShared {
                         slot
                     }
                     // Read the page outside the lock, then look again.
-                    // Synthetic pages hold no bytes to keep, and the
-                    // virtual-time figures are calibrated against their
-                    // request stream.
-                    None if n < PAGE_SIZE && !mode.synthetic && filled.is_none() => {
+                    None if n < PAGE_SIZE && filled.is_none() => {
                         drop(st);
                         filled = Some(Self::read_page(file, page_no)?);
                         continue;
                     }
                     None => {
                         newly_dirtied += 1;
-                        st.insert(
-                            key,
-                            if mode.synthetic {
-                                PageData::Synthetic
-                            } else {
-                                PageData::Owned(
-                                    filled.take().unwrap_or_else(|| Box::new([0u8; PAGE_SIZE])),
-                                )
-                            },
-                            true,
-                            0,
-                        )
+                        st.insert(key, PageData::new(mode, filled.take()), true, 0)
                     }
                 };
                 if let Some(p) = st.page_mut(slot).data.make_mut() {
@@ -1127,8 +1123,7 @@ impl CacheShared {
 
     /// Updates (or populates) clean cached pages after a write-through. A
     /// page the write covers only in part is updated if cached and left
-    /// uncached otherwise: only its written bytes would be up to date
-    /// (synthetic pages excepted, as in `write`).
+    /// uncached otherwise: only its written bytes would be up to date.
     fn update_clean_pages(
         &self,
         dev: DevId,
@@ -1156,20 +1151,11 @@ impl CacheShared {
                         st.page_mut(slot).referenced = true;
                         slot
                     }
-                    None if n < PAGE_SIZE && !mode.synthetic => {
+                    None if n < PAGE_SIZE => {
                         done += n;
                         continue;
                     }
-                    None => st.insert(
-                        key,
-                        if mode.synthetic {
-                            PageData::Synthetic
-                        } else {
-                            PageData::Owned(Box::new([0u8; PAGE_SIZE]))
-                        },
-                        false,
-                        0,
-                    ),
+                    None => st.insert(key, PageData::new(mode, None), false, 0),
                 };
                 if let Some(p) = st.page_mut(slot).data.make_mut() {
                     p[in_page..in_page + n].copy_from_slice(&data[done..done + n]);
@@ -1196,7 +1182,7 @@ impl CacheShared {
         if newly_dirtied == 0 || in_flush() {
             return Ok(());
         }
-        let bg = self.dirty_bg_pages.load(Ordering::Relaxed);
+        let bg = self.dirty_bg_pages;
         let dirty = { self.lru.lock().dirty_total };
         if dirty <= bg {
             return Ok(());
@@ -1207,7 +1193,7 @@ impl CacheShared {
         }
         self.counters.throttle_stalls.inc();
         let stall_start = obs::now_ns();
-        let paced = self.flusher_enabled.load(Ordering::Relaxed);
+        let paced = self.flusher_enabled;
         let mut quota = newly_dirtied.saturating_mul(2).max(MIN_THROTTLE_QUOTA);
         loop {
             let victim = {
@@ -1215,7 +1201,7 @@ impl CacheShared {
                 if st.dirty_total <= bg {
                     None
                 } else {
-                    st.dirtiest_file()
+                    st.dirtiest_file(|_| true)
                 }
             };
             let Some((vdev, vino)) = victim else { break };
@@ -1248,7 +1234,7 @@ impl CacheShared {
     /// writes to again can still be dropped — the flusher fails its
     /// upgrade and exits.
     fn kick(&self) {
-        if !self.flusher_enabled.load(Ordering::Relaxed) {
+        if !self.flusher_enabled {
             return;
         }
         let mut ctl = self.flusher.lock();
@@ -1628,14 +1614,7 @@ impl CacheShared {
     /// first.
     fn sync_matching(&self, want: impl Fn(DevId) -> bool) -> SysResult<()> {
         loop {
-            let victim = {
-                let st = self.lru.lock();
-                st.files
-                    .iter()
-                    .filter(|(&(d, _), f)| !f.dirty.is_empty() && want(d))
-                    .map(|(&k, _)| k)
-                    .next()
-            };
+            let victim = self.lru.lock().dirtiest_file(&want);
             match victim {
                 Some((dev, ino)) => self.flush_file(dev, ino)?,
                 None => return Ok(()),
@@ -1739,7 +1718,13 @@ mod tests {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone()) as Arc<dyn Filesystem>;
         let file = file_on(&fs, "f");
-        let cache = Arc::new(PageCache::new(clock, cache_bytes, dirty_bytes));
+        let cache = Arc::new(PageCache::new(
+            clock,
+            cache_bytes,
+            dirty_bytes,
+            dirty_bytes / 2,
+            false,
+        ));
         (cache, file, DevId(1))
     }
 
@@ -1868,7 +1853,7 @@ mod tests {
             .map(|i| (i / PAGE_SIZE) as u8 + 1)
             .collect();
         fs.write(file.ino, file.fh, 0, &content).unwrap();
-        let cache = PageCache::new(clock, 1 << 20, 1 << 20);
+        let cache = PageCache::new(clock, 1 << 20, 1 << 20, 1 << 19, false);
         let dev = DevId(2);
         let mut buf = vec![0u8; content.len()];
         cache
@@ -2036,11 +2021,13 @@ mod tests {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone()) as Arc<dyn Filesystem>;
         let file = file_on(&fs, "f");
-        let cache = Arc::new(
-            PageCache::new(clock, 256 << 20, 64 * PAGE_SIZE as u64)
-                .with_dirty_background_bytes(16 * PAGE_SIZE as u64)
-                .with_background_writeback(true),
-        );
+        let cache = Arc::new(PageCache::new(
+            clock,
+            256 << 20,
+            64 * PAGE_SIZE as u64,
+            16 * PAGE_SIZE as u64,
+            true,
+        ));
         let dev = DevId(1);
         let mode = CacheMode::native();
         // Cross the background threshold but stay under the hard limit:
@@ -2166,5 +2153,267 @@ mod tests {
         assert_eq!(cache.resident_pages(), 64);
         let (active, inactive) = cache.residency();
         assert_eq!(active + inactive, 64);
+    }
+
+    /// A filesystem call the page cache makes for file data.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum DataCall {
+        ReadPage(Ino, u64),
+        ReadBytes(Ino, u64, usize),
+        WriteBytes(Ino, u64, usize),
+    }
+
+    /// memfs, logging the data calls the page cache makes on it.
+    struct LoggedFs {
+        inner: Arc<dyn Filesystem>,
+        calls: Mutex<Vec<DataCall>>,
+    }
+
+    impl LoggedFs {
+        fn new(clock: &SimClock) -> Arc<LoggedFs> {
+            Arc::new(LoggedFs {
+                inner: memfs(DevId(1), clock.clone()),
+                calls: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn take(&self) -> Vec<DataCall> {
+            std::mem::take(&mut *self.calls.lock())
+        }
+    }
+
+    impl Filesystem for LoggedFs {
+        fn fs_id(&self) -> DevId {
+            self.inner.fs_id()
+        }
+        fn fs_type(&self) -> &'static str {
+            self.inner.fs_type()
+        }
+        fn features(&self) -> cntr_fs::FsFeatures {
+            self.inner.features()
+        }
+        fn lookup(&self, parent: Ino, name: &str) -> SysResult<cntr_types::Stat> {
+            self.inner.lookup(parent, name)
+        }
+        fn getattr(&self, ino: Ino) -> SysResult<cntr_types::Stat> {
+            self.inner.getattr(ino)
+        }
+        fn setattr(
+            &self,
+            ino: Ino,
+            attr: &SetAttr,
+            ctx: &FsContext,
+        ) -> SysResult<cntr_types::Stat> {
+            self.inner.setattr(ino, attr, ctx)
+        }
+        fn mknod(
+            &self,
+            parent: Ino,
+            name: &str,
+            ftype: FileType,
+            mode: Mode,
+            rdev: u64,
+            ctx: &FsContext,
+        ) -> SysResult<cntr_types::Stat> {
+            self.inner.mknod(parent, name, ftype, mode, rdev, ctx)
+        }
+        fn mkdir(
+            &self,
+            parent: Ino,
+            name: &str,
+            mode: Mode,
+            ctx: &FsContext,
+        ) -> SysResult<cntr_types::Stat> {
+            self.inner.mkdir(parent, name, mode, ctx)
+        }
+        fn unlink(&self, parent: Ino, name: &str) -> SysResult<()> {
+            self.inner.unlink(parent, name)
+        }
+        fn rmdir(&self, parent: Ino, name: &str) -> SysResult<()> {
+            self.inner.rmdir(parent, name)
+        }
+        fn symlink(
+            &self,
+            parent: Ino,
+            name: &str,
+            target: &str,
+            ctx: &FsContext,
+        ) -> SysResult<cntr_types::Stat> {
+            self.inner.symlink(parent, name, target, ctx)
+        }
+        fn readlink(&self, ino: Ino) -> SysResult<String> {
+            self.inner.readlink(ino)
+        }
+        fn link(&self, ino: Ino, newparent: Ino, newname: &str) -> SysResult<cntr_types::Stat> {
+            self.inner.link(ino, newparent, newname)
+        }
+        fn rename(
+            &self,
+            parent: Ino,
+            name: &str,
+            newparent: Ino,
+            newname: &str,
+            flags: cntr_types::RenameFlags,
+        ) -> SysResult<()> {
+            self.inner.rename(parent, name, newparent, newname, flags)
+        }
+        fn open(&self, ino: Ino, flags: OpenFlags) -> SysResult<Fh> {
+            self.inner.open(ino, flags)
+        }
+        fn release(&self, ino: Ino, fh: Fh) -> SysResult<()> {
+            self.inner.release(ino, fh)
+        }
+        fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
+            self.calls
+                .lock()
+                .push(DataCall::ReadBytes(ino, offset, len));
+            self.inner.read_bytes(ino, fh, offset, len)
+        }
+        fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
+            self.calls
+                .lock()
+                .push(DataCall::WriteBytes(ino, offset, data.len()));
+            self.inner.write_bytes(ino, fh, offset, data)
+        }
+        fn read_page(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {
+            self.calls.lock().push(DataCall::ReadPage(ino, offset));
+            self.inner.read_page(ino, fh, offset, buf)
+        }
+        fn fsync(&self, ino: Ino, fh: Fh, datasync: bool) -> SysResult<()> {
+            self.inner.fsync(ino, fh, datasync)
+        }
+        fn readdir(&self, ino: Ino) -> SysResult<Vec<cntr_types::Dirent>> {
+            self.inner.readdir(ino)
+        }
+        fn statfs(&self) -> SysResult<cntr_types::Statfs> {
+            self.inner.statfs()
+        }
+        fn getxattr(&self, ino: Ino, name: &str) -> SysResult<Vec<u8>> {
+            self.inner.getxattr(ino, name)
+        }
+        fn setxattr(
+            &self,
+            ino: Ino,
+            name: &str,
+            value: &[u8],
+            flags: cntr_fs::XattrFlags,
+        ) -> SysResult<()> {
+            self.inner.setxattr(ino, name, value, flags)
+        }
+        fn listxattr(&self, ino: Ino) -> SysResult<Vec<String>> {
+            self.inner.listxattr(ino)
+        }
+        fn removexattr(&self, ino: Ino, name: &str) -> SysResult<()> {
+            self.inner.removexattr(ino, name)
+        }
+        fn fallocate(
+            &self,
+            ino: Ino,
+            fh: Fh,
+            offset: u64,
+            len: u64,
+            mode: cntr_fs::FallocateMode,
+        ) -> SysResult<()> {
+            self.inner.fallocate(ino, fh, offset, len, mode)
+        }
+    }
+
+    /// One write/fsync schedule with partial pages, on a mount in `mode`
+    /// over a file of 2.5 pages: the data calls the file system saw. A
+    /// write-through run reads each partly written page back, which shows
+    /// whether the write cached it.
+    fn partial_page_schedule(mode: CacheMode) -> Vec<DataCall> {
+        let clock = SimClock::new();
+        let fs = LoggedFs::new(&clock);
+        let as_fs = Arc::clone(&fs) as Arc<dyn Filesystem>;
+        let file = file_on(&as_fs, "f");
+        as_fs
+            .write(file.ino, file.fh, 0, &vec![5u8; 5 * PAGE_SIZE / 2])
+            .unwrap();
+        fs.take();
+        let cache = PageCache::new(clock, 1 << 20, 1 << 20, 1 << 19, false);
+        let dev = DevId(1);
+        let p = PAGE_SIZE as u64;
+        let writes: [(u64, usize); 5] = [
+            (50, 100),               // inside page 0
+            (p + 4000, 200),         // the end of page 1, the start of page 2
+            (3 * p, PAGE_SIZE),      // a whole page past EOF
+            (4 * p + 10, PAGE_SIZE), // two partial pages past EOF
+            (2 * p + 100, 50),       // page 2 again
+        ];
+        for (i, &(offset, len)) in writes.iter().enumerate() {
+            cache
+                .write(dev, mode, &file, offset, &vec![9u8; len])
+                .unwrap();
+            if !mode.writeback {
+                let mut buf = vec![0u8; 10];
+                cache.read(dev, mode, &file, offset, &mut buf).unwrap();
+            }
+            if i % 2 == 1 {
+                cache.fsync(dev, &file, false).unwrap();
+            }
+        }
+        cache.fsync(dev, &file, false).unwrap();
+        fs.take()
+    }
+
+    /// A synthetic mount takes the product's write path: a partial write
+    /// reads the page it does not hold, write-through leaves such a page
+    /// uncached, and write-back flushes the same runs. Only the bytes
+    /// differ.
+    #[test]
+    fn synthetic_writes_send_the_same_data_calls() {
+        for base in [CacheMode::native(), CacheMode::uncached()] {
+            let synthetic = CacheMode {
+                synthetic: true,
+                ..base
+            };
+            let calls = partial_page_schedule(base);
+            assert!(
+                calls.iter().any(|c| matches!(c, DataCall::ReadPage(..))) || !base.writeback,
+                "the schedule reads a page before a partial write: {calls:?}"
+            );
+            assert_eq!(partial_page_schedule(synthetic), calls, "{base:?}");
+        }
+    }
+
+    /// Write-back picks its victims by dirty-page count and breaks a tie
+    /// by `(dev, ino)`, never by the file table's per-process hash order:
+    /// eight files with two dirty pages each flush in inode order, through
+    /// the throttle and through `sync`, in every fresh cache.
+    #[test]
+    fn tied_dirty_files_flush_in_inode_order() {
+        let run = || {
+            let clock = SimClock::new();
+            let fs = LoggedFs::new(&clock);
+            let as_fs = Arc::clone(&fs) as Arc<dyn Filesystem>;
+            let files: Vec<_> = (0..8).map(|i| file_on(&as_fs, &format!("f{i}"))).collect();
+            let p = PAGE_SIZE as u64;
+            let cache = PageCache::new(clock.clone(), 1 << 20, 15 * p, 7 * p, false);
+            let mode = CacheMode::native();
+            for f in &files {
+                cache
+                    .write(DevId(1), mode, f, 0, &vec![1u8; 2 * PAGE_SIZE])
+                    .unwrap();
+            }
+            // The last write crossed the hard limit and drained five files.
+            assert_eq!(cache.dirty_bytes(), 6 * p);
+            cache.sync_all().unwrap();
+            let order: Vec<Ino> = fs
+                .take()
+                .into_iter()
+                .map(|c| match c {
+                    DataCall::WriteBytes(ino, 0, len) if len == 2 * PAGE_SIZE => ino,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            let inos: Vec<Ino> = files.iter().map(|f| f.ino).collect();
+            assert_eq!(order, inos);
+            (clock.now(), order)
+        };
+        let first = run();
+        for _ in 0..3 {
+            assert_eq!(run(), first);
+        }
     }
 }

@@ -171,7 +171,7 @@ struct LastDots {
 
 impl LastDots {
     /// `filename_create` (mkdir, mknod, symlink, link, bind): the name
-    /// exists.
+    /// exists. `bind` reports it as `EADDRINUSE`.
     const CREATE: LastDots = LastDots {
         dot: Errno::EEXIST,
         dotdot: Errno::EEXIST,
@@ -191,11 +191,10 @@ impl LastDots {
         dot: Errno::EISDIR,
         dotdot: Errno::EISDIR,
     };
-    /// Linux's `do_renameat2` answers `EBUSY`; this kernel keeps its
-    /// `EINVAL`.
+    /// `do_renameat2`: `EBUSY`, on either side of the rename.
     const RENAME: LastDots = LastDots {
-        dot: Errno::EINVAL,
-        dotdot: Errno::EINVAL,
+        dot: Errno::EBUSY,
+        dotdot: Errno::EBUSY,
     };
 }
 
@@ -222,9 +221,9 @@ impl Kernel {
     /// Walks `path` from `w.cur`. A trailing `/` names a directory, so a
     /// final symlink is followed even without `follow_last` (Linux's
     /// `lookup_last` sets `LOOKUP_FOLLOW | LOOKUP_DIRECTORY`); the caller
-    /// checks the type through `w.dir_only`. A `.` or `..` after anything
-    /// but a directory is `ENOTDIR`, as Linux's `link_path_walk` refuses
-    /// any component after a non-directory; neither costs a lookup.
+    /// checks the type through `w.dir_only`. Any component after a
+    /// non-directory, `.` and `..` included, is `ENOTDIR` before it is
+    /// looked up, as Linux's `link_path_walk` refuses it.
     fn walk(&self, w: &mut WalkState, path: &str, follow_last: bool) -> SysResult<()> {
         let mut components: Vec<String> = Vec::new();
         if path.starts_with('/') {
@@ -237,10 +236,10 @@ impl Kernel {
         while i < components.len() {
             let name = components[i].clone();
             let is_last = i == components.len() - 1;
+            if !w.at_dir {
+                return Err(Errno::ENOTDIR);
+            }
             if name == "." || name == ".." {
-                if !w.at_dir {
-                    return Err(Errno::ENOTDIR);
-                }
                 if name == ".." {
                     match w.stack.pop() {
                         Some(prev) => w.cur = prev,
@@ -2049,21 +2048,32 @@ impl Kernel {
     /// listener under it, tagged with the caller's mount namespace — if
     /// that namespace dies (its last process is reaped) the listener is
     /// unbound, so a dead container's socket cannot accept connections.
+    /// A name that exists (a last `.` or `..` included) is `EADDRINUSE`,
+    /// as Linux's `unix_bind` turns the `EEXIST` of its create into.
     pub fn bind_listener(&self, pid: Pid, path: &str) -> SysResult<u32> {
         self.charge_syscall();
+        let in_use = |e| match e {
+            Errno::EEXIST => Errno::EADDRINUSE,
+            e => e,
+        };
         let (creds, mnt_ns) = self.with_proc(pid, |p| Ok((p.creds.clone(), p.ns.mount)))?;
-        let (parent, name) = self.resolve_create_at(pid, AT_FDCWD, path)?;
+        let (parent, name) = self
+            .resolve_create_at(pid, AT_FDCWD, path)
+            .map_err(in_use)?;
         if parent.readonly {
             return Err(Errno::EROFS);
         }
-        let st = parent.fs.mknod(
-            parent.loc.ino,
-            &name,
-            FileType::Socket,
-            Mode::new(0o666),
-            0,
-            &fs_context(&creds),
-        )?;
+        let st = parent
+            .fs
+            .mknod(
+                parent.loc.ino,
+                &name,
+                FileType::Socket,
+                Mode::new(0o666),
+                0,
+                &fs_context(&creds),
+            )
+            .map_err(in_use)?;
         let listener = SocketListener::new(path);
         self.inner.socket_nodes.lock().insert(
             (parent.fs.fs_id(), st.ino),
@@ -2195,6 +2205,29 @@ mod tests {
         assert_eq!(cost("/f/.."), cost("/f"));
     }
 
+    /// An ordinary name after a file is refused before it is looked up:
+    /// `stat("/f/x")` charges the walk to `/f` and nothing more.
+    #[test]
+    fn a_name_after_a_file_is_enotdir_before_any_lookup() {
+        let k = kernel();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        k.symlink(P, "f", "/lf").unwrap();
+
+        let stat = |path: &str| k.clock().measure(|| k.stat(P, path));
+        let (got, ns) = stat("/f/x");
+        assert_eq!(got, Err(Errno::ENOTDIR));
+        assert_eq!(ns.as_nanos(), COST.syscall_ns + COST.dcache_hit_ns);
+        assert_eq!(ns, stat("/f/.").1);
+        assert_eq!(stat("/f/x/y/z").1, ns);
+        // Through a symlink: `lf`, then its target `f`, then `x` refused.
+        let (got, ns) = stat("/lf/x");
+        assert_eq!(got, Err(Errno::ENOTDIR));
+        assert_eq!(ns.as_nanos(), COST.syscall_ns + 2 * COST.dcache_hit_ns);
+    }
+
     /// A walk beneath an `O_PATH` descriptor starts with the
     /// descriptor's type: Linux's `path_init` refuses a non-directory
     /// `dirfd`, so even `.` and `..` are `ENOTDIR`, at no extra charge.
@@ -2258,8 +2291,6 @@ mod tests {
             assert_eq!(k.link(P, "/f", &p), Err(Errno::EEXIST));
             assert_eq!(k.unlink(P, &p), Err(Errno::EISDIR));
             assert_eq!(k.unlink(P, &format!("{p}/")), Err(Errno::EISDIR));
-            // Linux answers EBUSY; rename keeps its EINVAL.
-            assert_eq!(k.rename(P, &p, "/z", RenameFlags::NONE), Err(Errno::EINVAL));
             // The parent walk comes first.
             assert_eq!(
                 k.mkdir(P, &format!("/missing/{last}"), Mode::RWXR_XR_X),
@@ -2599,6 +2630,55 @@ mod tests {
         // Unlinking the socket file deregisters the listener.
         k.unlink(P, "/app.sock").unwrap();
         assert_eq!(k.connect(P, "/app.sock"), Err(Errno::ENOENT));
+    }
+
+    /// `bind` to a name that exists is `EADDRINUSE`, as Linux's
+    /// `unix_bind` answers: a live socket, a file, a trailing slash on an
+    /// existing name, and a last `.` or `..` (errnos confirmed on a Linux
+    /// host under `/dev/shm`).
+    #[test]
+    fn bind_to_an_existing_name_is_eaddrinuse() {
+        let k = kernel();
+        k.mkdir(P, "/a", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        k.bind_listener(P, "/app.sock").unwrap();
+        for path in ["/app.sock", "/f", "/a", "/a/", "/a/.", "/a/..", "/."] {
+            assert_eq!(k.bind_listener(P, path), Err(Errno::EADDRINUSE), "{path}");
+        }
+        // Other failures keep their errno.
+        assert_eq!(k.bind_listener(P, "/missing/s"), Err(Errno::ENOENT));
+        assert_eq!(k.bind_listener(P, "/f/s"), Err(Errno::ENOTDIR));
+        assert_eq!(k.bind_listener(P, "/new/"), Err(Errno::ENOENT));
+        assert_eq!(k.socket_node_count(), 1);
+    }
+
+    /// `rename` of a last `.` or `..`, on either side, is `EBUSY`, as
+    /// Linux's `do_renameat2` answers (confirmed on a Linux host under
+    /// `/dev/shm`); nothing moves.
+    #[test]
+    fn rename_of_a_last_dot_or_dotdot_is_ebusy() {
+        let k = kernel();
+        k.mkdir(P, "/a", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        for last in [".", ".."] {
+            let p = format!("/a/{last}");
+            assert_eq!(k.rename(P, &p, "/z", RenameFlags::NONE), Err(Errno::EBUSY));
+            assert_eq!(k.rename(P, "/f", &p, RenameFlags::NONE), Err(Errno::EBUSY));
+            // The parent walk comes first.
+            assert_eq!(
+                k.rename(P, &format!("/f/{last}"), "/z", RenameFlags::NONE),
+                Err(Errno::ENOTDIR)
+            );
+        }
+        assert!(k.stat(P, "/f").unwrap().is_file());
+        assert!(k.stat(P, "/a").unwrap().is_dir());
+        assert_eq!(k.stat(P, "/z"), Err(Errno::ENOENT));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   (`mkdir` aside), `ENOTDIR` for `rename` of a non-directory; and a
 //!   last `.` or `..` walked to its parent and then refused as each call
 //!   refuses it (`EEXIST` for the creates, `EISDIR` for `unlink`,
-//!   `EINVAL`/`ENOTEMPTY` for `rmdir`, `EINVAL` for `rename`);
+//!   `EINVAL`/`ENOTEMPTY` for `rmdir`, `EBUSY` for `rename`);
 //! * the same call issued on a twin kernel as an `*at` call from an
 //!   `O_PATH` anchor returns what the path call returned and charges only
 //!   the walk beneath the anchor — or fails with `EXDEV` exactly when the
@@ -128,8 +128,8 @@ struct Walk {
     stack: Vec<Loc>,
     symlinks: u32,
     components: u64,
-    /// `cur` is a directory: a `.` or `..` after anything else is
-    /// `ENOTDIR`.
+    /// `cur` is a directory: any component after anything else, `.` and
+    /// `..` included, is `ENOTDIR` before it is looked up.
     at_dir: bool,
     beneath: bool,
     /// A `/` followed the last component: it must be a directory.
@@ -175,10 +175,10 @@ impl World {
         let mut i = 0;
         while i < names.len() {
             let name = names[i].clone();
+            if !w.at_dir {
+                return Err(Errno::ENOTDIR);
+            }
             if name == "." || name == ".." {
-                if !w.at_dir {
-                    return Err(Errno::ENOTDIR);
-                }
                 if name == ".." {
                     match w.stack.pop() {
                         Some(prev) => w.cur = prev,
@@ -627,12 +627,12 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
     };
     // What a last `.` or `..` answers once the parent walk succeeded, per
     // call: Linux's `filename_create`, `do_unlinkat` and `do_rmdir`; open
-    // names a directory it does not create; rename keeps `EINVAL` where
-    // Linux says `EBUSY`.
+    // names a directory it does not create; `do_renameat2` answers
+    // `EBUSY`.
     let exists = [Errno::EEXIST; 2];
     let is_dir = [Errno::EISDIR; 2];
     let rmdir = [Errno::EINVAL, Errno::ENOTEMPTY];
-    let rename = [Errno::EINVAL; 2];
+    let rename = [Errno::EBUSY; 2];
     // A create other than `mkdir` through a trailing slash: EEXIST if the
     // name exists, else ENOENT.
     let create = |p: &str| match parent_of(p, exists) {

@@ -45,7 +45,7 @@ fn dropped_caches_leave_the_gauges() {
         ino: st.ino,
         fh,
     });
-    let new_cache = || PageCache::new(clock.clone(), 256 << 20, 1 << 30);
+    let new_cache = || PageCache::new(clock.clone(), 256 << 20, 1 << 30, 1 << 29, false);
     let baseline = gauges();
 
     // Eight dirty pages, then the cache goes away with them still dirty.

@@ -34,7 +34,13 @@ fn cache_with(dirty_limit: u64) -> (Arc<PageCache>, Arc<FileRef>, DevId) {
         ino: st.ino,
         fh,
     });
-    let cache = Arc::new(PageCache::new(clock, 256 << 20, dirty_limit));
+    let cache = Arc::new(PageCache::new(
+        clock,
+        256 << 20,
+        dirty_limit,
+        dirty_limit / 2,
+        false,
+    ));
     (cache, file, DevId(1))
 }
 
@@ -138,7 +144,13 @@ fn batched_writeback_survives_ring_reentrancy() {
             )
             .unwrap();
         let fh = client.open(st.ino, OpenFlags::RDWR).unwrap();
-        let cache = Arc::new(PageCache::new(clock, 64 << 20, 8 * PAGE as u64));
+        let cache = Arc::new(PageCache::new(
+            clock,
+            64 << 20,
+            8 * PAGE as u64,
+            4 * PAGE as u64,
+            false,
+        ));
         let dev = DevId(0xC2);
         let fref = Arc::new(FileRef {
             fs: Arc::clone(&client) as Arc<dyn Filesystem>,

@@ -870,7 +870,7 @@ mod tests {
         // row's native and CntrFS nanoseconds are pinned.
         let expected: [(&str, u64, u64); 20] = [
             ("AIO-Stress", 314804250, 625049570),
-            ("Apachebench", 88852650, 127917328),
+            ("Apachebench", 88852650, 127937128),
             ("Compileb.: Comp.", 2722000, 5778056),
             ("Compileb.: Create", 1191000, 7571169),
             ("Compileb.: Read", 948000, 6715790),
@@ -883,9 +883,9 @@ mod tests {
             ("Gzip", 2317201708, 2332863571),
             ("IOzone: Read", 17204100, 20897307),
             ("IOzone: Write", 641119350, 689737539),
-            ("PostMark", 2134800, 11003005),
+            ("PostMark", 2134800, 11056855),
             ("Pgbench", 190420450, 103108316),
-            ("SQlite", 443695300, 654049859),
+            ("SQlite", 443695300, 654053609),
             ("Threaded I/O: Read", 13722500, 14036507),
             ("Threaded I/O: Write", 856100600, 50975804),
             ("Unpack tarball", 622642800, 636418649),
