@@ -93,12 +93,11 @@ const ANCHOR: OpenFlags = OpenFlags::RDONLY.with(OpenFlags::PATH | OpenFlags::NO
 const STATE_CLASS: &str = "core.cntrfs.state";
 
 /// Ranks the server's state lock as the leaf above every other declared
-/// group (kernel 0–5, FUSE ring 6–8, attach plane 9–10): nothing is taken
+/// group (kernel 0–4, FUSE ring 5–7, attach plane 8–9): nothing is taken
 /// while it is held, so every system call — the `openat` of a LOOKUP
 /// included — runs with it released.
 fn declare_server_lock_discipline() {
     lockdep::ordering(&[
-        &[],
         &[],
         &[],
         &[],

@@ -119,13 +119,12 @@ pub mod lock_class {
     pub const LOOP_STATE: &str = "core.attach.loop-state";
 }
 
-/// Ranks the plane's lock classes: kernel groups 0–5 and FUSE-ring
-/// groups 6–8 stay where their own crates declared them; the plane's
-/// container locks land in group 9 and the loop slab is the group-10
+/// Ranks the plane's lock classes: kernel groups 0–4 and FUSE-ring
+/// groups 5–7 stay where their own crates declared them; the plane's
+/// container locks land in group 8 and the loop slab is the group-9
 /// leaf.
 fn declare_plane_lock_discipline() {
     lockdep::ordering(&[
-        &[],
         &[],
         &[],
         &[],

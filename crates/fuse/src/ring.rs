@@ -33,7 +33,7 @@
 //! `cntr_default` on, `paper_legacy` off, same pattern as splice-write.
 //!
 //! Lock discipline: the ring's three lock classes rank *above* the
-//! kernel's groups 0–5 (see [`lock_class`]), so teardown paths that reach
+//! kernel's groups 0–4 (see [`lock_class`]), so teardown paths that reach
 //! the transport while a ranked kernel lock is held stay
 //! ascending-legal, and the park/reap points carry the same
 //! `lockdep::assert_no_locks_held_except` checkpoints as
@@ -76,29 +76,28 @@ thread_local! {
 /// lock still earns its keep.
 pub mod lock_class {
     /// SQ teardown state: serializes shutdown drains
-    /// (`Ring::fail_pending`) — rank 6.
+    /// (`Ring::fail_pending`) — rank 5.
     pub const SQ_STATE: &str = "fuse.ring.sq-state";
-    /// The reaper parking lot (worker thread handle) — rank 7.
+    /// The reaper parking lot (worker thread handle) — rank 6.
     pub const PARK_LOT: &str = "fuse.ring.park-lot";
-    /// One completion slot's reply cell — leaf rank 8.
+    /// One completion slot's reply cell — leaf rank 7.
     pub const CQ_SLOT: &str = "fuse.ring.cq-slot";
 }
 
 /// Encodes the ring's lock ordering into the lockdep checker: SQ teardown
 /// state, then the parking lot, then completion slots, all ranked above
-/// the kernel's groups 0–5 so a transport entered under a ranked kernel
+/// the kernel's groups 0–4 so a transport entered under a ranked kernel
 /// lock (`kernel.fd_offset` excepted at the checkpoints) still acquires
-/// ascending. In particular the page-cache classes (groups 4–5) sit
+/// ascending. In particular the page-cache classes (groups 3–4) sit
 /// below: background write-back enters the ring with no lock held, while
 /// no ring path ever reaches back into the cache. Idempotent; runs on
 /// every transport construction.
 fn declare_ring_lock_discipline() {
     lockdep::ordering(&[
-        // Groups 0–5 belong to the kernel table
-        // (`cntr_kernel::table::lock_class`: the subsystem locks in 0–3,
-        // the page-cache LRU and flusher classes in 4–5); leave them
+        // Groups 0–4 belong to the kernel table
+        // (`cntr_kernel::table::lock_class`: the subsystem locks in 0–2,
+        // the page-cache LRU and flusher classes in 3–4); leave them
         // untouched.
-        &[],
         &[],
         &[],
         &[],

@@ -14,14 +14,14 @@ use crate::passthrough::BackingTables;
 use crate::pipe::Pipe;
 use crate::process::{FdEntry, FileKind, OpenFile, Process, ProcessState, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
-use crate::table::{lock_class, MountTable, NsRefs, ProcTable, DEFAULT_PROC_SHARDS};
+use crate::table::{lock_class, MountTable, NsRefs, ProcTable};
 use cntr_fs::Filesystem;
 use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
     Capability, DevId, Errno, Ino, OpenFlags, Pid, RlimitSet, SimClock, SysResult, COST,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -140,7 +140,7 @@ pub(crate) struct BoundSocket {
 pub(crate) struct KernelInner {
     pub clock: SimClock,
     pub page_cache: PageCache,
-    /// The pid-sharded process table.
+    /// The process table.
     pub procs: ProcTable,
     /// Per-namespace mount tables.
     pub mounts: MountTable,
@@ -253,7 +253,7 @@ impl Kernel {
                     config.background_writeback,
                 ),
                 clock,
-                procs: ProcTable::new(DEFAULT_PROC_SHARDS, init),
+                procs: ProcTable::new(init),
                 mounts: MountTable::new(root_ns),
                 ns_refs: NsRefs::new(&init_ns),
                 next_ns: AtomicU64::new(2),
@@ -344,44 +344,44 @@ impl Kernel {
 
     /// `fork(2)`: duplicates `parent`, returning the child pid.
     ///
-    /// Both shards (parent's and child's) are held together while the child
-    /// is inserted, so a concurrent `/proc` snapshot sees either the
+    /// The parent is read and the child inserted under one hold of the
+    /// process table, so a concurrent `/proc` snapshot sees either the
     /// pre-fork or post-fork world — never a child without its parent.
-    /// The child's namespace references are retained under the same shard
-    /// hold (the `NsRefs` leaf lock), so a concurrent `reap` can never see
-    /// the child in the table without its references counted.
+    /// The child's namespace references are retained under the same hold
+    /// (the `NsRefs` leaf lock), so a concurrent `reap` can never see the
+    /// child in the table without its references counted.
     pub fn fork(&self, parent: Pid) -> SysResult<Pid> {
         self.charge_syscall();
         let child_pid = self.inner.procs.alloc_pid();
         let cgroup = {
-            let mut pair = self.inner.procs.lock_pair(parent, child_pid);
-            let parent_proc = pair.get(parent).ok_or(Errno::ESRCH)?;
+            let mut procs = self.inner.procs.lock();
+            let parent_proc = procs.get(&parent).ok_or(Errno::ESRCH)?;
             if parent_proc.state != ProcessState::Running {
                 return Err(Errno::ESRCH);
             }
             let child = parent_proc.fork_into(child_pid);
             let cgroup = child.cgroup.clone();
             let child_ns = child.ns;
-            pair.insert(child);
+            procs.insert(child_pid, child);
             self.inner.ns_refs.retain_set(&child_ns);
             cgroup
         };
-        // Processes-before-cgroups: the shard locks are released before the
-        // cgroup tree is touched. Roll the insert back if attach fails —
+        // Processes-before-cgroups: the process table is released before
+        // the cgroup tree is touched. Roll the insert back if attach fails —
         // dropping the removed process (and its cloned fd table, which can
-        // release FUSE handles that re-enter the kernel) outside the shard
+        // release FUSE handles that re-enter the kernel) outside the table
         // lock, as `exit`/`reap` do. The attach result is bound first: an
         // `if let` scrutinee's temporaries live to the end of the block in
         // edition 2021, and the rollback below must not run under the
-        // cgroups guard (it re-locks a process shard — reverse rank order).
+        // cgroups guard (it re-locks the process table — reverse rank order).
         let attached = self.inner.cgroups.lock().attach(child_pid, &cgroup);
         if let Err(e) = attached {
             let (removed, dead) = {
-                let mut shard = self.inner.procs.lock_shard_of(child_pid);
-                let removed = shard.remove(&child_pid);
+                let mut procs = self.inner.procs.lock();
+                let removed = procs.remove(&child_pid);
                 // Release only if the rollback is the one removing the
                 // child, and release the set the child holds *now* — the
-                // pid is visible the moment the pair lock drops, so a
+                // pid is visible the moment the table lock drops, so a
                 // concurrent exit+reap may already have released its
                 // references (removed == None), and a concurrent
                 // unshare/setns may have moved them off the fork-time
@@ -422,7 +422,7 @@ impl Kernel {
         self.charge_syscall();
         // Dropping fd entries can release FUSE file handles, which re-enters
         // the kernel through the server — so the drops must happen outside
-        // the shard lock.
+        // the process-table lock.
         let fds = self.inner.procs.with_mut(pid, |p| {
             p.state = ProcessState::Zombie;
             Ok(std::mem::take(&mut p.fds))
@@ -445,14 +445,14 @@ impl Kernel {
     /// waitable" — rather than the old, wrong `EBUSY`.
     pub fn reap(&self, pid: Pid) -> SysResult<()> {
         // As in `exit`, the process (and anything it still references) must
-        // be dropped outside the shard lock; likewise the backing state of
-        // any namespace that died with it.
+        // be dropped outside the process-table lock; likewise the backing
+        // state of any namespace that died with it.
         let (reaped, dead) = {
-            let mut shard = self.inner.procs.lock_shard_of(pid);
-            match shard.get(&pid) {
+            let mut procs = self.inner.procs.lock();
+            match procs.get(&pid) {
                 Some(p) if p.state == ProcessState::Zombie => {
                     let ns = p.ns;
-                    let reaped = shard.remove(&pid);
+                    let reaped = procs.remove(&pid);
                     (reaped, self.inner.ns_refs.release_set(&ns))
                 }
                 Some(_) => return Err(Errno::ECHILD),
@@ -466,7 +466,7 @@ impl Kernel {
         Ok(())
     }
 
-    /// Releases one fd-table entry outside any shard lock.
+    /// Releases one fd-table entry outside the process-table lock.
     ///
     /// The close-time side effects themselves (pipe half-close, listener
     /// shutdown) live in `OpenFile::drop`, which runs exactly once at the
@@ -509,7 +509,7 @@ impl Kernel {
     /// Reclaims the backing state of one dead namespace — the single GC
     /// path shared by `reap`, reference moves (`unshare`/`setns` draining
     /// a namespace) and the `unshare` failure path. Runs strictly outside
-    /// the process-shard and `NsRefs` locks; the mount table removed from
+    /// the process-table and `NsRefs` locks; the mount table removed from
     /// the registry (and the filesystem `Arc`s it pins) drops here,
     /// outside any kernel lock.
     fn gc_namespace(&self, dead: (NamespaceKind, NamespaceId)) {
@@ -529,22 +529,17 @@ impl Kernel {
                     // (the host root, bind sources, `/proc`) stay warm.
                     //
                     // Liveness is decided by scanning the surviving
-                    // namespaces — O(namespaces × mounts) of read locks,
-                    // paid only on namespace death (container exit), never
-                    // on a syscall path. A cross-namespace per-dev mount
-                    // refcount would make this O(1) but would have to be
-                    // threaded through every mount/umount/clone site; not
-                    // worth it until teardown shows up in a profile.
-                    let dead_devs: Vec<DevId> = table.read().iter().map(|m| m.fs.fs_id()).collect();
-                    let mut live_devs: HashSet<DevId> = HashSet::new();
-                    for other in self.inner.mounts.ids() {
-                        let _ = self.inner.mounts.with_read(other, |ns| {
-                            live_devs.extend(ns.iter().map(|m| m.fs.fs_id()));
-                            Ok(())
-                        });
-                    }
-                    let orphaned: Vec<DevId> = dead_devs
-                        .into_iter()
+                    // namespaces under one registry read — O(namespaces ×
+                    // mounts), paid only on namespace death (container
+                    // exit), never on a syscall path. A cross-namespace
+                    // per-dev mount refcount would make this O(1) but would
+                    // have to be threaded through every mount/umount/clone
+                    // site; not worth it until teardown shows up in a
+                    // profile.
+                    let live_devs = self.inner.mounts.live_devs();
+                    let orphaned: Vec<DevId> = table
+                        .iter()
+                        .map(|m| m.fs.fs_id())
                         .filter(|d| !live_devs.contains(d))
                         .collect();
                     let _ = self.inner.page_cache.drop_devs(&orphaned);
@@ -581,7 +576,7 @@ impl Kernel {
     }
 
     /// The full context CNTR needs before attaching. All fields come from
-    /// one shard acquisition — a consistent per-process snapshot.
+    /// one process-table acquisition — a consistent per-process snapshot.
     pub fn proc_info(&self, pid: Pid) -> SysResult<ProcInfo> {
         self.inner.procs.with(pid, |p| {
             Ok(ProcInfo {
@@ -706,11 +701,12 @@ impl Kernel {
     /// `unshare(2)`: gives `pid` fresh namespaces of the listed kinds.
     /// Requires `CAP_SYS_ADMIN`.
     ///
-    /// Lock order: the process shard is read (creds, current namespaces),
-    /// released while the mount table / hostname copies are created, then
-    /// written once with the complete new namespace set. The reference
-    /// *moves* — off the old namespaces, onto the fresh ones — commit
-    /// inside that same shard write (the `NsRefs` leaf lock), so a
+    /// Lock order: the process is read (creds, current namespaces), the
+    /// process table released while the mount table / hostname copies are
+    /// created, then the process is written once with the complete new
+    /// namespace set. The reference *moves* — off the old namespaces, onto
+    /// the fresh ones — commit inside that same write (the `NsRefs` leaf
+    /// lock), so a
     /// concurrent `reap` always releases exactly the set it observes. An
     /// old namespace drained by the move (the caller was its last
     /// process) is garbage-collected; if the caller vanished before
@@ -729,7 +725,8 @@ impl Kernel {
                 let cloned = self
                     .inner
                     .mounts
-                    .with_read(old_ns.mount, |ns| Ok(ns.clone_for(new_id)));
+                    .snapshot(old_ns.mount)
+                    .map(|ns| ns.clone_for(new_id));
                 match cloned {
                     Ok(cloned) => self.inner.mounts.insert(cloned),
                     Err(e) => {
@@ -754,8 +751,8 @@ impl Kernel {
         // Only the unshared kinds are written back — a concurrent `setns`
         // on another kind is not clobbered by this syscall's earlier
         // snapshot of the namespace set. The overwritten id is read under
-        // the shard lock for the same reason: it may differ from the
-        // earlier snapshot.
+        // the process-table lock for the same reason: it may differ from
+        // the earlier snapshot.
         let res = self.with_proc_mut(pid, |p| {
             let mut dead = Vec::new();
             for &(kind, id) in &fresh {
@@ -820,20 +817,15 @@ impl Kernel {
         }
         let kinds = &uniq[..];
         // Gather the mount-namespace root before mutating the process, so
-        // the final update is a single consistent shard write.
+        // the final update is a single consistent process write.
         let mut new_root: Option<VfsLoc> = None;
-        for &kind in kinds {
-            if kind == NamespaceKind::Mount {
-                let id = target_ns.get(kind);
-                new_root = Some(self.inner.mounts.with_read(id, |ns| {
-                    let root_mount = ns.root_mount();
-                    let root_ino = ns.get(root_mount)?.root_ino;
-                    Ok(VfsLoc {
-                        mount: root_mount,
-                        ino: root_ino,
-                    })
-                })?);
-            }
+        if kinds.contains(&NamespaceKind::Mount) {
+            let ns = self.inner.mounts.snapshot(target_ns.mount)?;
+            let root_mount = ns.root_mount();
+            new_root = Some(VfsLoc {
+                mount: root_mount,
+                ino: ns.get(root_mount)?.root_ino,
+            });
         }
         let dead = self.with_proc_mut(pid, |p| {
             let moves: Vec<(NamespaceKind, NamespaceId, NamespaceId)> = kinds
@@ -1101,14 +1093,9 @@ impl Kernel {
         Ok(self.epoll_of(pid, epfd)?.len())
     }
 
-    /// `epoll_wait(2)` (non-blocking: returns what is ready now).
-    pub fn epoll_wait(&self, pid: Pid, epfd: u32) -> SysResult<Vec<(u64, Events)>> {
-        self.charge_syscall();
-        Ok(self.epoll_of(pid, epfd)?.wait())
-    }
-
-    /// `epoll_wait(2)` with a `maxevents` budget: at most `max` events,
-    /// served round-robin across calls (see [`Epoll::wait_budget`]).
+    /// `epoll_wait(2)` (non-blocking: returns what is ready now) with a
+    /// `maxevents` budget: at most `max` events, served round-robin across
+    /// calls (see [`Epoll::wait_budget`]).
     pub fn epoll_wait_budget(
         &self,
         pid: Pid,
@@ -1187,8 +1174,8 @@ impl Kernel {
             Ok(entries)
         })?;
         let n = closed.len();
-        // Release outside the shard lock (close-time side effects may take
-        // subsystem locks).
+        // Release outside the process-table lock (close-time side effects
+        // may take subsystem locks).
         for entry in closed {
             self.release_fd_entry(entry);
         }
@@ -1313,8 +1300,8 @@ mod tests {
         assert_eq!(k.pids(), vec![Pid::INIT]);
     }
 
-    /// The fork-rollback path (cgroup attach failure) re-locks the child's
-    /// shard and releases namespace refs; it must run *after* the cgroups
+    /// The fork-rollback path (cgroup attach failure) re-locks the process
+    /// table and releases namespace refs; it must run *after* the cgroups
     /// guard drops. Lockdep verifies the order at runtime — this test is
     /// what drives the path, which no happy-path test reaches.
     #[test]
@@ -1676,9 +1663,9 @@ mod tests {
         let ep = k.epoll_create(Pid::INIT).unwrap();
         let (r, w) = k.pipe(Pid::INIT).unwrap();
         k.epoll_add(Pid::INIT, ep, r, 42, Events::IN).unwrap();
-        assert!(k.epoll_wait(Pid::INIT, ep).unwrap().is_empty());
+        assert!(k.epoll_wait_budget(Pid::INIT, ep, 8).unwrap().is_empty());
         k.write_fd(Pid::INIT, w, b"!").unwrap();
-        let ready = k.epoll_wait(Pid::INIT, ep).unwrap();
+        let ready = k.epoll_wait_budget(Pid::INIT, ep, 8).unwrap();
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].0, 42);
     }

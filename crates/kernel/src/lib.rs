@@ -26,10 +26,10 @@
 //!
 //! The entry point is [`Kernel`]: a shared handle whose methods are the
 //! system calls of the simulated machine. Kernel state is decomposed into
-//! independently locked subsystems — a pid-sharded process table and
-//! per-namespace mount tables ([`table`]) — so syscalls from unrelated
-//! processes execute concurrently on real threads; see [`table`] for the
-//! lock-ordering discipline.
+//! subsystems with one lock each — the process table and a copy-on-write
+//! registry of mount namespaces ([`table`]) — so a syscall holds only the
+//! table it touches, and a path walk runs on an immutable snapshot of its
+//! namespace; see [`table`] for the lock-ordering discipline.
 
 pub mod cgroup;
 pub mod cred;
@@ -55,4 +55,3 @@ pub use mount::{CacheMode, MountFlags, MountId, Propagation};
 pub use ns::{NamespaceId, NamespaceKind, NamespaceSet};
 pub use pagecache::PageCacheStats;
 pub use process::ProcessState;
-pub use table::DEFAULT_PROC_SHARDS;

@@ -47,8 +47,8 @@
 //!
 //! [`balance_dirty_pages`-style]: https://www.kernel.org/doc/html/latest/admin-guide/sysctl/vm.html
 //!
-//! Lock discipline: the LRU state lock (`pagecache.lru`, rank 4) and the
-//! flusher control lock (`pagecache.flusher`, rank 5) are ranked above the
+//! Lock discipline: the LRU state lock (`pagecache.lru`, rank 3) and the
+//! flusher control lock (`pagecache.flusher`, rank 4) are ranked above the
 //! kernel subsystem table (see [`crate::table::lock_class`]). No
 //! filesystem call — fill, write-back, `FileRef` release — ever runs under
 //! either of them: a FUSE-backed flush re-enters the kernel through the

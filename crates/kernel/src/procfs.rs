@@ -103,7 +103,7 @@ impl ProcFs {
     }
 
     /// The fields a `/proc/<pid>/*` file is generated from, cloned out of
-    /// the process's shard in **one** lock acquisition. A concurrent `fork`
+    /// the process table in **one** lock acquisition. A concurrent `fork`
     /// or `exit` can therefore never produce a torn read: every line of a
     /// rendered file describes the same instant of the process.
     fn snapshot(&self, pid: Pid) -> SysResult<ProcSnapshot> {
@@ -203,8 +203,8 @@ impl ProcFs {
             }
             ProcFile::Cgroup => format!("0::{}\n", p.cgroup.0).into_bytes(),
             ProcFile::Mounts => {
-                // Processes-before-mounts: the shard was released by
-                // `snapshot`; the mount table is read afterwards.
+                // Processes-before-mounts: the process table was released
+                // by `snapshot`; the mount table is read afterwards.
                 let kernel = self.kernel()?;
                 let ns = kernel.mounts.snapshot(p.ns.mount).map_err(|_| Errno::EIO)?;
                 let mut out = String::new();
@@ -305,7 +305,8 @@ impl ProcFs {
     }
 }
 
-/// One process's fields, cloned from its shard in a single acquisition.
+/// One process's fields, cloned from the process table in a single
+/// acquisition.
 struct ProcSnapshot {
     name: String,
     state: crate::process::ProcessState,
@@ -745,16 +746,9 @@ mod tests {
         k.close(Pid::INIT, fd).unwrap();
         let text = String::from_utf8_lossy(&buf[..n]).to_string();
         assert!(text.starts_with("lock classes:"), "{text}");
-        // With instrumentation on, the kernel's named classes must appear,
-        // and the pid shards must carry their declared sharded shape.
+        // With instrumentation on, the kernel's named classes must appear.
         #[cfg(any(debug_assertions, feature = "lockdep"))]
-        {
-            assert!(
-                text.contains(crate::table::lock_class::PROC_SHARD),
-                "{text}"
-            );
-            assert!(text.contains("sharded(ascending)"), "{text}");
-        }
+        assert!(text.contains(crate::table::lock_class::PROCS), "{text}");
     }
 
     #[test]

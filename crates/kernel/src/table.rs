@@ -1,17 +1,16 @@
-//! Sharded kernel tables: the fine-grained locking layer under [`crate::Kernel`].
+//! Kernel tables: the locking layer under [`crate::Kernel`].
 //!
-//! The kernel used to serialize every syscall on a single `Mutex<KState>`.
-//! That was correct but made hundreds of containers impossible to *run*
-//! concurrently: two processes could not even `getenv` at the same time.
-//! This module splits the state into independently locked subsystems:
+//! The kernel state is split into subsystems, each behind one lock, so a
+//! syscall holds only the table it touches:
 //!
-//! * `ProcTable` — the process table, sharded over a fixed power-of-two
-//!   array of mutexes keyed by `pid % shards`. Syscalls touching one
-//!   process lock one shard; unrelated pids proceed in parallel.
-//! * `MountTable` — one `RwLock<MountNs>` per mount namespace behind an
-//!   outer `RwLock` registry. Path resolution (read-mostly) takes read
-//!   locks only, so `mount`/`umount` in one container no longer blocks
-//!   lookups in every other container.
+//! * `ProcTable` — the process table, one `Mutex<HashMap<Pid, Process>>`.
+//! * `MountTable` — a copy-on-write registry of mount namespaces, one
+//!   `RwLock<HashMap<NamespaceId, Arc<MountNs>>>`. A path walk takes the
+//!   read lock just long enough to clone one namespace's `Arc` and then
+//!   walks that immutable snapshot, so a concurrent umount cannot change
+//!   a walk mid-way. `mount`/`umount` take the write lock and change the
+//!   namespace through `Arc::make_mut`: in place when no snapshot is
+//!   outstanding, on a fresh copy otherwise.
 //! * `NsRefs` — per-namespace process reference counts, keyed by
 //!   `(kind, id)`. Namespace lifetime is driven by these counts (like
 //!   Linux's `nsproxy`): `fork` retains the child's whole set, `reap`
@@ -25,30 +24,23 @@
 //!
 //! # Lock-ordering discipline
 //!
-//! Deadlock freedom rests on four rules, observed by every call site:
+//! Deadlock freedom rests on two rules, observed by every call site:
 //!
-//! 1. **At most one process shard is locked directly.** The only way to
-//!    hold two is `ProcTable::lock_pair`, which acquires them in
-//!    ascending shard-index order (`fork` uses this so a `/proc` snapshot
-//!    never observes a child without its parent mid-fork).
-//! 2. **Subsystem locks never nest.** Cross-subsystem operations
+//! 1. **Subsystem locks never nest.** Cross-subsystem operations
 //!    (`fork` + cgroup attach, `unshare` + mount-table clone, `setns`)
 //!    copy what they need out of one subsystem, release it, then touch the
 //!    next — in the canonical order *processes → mounts → cgroups /
-//!    hostnames / sockets / fanotify*.
-//! 3. **Mount locks go outer-before-inner, one namespace at a time.** The
-//!    registry read lock is dropped before an inner `MountNs` lock is
-//!    taken (the `Arc` keeps the namespace alive), and no thread ever
-//!    holds two inner mount locks simultaneously (propagation walks peers
-//!    sequentially).
-//! 4. **The `NsRefs` lock is a leaf.** It is the one exception to rule 2:
-//!    it *may* be acquired while a process shard is held — refcount
+//!    hostnames / sockets / fanotify*. No table lock is ever taken twice:
+//!    a closure run under one (`with_proc*`, `with_write`) never calls
+//!    back into the same table.
+//! 2. **The `NsRefs` lock is a leaf.** It is the one exception to rule 1:
+//!    it *may* be acquired while the process table is held — refcount
 //!    transitions must commit atomically with the `NamespaceSet` write
 //!    they describe, or a concurrent `reap` could release references that
 //!    were never retained — and nothing is ever acquired while holding
 //!    it. Reclamation of the backing state of a dead namespace (the
 //!    registry write, the `Arc` drops) happens strictly *after* both the
-//!    shard and the `NsRefs` lock are released.
+//!    process table and the `NsRefs` lock are released.
 //!
 //! # Refcount rules
 //!
@@ -57,7 +49,7 @@
 //!   `NamespaceSet`. References are released at `reap`, not `exit` — a
 //!   zombie's namespaces stay observable through `/proc` until reaped.
 //! * `unshare` registers the fresh namespace's backing state *before*
-//!   attaching it; the reference moves old → new inside the process-shard
+//!   attaching it; the reference moves old → new inside the process-table
 //!   closure (`NsRefs::transfer`). If attaching fails (the process was
 //!   reaped concurrently) the fresh namespace has zero refs and is fed to
 //!   the same GC path as any dead namespace.
@@ -69,26 +61,21 @@
 use crate::mount::{MountId, MountNs};
 use crate::ns::{NamespaceId, NamespaceKind, NamespaceSet, ALL_KINDS};
 use crate::process::Process;
-use cntr_types::{Errno, Pid, SysResult};
+use cntr_types::{DevId, Errno, Pid, SysResult};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default number of process-table shards (a power of two).
-pub const DEFAULT_PROC_SHARDS: usize = 16;
 
 /// Lock-class names of the kernel's subsystem locks, in documented rank
 /// order. The names live here, next to the prose discipline above, and
 /// `declare_lock_discipline` feeds the same table to the lockdep
 /// checker — so the comment and the enforcement can never drift apart.
 pub mod lock_class {
-    /// One pid shard of the process table (rank 0; sharded-ascending).
-    pub const PROC_SHARD: &str = "kernel.proc_shard";
-    /// The outer mount-namespace registry (rank 1).
+    /// The process table (rank 0).
+    pub const PROCS: &str = "kernel.procs";
+    /// The mount-namespace registry (rank 1).
     pub const MOUNTS_REGISTRY: &str = "kernel.mounts.registry";
-    /// One namespace's inner mount table (rank 2; never two at once).
-    pub const MOUNTS_NS: &str = "kernel.mounts.ns";
     /// The cgroup tree (leaf rank).
     pub const CGROUPS: &str = "kernel.cgroups";
     /// Per-namespace UTS hostnames (leaf rank).
@@ -101,17 +88,17 @@ pub mod lock_class {
     /// connections (leaf rank): no backing file is opened or released,
     /// and no filesystem called, while it is held.
     pub const FUSE_BACKING: &str = "kernel.fuse_backing";
-    /// Namespace refcounts (leaf rank; the rule-4 exception — may nest
-    /// under a process shard, never acquires anything itself).
+    /// Namespace refcounts (leaf rank; the rule-2 exception — may nest
+    /// under the process table, never acquires anything itself).
     pub const NS_REFS: &str = "kernel.ns_refs";
-    /// The page-cache LRU state (rank 4): page slots, the active/inactive
+    /// The page-cache LRU state (rank 3): page slots, the active/inactive
     /// lists and the per-file dirty indexes. Ranked *above* every subsystem
     /// lock so teardown paths (namespace GC, unmount) that reach the cache
     /// while a ranked kernel lock is held stay ascending-legal; nothing is
     /// ever acquired while holding it — every fill, write-back and
     /// `FileRef` drop happens after it is released.
     pub const PAGECACHE_LRU: &str = "pagecache.lru";
-    /// The background-flusher control block (rank 5): thread handle of the
+    /// The background-flusher control block (rank 4): thread handle of the
     /// kworker-style write-back thread. Taken only to spawn or wake the
     /// flusher — never while the flusher itself runs, and never across its
     /// park point.
@@ -119,21 +106,15 @@ pub mod lock_class {
 }
 
 /// Encodes the module-level lock-ordering discipline into the lockdep
-/// checker: the pid-shard class takes ascending instance ranks only
-/// (rule 1, the `lock_pair` idiom), and the subsystem rank order is
-/// *processes → mount registry → mount ns → leaf subsystems*, with
-/// distinct leaf subsystems forbidden to nest (rules 2–4). Idempotent;
-/// runs on every table construction so no test can boot a kernel that
-/// escapes the discipline.
+/// checker: the subsystem rank order is *processes → mount registry →
+/// leaf subsystems*, with distinct leaf subsystems forbidden to nest
+/// (rules 1–2); taking any one of these locks twice is a same-class
+/// double acquisition. Idempotent; runs on every table construction so no
+/// test can boot a kernel that escapes the discipline.
 pub(crate) fn declare_lock_discipline() {
-    lockdep::set_shape(
-        lock_class::PROC_SHARD,
-        lockdep::Shape::Sharded { ascending: true },
-    );
     lockdep::ordering(&[
-        &[lock_class::PROC_SHARD],
+        &[lock_class::PROCS],
         &[lock_class::MOUNTS_REGISTRY],
-        &[lock_class::MOUNTS_NS],
         &[
             lock_class::CGROUPS,
             lock_class::HOSTNAMES,
@@ -147,39 +128,20 @@ pub(crate) fn declare_lock_discipline() {
     ]);
 }
 
-type Shard = HashMap<Pid, Process>;
-
-/// The pid-sharded process table.
+/// The process table: every process, behind one lock.
 pub(crate) struct ProcTable {
-    shards: Box<[Mutex<Shard>]>,
-    mask: usize,
+    procs: Mutex<HashMap<Pid, Process>>,
     next_pid: AtomicU32,
 }
 
 impl ProcTable {
-    /// Creates a table with `shards` shards (rounded up to a power of two)
-    /// holding `init` as pid 1.
-    pub fn new(shards: usize, init: Process) -> ProcTable {
+    /// Creates a table holding `init` as pid 1.
+    pub fn new(init: Process) -> ProcTable {
         declare_lock_discipline();
-        let n = shards.max(1).next_power_of_two();
-        let table = ProcTable {
-            // The shard index doubles as the lockdep instance rank:
-            // `lock_pair`'s ascending-index order is what the checker
-            // verifies on every nested shard acquisition.
-            shards: (0..n)
-                .map(|i| Mutex::new_ranked(lock_class::PROC_SHARD, i as u32, HashMap::new()))
-                .collect(),
-            mask: n - 1,
+        ProcTable {
+            procs: Mutex::new_class(lock_class::PROCS, HashMap::from([(init.pid, init)])),
             next_pid: AtomicU32::new(2),
-        };
-        table.shards[table.index(init.pid)]
-            .lock()
-            .insert(init.pid, init);
-        table
-    }
-
-    fn index(&self, pid: Pid) -> usize {
-        pid.raw() as usize & self.mask
+        }
     }
 
     /// Allocates a fresh pid. Atomic: concurrent forks can never hand out
@@ -189,107 +151,55 @@ impl ProcTable {
         Pid(self.next_pid.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Runs `f` over the process, holding only its shard.
+    /// Runs `f` over the process under the table lock.
     pub fn with<T>(&self, pid: Pid, f: impl FnOnce(&Process) -> SysResult<T>) -> SysResult<T> {
-        let shard = self.shards[self.index(pid)].lock();
-        let p = shard.get(&pid).ok_or(Errno::ESRCH)?;
-        f(p)
+        let procs = self.procs.lock();
+        f(procs.get(&pid).ok_or(Errno::ESRCH)?)
     }
 
-    /// Runs `f` over the process mutably, holding only its shard.
+    /// Runs `f` over the process mutably under the table lock.
     pub fn with_mut<T>(
         &self,
         pid: Pid,
         f: impl FnOnce(&mut Process) -> SysResult<T>,
     ) -> SysResult<T> {
-        let mut shard = self.shards[self.index(pid)].lock();
-        let p = shard.get_mut(&pid).ok_or(Errno::ESRCH)?;
-        f(p)
+        let mut procs = self.procs.lock();
+        f(procs.get_mut(&pid).ok_or(Errno::ESRCH)?)
     }
 
     /// True if the pid is in the table (any lifecycle state).
     pub fn contains(&self, pid: Pid) -> bool {
-        self.shards[self.index(pid)].lock().contains_key(&pid)
+        self.procs.lock().contains_key(&pid)
     }
 
-    /// Locks the shard owning `pid` (single-shard compound operations).
-    pub fn lock_shard_of(&self, pid: Pid) -> MutexGuard<'_, Shard> {
-        self.shards[self.index(pid)].lock()
+    /// Locks the whole table, for compound operations (`fork`'s
+    /// read-parent-insert-child, `reap`'s check-and-remove).
+    pub fn lock(&self) -> MutexGuard<'_, HashMap<Pid, Process>> {
+        self.procs.lock()
     }
 
-    /// Locks the shards of `a` and `b` together, in ascending shard-index
-    /// order (rule 1 of the module-level discipline). Used by `fork` so the
-    /// parent's shard stays held while the child is inserted.
-    pub fn lock_pair(&self, a: Pid, b: Pid) -> ShardPair<'_> {
-        let (ia, ib) = (self.index(a), self.index(b));
-        let (lo_idx, hi_idx) = (ia.min(ib), ia.max(ib));
-        let lo = self.shards[lo_idx].lock();
-        let hi = (lo_idx != hi_idx).then(|| self.shards[hi_idx].lock());
-        ShardPair {
-            lo,
-            hi,
-            lo_idx,
-            mask: self.mask,
-        }
-    }
-
-    /// All pids, ordered. Shards are locked one at a time in index order;
-    /// the listing is a snapshot, not an atomic view of the whole table.
+    /// All pids, ordered: one atomic view of the table.
     pub fn pids(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = Vec::new();
-        for shard in self.shards.iter() {
-            v.extend(shard.lock().keys().copied());
-        }
+        let mut v: Vec<Pid> = self.procs.lock().keys().copied().collect();
         v.sort_unstable();
         v
     }
 }
 
-/// Two process shards held together, acquired in ascending index order.
-pub(crate) struct ShardPair<'a> {
-    lo: MutexGuard<'a, Shard>,
-    hi: Option<MutexGuard<'a, Shard>>,
-    lo_idx: usize,
-    mask: usize,
-}
-
-impl ShardPair<'_> {
-    fn map_for(&mut self, pid: Pid) -> &mut Shard {
-        if pid.raw() as usize & self.mask == self.lo_idx {
-            &mut self.lo
-        } else {
-            self.hi.as_mut().expect("pid belongs to one of the pair")
-        }
-    }
-
-    /// The process, if present in either held shard.
-    pub fn get(&mut self, pid: Pid) -> Option<&Process> {
-        let shard: &Shard = self.map_for(pid);
-        shard.get(&pid)
-    }
-
-    /// Inserts a process into whichever held shard owns its pid.
-    pub fn insert(&mut self, p: Process) {
-        self.map_for(p.pid).insert(p.pid, p);
-    }
-}
-
-/// Per-namespace mount tables behind reader/writer locks.
+/// The mount namespaces, copy-on-write behind one reader/writer lock.
 pub(crate) struct MountTable {
-    namespaces: RwLock<HashMap<NamespaceId, Arc<RwLock<MountNs>>>>,
+    namespaces: RwLock<HashMap<NamespaceId, Arc<MountNs>>>,
     next_mount: AtomicU64,
 }
 
 impl MountTable {
     /// Creates the registry holding namespace 1's table.
     pub fn new(root: MountNs) -> MountTable {
-        let mut m = HashMap::new();
-        m.insert(
-            root.id,
-            Arc::new(RwLock::new_class(lock_class::MOUNTS_NS, root)),
-        );
         MountTable {
-            namespaces: RwLock::new_class(lock_class::MOUNTS_REGISTRY, m),
+            namespaces: RwLock::new_class(
+                lock_class::MOUNTS_REGISTRY,
+                HashMap::from([(root.id, Arc::new(root))]),
+            ),
             next_mount: AtomicU64::new(2),
         }
     }
@@ -301,16 +211,14 @@ impl MountTable {
 
     /// Registers a new namespace's mount table.
     pub fn insert(&self, ns: MountNs) {
-        let id = ns.id;
-        let entry = Arc::new(RwLock::new_class(lock_class::MOUNTS_NS, ns));
-        self.namespaces.write().insert(id, entry);
+        self.namespaces.write().insert(ns.id, Arc::new(ns));
     }
 
     /// Deregisters a namespace, returning its table so the caller can drop
     /// it — and the filesystem `Arc`s it pins — *outside* the registry
     /// lock. Called by namespace GC when the last process reference dies.
     #[must_use = "drop the returned table outside any kernel lock"]
-    pub fn remove(&self, id: NamespaceId) -> Option<Arc<RwLock<MountNs>>> {
+    pub fn remove(&self, id: NamespaceId) -> Option<Arc<MountNs>> {
         self.namespaces.write().remove(&id)
     }
 
@@ -319,9 +227,9 @@ impl MountTable {
         self.namespaces.read().len()
     }
 
-    fn handle(&self, id: NamespaceId) -> SysResult<Arc<RwLock<MountNs>>> {
-        // The outer registry lock is released before the caller touches the
-        // inner lock (rule 3: outer-before-inner, never held together).
+    /// One namespace's table as it is now. Path resolution walks this
+    /// immutable snapshot; a later `with_write` leaves it untouched.
+    pub fn snapshot(&self, id: NamespaceId) -> SysResult<Arc<MountNs>> {
         self.namespaces
             .read()
             .get(&id)
@@ -329,34 +237,36 @@ impl MountTable {
             .ok_or(Errno::EINVAL)
     }
 
-    /// Clones one namespace's table (path resolution works on a private
-    /// snapshot, so a concurrent umount cannot invalidate a walk mid-way).
-    pub fn snapshot(&self, id: NamespaceId) -> SysResult<MountNs> {
-        let ns = self.handle(id)?;
-        let snap = ns.read().clone();
-        Ok(snap)
-    }
-
-    /// Runs `f` under one namespace's read lock.
-    pub fn with_read<T>(
-        &self,
-        id: NamespaceId,
-        f: impl FnOnce(&MountNs) -> SysResult<T>,
-    ) -> SysResult<T> {
-        let ns = self.handle(id)?;
-        let guard = ns.read();
-        f(&guard)
-    }
-
-    /// Runs `f` under one namespace's write lock.
+    /// Runs `f` over one namespace's table under the registry write lock,
+    /// copying the table first only if a snapshot of it is outstanding.
     pub fn with_write<T>(
         &self,
         id: NamespaceId,
         f: impl FnOnce(&mut MountNs) -> SysResult<T>,
     ) -> SysResult<T> {
-        let ns = self.handle(id)?;
-        let mut guard = ns.write();
-        f(&mut guard)
+        let mut namespaces = self.namespaces.write();
+        let ns = namespaces.get_mut(&id).ok_or(Errno::EINVAL)?;
+        f(Arc::make_mut(ns))
+    }
+
+    /// Runs `f` over the whole registry under its write lock (mount
+    /// propagation into shared peers). A namespace `f` changes goes
+    /// through `Arc::make_mut`, as in [`MountTable::with_write`].
+    pub fn with_all_write<T>(
+        &self,
+        f: impl FnOnce(&mut HashMap<NamespaceId, Arc<MountNs>>) -> T,
+    ) -> T {
+        f(&mut self.namespaces.write())
+    }
+
+    /// The filesystems mounted in any registered namespace, read under
+    /// one registry read lock.
+    pub fn live_devs(&self) -> HashSet<DevId> {
+        self.namespaces
+            .read()
+            .values()
+            .flat_map(|ns| ns.iter().map(|m| m.fs.fs_id()))
+            .collect()
     }
 
     /// Ids of every registered namespace.
@@ -542,16 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let t = ProcTable::new(10, proc(Pid(1)));
-        assert_eq!(t.shards.len(), 16);
-        let t = ProcTable::new(1, proc(Pid(1)));
-        assert_eq!(t.shards.len(), 1);
-    }
-
-    #[test]
     fn alloc_pid_is_unique_across_threads() {
-        let t = Arc::new(ProcTable::new(16, proc(Pid(1))));
+        let t = Arc::new(ProcTable::new(proc(Pid(1))));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let t = Arc::clone(&t);
@@ -567,53 +469,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n, "duplicate pid handed out");
-    }
-
-    #[test]
-    fn lock_pair_same_and_distinct_shards() {
-        let t = ProcTable::new(4, proc(Pid(1)));
-        // Same shard (1 and 5 with mask 3 both map to shard 1).
-        let mut pair = t.lock_pair(Pid(1), Pid(5));
-        assert!(pair.get(Pid(1)).is_some());
-        pair.insert(proc(Pid(5)));
-        assert!(pair.get(Pid(5)).is_some());
-        drop(pair);
-        // Distinct shards.
-        let mut pair = t.lock_pair(Pid(1), Pid(2));
-        pair.insert(proc(Pid(2)));
-        assert!(pair.get(Pid(2)).is_some());
-        drop(pair);
-        assert_eq!(t.pids(), vec![Pid(1), Pid(2), Pid(5)]);
-    }
-
-    /// Rule 1 enforced: the shard class is registered `Sharded { ascending:
-    /// true }`, so taking a lower-indexed shard while holding a higher one
-    /// — the mirror image of `lock_pair` — must panic deterministically.
-    #[test]
-    #[cfg(any(debug_assertions, feature = "lockdep"))]
-    fn descending_shard_acquisition_panics() {
-        let err = std::thread::spawn(|| {
-            let t = ProcTable::new(4, proc(Pid(1)));
-            let _hi = t.shards[2].lock();
-            let _lo = t.shards[0].lock();
-        })
-        .join()
-        .expect_err("descending shard order must be rejected");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("panic carries a message");
-        assert!(msg.contains("lockdep:"), "{msg}");
-        assert!(msg.contains("strictly ascending"), "{msg}");
-        assert!(msg.contains(lock_class::PROC_SHARD), "{msg}");
-    }
-
-    /// The ascending direction — `lock_pair`'s order — stays allowed.
-    #[test]
-    fn ascending_shard_acquisition_is_allowed() {
-        let t = ProcTable::new(4, proc(Pid(1)));
-        let _lo = t.shards[0].lock();
-        let _hi = t.shards[2].lock();
     }
 
     #[test]
@@ -688,13 +543,14 @@ mod tests {
         let root = MountNs::new(NamespaceId(1), MountId(1), memfs(DevId(1), SimClock::new()));
         let t = MountTable::new(root);
         let clone = t
-            .with_read(NamespaceId(1), |ns| Ok(ns.clone_for(NamespaceId(2))))
-            .unwrap();
+            .snapshot(NamespaceId(1))
+            .unwrap()
+            .clone_for(NamespaceId(2));
         t.insert(clone);
         assert_eq!(t.len(), 2);
         let removed = t.remove(NamespaceId(2)).expect("registered above");
         assert_eq!(t.len(), 1);
-        assert_eq!(removed.read().id, NamespaceId(2));
+        assert_eq!(removed.id, NamespaceId(2));
         assert!(t.remove(NamespaceId(2)).is_none());
     }
 
@@ -709,5 +565,49 @@ mod tests {
         assert_eq!(t.ids(), vec![NamespaceId(1)]);
         assert_eq!(t.alloc_mount_id(), MountId(2));
         assert_eq!(t.alloc_mount_id(), MountId(3));
+    }
+
+    /// A snapshot is immutable: a `with_write` after it copies the table
+    /// and leaves the snapshot as it was; with no snapshot outstanding the
+    /// write changes the registered table in place.
+    #[test]
+    fn mount_table_writes_copy_only_under_a_snapshot() {
+        use crate::mount::{CacheMode, MountFlags};
+        use cntr_fs::{memfs::memfs, Filesystem};
+        use cntr_types::{DevId, Ino, SimClock};
+        let fs: Arc<dyn Filesystem> = memfs(DevId(1), SimClock::new());
+        let ns = MountNs::new(NamespaceId(1), MountId(1), Arc::clone(&fs));
+        let t = MountTable::new(ns);
+        let add = |ns: &mut MountNs, id: MountId| {
+            let cache = CacheMode::for_mount(fs.features(), MountFlags::default());
+            let flags = MountFlags::default();
+            ns.add_mount(
+                id,
+                Arc::clone(&fs),
+                Ino::ROOT,
+                MountId(1),
+                Ino::ROOT,
+                cache,
+                flags,
+            )
+        };
+
+        let before = t.snapshot(NamespaceId(1)).unwrap();
+        let id = t.alloc_mount_id();
+        t.with_write(NamespaceId(1), |ns| add(ns, id)).unwrap();
+        assert_eq!(before.len(), 1, "the old snapshot keeps the old mounts");
+        assert!(before.get(id).is_err());
+        let after = t.snapshot(NamespaceId(1)).unwrap();
+        assert_eq!(after.len(), 2, "the next snapshot shows the new mount");
+        assert!(after.get(id).is_ok());
+        assert!(!Arc::ptr_eq(&before, &after));
+
+        drop((before, after));
+        let current = Arc::as_ptr(&t.snapshot(NamespaceId(1)).unwrap());
+        let id = t.alloc_mount_id();
+        t.with_write(NamespaceId(1), |ns| add(ns, id)).unwrap();
+        let now = t.snapshot(NamespaceId(1)).unwrap();
+        assert!(std::ptr::eq(current, Arc::as_ptr(&now)), "mutated in place");
+        assert_eq!(now.len(), 3);
     }
 }

@@ -130,7 +130,7 @@ fn check_access(stat: &Stat, creds: &crate::cred::Credentials, want: Access) -> 
 }
 
 struct WalkState {
-    ns: MountNs,
+    ns: Arc<MountNs>,
     root: VfsLoc,
     cur: VfsLoc,
     stack: Vec<VfsLoc>,
@@ -191,17 +191,12 @@ impl LastDots {
         dot: Errno::EISDIR,
         dotdot: Errno::EISDIR,
     };
-    /// `do_renameat2`: `EBUSY`, on either side of the rename.
-    const RENAME: LastDots = LastDots {
-        dot: Errno::EBUSY,
-        dotdot: Errno::EBUSY,
-    };
 }
 
 impl Kernel {
-    fn snapshot_ns(&self, pid: Pid) -> SysResult<(MountNs, VfsLoc, VfsLoc)> {
-        // Processes-before-mounts: the shard lock is released before the
-        // mount table is read; the walk then runs on a private snapshot.
+    fn snapshot_ns(&self, pid: Pid) -> SysResult<(Arc<MountNs>, VfsLoc, VfsLoc)> {
+        // Processes-before-mounts: the process table is released before the
+        // mount table is read; the walk then runs on an immutable snapshot.
         let (ns_id, root, cwd) = self.with_proc(pid, |p| Ok((p.ns.mount, p.root, p.cwd)))?;
         let ns = self.inner.mounts.snapshot(ns_id)?;
         Ok((ns, root, cwd))
@@ -375,6 +370,17 @@ impl Kernel {
         path: &str,
         dots: LastDots,
     ) -> SysResult<(Resolved, String)> {
+        let (parent, name) = self.walk_parent_at(pid, dirfd, path)?;
+        match name.as_str() {
+            "." => Err(dots.dot),
+            ".." => Err(dots.dotdot),
+            _ => Ok((parent, name)),
+        }
+    }
+
+    /// The parent walk of [`Kernel::resolve_parent_at`], which returns a
+    /// last `.` or `..` like any other name (Linux's `filename_parentat`).
+    fn walk_parent_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return Err(Errno::EEXIST);
@@ -388,11 +394,7 @@ impl Kernel {
         if !parent.stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        match name.as_str() {
-            "." => Err(dots.dot),
-            ".." => Err(dots.dotdot),
-            _ => Ok((parent, name)),
-        }
+        Ok((parent, name))
     }
 
     /// [`Kernel::resolve_parent_at`] for a call that creates a node other
@@ -1167,14 +1169,27 @@ impl Kernel {
         flags: RenameFlags,
     ) -> SysResult<()> {
         self.charge_syscall();
-        let (src_parent, src_name) =
-            self.resolve_parent_at(pid, olddirfd, from, LastDots::RENAME)?;
-        let (dst_parent, dst_name) = self.resolve_parent_at(pid, newdirfd, to, LastDots::RENAME)?;
-        if src_parent.readonly || dst_parent.readonly {
-            return Err(Errno::EROFS);
-        }
+        // Linux's `do_renameat2`: both parent walks, then `EXDEV`, then a
+        // last `.` or `..` — `EBUSY` for the source; for the destination
+        // `EEXIST` under `RENAME_NOREPLACE`, else `EBUSY` — then `EROFS`.
+        let is_dots = |name: &str| name == "." || name == "..";
+        let (src_parent, src_name) = self.walk_parent_at(pid, olddirfd, from)?;
+        let (dst_parent, dst_name) = self.walk_parent_at(pid, newdirfd, to)?;
         if !Arc::ptr_eq(&src_parent.fs, &dst_parent.fs) {
             return Err(Errno::EXDEV);
+        }
+        if is_dots(&src_name) {
+            return Err(Errno::EBUSY);
+        }
+        if is_dots(&dst_name) {
+            return Err(if flags.noreplace {
+                Errno::EEXIST
+            } else {
+                Errno::EBUSY
+            });
+        }
+        if src_parent.readonly || dst_parent.readonly {
+            return Err(Errno::EROFS);
         }
         // A trailing slash names a directory (Linux's `do_renameat2`): a
         // non-directory source refuses one on either side, except that
@@ -1915,57 +1930,45 @@ impl Kernel {
     /// Replicates a new mount at `(parent, ino)` into every namespace whose
     /// copy of `parent` shares a peer group with this one.
     ///
-    /// Peer namespaces are visited one at a time — no two inner mount locks
-    /// are ever held together (rule 3 of the locking discipline), so a
-    /// concurrent propagation from another namespace cannot deadlock.
+    /// One registry write section finds the peers and mounts into them, so
+    /// no peer can be reconfigured between the check and the mount. Peers
+    /// get their mount ids in namespace-id order.
     fn propagate_mount(&self, origin_ns: crate::ns::NamespaceId, parent: MountId, at_ino: Ino) {
         let mounts = &self.inner.mounts;
-        let origin = mounts.with_read(origin_ns, |ns| {
-            let group = match ns.get(parent).map(|m| m.propagation) {
-                Ok(Propagation::Shared(g)) => g,
-                _ => return Ok(None),
+        mounts.with_all_write(|namespaces| {
+            let Some(origin) = namespaces.get(&origin_ns) else {
+                return;
             };
-            Ok(ns.mount_at(parent, at_ino).cloned().map(|m| (group, m)))
-        });
-        let Ok(Some((group, new_mount))) = origin else {
-            return;
-        };
-        for ns_id in mounts.ids() {
-            if ns_id == origin_ns {
-                continue;
-            }
-            let is_peer = mounts
-                .with_read(ns_id, |ns| {
-                    Ok(ns
-                        .get(parent)
-                        .is_ok_and(|m| m.propagation == Propagation::Shared(group)))
+            let Ok(Propagation::Shared(group)) = origin.get(parent).map(|m| m.propagation) else {
+                return;
+            };
+            let Some(new_mount) = origin.mount_at(parent, at_ino).cloned() else {
+                return;
+            };
+            let mut peers: Vec<_> = namespaces
+                .iter()
+                .filter(|&(&id, ns)| {
+                    id != origin_ns
+                        && ns
+                            .get(parent)
+                            .is_ok_and(|m| m.propagation == Propagation::Shared(group))
                 })
-                .unwrap_or(false);
-            if !is_peer {
-                continue;
-            }
-            let id = mounts.alloc_mount_id();
-            let _ = mounts.with_write(ns_id, |ns| {
-                // Re-checked under the write lock: the peer may have been
-                // reconfigured between the read and the write.
-                if !ns
-                    .get(parent)
-                    .is_ok_and(|m| m.propagation == Propagation::Shared(group))
-                {
-                    return Ok(());
-                }
-                ns.add_mount(
-                    id,
+                .map(|(&id, _)| id)
+                .collect();
+            peers.sort_unstable();
+            for ns_id in peers {
+                let ns = Arc::make_mut(namespaces.get_mut(&ns_id).expect("listed above"));
+                let _ = ns.add_mount(
+                    mounts.alloc_mount_id(),
                     Arc::clone(&new_mount.fs),
                     new_mount.root_ino,
                     parent,
                     at_ino,
                     new_mount.cache,
                     new_mount.flags,
-                )
-                .map(|_| ())
-            });
-        }
+                );
+            }
+        });
     }
 
     /// Adopts another process's root directory — the effect of
@@ -2679,6 +2682,49 @@ mod tests {
         assert!(k.stat(P, "/f").unwrap().is_file());
         assert!(k.stat(P, "/a").unwrap().is_dir());
         assert_eq!(k.stat(P, "/z"), Err(Errno::ENOENT));
+    }
+
+    /// `do_renameat2` walks both parents before it looks at a last `.` or
+    /// `..`: a missing destination parent is `ENOENT` even for a source
+    /// dot (confirmed on a Linux 6.18 host).
+    #[test]
+    fn rename_walks_both_parents_before_a_source_dot() {
+        let k = kernel();
+        k.mkdir(P, "/a", Mode::RWXR_XR_X).unwrap();
+        for last in [".", ".."] {
+            let from = format!("/a/{last}");
+            assert_eq!(
+                k.rename(P, &from, "/missing/z", RenameFlags::NONE),
+                Err(Errno::ENOENT),
+                "{from}"
+            );
+        }
+    }
+
+    /// A destination `.` or `..` under `RENAME_NOREPLACE` is `EEXIST`: the
+    /// name exists. A source dot stays `EBUSY` (both confirmed on a Linux
+    /// 6.18 host).
+    #[test]
+    fn renameat2_noreplace_onto_a_dot_is_eexist() {
+        let k = kernel();
+        k.mkdir(P, "/a", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(P, "/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        for last in [".", ".."] {
+            let to = format!("/a/{last}");
+            assert_eq!(
+                k.rename(P, "/f", &to, RenameFlags::NOREPLACE),
+                Err(Errno::EEXIST),
+                "{to}"
+            );
+        }
+        assert_eq!(
+            k.rename(P, "/a/.", "/a/.", RenameFlags::NOREPLACE),
+            Err(Errno::EBUSY)
+        );
+        assert!(k.stat(P, "/f").unwrap().is_file());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   (`mkdir` aside), `ENOTDIR` for `rename` of a non-directory; and a
 //!   last `.` or `..` walked to its parent and then refused as each call
 //!   refuses it (`EEXIST` for the creates, `EISDIR` for `unlink`,
-//!   `EINVAL`/`ENOTEMPTY` for `rmdir`, `EBUSY` for `rename`);
+//!   `EINVAL`/`ENOTEMPTY` for `rmdir`, `EBUSY` for `rename` once both
+//!   parents are walked);
 //! * the same call issued on a twin kernel as an `*at` call from an
 //!   `O_PATH` anchor returns what the path call returned and charges only
 //!   the walk beneath the anchor — or fails with `EXDEV` exactly when the
@@ -258,14 +259,9 @@ impl World {
     }
 
     /// `resolve_parent`: the directory part is walked unless the path is
-    /// rejected first; a last `.` or `..` then answers the call's
-    /// `[dot, dotdot]` errors.
-    fn resolve_parent(
-        &self,
-        start: Start,
-        path: &str,
-        dots: [Errno; 2],
-    ) -> (Result<Parent, Errno>, u64) {
+    /// rejected first. A last `.` or `..` comes back as the name, for the
+    /// call to refuse.
+    fn resolve_parent(&self, start: Start, path: &str) -> (Result<Parent, Errno>, u64) {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return (Err(Errno::EEXIST), 0);
@@ -278,12 +274,10 @@ impl World {
         let (r, n) = self.resolve(start, dir, true);
         let r = r.and_then(|loc| {
             let st = self.layer(loc.0).getattr(loc.1)?;
-            match name {
-                _ if !st.is_dir() => Err(Errno::ENOTDIR),
-                "." => Err(dots[0]),
-                ".." => Err(dots[1]),
-                _ => Ok((loc, name.to_string())),
+            if !st.is_dir() {
+                return Err(Errno::ENOTDIR);
             }
+            Ok((loc, name.to_string()))
         });
         (r, n)
     }
@@ -617,8 +611,17 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
         let (r, n) = w.resolve(start_of(p), &path(p), follow);
         (n, r.map(|_| ()))
     };
+    let walk_parent = |p: &str| {
+        let (r, n) = w.resolve_parent(start_of(p), &path(p));
+        (n, r)
+    };
     let parent_of = |p: &str, dots: [Errno; 2]| {
-        let (r, n) = w.resolve_parent(start_of(p), &path(p), dots);
+        let (n, r) = walk_parent(p);
+        let r = r.and_then(|at| match at.1.as_str() {
+            "." => Err(dots[0]),
+            ".." => Err(dots[1]),
+            _ => Ok(at),
+        });
         (n, r)
     };
     let parent = |p: &str, dots: [Errno; 2]| {
@@ -627,12 +630,11 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
     };
     // What a last `.` or `..` answers once the parent walk succeeded, per
     // call: Linux's `filename_create`, `do_unlinkat` and `do_rmdir`; open
-    // names a directory it does not create; `do_renameat2` answers
-    // `EBUSY`.
+    // names a directory it does not create. `renamed` has
+    // `do_renameat2`'s answer, after both parent walks.
     let exists = [Errno::EEXIST; 2];
     let is_dir = [Errno::EISDIR; 2];
     let rmdir = [Errno::EINVAL, Errno::ENOTEMPTY];
-    let rename = [Errno::EBUSY; 2];
     // A create other than `mkdir` through a trailing slash: EEXIST if the
     // name exists, else ENOENT.
     let create = |p: &str| match parent_of(p, exists) {
@@ -676,8 +678,8 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
             },
             (n, r) => (n, r.map(|_| ())),
         },
-        Op::Rename(a, b) => match parent_of(a, rename) {
-            (n, Ok(from)) => match parent_of(b, rename) {
+        Op::Rename(a, b) => match walk_parent(a) {
+            (n, Ok(from)) => match walk_parent(b) {
                 (m, Ok(to)) => (n + m, renamed(w, &from, &to, a, b)),
                 (m, Err(e)) => (n + m, Err(e)),
             },
@@ -694,11 +696,14 @@ fn reference(w: &World, via: Via, op: &Op) -> (u64, Result<(), Errno>) {
 }
 
 /// How `rename(a, b)` ends once both parents resolved: `EXDEV` across
-/// mounts, and `ENOTDIR` for a non-directory source with a trailing slash
-/// on either side.
+/// mounts, `EBUSY` for a last `.` or `..` on either side, and `ENOTDIR`
+/// for a non-directory source with a trailing slash on either side.
 fn renamed(w: &World, from: &Parent, to: &Parent, a: &str, b: &str) -> Result<(), Errno> {
     if from.0 .0 != to.0 .0 {
         return Err(Errno::EXDEV);
+    }
+    if [&from.1, &to.1].iter().any(|n| *n == "." || *n == "..") {
+        return Err(Errno::EBUSY);
     }
     if (a.ends_with('/') || b.ends_with('/')) && !w.child(from)?.is_dir() {
         return Err(Errno::ENOTDIR);

@@ -1,12 +1,12 @@
 //! Runtime lock-dependency validation, modeled on Linux's lockdep.
 //!
-//! The sharded kernel (PR 3) replaced one giant lock with a family of
-//! subsystem locks governed by a *documented* ordering discipline
-//! (`cntr_kernel::table`, "Lock-ordering discipline"). This crate turns
-//! that prose into machinery: every `Mutex`/`RwLock` in the workspace
-//! (via the `parking_lot` shim) belongs to a **lock class**, each thread
-//! keeps a stack of the classes it currently holds, and every acquisition
-//! feeds a global *class dependency graph*. Three properties are checked
+//! The kernel keeps its state in subsystem tables, one lock each, governed
+//! by a *documented* ordering discipline (`cntr_kernel::table`,
+//! "Lock-ordering discipline"). This crate turns that prose into
+//! machinery: every `Mutex`/`RwLock` in the workspace (via the
+//! `parking_lot` shim) belongs to a **lock class**, each thread keeps a
+//! stack of the classes it currently holds, and every acquisition feeds a
+//! global *class dependency graph*. Three properties are checked
 //! on the spot, deterministically, without needing the bad interleaving
 //! to actually deadlock:
 //!
@@ -15,10 +15,9 @@
 //!    would close a cycle — the classic ABBA inversion — and panics with
 //!    both acquisition sites, even though *this* run never deadlocked.
 //! 2. **Same-class double-lock.** Re-acquiring a class you already hold
-//!    is refused, except for classes registered [`Shape::Sharded`] with
-//!    `ascending: true` (the pid-shard `lock_pair` idiom: second
-//!    acquisition must carry a strictly greater instance rank) or
-//!    [`Shape::Recursive`] (per-instance leaf locks with no global order).
+//!    is refused: with one lock per table, it self-deadlocks (or, for two
+//!    instances of a class, deadlocks against a peer taking them in the
+//!    other order).
 //! 3. **Declared rank order.** [`ordering`] encodes the documented
 //!    subsystem rank table. Acquiring a class from an *earlier* group
 //!    while holding one from a *later* group — or nesting two distinct
@@ -28,7 +27,7 @@
 //! Blocking-context checkpoints ([`assert_no_locks_held_except`]) guard
 //! points that park the calling thread on another thread's progress (the
 //! FUSE transport send/wait path): holding any kernel lock there is the
-//! PR-3 writeback deadlock class, and becomes an instant panic.
+//! FUSE write-back deadlock class, and becomes an instant panic.
 //!
 //! The engine is wired in through `shims/parking_lot`, which compiles the
 //! instrumentation only under `debug_assertions` or its `lockdep` cargo
@@ -44,51 +43,8 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::Location;
-use std::sync::atomic::{AtomicI32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// How acquisitions of one class may nest with each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
-    /// Holding one instance forbids acquiring any other of the class.
-    Plain,
-    /// A fixed family of instances with a total order (shard index):
-    /// nested acquisition is legal iff the ranks strictly ascend
-    /// (`ascending: true`) — the `ProcTable::lock_pair` idiom.
-    Sharded {
-        /// Nested same-class acquisitions must carry strictly increasing
-        /// instance ranks.
-        ascending: bool,
-    },
-    /// Same-class nesting is not checked (still participates in the
-    /// cross-class graph). For dynamic per-instance leaf locks.
-    Recursive,
-}
-
-const SHAPE_PLAIN: u8 = 0;
-const SHAPE_SHARDED_ASC: u8 = 1;
-const SHAPE_SHARDED_ANY: u8 = 2;
-const SHAPE_RECURSIVE: u8 = 3;
-
-impl Shape {
-    fn to_u8(self) -> u8 {
-        match self {
-            Shape::Plain => SHAPE_PLAIN,
-            Shape::Sharded { ascending: true } => SHAPE_SHARDED_ASC,
-            Shape::Sharded { ascending: false } => SHAPE_SHARDED_ANY,
-            Shape::Recursive => SHAPE_RECURSIVE,
-        }
-    }
-
-    fn name(code: u8) -> &'static str {
-        match code {
-            SHAPE_SHARDED_ASC => "sharded(ascending)",
-            SHAPE_SHARDED_ANY => "sharded",
-            SHAPE_RECURSIVE => "recursive",
-            _ => "plain",
-        }
-    }
-}
 
 /// The acquisition mode, recorded in the held stack and edge labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +75,6 @@ pub struct LockClass {
     name: &'static str,
     /// Construction site of the first lock registered in the class.
     site: &'static str,
-    shape: AtomicU8,
     /// Declared ordering group (`-1` = undeclared).
     group: AtomicI32,
     acquires: AtomicU64,
@@ -161,8 +116,8 @@ struct Registry {
     classes: Vec<&'static LockClass>,
     /// `edges[from][to]` — "to was acquired while from was held".
     edges: HashMap<u32, HashMap<u32, Edge>>,
-    /// Declarations that may arrive before the class is registered.
-    pending_shape: HashMap<String, Shape>,
+    /// Ordering declarations that may arrive before the class is
+    /// registered.
     pending_group: HashMap<String, i32>,
 }
 
@@ -181,7 +136,6 @@ fn registry() -> MutexGuard<'static, Registry> {
 
 struct HeldLock {
     class: &'static LockClass,
-    rank: u32,
     kind: LockKind,
     site: &'static Location<'static>,
 }
@@ -210,13 +164,11 @@ pub fn register(name: Option<&'static str>, loc: &'static Location<'static>) -> 
     }
     let site: &'static str = Box::leak(site_string.into_boxed_str());
     let name = name.unwrap_or(site);
-    let shape = reg.pending_shape.remove(name).map(Shape::to_u8);
     let group = reg.pending_group.remove(name);
     let class: &'static LockClass = Box::leak(Box::new(LockClass {
         id: reg.classes.len() as u32,
         name,
         site,
-        shape: AtomicU8::new(shape.unwrap_or(SHAPE_PLAIN)),
         group: AtomicI32::new(group.unwrap_or(-1)),
         acquires: AtomicU64::new(0),
         max_depth: AtomicUsize::new(0),
@@ -228,23 +180,12 @@ pub fn register(name: Option<&'static str>, loc: &'static Location<'static>) -> 
     class
 }
 
-/// Declares how same-class acquisitions of `name` may nest. May be called
-/// before or after the first lock of the class is constructed; idempotent.
-pub fn set_shape(name: &'static str, shape: Shape) {
-    let mut reg = registry();
-    match reg.by_name.get(name) {
-        Some(c) => c.shape.store(shape.to_u8(), Ordering::Relaxed),
-        None => {
-            reg.pending_shape.insert(name.to_string(), shape);
-        }
-    }
-}
-
 /// Declares the documented rank order: classes in `groups[i]` may only be
 /// acquired while holding classes from groups `< i`; two distinct classes
 /// of the *same* group must never nest ("subsystem locks never nest").
 /// Classes not mentioned anywhere are governed by the dynamic graph only.
-/// Idempotent; later declarations win.
+/// May be called before or after the first lock of a class is
+/// constructed; idempotent; later declarations win.
 pub fn ordering(groups: &[&[&'static str]]) {
     let mut reg = registry();
     for (i, group) in groups.iter().enumerate() {
@@ -263,8 +204,8 @@ fn held_summary(held: &[HeldLock]) -> String {
     held.iter()
         .map(|h| {
             format!(
-                "  held: {} (rank {}, {} at {}, class constructed at {})",
-                h.class.name, h.rank, h.kind, h.site, h.class.site
+                "  held: {} ({} at {}, class constructed at {})",
+                h.class.name, h.kind, h.site, h.class.site
             )
         })
         .collect::<Vec<_>>()
@@ -274,68 +215,42 @@ fn held_summary(held: &[HeldLock]) -> String {
 /// Validates and records one acquisition. Called by the `parking_lot` shim
 /// *before* blocking on the underlying lock, so a would-deadlock order
 /// panics instead of hanging. Panics on any discipline violation.
-pub fn acquire(
-    class: &'static LockClass,
-    rank: u32,
-    kind: LockKind,
-    site: &'static Location<'static>,
-) {
+pub fn acquire(class: &'static LockClass, kind: LockKind, site: &'static Location<'static>) {
     class.acquires.fetch_add(1, Ordering::Relaxed);
     HELD.with(|held| {
         let mut held = held.borrow_mut();
         class.max_depth.fetch_max(held.len() + 1, Ordering::Relaxed);
         for h in held.iter() {
             if std::ptr::eq(h.class, class) {
-                check_same_class(class, rank, kind, site, h, &held);
+                double_acquisition(class, kind, site, h, &held);
             } else {
                 check_group_order(class, kind, site, h, &held);
                 record_edge(h, class, kind, site);
             }
         }
-        held.push(HeldLock {
-            class,
-            rank,
-            kind,
-            site,
-        });
+        held.push(HeldLock { class, kind, site });
     });
 }
 
-fn check_same_class(
+fn double_acquisition(
     class: &'static LockClass,
-    rank: u32,
     kind: LockKind,
     site: &'static Location<'static>,
     prior: &HeldLock,
     held: &[HeldLock],
-) {
-    match class.shape.load(Ordering::Relaxed) {
-        SHAPE_RECURSIVE | SHAPE_SHARDED_ANY => {}
-        SHAPE_SHARDED_ASC if rank > prior.rank => {}
-        SHAPE_SHARDED_ASC => panic!(
-            "lockdep: sharded class `{}` acquired out of order: rank {} ({} at {}) \
-             while already holding rank {} — sharded classes must be taken in \
-             strictly ascending instance order (the `lock_pair` idiom)\n{}",
-            class.name,
-            rank,
-            kind,
-            site,
-            prior.rank,
-            held_summary(held),
-        ),
-        _ => panic!(
-            "lockdep: same-class double acquisition of `{}`: {} at {} while the \
-             class is already held ({} at {}); this self-deadlocks (or deadlocks \
-             against a peer thread) — register Shape::Sharded/Recursive if the \
-             class has a real instance order\n{}",
-            class.name,
-            kind,
-            site,
-            prior.kind,
-            prior.site,
-            held_summary(held),
-        ),
-    }
+) -> ! {
+    panic!(
+        "lockdep: same-class double acquisition of `{}`: {} at {} while the \
+         class is already held ({} at {}); this self-deadlocks (or deadlocks \
+         against a peer thread) — copy out and release the first guard before \
+         taking the lock again\n{}",
+        class.name,
+        kind,
+        site,
+        prior.kind,
+        prior.site,
+        held_summary(held),
+    )
 }
 
 fn check_group_order(
@@ -480,17 +395,14 @@ fn describe_path(reg: &Registry, path: &[u32]) -> String {
 }
 
 /// Pops one acquisition. Called from guard `Drop`; tolerates out-of-LIFO
-/// release (`ShardPair` drops its guards in field order) and never panics
-/// (it runs during unwinding after a violation).
-pub fn release(class: &'static LockClass, rank: u32) {
+/// release (guards may be dropped in any order) and never panics (it runs
+/// during unwinding after a violation).
+pub fn release(class: &'static LockClass) {
     // `try_with`: a guard dropped during thread teardown (after TLS
     // destruction) must not abort the process.
     let _ = HELD.try_with(|held| {
         let mut held = held.borrow_mut();
-        if let Some(i) = held
-            .iter()
-            .rposition(|h| std::ptr::eq(h.class, class) && h.rank == rank)
-        {
+        if let Some(i) = held.iter().rposition(|h| std::ptr::eq(h.class, class)) {
             held.remove(i);
         }
     });
@@ -499,7 +411,7 @@ pub fn release(class: &'static LockClass, rank: u32) {
 /// Blocking-context checkpoint: panics if the calling thread holds any
 /// lock whose class name is not in `allowed`. Declared at points that
 /// park the thread on another thread's progress (FUSE transport
-/// send/wait): holding a kernel lock there reproduces the PR-3 writeback
+/// send/wait): holding a kernel lock there reproduces the FUSE write-back
 /// deadlock, so it dies deterministically here instead of hanging.
 #[track_caller]
 pub fn assert_no_locks_held_except(allowed: &[&str]) {
@@ -515,7 +427,7 @@ pub fn assert_no_locks_held_except(allowed: &[&str]) {
                 "lockdep: blocking-context violation at {}: this call parks the \
                  thread on another thread's progress, but {} lock(s) are held — \
                  a worker that re-enters this path while holding them deadlocks \
-                 the pool (the PR-3 FUSE writeback bug class)\n{}",
+                 the pool (the FUSE write-back deadlock class)\n{}",
                 here,
                 offending.len(),
                 held_summary(&held),
@@ -537,8 +449,6 @@ pub struct ClassReport {
     pub name: &'static str,
     /// Construction site of the first instance.
     pub site: &'static str,
-    /// Same-class nesting policy.
-    pub shape: &'static str,
     /// Declared ordering group, if any.
     pub group: Option<u32>,
     /// Total acquisitions.
@@ -585,14 +495,13 @@ impl fmt::Display for Report {
         )?;
         writeln!(
             f,
-            "--- classes (name shape group acquires max-depth contended wait-ns site)"
+            "--- classes (name group acquires max-depth contended wait-ns site)"
         )?;
         for c in &self.classes {
             writeln!(
                 f,
-                "{} {} {} {} {} {} {} {}",
+                "{} {} {} {} {} {} {}",
                 c.name,
-                c.shape,
                 c.group.map(|g| g.to_string()).unwrap_or_else(|| "-".into()),
                 c.acquires,
                 c.max_depth,
@@ -618,7 +527,6 @@ pub fn report() -> Report {
         .map(|c| ClassReport {
             name: c.name,
             site: c.site,
-            shape: Shape::name(c.shape.load(Ordering::Relaxed)),
             group: u32::try_from(c.group.load(Ordering::Relaxed)).ok(),
             acquires: c.acquires.load(Ordering::Relaxed),
             max_depth: c.max_depth.load(Ordering::Relaxed),
@@ -667,10 +575,10 @@ mod tests {
     fn edges_and_report_roundtrip() {
         let a = register(Some("test.unit.edge_a"), loc());
         let b = register(Some("test.unit.edge_b"), loc());
-        acquire(a, 0, LockKind::Mutex, loc());
-        acquire(b, 0, LockKind::Mutex, loc());
-        release(b, 0);
-        release(a, 0);
+        acquire(a, LockKind::Mutex, loc());
+        acquire(b, LockKind::Mutex, loc());
+        release(b);
+        release(a);
         let rep = report();
         assert!(rep
             .edges
@@ -690,21 +598,11 @@ mod tests {
     fn out_of_lifo_release_is_tolerated() {
         let a = register(Some("test.unit.lifo_a"), loc());
         let b = register(Some("test.unit.lifo_b"), loc());
-        acquire(a, 0, LockKind::Mutex, loc());
-        acquire(b, 0, LockKind::Mutex, loc());
-        release(a, 0); // ShardPair drops lo (acquired first) first.
-        release(b, 0);
+        acquire(a, LockKind::Mutex, loc());
+        acquire(b, LockKind::Mutex, loc());
+        release(a); // the first guard taken is dropped first
+        release(b);
         assert!(held_classes().is_empty());
-    }
-
-    #[test]
-    fn sharded_ranks_ascend() {
-        let c = register(Some("test.unit.shard"), loc());
-        set_shape("test.unit.shard", Shape::Sharded { ascending: true });
-        acquire(c, 1, LockKind::Mutex, loc());
-        acquire(c, 3, LockKind::Mutex, loc());
-        release(c, 3);
-        release(c, 1);
     }
 
     #[test]
@@ -723,14 +621,14 @@ mod tests {
 
     #[test]
     fn pending_declarations_apply_at_registration() {
-        set_shape("test.unit.pending", Shape::Recursive);
         ordering(&[&["test.unit.pending_first"], &["test.unit.pending"]]);
         let c = register(Some("test.unit.pending"), loc());
-        assert_eq!(c.shape.load(Ordering::Relaxed), SHAPE_RECURSIVE);
         assert_eq!(c.group.load(Ordering::Relaxed), 1);
-        acquire(c, 0, LockKind::Mutex, loc());
-        acquire(c, 0, LockKind::Mutex, loc()); // recursive: allowed
-        release(c, 0);
-        release(c, 0);
+        let row = report()
+            .classes
+            .into_iter()
+            .find(|r| r.name == "test.unit.pending")
+            .unwrap();
+        assert_eq!(row.group, Some(1));
     }
 }

@@ -4,7 +4,7 @@
 //! Each test uses its own class names: the dependency graph is global to
 //! the test process, and these tests poison it on purpose.
 
-use lockdep::{LockKind, Shape};
+use lockdep::LockKind;
 use std::panic::Location;
 use std::sync::{Arc, Barrier};
 
@@ -37,16 +37,16 @@ fn abba_inversion_panics_deterministically() {
     let b = lockdep::register(Some("test.abba.b"), here());
 
     let t1 = std::thread::spawn(move || {
-        lockdep::acquire(a, 0, LockKind::Mutex, here());
-        lockdep::acquire(b, 0, LockKind::Mutex, here());
-        lockdep::release(b, 0);
-        lockdep::release(a, 0);
+        lockdep::acquire(a, LockKind::Mutex, here());
+        lockdep::acquire(b, LockKind::Mutex, here());
+        lockdep::release(b);
+        lockdep::release(a);
     });
     t1.join().unwrap(); // thread 1 is *done* before thread 2 starts
 
     let msg = panic_message_of(move || {
-        lockdep::acquire(b, 0, LockKind::Mutex, here());
-        lockdep::acquire(a, 0, LockKind::Mutex, here()); // closes the cycle
+        lockdep::acquire(b, LockKind::Mutex, here());
+        lockdep::acquire(a, LockKind::Mutex, here()); // closes the cycle
     });
     assert!(msg.contains("lock-order cycle"), "got: {msg}");
     assert!(
@@ -90,47 +90,11 @@ fn abba_through_parking_lot_locks() {
 fn same_class_double_lock_panics() {
     let c = lockdep::register(Some("test.double.plain"), here());
     let msg = panic_message_of(move || {
-        lockdep::acquire(c, 0, LockKind::Mutex, here());
-        lockdep::acquire(c, 0, LockKind::Mutex, here());
+        lockdep::acquire(c, LockKind::Mutex, here());
+        lockdep::acquire(c, LockKind::Mutex, here());
     });
     assert!(msg.contains("same-class double acquisition"), "got: {msg}");
     assert!(msg.contains("test.double.plain"), "got: {msg}");
-}
-
-#[test]
-fn sharded_class_allows_ascending_rejects_descending() {
-    lockdep::set_shape("test.shard.ranked", Shape::Sharded { ascending: true });
-    let c = lockdep::register(Some("test.shard.ranked"), here());
-
-    // Ascending ranks: fine (the `lock_pair` idiom).
-    lockdep::acquire(c, 2, LockKind::Mutex, here());
-    lockdep::acquire(c, 5, LockKind::Mutex, here());
-    lockdep::release(c, 5);
-    lockdep::release(c, 2);
-
-    // Descending: instant panic.
-    let msg = panic_message_of(move || {
-        lockdep::acquire(c, 5, LockKind::Mutex, here());
-        lockdep::acquire(c, 2, LockKind::Mutex, here());
-    });
-    assert!(msg.contains("strictly ascending"), "got: {msg}");
-    // Equal ranks are a double-lock too.
-    let msg = panic_message_of(move || {
-        lockdep::acquire(c, 5, LockKind::Mutex, here());
-        lockdep::acquire(c, 5, LockKind::Mutex, here());
-    });
-    assert!(msg.contains("test.shard.ranked"), "got: {msg}");
-}
-
-#[test]
-fn recursive_class_permits_reacquisition() {
-    lockdep::set_shape("test.recursive.leaf", Shape::Recursive);
-    let c = lockdep::register(Some("test.recursive.leaf"), here());
-    lockdep::acquire(c, 0, LockKind::Mutex, here());
-    lockdep::acquire(c, 0, LockKind::Mutex, here());
-    lockdep::release(c, 0);
-    lockdep::release(c, 0);
-    assert!(lockdep::held_classes().is_empty());
 }
 
 #[test]
@@ -146,24 +110,24 @@ fn declared_ordering_rejects_reverse_and_peer_nesting() {
     let y = lockdep::register(Some("test.order.leaf_y"), here());
 
     // Documented order: fine.
-    lockdep::acquire(outer, 0, LockKind::Mutex, here());
-    lockdep::acquire(mid, 0, LockKind::Write, here());
-    lockdep::acquire(x, 0, LockKind::Mutex, here());
-    lockdep::release(x, 0);
-    lockdep::release(mid, 0);
-    lockdep::release(outer, 0);
+    lockdep::acquire(outer, LockKind::Mutex, here());
+    lockdep::acquire(mid, LockKind::Write, here());
+    lockdep::acquire(x, LockKind::Mutex, here());
+    lockdep::release(x);
+    lockdep::release(mid);
+    lockdep::release(outer);
 
     // Reverse order: panics on the *first* offence, no deadlock needed.
     let msg = panic_message_of(move || {
-        lockdep::acquire(mid, 0, LockKind::Read, here());
-        lockdep::acquire(outer, 0, LockKind::Mutex, here());
+        lockdep::acquire(mid, LockKind::Read, here());
+        lockdep::acquire(outer, LockKind::Mutex, here());
     });
     assert!(msg.contains("rank-order violation"), "got: {msg}");
 
     // Two leaves of the same group must never nest.
     let msg = panic_message_of(move || {
-        lockdep::acquire(x, 0, LockKind::Mutex, here());
-        lockdep::acquire(y, 0, LockKind::Mutex, here());
+        lockdep::acquire(x, LockKind::Mutex, here());
+        lockdep::acquire(y, LockKind::Mutex, here());
     });
     assert!(msg.contains("peer-subsystem nesting"), "got: {msg}");
 }
@@ -176,13 +140,13 @@ fn blocking_checkpoint_flags_held_locks() {
     lockdep::assert_no_locks_held_except(&[]);
 
     // Held but explicitly allowed: still fine.
-    lockdep::acquire(c, 0, LockKind::Mutex, here());
+    lockdep::acquire(c, LockKind::Mutex, here());
     lockdep::assert_no_locks_held_except(&["test.checkpoint.state"]);
-    lockdep::release(c, 0);
+    lockdep::release(c);
 
     // Held and not allowed: deterministic panic naming the class.
     let msg = panic_message_of(move || {
-        lockdep::acquire(c, 0, LockKind::Mutex, here());
+        lockdep::acquire(c, LockKind::Mutex, here());
         lockdep::assert_no_locks_held_except(&[]);
     });
     assert!(msg.contains("blocking-context violation"), "got: {msg}");
@@ -196,14 +160,14 @@ fn engine_survives_a_violation() {
     let c = lockdep::register(Some("test.survive.a"), here());
     let d = lockdep::register(Some("test.survive.b"), here());
     let _ = panic_message_of(move || {
-        lockdep::acquire(c, 0, LockKind::Mutex, here());
-        lockdep::acquire(c, 0, LockKind::Mutex, here());
+        lockdep::acquire(c, LockKind::Mutex, here());
+        lockdep::acquire(c, LockKind::Mutex, here());
     });
     // The engine still works on this thread afterwards.
-    lockdep::acquire(c, 0, LockKind::Mutex, here());
-    lockdep::acquire(d, 0, LockKind::Mutex, here());
-    lockdep::release(d, 0);
-    lockdep::release(c, 0);
+    lockdep::acquire(c, LockKind::Mutex, here());
+    lockdep::acquire(d, LockKind::Mutex, here());
+    lockdep::release(d);
+    lockdep::release(c);
     let rep = lockdep::report();
     assert!(rep
         .edges

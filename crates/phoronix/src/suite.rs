@@ -797,12 +797,12 @@ pub struct Figure4Row {
 ///
 /// Each point runs over [`Target::CntrfsRing`]: the configured worker
 /// count is a pool of **real OS threads**, and every FUSE request crosses
-/// a worker's submission ring to be served against the sharded kernel. As in the paper's experiment the workload itself is a
+/// a worker's submission ring to be served against the kernel. As in the paper's experiment the workload itself is a
 /// single sequential reader, so one request is in flight at a time and the
 /// thread-count *deltas* in the curve come from the virtual clock pricing
 /// the per-request worker synchronization — the dispatch is real, the
 /// worker-contention cost is modeled. Real multi-threaded wall-clock
-/// scaling against the sharded kernel is not measured: the concurrency
+/// scaling against the kernel is not measured: the concurrency
 /// tests check its correctness only.
 pub fn figure4() -> Vec<Figure4Row> {
     [1usize, 2, 4, 8, 16]

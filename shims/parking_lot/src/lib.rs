@@ -7,8 +7,7 @@
 //! stress runs) every lock participates in the workspace-wide
 //! lock-dependency validator (`crates/lockdep`): each lock belongs to a
 //! *class* — named explicitly via [`Mutex::new_class`] /
-//! [`RwLock::new_class`], ranked within a sharded family via
-//! [`Mutex::new_ranked`], or derived automatically from the construction
+//! [`RwLock::new_class`], or derived automatically from the construction
 //! site for plain [`Mutex::new`] — and every acquisition is checked
 //! against the global class-dependency graph *before* blocking, so lock
 //! inversions, double-locks and rank-order violations panic
@@ -29,12 +28,10 @@ mod dep {
     use std::ptr;
     use std::sync::atomic::{AtomicPtr, Ordering};
 
-    /// The lockdep identity of one lock instance: its class (resolved
-    /// lazily, so construction stays `const`) and its rank within a
-    /// sharded class family.
+    /// The lockdep identity of one lock instance: its class, resolved
+    /// lazily so construction stays `const`.
     pub(crate) struct ClassCell {
         name: Option<&'static str>,
-        rank: u32,
         loc: &'static Location<'static>,
         resolved: AtomicPtr<lockdep::LockClass>,
     }
@@ -42,12 +39,10 @@ mod dep {
     impl ClassCell {
         pub(crate) const fn new(
             name: Option<&'static str>,
-            rank: u32,
             loc: &'static Location<'static>,
         ) -> ClassCell {
             ClassCell {
                 name,
-                rank,
                 loc,
                 resolved: AtomicPtr::new(ptr::null_mut()),
             }
@@ -78,11 +73,8 @@ mod dep {
             site: &'static Location<'static>,
         ) -> Held {
             let class = self.class();
-            lockdep::acquire(class, self.rank, kind, site);
-            Held {
-                class,
-                rank: self.rank,
-            }
+            lockdep::acquire(class, kind, site);
+            Held { class }
         }
 
         /// Reports one contended acquisition (the `try_lock` fast path
@@ -96,12 +88,11 @@ mod dep {
     /// RAII held-stack entry (one per live guard).
     pub(crate) struct Held {
         class: &'static lockdep::LockClass,
-        rank: u32,
     }
 
     impl Drop for Held {
         fn drop(&mut self) {
-            lockdep::release(self.class, self.rank);
+            lockdep::release(self.class);
         }
     }
 }
@@ -130,7 +121,7 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Mutex<T> {
         Mutex {
             #[cfg(any(debug_assertions, feature = "lockdep"))]
-            class: dep::ClassCell::new(None, 0, std::panic::Location::caller()),
+            class: dep::ClassCell::new(None, std::panic::Location::caller()),
             inner: sync::Mutex::new(value),
         }
     }
@@ -142,22 +133,7 @@ impl<T> Mutex<T> {
         let _ = name;
         Mutex {
             #[cfg(any(debug_assertions, feature = "lockdep"))]
-            class: dep::ClassCell::new(Some(name), 0, std::panic::Location::caller()),
-            inner: sync::Mutex::new(value),
-        }
-    }
-
-    /// Creates a mutex in the named lockdep class with an instance rank:
-    /// for classes registered `Shape::Sharded { ascending: true }`, nested
-    /// same-class acquisitions must take strictly ascending ranks (the
-    /// pid-shard `lock_pair` idiom).
-    #[track_caller]
-    pub const fn new_ranked(name: &'static str, rank: u32, value: T) -> Mutex<T> {
-        #[cfg(not(any(debug_assertions, feature = "lockdep")))]
-        let _ = (name, rank);
-        Mutex {
-            #[cfg(any(debug_assertions, feature = "lockdep"))]
-            class: dep::ClassCell::new(Some(name), rank, std::panic::Location::caller()),
+            class: dep::ClassCell::new(Some(name), std::panic::Location::caller()),
             inner: sync::Mutex::new(value),
         }
     }
@@ -310,7 +286,7 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> RwLock<T> {
         RwLock {
             #[cfg(any(debug_assertions, feature = "lockdep"))]
-            class: dep::ClassCell::new(None, 0, std::panic::Location::caller()),
+            class: dep::ClassCell::new(None, std::panic::Location::caller()),
             inner: sync::RwLock::new(value),
         }
     }
@@ -322,7 +298,7 @@ impl<T> RwLock<T> {
         let _ = name;
         RwLock {
             #[cfg(any(debug_assertions, feature = "lockdep"))]
-            class: dep::ClassCell::new(Some(name), 0, std::panic::Location::caller()),
+            class: dep::ClassCell::new(Some(name), std::panic::Location::caller()),
             inner: sync::RwLock::new(value),
         }
     }

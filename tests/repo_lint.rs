@@ -10,7 +10,7 @@
 //!    so it participates in dependency tracking.
 //! 2. No nested subsystem-lock acquisition in `crates/kernel` against the
 //!    declared rank order. This is a heuristic line scanner — it tracks
-//!    `let`-bound guards, closure-held shard access, and `if let`/`match`
+//!    `let`-bound guards, closure-held table access, and `if let`/`match`
 //!    scrutinee temporaries (which live to the end of the block in edition
 //!    2021) by brace depth. False positives are suppressed via
 //!    `lockdep-allow.toml`, where every entry must carry a justification.
@@ -238,30 +238,25 @@ enum Acq {
 /// groups: acquiring a lower-or-equal group while holding a higher one is
 /// what the runtime checker rejects.
 const KERNEL_LOCKS: &[(&str, &str, u32, Acq)] = &[
-    ("lock_shard_of(", "kernel.proc_shard", 0, Acq::Guard),
-    ("lock_pair(", "kernel.proc_shard", 0, Acq::Guard),
-    ("procs.with(", "kernel.proc_shard", 0, Acq::Closure),
-    ("procs.with_mut(", "kernel.proc_shard", 0, Acq::Closure),
-    ("with_proc(", "kernel.proc_shard", 0, Acq::Closure),
-    ("with_proc_mut(", "kernel.proc_shard", 0, Acq::Closure),
-    ("shards[", "kernel.proc_shard", 0, Acq::Guard),
+    ("procs.lock(", "kernel.procs", 0, Acq::Guard),
+    ("procs.with(", "kernel.procs", 0, Acq::Closure),
+    ("procs.with_mut(", "kernel.procs", 0, Acq::Closure),
+    ("with_proc(", "kernel.procs", 0, Acq::Closure),
+    ("with_proc_mut(", "kernel.procs", 0, Acq::Closure),
     ("namespaces.read(", "kernel.mounts.registry", 1, Acq::Guard),
     ("namespaces.write(", "kernel.mounts.registry", 1, Acq::Guard),
-    ("ns.read()", "kernel.mounts.ns", 2, Acq::Guard),
-    ("ns.write()", "kernel.mounts.ns", 2, Acq::Guard),
-    ("table.read()", "kernel.mounts.ns", 2, Acq::Guard),
-    ("with_read(", "kernel.mounts.ns", 2, Acq::Closure),
-    ("with_write(", "kernel.mounts.ns", 2, Acq::Closure),
-    ("cgroups.lock(", "kernel.cgroups", 3, Acq::Guard),
-    ("hostnames.read(", "kernel.hostnames", 3, Acq::Guard),
-    ("hostnames.write(", "kernel.hostnames", 3, Acq::Guard),
-    ("socket_nodes.lock(", "kernel.socket_nodes", 3, Acq::Guard),
-    ("fanotify.lock(", "kernel.fanotify", 3, Acq::Guard),
-    ("ns_refs.", "kernel.ns_refs", 3, Acq::Internal),
-    ("counts.lock(", "kernel.ns_refs", 3, Acq::Guard),
-    ("conns.lock(", "kernel.fuse_backing", 3, Acq::Guard),
-    ("lru.lock(", "pagecache.lru", 4, Acq::Guard),
-    ("flusher.lock(", "pagecache.flusher", 5, Acq::Guard),
+    ("with_write(", "kernel.mounts.registry", 1, Acq::Closure),
+    ("with_all_write(", "kernel.mounts.registry", 1, Acq::Closure),
+    ("cgroups.lock(", "kernel.cgroups", 2, Acq::Guard),
+    ("hostnames.read(", "kernel.hostnames", 2, Acq::Guard),
+    ("hostnames.write(", "kernel.hostnames", 2, Acq::Guard),
+    ("socket_nodes.lock(", "kernel.socket_nodes", 2, Acq::Guard),
+    ("fanotify.lock(", "kernel.fanotify", 2, Acq::Guard),
+    ("ns_refs.", "kernel.ns_refs", 2, Acq::Internal),
+    ("counts.lock(", "kernel.ns_refs", 2, Acq::Guard),
+    ("conns.lock(", "kernel.fuse_backing", 2, Acq::Guard),
+    ("lru.lock(", "pagecache.lru", 3, Acq::Guard),
+    ("flusher.lock(", "pagecache.flusher", 4, Acq::Guard),
 ];
 
 struct LiveGuard {
