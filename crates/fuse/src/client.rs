@@ -107,21 +107,54 @@ struct ClientState {
     /// `FOPEN_PASSTHROUGH`.
     passthrough: HashMap<u64, u32>,
     tick: u64,
+    /// Attribute versions, after Linux's `fc->attr_version`: each change
+    /// to an inode's attributes, by a reply or by the client itself (a
+    /// write growing the size, an invalidation), takes the next version
+    /// into `attr_changed`.
+    attr_version: u64,
+    attr_changed: HashMap<Ino, u64>,
 }
 
 impl ClientState {
     /// Forgets everything cached about one inode.
     fn drop_inode(&mut self, ino: Ino) {
         self.attr_cache.remove(&ino);
+        self.attr_changed.remove(&ino);
         self.nosec.remove(&ino);
         self.symlinks.remove(&ino);
     }
 
-    /// Caches attributes the server sent. New attributes drop `S_NOSEC`,
-    /// as Linux drops it when an inode's attributes change.
-    fn cache_attr(&mut self, stat: Stat) {
-        self.attr_cache.insert(stat.ino, stat);
+    /// Records a change to `ino`'s attributes.
+    fn touch_attr(&mut self, ino: Ino) {
+        self.attr_version += 1;
+        self.attr_changed.insert(ino, self.attr_version);
+    }
+
+    /// Caches attributes the server sent in reply to a request sent at
+    /// attribute version `sent`. If the inode changed after that, the
+    /// reply may predate the change (another thread's write landed while
+    /// it was on its way back), so it drops the cached attributes instead
+    /// (Linux's `attr_version` check in `fuse_change_attributes`). New
+    /// attributes drop `S_NOSEC`, as Linux drops it when an inode's
+    /// attributes change.
+    fn cache_attr(&mut self, stat: Stat, sent: u64) {
+        if self
+            .attr_changed
+            .get(&stat.ino)
+            .is_some_and(|&at| at > sent)
+        {
+            self.attr_cache.remove(&stat.ino);
+        } else {
+            self.attr_cache.insert(stat.ino, stat);
+        }
+        self.touch_attr(stat.ino);
         self.nosec.remove(&stat.ino);
+    }
+
+    /// Drops `ino`'s cached attributes.
+    fn invalidate_attr(&mut self, ino: Ino) {
+        self.attr_cache.remove(&ino);
+        self.touch_attr(ino);
     }
 }
 
@@ -250,9 +283,9 @@ impl FuseClientFs {
             ns += COST.ctx_switch_ns;
         }
         // Worker synchronization overhead grows with the thread count. With
-        // the ring negotiated, the doorbell amortizes that per-request
-        // wakeup across the submission batch (the point of
-        // FUSE-over-io_uring), so each request pays only its share.
+        // the ring negotiated, one worker wakeup serves a batch of
+        // submissions (the point of FUSE-over-io_uring), so each request
+        // pays only its share.
         let workers = self.config.workers.max(1) as u64;
         if workers > 1 {
             let sync = COST.mt_sync_ns * workers.ilog2() as u64;
@@ -295,9 +328,10 @@ impl FuseClientFs {
         }
     }
 
-    /// Caches the entry `parent/name` and its attributes. `dir_changed`
-    /// evicts the parent's attributes too: its nlink or mtime moved.
-    fn remember(&self, parent: Ino, name: &str, stat: Stat, dir_changed: bool) {
+    /// Caches the entry `parent/name` and its attributes, from a reply to
+    /// a request sent at attribute version `sent`. `dir_changed` evicts
+    /// the parent's attributes too: its nlink or mtime moved.
+    fn remember(&self, parent: Ino, name: &str, stat: Stat, dir_changed: bool, sent: u64) {
         let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
@@ -308,9 +342,9 @@ impl FuseClientFs {
                 tick,
             },
         );
-        st.cache_attr(stat);
+        st.cache_attr(stat, sent);
         if dir_changed {
-            st.attr_cache.remove(&parent);
+            st.invalidate_attr(parent);
         }
         *st.nlookup.entry(stat.ino).or_insert(0) += 1;
         let over = st.entry_cache.len() > ENTRY_CACHE_CAP;
@@ -366,13 +400,18 @@ impl FuseClientFs {
         if let Some(e) = st.entry_cache.remove(&(parent, name.to_string())) {
             st.drop_inode(e.ino);
         }
-        st.attr_cache.remove(&parent);
+        st.invalidate_attr(parent);
     }
 
     /// Drops one inode's cached attributes (its nlink/size/blocks changed
     /// server-side in a way the client cannot compute).
     fn invalidate_attr(&self, ino: Ino) {
-        self.state.lock().attr_cache.remove(&ino);
+        self.state.lock().invalidate_attr(ino);
+    }
+
+    /// The attribute version a request sent now is answered at.
+    fn attr_version(&self) -> u64 {
+        self.state.lock().attr_version
     }
 
     fn drop_readahead_for(&self, ino: Ino) {
@@ -380,8 +419,8 @@ impl FuseClientFs {
         st.readahead.retain(|_, ra| ra.ino != ino);
     }
 
-    fn update_attr(&self, stat: Stat) {
-        self.state.lock().cache_attr(stat);
+    fn update_attr(&self, stat: Stat, sent: u64) {
+        self.state.lock().cache_attr(stat, sent);
     }
 }
 
@@ -439,6 +478,7 @@ impl Filesystem for FuseClientFs {
             }
         }
         self.counters.entry_misses.inc();
+        let sent = self.attr_version();
         let reply = self.call(Request::Lookup {
             parent,
             name: name.to_string(),
@@ -446,7 +486,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat, self.config.published_lookup);
+                self.remember(parent, name, stat, self.config.published_lookup, sent);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -460,9 +500,10 @@ impl Filesystem for FuseClientFs {
             return Ok(stat);
         }
         self.counters.attr_misses.inc();
+        let sent = self.attr_version();
         match self.call(Request::Getattr { ino })? {
             Reply::Attr(stat) => {
-                self.update_attr(stat);
+                self.update_attr(stat, sent);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -470,6 +511,7 @@ impl Filesystem for FuseClientFs {
     }
 
     fn setattr(&self, ino: Ino, attr: &SetAttr, ctx: &FsContext) -> SysResult<Stat> {
+        let sent = self.attr_version();
         let reply = self.call(Request::Setattr {
             ino,
             attr: *attr,
@@ -477,7 +519,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Attr(stat) => {
-                self.update_attr(stat);
+                self.update_attr(stat, sent);
                 if attr.size.is_some() {
                     self.drop_readahead_for(ino);
                 }
@@ -496,6 +538,7 @@ impl Filesystem for FuseClientFs {
         rdev: u64,
         ctx: &FsContext,
     ) -> SysResult<Stat> {
+        let sent = self.attr_version();
         let reply = self.call(Request::Mknod {
             parent,
             name: name.to_string(),
@@ -506,7 +549,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat, true);
+                self.remember(parent, name, stat, true, sent);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -514,6 +557,7 @@ impl Filesystem for FuseClientFs {
     }
 
     fn mkdir(&self, parent: Ino, name: &str, mode: Mode, ctx: &FsContext) -> SysResult<Stat> {
+        let sent = self.attr_version();
         let reply = self.call(Request::Mkdir {
             parent,
             name: name.to_string(),
@@ -522,7 +566,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat, true);
+                self.remember(parent, name, stat, true, sent);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -548,6 +592,7 @@ impl Filesystem for FuseClientFs {
     }
 
     fn symlink(&self, parent: Ino, name: &str, target: &str, ctx: &FsContext) -> SysResult<Stat> {
+        let sent = self.attr_version();
         let reply = self.call(Request::Symlink {
             parent,
             name: name.to_string(),
@@ -556,7 +601,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(parent, name, stat, true);
+                self.remember(parent, name, stat, true, sent);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -583,6 +628,7 @@ impl Filesystem for FuseClientFs {
     }
 
     fn link(&self, ino: Ino, newparent: Ino, newname: &str) -> SysResult<Stat> {
+        let sent = self.attr_version();
         let reply = self.call(Request::Link {
             ino,
             newparent,
@@ -590,7 +636,7 @@ impl Filesystem for FuseClientFs {
         })?;
         match reply {
             Reply::Entry(stat) => {
-                self.remember(newparent, newname, stat, true);
+                self.remember(newparent, newname, stat, true, sent);
                 Ok(stat)
             }
             _ => Err(Errno::EPROTO),
@@ -648,6 +694,7 @@ impl Filesystem for FuseClientFs {
                     if let Some(stat) = st.attr_cache.get_mut(&ino) {
                         stat.size = 0;
                     }
+                    st.touch_attr(ino);
                 }
                 Ok(Fh(fh))
             }
@@ -675,12 +722,14 @@ impl Filesystem for FuseClientFs {
             // cached times move to the write's, as the backing file's do.
             // `S_NOSEC` stays: the write changed no privilege.
             end_write: Arc::new(move |end| {
-                if let Some(stat) = state.lock().attr_cache.get_mut(&ino) {
+                let mut st = state.lock();
+                if let Some(stat) = st.attr_cache.get_mut(&ino) {
                     let now = clock.now();
                     stat.size = stat.size.max(end);
                     stat.mtime = stat.mtime.max(now);
                     stat.ctime = stat.ctime.max(now);
                 }
+                st.touch_attr(ino);
             }),
         })
     }
@@ -794,6 +843,7 @@ impl Filesystem for FuseClientFs {
             if let Some(stat) = st.attr_cache.get_mut(&ino) {
                 stat.size = stat.size.max(offset + written as u64);
             }
+            st.touch_attr(ino);
             // The written range may overlap a readahead buffer: drop stale ones.
             st.readahead.retain(|_, ra| {
                 ra.ino != ino
@@ -1515,6 +1565,80 @@ mod tests {
         assert_eq!(fs.conn_stats().getattrs, before);
     }
 
+    /// A transport that, once armed, runs an action after the server has
+    /// answered the next GETATTR and before that reply returns: the window
+    /// in which another thread's request lands while a reply is on its
+    /// way back.
+    struct LateGetattr {
+        inner: Arc<dyn Transport>,
+        armed: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl Transport for LateGetattr {
+        fn call(&self, req: Request) -> Reply {
+            let getattr = matches!(req, Request::Getattr { .. });
+            let reply = self.inner.call(req);
+            if getattr {
+                let action = self.armed.lock().take();
+                if let Some(action) = action {
+                    action();
+                }
+            }
+            reply
+        }
+
+        fn shutdown(&self) {
+            self.inner.shutdown();
+        }
+
+        fn is_alive(&self) -> bool {
+            self.inner.is_alive()
+        }
+
+        fn stats(&self) -> ConnSnapshot {
+            self.inner.stats()
+        }
+    }
+
+    /// A GETATTR answered before a write landed returns after it: its
+    /// attributes are older than the write's size, so they must not be
+    /// cached over it (Linux's `attr_version` check in
+    /// `fuse_change_attributes`). The next `getattr` sees the written size.
+    #[test]
+    fn a_reply_older_than_a_write_is_not_cached() {
+        let backing = memfs(DevId(1), SimClock::new());
+        let late = Arc::new(LateGetattr {
+            inner: InlineTransport::new(FsHandler::new(backing)),
+            armed: Mutex::new(None),
+        });
+        let fs = FuseClientFs::mount(
+            DevId(100),
+            SimClock::new(),
+            FuseConfig::optimized(),
+            Arc::clone(&late) as Arc<dyn Transport>,
+        )
+        .unwrap();
+        let st = fs
+            .mknod(
+                Ino::ROOT,
+                "f",
+                FileType::Regular,
+                Mode::RW_R__R__,
+                0,
+                &root_ctx(),
+            )
+            .unwrap();
+        let fh = fs.open(st.ino, OpenFlags::RDWR).unwrap();
+        // FSYNC drops the cached attributes, so the next getattr asks.
+        fs.fsync(st.ino, fh, false).unwrap();
+        let writer = Arc::clone(&fs);
+        *late.armed.lock() = Some(Box::new(move || {
+            assert_eq!(writer.write(st.ino, fh, 0, b"abcdef").unwrap(), 6);
+        }));
+        assert_eq!(fs.getattr(st.ino).unwrap().size, 0, "the late reply");
+        assert_eq!(fs.getattr(st.ino).unwrap().size, 6);
+    }
+
     /// 8 caller threads over one client on a 4-worker
     /// [`RingTransport`](crate::ring::RingTransport): the entry/attr caches
     /// and the nlookup/forget accounting must stay consistent under real
@@ -1527,7 +1651,6 @@ mod tests {
             FsHandler::new(backing),
             4,
             64,
-            8,
         ));
         let fs =
             FuseClientFs::mount(DevId(100), clock, FuseConfig::optimized(), transport).unwrap();

@@ -21,13 +21,14 @@ pub(crate) const META_PIPELINE: usize = 4;
 /// container's overlay (depth 1), so its backing files must sit below 2.
 pub(crate) const MAX_STACK_DEPTH: u8 = 2;
 
-/// Per-worker submission/completion ring capacity when the `ring` flag is
-/// negotiated (entries; io_uring's `sq_entries` analog).
+/// Per-worker submission ring capacity of
+/// [`RingTransport::from_config`](crate::ring::RingTransport::from_config)
+/// (entries; io_uring's `sq_entries` analog).
 pub(crate) const RING_DEPTH: usize = 64;
 
-/// Submissions accumulated before the doorbell rings when the worker is
-/// already busy (adaptive flush still fires immediately on a parked worker
-/// or a sync-op boundary).
+/// Requests one worker wakeup serves in the cost model when the `ring`
+/// flag is negotiated: each request pays `1/RING_BATCH` of the worker
+/// synchronization cost (see `FuseClientFs::charge`).
 pub(crate) const RING_BATCH: usize = 8;
 
 /// Configuration of one FUSE mount (kernel side): the knobs the paper's

@@ -9,8 +9,8 @@
 //! * [`RingTransport`](crate::ring::RingTransport) (in [`crate::ring`])
 //!   runs real worker threads — the shape of a real FUSE daemon's read
 //!   loop ("CNTR spawns independent threads to read from the CNTRFS file
-//!   descriptor", §3.3) — fed by per-worker submission/completion ring
-//!   pairs with batched doorbells, amortizing wakeups across many
+//!   descriptor", §3.3) — each fed by its own bounded submission ring
+//!   that it reaps whole per wakeup, amortizing wakeups across many
 //!   requests the way FUSE-over-io_uring does. Stress tests use it to
 //!   shake out synchronization bugs.
 //!

@@ -13,10 +13,10 @@
 //! * [`conn`] — the `/dev/fuse` queue with the [`conn::Transport`] trait
 //!   and the deterministic same-thread **inline** transport,
 //! * [`ring`] — the threaded transport, FUSE-over-io_uring style: real
-//!   worker threads behind per-worker submission/completion ring pairs,
-//!   batched doorbells, multi-reap completions — one worker wakeup serves
-//!   many requests — with FUSE-writeback re-entrancy avoidance; used by
-//!   the Figure 4 runner and the concurrency stress tests,
+//!   worker threads, each reaping its own bounded submission ring whole
+//!   per wakeup — one worker wakeup serves many requests — with
+//!   FUSE-writeback re-entrancy avoidance; used by the Figure 4 runner and
+//!   the concurrency stress tests,
 //! * [`client`] — the kernel half: a [`cntr_fs::Filesystem`] implementation
 //!   that turns VFS calls into FUSE requests, with entry/attr caches,
 //!   readahead, forget batching and the cost accounting that makes the

@@ -4,27 +4,32 @@
 //! request: every request is a queue push, a park on the reply, and a
 //! wakeup on the worker — the exact per-request synchronization tax the
 //! paper's Figure 4 curve measures. Linux has since amortized this with
-//! FUSE-over-io_uring: userspace and the kernel share fixed-capacity
-//! submission/completion rings, the client batches submissions behind a
-//! doorbell, and the server reaps many completions per wakeup. At depth 1
-//! / batch 1 the ring degenerates to that one-wakeup-per-request daemon.
+//! FUSE-over-io_uring: each server thread owns a fixed-capacity ring and
+//! reaps many requests per wakeup. At depth 1 the ring degenerates to
+//! that one-wakeup-per-request daemon.
 //!
-//! [`RingTransport`] reproduces that shape:
+//! [`RingTransport`] reproduces that shape with one lock per ring:
 //!
-//! * **Per-worker SQ/CQ pairs** — each worker owns one
-//!   [`crossbeam::queue::ArrayQueue`] pair (lock-free bounded MPMC);
-//!   submitters round-robin across rings, so there is no shared queue
-//!   lock on the hot path at all.
-//! * **Batched submission with adaptive flush** — a submission bumps a
-//!   lock-free batch counter and only rings the doorbell (worker unpark)
-//!   when the batch fills (`RING_BATCH` on a mount), the worker
-//!   advertises queue-idle (waiting costs more than a wakeup saves), or
-//!   the op is a sync boundary (FSYNC/FLUSH/INIT/DESTROY must not sit in
-//!   a queue). The submit fast path takes no lock at all.
-//! * **Multi-reap completions** — the worker drains its SQ fully per
-//!   wakeup, handles the whole batch, and delivers the completions in one
-//!   CQ sweep; `fuse.ring.reaped-per-wakeup` records how many requests
-//!   each wakeup amortized.
+//! * **Per-worker rings** — each worker owns one `Mutex<RingState>`: a
+//!   bounded queue of `depth` submissions plus `parked` and `closed`
+//!   flags. Submitters round-robin across rings, so two submitters
+//!   contend only when they pick the same ring.
+//! * **Wakeups only for a parked worker** — a submitter pushes under the
+//!   ring lock and unparks the worker only if it found `parked` set. A
+//!   busy worker takes the submission on its next reap anyway, so a
+//!   wakeup for it would change nothing. A full queue is io_uring's
+//!   SQ-full backpressure: the submitter yields until the worker's next
+//!   reap empties it.
+//! * **Multi-reap** — the worker takes its whole queue in one locked step
+//!   and handles the batch; `fuse.ring.reaped-per-wakeup` records how
+//!   many requests each wakeup amortized. Each reply lands in its
+//!   caller's slot as soon as its handler returns.
+//!
+//! Wakeups are lossless: the queue and `parked` change only under the
+//! ring lock, and an `unpark` that comes before its `park` leaves a token
+//! that makes the park return at once. On exit a worker marks its ring
+//! `closed` and fails what is still queued under the same lock, so no
+//! submission can land after that drain.
 //!
 //! The transport carries trace ids across the ring (client → transport →
 //! handler → storage spans keep attributing), executes worker-re-entrant
@@ -32,10 +37,10 @@
 //! via [`InitFlags::ring`](crate::proto::InitFlags::ring) —
 //! `cntr_default` on, `paper_legacy` off, same pattern as splice-write.
 //!
-//! Lock discipline: the ring's three lock classes rank *above* the
-//! kernel's groups 0–4 (see [`lock_class`]), so teardown paths that reach
-//! the transport while a ranked kernel lock is held stay
-//! ascending-legal, and the park/reap points carry the same
+//! Lock discipline: the ring's two lock classes rank *above* the kernel's
+//! groups 0–4 (see [`lock_class`]), so teardown paths that reach the
+//! transport while a ranked kernel lock is held stay ascending-legal,
+//! and the park/reap points carry the same
 //! `lockdep::assert_no_locks_held_except` checkpoints as
 //! [`InlineTransport`](crate::conn::InlineTransport).
 
@@ -44,18 +49,14 @@ use crate::conn::{ConnSnapshot, ConnStats, ReqGuard, Transport};
 use crate::proto::{Opcode, Reply, Request};
 use crate::server::FuseHandler;
 use cntr_types::Errno;
-use crossbeam::queue::ArrayQueue;
 use obs::trace::{Span, TraceScope};
 use obs::{LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
-/// Submissions amortized per doorbell (how full the batch was when the
-/// worker got woken).
-static SUBMIT_BATCH: LazyHistogram =
-    LazyHistogram::new(Subsystem::Fuse, "fuse.ring.submit-batch-size");
 /// Requests currently sitting in submission rings (pushed, not yet
 /// claimed by a worker).
 static RING_DEPTH: LazyGauge = LazyGauge::new(Subsystem::Fuse, "fuse.ring.queue-depth");
@@ -72,26 +73,21 @@ thread_local! {
 }
 
 /// Lock-class names of the ring transport, ranked above the kernel table.
-/// The submit fast path is lock-free; these cover the slow paths where a
-/// lock still earns its keep.
 pub mod lock_class {
-    /// SQ teardown state: serializes shutdown drains
-    /// (`Ring::fail_pending`) — rank 5.
-    pub const SQ_STATE: &str = "fuse.ring.sq-state";
-    /// The reaper parking lot (worker thread handle) — rank 6.
-    pub const PARK_LOT: &str = "fuse.ring.park-lot";
-    /// One completion slot's reply cell — leaf rank 7.
-    pub const CQ_SLOT: &str = "fuse.ring.cq-slot";
+    /// One ring's queue and its `parked`/`closed` flags — rank 5.
+    pub const STATE: &str = "fuse.ring.state";
+    /// One call's reply slot — leaf rank 6.
+    pub const REPLY_SLOT: &str = "fuse.ring.reply-slot";
 }
 
-/// Encodes the ring's lock ordering into the lockdep checker: SQ teardown
-/// state, then the parking lot, then completion slots, all ranked above
-/// the kernel's groups 0–4 so a transport entered under a ranked kernel
-/// lock (`kernel.fd_offset` excepted at the checkpoints) still acquires
-/// ascending. In particular the page-cache classes (groups 3–4) sit
-/// below: background write-back enters the ring with no lock held, while
-/// no ring path ever reaches back into the cache. Idempotent; runs on
-/// every transport construction.
+/// Encodes the ring's lock ordering into the lockdep checker: ring state,
+/// then reply slots (the exit drain fills slots under the ring lock), both
+/// ranked above the kernel's groups 0–4 so a transport entered under a
+/// ranked kernel lock (`kernel.fd_offset` excepted at the checkpoints)
+/// still acquires ascending. In particular the page-cache classes (groups
+/// 3–4) sit below: background write-back enters the ring with no lock
+/// held, while no ring path ever reaches back into the cache. Idempotent;
+/// runs on every transport construction.
 fn declare_ring_lock_discipline() {
     lockdep::ordering(&[
         // Groups 0–4 belong to the kernel table
@@ -103,9 +99,8 @@ fn declare_ring_lock_discipline() {
         &[],
         &[],
         &[],
-        &[lock_class::SQ_STATE],
-        &[lock_class::PARK_LOT],
-        &[lock_class::CQ_SLOT],
+        &[lock_class::STATE],
+        &[lock_class::REPLY_SLOT],
     ]);
 }
 
@@ -120,155 +115,123 @@ struct Sqe {
     slot: Arc<Slot>,
 }
 
-/// One completion, parked in the CQ until the delivery sweep.
-struct Cqe {
-    slot: Arc<Slot>,
-    reply: Reply,
-}
-
-/// Where a completion lands: the submitting thread parks on `done` and
-/// takes the reply out once it flips.
+/// Where one call's reply lands: the caller parks until it is filled.
 struct Slot {
     reply: Mutex<Option<Reply>>,
-    done: AtomicBool,
-    waiter: std::thread::Thread,
+    waiter: Thread,
 }
 
 impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            reply: Mutex::new_class(lock_class::CQ_SLOT, None),
-            done: AtomicBool::new(false),
-            waiter: std::thread::current(),
-        })
+    /// Stores the reply and wakes the caller. Whoever took the SQE off
+    /// the ring (its worker, or the exit drain) delivers exactly once.
+    fn deliver(&self, reply: Reply) {
+        *self.reply.lock() = Some(reply);
+        self.waiter.unpark();
     }
 
-    /// This thread's slot, reused across calls: `call` waits every
-    /// request to completion before returning, so a submitter has at
-    /// most one live slot use at a time and the allocation amortizes to
-    /// zero. The `done` reset is published to the worker by the SQ
-    /// push's release ordering.
-    fn for_current_thread() -> Arc<Slot> {
-        thread_local! {
-            static SLOT: std::cell::RefCell<Option<Arc<Slot>>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        SLOT.with(|s| {
-            let mut s = s.borrow_mut();
-            match &*s {
-                Some(slot) => {
-                    slot.done.store(false, Ordering::Relaxed);
-                    Arc::clone(slot)
-                }
-                None => {
-                    let slot = Slot::new();
-                    *s = Some(Arc::clone(&slot));
-                    slot
-                }
+    /// Parks the caller until its reply is delivered. A spurious wakeup,
+    /// or a token left over from an earlier call, only re-checks the slot.
+    fn wait(&self) -> Reply {
+        loop {
+            if let Some(reply) = self.reply.lock().take() {
+                return reply;
             }
-        })
+            std::thread::park();
+        }
     }
 }
 
-/// Stores the reply, publishes `done`, and wakes the submitter. The only
-/// writer of a slot is whoever popped its SQE off the ring (worker, or a
-/// submitter self-healing after shutdown), so this runs exactly once.
-fn deliver(slot: &Slot, reply: Reply) {
-    *slot.reply.lock() = Some(reply);
-    slot.done.store(true, Ordering::Release);
-    slot.waiter.unpark();
+/// What one ring's lock guards.
+struct RingState {
+    /// Submitted, not yet reaped; never longer than the ring's depth.
+    queue: VecDeque<Sqe>,
+    /// The worker found the queue empty and is (about to be) parked: the
+    /// next push must unpark it.
+    parked: bool,
+    /// The worker has exited: a push would never be served.
+    closed: bool,
 }
 
-struct ParkState {
-    /// The worker's thread handle, for doorbells.
-    worker: Option<std::thread::Thread>,
-}
-
-/// One worker's submission/completion ring pair.
+/// One worker's submission ring.
 struct Ring {
-    sq: ArrayQueue<Sqe>,
-    cq: ArrayQueue<Cqe>,
-    /// Submissions since the last doorbell — the lock-free batch counter
-    /// behind the adaptive flush.
-    unflushed: AtomicUsize,
-    /// The worker's queue-idle advertisement: set (SeqCst) before its
-    /// final pre-park empty check, cleared after the park returns. A
-    /// submitter reads it *after* pushing (SeqCst fence in between), so
-    /// either the worker's empty check sees the new SQE, or the
-    /// submitter sees `idle` and rings the doorbell — and an early
-    /// doorbell is never lost, because an unpark token makes the
-    /// worker's next park return immediately.
-    idle: AtomicBool,
-    /// Serializes shutdown drains (`fail_pending`): worker exit and
-    /// self-healing submitters may race there, and interleaved drain
-    /// sweeps would double-walk the CQ for no benefit.
-    drain: Mutex<()>,
-    park: Mutex<ParkState>,
+    state: Mutex<RingState>,
+    depth: usize,
 }
 
 impl Ring {
     fn new(depth: usize) -> Ring {
         Ring {
-            sq: ArrayQueue::new(depth),
-            cq: ArrayQueue::new(depth),
-            unflushed: AtomicUsize::new(0),
-            idle: AtomicBool::new(false),
-            drain: Mutex::new_class(lock_class::SQ_STATE, ()),
-            park: Mutex::new_class(lock_class::PARK_LOT, ParkState { worker: None }),
+            state: Mutex::new_class(
+                lock_class::STATE,
+                RingState {
+                    queue: VecDeque::with_capacity(depth),
+                    parked: false,
+                    closed: false,
+                },
+            ),
+            depth,
         }
     }
 
-    /// Wakes the worker regardless of its parked state (an unpark token
-    /// is never lost: if the worker is mid-batch, its next park returns
-    /// immediately and it re-drains).
-    fn doorbell(&self) {
-        if let Some(t) = &self.park.lock().worker {
-            t.unpark();
+    /// Queues `sqe` for `worker`, waking it if it is parked. A full ring
+    /// yields until the worker's next reap; a closed one refuses.
+    fn submit(&self, sqe: Sqe, worker: &Thread) -> Result<(), Errno> {
+        loop {
+            let mut st = self.state.lock();
+            if st.closed {
+                return Err(Errno::ENOTCONN);
+            }
+            if st.queue.len() < self.depth {
+                st.queue.push_back(sqe);
+                RING_DEPTH.inc();
+                let wake = std::mem::replace(&mut st.parked, false);
+                drop(st);
+                if wake {
+                    worker.unpark();
+                }
+                return Ok(());
+            }
+            // A full queue is never behind a parked worker: the push that
+            // found it parked woke it, and it empties the whole queue on
+            // its next reap.
+            drop(st);
+            std::thread::yield_now();
         }
     }
 
-    /// Delivers everything in the CQ — the multi-reap sweep.
-    fn sweep_cq(&self) {
-        while let Some(cqe) = self.cq.pop() {
-            deliver(&cqe.slot, cqe.reply);
+    /// Swaps the whole queue into `batch`, parking while it is empty.
+    /// Returns `false` once the connection is dead, after closing the
+    /// ring and failing what was still queued with `ENOTCONN`.
+    fn reap(&self, alive: &AtomicBool, batch: &mut VecDeque<Sqe>) -> bool {
+        loop {
+            let mut st = self.state.lock();
+            if !alive.load(Ordering::Acquire) {
+                st.closed = true;
+                for sqe in st.queue.drain(..) {
+                    RING_DEPTH.dec();
+                    sqe.slot.deliver(Reply::Err(Errno::ENOTCONN));
+                }
+                return false;
+            }
+            if !st.queue.is_empty() {
+                st.parked = false;
+                std::mem::swap(&mut st.queue, batch);
+                RING_DEPTH.add(-(batch.len() as i64));
+                return true;
+            }
+            st.parked = true;
+            drop(st);
+            // Park-point checkpoint: a reaper blocking while holding any
+            // lock would stall every request on this ring.
+            #[cfg(any(debug_assertions, feature = "lockdep"))]
+            lockdep::assert_no_locks_held_except(&[]);
+            std::thread::park();
         }
-    }
-
-    /// Parks a completion in the CQ; on a full CQ, sweeps and retries
-    /// (the CQ has SQ capacity, so one sweep always makes room).
-    fn complete(&self, slot: Arc<Slot>, reply: Reply) {
-        let mut cqe = Cqe { slot, reply };
-        while let Err(back) = self.cq.push(cqe) {
-            cqe = back;
-            self.sweep_cq();
-        }
-    }
-
-    /// Fails every queued submission with `ENOTCONN` (shutdown
-    /// self-healing: runs on worker exit, and from any submitter that
-    /// observes the connection dead while waiting — so a push that raced
-    /// past a worker's exit drain still completes).
-    fn fail_pending(&self) {
-        let _drain = self.drain.lock();
-        while let Some(sqe) = self.sq.pop() {
-            RING_DEPTH.dec();
-            deliver(&sqe.slot, Reply::Err(Errno::ENOTCONN));
-        }
-        self.sweep_cq();
     }
 }
 
-/// Ops that must not sit unflushed in a submission queue: durability and
-/// lifecycle boundaries flush the batch immediately.
-fn is_sync_op(op: Opcode) -> bool {
-    matches!(
-        op,
-        Opcode::Fsync | Opcode::Flush | Opcode::Init | Opcode::Destroy
-    )
-}
-
-/// Shared SQ/CQ ring transport: `workers` reaper threads, each owning one
-/// ring pair; submitters batch behind per-ring doorbells.
+/// Worker-pool ring transport: `workers` reaper threads, each owning one
+/// ring.
 ///
 /// A request issued *from one of this connection's own workers* (the
 /// server's backing I/O tripped page-cache writeback of dirty FUSE pages,
@@ -280,27 +243,24 @@ pub struct RingTransport {
     id: u64,
     rings: Vec<Arc<Ring>>,
     next_ring: AtomicUsize,
-    ring_batch: usize,
     /// Handler clone for re-entrant (worker-originated) requests.
     reentrant: Box<dyn Fn(Request) -> Reply + Send + Sync>,
     alive: Arc<AtomicBool>,
     stats: Arc<ConnStats>,
+    /// `workers[i]` reaps `rings[i]`.
     workers: Vec<JoinHandle<()>>,
 }
 
 impl RingTransport {
-    /// Spawns `workers` reaper threads, each with a `depth`-entry SQ/CQ
-    /// pair, flushing submission batches of up to `batch`.
+    /// Spawns `workers` reaper threads, each with a `depth`-entry ring.
     pub fn new<H: FuseHandler + Clone + 'static>(
         handler: H,
         workers: usize,
         depth: usize,
-        batch: usize,
     ) -> RingTransport {
         declare_ring_lock_discipline();
         let id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
         let depth = depth.max(1);
-        let batch = batch.clamp(1, depth);
         let alive = Arc::new(AtomicBool::new(true));
         let stats = Arc::new(ConnStats::default());
         let mut rings = Vec::new();
@@ -320,7 +280,6 @@ impl RingTransport {
             id,
             rings,
             next_ring: AtomicUsize::new(0),
-            ring_batch: batch,
             reentrant: Box::new(move |req| reentrant_handler.handle(req)),
             alive,
             stats,
@@ -328,23 +287,13 @@ impl RingTransport {
         }
     }
 
-    /// [`RingTransport::new`] with `fuse`'s worker count and the depth and
-    /// batch every mount uses (64/8).
+    /// [`RingTransport::new`] with `fuse`'s worker count and the depth
+    /// every mount uses (64).
     pub fn from_config<H: FuseHandler + Clone + 'static>(
         handler: H,
         fuse: &FuseConfig,
     ) -> RingTransport {
-        RingTransport::new(
-            handler,
-            fuse.workers,
-            config::RING_DEPTH,
-            config::RING_BATCH,
-        )
-    }
-
-    /// Number of worker (reaper) threads, each owning one ring pair.
-    pub fn worker_count(&self) -> usize {
-        self.rings.len()
+        RingTransport::new(handler, fuse.workers, config::RING_DEPTH)
     }
 
     /// Waits for all workers to finish (after shutdown).
@@ -360,7 +309,7 @@ impl Drop for RingTransport {
     fn drop(&mut self) {
         // Wake parked workers so they observe `!alive` and exit; without
         // this, dropping an un-shutdown transport would leak parked
-        // threads until their park timeout.
+        // threads.
         self.shutdown();
     }
 }
@@ -373,56 +322,14 @@ fn worker_loop<H: FuseHandler>(
     stats: &ConnStats,
 ) {
     WORKER_OF.with(|w| w.set(conn_id));
-    ring.park.lock().worker = Some(std::thread::current());
-    let mut idle_rounds = 0u32;
-    loop {
-        // Reap: claim the whole SQ in one pass.
-        let mut batch = Vec::new();
-        while let Some(sqe) = ring.sq.pop() {
-            RING_DEPTH.dec();
-            batch.push(sqe);
-        }
-        if batch.is_empty() {
-            if !alive.load(Ordering::SeqCst) {
-                break;
-            }
-            // Briefly poll before parking: under load the next batch is
-            // usually already in flight, and a park/unpark round trip
-            // costs more than the spin. Kept short — on a single-CPU box
-            // a spinning reaper only delays the submitters it feeds.
-            idle_rounds += 1;
-            if idle_rounds < 16 {
-                std::hint::spin_loop();
-                continue;
-            }
-            // Queue-idle: advertise `idle`, then re-check the SQ. The
-            // park is untimed — a timed park arms an hrtimer per wait,
-            // which costs more than the entire rest of the hot path —
-            // so wakeups must be provably lossless: the SeqCst fence
-            // pairs with the submitter's push-then-check (see
-            // `Ring::idle`), so either the re-check below sees the new
-            // SQE, or the submitter sees `idle` and its doorbell leaves
-            // an unpark token that makes this park return immediately.
-            ring.idle.store(true, Ordering::SeqCst);
-            std::sync::atomic::fence(Ordering::SeqCst);
-            if ring.sq.is_empty() && alive.load(Ordering::SeqCst) {
-                // Park-point checkpoint: a reaper blocking while holding
-                // any lock would stall every request on this ring.
-                #[cfg(any(debug_assertions, feature = "lockdep"))]
-                lockdep::assert_no_locks_held_except(&[]);
-                std::thread::park();
-            }
-            ring.idle.store(false, Ordering::SeqCst);
-            continue;
-        }
-        idle_rounds = 0;
+    let mut batch = VecDeque::with_capacity(ring.depth);
+    while ring.reap(alive, &mut batch) {
         REAPED.record(batch.len() as u64);
         // Reap-point checkpoint: the handlers below may re-enter the
         // kernel (writeback), so the worker must dispatch lock-free.
         #[cfg(any(debug_assertions, feature = "lockdep"))]
         lockdep::assert_no_locks_held_except(&[]);
-        let single = batch.len() == 1;
-        for sqe in batch {
+        for sqe in batch.drain(..) {
             let Sqe {
                 req,
                 op,
@@ -443,33 +350,17 @@ fn worker_loop<H: FuseHandler>(
             } else {
                 Reply::Err(Errno::ENOTCONN)
             };
-            if single {
-                // A one-element batch has nothing to sweep together —
-                // skip the CQ round trip and deliver in place.
-                deliver(&slot, reply);
-            } else {
-                ring.complete(slot, reply);
-            }
+            slot.deliver(reply);
         }
-        // Deliver the whole batch in one sweep — completions land
-        // together, submitters wake together.
-        ring.sweep_cq();
     }
-    // Shutdown drain: anything still queued (or racing in) fails cleanly.
-    // The fence makes this drain catch every push whose submitter read a
-    // stale `alive == true` afterwards (its post-push SeqCst fence orders
-    // before this one), so no waiter is left parked with an unserved SQE.
-    std::sync::atomic::fence(Ordering::SeqCst);
-    ring.fail_pending();
-    ring.park.lock().worker = None;
 }
 
 impl Transport for RingTransport {
     fn call(&self, req: Request) -> Reply {
-        // Blocking-context checkpoint: this path parks on the completion
-        // slot (or runs the handler inline), so entering with a lock held
-        // that a re-entrant path could need is the PR-3 writeback
-        // deadlock class. `kernel.fd_offset` is exempt — see
+        // Blocking-context checkpoint: this path parks on the reply slot
+        // (or runs the handler inline), so entering with a lock held that
+        // a re-entrant path could need is the PR-3 writeback deadlock
+        // class. `kernel.fd_offset` is exempt — see
         // `InlineTransport::call`.
         #[cfg(any(debug_assertions, feature = "lockdep"))]
         lockdep::assert_no_locks_held_except(&["kernel.fd_offset"]);
@@ -489,81 +380,33 @@ impl Transport for RingTransport {
             self.stats.record(op, req_bytes, &reply);
             return reply;
         }
-        // The transport span covers push + batch wait + park + wake.
+        // The transport span covers push + queue wait + park + wake.
         let _span = Span::start("transport");
-        let trace = obs::trace::current_trace();
-        let ring = &self.rings[self.next_ring.fetch_add(1, Ordering::Relaxed) % self.rings.len()];
-        let slot = Slot::for_current_thread();
-        let mut sqe = Sqe {
+        let slot = Arc::new(Slot {
+            reply: Mutex::new_class(lock_class::REPLY_SLOT, None),
+            waiter: std::thread::current(),
+        });
+        let sqe = Sqe {
             req,
             op,
             req_bytes,
-            trace,
+            trace: obs::trace::current_trace(),
             slot: Arc::clone(&slot),
         };
-        // Submit. A full SQ means the worker is behind: ring the doorbell
-        // and spin-yield until a slot frees (bounded by ring depth, like
-        // io_uring's sq-full backpressure).
-        while let Err(back) = ring.sq.push(sqe) {
-            sqe = back;
-            if !self.alive.load(Ordering::Acquire) {
-                return Reply::Err(Errno::ENOTCONN);
-            }
-            ring.doorbell();
-            std::thread::yield_now();
+        let i = self.next_ring.fetch_add(1, Ordering::Relaxed) % self.rings.len();
+        match self.rings[i].submit(sqe, self.workers[i].thread()) {
+            Ok(()) => slot.wait(),
+            Err(e) => Reply::Err(e),
         }
-        RING_DEPTH.inc();
-        // Adaptive flush, lock-free: ring the doorbell when the batch
-        // fills, the op is a sync boundary, or the worker advertises
-        // queue-idle (holding the submission back would save nothing —
-        // and the untimed worker park *requires* the doorbell then: the
-        // fence pairs with the worker's idle-then-recheck sequence, so
-        // either the worker's re-check sees this push, or this load sees
-        // `idle` and the doorbell's unpark token wakes it; see
-        // `Ring::idle`). Every doorbell closes the batch: the counter
-        // swap may race another flusher, which only splits one batch
-        // across two histogram samples, never loses a request. While the
-        // worker is busy reaping, nothing flushes below the batch
-        // threshold — submissions pile up and get reaped together.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let unflushed = ring.unflushed.fetch_add(1, Ordering::AcqRel) + 1;
-        if unflushed >= self.ring_batch || is_sync_op(op) || ring.idle.load(Ordering::SeqCst) {
-            let batch = ring.unflushed.swap(0, Ordering::AcqRel);
-            if batch > 0 {
-                SUBMIT_BATCH.record(batch as u64);
-            }
-            ring.doorbell();
-        }
-        // Completion wait: a short spin (a fast handler on another core
-        // beats the park round trip), then an *untimed* park — a timed
-        // one arms an hrtimer per wait, which dwarfs the rest of the hot
-        // path. `deliver` always flips `done` before unparking, so the
-        // re-check-then-park loop cannot sleep through a completion. If
-        // the connection died, drain the ring ourselves and our own SQE
-        // fails with the rest; a submitter that instead reads a stale
-        // `alive == true` here is covered by the worker's fence-ordered
-        // exit drain (see `worker_loop`), which is guaranteed to see our
-        // push and deliver ENOTCONN.
-        let mut spins = 0u32;
-        while !slot.done.load(Ordering::Acquire) {
-            if spins < 16 {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            if !self.alive.load(Ordering::SeqCst) {
-                ring.fail_pending();
-            }
-            std::thread::park();
-        }
-        let reply = slot.reply.lock().take();
-        reply.unwrap_or(Reply::Err(Errno::ENOTCONN))
     }
 
     fn shutdown(&self) {
-        self.alive.store(false, Ordering::SeqCst);
-        for ring in &self.rings {
-            ring.doorbell();
+        // Release pairs with the Acquire loads in `Ring::reap` and `call`.
+        self.alive.store(false, Ordering::Release);
+        // A worker reads `alive` under its ring lock before it parks; this
+        // unpark either wakes it or leaves the token its park returns on.
+        for w in &self.workers {
+            w.thread().unpark();
         }
     }
 
@@ -605,7 +448,7 @@ mod tests {
 
     #[test]
     fn ring_round_trip_and_stats() {
-        let t = RingTransport::new(EchoHandler, 2, 8, 4);
+        let t = RingTransport::new(EchoHandler, 2, 8);
         assert!(matches!(t.call(lookup()), Reply::Ok));
         assert!(matches!(
             t.call(Request::Getattr { ino: Ino(5) }),
@@ -621,7 +464,7 @@ mod tests {
 
     #[test]
     fn ring_shutdown_yields_enotconn() {
-        let t = RingTransport::new(EchoHandler, 1, 4, 2);
+        let t = RingTransport::new(EchoHandler, 1, 4);
         t.shutdown();
         assert!(!t.is_alive());
         assert!(matches!(t.call(lookup()), Reply::Err(Errno::ENOTCONN)));
@@ -630,7 +473,7 @@ mod tests {
 
     #[test]
     fn ring_serves_concurrently_from_many_submitters() {
-        let t = Arc::new(RingTransport::new(EchoHandler, 4, 16, 4));
+        let t = Arc::new(RingTransport::new(EchoHandler, 4, 16));
         let mut joins = Vec::new();
         for _ in 0..8 {
             let t = Arc::clone(&t);
@@ -648,11 +491,11 @@ mod tests {
     }
 
     /// A single ring of depth 1 forces the sq-full backpressure path:
-    /// submitters must spin-yield until the reaper frees a slot, and
+    /// submitters must yield until the reaper frees a slot, and
     /// every request still completes exactly once.
     #[test]
     fn ring_depth_one_backpressure() {
-        let t = Arc::new(RingTransport::new(EchoHandler, 1, 1, 1));
+        let t = Arc::new(RingTransport::new(EchoHandler, 1, 1));
         let mut joins = Vec::new();
         for _ in 0..4 {
             let t = Arc::clone(&t);
@@ -676,7 +519,7 @@ mod tests {
     #[cfg(any(debug_assertions, feature = "lockdep"))]
     fn ring_call_with_lock_held_panics_at_the_checkpoint() {
         let err = std::thread::spawn(|| {
-            let t = RingTransport::new(EchoHandler, 2, 8, 4);
+            let t = RingTransport::new(EchoHandler, 2, 8);
             let guard = parking_lot::Mutex::new_class("fuse.test.outer", ());
             let _held = guard.lock();
             t.call(lookup())
@@ -693,11 +536,72 @@ mod tests {
 
     #[test]
     fn ring_join_after_shutdown_terminates_workers() {
-        let t = RingTransport::new(EchoHandler, 3, 8, 8);
-        assert_eq!(t.worker_count(), 3);
+        let t = RingTransport::new(EchoHandler, 3, 8);
+        assert_eq!(t.workers.len(), 3);
         for _ in 0..10 {
             assert!(matches!(t.call(lookup()), Reply::Ok));
         }
         t.join();
+    }
+
+    /// Shutdown racing live submitters: in each round, eight threads
+    /// call a 2-worker ring while a ninth shuts it down after a
+    /// round-dependent number of yields. Every call returns `Ok` (it was
+    /// handled) or `ENOTCONN`, never `Ok` after an `ENOTCONN`; the `Ok`s
+    /// are exactly the handled lookups; and `join` returns. A watchdog
+    /// turns a lost wakeup into a failure instead of a hung suite.
+    #[test]
+    fn ring_shutdown_races_live_submitters() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rounds = std::thread::spawn(move || {
+            for round in 0..200u64 {
+                let t = Arc::new(RingTransport::new(EchoHandler, 2, 4));
+                let submitters: Vec<_> = (0..8)
+                    .map(|_| {
+                        let t = Arc::clone(&t);
+                        std::thread::spawn(move || {
+                            let mut ok = 0u64;
+                            let mut refused = false;
+                            for _ in 0..32 {
+                                match t.call(lookup()) {
+                                    Reply::Ok => {
+                                        assert!(!refused, "Ok after ENOTCONN");
+                                        ok += 1;
+                                    }
+                                    Reply::Err(Errno::ENOTCONN) => refused = true,
+                                    other => panic!("unexpected reply {other:?}"),
+                                }
+                            }
+                            ok
+                        })
+                    })
+                    .collect();
+                let killer = {
+                    let t = Arc::clone(&t);
+                    // Spread the shutdown over the submitters' lifetime.
+                    let delay = round.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57;
+                    std::thread::spawn(move || {
+                        for _ in 0..delay {
+                            std::thread::yield_now();
+                        }
+                        t.shutdown();
+                    })
+                };
+                let ok: u64 = submitters.into_iter().map(|s| s.join().unwrap()).sum();
+                killer.join().unwrap();
+                assert_eq!(ok, t.stats().lookups, "round {round}");
+                Arc::try_unwrap(t)
+                    .ok()
+                    .expect("every submitter has returned")
+                    .join();
+            }
+            tx.send(()).unwrap();
+        });
+        let done = rx.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(
+            !matches!(done, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "a call or join hung while shutdown raced the submitters"
+        );
+        rounds.join().unwrap();
     }
 }

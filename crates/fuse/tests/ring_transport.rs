@@ -8,10 +8,10 @@
 //! Covered here:
 //! * INIT negotiation grants the ring bit to `cntr_default` and withholds
 //!   it from `paper_legacy` (the splice-write pattern);
-//! * batched 1 MiB spliced reads over the ring stay zero-copy
+//! * consecutive 1 MiB spliced reads over the ring stay zero-copy
 //!   (`testing::copies_along == 0` along storage → wire → caller);
 //! * an 8-thread bout leaves `fuse.req.started == fuse.req.completed`
-//!   and `fuse.req.in-flight == 0`, with the ring batching metrics live;
+//!   and `fuse.req.in-flight == 0`, with the ring metrics live;
 //! * multi-reap: seven submissions queued behind a reaper pinned in a
 //!   request are all reaped in its next wakeup (exact histogram deltas,
 //!   no clock);
@@ -62,7 +62,7 @@ fn mknod_open(fs: &Arc<FuseClientFs>, name: &str) -> (Ino, cntr_fs::Fh) {
 /// from the paper profile — exactly the splice-write pattern.
 fn check_negotiation() {
     let backing = memfs(DevId(10), SimClock::new());
-    let ring = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4));
+    let ring = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16));
     let client = FuseClientFs::mount(
         DevId(0xA0),
         SimClock::new(),
@@ -80,7 +80,7 @@ fn check_negotiation() {
         DevId(0xA1),
         SimClock::new(),
         FuseConfig::paper(),
-        Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4)),
+        Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16)),
     )
     .unwrap();
     assert!(
@@ -90,14 +90,14 @@ fn check_negotiation() {
     ring.shutdown();
 }
 
-/// Batched 1 MiB spliced reads over the ring stay zero-copy: the pointer
+/// Consecutive 1 MiB spliced reads over the ring stay zero-copy: the pointer
 /// chain storage → wire → caller shows zero payload copies, for several
 /// consecutive reads riding the same ring.
 fn check_spliced_reads_zero_copy() {
     let log = PayloadLog::new();
     let backing = memfs(DevId(12), SimClock::new());
     let inst = InstrumentedFs::new(backing, Arc::clone(&log));
-    let ring: Arc<dyn Transport> = Arc::new(RingTransport::new(FsHandler::new(inst), 2, 16, 4));
+    let ring: Arc<dyn Transport> = Arc::new(RingTransport::new(FsHandler::new(inst), 2, 16));
     let transport = CountingTransport::new(ring, Arc::clone(&log));
     let client = FuseClientFs::mount(
         DevId(0xA2),
@@ -130,11 +130,10 @@ fn check_spliced_reads_zero_copy() {
 }
 
 /// 8 submitter threads hammer one 4-reaper ring; afterwards the global
-/// request accounting is symmetric and the ring metrics recorded real
-/// batching.
+/// request accounting is symmetric and the ring metrics are live.
 fn check_eight_thread_bout() {
     let backing = memfs(DevId(13), SimClock::new());
-    let t = Arc::new(RingTransport::new(FsHandler::new(backing), 4, 64, 8));
+    let t = Arc::new(RingTransport::new(FsHandler::new(backing), 4, 64));
     let mut joins = Vec::new();
     for i in 0..8 {
         let t = Arc::clone(&t);
@@ -165,10 +164,8 @@ fn check_eight_thread_bout() {
         t.join();
     }
 
-    // The batching metrics are live and rendered with the rest of
+    // The ring metrics are live and rendered with the rest of
     // /proc/cntrstats' source registry.
-    let submits = obs::histogram("fuse.ring.submit-batch-size").expect("registered");
-    assert!(submits.count() > 0, "doorbells recorded batch sizes");
     let reaped = obs::histogram("fuse.ring.reaped-per-wakeup").expect("registered");
     assert!(reaped.count() > 0, "reapers recorded wakeup batches");
     assert_eq!(
@@ -177,11 +174,7 @@ fn check_eight_thread_bout() {
         "no submissions left in any ring"
     );
     let text = obs::render();
-    for metric in [
-        "fuse.ring.submit-batch-size.count",
-        "fuse.ring.reaped-per-wakeup.count",
-        "fuse.ring.queue-depth",
-    ] {
+    for metric in ["fuse.ring.reaped-per-wakeup.count", "fuse.ring.queue-depth"] {
         assert!(
             text.lines().any(|l| l.starts_with(metric)),
             "missing {metric} in rendered stats"
@@ -222,7 +215,7 @@ fn check_multi_reap() {
         entered: Arc::clone(&entered),
         gate: Arc::clone(&gate),
     };
-    let t = Arc::new(RingTransport::new(handler, 1, 8, 8));
+    let t = Arc::new(RingTransport::new(handler, 1, 8));
     let reaped = obs::histogram("fuse.ring.reaped-per-wakeup").expect("registered");
     let (count0, sum0) = (reaped.count(), reaped.sum());
 
@@ -271,9 +264,8 @@ fn check_shutdown_mid_batch() {
         entered: Arc::clone(&entered),
         gate: Arc::clone(&gate),
     };
-    // One reaper; batch == depth so queued lookups never ring the
-    // doorbell on their own while the reaper is pinned.
-    let t = Arc::new(RingTransport::new(handler, 1, 8, 8));
+    // One reaper: queued lookups cannot be reaped while it is pinned.
+    let t = Arc::new(RingTransport::new(handler, 1, 8));
 
     let pinned = {
         let t = Arc::clone(&t);
@@ -347,7 +339,7 @@ fn check_writeback_reentrancy() {
             transport: Arc::clone(&transport_slot),
         };
         // One reaper: a queued re-entrant request can never be served.
-        let transport = Arc::new(RingTransport::new(handler, 1, 8, 4));
+        let transport = Arc::new(RingTransport::new(handler, 1, 8));
         *transport_slot.lock() = Some(Arc::clone(&transport) as Arc<dyn Transport>);
         let client =
             FuseClientFs::mount(DevId(0xA3), clock, FuseConfig::optimized(), transport).unwrap();
@@ -378,7 +370,7 @@ fn check_writeback_reentrancy() {
 fn check_trace_spans_cross_the_ring() {
     let clock = SimClock::new();
     let backing = memfs(DevId(15), clock.clone());
-    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4));
+    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16));
     let client =
         FuseClientFs::mount(DevId(0xA4), clock, FuseConfig::optimized(), transport).unwrap();
     let (ino, fh) = mknod_open(&client, "traced");

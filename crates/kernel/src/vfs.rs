@@ -1175,7 +1175,7 @@ impl Kernel {
         let is_dots = |name: &str| name == "." || name == "..";
         let (src_parent, src_name) = self.walk_parent_at(pid, olddirfd, from)?;
         let (dst_parent, dst_name) = self.walk_parent_at(pid, newdirfd, to)?;
-        if !Arc::ptr_eq(&src_parent.fs, &dst_parent.fs) {
+        if src_parent.loc.mount != dst_parent.loc.mount {
             return Err(Errno::EXDEV);
         }
         if is_dots(&src_name) {
@@ -1239,7 +1239,7 @@ impl Kernel {
         if dst_parent.readonly {
             return Err(Errno::EROFS);
         }
-        if !Arc::ptr_eq(&src.fs, &dst_parent.fs) {
+        if src.loc.mount != dst_parent.loc.mount {
             return Err(Errno::EXDEV);
         }
         dst_parent
@@ -2793,6 +2793,29 @@ mod tests {
             Err(Errno::EXDEV)
         );
         assert_eq!(k.link(P, "/f", "/mnt/f"), Err(Errno::EXDEV));
+    }
+
+    /// Linux's `do_renameat2` and `do_linkat` refuse two different
+    /// mounts, not only two different filesystems: a bind mount of the
+    /// same directory is still another mount.
+    #[test]
+    fn rename_and_link_across_a_bind_mount_rejected() {
+        let k = kernel();
+        k.mkdir(P, "/a", Mode::RWXR_XR_X).unwrap();
+        k.mkdir(P, "/b", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(P, "/a/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+        k.bind_mount(P, "/a", "/b", MountFlags::default()).unwrap();
+        assert_eq!(
+            k.rename(P, "/a/f", "/b/g", RenameFlags::NONE),
+            Err(Errno::EXDEV)
+        );
+        assert_eq!(k.link(P, "/a/f", "/b/h"), Err(Errno::EXDEV));
+        assert!(k.stat(P, "/a/f").unwrap().is_file());
+        assert_eq!(k.stat(P, "/a/g"), Err(Errno::ENOENT));
+        assert_eq!(k.stat(P, "/a/h"), Err(Errno::ENOENT));
     }
 
     #[test]

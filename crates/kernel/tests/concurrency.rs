@@ -1,12 +1,12 @@
-//! Multithreaded stress of the sharded kernel: 8 OS threads fork, exec,
-//! attach (setns + adopt_root), mount and umount across 64 containers.
+//! Multithreaded stress of the kernel: 8 OS threads fork, exec, attach
+//! (setns + adopt_root), mount and umount across 64 containers.
 //!
-//! The assertions are the invariants the giant-lock kernel enforced by
-//! construction and the sharded kernel must preserve under real
-//! concurrency:
+//! The kernel keeps one lock per table (the process table, the mount
+//! registry, each subsystem), so the assertions are the invariants those
+//! locks must preserve under real concurrency:
 //!
-//! * the test terminates (no deadlock between shard / mount / subsystem
-//!   locks — any ordering bug hangs the suite),
+//! * the test terminates (no deadlock between the process-table, mount
+//!   and subsystem locks — any ordering bug hangs the suite),
 //! * every pid handed out is unique,
 //! * `/proc` snapshots are never torn (a child observed via `/proc` always
 //!   has a live parent at snapshot time),
@@ -191,7 +191,8 @@ fn stress_fork_exec_attach_umount_across_containers() {
                     kernel.close(cpid, lfd).expect("close listener");
                     kernel.unlink(cpid, &sock).expect("unlink sock");
 
-                    // Environment churn on the container (shard-local).
+                    // Environment churn on the container (its process-table
+                    // entry only).
                     kernel
                         .setenv(cpid, "ROUND", &round.to_string())
                         .expect("setenv");
@@ -293,9 +294,9 @@ fn stress_fork_exec_attach_umount_across_containers() {
 }
 
 /// Hammers a FUSE mount over the io_uring-style ring transport from
-/// several threads, then tears it down: batched doorbells and multi-reap
-/// must preserve exact request accounting, under the lockdep checkpoints
-/// at the ring's park/reap points.
+/// several threads, then tears it down: parked-worker wakeups and
+/// multi-reap must preserve exact request accounting, under the lockdep
+/// checkpoints at the ring's park/reap points.
 fn fuse_ring_accounting_bout() {
     use cntr_fs::{Filesystem, FilesystemExt};
     use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
@@ -303,7 +304,7 @@ fn fuse_ring_accounting_bout() {
 
     let clock = SimClock::new();
     let backing = memfs(DevId(7_001), clock.clone());
-    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 4, 64, 8));
+    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 4, 64));
     let client = FuseClientFs::mount(DevId(0xF1), clock, FuseConfig::optimized(), transport)
         .expect("fuse mount over ring");
 

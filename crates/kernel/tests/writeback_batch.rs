@@ -108,7 +108,7 @@ impl FuseHandler for ReentrantHandler {
 }
 
 /// The re-entrancy trap over the io_uring-style ring transport: a single
-/// reaper with a depth-8 SQ and batched doorbells. A worker whose handler
+/// reaper with a depth-8 submission ring. A worker whose handler
 /// re-enters `call` would queue the request on its own ring and park
 /// behind it forever — the ring must execute worker-originated requests
 /// inline.
@@ -124,7 +124,7 @@ fn batched_writeback_survives_ring_reentrancy() {
             transport: Arc::clone(&transport_slot),
         };
         // One reaper: a queued re-entrant request can never be served.
-        let transport = Arc::new(RingTransport::new(handler, 1, 8, 4));
+        let transport = Arc::new(RingTransport::new(handler, 1, 8));
         *transport_slot.lock() = Some(Arc::clone(&transport) as Arc<dyn Transport>);
         let client = FuseClientFs::mount(
             DevId(0xC2),

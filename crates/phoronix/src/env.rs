@@ -20,8 +20,8 @@ pub enum Target {
     Cntrfs(FuseConfig),
     /// Through CntrFS with `config.workers` **real OS worker threads**
     /// behind the io_uring-style [`RingTransport`]'s per-worker
-    /// submission/completion rings (64 deep, doorbell every 8) — the
-    /// dispatch shape of the paper's Figure 4.
+    /// submission rings (64 deep) — the dispatch shape of the paper's
+    /// Figure 4.
     /// Virtual-time accounting is unchanged (one request in flight per
     /// caller), so results stay deterministic while every request crosses
     /// a real thread boundary; only a negotiated ring amortizes the

@@ -12,7 +12,7 @@
 //! io_uring-style ring transport, so the dump contains complete client →
 //! transport → handler → storage request pipelines across the
 //! worker-thread boundary and the cntrstats snapshot carries the
-//! `fuse.ring.*` batch-size/reap distributions.
+//! `fuse.ring.*` queue-depth gauge and reap distribution.
 
 use std::sync::Arc;
 
@@ -44,11 +44,10 @@ fn main() {
 
     // A spliced read over the ring transport: its trace records spans from
     // all four pipeline stages, across the worker-thread boundary, and
-    // batched submission and multi-reap leave their fuse.ring.*
-    // distributions in the snapshot.
+    // multi-reap leaves its fuse.ring.* metrics in the snapshot.
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(901), clock.clone());
-    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16, 4));
+    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16));
     let client =
         FuseClientFs::mount(DevId(0xAC), clock, FuseConfig::optimized(), transport).unwrap();
     let st = client

@@ -72,7 +72,7 @@ fn cntrfs(name: &'static str, config: FuseConfig, ring: bool) -> Target {
     let server_pid = host.fork(P).unwrap();
     let server = CntrfsServer::new(host.clone(), server_pid, config.published_lookup).unwrap();
     let transport: Arc<dyn Transport> = if ring {
-        Arc::new(RingTransport::new(server, 4, 64, 8))
+        Arc::new(RingTransport::new(server, 4, 64))
     } else {
         InlineTransport::new(server)
     };

@@ -341,7 +341,7 @@ fn cntrstats_and_tracing_cover_the_stack() {
     // ---- A spliced 1 MiB read carries a full trace. ----
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(900), clock.clone());
-    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 64, 8));
+    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 64));
     let client =
         FuseClientFs::mount(DevId(0xAB), clock, FuseConfig::optimized(), transport).unwrap();
     let st = client
