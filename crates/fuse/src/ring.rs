@@ -31,6 +31,12 @@
 //! `closed` and fails what is still queued under the same lock, so no
 //! submission can land after that drain.
 //!
+//! A handler that panics is a daemon that died: as Linux's
+//! `fuse_abort_conn` does, the worker aborts the whole connection. The
+//! panicking call and the rest of its batch get `ENOTCONN`, its ring
+//! closes at the next reap, and every other worker fails its queue at its
+//! own next reap.
+//!
 //! The transport carries trace ids across the ring (client → transport →
 //! handler → storage spans keep attributing), executes worker-re-entrant
 //! writeback requests inline (the PR-3 deadlock class), and negotiates
@@ -50,9 +56,10 @@ use crate::proto::{Opcode, Reply, Request};
 use crate::server::FuseHandler;
 use cntr_types::Errno;
 use obs::trace::{Span, TraceScope};
-use obs::{LazyGauge, LazyHistogram, Subsystem};
+use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
@@ -63,6 +70,8 @@ static RING_DEPTH: LazyGauge = LazyGauge::new(Subsystem::Fuse, "fuse.ring.queue-
 /// Requests a worker claimed per wakeup (the multi-reap win: 1 means the
 /// ring degenerated to one wakeup per request).
 static REAPED: LazyHistogram = LazyHistogram::new(Subsystem::Fuse, "fuse.ring.reaped-per-wakeup");
+/// Connections aborted because a handler panicked (a dead daemon).
+static ABORTS: LazyCounter = LazyCounter::new(Subsystem::Fuse, "fuse.ring.aborts");
 
 /// Connection ids for worker re-entrancy detection (0 = not a worker).
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
@@ -259,6 +268,8 @@ impl RingTransport {
         depth: usize,
     ) -> RingTransport {
         declare_ring_lock_discipline();
+        // Listed in `/proc/cntrstats` from the first ring on.
+        let _ = ABORTS.get();
         let id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
         let depth = depth.max(1);
         let alive = Arc::new(AtomicBool::new(true));
@@ -341,12 +352,22 @@ fn worker_loop<H: FuseHandler>(
                 // Adopt the submitter's trace so handler/storage spans
                 // land on the right request.
                 let _scope = TraceScope::enter(trace);
-                let reply = {
+                let handled = {
                     let _span = Span::start_for(trace, "handler");
-                    handler.handle(req)
+                    panic::catch_unwind(AssertUnwindSafe(|| handler.handle(req)))
                 };
-                stats.record(op, req_bytes, &reply);
-                reply
+                match handled {
+                    Ok(reply) => {
+                        stats.record(op, req_bytes, &reply);
+                        reply
+                    }
+                    Err(_) => {
+                        // Abort the connection (see module docs).
+                        ABORTS.inc();
+                        alive.store(false, Ordering::Release);
+                        Reply::Err(Errno::ENOTCONN)
+                    }
+                }
             } else {
                 Reply::Err(Errno::ENOTCONN)
             };
@@ -542,6 +563,103 @@ mod tests {
             assert!(matches!(t.call(lookup()), Reply::Ok));
         }
         t.join();
+    }
+
+    /// Panics on GETATTR; a READLINK holds its worker inside the handler
+    /// between two waits on `hold` (entered, released).
+    #[derive(Clone)]
+    struct PanicOnGetattr {
+        hold: Arc<std::sync::Barrier>,
+    }
+
+    impl FuseHandler for PanicOnGetattr {
+        fn handle(&self, req: Request) -> Reply {
+            match req {
+                Request::Getattr { .. } => panic!("handler panics on GETATTR"),
+                Request::Readlink { .. } => {
+                    self.hold.wait();
+                    self.hold.wait();
+                    Reply::Target("held".into())
+                }
+                _ => Reply::Ok,
+            }
+        }
+    }
+
+    /// Waits until `ring` holds `len` queued submissions.
+    fn wait_queued(ring: &Ring, len: usize) {
+        while ring.state.lock().queue.len() < len {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A GETATTR whose handler panics while worker 0 holds a READLINK and
+    /// a LOOKUP waits in ring 0: on one worker the LOOKUP is queued behind
+    /// the GETATTR (the rest of its batch), on two it sits on the other
+    /// ring. The GETATTR, the queued LOOKUP and a LOOKUP sent afterwards
+    /// all get `ENOTCONN`, and `join` returns.
+    fn handler_panic_aborts_the_connection(workers: usize) {
+        let hold = Arc::new(std::sync::Barrier::new(2));
+        let handler = PanicOnGetattr {
+            hold: Arc::clone(&hold),
+        };
+        let t = Arc::new(RingTransport::new(handler, workers, 8));
+        let spawn_call = |req: Request| {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || t.call(req))
+        };
+        // Call 0 lands on ring 0; its worker stays in the handler.
+        let held = spawn_call(Request::Readlink { ino: Ino(2) });
+        hold.wait();
+        let (getattr, queued) = if workers == 1 {
+            let getattr = spawn_call(Request::Getattr { ino: Ino(5) });
+            wait_queued(&t.rings[0], 1);
+            let queued = spawn_call(lookup());
+            wait_queued(&t.rings[0], 2);
+            hold.wait();
+            (getattr.join().unwrap(), queued)
+        } else {
+            // Call 1 lands on ring 1 and is served at once; call 2 queues
+            // on ring 0; call 3, the GETATTR, panics on ring 1.
+            assert!(matches!(t.call(lookup()), Reply::Ok));
+            let queued = spawn_call(lookup());
+            wait_queued(&t.rings[0], 1);
+            let getattr = t.call(Request::Getattr { ino: Ino(5) });
+            hold.wait();
+            (getattr, queued)
+        };
+        assert!(
+            matches!(getattr, Reply::Err(Errno::ENOTCONN)),
+            "{getattr:?}"
+        );
+        let queued = queued.join().unwrap();
+        assert!(matches!(queued, Reply::Err(Errno::ENOTCONN)), "{queued:?}");
+        assert!(matches!(held.join().unwrap(), Reply::Target(_)));
+        assert!(!t.is_alive());
+        assert!(matches!(t.call(lookup()), Reply::Err(Errno::ENOTCONN)));
+        Arc::try_unwrap(t)
+            .ok()
+            .expect("every caller has returned")
+            .join();
+    }
+
+    #[test]
+    fn ring_handler_panic_aborts_the_connection() {
+        let before = ABORTS.value();
+        for workers in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                handler_panic_aborts_the_connection(workers);
+                tx.send(()).unwrap();
+            });
+            let done = rx.recv_timeout(std::time::Duration::from_secs(30));
+            assert!(
+                !matches!(done, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+                "a caller or join hung after a handler panic ({workers} workers)"
+            );
+            run.join().unwrap();
+        }
+        assert!(ABORTS.value() - before >= 2);
     }
 
     /// Shutdown racing live submitters: in each round, eight threads

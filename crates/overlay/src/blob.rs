@@ -7,6 +7,12 @@
 //! never stored: sparse files are holes in the chunk map, exactly as the
 //! registry-side flist stores (rfs) and dedup measurements across engines
 //! motivate.
+//!
+//! A chunk is addressed by its XXH64 digest (`chunk_digest`), which
+//! only picks a bucket: bytes, not the digest, decide dedup. A probe
+//! compares the chunk with every live slot of its bucket, and chunks whose
+//! digests collide get slots of their own
+//! (`overlay.blob.digest-collisions` counts the slots a probe passed over).
 
 use bytes::Bytes;
 use cntr_blockdev::BLOCK_SIZE;
@@ -17,23 +23,98 @@ use std::sync::Arc;
 /// Chunk granularity in bytes (one page, matching `cntr_fs::store`).
 pub const CHUNK_SIZE: usize = BLOCK_SIZE;
 
-/// Identity of one stored chunk: content hash plus a per-bucket slot index
-/// (the slot disambiguates the astronomically-unlikely hash collision; the
-/// store compares bytes before reusing a slot).
+/// Identity of one stored chunk: content digest plus a per-bucket slot
+/// index. The digest only picks the bucket; the slot disambiguates chunks
+/// whose digests collide, since the store compares bytes before it reuses
+/// a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlobId {
     hash: u64,
     slot: u32,
 }
 
-/// 64-bit FNV-1a over a chunk's bytes.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
+// XXH64's published primes.
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One little-endian word of `bytes` (at least eight long).
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"))
+}
+
+/// XXH64's lane round: folds one word into an accumulator.
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+/// XXH64's merge of one lane accumulator into the converged hash.
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc))
+        .wrapping_mul(PRIME64_1)
+        .wrapping_add(PRIME64_4)
+}
+
+/// XXH64 (seed 0) of a chunk's bytes: four independent lanes over
+/// 32-byte stripes of little-endian words, so the multiply chains overlap
+/// instead of serializing on every byte, then a scalar tail and XXH64's
+/// avalanche. The digest only picks a bucket — [`BlobStore`] compares
+/// bytes before it counts a chunk as a duplicate.
+fn chunk_digest(data: &[u8]) -> u64 {
+    let mut stripes = data.chunks_exact(32);
+    let mut h = if data.len() >= 32 {
+        let mut lanes = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            PRIME64_1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = xxh_round(*lane, le_word(&stripe[8 * i..]));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    } else {
+        PRIME64_5
+    };
+    h = h.wrapping_add(data.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh_round(0, le_word(word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
     }
-    h
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("four bytes"));
+        h = (h ^ u64::from(half).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
 struct ChunkSlot {
@@ -49,6 +130,8 @@ struct BlobState {
     buckets: HashMap<u64, Vec<ChunkSlot>>,
     /// Unique bytes physically stored right now.
     physical_bytes: u64,
+    /// Live chunks right now (slots whose `data` is `Some`).
+    live_chunks: u64,
 }
 
 obs::counter_scope! {
@@ -58,6 +141,9 @@ obs::counter_scope! {
         ingested_bytes: "overlay.blob.ingested-bytes",
         /// `put` calls satisfied by an existing chunk.
         dedup_hits: "overlay.blob.dedup-hits",
+        /// Live slots a bucket probe passed over because their bytes
+        /// differ: chunks whose digests collide.
+        digest_collisions: "overlay.blob.digest-collisions",
     }
 }
 
@@ -73,9 +159,13 @@ pub struct BlobStore {
 
 impl Default for BlobStore {
     fn default() -> BlobStore {
+        let counters = BlobCounters::default();
+        // Listed in `/proc/cntrstats` from the first store on, so a run
+        // without collisions reads 0 rather than nothing.
+        counters.digest_collisions.add(0);
         BlobStore {
             state: Mutex::new_class("overlay.blob.state", BlobState::default()),
-            counters: BlobCounters::default(),
+            counters,
         }
     }
 }
@@ -139,48 +229,62 @@ impl BlobStore {
     }
 
     fn insert(&self, data: &[u8], retain: Option<Bytes>) -> BlobId {
+        self.insert_with_digest(chunk_digest(data), data, retain)
+    }
+
+    /// [`BlobStore::insert`] under a given digest: the bucket probe alone,
+    /// so a test can force two different chunks into one bucket.
+    fn insert_with_digest(&self, hash: u64, data: &[u8], retain: Option<Bytes>) -> BlobId {
         debug_assert!(data.len() <= CHUNK_SIZE);
         debug_assert!(!is_zero(data), "zero chunks must be elided by callers");
-        let hash = fnv1a(data);
         let mut st = self.state.lock();
         self.counters.ingested_bytes.add(data.len() as u64);
         let bucket = st.buckets.entry(hash).or_default();
-        // Existing identical chunk?
-        for (slot, entry) in bucket.iter_mut().enumerate() {
-            if entry.data.as_deref() == Some(data) {
-                entry.refs += 1;
-                self.counters.dedup_hits.inc();
-                return BlobId {
-                    hash,
-                    slot: slot as u32,
-                };
-            }
+        // Existing identical chunk? Bytes, not the digest, decide.
+        if let Some(slot) = self.probe(bucket, data) {
+            bucket[slot].refs += 1;
+            self.counters.dedup_hits.inc();
+            return BlobId {
+                hash,
+                slot: slot as u32,
+            };
         }
         // First sighting: retain the caller's buffer if it handed us one
         // (zero copy), otherwise copy the borrowed slice.
-        let stored = retain.unwrap_or_else(|| Bytes::copy_from_slice(data));
+        let entry = ChunkSlot {
+            data: Some(retain.unwrap_or_else(|| Bytes::copy_from_slice(data))),
+            refs: 1,
+        };
         // Reuse a freed slot or append.
         let slot = match bucket.iter().position(|s| s.data.is_none()) {
             Some(i) => {
-                bucket[i] = ChunkSlot {
-                    data: Some(stored),
-                    refs: 1,
-                };
+                bucket[i] = entry;
                 i
             }
             None => {
-                bucket.push(ChunkSlot {
-                    data: Some(stored),
-                    refs: 1,
-                });
+                bucket.push(entry);
                 bucket.len() - 1
             }
         };
         st.physical_bytes += data.len() as u64;
+        st.live_chunks += 1;
         BlobId {
             hash,
             slot: slot as u32,
         }
+    }
+
+    /// The slot of `bucket` holding exactly `data`, counting every live
+    /// slot passed over on the way as a digest collision.
+    fn probe(&self, bucket: &[ChunkSlot], data: &[u8]) -> Option<usize> {
+        for (slot, entry) in bucket.iter().enumerate() {
+            match entry.data.as_deref() {
+                Some(stored) if stored == data => return Some(slot),
+                Some(_) => self.counters.digest_collisions.inc(),
+                None => {}
+            }
+        }
+        None
     }
 
     /// Returns the chunk's bytes as a shared reference-counted buffer —
@@ -197,16 +301,13 @@ impl BlobStore {
     /// (diagnostics; the zero-copy proof tests use it to locate stored
     /// chunks for pointer-identity assertions).
     pub fn lookup_chunk(&self, data: &[u8]) -> Option<BlobId> {
-        let hash = fnv1a(data);
+        let hash = chunk_digest(data);
         let st = self.state.lock();
-        let bucket = st.buckets.get(&hash)?;
-        bucket
-            .iter()
-            .position(|s| s.data.as_deref() == Some(data))
-            .map(|slot| BlobId {
-                hash,
-                slot: slot as u32,
-            })
+        let slot = self.probe(st.buckets.get(&hash)?, data)?;
+        Some(BlobId {
+            hash,
+            slot: slot as u32,
+        })
     }
 
     /// Copies the chunk's bytes at `range` into `buf`. Panics on a dangling
@@ -252,8 +353,10 @@ impl BlobStore {
         let entry = &mut st.buckets.get_mut(&id.hash).expect("live chunk")[id.slot as usize];
         entry.refs = entry.refs.saturating_sub(1);
         if entry.refs == 0 {
-            let freed = entry.data.take().map_or(0, |d| d.len() as u64);
-            st.physical_bytes = st.physical_bytes.saturating_sub(freed);
+            if let Some(freed) = entry.data.take() {
+                st.physical_bytes -= freed.len() as u64;
+                st.live_chunks -= 1;
+            }
         }
     }
 
@@ -272,12 +375,7 @@ impl BlobStore {
         BlobStoreStats {
             physical_bytes: st.physical_bytes,
             ingested_bytes: self.counters.ingested_bytes.value(),
-            unique_chunks: st
-                .buckets
-                .values()
-                .flat_map(|b| b.iter())
-                .filter(|s| s.data.is_some())
-                .count() as u64,
+            unique_chunks: st.live_chunks,
             dedup_hits: self.counters.dedup_hits.value(),
         }
     }
@@ -315,9 +413,10 @@ impl BlobStore {
     }
 }
 
-/// True if every byte is zero.
+/// True if every byte is zero: eight-byte words, then a byte tail.
 pub fn is_zero(data: &[u8]) -> bool {
-    data.iter().all(|&b| b == 0)
+    let mut words = data.chunks_exact(8);
+    words.by_ref().all(|w| le_word(w) == 0) && words.remainder().iter().all(|&b| b == 0)
 }
 
 /// An owning reference to content in a [`BlobStore`]: a logical length plus
@@ -461,6 +560,111 @@ mod tests {
         drop(h);
         assert_eq!(s.refs(id), 0);
         assert_eq!(s.stats().physical_bytes, 0);
+    }
+
+    /// XXH64 reference vectors (seed 0): the empty input, tails shorter
+    /// than a word, and a 39-byte input that takes the four-lane path.
+    #[test]
+    fn chunk_digest_matches_xxh64() {
+        assert_eq!(chunk_digest(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(chunk_digest(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(chunk_digest(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            chunk_digest(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    /// A patterned 4 KiB chunk: every byte differs from its neighbours,
+    /// and the first is not zero.
+    fn patterned_chunk() -> Vec<u8> {
+        (0..CHUNK_SIZE)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7) ^ (i >> 8) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_digest() {
+        let mut chunk = patterned_chunk();
+        let base = chunk_digest(&chunk);
+        let mut seen = std::collections::HashSet::from([base]);
+        for bit in 0..CHUNK_SIZE * 8 {
+            chunk[bit / 8] ^= 1 << (bit % 8);
+            assert!(seen.insert(chunk_digest(&chunk)), "bit {bit}");
+            chunk[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(seen.len(), CHUNK_SIZE * 8 + 1);
+    }
+
+    #[test]
+    fn short_inputs_do_not_collide() {
+        let pattern = patterned_chunk();
+        let zeros = [0u8; 64];
+        let mut seen = std::collections::HashMap::new();
+        for len in 0..=64 {
+            for input in [&pattern[..len], &zeros[..len]] {
+                if let Some(prev) = seen.insert(chunk_digest(input), input) {
+                    assert_eq!(prev, input, "digest collision");
+                }
+            }
+        }
+        // The two families share only the empty input.
+        assert_eq!(seen.len(), 2 * 64 + 1);
+    }
+
+    #[test]
+    fn is_zero_finds_every_nonzero_byte() {
+        let mut page = vec![0u8; CHUNK_SIZE];
+        assert!(is_zero(&page));
+        for i in 0..CHUNK_SIZE {
+            page[i] = 0x80;
+            assert!(!is_zero(&page), "offset {i}");
+            page[i] = 0;
+        }
+        for len in 0..=17 {
+            let mut buf = vec![0u8; len];
+            assert!(is_zero(&buf), "len {len}");
+            for i in 0..len {
+                buf[i] = 1;
+                assert!(!is_zero(&buf), "len {len}, offset {i}");
+                buf[i] = 0;
+            }
+        }
+    }
+
+    /// Two different chunks forced under one digest get slots of their
+    /// own, each dedups against itself only, and a freed slot is reused.
+    #[test]
+    fn colliding_digests_keep_distinct_slots() {
+        let s = BlobStore::new();
+        let (a, b, c) = (&[1u8; 64][..], &[2u8; 64][..], &[3u8; 64][..]);
+        let ia = s.insert_with_digest(7, a, None);
+        let ib = s.insert_with_digest(7, b, None);
+        assert_ne!(ia, ib);
+        assert_eq!((ia.slot, ib.slot), (0, 1));
+        // `b`'s probe passed over `a`.
+        assert_eq!(s.counters.digest_collisions.value(), 1);
+        assert_eq!(s.insert_with_digest(7, a, None), ia);
+        assert_eq!(s.insert_with_digest(7, b, None), ib);
+        assert_eq!((s.refs(ia), s.refs(ib)), (2, 2));
+        assert_eq!(s.chunk(ia), a);
+        assert_eq!(s.chunk(ib), b);
+        let st = s.stats();
+        assert_eq!(
+            (st.unique_chunks, st.physical_bytes, st.dedup_hits),
+            (2, 128, 2)
+        );
+        // Free `a`: its slot goes to the next new chunk of the bucket.
+        s.dec_ref(ia);
+        s.dec_ref(ia);
+        assert_eq!(s.refs(ia), 0);
+        assert_eq!(s.stats().unique_chunks, 1);
+        let ic = s.insert_with_digest(7, c, None);
+        assert_eq!(ic.slot, ia.slot);
+        assert_eq!(s.chunk(ic), c);
+        assert_eq!(s.refs(ib), 2);
+        let st = s.stats();
+        assert_eq!((st.unique_chunks, st.physical_bytes), (2, 128));
     }
 
     #[test]
