@@ -7,8 +7,9 @@
 //! across every container of the image.
 
 use cntr_fs::{Filesystem, FilesystemExt, FsContext, MemFs};
-use cntr_overlay::BlobHandle;
-use cntr_types::{FileType, Ino, Mode, OpenFlags, SysResult};
+use cntr_overlay::backend::clone_file;
+use cntr_overlay::{BlobHandle, CHUNK_SIZE};
+use cntr_types::{Errno, FileType, Ino, Mode, OpenFlags, SysResult};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -290,11 +291,13 @@ fn apply_entry(fs: &dyn Filesystem, e: &FileEntry, ctx: &FsContext) -> SysResult
 
 /// Writes a [`Content`] into a freshly created file.
 ///
-/// Sparse content is a bare truncate (no pages are allocated), and blob
-/// content is streamed chunk-wise by reference (`write_bytes` of the stored
-/// chunk) — on a blob-backed filesystem each chunk write re-addresses into
-/// the shared store and degenerates to a refcount bump, so materializing a
-/// layer never duplicates bytes the store already holds.
+/// Sparse content is a bare truncate (no pages are allocated). Blob content
+/// on a blob-backed filesystem over the handle's own store is a reference
+/// copy ([`clone_file`]): the file takes the handle's chunk map whole, one
+/// refcount per chunk, so materializing a layer neither reads, hashes nor
+/// compares a byte the store already holds. Anywhere else (the flattened
+/// [`Image::materialize`] oracle into `MemFs`, a filesystem on another
+/// store) `clone_file` answers `EXDEV` and the chunks are written out.
 fn write_content(
     fs: &dyn Filesystem,
     ino: Ino,
@@ -311,22 +314,30 @@ fn write_content(
         Content::Sparse(n) => {
             fs.setattr(ino, &cntr_types::SetAttr::truncate(*n), ctx)?;
         }
-        Content::Blob(h) => {
-            let fh = fs.open(ino, OpenFlags::WRONLY)?;
-            for &(page, id) in h.chunks() {
-                let bytes = h.store().chunk_bytes(id);
-                let off = page * cntr_overlay::blob::CHUNK_SIZE as u64;
-                let end = (off + bytes.len() as u64).min(h.len());
-                let take = (end.saturating_sub(off)) as usize;
-                if take > 0 {
-                    fs.write_bytes(ino, fh, off, bytes.slice(..take))?;
-                }
-            }
-            fs.release(ino, fh)?;
-            // Holes and a sparse tail are restored by sizing the file last.
-            fs.setattr(ino, &cntr_types::SetAttr::truncate(h.len()), ctx)?;
+        Content::Blob(h) => match clone_file(fs, ino, h) {
+            Err(Errno::EXDEV) => write_blob(fs, ino, h, ctx)?,
+            cloned => cloned?,
+        },
+    }
+    Ok(())
+}
+
+/// Writes a blob's chunks into a file that cannot share them: each stored
+/// chunk goes to `write_bytes` as a slice, and sizing the file last
+/// restores holes and a sparse tail.
+fn write_blob(fs: &dyn Filesystem, ino: Ino, h: &BlobHandle, ctx: &FsContext) -> SysResult<()> {
+    let fh = fs.open(ino, OpenFlags::WRONLY)?;
+    for &(page, id) in h.chunks() {
+        let bytes = h.store().chunk_bytes(id);
+        let off = page * CHUNK_SIZE as u64;
+        let end = (off + bytes.len() as u64).min(h.len());
+        let take = (end.saturating_sub(off)) as usize;
+        if take > 0 {
+            fs.write_bytes(ino, fh, off, bytes.slice(..take))?;
         }
     }
+    fs.release(ino, fh)?;
+    fs.setattr(ino, &cntr_types::SetAttr::truncate(h.len()), ctx)?;
     Ok(())
 }
 
@@ -592,6 +603,68 @@ mod tests {
         img.materialize(&fs).unwrap();
         let etc = resolve_dir(fs.as_ref(), "/etc").unwrap();
         assert_eq!(fs.lookup(etc, "conf").unwrap().size, 3);
+    }
+
+    #[test]
+    fn cloning_across_stores_is_exdev_and_the_fallback_matches_the_clone() {
+        use cntr_overlay::{blobfs, BlobStore};
+        // Data, a hole, data, and a 1000-byte tail chunk.
+        let mut payload: Vec<u8> = (0..3 * 4096 + 1000).map(|i| (i % 249 + 1) as u8).collect();
+        payload[4096..2 * 4096].fill(0);
+        let (store_a, store_b) = (BlobStore::new(), BlobStore::new());
+        let (handle_a, handle_b) = (store_a.ingest(&payload), store_b.ingest(&payload));
+        assert_eq!(store_a.stats(), store_b.stats());
+        let ctx = FsContext::root();
+        let clock = SimClock::new();
+        let new_file = |fs: &dyn Filesystem, name: &str| {
+            fs.mknod(Ino::ROOT, name, FileType::Regular, Mode::RW_R__R__, 0, &ctx)
+                .unwrap()
+                .ino
+        };
+        let read_back = |fs: &dyn Filesystem, ino: Ino| {
+            let st = fs.getattr(ino).unwrap();
+            let fh = fs.open(ino, OpenFlags::RDONLY).unwrap();
+            let mut buf = vec![0u8; st.size as usize];
+            assert_eq!(fs.read(ino, fh, 0, &mut buf).unwrap(), buf.len());
+            buf
+        };
+
+        // Same store: the file is a reference copy.
+        let fs_a = blobfs(DevId(110), clock.clone(), Arc::clone(&store_a));
+        let cloned = new_file(fs_a.as_ref(), "cloned");
+        write_content(
+            fs_a.as_ref(),
+            cloned,
+            &Content::Blob(handle_a.clone()),
+            &ctx,
+        )
+        .unwrap();
+
+        // The chunk-write path on store B, as the fallback runs it, leaves
+        // the same bytes and the same store statistics.
+        let fs_b = blobfs(DevId(111), clock, Arc::clone(&store_b));
+        let written = new_file(fs_b.as_ref(), "written");
+        write_blob(fs_b.as_ref(), written, &handle_b, &ctx).unwrap();
+        assert_eq!(store_a.stats(), store_b.stats());
+        assert_eq!(read_back(fs_a.as_ref(), cloned), payload);
+        assert_eq!(read_back(fs_b.as_ref(), written), payload);
+
+        // Across stores the clone is refused and the content is copied.
+        let foreign = new_file(fs_b.as_ref(), "foreign");
+        assert_eq!(
+            clone_file(fs_b.as_ref(), foreign, &handle_a),
+            Err(Errno::EXDEV)
+        );
+        let stats_a = store_a.stats();
+        write_content(
+            fs_b.as_ref(),
+            foreign,
+            &Content::Blob(handle_a.clone()),
+            &ctx,
+        )
+        .unwrap();
+        assert_eq!(read_back(fs_b.as_ref(), foreign), payload);
+        assert_eq!(store_a.stats(), stats_a, "store A only lent its bytes");
     }
 
     #[test]

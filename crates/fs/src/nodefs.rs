@@ -168,6 +168,58 @@ impl<S: FileStore> NodeFs<S> {
         self.state.lock().used_bytes
     }
 
+    /// Runs `f` on regular file `ino`'s content and size under the state
+    /// lock: the source side of a reference copy.
+    pub fn with_content<R>(
+        &self,
+        ino: Ino,
+        f: impl FnOnce(&S, &S::Content, u64) -> R,
+    ) -> SysResult<R> {
+        let st = self.state.lock();
+        let node = st.inodes.get(&ino).ok_or(Errno::ENOENT)?;
+        match &node.kind {
+            NodeKind::File(content) => Ok(f(&self.store, content, node.meta.size)),
+            NodeKind::Dir(_) => Err(Errno::EISDIR),
+            _ => Err(Errno::EINVAL),
+        }
+    }
+
+    /// Makes `content` regular file `ino`'s whole content at `size` bytes:
+    /// the destination side of a reference copy (Linux's `FICLONE`).
+    /// Capacity, size, timestamps and the setuid/setgid strip are charged
+    /// as a write charges them. Whichever content the file does not keep —
+    /// the old one, or `content` on an error such as `ENOSPC` — is
+    /// deallocated.
+    pub fn replace_content(&self, ino: Ino, mut content: S::Content, size: u64) -> SysResult<()> {
+        let now = self.clock.now();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let node = st.inodes.get_mut(&ino);
+        let result = match node.map(|n| (&mut n.kind, &mut n.meta)) {
+            Some((NodeKind::File(old), meta)) => {
+                let before = self.store.allocated_bytes(old);
+                let after = self.store.allocated_bytes(&content);
+                let used = st.used_bytes.saturating_sub(before).saturating_add(after);
+                if used > self.capacity {
+                    Err(Errno::ENOSPC)
+                } else {
+                    std::mem::swap(old, &mut content);
+                    st.used_bytes = used;
+                    meta.size = size;
+                    meta.mtime = now;
+                    meta.ctime = now;
+                    meta.mode = meta.mode.clear_suid_sgid();
+                    Ok(())
+                }
+            }
+            Some((NodeKind::Dir(_), _)) => Err(Errno::EISDIR),
+            Some(_) => Err(Errno::EINVAL),
+            None => Err(Errno::ENOENT),
+        };
+        self.store.dealloc(&mut content);
+        result
+    }
+
     fn stat_of(&self, ino: Ino, meta: &Meta) -> Stat {
         Stat {
             dev: self.dev_id,
@@ -368,6 +420,10 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
 
     fn features(&self) -> FsFeatures {
         FsFeatures::local()
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 
     fn lookup(&self, parent: Ino, name: &str) -> SysResult<Stat> {

@@ -5,6 +5,7 @@ use cntr_types::{
     DevId, Dirent, FileType, Gid, Ino, Mode, OpenFlags, RenameFlags, SetAttr, Stat, Statfs,
     SysResult, Uid,
 };
+use std::any::Any;
 use std::sync::Arc;
 
 /// Maximum length of one path component, as on Linux (`NAME_MAX`).
@@ -337,6 +338,15 @@ pub trait Filesystem: Send + Sync {
     /// override this to return `EOPNOTSUPP` — xfstests #426.
     fn export_handle(&self, ino: Ino) -> SysResult<u64> {
         Ok(ino.raw())
+    }
+
+    /// The concrete filesystem behind this trait object, for a crate that
+    /// shares storage between its own instances: the overlay crate
+    /// recognizes a blob-backed `NodeFs` here and clones files between two
+    /// of them by reference (Linux's `->remap_file_range`). `None` (the
+    /// default) makes every such attempt fall back to copying bytes.
+    fn as_any(&self) -> Option<&dyn Any> {
+        None
     }
 }
 

@@ -6,7 +6,8 @@
 //! billed to — and limited by — the container.
 
 use cntr_types::{Errno, Pid, SysResult};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// A cgroup's position in the hierarchy, e.g.
 /// `/sys/fs/cgroup/docker/<container-id>`.
@@ -47,6 +48,9 @@ struct CgroupNode {
 #[derive(Debug, Default)]
 pub struct CgroupTree {
     nodes: BTreeMap<CgroupPath, CgroupNode>,
+    /// Each member pid's cgroup, as Linux keeps `task->cgroups`: attach,
+    /// exit and lookup touch one group, not the whole hierarchy.
+    of: HashMap<Pid, CgroupPath>,
 }
 
 impl CgroupTree {
@@ -85,7 +89,14 @@ impl CgroupTree {
         if !node.members.is_empty() {
             return Err(Errno::EBUSY);
         }
-        let has_children = self.nodes.keys().any(|p| p != path && p.is_within(path));
+        // Descendants are the keys right after `<path>/` (`/ab` sorts
+        // after every `/a/…`); no key ends in `/`, the root's excepted.
+        let prefix = format!("{}/", path.0.trim_end_matches('/'));
+        let has_children = self
+            .nodes
+            .range((Excluded(CgroupPath(prefix.clone())), Unbounded))
+            .next()
+            .is_some_and(|(p, _)| p.0.starts_with(&prefix));
         if has_children {
             return Err(Errno::EBUSY);
         }
@@ -103,30 +114,28 @@ impl CgroupTree {
                 return Err(Errno::EAGAIN);
             }
         }
-        for node in self.nodes.values_mut() {
-            node.members.remove(&pid);
-        }
+        self.detach_everywhere(pid);
         self.nodes
             .get_mut(path)
             .expect("checked above")
             .members
             .insert(pid);
+        self.of.insert(pid, path.clone());
         Ok(())
     }
 
-    /// Removes a process from every cgroup (process exit).
+    /// Removes a process from its cgroup (process exit).
     pub fn detach_everywhere(&mut self, pid: Pid) {
-        for node in self.nodes.values_mut() {
-            node.members.remove(&pid);
+        if let Some(old) = self.of.remove(&pid) {
+            if let Some(node) = self.nodes.get_mut(&old) {
+                node.members.remove(&pid);
+            }
         }
     }
 
     /// The cgroup a process currently belongs to.
     pub fn cgroup_of(&self, pid: Pid) -> Option<CgroupPath> {
-        self.nodes
-            .iter()
-            .find(|(_, n)| n.members.contains(&pid))
-            .map(|(p, _)| p.clone())
+        self.of.get(&pid).cloned()
     }
 
     /// Sets limits on a cgroup.
@@ -187,6 +196,17 @@ mod tests {
         assert_eq!(t.remove(&a), Err(Errno::EBUSY));
         t.remove(&CgroupPath("/a/kid".into())).unwrap();
         t.remove(&a).unwrap();
+    }
+
+    #[test]
+    fn remove_beside_a_sibling_sharing_its_prefix() {
+        let mut t = CgroupTree::new();
+        let a = t.create("/a").unwrap();
+        let ab = t.create("/ab").unwrap();
+        t.create("/ab/kid").unwrap();
+        t.remove(&a).unwrap();
+        assert_eq!(t.remove(&ab), Err(Errno::EBUSY), "/ab still has a child");
+        assert_eq!(t.remove(&CgroupPath::root()), Err(Errno::EBUSY));
     }
 
     #[test]

@@ -5,15 +5,22 @@
 //! POSIX level — same semantics, same sparse-file behaviour — but every
 //! written page is content-hashed into the machine-wide blob store, so
 //! identical data across files, layers, and filesystems is stored once.
-//! Writing a chunk that some image layer already holds is a refcount bump:
-//! this is what makes copy-up cheap and N containers of one image
-//! O(upper writes).
+//! A written page the store already holds costs its digest and a byte
+//! compare, then a refcount bump.
+//!
+//! Content the store already holds as a chunk map — an image blob's
+//! [`BlobHandle`], another `BlobFs` file's [`chunk_map`] — needs neither:
+//! [`clone_file`] installs the map by reference, in the manner of Linux's
+//! `FICLONE`. Layer materialization and overlay copy-up take that path,
+//! which is what makes container start and copy-up cheap and N containers
+//! of one image O(upper writes).
 
-use crate::blob::{is_zero, BlobId, BlobStore, CHUNK_SIZE};
+use crate::blob::{is_zero, BlobHandle, BlobId, BlobStore, CHUNK_SIZE};
 use bytes::Bytes;
 use cntr_fs::nodefs::NodeFs;
 use cntr_fs::store::{for_each_page, punch_hole_pages, zero_partial_edges, FileStore};
-use cntr_types::{DevId, SimClock};
+use cntr_fs::Filesystem;
+use cntr_types::{DevId, Errno, Ino, SimClock, SysResult};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -25,6 +32,9 @@ fn zero_chunk() -> &'static Bytes {
     static ZERO: OnceLock<Bytes> = OnceLock::new();
     ZERO.get_or_init(|| Bytes::from(vec![0u8; CHUNK_SIZE]))
 }
+
+/// Lock class of a backend's held-chunk ledger.
+pub(crate) const HELD_CLASS: &str = "overlay.backend.held";
 
 /// Content store delegating all bytes to a shared [`BlobStore`].
 pub struct BlobBackend {
@@ -42,7 +52,7 @@ impl BlobBackend {
     pub fn new(store: Arc<BlobStore>) -> BlobBackend {
         BlobBackend {
             store,
-            held: Mutex::new_class("overlay.backend.held", HashMap::new()),
+            held: Mutex::new_class(HELD_CLASS, HashMap::new()),
         }
     }
 
@@ -63,6 +73,20 @@ impl BlobBackend {
         };
         if let Some(old) = old {
             self.release(old);
+        }
+    }
+
+    /// A chunk map that holds its own reference on each chunk of `src`
+    /// (one `inc_ref` each, entered in the ledger), counted in the store's
+    /// stats as the writes of those chunks it replaces.
+    fn adopt(&self, src: &BlobHandle) -> BlobContent {
+        self.store.adopt(src);
+        let mut held = self.held.lock();
+        for &(_, id) in src.chunks() {
+            *held.entry(id).or_insert(0) += 1;
+        }
+        BlobContent {
+            chunks: src.chunks().iter().copied().collect(),
         }
     }
 
@@ -230,6 +254,41 @@ impl FileStore for BlobBackend {
 /// A POSIX filesystem whose file contents live in a shared [`BlobStore`].
 pub type BlobFs = NodeFs<BlobBackend>;
 
+/// `fs` as a [`BlobFs`], if that is what it is.
+fn as_blobfs(fs: &dyn Filesystem) -> Option<&BlobFs> {
+    fs.as_any()?.downcast_ref()
+}
+
+/// Regular file `ino`'s chunk map as an owning handle: one reference per
+/// chunk, and the file's size as its length. `EXDEV` unless `fs` is a
+/// [`BlobFs`], since only a blob-backed file has a chunk map to share.
+pub fn chunk_map(fs: &dyn Filesystem, ino: Ino) -> SysResult<BlobHandle> {
+    let fs = as_blobfs(fs).ok_or(Errno::EXDEV)?;
+    fs.with_content(ino, |backend, content, size| {
+        let chunks = content.chunks.iter().map(|(&page, &id)| (page, id));
+        backend.store.share(size, chunks.collect())
+    })
+}
+
+/// Makes regular file `ino` of `fs` a reference copy of `src`, in the
+/// manner of Linux's `FICLONE` (`->remap_file_range`): the file's whole
+/// content becomes `src`'s chunk map, each chunk gaining one reference,
+/// and its size `src.len()`. No byte is read, hashed or compared.
+/// Capacity (`ENOSPC`), size, timestamps and the setuid/setgid strip are
+/// charged as the writes of the same bytes would charge them, and the
+/// store counts each chunk as the `put` it replaces.
+///
+/// `EXDEV` unless `fs` is a [`BlobFs`] on `src`'s own store (chunk ids
+/// mean nothing in another store); the caller then copies the bytes.
+pub fn clone_file(fs: &dyn Filesystem, ino: Ino, src: &BlobHandle) -> SysResult<()> {
+    let fs = as_blobfs(fs).ok_or(Errno::EXDEV)?;
+    let backend = fs.store();
+    if !Arc::ptr_eq(&backend.store, src.store()) {
+        return Err(Errno::EXDEV);
+    }
+    fs.replace_content(ino, backend.adopt(src), src.len())
+}
+
 /// Default capacity, matching `cntr_fs::memfs`.
 pub const DEFAULT_CAPACITY: u64 = 16 << 30;
 
@@ -377,6 +436,76 @@ mod tests {
         fs.unlink(Ino::ROOT, "f").unwrap();
         assert_eq!(store.stats().physical_bytes, 0);
         assert_eq!(fs.used_bytes(), 0);
+    }
+
+    /// Three data chunks around a hole, then a 1000-byte tail chunk.
+    fn holey_payload() -> Vec<u8> {
+        let mut payload: Vec<u8> = (0..4 * CHUNK_SIZE + 1000)
+            .map(|i| (i % 253 + 1) as u8)
+            .collect();
+        payload[CHUNK_SIZE..2 * CHUNK_SIZE].fill(0);
+        payload
+    }
+
+    #[test]
+    fn clone_file_with_a_hole_and_a_partial_tail_reads_back_the_handle() {
+        let (store, fs) = fs_pair();
+        let handle = store.ingest(&holey_payload());
+        assert_eq!(handle.chunks().len(), 4, "the hole is not a chunk");
+        let before = store.stats();
+        let ino = create(&fs, "clone");
+        clone_file(fs.as_ref(), ino, &handle).unwrap();
+
+        let st = fs.getattr(ino).unwrap();
+        assert_eq!(st.size, handle.len());
+        let fh = fs.open(ino, OpenFlags::RDONLY).unwrap();
+        let mut out = vec![7u8; st.size as usize];
+        assert_eq!(fs.read(ino, fh, 0, &mut out).unwrap(), out.len());
+        fs.release(ino, fh).unwrap();
+        assert_eq!(out, handle.read_all());
+        for &(_, id) in handle.chunks() {
+            assert_eq!(store.refs(id), 2, "the handle's reference plus the file's");
+        }
+        // Counted as the four writes it replaces; no byte stored twice.
+        let after = store.stats();
+        assert_eq!(after.physical_bytes, before.physical_bytes);
+        assert_eq!(after.dedup_hits, before.dedup_hits + 4);
+        assert_eq!(
+            after.ingested_bytes,
+            before.ingested_bytes + 4 * CHUNK_SIZE as u64
+        );
+        assert_eq!(fs.used_bytes(), 4 * CHUNK_SIZE as u64);
+        assert_eq!(chunk_map(fs.as_ref(), ino).unwrap(), handle);
+    }
+
+    #[test]
+    fn clone_file_refuses_a_full_filesystem_and_a_foreign_store() {
+        let store = BlobStore::new();
+        let handle = store.ingest(&holey_payload());
+        let small = blobfs_with_capacity(
+            DevId(81),
+            SimClock::new(),
+            Arc::clone(&store),
+            3 * CHUNK_SIZE as u64,
+        );
+        let ino = create(&small, "f");
+        let before = store.stats();
+        assert_eq!(clone_file(small.as_ref(), ino, &handle), Err(Errno::ENOSPC));
+        assert_eq!(small.getattr(ino).unwrap().size, 0);
+        assert_eq!(small.used_bytes(), 0);
+        assert_eq!(store.stats().physical_bytes, before.physical_bytes);
+        for &(_, id) in handle.chunks() {
+            assert_eq!(store.refs(id), 1, "a refused clone keeps no reference");
+        }
+
+        let (_other, foreign) = fs_pair();
+        let ino = create(&foreign, "f");
+        assert_eq!(
+            clone_file(foreign.as_ref(), ino, &handle),
+            Err(Errno::EXDEV)
+        );
+        let mem = cntr_fs::memfs::memfs(DevId(82), SimClock::new());
+        assert_eq!(chunk_map(mem.as_ref(), Ino::ROOT), Err(Errno::EXDEV));
     }
 
     #[test]

@@ -134,6 +134,32 @@ struct BlobState {
     live_chunks: u64,
 }
 
+impl BlobState {
+    fn slot_mut(&mut self, id: BlobId) -> &mut ChunkSlot {
+        &mut self.buckets.get_mut(&id.hash).expect("live chunk")[id.slot as usize]
+    }
+
+    /// Adds one reference to a live chunk and returns its length.
+    fn inc_ref(&mut self, id: BlobId) -> u64 {
+        let entry = self.slot_mut(id);
+        let len = entry.data.as_ref().expect("live chunk").len() as u64;
+        entry.refs += 1;
+        len
+    }
+
+    /// Drops one reference; frees the chunk's bytes at zero.
+    fn dec_ref(&mut self, id: BlobId) {
+        let entry = self.slot_mut(id);
+        entry.refs = entry.refs.saturating_sub(1);
+        if entry.refs == 0 {
+            if let Some(freed) = entry.data.take() {
+                self.physical_bytes -= freed.len() as u64;
+                self.live_chunks -= 1;
+            }
+        }
+    }
+}
+
 obs::counter_scope! {
     /// Ingest events of one store, writing through to `overlay.blob.*`.
     struct BlobCounters(Subsystem::Overlay) {
@@ -145,6 +171,26 @@ obs::counter_scope! {
         /// differ: chunks whose digests collide.
         digest_collisions: "overlay.blob.digest-collisions",
     }
+}
+
+/// Lock class of a store's chunk table.
+const STATE_CLASS: &str = "overlay.blob.state";
+
+/// Ranks the blob-backed filesystem's locks above every other declared
+/// group (kernel 0–4, FUSE ring 5–7, attach plane 8–9, CntrFS server 10).
+/// A `NodeFs`'s state (11) is held across each call into its backend,
+/// which takes the held-chunk ledger (12) and the store's chunk table
+/// (13); a dropped filesystem holds the ledger while it returns its
+/// references to the chunk table. Nothing is acquired under the chunk
+/// table. Idempotent; runs on every store construction.
+fn declare_blob_lock_discipline() {
+    let mut groups: Vec<&[&str]> = vec![&[]; 11];
+    groups.extend([
+        &["fs.node_state"][..],
+        &[crate::backend::HELD_CLASS],
+        &[STATE_CLASS],
+    ]);
+    lockdep::ordering(&groups);
 }
 
 /// Content-addressed, chunked, refcounted storage for file data.
@@ -163,8 +209,9 @@ impl Default for BlobStore {
         // Listed in `/proc/cntrstats` from the first store on, so a run
         // without collisions reads 0 rather than nothing.
         counters.digest_collisions.add(0);
+        declare_blob_lock_discipline();
         BlobStore {
-            state: Mutex::new_class("overlay.blob.state", BlobState::default()),
+            state: Mutex::new_class(STATE_CLASS, BlobState::default()),
             counters,
         }
     }
@@ -339,25 +386,39 @@ impl BlobStore {
             .to_vec()
     }
 
-    /// Adds one reference to a chunk.
-    pub fn inc_ref(&self, id: BlobId) {
-        let mut st = self.state.lock();
-        let entry = &mut st.buckets.get_mut(&id.hash).expect("live chunk")[id.slot as usize];
-        debug_assert!(entry.data.is_some());
-        entry.refs += 1;
-    }
-
     /// Drops one reference; frees the chunk's bytes at zero.
     pub fn dec_ref(&self, id: BlobId) {
-        let mut st = self.state.lock();
-        let entry = &mut st.buckets.get_mut(&id.hash).expect("live chunk")[id.slot as usize];
-        entry.refs = entry.refs.saturating_sub(1);
-        if entry.refs == 0 {
-            if let Some(freed) = entry.data.take() {
-                st.physical_bytes -= freed.len() as u64;
-                st.live_chunks -= 1;
-            }
+        self.state.lock().dec_ref(id);
+    }
+
+    /// An owning handle of `len` bytes over `chunks`, whose ids the caller
+    /// holds live: one more reference each, under one lock.
+    pub fn share(self: &Arc<Self>, len: u64, chunks: Vec<(u64, BlobId)>) -> BlobHandle {
+        self.inc_refs(&chunks);
+        BlobHandle {
+            store: Arc::clone(self),
+            len,
+            chunks,
         }
+    }
+
+    /// Adds one reference to each chunk of `src` for a file that clones it
+    /// by reference, and counts each as the [`BlobStore::put`] of its bytes
+    /// that a copy would have made: `ingested_bytes` grows by the chunk's
+    /// length and `dedup_hits` by one, so the stats read the same whichever
+    /// way the file was filled.
+    pub fn adopt(&self, src: &BlobHandle) {
+        debug_assert!(std::ptr::eq(self, Arc::as_ptr(&src.store)));
+        let bytes = self.inc_refs(&src.chunks);
+        self.counters.ingested_bytes.add(bytes);
+        self.counters.dedup_hits.add(src.chunks.len() as u64);
+    }
+
+    /// Adds one reference to each of `chunks` under one lock and returns
+    /// their stored length.
+    fn inc_refs(&self, chunks: &[(u64, BlobId)]) -> u64 {
+        let mut st = self.state.lock();
+        chunks.iter().map(|&(_, id)| st.inc_ref(id)).sum()
     }
 
     /// Current reference count of a chunk (0 if freed).
@@ -385,8 +446,8 @@ impl BlobStore {
     ///
     /// A partial tail chunk is zero-padded to [`CHUNK_SIZE`] before being
     /// addressed, so it hashes identically to the page a filesystem write
-    /// of the same bytes would produce — materializing unaligned blob
-    /// content stays a refcount bump, never a second copy.
+    /// of the same bytes would produce — writing unaligned blob content
+    /// out through a filesystem dedups against it, never a second copy.
     pub fn ingest(self: &Arc<Self>, data: &[u8]) -> BlobHandle {
         let mut chunks = Vec::new();
         let mut off = 0usize;
@@ -452,7 +513,7 @@ impl BlobHandle {
     }
 
     /// Reassembles the full content (holes as zeroes). Test/diagnostic
-    /// helper; materialization streams chunk-by-chunk instead.
+    /// helper; materialization installs the chunk map instead.
     pub fn read_all(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.len as usize];
         for &(idx, id) in &self.chunks {
@@ -468,21 +529,15 @@ impl BlobHandle {
 
 impl Clone for BlobHandle {
     fn clone(&self) -> BlobHandle {
-        for &(_, id) in &self.chunks {
-            self.store.inc_ref(id);
-        }
-        BlobHandle {
-            store: Arc::clone(&self.store),
-            len: self.len,
-            chunks: self.chunks.clone(),
-        }
+        self.store.share(self.len, self.chunks.clone())
     }
 }
 
 impl Drop for BlobHandle {
     fn drop(&mut self) {
+        let mut st = self.store.state.lock();
         for &(_, id) in &self.chunks {
-            self.store.dec_ref(id);
+            st.dec_ref(id);
         }
     }
 }

@@ -19,8 +19,9 @@
 //!   write/setattr, whiteouts and opaque directories on unlink/rmdir
 //!   (Linux overlayfs conventions: a 0/0 character device is a whiteout,
 //!   `trusted.overlay.opaque` marks an opaque directory), and merged
-//!   readdir. Because upper and lowers are blob-backed, copy-up of
-//!   unmodified chunks degenerates to refcount bumps.
+//!   readdir. Because upper and lowers are blob-backed on one store,
+//!   copy-up hands the lower's chunk map to the upper by reference: one
+//!   refcount per chunk, no byte copied or hashed.
 //!
 //! `cntr-engine` materializes each image layer **once** as a shared
 //! read-only [`BlobFs`] and gives every container a cheap [`OverlayFs`]

@@ -10,9 +10,10 @@
 //!   lower directories at the same path stop contributing entries;
 //! * any mutation of lower content (write, truncate, chmod, chown, xattr,
 //!   link, rename) triggers **copy-up**: the file is recreated in the upper
-//!   layer with identical ownership, mode, timestamps and xattrs, and its
-//!   data is copied chunk-by-chunk. When upper and lowers share one
-//!   [`crate::BlobStore`], those copies dedup into refcount bumps.
+//!   layer with identical ownership, mode, timestamps and xattrs. When
+//!   upper and lower are blob-backed on one [`crate::BlobStore`], the data
+//!   moves as the lower's chunk map, one refcount per chunk; otherwise it
+//!   is copied chunk-by-chunk.
 //!
 //! Deviations from Linux overlayfs, chosen for POSIX equivalence with a
 //! flattened filesystem (the property the `prop_fs` oracle checks):
@@ -25,6 +26,7 @@
 //! One Linux quirk is preserved: a file opened read-only before a copy-up
 //! keeps reading the lower file's (stale) data through that handle.
 
+use crate::backend::{chunk_map, clone_file};
 use crate::blob::CHUNK_SIZE;
 use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags, MAX_NAME_LEN};
 use cntr_types::{
@@ -656,11 +658,14 @@ impl OverlayFs {
         Ok(created.ino)
     }
 
-    /// Streams file data from a lower file into a fresh upper file,
-    /// chunk-by-chunk, skipping holes (all-zero chunks). Each chunk moves
-    /// by reference: the lower's `read_bytes` slice is what the upper's
-    /// `write_bytes` receives, so a blob-backed upper on the lower's store
-    /// takes it as a refcount bump.
+    /// Copies file data from a lower file into a fresh upper file.
+    ///
+    /// As Linux's `ovl_copy_up_file` tries `vfs_clone_file_range` first, a
+    /// blob-backed lower and upper on one store share the data: the upper
+    /// file takes the lower's chunk map by reference ([`clone_file`]), one
+    /// refcount per chunk, no byte read or hashed. Otherwise (`EXDEV`: a
+    /// layer that is not a `BlobFs`, or two stores) the data streams
+    /// chunk-by-chunk, skipping holes (all-zero chunks).
     fn copy_data(
         &self,
         src: &Arc<dyn Filesystem>,
@@ -668,6 +673,16 @@ impl OverlayFs {
         dst_ino: Ino,
         size: u64,
     ) -> SysResult<()> {
+        match chunk_map(src.as_ref(), src_ino)
+            .and_then(|map| clone_file(self.upper.as_ref(), dst_ino, &map))
+        {
+            Ok(()) => {
+                OBS_COPY_UP_BYTES.add(size);
+                return Ok(());
+            }
+            Err(Errno::EXDEV) => {}
+            Err(e) => return Err(e),
+        }
         let sfh = src.open(src_ino, OpenFlags::RDONLY)?;
         let dfh = self.upper.open(dst_ino, OpenFlags::WRONLY)?;
         let mut off = 0u64;

@@ -2,6 +2,7 @@
 //! directories, readdir merging, and blob-store dedup across layers.
 
 use cntr_fs::{Filesystem, FilesystemExt, FsContext, XattrFlags, XATTR_NAME_CAPS};
+use cntr_overlay::backend::chunk_map;
 use cntr_overlay::{blobfs, BlobStore, OverlayFs};
 use cntr_types::{
     DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, RenameFlags, SetAttr, SimClock, Uid,
@@ -181,6 +182,107 @@ fn copy_up_on_write_leaves_lower_untouched_and_dedups() {
         CHUNK as u64,
         "copy-up of the unmodified chunk must be a refcount bump"
     );
+}
+
+/// A one-file lower (`/f`: five distinct chunks and a 100-byte tail) and
+/// an upper, each a `BlobFs` on the given store.
+fn one_file_overlay(
+    lower_store: &Arc<BlobStore>,
+    upper_store: &Arc<BlobStore>,
+) -> (Arc<dyn Filesystem>, Arc<OverlayFs>, Vec<u8>) {
+    let clock = SimClock::new();
+    let ctx = FsContext::root();
+    let payload: Vec<u8> = (0..5 * CHUNK + 100)
+        .map(|i| (i / 3 % 251 + 1) as u8)
+        .collect();
+    let lower = blobfs(DevId(20), clock.clone(), Arc::clone(lower_store));
+    let f = lower
+        .mknod(Ino::ROOT, "f", FileType::Regular, Mode::RW_R__R__, 0, &ctx)
+        .unwrap();
+    let fh = lower.open(f.ino, OpenFlags::WRONLY).unwrap();
+    lower.write(f.ino, fh, 0, &payload).unwrap();
+    lower.release(f.ino, fh).unwrap();
+    let upper = blobfs(DevId(21), clock, Arc::clone(upper_store));
+    let lower: Arc<dyn Filesystem> = lower;
+    let overlay = OverlayFs::new(DevId(22), vec![Arc::clone(&lower)], upper);
+    (lower, overlay, payload)
+}
+
+#[test]
+fn one_page_written_to_an_adopted_copy_up_leaves_the_lower_intact() {
+    let store = BlobStore::new();
+    let (lower, overlay, payload) = one_file_overlay(&store, &store);
+    let lower_ino = resolve(lower.as_ref(), "/f").unwrap().ino;
+    let lower_map = chunk_map(lower.as_ref(), lower_ino).unwrap();
+    assert_eq!(lower_map.chunks().len(), 6);
+    let refs_before: Vec<u64> = lower_map
+        .chunks()
+        .iter()
+        .map(|&(_, id)| store.refs(id))
+        .collect();
+    let stats_before = store.stats();
+
+    // One whole page written over page 1 copies the file up first.
+    write_at(overlay.as_ref(), "/f", CHUNK as u64, &[0x5A; CHUNK]);
+
+    let mut want = payload.clone();
+    want[CHUNK..2 * CHUNK].fill(0x5A);
+    assert_eq!(read_all(overlay.as_ref(), "/f"), want);
+    assert_eq!(
+        read_all(lower.as_ref(), "/f"),
+        payload,
+        "lower bytes intact"
+    );
+    for (&(page, id), before) in lower_map.chunks().iter().zip(refs_before) {
+        // The upper took a reference on every lower chunk, then gave back
+        // the one the write replaced.
+        let held_by_upper = u64::from(page != 1);
+        assert_eq!(store.refs(id), before + held_by_upper, "page {page}");
+    }
+    let upper_ino = resolve(overlay.upper_layer().as_ref(), "/f").unwrap().ino;
+    let upper_map = chunk_map(overlay.upper_layer().as_ref(), upper_ino).unwrap();
+    assert_eq!(upper_map.len(), payload.len() as u64);
+    for (up, low) in upper_map.chunks().iter().zip(lower_map.chunks()) {
+        assert_eq!(up.0, low.0);
+        assert_eq!(up.1 == low.1, up.0 != 1, "page {}", up.0);
+    }
+    // The copy-up counts as the six chunk writes it replaced, then the
+    // page write stores one new chunk.
+    let stats_after = store.stats();
+    assert_eq!(stats_after.dedup_hits, stats_before.dedup_hits + 6);
+    assert_eq!(
+        stats_after.ingested_bytes,
+        stats_before.ingested_bytes + 7 * CHUNK as u64
+    );
+    assert_eq!(
+        stats_after.physical_bytes,
+        stats_before.physical_bytes + CHUNK as u64
+    );
+}
+
+#[test]
+fn copy_up_across_two_stores_copies_the_bytes() {
+    let (lower_store, upper_store) = (BlobStore::new(), BlobStore::new());
+    let (lower, overlay, payload) = one_file_overlay(&lower_store, &upper_store);
+    let lower_ino = resolve(lower.as_ref(), "/f").unwrap().ino;
+    let lower_map = chunk_map(lower.as_ref(), lower_ino).unwrap();
+    let lower_stats = lower_store.stats();
+
+    write_at(overlay.as_ref(), "/f", 0, b"x");
+
+    let mut want = payload.clone();
+    want[0] = b'x';
+    assert_eq!(read_all(overlay.as_ref(), "/f"), want);
+    assert_eq!(read_all(lower.as_ref(), "/f"), payload);
+    assert_eq!(
+        lower_store.stats(),
+        lower_stats,
+        "nothing shared across stores"
+    );
+    for &(_, id) in lower_map.chunks() {
+        assert_eq!(lower_store.refs(id), 2, "the lower file and the map");
+    }
+    assert_eq!(upper_store.stats().unique_chunks, 6);
 }
 
 #[test]
