@@ -5,7 +5,7 @@ use cntr_phoronix::figure4;
 fn main() {
     println!("Figure 4 — IOzone sequential read vs CntrFS worker threads");
     println!("(paper: throughput drops by up to ~8% from 1 to 16 threads)");
-    println!("(each point: real OS worker threads via RingTransport)");
+    println!("(each point: the worker threads' synchronization, priced per request)");
     println!("{:-<54}", "");
     let rows = figure4();
     let base = rows[0].throughput_mb_s;

@@ -92,24 +92,12 @@ const ANCHOR: OpenFlags = OpenFlags::RDONLY.with(OpenFlags::PATH | OpenFlags::NO
 /// Lock class of a server's inode and handle maps.
 const STATE_CLASS: &str = "core.cntrfs.state";
 
-/// Ranks the server's state lock as the leaf above every other declared
-/// group (kernel 0–4, FUSE ring 5–7, attach plane 8–9): nothing is taken
-/// while it is held, so every system call — the `openat` of a LOOKUP
-/// included — runs with it released.
+/// Ranks the server's state lock above the kernel (0–4) and the attach
+/// plane (5–6), in group 7: nothing is taken while it is held, so every
+/// system call — the `openat` of a LOOKUP included — runs with it
+/// released.
 fn declare_server_lock_discipline() {
-    lockdep::ordering(&[
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        &[STATE_CLASS],
-    ]);
+    lockdep::ordering(&[&[], &[], &[], &[], &[], &[], &[], &[STATE_CLASS]]);
 }
 
 struct InodeEntry {

@@ -105,8 +105,8 @@ obs::counter_scope! {
     }
 }
 
-/// Lock classes of the attach plane, ranked above the kernel's and the
-/// FUSE ring's in the global lock-ordering table: plane locks are leaves
+/// Lock classes of the attach plane, ranked above the kernel's in the
+/// global lock-ordering table: plane locks are leaves
 /// acquired *after* any kernel lock would be, which (with lockdep on)
 /// proves no plane lock is ever held across a kernel syscall.
 pub mod lock_class {
@@ -119,15 +119,11 @@ pub mod lock_class {
     pub const LOOP_STATE: &str = "core.attach.loop-state";
 }
 
-/// Ranks the plane's lock classes: kernel groups 0–4 and FUSE-ring
-/// groups 5–7 stay where their own crates declared them; the plane's
-/// container locks land in group 8 and the loop slab is the group-9
-/// leaf.
+/// Ranks the plane's lock classes: kernel groups 0–4 stay where the
+/// kernel declared them; the plane's container locks land in group 5 and
+/// the loop slab is the group-6 leaf.
 fn declare_plane_lock_discipline() {
     lockdep::ordering(&[
-        &[],
-        &[],
-        &[],
         &[],
         &[],
         &[],

@@ -25,8 +25,8 @@
 //!   switch, which is why the paper shipped with it disabled (§3.3). The
 //!   shipping profile turns it on: batched write-back makes WRITEs few and
 //!   large, so the peek amortizes ([`InitFlags::cntr_default`]);
-//! * **worker threads** add per-request synchronization overhead
-//!   (Figure 4);
+//! * the server's **worker threads** add per-request synchronization
+//!   overhead, priced from [`FuseConfig::workers`] (Figure 4);
 //! * **passthrough** (`FUSE_PASSTHROUGH`, Linux 6.9) takes file data off
 //!   FUSE altogether: an OPEN reply with a backing id hands the handle to
 //!   the kernel ([`Filesystem::passthrough`]), which reads and writes the
@@ -265,10 +265,12 @@ impl FuseClientFs {
         st.readahead.clear();
     }
 
-    /// Charges the protocol cost of one round trip.
-    fn charge(&self, req: &Request, reply: &Reply) {
+    /// Charges the protocol cost of one round trip: a metadata request or
+    /// a WRITE of `req_bytes` on the wire (read before it was sent, since
+    /// the transport takes the request), and its reply.
+    fn charge(&self, meta: bool, write: bool, req_bytes: u64, reply: &Reply) {
         let f = &self.config.flags;
-        let depth = if req.is_meta() && f.parallel_dirops {
+        let depth = if meta && f.parallel_dirops {
             META_PIPELINE as u64
         } else {
             1
@@ -279,13 +281,13 @@ impl FuseClientFs {
         // *spliced* request (§3.3 — the reason the paper shipped with it
         // off). Batched write-back makes WRITE requests few and large, so
         // the peek amortizes against the page-remap payload cost below.
-        if f.splice_write && matches!(req, Request::Write { .. }) {
+        if f.splice_write && write {
             ns += COST.ctx_switch_ns;
         }
-        // Worker synchronization overhead grows with the thread count. With
-        // the ring negotiated, one worker wakeup serves a batch of
-        // submissions (the point of FUSE-over-io_uring), so each request
-        // pays only its share.
+        // The modelled server's worker synchronization grows with its
+        // thread count (§3.3, Figure 4). With the ring negotiated, one
+        // worker wakeup serves a batch of submissions (the point of
+        // FUSE-over-io_uring), so each request pays only its share.
         let workers = self.config.workers.max(1) as u64;
         if workers > 1 {
             let sync = COST.mt_sync_ns * workers.ilog2() as u64;
@@ -295,8 +297,7 @@ impl FuseClientFs {
                 sync
             };
         }
-        let req_bytes = req.wire_bytes() as u64;
-        ns += if matches!(req, Request::Write { .. }) && f.splice_write {
+        ns += if write && f.splice_write {
             COST.splice(req_bytes)
         } else {
             COST.copy(req_bytes)
@@ -311,17 +312,20 @@ impl FuseClientFs {
     }
 
     fn call(&self, req: Request) -> SysResult<Reply> {
-        // Each request gets a trace id; the transport propagates it to its
-        // workers so handler/storage spans attribute to this request. The
-        // scope nests: a re-entrant request (writeback from inside a
-        // handler) gets its own id and restores the outer one on return.
+        // Each request gets a trace id, current on this thread while the
+        // transport and handler run, so their spans attribute to this
+        // request. The scope nests: a re-entrant request (writeback from
+        // inside a handler) gets its own id and restores the outer one on
+        // return.
         let trace = obs::trace::next_trace_id();
         let _scope = obs::trace::TraceScope::enter(trace);
+        let (meta, write) = (req.is_meta(), matches!(req, Request::Write { .. }));
+        let req_bytes = req.wire_bytes() as u64;
         let reply = {
             let _span = obs::trace::Span::start_for(trace, "client");
-            self.transport.call(req.clone())
+            self.transport.call(req)
         };
-        self.charge(&req, &reply);
+        self.charge(meta, write, req_bytes, &reply);
         match reply {
             Reply::Err(e) => Err(e),
             other => Ok(other),
@@ -1639,19 +1643,14 @@ mod tests {
         assert_eq!(fs.getattr(st.ino).unwrap().size, 6);
     }
 
-    /// 8 caller threads over one client on a 4-worker
-    /// [`RingTransport`](crate::ring::RingTransport): the entry/attr caches
-    /// and the nlookup/forget accounting must stay consistent under real
-    /// concurrent dispatch.
+    /// 8 caller threads over one client on an [`InlineTransport`]: the
+    /// entry/attr caches and the nlookup/forget accounting must stay
+    /// consistent while the handler serves every thread at once.
     #[test]
-    fn ring_client_cache_stress() {
+    fn concurrent_client_cache_stress() {
         let clock = SimClock::new();
         let backing = memfs(DevId(1), clock.clone());
-        let transport = Arc::new(crate::ring::RingTransport::new(
-            FsHandler::new(backing),
-            4,
-            64,
-        ));
+        let transport = InlineTransport::new(FsHandler::new(backing));
         let fs =
             FuseClientFs::mount(DevId(100), clock, FuseConfig::optimized(), transport).unwrap();
         let mut handles = Vec::new();

@@ -21,14 +21,10 @@ pub(crate) const META_PIPELINE: usize = 4;
 /// container's overlay (depth 1), so its backing files must sit below 2.
 pub(crate) const MAX_STACK_DEPTH: u8 = 2;
 
-/// Per-worker submission ring capacity of
-/// [`RingTransport::from_config`](crate::ring::RingTransport::from_config)
-/// (entries; io_uring's `sq_entries` analog).
-pub(crate) const RING_DEPTH: usize = 64;
-
-/// Requests one worker wakeup serves in the cost model when the `ring`
-/// flag is negotiated: each request pays `1/RING_BATCH` of the worker
-/// synchronization cost (see `FuseClientFs::charge`).
+/// Requests one server worker wakeup serves in the cost model when the
+/// `ring` flag is negotiated (FUSE-over-io_uring's multi-reap): each
+/// request pays `1/RING_BATCH` of the worker synchronization cost (see
+/// `FuseClientFs::charge`).
 pub(crate) const RING_BATCH: usize = 8;
 
 /// Configuration of one FUSE mount (kernel side): the knobs the paper's
@@ -38,7 +34,10 @@ pub(crate) const RING_BATCH: usize = 8;
 pub struct FuseConfig {
     /// Optimization flags requested at INIT.
     pub flags: InitFlags,
-    /// Server worker threads (paper §3.3 "Multithreading"; drives Figure 4).
+    /// Server worker threads reading the FUSE fd (paper §3.3
+    /// "Multithreading"; drives Figure 4). A cost-model parameter: the
+    /// client charges each request the synchronization these workers
+    /// would pay, and the inline transport spawns none of them.
     pub workers: usize,
     /// Selects the published LOOKUP path, on both sides of the mount.
     /// The client evicts the *parent's* cached attributes with every LOOKUP
@@ -55,8 +54,8 @@ pub struct FuseConfig {
 
 impl FuseConfig {
     /// The shipping configuration: every optimization on (splice-write
-    /// included, now that batched write-back makes it profitable), 4 worker
-    /// threads.
+    /// included, now that batched write-back makes it profitable), priced
+    /// as a 4-worker server.
     pub const fn optimized() -> FuseConfig {
         FuseConfig {
             flags: InitFlags::cntr_default(),
@@ -114,7 +113,7 @@ mod tests {
             !p.flags.splice_write,
             "paper profile keeps splice-write off"
         );
-        assert!(!p.flags.ring, "paper profile keeps the ring transport off");
+        assert!(!p.flags.ring, "paper profile keeps the ring dispatch off");
         assert!(
             p.published_lookup,
             "paper profile keeps the published LOOKUP"

@@ -1,42 +1,50 @@
 //! The `/dev/fuse` connection: request transport between the kernel half
 //! and the userspace server.
 //!
-//! Two transports share one interface:
+//! [`InlineTransport`] executes the handler on the calling thread. All
+//! timing is charged through the virtual clock by the client and the
+//! handler itself, so experiments are deterministic. Every caller thread is
+//! served at once, with no queue between them, which is what the server
+//! threads reading the CntrFS fd provide in the paper (§3.3); their
+//! synchronization cost is priced by the client's cost model
+//! ([`FuseConfig::workers`](crate::FuseConfig::workers)). A handler that
+//! re-enters its own mount (write-back of dirty FUSE pages) runs on the
+//! same thread again, so it can never queue behind itself.
 //!
-//! * [`InlineTransport`] executes the handler on the calling thread. All
-//!   timing is charged through the virtual clock by the client and the
-//!   handler itself, so experiments are deterministic.
-//! * [`RingTransport`](crate::ring::RingTransport) (in [`crate::ring`])
-//!   runs real worker threads — the shape of a real FUSE daemon's read
-//!   loop ("CNTR spawns independent threads to read from the CNTRFS file
-//!   descriptor", §3.3) — each fed by its own bounded submission ring
-//!   that it reaps whole per wakeup, amortizing wakeups across many
-//!   requests the way FUSE-over-io_uring does. Stress tests use it to
-//!   shake out synchronization bugs.
+//! A handler that panics is a daemon that died: as Linux's
+//! `fuse_abort_conn` does, the connection aborts. The panicking call gets
+//! `ENOTCONN`, so does every later one, and `fuse.conn.aborts` counts it.
+//!
+//! The [`Transport`] trait is the seam the client talks through, so
+//! tests can wrap the inline transport (`LateGetattr` in the client's
+//! tests, [`CountingTransport`](crate::testing::CountingTransport)).
 //!
 //! # Accounting
 //!
 //! Every dispatched request counts in `fuse.req.started`/`completed`, the
 //! in-flight gauge and its opcode's latency histogram. `fuse.op.<name>.count`
 //! counts *handled* requests: the connection records one after the handler
-//! replied. So a ring request failed with `ENOTCONN` at shutdown stays in
-//! the started/completed pair and the histogram, but not in the op count.
+//! replied. So a request whose handler panicked stays in the
+//! started/completed pair and the histogram, but not in the op count.
 
 use crate::proto::{Opcode, Reply, Request};
 use crate::server::FuseHandler;
 use cntr_types::Errno;
 use obs::trace::Span;
 use obs::{KeyedCounterScope, LazyCounter, LazyGauge, Subsystem};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // Global (cross-connection) request accounting, exported via
 // `/proc/cntrstats`. Everything here is a relaxed atomic: these fire inside
-// the transports' blocking-context checkpoints, where taking a lock is the
+// the transport's blocking-context checkpoint, where taking a lock is the
 // PR-3 writeback deadlock class.
 static REQ_STARTED: LazyCounter = LazyCounter::new(Subsystem::Fuse, "fuse.req.started");
 static REQ_COMPLETED: LazyCounter = LazyCounter::new(Subsystem::Fuse, "fuse.req.completed");
 static QUEUE_DEPTH: LazyGauge = LazyGauge::new(Subsystem::Fuse, "fuse.req.in-flight");
+/// Connections aborted because a handler panicked (a dead daemon).
+static ABORTS: LazyCounter = LazyCounter::new(Subsystem::Fuse, "fuse.conn.aborts");
 
 struct OpMetrics {
     count: &'static obs::Counter,
@@ -211,6 +219,9 @@ pub struct InlineTransport<H: FuseHandler> {
 impl<H: FuseHandler> InlineTransport<H> {
     /// Wraps a handler.
     pub fn new(handler: H) -> Arc<InlineTransport<H>> {
+        // Listed in `/proc/cntrstats` from the first connection on, so a
+        // run without aborts reads 0 rather than nothing.
+        let _ = ABORTS.get();
         Arc::new(InlineTransport {
             handler,
             alive: AtomicBool::new(true),
@@ -241,12 +252,23 @@ impl<H: FuseHandler> Transport for InlineTransport<H> {
         }
         let (op, req_bytes) = (req.opcode(), req.wire_bytes());
         let _req_guard = ReqGuard::begin(op);
-        let reply = {
+        let _span = Span::start("transport");
+        let handled = {
             let _span = Span::start("handler");
-            self.handler.handle(req)
+            panic::catch_unwind(AssertUnwindSafe(|| self.handler.handle(req)))
         };
-        self.stats.record(op, req_bytes, &reply);
-        reply
+        match handled {
+            Ok(reply) => {
+                self.stats.record(op, req_bytes, &reply);
+                reply
+            }
+            Err(_) => {
+                // The daemon died: abort the connection (see module docs).
+                ABORTS.inc();
+                self.alive.store(false, Ordering::Release);
+                Reply::Err(Errno::ENOTCONN)
+            }
+        }
     }
 
     fn shutdown(&self) {
@@ -304,6 +326,21 @@ mod tests {
     }
 
     #[test]
+    fn serves_many_callers_at_once() {
+        let t = InlineTransport::new(EchoHandler);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..100 {
+                        assert!(matches!(t.call(lookup()), Reply::Ok));
+                    }
+                });
+            }
+        });
+        assert_eq!(t.stats().lookups, 800);
+    }
+
+    #[test]
     fn shutdown_yields_enotconn() {
         let t = InlineTransport::new(EchoHandler);
         t.shutdown();
@@ -332,5 +369,101 @@ mod tests {
             .expect("panic carries a message");
         assert!(msg.contains("blocking-context violation"), "{msg}");
         assert!(msg.contains("fuse.test.outer"), "{msg}");
+    }
+
+    /// Panics on GETATTR, answers everything else.
+    struct PanicOnGetattr;
+
+    impl FuseHandler for PanicOnGetattr {
+        fn handle(&self, req: Request) -> Reply {
+            match req {
+                Request::Getattr { .. } => panic!("handler panics on GETATTR"),
+                _ => Reply::Ok,
+            }
+        }
+    }
+
+    /// A handler panic aborts the connection: the panicking GETATTR and a
+    /// LOOKUP sent afterwards from another thread both get `ENOTCONN`, and
+    /// the GETATTR's request guard still completes on unwind (its latency
+    /// sample lands although the op count does not).
+    #[test]
+    fn handler_panic_aborts_the_connection() {
+        let aborts = ABORTS.value();
+        let getattr_latency = op_metrics(Opcode::Getattr).latency;
+        let completed = getattr_latency.count();
+        let t = InlineTransport::new(PanicOnGetattr);
+        assert!(matches!(t.call(lookup()), Reply::Ok));
+        let getattr = t.call(Request::Getattr { ino: Ino(5) });
+        assert!(
+            matches!(getattr, Reply::Err(Errno::ENOTCONN)),
+            "{getattr:?}"
+        );
+        assert!(!t.is_alive());
+        let later = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || t.call(lookup())).join().unwrap()
+        };
+        assert!(matches!(later, Reply::Err(Errno::ENOTCONN)), "{later:?}");
+        assert_eq!(t.stats().total(), 1, "only the first LOOKUP was handled");
+        assert!(ABORTS.value() > aborts);
+        assert!(getattr_latency.count() > completed);
+    }
+
+    /// Shutdown racing live callers: in each round, eight threads call
+    /// one connection while a ninth, released with them, shuts it down
+    /// after a round-dependent number of yields (0–15). Every call returns
+    /// `Ok` (it was handled) or `ENOTCONN`, never `Ok` after an `ENOTCONN`
+    /// on its thread, and the `Ok`s are exactly the handled lookups. A
+    /// watchdog turns a hang into a failure instead of a hung suite.
+    #[test]
+    fn shutdown_races_live_callers() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rounds = std::thread::spawn(move || {
+            for round in 0..200u64 {
+                let t = InlineTransport::new(EchoHandler);
+                // Spread the shutdown over the callers' lifetime.
+                let delay = round.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+                let start = std::sync::Barrier::new(9);
+                let ok: u64 = std::thread::scope(|s| {
+                    let callers: Vec<_> = (0..8)
+                        .map(|_| {
+                            s.spawn(|| {
+                                start.wait();
+                                let mut ok = 0u64;
+                                let mut refused = false;
+                                for _ in 0..32 {
+                                    match t.call(lookup()) {
+                                        Reply::Ok => {
+                                            assert!(!refused, "Ok after ENOTCONN");
+                                            ok += 1;
+                                        }
+                                        Reply::Err(Errno::ENOTCONN) => refused = true,
+                                        other => panic!("unexpected reply {other:?}"),
+                                    }
+                                }
+                                ok
+                            })
+                        })
+                        .collect();
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..delay {
+                            std::thread::yield_now();
+                        }
+                        t.shutdown();
+                    });
+                    callers.into_iter().map(|c| c.join().unwrap()).sum()
+                });
+                assert_eq!(ok, t.stats().lookups, "round {round}");
+            }
+            tx.send(()).unwrap();
+        });
+        let done = rx.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(
+            !matches!(done, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "a call hung while shutdown raced the callers"
+        );
+        rounds.join().unwrap();
     }
 }

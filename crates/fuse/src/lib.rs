@@ -10,13 +10,12 @@
 //!   profile varies (`FUSE_WRITEBACK_CACHE`, `FOPEN_KEEP_CACHE`,
 //!   `FUSE_PARALLEL_DIROPS`, splice). Readahead and batched `FORGET` are
 //!   on in every profile, so they are not flags,
-//! * [`conn`] — the `/dev/fuse` queue with the [`conn::Transport`] trait
-//!   and the deterministic same-thread **inline** transport,
-//! * [`ring`] — the threaded transport, FUSE-over-io_uring style: real
-//!   worker threads, each reaping its own bounded submission ring whole
-//!   per wakeup — one worker wakeup serves many requests — with
-//!   FUSE-writeback re-entrancy avoidance; used by the Figure 4 runner and
-//!   the concurrency stress tests,
+//! * [`conn`] — the `/dev/fuse` connection: the [`conn::Transport`] trait
+//!   and [`InlineTransport`], which runs the handler on the calling
+//!   thread, so any number of callers are served concurrently and a
+//!   handler that re-enters its own mount (FUSE writeback) cannot queue
+//!   behind itself. The server's worker threads (§3.3, Figure 4) are
+//!   priced by the client's cost model, not spawned,
 //! * [`client`] — the kernel half: a [`cntr_fs::Filesystem`] implementation
 //!   that turns VFS calls into FUSE requests, with entry/attr caches,
 //!   readahead, forget batching and the cost accounting that makes the
@@ -33,7 +32,6 @@ pub mod client;
 pub mod config;
 pub mod conn;
 pub mod proto;
-pub mod ring;
 pub mod server;
 pub mod testing;
 
@@ -41,6 +39,5 @@ pub use client::FuseClientFs;
 pub use config::FuseConfig;
 pub use conn::{InlineTransport, Transport};
 pub use proto::{InitFlags, Opcode, Reply, Request};
-pub use ring::RingTransport;
 pub use server::{FsHandler, FuseHandler};
 pub use testing::{copies_along, CountingTransport, InstrumentedFs, PayloadLog};

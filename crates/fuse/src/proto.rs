@@ -148,11 +148,12 @@ pub struct InitFlags {
     /// [`InitFlags::cntr_default`]); [`InitFlags::paper_legacy`] keeps the
     /// paper's original profile selectable.
     pub splice_write: bool,
-    /// FUSE-over-io_uring style shared submission/completion rings
-    /// (`FUSE_IO_URING`): the client batches submissions and a worker reaps
-    /// many completions per wakeup instead of paying one wakeup per
-    /// request. Post-dates the paper, so [`InitFlags::paper_legacy`] keeps
-    /// it off — same pattern as splice-write.
+    /// FUSE-over-io_uring dispatch (`FUSE_IO_URING`): a server worker
+    /// reaps many requests per wakeup instead of paying one wakeup per
+    /// request, so the cost model charges each request a
+    /// `1/RING_BATCH` share of the worker synchronization. Post-dates the
+    /// paper, so [`InitFlags::paper_legacy`] keeps it off — same pattern
+    /// as splice-write.
     pub ring: bool,
     /// `FUSE_CACHE_SYMLINKS` (Linux 4.20): the kernel keeps a symlink's
     /// target after the first READLINK instead of asking on every
@@ -201,7 +202,7 @@ impl InitFlags {
     }
 
     /// CNTR's shipping defaults *as published* (§3.3): everything on except
-    /// splice-write and the post-paper ring transport, symlink cache,
+    /// splice-write and the post-paper ring dispatch, symlink cache,
     /// `handle_killpriv_v2` and passthrough. The paper-figure reproductions
     /// (`cntr-phoronix`) pin this profile so Figures 2–4 keep the published
     /// calibration.
@@ -264,7 +265,7 @@ pub struct RequestCtx {
 }
 
 /// A FUSE request, as read from `/dev/fuse`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Request {
     /// Protocol negotiation.
     Init {
@@ -654,7 +655,7 @@ mod tests {
     fn paper_legacy_profile_matches_published_defaults() {
         let legacy = InitFlags::paper_legacy();
         assert!(!legacy.splice_write, "the paper shipped splice-write off");
-        assert!(!legacy.ring, "ring transport post-dates the paper");
+        assert!(!legacy.ring, "ring dispatch post-dates the paper");
         assert!(
             !legacy.cache_symlinks,
             "symlink caching post-dates the paper"

@@ -40,11 +40,10 @@ fn reply<T>(r: SysResult<T>, f: impl FnOnce(T) -> Reply) -> Reply {
 ///
 /// Tracks per-inode `nlookup` counts and forwards forgets to the backing
 /// filesystem once they reach zero, as the kernel protocol requires.
-#[derive(Clone)]
 pub struct FsHandler {
     fs: Arc<dyn Filesystem>,
     supported: InitFlags,
-    nlookup: Arc<Mutex<HashMap<Ino, u64>>>,
+    nlookup: Mutex<HashMap<Ino, u64>>,
 }
 
 impl FsHandler {
@@ -53,7 +52,7 @@ impl FsHandler {
         FsHandler {
             fs,
             supported: InitFlags::cntr_default(),
-            nlookup: Arc::new(Mutex::new_class("fuse.server.nlookup", HashMap::new())),
+            nlookup: Mutex::new_class("fuse.server.nlookup", HashMap::new()),
         }
     }
 
@@ -103,8 +102,8 @@ impl FsHandler {
         size: usize,
     ) -> cntr_types::SysResult<bytes::Bytes> {
         // The storage span: time the backing filesystem spends producing
-        // the reply, attributed to the request's trace (set by the
-        // transport worker or the inline caller).
+        // the reply, attributed to the request's trace (current on this
+        // thread since the client sent the request).
         let _span = obs::trace::Span::start("storage");
         self.fs.read_bytes_gather(ino, fh, offset, size)
     }

@@ -15,8 +15,7 @@
 //!   pointer change between adjacent hops is one memcpy.
 //!
 //! The wrappers are shipped (not `#[cfg(test)]`) so the integration tests
-//! (`splice_zero_copy`, `ring_transport`) can reuse them; they are inert
-//! unless constructed.
+//! (`splice_zero_copy`) can reuse them; they are inert unless constructed.
 
 use crate::conn::{ConnSnapshot, Transport};
 use crate::proto::{Reply, Request};

@@ -29,8 +29,7 @@
 //! An enter charges one `syscall_ns`; each SQE charges what its splice
 //! moved (`COST.splice(n)`), as `splice` does. A batch of one therefore
 //! costs exactly one `splice`. The ring's per-SQE bookkeeping (filling an
-//! SQE, posting a CQE, moving the ring heads) is unmodelled, as the FUSE
-//! ring transport's queue pushes and reaps are.
+//! SQE, posting a CQE, moving the ring heads) is unmodelled.
 
 use crate::kernel::Kernel;
 use crate::process::{FdEntry, FileKind, OpenFile};

@@ -40,8 +40,8 @@
 //!   old stop-world behaviour, still bounded and reproducible.
 //! * **Background writeback.** A kworker-style flusher thread, spawned
 //!   lazily on the first background-threshold crossing, drains coalesced
-//!   dirty runs through the batched `write_bytes` path (and over the ring
-//!   transport when negotiated). It is woken by dirty-ratio crossings and
+//!   dirty runs through the batched `write_bytes` path (a FUSE mount's
+//!   WRITE requests included). It is woken by dirty-ratio crossings and
 //!   a periodic tick, holds no lock across its park point
 //!   (lockdep-checked), and is joined on cache drop.
 //!

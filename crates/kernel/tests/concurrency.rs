@@ -273,10 +273,10 @@ fn stress_fork_exec_attach_umount_across_containers() {
         "every lookup is exactly one hit or one miss"
     );
 
-    // A ring-FUSE bout after the stress: request accounting must be
-    // symmetric (started == completed) and the in-flight gauge must drain
-    // back to zero once every worker went home.
-    fuse_ring_accounting_bout();
+    // A FUSE bout after the stress: request accounting must be symmetric
+    // (started == completed) and the in-flight gauge must drain back to
+    // zero once every caller returned.
+    fuse_accounting_bout();
     let started = obs::counter_value("fuse.req.started").unwrap_or(0);
     let completed = obs::counter_value("fuse.req.completed").unwrap_or(0);
     assert!(started > 0, "the FUSE bout must have issued requests");
@@ -286,27 +286,21 @@ fn stress_fork_exec_attach_umount_across_containers() {
         0,
         "queue depth must return to zero at quiescence"
     );
-    assert_eq!(
-        obs::gauge_value("fuse.ring.queue-depth").unwrap_or(0),
-        0,
-        "submission rings must drain back to empty at quiescence"
-    );
 }
 
-/// Hammers a FUSE mount over the io_uring-style ring transport from
-/// several threads, then tears it down: parked-worker wakeups and
-/// multi-reap must preserve exact request accounting, under the lockdep
-/// checkpoints at the ring's park/reap points.
-fn fuse_ring_accounting_bout() {
+/// Hammers one FUSE mount from `THREADS` caller threads at once: every
+/// request must keep exact accounting, under the transport's lockdep
+/// checkpoint.
+fn fuse_accounting_bout() {
     use cntr_fs::{Filesystem, FilesystemExt};
-    use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
+    use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InlineTransport};
     use cntr_types::{FileType, Ino};
 
     let clock = SimClock::new();
     let backing = memfs(DevId(7_001), clock.clone());
-    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 4, 64));
+    let transport = InlineTransport::new(FsHandler::new(backing));
     let client = FuseClientFs::mount(DevId(0xF1), clock, FuseConfig::optimized(), transport)
-        .expect("fuse mount over ring");
+        .expect("fuse mount");
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -334,6 +328,6 @@ fn fuse_ring_accounting_bout() {
         }));
     }
     for h in handles {
-        h.join().expect("ring bout thread must not panic");
+        h.join().expect("FUSE bout thread must not panic");
     }
 }

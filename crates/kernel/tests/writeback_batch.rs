@@ -1,11 +1,11 @@
 //! Write-back batching: contiguous dirty runs flush as single large
 //! writes, observable in `flush_batches`/`flushed_pages` — plus the
-//! ring-transport write-back deadlock regression re-run with batching.
+//! re-entrant write-back deadlock regression re-run with batching.
 
 use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, FsContext};
 use cntr_fuse::proto::{Reply, Request};
-use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, FuseHandler, RingTransport, Transport};
+use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, FuseHandler, InlineTransport, Transport};
 use cntr_kernel::pagecache::{FileRef, PageCache};
 use cntr_kernel::CacheMode;
 use cntr_types::{DevId, FileType, Ino, Mode, OpenFlags, SimClock};
@@ -80,11 +80,10 @@ fn a_hole_splits_the_run_into_two_batches() {
 
 /// A server handler whose request handling *re-enters the transport it is
 /// served by* — the shape of a FUSE server whose backing I/O trips
-/// write-back of pages belonging to the very mount it serves. With one
-/// worker, the re-entrant request deadlocks unless the transport executes
-/// worker-originated requests inline (the PR 3 fix, re-proven here with
+/// write-back of pages belonging to the very mount it serves. A transport
+/// that queued the re-entrant request behind the one its handler is
+/// serving would deadlock (the FUSE writeback deadlock, re-proven here with
 /// batched write-back issuing large spliced WRITE requests).
-#[derive(Clone)]
 struct ReentrantHandler {
     inner: FsHandler,
     transport: Arc<Mutex<Option<Arc<dyn Transport>>>>,
@@ -107,11 +106,11 @@ impl FuseHandler for ReentrantHandler {
     }
 }
 
-/// The re-entrancy trap over the io_uring-style ring transport: a single
-/// reaper with a depth-8 submission ring. A worker whose handler
-/// re-enters `call` would queue the request on its own ring and park
-/// behind it forever — the ring must execute worker-originated requests
-/// inline.
+/// The re-entrancy trap on a shipping mount (the `ring` dispatch
+/// negotiated): each WRITE's handler calls back into the transport serving
+/// it, through the inline transport's blocking-context checkpoint, with no
+/// lock held. The re-entrant request runs on the same thread, so it cannot
+/// wait behind itself.
 #[test]
 fn batched_writeback_survives_ring_reentrancy() {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -123,8 +122,7 @@ fn batched_writeback_survives_ring_reentrancy() {
             inner: FsHandler::new(backing),
             transport: Arc::clone(&transport_slot),
         };
-        // One reaper: a queued re-entrant request can never be served.
-        let transport = Arc::new(RingTransport::new(handler, 1, 8));
+        let transport = InlineTransport::new(handler);
         *transport_slot.lock() = Some(Arc::clone(&transport) as Arc<dyn Transport>);
         let client = FuseClientFs::mount(
             DevId(0xC2),
@@ -133,6 +131,7 @@ fn batched_writeback_survives_ring_reentrancy() {
             transport,
         )
         .unwrap();
+        assert!(client.effective_flags().ring);
         let st = client
             .mknod(
                 Ino::ROOT,
@@ -169,7 +168,7 @@ fn batched_writeback_survives_ring_reentrancy() {
         assert_eq!(
             client.getattr(st.ino).unwrap().size,
             8 * 16 * PAGE as u64,
-            "batched write-back must deliver every run over the ring"
+            "batched write-back must deliver every run"
         );
         let mut buf = vec![0u8; PAGE];
         cache.read(dev, mode, &fref, 0, &mut buf).unwrap();
@@ -178,15 +177,13 @@ fn batched_writeback_survives_ring_reentrancy() {
         assert!(stats.flush_batches > 0);
         assert!(
             stats.flush_batches < stats.flushed_pages,
-            "write-back stayed batched under the ring transport: \
+            "write-back stayed batched under re-entrancy: \
              batches={} pages={}",
             stats.flush_batches,
             stats.flushed_pages
         );
         tx.send(()).unwrap();
     });
-    rx.recv_timeout(Duration::from_secs(60)).expect(
-        "deadlock: a reaper-originated (re-entrant) write-back request \
-         was queued on its own submission ring instead of executing inline",
-    );
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("deadlock: a re-entrant write-back request waited behind itself");
 }

@@ -39,9 +39,9 @@ thread_local! {
     static CURRENT_TRACE: StdCell<u64> = const { StdCell::new(0) };
 }
 
-/// The trace id active on this thread (0 = none). Transports propagate it
-/// across their worker boundary so handler/storage spans attribute to the
-/// originating request without changing the `Transport` trait signature.
+/// The trace id active on this thread (0 = none). [`Span::start`] records
+/// against it, so handler/storage spans attribute to the originating
+/// request without changing the `Transport` trait signature.
 #[inline]
 pub fn current_trace() -> u64 {
     CURRENT_TRACE.with(|c| c.get())

@@ -177,14 +177,14 @@ obs::counter_scope! {
 const STATE_CLASS: &str = "overlay.blob.state";
 
 /// Ranks the blob-backed filesystem's locks above every other declared
-/// group (kernel 0–4, FUSE ring 5–7, attach plane 8–9, CntrFS server 10).
-/// A `NodeFs`'s state (11) is held across each call into its backend,
-/// which takes the held-chunk ledger (12) and the store's chunk table
-/// (13); a dropped filesystem holds the ledger while it returns its
-/// references to the chunk table. Nothing is acquired under the chunk
-/// table. Idempotent; runs on every store construction.
+/// group (kernel 0–4, attach plane 5–6, CntrFS server 7). A `NodeFs`'s
+/// state (8) is held across each call into its backend, which takes the
+/// held-chunk ledger (9) and the store's chunk table (10); a dropped
+/// filesystem holds the ledger while it returns its references to the
+/// chunk table. Nothing is acquired under the chunk table. Idempotent;
+/// runs on every store construction.
 fn declare_blob_lock_discipline() {
-    let mut groups: Vec<&[&str]> = vec![&[]; 11];
+    let mut groups: Vec<&[&str]> = vec![&[]; 8];
     groups.extend([
         &["fs.node_state"][..],
         &[crate::backend::HELD_CLASS],

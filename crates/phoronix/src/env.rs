@@ -4,7 +4,7 @@ use cntr_blockdev::{BlockDevice, DiskModel};
 use cntr_core::CntrfsServer;
 use cntr_fs::diskfs::diskfs_on;
 use cntr_fs::memfs::memfs;
-use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport, RingTransport, Transport};
+use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
 use cntr_kernel::kernel::KernelConfig;
 use cntr_kernel::{Kernel, MountFlags};
 use cntr_types::{DevId, Errno, Mode, OpenFlags, Pid, SimClock, SysResult, Timespec};
@@ -16,17 +16,9 @@ pub enum Target {
     /// Directly on the ext4-like filesystem (the paper's baseline).
     Native,
     /// Through CntrFS mounted over the same filesystem, requests served on
-    /// the calling thread (deterministic inline transport).
+    /// the calling thread (deterministic inline transport). The server's
+    /// `config.workers` threads are priced by the client's cost model.
     Cntrfs(FuseConfig),
-    /// Through CntrFS with `config.workers` **real OS worker threads**
-    /// behind the io_uring-style [`RingTransport`]'s per-worker
-    /// submission rings (64 deep) — the dispatch shape of the paper's
-    /// Figure 4.
-    /// Virtual-time accounting is unchanged (one request in flight per
-    /// caller), so results stay deterministic while every request crosses
-    /// a real thread boundary; only a negotiated ring amortizes the
-    /// per-request worker-sync cost over the batch.
-    CntrfsRing(FuseConfig),
 }
 
 /// A benchmark machine: gp2-backed `/data`, optionally re-exported through
@@ -89,16 +81,13 @@ impl PerfEnv {
                 device,
                 client: None,
             },
-            Target::Cntrfs(config) | Target::CntrfsRing(config) => {
+            Target::Cntrfs(config) => {
                 let server_pid = kernel.fork(Pid::INIT).expect("fork server");
                 let server = CntrfsServer::new(kernel.clone(), server_pid, config.published_lookup)
                     .expect("start server");
-                let transport: Arc<dyn Transport> = match target {
-                    Target::CntrfsRing(_) => Arc::new(RingTransport::from_config(server, &config)),
-                    _ => InlineTransport::new(server),
-                };
-                let client = FuseClientFs::mount(DevId(0xF00D), clock, config, transport)
-                    .expect("mount cntrfs");
+                let client =
+                    FuseClientFs::mount(DevId(0xF00D), clock, config, InlineTransport::new(server))
+                        .expect("mount cntrfs");
                 kernel.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
                 kernel
                     .mkdir(pid, "/mnt/cntr", Mode::RWXR_XR_X)

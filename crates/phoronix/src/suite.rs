@@ -795,21 +795,20 @@ pub struct Figure4Row {
 
 /// Figure 4: IOzone sequential read with 1–16 CntrFS threads.
 ///
-/// Each point runs over [`Target::CntrfsRing`]: the configured worker
-/// count is a pool of **real OS threads**, and every FUSE request crosses
-/// a worker's submission ring to be served against the kernel. As in the paper's experiment the workload itself is a
-/// single sequential reader, so one request is in flight at a time and the
-/// thread-count *deltas* in the curve come from the virtual clock pricing
-/// the per-request worker synchronization — the dispatch is real, the
-/// worker-contention cost is modeled. Real multi-threaded wall-clock
-/// scaling against the kernel is not measured: the concurrency
-/// tests check its correctness only.
+/// Each point runs over [`Target::Cntrfs`] with the paper profile's
+/// worker count set to the point's thread count. As in the paper's
+/// experiment the workload is a single sequential reader, so one request
+/// is in flight at a time, and the thread-count *deltas* in the curve come
+/// from the virtual clock pricing the per-request worker synchronization
+/// (`FuseClientFs::charge`); the transport runs every request on the
+/// reader's thread. Real multi-threaded wall-clock scaling is not
+/// measured: the concurrency tests check its correctness only.
 pub fn figure4() -> Vec<Figure4Row> {
     [1usize, 2, 4, 8, 16]
         .iter()
         .map(|&threads| {
             let cfg = FuseConfig::paper().with_workers(threads);
-            let env = PerfEnv::build(Target::CntrfsRing(cfg));
+            let env = PerfEnv::build(Target::Cntrfs(cfg));
             let t = iozone_read_fuse_cold(&env);
             let mb = 96.0;
             Figure4Row {
@@ -953,8 +952,7 @@ mod tests {
     }
 
     /// Figure 4 is virtual time, so it reproduces bit for bit: the points
-    /// depend only on the negotiated FUSE features and worker count, never
-    /// on how the real worker threads are scheduled.
+    /// depend only on the negotiated FUSE features and worker count.
     #[test]
     fn figure4_points_are_pinned() {
         let expected: [(usize, f64); 5] = [

@@ -8,17 +8,13 @@
 //! Perfetto); stderr is the `/proc/cntrstats` snapshot taken after the
 //! workload, so one run yields both CI artifacts. The workload exercises
 //! the full stack — boot, image pull, container start, attach, shell
-//! traffic, teardown — and finishes with a spliced 1 MiB read through the
-//! io_uring-style ring transport, so the dump contains complete client →
-//! transport → handler → storage request pipelines across the
-//! worker-thread boundary and the cntrstats snapshot carries the
-//! `fuse.ring.*` queue-depth gauge and reap distribution.
-
-use std::sync::Arc;
+//! traffic, teardown — and finishes with a spliced 1 MiB read over FUSE,
+//! so the dump contains complete client → transport → handler → storage
+//! request pipelines.
 
 use cntr::fs::{Filesystem, FilesystemExt};
 use cntr::prelude::*;
-use cntr_fuse::{FsHandler, FuseClientFs, RingTransport};
+use cntr_fuse::{FsHandler, FuseClientFs, InlineTransport};
 use cntr_types::{DevId, FileType, Ino};
 
 fn main() {
@@ -42,18 +38,21 @@ fn main() {
     session.detach().unwrap();
     docker.stop("probe").unwrap();
 
-    // A spliced read over the ring transport: its trace records spans from
-    // all four pipeline stages, across the worker-thread boundary, and
-    // multi-reap leaves its fuse.ring.* metrics in the snapshot.
+    // A spliced read over FUSE: its trace records spans from all four
+    // pipeline stages.
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(901), clock.clone());
-    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 16));
-    let client =
-        FuseClientFs::mount(DevId(0xAC), clock, FuseConfig::optimized(), transport).unwrap();
+    let client = FuseClientFs::mount(
+        DevId(0xAC),
+        clock,
+        FuseConfig::optimized(),
+        InlineTransport::new(FsHandler::new(backing)),
+    )
+    .unwrap();
     let st = client
         .mknod(
             Ino::ROOT,
-            "ring",
+            "spliced",
             FileType::Regular,
             Mode::RW_R__R__,
             0,

@@ -13,7 +13,7 @@
 use cntr::core::CntrfsServer;
 use cntr::fs::memfs::memfs;
 use cntr::fs::{XattrFlags, XATTR_NAME_CAPS};
-use cntr::fuse::{FuseClientFs, InlineTransport, RingTransport, Transport};
+use cntr::fuse::{FuseClientFs, InlineTransport};
 use cntr::kernel::MountFlags;
 use cntr::overlay::OverlayFs;
 use cntr::prelude::*;
@@ -65,18 +65,19 @@ fn overlay() -> Target {
     }
 }
 
-/// CntrFS with `config`, over the ring transport or inline calls.
-fn cntrfs(name: &'static str, config: FuseConfig, ring: bool) -> Target {
+/// CntrFS with `config`.
+fn cntrfs(name: &'static str, config: FuseConfig) -> Target {
     let clock = SimClock::new();
     let host = boot_host(clock.clone());
     let server_pid = host.fork(P).unwrap();
     let server = CntrfsServer::new(host.clone(), server_pid, config.published_lookup).unwrap();
-    let transport: Arc<dyn Transport> = if ring {
-        Arc::new(RingTransport::new(server, 4, 64))
-    } else {
-        InlineTransport::new(server)
-    };
-    let client = FuseClientFs::mount(DevId(0xCA), clock.clone(), config, transport).unwrap();
+    let client = FuseClientFs::mount(
+        DevId(0xCA),
+        clock.clone(),
+        config,
+        InlineTransport::new(server),
+    )
+    .unwrap();
     let k = boot_host(clock);
     k.mkdir(P, "/mnt", Mode::RWXR_XR_X).unwrap();
     k.mount_fs(P, "/mnt", client.clone(), MountFlags::default())
@@ -151,8 +152,8 @@ fn a_write_strips_the_file_capability_on_every_mount() {
     for t in [
         tmpfs(),
         overlay(),
-        cntrfs("cntrfs-paper", FuseConfig::paper(), false),
-        cntrfs("cntrfs-optimized", FuseConfig::optimized(), false),
+        cntrfs("cntrfs-paper", FuseConfig::paper()),
+        cntrfs("cntrfs-optimized", FuseConfig::optimized()),
         cntrfs_passthrough(),
     ] {
         let fd = t.create();
@@ -174,14 +175,14 @@ fn a_write_strips_the_file_capability_on_every_mount() {
 
 #[test]
 fn the_paper_profile_checks_every_write() {
-    let t = cntrfs("cntrfs-paper", FuseConfig::paper(), false);
+    let t = cntrfs("cntrfs-paper", FuseConfig::paper());
     let fd = t.create();
     assert_eq!(t.writes(fd, 16), 16);
 }
 
 #[test]
 fn the_shipping_profile_checks_each_inode_once() {
-    let t = cntrfs("cntrfs-optimized", FuseConfig::optimized(), false);
+    let t = cntrfs("cntrfs-optimized", FuseConfig::optimized());
     let (client, host, _) = t.fuse.as_ref().unwrap();
     assert!(client.effective_flags().handle_killpriv_v2);
     let fd = t.create();
@@ -252,7 +253,7 @@ fn a_passthrough_write_strips_the_backing_files_capability() {
 fn a_racing_check_never_leaves_a_stale_nosec() {
     const WRITERS: u64 = 8;
     const ROUNDS: u64 = 500;
-    let t = cntrfs("cntrfs-ring", FuseConfig::optimized(), true);
+    let t = cntrfs("cntrfs-optimized", FuseConfig::optimized());
     let fd = t.create();
     let start = Barrier::new(WRITERS as usize + 1);
     let done = AtomicBool::new(false);

@@ -8,10 +8,11 @@
 
 use cntr::core::{EventLoop, SocketProxy};
 use cntr::prelude::*;
-use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, RingTransport};
+use cntr_fuse::{
+    FsHandler, FuseClientFs, FuseConfig, FuseHandler, InlineTransport, Reply, Request, Transport,
+};
 use cntr_kernel::MountFlags;
-use cntr_types::{DevId, FileType, Ino, RenameFlags};
-use std::sync::Arc;
+use cntr_types::{DevId, Errno, FileType, Ino, RenameFlags};
 
 /// Reads `/proc/cntrstats` in one 64 KiB read: the page cache fills the
 /// whole report in one run, whose misses count before the report renders,
@@ -341,9 +342,13 @@ fn cntrstats_and_tracing_cover_the_stack() {
     // ---- A spliced 1 MiB read carries a full trace. ----
     let clock = SimClock::new();
     let backing = cntr::fs::memfs::memfs(DevId(900), clock.clone());
-    let transport = Arc::new(RingTransport::new(FsHandler::new(backing), 2, 64));
-    let client =
-        FuseClientFs::mount(DevId(0xAB), clock, FuseConfig::optimized(), transport).unwrap();
+    let client = FuseClientFs::mount(
+        DevId(0xAB),
+        clock,
+        FuseConfig::optimized(),
+        InlineTransport::new(FsHandler::new(backing)),
+    )
+    .unwrap();
     let st = client
         .mknod(
             Ino::ROOT,
@@ -390,6 +395,24 @@ fn cntrstats_and_tracing_cover_the_stack() {
 
     client.release(st.ino, fh).unwrap();
 
+    // ---- A handler panic aborts its connection (`fuse_abort_conn`), and
+    // the request it was serving still completes in the accounting. ----
+    struct Dies;
+    impl FuseHandler for Dies {
+        fn handle(&self, _: Request) -> Reply {
+            panic!("the daemon dies")
+        }
+    }
+    let dead = InlineTransport::new(Dies);
+    let reply = dead.call(Request::Getattr { ino: Ino::ROOT });
+    assert!(matches!(reply, Reply::Err(Errno::ENOTCONN)), "{reply:?}");
+    assert!(!dead.is_alive());
+    assert_eq!(
+        obs::counter_value("fuse.req.started").unwrap(),
+        obs::counter_value("fuse.req.completed").unwrap()
+    );
+    assert_eq!(obs::gauge_value("fuse.req.in-flight").unwrap(), 0);
+
     // ---- The shipping mount checks a written file's capability once:
     // the first write sends the GETXATTR and marks the inode S_NOSEC. ----
     kernel
@@ -429,5 +452,6 @@ fn cntrstats_and_tracing_cover_the_stack() {
         [checks + 1, hits + writes - 1],
         "{writes} writes: one check, the rest S_NOSEC hits, in:\n{text}"
     );
+    assert!(text.lines().any(|l| l == "fuse.conn.aborts 1"), "{text}");
     kernel.close(Pid::INIT, fd).unwrap();
 }
