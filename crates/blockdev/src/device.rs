@@ -1,6 +1,6 @@
 //! The block device: storage plus the timing engine.
 
-use crate::model::DiskModel;
+use crate::model::GP2;
 use crate::stats::{IoSnapshot, IoStats};
 use crate::BLOCK_SIZE;
 use cntr_types::{SimClock, Timespec};
@@ -63,18 +63,18 @@ struct DeviceState {
 ///
 /// Reads and writes move real bytes (so filesystems built on top are
 /// functionally correct) and advance the shared [`SimClock`] according to the
-/// [`DiskModel`]: the device is a single-queue resource, so an operation
+/// [`GP2`] disk model: the device is a single-queue resource, so an operation
 /// starts no earlier than the completion of the previous one (`busy_until`),
 /// which is what makes throughput caps emerge naturally from the model.
 ///
 /// # Examples
 ///
 /// ```
-/// use cntr_blockdev::{BlockDevice, DiskModel};
+/// use cntr_blockdev::BlockDevice;
 /// use cntr_types::SimClock;
 ///
 /// let clock = SimClock::new();
-/// let dev = BlockDevice::new(DiskModel::gp2(), clock.clone());
+/// let dev = BlockDevice::new(clock.clone());
 /// dev.write(0, b"hello");
 /// let mut buf = [0u8; 5];
 /// dev.read(0, &mut buf);
@@ -82,7 +82,6 @@ struct DeviceState {
 /// assert!(clock.now().as_nanos() > 0); // the I/O consumed virtual time
 /// ```
 pub struct BlockDevice {
-    model: DiskModel,
     clock: SimClock,
     stats: IoStats,
     /// When false, block contents are not materialized (benchmark mode):
@@ -92,10 +91,9 @@ pub struct BlockDevice {
 }
 
 impl BlockDevice {
-    /// Creates an empty device with the given performance model.
-    pub fn new(model: DiskModel, clock: SimClock) -> Arc<BlockDevice> {
+    /// Creates an empty device.
+    pub fn new(clock: SimClock) -> Arc<BlockDevice> {
         Arc::new(BlockDevice {
-            model,
             clock,
             stats: IoStats::default(),
             store_data: true,
@@ -106,19 +104,13 @@ impl BlockDevice {
     /// Creates a device that models timing without storing bytes — used by
     /// the Phoronix reproduction, whose multi-gigabyte workloads would
     /// otherwise consume real memory.
-    pub fn new_synthetic(model: DiskModel, clock: SimClock) -> Arc<BlockDevice> {
+    pub fn new_synthetic(clock: SimClock) -> Arc<BlockDevice> {
         Arc::new(BlockDevice {
-            model,
             clock,
             stats: IoStats::default(),
             store_data: false,
             state: Mutex::new_class("blockdev.device_state", DeviceState::default()),
         })
-    }
-
-    /// The performance model in use.
-    pub fn model(&self) -> DiskModel {
-        self.model
     }
 
     /// Snapshot of the I/O counters.
@@ -209,7 +201,7 @@ impl BlockDevice {
     /// single-queue discipline. Background I/O only occupies the device;
     /// foreground I/O also waits for completion.
     fn charge(&self, st: &mut DeviceState, len: u64, sequential: bool) {
-        let service = self.model.service_ns(len, sequential);
+        let service = GP2.service_ns(len, sequential);
         let now = self.clock.now();
         let start = if st.busy_until > now {
             st.busy_until
@@ -228,14 +220,14 @@ impl BlockDevice {
 mod tests {
     use super::*;
 
-    fn dev(model: DiskModel) -> (Arc<BlockDevice>, SimClock) {
+    fn dev() -> (Arc<BlockDevice>, SimClock) {
         let clock = SimClock::new();
-        (BlockDevice::new(model, clock.clone()), clock)
+        (BlockDevice::new(clock.clone()), clock)
     }
 
     #[test]
     fn data_roundtrip_across_block_boundaries() {
-        let (d, _) = dev(DiskModel::free());
+        let (d, _) = dev();
         let data: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
         d.write(BLOCK_SIZE as u64 - 17, &data);
         let mut back = vec![0u8; data.len()];
@@ -245,7 +237,7 @@ mod tests {
 
     #[test]
     fn unwritten_reads_as_zero() {
-        let (d, _) = dev(DiskModel::free());
+        let (d, _) = dev();
         let mut buf = [7u8; 64];
         d.read(123_456, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
@@ -253,7 +245,7 @@ mod tests {
 
     #[test]
     fn sequential_stream_matches_throughput() {
-        let (d, clock) = dev(DiskModel::gp2());
+        let (d, clock) = dev();
         // Prime the head so the first op is also sequential.
         let chunk = vec![0u8; BLOCK_SIZE];
         let mut off = 0u64;
@@ -265,8 +257,7 @@ mod tests {
         let elapsed = (clock.now() - start).as_nanos();
         // First write is random (latency), the rest stream: total should be
         // close to 1 MiB / 160 MB/s ≈ 6.55 ms plus one latency.
-        let expect = DiskModel::gp2().transfer_ns(256 * BLOCK_SIZE as u64)
-            + DiskModel::gp2().random_latency_ns;
+        let expect = GP2.transfer_ns(256 * BLOCK_SIZE as u64) + GP2.random_latency_ns;
         assert!(
             elapsed >= expect * 9 / 10 && elapsed <= expect * 11 / 10,
             "elapsed={elapsed} expect={expect}"
@@ -275,7 +266,7 @@ mod tests {
 
     #[test]
     fn random_ops_hit_iops_cap() {
-        let (d, clock) = dev(DiskModel::gp2());
+        let (d, clock) = dev();
         let buf = [0u8; 512];
         let start = clock.now();
         // 300 random writes at 3000 IOPS should take >= 100 ms.
@@ -288,7 +279,7 @@ mod tests {
 
     #[test]
     fn discard_releases_blocks() {
-        let (d, _) = dev(DiskModel::free());
+        let (d, _) = dev();
         d.write(0, &vec![1u8; 8 * BLOCK_SIZE]);
         assert_eq!(d.allocated_blocks(), 8);
         d.discard(0, 4 * BLOCK_SIZE as u64);
@@ -297,7 +288,7 @@ mod tests {
 
     #[test]
     fn stats_classify_sequential_vs_random() {
-        let (d, _) = dev(DiskModel::free());
+        let (d, _) = dev();
         let buf = [0u8; BLOCK_SIZE];
         d.write(0, &buf); // random (head at 0 -> block 0 is sequential actually)
         d.write(BLOCK_SIZE as u64, &buf); // continues -> sequential
@@ -310,14 +301,14 @@ mod tests {
 
     #[test]
     fn flush_records_barrier() {
-        let (d, _) = dev(DiskModel::free());
+        let (d, _) = dev();
         d.flush();
         assert_eq!(d.stats().flushes, 1);
     }
 
     #[test]
     fn empty_io_is_free() {
-        let (d, clock) = dev(DiskModel::gp2());
+        let (d, clock) = dev();
         d.write(0, &[]);
         let mut empty: [u8; 0] = [];
         d.read(0, &mut empty);

@@ -4,7 +4,8 @@
 //! volume (SSD-backed, network-attached, ~160 MB/s sequential, ~3000 burst
 //! IOPS, sub-millisecond latency). This crate provides:
 //!
-//! * [`DiskModel`] — the latency/throughput/IOPS parameters,
+//! * [`DiskModel`] — the latency/throughput/IOPS parameters, and [`GP2`],
+//!   the one calibrated instance,
 //! * [`BlockDevice`] — a thread-safe block store that executes reads and
 //!   writes, charges their cost to a shared [`cntr_types::SimClock`], and
 //!   keeps I/O statistics,
@@ -18,7 +19,7 @@ mod model;
 mod stats;
 
 pub use device::{BackgroundIo, BlockDevice};
-pub use model::DiskModel;
+pub use model::{DiskModel, GP2};
 pub use stats::IoSnapshot;
 
 /// Size of one device block (equal to the page size: 4 KiB).

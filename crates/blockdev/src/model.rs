@@ -7,6 +7,8 @@
 /// operation of the same kind ended. Random operations pay the access
 /// latency and are subject to the IOPS cap; sequential operations stream at
 /// the device's throughput.
+///
+/// The one calibrated instance is [`GP2`]; every device charges from it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Access latency of a random operation (ns).
@@ -17,41 +19,23 @@ pub struct DiskModel {
     pub iops: u64,
 }
 
+/// An EBS gp2-like SSD volume as used in the paper's testbed
+/// (100 GB gp2: 160 MB/s sequential, 3000 burst IOPS, ~0.5 ms latency).
+pub const GP2: DiskModel = DiskModel {
+    random_latency_ns: 500_000,
+    seq_throughput_bps: 160_000_000,
+    iops: 3_000,
+};
+
 impl DiskModel {
-    /// An EBS gp2-like SSD volume as used in the paper's testbed
-    /// (100 GB gp2: 160 MB/s sequential, 3000 burst IOPS, ~0.5 ms latency).
-    pub const fn gp2() -> DiskModel {
-        DiskModel {
-            random_latency_ns: 500_000,
-            seq_throughput_bps: 160_000_000,
-            iops: 3_000,
-        }
-    }
-
-    /// A null model: every operation is free. Used to isolate CPU/protocol
-    /// costs in ablation benches.
-    pub const fn free() -> DiskModel {
-        DiskModel {
-            random_latency_ns: 0,
-            seq_throughput_bps: u64::MAX,
-            iops: u64::MAX,
-        }
-    }
-
     /// Transfer time for `len` bytes at sequential throughput (ns).
     pub const fn transfer_ns(&self, len: u64) -> u64 {
-        if self.seq_throughput_bps == u64::MAX {
-            return 0;
-        }
         // ns = bytes * 1e9 / Bps, computed to avoid overflow for large len.
         len.saturating_mul(1_000_000_000) / self.seq_throughput_bps
     }
 
     /// Minimum spacing between random operations implied by the IOPS cap (ns).
     pub const fn iop_spacing_ns(&self) -> u64 {
-        if self.iops == u64::MAX {
-            return 0;
-        }
         1_000_000_000 / self.iops
     }
 
@@ -77,19 +61,13 @@ impl DiskModel {
     }
 }
 
-impl Default for DiskModel {
-    fn default() -> DiskModel {
-        DiskModel::gp2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn gp2_throughput_math() {
-        let m = DiskModel::gp2();
+        let m = GP2;
         // 160 MB at 160 MB/s = 1 second.
         assert_eq!(m.transfer_ns(160_000_000), 1_000_000_000);
         // 4 KiB sequential is far below a random latency.
@@ -98,23 +76,16 @@ mod tests {
 
     #[test]
     fn iops_cap_floors_random_ops() {
-        let m = DiskModel::gp2();
+        let m = GP2;
         // 3000 IOPS -> at least 333 µs between random ops.
         assert!(m.service_ns(1, false) >= 333_333);
-    }
-
-    #[test]
-    fn free_model_is_free() {
-        let m = DiskModel::free();
-        assert_eq!(m.service_ns(1 << 30, false), 0);
-        assert_eq!(m.service_ns(1 << 30, true), 0);
     }
 
     #[test]
     fn sequential_large_transfer_beats_random_small_ops() {
         // Writing 1 MiB sequentially must be cheaper than 256 random 4 KiB
         // writes — the mechanism behind the writeback-cache win (Fig 2 FIO).
-        let m = DiskModel::gp2();
+        let m = GP2;
         let seq = m.service_ns(1 << 20, false); // one random seek + streaming
         let rand: u64 = (0..256).map(|_| m.service_ns(4096, false)).sum();
         assert!(seq * 10 < rand, "seq={seq} rand={rand}");

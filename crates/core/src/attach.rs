@@ -21,7 +21,7 @@ use crate::proxy::SocketProxy;
 use crate::pty::Pty;
 use crate::shell::Shell;
 use cntr_engine::ContainerRuntime;
-use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
+use cntr_fuse::{FuseClientFs, FuseConfig};
 use cntr_kernel::{Kernel, MountFlags, NamespaceKind};
 use cntr_types::{DevId, Errno, Mode, OpenFlags, Pid, SysResult};
 use obs::{LazyCounter, LazyHistogram, Subsystem, Timed};
@@ -123,10 +123,8 @@ impl Cntr {
             // path resolution now happens inside the fat image.
             k.setns(server_pid, fat_pid, &[NamespaceKind::Mount])?;
         }
-        let server = CntrfsServer::new(k.clone(), server_pid, opts.fuse.published_lookup)?;
-        let transport = InlineTransport::new(server.clone());
         let dev = DevId(NEXT_FUSE_DEV.fetch_add(1, Ordering::Relaxed));
-        let client = FuseClientFs::mount(dev, k.clock().clone(), opts.fuse, transport)?;
+        let (server, client) = CntrfsServer::mount(k.clone(), server_pid, dev, opts.fuse)?;
 
         // ------------------------------------------------------------------
         // Step #3: initialize the tools namespace.
@@ -335,11 +333,16 @@ impl AttachSession {
         &self.plane
     }
 
-    /// Registers a socket forwarder on the session's plane: it listens
-    /// at `nested_path` (bound in the attached process's namespace, so
-    /// in-container clients resolve it) and forwards to `target_path`
-    /// on the tools side. The listener fd moves into the plane process.
-    pub fn add_proxy(&self, nested_path: &str, target_path: &str) -> SysResult<Arc<SocketProxy>> {
+    /// Forwards a Unix socket: registers a forwarder on the session's
+    /// plane that listens at `nested_path` (bound in the attached process's
+    /// namespace, so in-container clients resolve it) and forwards to
+    /// `target_path` on the tools side. The listener fd moves into the
+    /// plane process.
+    pub fn forward_socket(
+        &self,
+        nested_path: &str,
+        target_path: &str,
+    ) -> SysResult<Arc<SocketProxy>> {
         let proxy = SocketProxy::on_plane(
             &self.plane,
             self.attached,
@@ -349,17 +352,6 @@ impl AttachSession {
         )?;
         self.proxies.lock().push(Arc::clone(&proxy));
         Ok(proxy)
-    }
-
-    /// Forwards a Unix socket (alias of [`add_proxy`]).
-    ///
-    /// [`add_proxy`]: AttachSession::add_proxy
-    pub fn forward_socket(
-        &self,
-        nested_path: &str,
-        target_path: &str,
-    ) -> SysResult<Arc<SocketProxy>> {
-        self.add_proxy(nested_path, target_path)
     }
 
     /// Pumps the session's plane until quiet. All of the plane's

@@ -51,7 +51,7 @@
 
 use cntr_fuse::proto::{Reply, Request, RequestCtx};
 use cntr_fuse::server::FuseHandler;
-use cntr_fuse::InitFlags;
+use cntr_fuse::{FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_kernel::Kernel;
 use cntr_types::{
     AtFlags, DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, SetAttr, Stat, SysResult, Uid,
@@ -245,6 +245,21 @@ impl CntrfsServer {
             published_lookup,
             hint_hasher: RandomState::new(),
         })
+    }
+
+    /// Mounts CntrFS: starts a server at `server_pid` (as [`CntrfsServer::new`]
+    /// with `config`'s `published_lookup`) and connects a FUSE client to it
+    /// over the in-process transport, as connection `dev`.
+    pub fn mount(
+        kernel: Kernel,
+        server_pid: Pid,
+        dev: DevId,
+        config: FuseConfig,
+    ) -> SysResult<(CntrfsServer, Arc<FuseClientFs>)> {
+        let clock = kernel.clock().clone();
+        let server = CntrfsServer::new(kernel, server_pid, config.published_lookup)?;
+        let client = FuseClientFs::mount(dev, clock, config, InlineTransport::new(server.clone()))?;
+        Ok((server, client))
     }
 
     /// The process serving requests.
@@ -794,7 +809,6 @@ mod tests {
     use super::*;
     use cntr_engine::runtime::boot_host;
     use cntr_fs::{Filesystem, FilesystemExt, FsContext};
-    use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
     use cntr_types::{RenameFlags, SimClock, COST};
 
     fn setup() -> (Kernel, Arc<FuseClientFs>) {
@@ -820,10 +834,8 @@ mod tests {
         k.chmod(Pid::INIT, "/usr/bin/gdb", Mode::RWXR_XR_X).unwrap();
 
         let server_pid = k.fork(Pid::INIT).unwrap();
-        let server = CntrfsServer::new(k.clone(), server_pid, config.published_lookup).unwrap();
-        let transport = InlineTransport::new(server.clone());
-        let client =
-            FuseClientFs::mount(DevId(7777), k.clock().clone(), config, transport).unwrap();
+        let (server, client) =
+            CntrfsServer::mount(k.clone(), server_pid, DevId(7777), config).unwrap();
         (k, client, server)
     }
 

@@ -305,16 +305,8 @@ fn a_backing_file_at_max_stack_depth_is_refused() {
     let server_pid = k.fork(P).unwrap();
     k.chroot(server_pid, "/mnt").unwrap();
     let outer_dev = DevId(0xF6);
-    let config = FuseConfig::optimized();
-    let outer = FuseClientFs::mount(
-        outer_dev,
-        k.clock().clone(),
-        config,
-        InlineTransport::new(
-            CntrfsServer::new(k.clone(), server_pid, config.published_lookup).unwrap(),
-        ),
-    )
-    .unwrap();
+    let (_, outer) =
+        CntrfsServer::mount(k.clone(), server_pid, outer_dev, FuseConfig::optimized()).unwrap();
     k.mount_fs(P, "/outer", outer.clone(), MountFlags::default())
         .unwrap();
     let fd = k

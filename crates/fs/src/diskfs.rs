@@ -8,7 +8,7 @@
 
 use crate::nodefs::NodeFs;
 use crate::store::DiskStore;
-use cntr_blockdev::{BlockDevice, DiskModel};
+use cntr_blockdev::BlockDevice;
 use cntr_types::{DevId, SimClock};
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ pub type DiskFs = NodeFs<DiskStore>;
 /// Creates a [`DiskFs`] on a fresh gp2-like device, mirroring the paper's
 /// 100 GB volume.
 pub fn diskfs_gp2(dev_id: DevId, clock: SimClock) -> Arc<DiskFs> {
-    let device = BlockDevice::new(DiskModel::gp2(), clock.clone());
+    let device = BlockDevice::new(clock.clone());
     diskfs_on(dev_id, clock, device, 100 << 30)
 }
 

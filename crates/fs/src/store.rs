@@ -328,7 +328,6 @@ pub fn zero_partial_edges(offset: u64, len: u64, mut f: impl FnMut(u64, std::ops
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cntr_blockdev::DiskModel;
     use cntr_types::SimClock;
 
     fn mem_rw(offset: u64, data: &[u8]) -> Vec<u8> {
@@ -390,7 +389,7 @@ mod tests {
     #[test]
     fn disk_roundtrip_and_reclaim() {
         let clock = SimClock::new();
-        let dev = BlockDevice::new(DiskModel::free(), clock);
+        let dev = BlockDevice::new(clock);
         let store = DiskStore::new(dev.clone());
         let mut c = DiskContent::default();
         let data: Vec<u8> = (0..20_000).map(|i| (i % 253) as u8).collect();
@@ -407,7 +406,7 @@ mod tests {
     #[test]
     fn disk_blocks_are_reused_after_free() {
         let clock = SimClock::new();
-        let dev = BlockDevice::new(DiskModel::free(), clock);
+        let dev = BlockDevice::new(clock);
         let store = DiskStore::new(dev);
         let mut a = DiskContent::default();
         store.write(&mut a, 0, &[1u8; 4 * BLOCK_SIZE]);
@@ -421,7 +420,7 @@ mod tests {
     #[test]
     fn disk_writes_consume_virtual_time() {
         let clock = SimClock::new();
-        let dev = BlockDevice::new(DiskModel::gp2(), clock.clone());
+        let dev = BlockDevice::new(clock.clone());
         let store = DiskStore::new(dev);
         let mut c = DiskContent::default();
         store.write(&mut c, 0, &[0u8; BLOCK_SIZE]);

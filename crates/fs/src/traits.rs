@@ -180,11 +180,6 @@ pub trait Filesystem: Send + Sync {
         "rw".to_string()
     }
 
-    /// The root inode (by convention [`Ino::ROOT`]).
-    fn root_ino(&self) -> Ino {
-        Ino::ROOT
-    }
-
     /// Feature flags.
     fn features(&self) -> FsFeatures;
 

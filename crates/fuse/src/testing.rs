@@ -162,10 +162,6 @@ impl Filesystem for InstrumentedFs {
         self.inner.fs_options()
     }
 
-    fn root_ino(&self) -> Ino {
-        self.inner.root_ino()
-    }
-
     fn features(&self) -> FsFeatures {
         self.inner.features()
     }

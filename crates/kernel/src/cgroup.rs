@@ -3,7 +3,7 @@
 //! CNTR assigns its attached process to the target container's cgroup
 //! (paper §3.2.3: "the child process assigns itself to the cgroup, by
 //! appropriately setting the /sys/ option") so that tool resource usage is
-//! billed to — and limited by — the container.
+//! billed to the container. The one limit enforced is `pids.max`.
 
 use cntr_types::{Errno, Pid, SysResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -32,8 +32,6 @@ impl CgroupPath {
 /// Resource limits attached to one cgroup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CgroupLimits {
-    /// Memory limit in bytes (`memory.max`), if set.
-    pub memory_max: Option<u64>,
     /// Max number of pids (`pids.max`), if set.
     pub pids_max: Option<u64>,
 }
@@ -213,14 +211,8 @@ mod tests {
     fn pids_max_enforced() {
         let mut t = CgroupTree::new();
         let a = t.create("/a").unwrap();
-        t.set_limits(
-            &a,
-            CgroupLimits {
-                pids_max: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        t.set_limits(&a, CgroupLimits { pids_max: Some(1) })
+            .unwrap();
         t.attach(Pid(1), &a).unwrap();
         assert_eq!(t.attach(Pid(2), &a), Err(Errno::EAGAIN));
     }

@@ -1308,14 +1308,8 @@ mod tests {
     fn fork_rollback_on_cgroup_limit_is_clean() {
         let k = kernel();
         let cg = k.cgroup_create("/jail").unwrap();
-        k.cgroup_set_limits(
-            &cg,
-            CgroupLimits {
-                pids_max: Some(1),
-                ..CgroupLimits::default()
-            },
-        )
-        .unwrap();
+        k.cgroup_set_limits(&cg, CgroupLimits { pids_max: Some(1) })
+            .unwrap();
         k.cgroup_attach(Pid::INIT, &cg).unwrap();
         // The child inherits /jail, whose pid budget init exhausts: the
         // attach fails and the inserted child must be rolled back whole.

@@ -106,7 +106,7 @@ pub struct Mount {
     pub id: MountId,
     /// The filesystem instance.
     pub fs: Arc<dyn Filesystem>,
-    /// Root of the visible subtree within `fs` (≠ `fs.root_ino()` for bind
+    /// Root of the visible subtree within `fs` (≠ [`Ino::ROOT`] for bind
     /// mounts of subdirectories).
     pub root_ino: Ino,
     /// Where this mount hangs: `(parent mount, directory inode covered)`.
@@ -144,7 +144,6 @@ pub struct MountNs {
 impl MountNs {
     /// Creates a namespace with `fs` as its root mount.
     pub fn new(id: NamespaceId, root_mount_id: MountId, fs: Arc<dyn Filesystem>) -> MountNs {
-        let root_ino = fs.root_ino();
         let cache = CacheMode::for_mount(fs.features(), MountFlags::default());
         let mut mounts = BTreeMap::new();
         mounts.insert(
@@ -152,7 +151,7 @@ impl MountNs {
             Mount {
                 id: root_mount_id,
                 fs,
-                root_ino,
+                root_ino: Ino::ROOT,
                 parent: None,
                 propagation: Propagation::Private,
                 cache,

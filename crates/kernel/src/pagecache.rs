@@ -16,6 +16,14 @@
 //! The cache is bounded by `capacity_pages` and reclaims with the kernel's
 //! two-list design:
 //!
+//! * **One page index per file.** Pages live in one slab. A file finds its
+//!   own through its `FileState`, a sorted map from page number to slab
+//!   slot, as a Linux inode does through `address_space.i_pages`; there is
+//!   no cache-wide page table. A read miss sizes its fill run with one
+//!   range query on that map, and invalidation, truncation, hole punching
+//!   and unmount all drop a page range of one file through one routine.
+//!   Each page keeps its `(dev, ino, page)` so that reclaim, which walks
+//!   the LRU, can reach its file.
 //! * **Two-list LRU.** Every resident page lives on exactly one of two
 //!   intrusive lists (O(1) link/unlink through slab indices — no per-access
 //!   allocation, no scan-and-sort). A fresh page enters the *inactive* list
@@ -64,7 +72,8 @@ use cntr_types::{DevId, Errno, Ino, SimClock, SysResult, COST};
 use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -143,7 +152,7 @@ impl Drop for FileRef {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 struct PageKey {
     dev: DevId,
     ino: Ino,
@@ -263,6 +272,7 @@ impl Default for LruList {
 
 /// One resident page: identity, bytes, write-back state and LRU linkage.
 struct Page {
+    /// Whose page this is: reclaim reaches the file's index through it.
     key: PageKey,
     data: PageData,
     dirty: bool,
@@ -290,10 +300,11 @@ struct Page {
 /// transport round trip — blocking inside the lock that writeback re-entry
 /// needs. Every removal site takes the state out, unlocks, then drops.
 struct FileState {
-    /// Resident page numbers of this file (clean and dirty) — gives
-    /// invalidate/truncate an O(pages-of-file) sweep instead of a scan of
-    /// the whole cache.
-    pages: BTreeSet<u64>,
+    /// This file's resident pages, clean and dirty: page number → slab
+    /// slot. The cache's only page index (Linux's `address_space.i_pages`):
+    /// every lookup comes through it, a fill run is one range query, and
+    /// dropping a range of the file touches only the file's own pages.
+    pages: BTreeMap<u64, u32>,
     /// Dirty page numbers, sorted — write-back peels coalesced runs
     /// straight off this index.
     dirty: BTreeSet<u64>,
@@ -309,7 +320,7 @@ struct FileState {
 impl FileState {
     fn new() -> FileState {
         FileState {
-            pages: BTreeSet::new(),
+            pages: BTreeMap::new(),
             dirty: BTreeSet::new(),
             flush_ref: None,
             pending_size: None,
@@ -328,15 +339,13 @@ impl FileState {
     }
 }
 
-/// Everything behind the `pagecache.lru` lock: the page slab, the lookup
-/// index, the two LRU lists and the per-file state.
+/// Everything behind the `pagecache.lru` lock: the page slab, the two LRU
+/// lists and the per-file state, whose page maps index the slab.
 #[derive(Default)]
 struct CacheState {
     /// Page slab; `free` holds recycled slot indices.
     slots: Vec<Option<Page>>,
     free: Vec<u32>,
-    /// Hot-path lookup: key → slot.
-    map: HashMap<PageKey, u32>,
     files: HashMap<(DevId, Ino), FileState>,
     active: LruList,
     inactive: LruList,
@@ -362,7 +371,12 @@ impl CacheState {
     }
 
     fn resident(&self) -> usize {
-        self.map.len()
+        self.slots.len() - self.free.len()
+    }
+
+    /// The slot holding page `page` of `file`, if resident.
+    fn slot(&self, file: (DevId, Ino), page: u64) -> Option<u32> {
+        self.files.get(&file)?.pages.get(&page).copied()
     }
 
     fn list_mut(&mut self, kind: LruKind) -> &mut LruList {
@@ -456,7 +470,6 @@ impl CacheState {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.map.insert(key, slot);
         self.link_front(LruKind::Inactive, slot);
         OBS_INACTIVE_PAGES.inc();
         OBS_RESIDENT_PAGES.inc();
@@ -464,7 +477,7 @@ impl CacheState {
             .files
             .entry((key.dev, key.ino))
             .or_insert_with(FileState::new);
-        fstate.pages.insert(key.page);
+        fstate.pages.insert(key.page, slot);
         if dirty {
             fstate.dirty.insert(key.page);
             self.dirty_total += 1;
@@ -504,15 +517,14 @@ impl CacheState {
         OBS_DIRTY_PAGES.dec();
     }
 
-    /// Removes the page at `slot` entirely: unlinks it, drops it from both
-    /// indexes and fixes the dirty accounting. Returns the file-table
+    /// Removes the page at `slot` entirely: unlinks it, drops it from its
+    /// file's index and fixes the dirty accounting. Returns the file-table
     /// entry when this was the file's last trace, so the caller can drop
     /// any `FileRef` it owns *outside* the lock.
     fn remove(&mut self, slot: u32) -> Option<FileState> {
         self.unlink(slot);
         let page = self.slots[slot as usize].take().expect("live slot");
         self.free.push(slot);
-        self.map.remove(&page.key);
         match page.list {
             LruKind::Active => OBS_ACTIVE_PAGES.dec(),
             LruKind::Inactive => OBS_INACTIVE_PAGES.dec(),
@@ -531,6 +543,29 @@ impl CacheState {
             }
         }
         None
+    }
+
+    /// Removes `file`'s resident pages numbered in `pages`, clean or dirty,
+    /// in ascending order: what invalidation, truncation, hole punching and
+    /// unmount drop. Returns the file-table entry when that left nothing of
+    /// the file, for the caller to drop outside the lock.
+    fn drop_pages(
+        &mut self,
+        file: (DevId, Ino),
+        pages: impl RangeBounds<u64>,
+    ) -> Option<FileState> {
+        let doomed: Vec<u32> = self
+            .files
+            .get(&file)?
+            .pages
+            .range(pages)
+            .map(|(_, &s)| s)
+            .collect();
+        let mut gone = None;
+        for slot in doomed {
+            gone = gone.or(self.remove(slot));
+        }
+        gone
     }
 
     /// The file on a device `want` accepts with the most dirty pages — the
@@ -821,18 +856,9 @@ impl CacheShared {
         let first = offset / PAGE_SIZE as u64;
         let last = (offset + len).div_ceil(PAGE_SIZE as u64);
         let mut st = self.lru.lock();
-        let doomed: Vec<u64> = match st.files.get(&(dev, ino)) {
-            Some(f) => f.pages.range(first..last).copied().collect(),
-            None => return,
-        };
-        let mut removed = Vec::new();
-        for page in doomed {
-            if let Some(&slot) = st.map.get(&PageKey { dev, ino, page }) {
-                removed.extend(st.remove(slot));
-            }
-        }
+        let gone = st.drop_pages((dev, ino), first..last);
         drop(st);
-        drop(removed);
+        drop(gone);
     }
 
     /// Reads through the cache. `file` supplies the fill path; the caller
@@ -871,17 +897,13 @@ impl CacheShared {
             let page_no = off / PAGE_SIZE as u64;
             let in_page = (off % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(buf.len() - done);
-            let key = PageKey {
-                dev,
-                ino,
-                page: page_no,
-            };
 
             // A hit reads the page under the lock; a miss measures the run
             // of absent pages starting here.
             let run = {
                 let mut st = self.lru.lock();
-                if let Some(&slot) = st.map.get(&key) {
+                let pages = st.files.get(&(dev, ino)).map(|f| &f.pages);
+                if let Some(slot) = pages.and_then(|p| p.get(&page_no).copied()) {
                     // A touch on a referenced inactive page is the second
                     // touch: promote to the active list. Everything else
                     // just sets the referenced bit (the reclaim scan does
@@ -899,16 +921,11 @@ impl CacheShared {
                         .read_into(in_page, &mut buf[done..done + n]);
                     0
                 } else {
+                    // The run ends at the file's next resident page.
                     let limit = (last_page - page_no + 1).min(max_run as u64);
-                    (1..limit)
-                        .take_while(|i| {
-                            !st.map.contains_key(&PageKey {
-                                page: page_no + i,
-                                ..key
-                            })
-                        })
-                        .count()
-                        + 1
+                    pages
+                        .and_then(|p| p.range(page_no + 1..page_no + limit).next())
+                        .map_or(limit, |(&next, _)| next - page_no) as usize
                 }
             };
 
@@ -948,19 +965,16 @@ impl CacheShared {
             let over = {
                 let mut st = self.lru.lock();
                 for (i, data) in pages.into_iter().enumerate() {
-                    let key = PageKey {
-                        page: page_no + i as u64,
-                        ..key
-                    };
+                    let page = page_no + i as u64;
                     // The fill ran outside the lock; another thread may
                     // have populated (and even dirtied) the page meanwhile.
                     // Theirs wins — replacing a dirty entry with our clean
                     // fill would lose the write and strand the dirty
                     // accounting.
-                    if let Some(&slot) = st.map.get(&key) {
+                    if let Some(slot) = st.slot((dev, ino), page) {
                         st.page_mut(slot).referenced = true;
                     } else {
-                        st.insert(key, data, false, 0);
+                        st.insert(PageKey { dev, ino, page }, data, false, 0);
                     }
                 }
                 st.resident() > self.capacity_pages
@@ -1064,8 +1078,8 @@ impl CacheShared {
             let over = loop {
                 let now = self.clock.now();
                 let mut st = self.lru.lock();
-                let slot = match st.map.get(&key) {
-                    Some(&slot) => {
+                let slot = match st.slot((dev, ino), page_no) {
+                    Some(slot) => {
                         st.page_mut(slot).referenced = true;
                         if !st.page(slot).dirty {
                             newly_dirtied += 1;
@@ -1146,8 +1160,8 @@ impl CacheShared {
                     ino,
                     page: page_no,
                 };
-                let slot = match st.map.get(&key) {
-                    Some(&slot) => {
+                let slot = match st.slot((dev, ino), page_no) {
+                    Some(slot) => {
                         st.page_mut(slot).referenced = true;
                         slot
                     }
@@ -1267,7 +1281,12 @@ impl CacheShared {
                 let Some(flush_ref) = fstate.flush_ref.clone() else {
                     return Ok(0);
                 };
-                let pages: Vec<u64> = fstate.dirty.iter().take(max_pages).copied().collect();
+                let pages: Vec<(u64, u32)> = fstate
+                    .dirty
+                    .iter()
+                    .take(max_pages)
+                    .filter_map(|&page| Some((page, *fstate.pages.get(&page)?)))
+                    .collect();
                 (pages, flush_ref, fstate.pending_size)
             };
             // Peel the lowest `max_pages` dirty pages off the sorted
@@ -1285,11 +1304,7 @@ impl CacheShared {
             let skip_inflight = max_pages != usize::MAX;
             let mut runs: Vec<FlushRun> = Vec::new();
             let mut picked = 0usize;
-            for page in pages {
-                let key = PageKey { dev, ino, page };
-                let Some(&slot) = st.map.get(&key) else {
-                    continue;
-                };
+            for (page, slot) in pages {
                 let (version, snapshot) = {
                     let p = st.page_mut(slot);
                     if skip_inflight && p.writeback {
@@ -1350,8 +1365,7 @@ impl CacheShared {
             }
             let mut st = self.lru.lock();
             for (page, version, _) in members {
-                let key = PageKey { dev, ino, page };
-                if let Some(&slot) = st.map.get(&key) {
+                if let Some(slot) = st.slot((dev, ino), page) {
                     st.page_mut(slot).writeback = false;
                     // Only mark clean if not re-dirtied during the write.
                     if wrote.is_ok() && st.page(slot).dirty && st.page(slot).version == version {
@@ -1371,8 +1385,7 @@ impl CacheShared {
             let mut st = self.lru.lock();
             for (_, members) in runs {
                 for (page, _, _) in members {
-                    let key = PageKey { dev, ino, page };
-                    if let Some(&slot) = st.map.get(&key) {
+                    if let Some(slot) = st.slot((dev, ino), page) {
                         st.page_mut(slot).writeback = false;
                     }
                 }
@@ -1528,21 +1541,11 @@ impl CacheShared {
     pub fn invalidate_file(&self, dev: DevId, ino: Ino) -> SysResult<()> {
         self.flush_file(dev, ino)?;
         let mut st = self.lru.lock();
-        let pages: Vec<u64> = st
-            .files
-            .get(&(dev, ino))
-            .map(|f| f.pages.iter().copied().collect())
-            .unwrap_or_default();
-        let mut dropped = Vec::new();
-        for page in pages {
-            if let Some(&slot) = st.map.get(&PageKey { dev, ino, page }) {
-                dropped.extend(st.remove(slot));
-            }
-        }
-        let removed = st.files.remove(&(dev, ino));
+        let gone = st
+            .drop_pages((dev, ino), ..)
+            .or_else(|| st.files.remove(&(dev, ino)));
         drop(st);
-        drop(dropped);
-        drop(removed);
+        drop(gone);
         self.counters.invalidations.inc();
         Ok(())
     }
@@ -1553,29 +1556,16 @@ impl CacheShared {
     pub fn truncate_file(&self, dev: DevId, ino: Ino, new_size: u64) {
         let first_gone = new_size.div_ceil(PAGE_SIZE as u64);
         let mut st = self.lru.lock();
-        let doomed: Vec<u64> = match st.files.get(&(dev, ino)) {
-            Some(f) => f.pages.range(first_gone..).copied().collect(),
-            None => return,
-        };
-        let mut dropped = Vec::new();
-        for page in doomed {
-            if let Some(&slot) = st.map.get(&PageKey { dev, ino, page }) {
-                dropped.extend(st.remove(slot));
-            }
-        }
+        let gone = st.drop_pages((dev, ino), first_gone..);
         let tail = (new_size % PAGE_SIZE as u64) as usize;
         if tail != 0 {
-            let last = PageKey {
-                dev,
-                ino,
-                page: new_size / PAGE_SIZE as u64,
-            };
-            if let Some(&slot) = st.map.get(&last) {
+            if let Some(slot) = st.slot((dev, ino), new_size / PAGE_SIZE as u64) {
                 if let Some(p) = st.page_mut(slot).data.make_mut() {
                     p[tail..].fill(0);
                 }
             }
         }
+        let mut released = None;
         let mut removed = None;
         if let Some(f) = st.files.get_mut(&(dev, ino)) {
             if let Some(p) = f.pending_size {
@@ -1583,20 +1573,14 @@ impl CacheShared {
             }
             if f.dirty.is_empty() && f.pending_size.is_none() {
                 f.pending_mtime = None;
-                let taken_ref = f.flush_ref.take();
-                dropped.extend(taken_ref.map(|r| {
-                    let mut fs = FileState::new();
-                    fs.flush_ref = Some(r);
-                    fs
-                }));
+                released = f.flush_ref.take();
                 if f.is_empty() {
                     removed = st.files.remove(&(dev, ino));
                 }
             }
         }
         drop(st);
-        drop(dropped);
-        drop(removed);
+        drop((gone, released, removed));
     }
 
     /// Flushes everything dirty (global `sync`).
@@ -1659,26 +1643,16 @@ impl CacheShared {
         // error is reported after the sweep.
         let flush_err: Option<Errno> = self.sync_matching(|d| devs.contains(&d)).err();
         let mut st = self.lru.lock();
-        let doomed: Vec<(DevId, Ino, u64)> = st
+        let doomed: Vec<(DevId, Ino)> = st
             .files
-            .iter()
-            .filter(|(&(d, _), _)| devs.contains(&d))
-            .flat_map(|(&(d, i), f)| f.pages.iter().map(move |&p| (d, i, p)))
+            .keys()
+            .filter(|(d, _)| devs.contains(d))
+            .copied()
             .collect();
         let mut dropped = Vec::new();
-        for (dev, ino, page) in doomed {
-            if let Some(&slot) = st.map.get(&PageKey { dev, ino, page }) {
-                dropped.extend(st.remove(slot));
-            }
+        for file in doomed {
+            dropped.extend(st.drop_pages(file, ..).or_else(|| st.files.remove(&file)));
         }
-        st.files.retain(|&(d, _), f| {
-            if devs.contains(&d) {
-                dropped.push(std::mem::replace(f, FileState::new()));
-                false
-            } else {
-                true
-            }
-        });
         drop(st);
         drop(dropped);
         match flush_err {
@@ -1712,6 +1686,52 @@ mod tests {
             ino: st.ino,
             fh,
         })
+    }
+
+    impl CacheState {
+        /// Asserts that the slab, the two LRU lists, the per-file page
+        /// indexes and the dirty accounting describe the same pages.
+        fn check(&self) {
+            let mut linked = vec![false; self.slots.len()];
+            for (kind, list) in [
+                (LruKind::Active, &self.active),
+                (LruKind::Inactive, &self.inactive),
+            ] {
+                let (mut slot, mut prev, mut len) = (list.head, NIL, 0);
+                while slot != NIL {
+                    assert!(!linked[slot as usize], "slot {slot} linked twice");
+                    linked[slot as usize] = true;
+                    let p = self.page(slot);
+                    assert_eq!((p.list, p.prev), (kind, prev), "links of slot {slot}");
+                    (prev, slot, len) = (slot, p.next, len + 1);
+                }
+                assert_eq!((list.tail, list.len), (prev, len), "ends of {kind:?}");
+            }
+            let mut live = 0;
+            for (slot, page) in self.slots.iter().enumerate() {
+                let Some(p) = page else {
+                    assert!(self.free.contains(&(slot as u32)), "slot {slot} leaked");
+                    continue;
+                };
+                live += 1;
+                assert!(linked[slot], "slot {slot} on no list");
+                let f = &self.files[&(p.key.dev, p.key.ino)];
+                assert_eq!(f.pages.get(&p.key.page), Some(&(slot as u32)));
+                assert_eq!(f.dirty.contains(&p.key.page), p.dirty, "slot {slot}");
+            }
+            let (mut indexed, mut dirty) = (0, 0);
+            for (&(dev, ino), f) in &self.files {
+                for (&page, &slot) in &f.pages {
+                    let k = self.page(slot).key;
+                    assert_eq!((k.dev, k.ino, k.page), (dev, ino, page));
+                }
+                assert!(f.dirty.iter().all(|p| f.pages.contains_key(p)));
+                indexed += f.pages.len();
+                dirty += f.dirty.len();
+            }
+            assert_eq!((self.resident(), indexed), (live, live));
+            assert_eq!(self.dirty_total, dirty);
+        }
     }
 
     fn setup(cache_bytes: u64, dirty_bytes: u64) -> (Arc<PageCache>, Arc<FileRef>, DevId) {
@@ -1808,7 +1828,7 @@ mod tests {
     /// resident and holds real bytes.
     fn page_ptr(cache: &PageCache, dev: DevId, ino: Ino, page: u64) -> Option<usize> {
         let st = cache.lru.lock();
-        let slot = *st.map.get(&PageKey { dev, ino, page })?;
+        let slot = st.slot((dev, ino), page)?;
         match &st.page(slot).data {
             PageData::Owned(p) => Some(p.as_ptr() as usize),
             PageData::Shared(b) => Some(b.as_ptr() as usize),
@@ -2079,6 +2099,79 @@ mod tests {
             cache.effective_size(dev, file.ino, PAGE_SIZE as u64),
             PAGE_SIZE as u64
         );
+    }
+
+    /// A seeded schedule of every operation that adds or drops pages, over
+    /// two devices and three files in a 16-page cache (so reclaim and the
+    /// dirty throttle run throughout): after every step each resident page
+    /// is on one LRU list and in its own file's index, and the dirty sets,
+    /// flags and total agree.
+    #[test]
+    fn seeded_schedule_keeps_one_consistent_index() {
+        let clock = SimClock::new();
+        let fs1 = memfs(DevId(1), clock.clone()) as Arc<dyn Filesystem>;
+        let fs2 = memfs(DevId(2), clock.clone()) as Arc<dyn Filesystem>;
+        let files = [
+            (DevId(1), file_on(&fs1, "a")),
+            (DevId(1), file_on(&fs1, "b")),
+            (DevId(2), file_on(&fs2, "c")),
+        ];
+        let p = PAGE_SIZE as u64;
+        let cache = PageCache::new(clock, 16 * p, 8 * p, 4 * p, false);
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut ops = [0usize; 9];
+        for step in 0..3000u64 {
+            let (dev, file) = &files[next(3) as usize];
+            let (dev, ino) = (*dev, file.ino);
+            let off = next(40 * p);
+            let len = 1 + next(6 * p);
+            let op = next(9) as usize;
+            ops[op] += 1;
+            match op {
+                0 => {
+                    let data = vec![step as u8; len as usize];
+                    cache
+                        .write(dev, CacheMode::native(), file, off, &data)
+                        .unwrap();
+                }
+                1 => {
+                    let mut buf = vec![0u8; len as usize];
+                    cache
+                        .read(dev, CacheMode::native(), file, off, &mut buf)
+                        .unwrap();
+                }
+                2 => {
+                    let data = vec![step as u8; len as usize];
+                    cache
+                        .write(dev, CacheMode::uncached(), file, off, &data)
+                        .unwrap();
+                }
+                3 => {
+                    cache.flush_file(dev, ino).unwrap();
+                    let attr = SetAttr {
+                        size: Some(off),
+                        ..SetAttr::default()
+                    };
+                    file.fs.setattr(ino, &attr, &FsContext::root()).unwrap();
+                    cache.truncate_file(dev, ino, off);
+                }
+                4 => cache.drop_range(dev, ino, off, len),
+                5 => cache.invalidate_file(dev, ino).unwrap(),
+                6 => cache.drop_devs(&[dev]).unwrap(),
+                7 => cache.drop_clean().unwrap(),
+                _ => cache.flush_file(dev, ino).unwrap(),
+            }
+            cache.lru.lock().check();
+        }
+        assert!(ops.iter().all(|&n| n > 0), "{ops:?}");
+        let stats = cache.stats();
+        assert!(stats.evictions > 0 && stats.flushed_pages > 0, "{stats:?}");
     }
 
     /// A file's bytes as the filesystem holds them.

@@ -1719,13 +1719,12 @@ impl Kernel {
         if !at.stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        let root_ino = fs.root_ino();
         let cache = CacheMode::for_mount(fs.features(), flags);
         let id = self.alloc_mount_id();
         let ns_id = self.with_proc(pid, |p| Ok(p.ns.mount))?;
         self.inner.mounts.with_write(ns_id, |ns| {
             let fs = Arc::clone(&fs);
-            ns.add_mount(id, fs, root_ino, at.loc.mount, at.loc.ino, cache, flags)
+            ns.add_mount(id, fs, Ino::ROOT, at.loc.mount, at.loc.ino, cache, flags)
         })?;
         self.inner.passthrough.attach(&*fs);
         // Propagate into shared peers of the parent mount.

@@ -147,7 +147,7 @@ impl World {
 
     fn cross(&self, loc: Loc) -> Loc {
         if loc == (Layer::Root, self.mount_point) {
-            (Layer::Sub, self.sub_fs.root_ino())
+            (Layer::Sub, Ino::ROOT)
         } else {
             loc
         }

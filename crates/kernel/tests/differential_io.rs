@@ -169,10 +169,8 @@ impl Env {
         let server_pid = k.fork(Pid::INIT).expect("fork server");
         k.chroot(server_pid, "/srv").expect("chroot server");
         let config = FuseConfig::optimized();
-        let server = CntrfsServer::new(k.clone(), server_pid, config.published_lookup)
-            .expect("start server");
-        let client = FuseClientFs::mount(DevId(0xC1), clock, config, InlineTransport::new(server))
-            .expect("mount fuse");
+        let (_, client) =
+            CntrfsServer::mount(k.clone(), server_pid, DevId(0xC1), config).expect("mount fuse");
         assert!(client.effective_flags().passthrough);
         k.mount_fs(
             pid,

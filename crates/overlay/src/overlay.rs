@@ -237,16 +237,12 @@ impl OverlayFs {
         let root = OvlNode {
             parent: Ino::ROOT,
             name: String::new(),
-            upper: Some(upper.root_ino()),
-            lowers: lowers
-                .iter()
-                .enumerate()
-                .map(|(i, fs)| (i, fs.root_ino()))
-                .collect(),
+            upper: Some(Ino::ROOT),
+            lowers: (0..lowers.len()).map(|i| (i, Ino::ROOT)).collect(),
         };
-        by_real.insert((LayerKey::Upper, upper.root_ino()), Ino::ROOT);
-        for (i, fs) in lowers.iter().enumerate() {
-            by_real.insert((LayerKey::Lower(i), fs.root_ino()), Ino::ROOT);
+        by_real.insert((LayerKey::Upper, Ino::ROOT), Ino::ROOT);
+        for i in 0..lowers.len() {
+            by_real.insert((LayerKey::Lower(i), Ino::ROOT), Ino::ROOT);
         }
         nodes.insert(Ino::ROOT, root);
         Arc::new(OverlayFs {

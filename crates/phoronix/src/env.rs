@@ -1,10 +1,10 @@
 //! Benchmark environments: native ext4-on-gp2 vs CntrFS over it.
 
-use cntr_blockdev::{BlockDevice, DiskModel};
+use cntr_blockdev::BlockDevice;
 use cntr_core::CntrfsServer;
 use cntr_fs::diskfs::diskfs_on;
 use cntr_fs::memfs::memfs;
-use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
+use cntr_fuse::{FuseClientFs, FuseConfig};
 use cntr_kernel::kernel::KernelConfig;
 use cntr_kernel::{Kernel, MountFlags};
 use cntr_types::{DevId, Errno, Mode, OpenFlags, Pid, SimClock, SysResult, Timespec};
@@ -43,27 +43,15 @@ impl PerfEnv {
     /// 12 GiB cache and inline (flusher-less) write-back, so the figure
     /// bands stay byte-exact against the paper profile.
     pub fn build(target: Target) -> PerfEnv {
-        PerfEnv::build_with_cache(target, KernelConfig::paper_legacy().page_cache_limit)
-    }
-
-    /// Like [`PerfEnv::build`] with an explicit page-cache capacity — the
-    /// IOzone read experiment sizes the cache between 1× and 2× the file so
-    /// CntrFS's double buffering (client + server pages for the same bytes)
-    /// no longer fits while the native single copy does (§5.2.2).
-    pub fn build_with_cache(target: Target, page_cache_bytes: u64) -> PerfEnv {
         let clock = SimClock::new();
         let root = memfs(DevId(1), clock.clone());
-        let config = KernelConfig {
-            page_cache_limit: page_cache_bytes,
-            ..KernelConfig::paper_legacy()
-        };
-        let kernel = Kernel::with_clock(clock.clone(), root, config);
+        let kernel = Kernel::with_clock(clock.clone(), root, KernelConfig::paper_legacy());
         let pid = kernel.fork(Pid::INIT).expect("fork workload proc");
         kernel
             .mkdir(pid, "/data", Mode::RWXR_XR_X)
             .expect("mkdir /data");
 
-        let device = BlockDevice::new_synthetic(DiskModel::gp2(), clock.clone());
+        let device = BlockDevice::new_synthetic(clock.clone());
         let disk = diskfs_on(DevId(2), clock.clone(), Arc::clone(&device), 100 << 30);
         let synthetic = MountFlags {
             synthetic: true,
@@ -83,10 +71,8 @@ impl PerfEnv {
             },
             Target::Cntrfs(config) => {
                 let server_pid = kernel.fork(Pid::INIT).expect("fork server");
-                let server = CntrfsServer::new(kernel.clone(), server_pid, config.published_lookup)
-                    .expect("start server");
-                let client =
-                    FuseClientFs::mount(DevId(0xF00D), clock, config, InlineTransport::new(server))
+                let (_, client) =
+                    CntrfsServer::mount(kernel.clone(), server_pid, DevId(0xF00D), config)
                         .expect("mount cntrfs");
                 kernel.mkdir(pid, "/mnt", Mode::RWXR_XR_X).expect("mkdir");
                 kernel

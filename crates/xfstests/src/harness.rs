@@ -3,7 +3,7 @@
 use cntr_core::CntrfsServer;
 use cntr_engine::runtime::boot_host;
 use cntr_fs::XattrFlags;
-use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
+use cntr_fuse::FuseConfig;
 use cntr_kernel::vfs::Whence;
 use cntr_kernel::{Kernel, MountFlags};
 use cntr_types::{
@@ -127,11 +127,8 @@ pub fn cntrfs_over_tmpfs(config: FuseConfig) -> TestEnv {
     k.mkdir(pid, "/mnt/cntrfs", Mode::RWXR_XR_X)
         .expect("mkdir mnt");
     let server_pid = k.fork(Pid::INIT).expect("fork server");
-    let server =
-        CntrfsServer::new(k.clone(), server_pid, config.published_lookup).expect("start server");
-    let transport = InlineTransport::new(server);
-    let client = FuseClientFs::mount(DevId(0xCFFF), k.clock().clone(), config, transport)
-        .expect("mount cntrfs");
+    let (_, client) =
+        CntrfsServer::mount(k.clone(), server_pid, DevId(0xCFFF), config).expect("mount cntrfs");
     k.mount_fs(pid, "/mnt/cntrfs", client, MountFlags::default())
         .expect("mount");
     // Tests operate in a scratch area that maps to host /xfstests.
@@ -188,11 +185,8 @@ pub fn cntrfs_over_overlayfs(config: FuseConfig) -> TestEnv {
     k.mkdir(pid, "/mnt/cntrfs", Mode::RWXR_XR_X)
         .expect("mkdir mnt");
     let server_pid = k.fork(Pid::INIT).expect("fork server");
-    let server =
-        CntrfsServer::new(k.clone(), server_pid, config.published_lookup).expect("start server");
-    let transport = InlineTransport::new(server);
-    let client = FuseClientFs::mount(DevId(0xCFFE), k.clock().clone(), config, transport)
-        .expect("mount cntrfs");
+    let (_, client) =
+        CntrfsServer::mount(k.clone(), server_pid, DevId(0xCFFE), config).expect("mount cntrfs");
     k.mount_fs(pid, "/mnt/cntrfs", client, MountFlags::default())
         .expect("mount");
     TestEnv {

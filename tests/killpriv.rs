@@ -13,7 +13,7 @@
 use cntr::core::CntrfsServer;
 use cntr::fs::memfs::memfs;
 use cntr::fs::{XattrFlags, XATTR_NAME_CAPS};
-use cntr::fuse::{FuseClientFs, InlineTransport};
+use cntr::fuse::FuseClientFs;
 use cntr::kernel::MountFlags;
 use cntr::overlay::OverlayFs;
 use cntr::prelude::*;
@@ -70,14 +70,7 @@ fn cntrfs(name: &'static str, config: FuseConfig) -> Target {
     let clock = SimClock::new();
     let host = boot_host(clock.clone());
     let server_pid = host.fork(P).unwrap();
-    let server = CntrfsServer::new(host.clone(), server_pid, config.published_lookup).unwrap();
-    let client = FuseClientFs::mount(
-        DevId(0xCA),
-        clock.clone(),
-        config,
-        InlineTransport::new(server),
-    )
-    .unwrap();
+    let (_, client) = CntrfsServer::mount(host.clone(), server_pid, DevId(0xCA), config).unwrap();
     let k = boot_host(clock);
     k.mkdir(P, "/mnt", Mode::RWXR_XR_X).unwrap();
     k.mount_fs(P, "/mnt", client.clone(), MountFlags::default())
@@ -101,9 +94,7 @@ fn cntrfs_passthrough() -> Target {
     let server_pid = k.fork(P).unwrap();
     k.chroot(server_pid, "/srv").unwrap();
     let config = FuseConfig::optimized();
-    let server = CntrfsServer::new(k.clone(), server_pid, config.published_lookup).unwrap();
-    let client =
-        FuseClientFs::mount(DevId(0xCB), clock, config, InlineTransport::new(server)).unwrap();
+    let (_, client) = CntrfsServer::mount(k.clone(), server_pid, DevId(0xCB), config).unwrap();
     k.mount_fs(P, "/mnt", client.clone(), MountFlags::default())
         .unwrap();
     Target {
