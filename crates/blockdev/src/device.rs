@@ -3,9 +3,8 @@
 use crate::model::GP2;
 use crate::stats::{IoSnapshot, IoStats};
 use crate::BLOCK_SIZE;
-use cntr_types::{SimClock, Timespec};
+use cntr_types::{IdMap, SimClock, Timespec};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One device block.
@@ -50,7 +49,7 @@ fn in_background() -> bool {
 #[derive(Default)]
 struct DeviceState {
     /// Sparse block store: unwritten blocks read as zeroes.
-    blocks: HashMap<u64, Block>,
+    blocks: IdMap<u64, Block>,
     /// Next block number that would continue the previous read sequentially.
     read_head: u64,
     /// Next block number that would continue the previous write sequentially.

@@ -54,11 +54,11 @@ use cntr_fuse::server::FuseHandler;
 use cntr_fuse::{FuseClientFs, FuseConfig, InitFlags, InlineTransport};
 use cntr_kernel::Kernel;
 use cntr_types::{
-    AtFlags, DevId, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, SetAttr, Stat, SysResult, Uid,
+    AtFlags, DevId, Errno, FileType, Gid, IdMap, Ino, Mode, OpenFlags, Pid, SetAttr, Stat,
+    SysResult, Uid,
 };
 use obs::{LazyGauge, Subsystem};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
@@ -124,15 +124,15 @@ enum Registration {
 struct ServerState {
     /// The connection, once INIT negotiated passthrough for it.
     passthrough_conn: Option<DevId>,
-    inodes: HashMap<u64, InodeEntry>,
-    by_backing: HashMap<(DevId, Ino), u64>,
+    inodes: IdMap<u64, InodeEntry>,
+    by_backing: IdMap<(DevId, Ino), u64>,
     /// Name hints: [`CntrfsServer::hint`] of a `(parent, name)` a LOOKUP
     /// resolved → the FUSE inode it found. `hints[k] == i` exactly when inode `i`'s
     /// `hint` is `Some(k)`.
-    hints: HashMap<u64, u64>,
+    hints: IdMap<u64, u64>,
     next_ino: u64,
     /// FUSE fh → kernel fd in the server process.
-    handles: HashMap<u64, u32>,
+    handles: IdMap<u64, u32>,
     next_fh: u64,
 }
 
@@ -214,7 +214,7 @@ impl CntrfsServer {
             let _ = kernel.set_rlimits(server_pid, limits);
         }
         let root = kernel.open(server_pid, "/", ANCHOR, Mode::RW_R__R__)?;
-        let mut inodes = HashMap::new();
+        let mut inodes = IdMap::default();
         inodes.insert(
             1,
             InodeEntry {
@@ -234,10 +234,10 @@ impl CntrfsServer {
                 ServerState {
                     passthrough_conn: None,
                     inodes,
-                    by_backing: HashMap::new(),
-                    hints: HashMap::new(),
+                    by_backing: IdMap::default(),
+                    hints: IdMap::default(),
                     next_ino: 2,
-                    handles: HashMap::new(),
+                    handles: IdMap::default(),
                     next_fh: 1,
                 },
             )),

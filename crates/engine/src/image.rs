@@ -259,18 +259,15 @@ impl Layer {
 fn apply_entry(fs: &dyn Filesystem, e: &FileEntry, ctx: &FsContext) -> SysResult<()> {
     match &e.node {
         NodeSpec::Dir { mode } => {
-            mkdir_p(fs, &e.path, ctx)?;
-            if let Ok((parent, name)) = split_parent(&e.path) {
-                let pino = resolve_dir(fs, parent)?;
-                if let Ok(st) = fs.lookup(pino, name) {
-                    let _ = fs.setattr(st.ino, &cntr_types::SetAttr::chmod(*mode), ctx);
-                }
+            let ino = mkdir_p(fs, &e.path, ctx)?;
+            // The root keeps its mode.
+            if split_parent(&e.path).is_ok() {
+                let _ = fs.setattr(ino, &cntr_types::SetAttr::chmod(*mode), ctx);
             }
         }
         NodeSpec::File { mode, content, .. } => {
             let (parent, name) = split_parent(&e.path)?;
-            mkdir_p(fs, parent, ctx)?;
-            let pino = resolve_dir(fs, parent)?;
+            let pino = mkdir_p(fs, parent, ctx)?;
             // Later entries replace earlier files at the same path.
             let _ = fs.unlink(pino, name);
             let st = fs.mknod(pino, name, FileType::Regular, *mode, 0, ctx)?;
@@ -280,8 +277,7 @@ fn apply_entry(fs: &dyn Filesystem, e: &FileEntry, ctx: &FsContext) -> SysResult
         }
         NodeSpec::Symlink { target } => {
             let (parent, name) = split_parent(&e.path)?;
-            mkdir_p(fs, parent, ctx)?;
-            let pino = resolve_dir(fs, parent)?;
+            let pino = mkdir_p(fs, parent, ctx)?;
             let _ = fs.unlink(pino, name);
             fs.symlink(pino, name, target, ctx)?;
         }
@@ -359,8 +355,9 @@ pub fn resolve_dir(fs: &dyn Filesystem, path: &str) -> SysResult<Ino> {
     Ok(ino)
 }
 
-/// Creates a directory chain (`mkdir -p`).
-pub fn mkdir_p(fs: &dyn Filesystem, path: &str, ctx: &FsContext) -> SysResult<()> {
+/// Creates a directory chain (`mkdir -p`) and returns the inode of its
+/// last directory.
+pub fn mkdir_p(fs: &dyn Filesystem, path: &str, ctx: &FsContext) -> SysResult<Ino> {
     let mut ino = Ino::ROOT;
     for comp in path.split('/').filter(|c| !c.is_empty()) {
         ino = match fs.lookup(ino, comp) {
@@ -369,7 +366,7 @@ pub fn mkdir_p(fs: &dyn Filesystem, path: &str, ctx: &FsContext) -> SysResult<()
             Err(e) => return Err(e),
         };
     }
-    Ok(())
+    Ok(ino)
 }
 
 /// Fluent image construction.

@@ -14,11 +14,11 @@ use crate::traits::{
 use bytes::Bytes;
 use cntr_blockdev::BLOCK_SIZE;
 use cntr_types::{
-    DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, RenameFlags, SetAttr, SimClock,
-    Stat, Statfs, SysResult, Timespec, Uid,
+    DevId, Dirent, Errno, FileType, Gid, IdMap, Ino, Mode, OpenFlags, RenameFlags, SetAttr,
+    SimClock, Stat, Statfs, SysResult, Timespec, Uid,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Maximum hard links per inode (ext4's limit).
 pub const MAX_LINKS: u32 = 65_000;
@@ -81,8 +81,8 @@ struct HandleInfo {
 }
 
 struct FsState<C> {
-    inodes: HashMap<Ino, Node<C>>,
-    handles: HashMap<Fh, HandleInfo>,
+    inodes: IdMap<Ino, Node<C>>,
+    handles: IdMap<Fh, HandleInfo>,
     next_ino: u64,
     next_fh: u64,
     used_bytes: u64,
@@ -112,7 +112,7 @@ impl<S: FileStore> NodeFs<S> {
         store: S,
     ) -> NodeFs<S> {
         let now = clock.now();
-        let mut inodes = HashMap::new();
+        let mut inodes = IdMap::default();
         inodes.insert(
             Ino::ROOT,
             Node {
@@ -144,7 +144,7 @@ impl<S: FileStore> NodeFs<S> {
                 "fs.node_state",
                 FsState {
                     inodes,
-                    handles: HashMap::new(),
+                    handles: IdMap::default(),
                     next_ino: 2,
                     next_fh: 1,
                     used_bytes: 0,

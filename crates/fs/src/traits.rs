@@ -123,6 +123,12 @@ pub struct FsFeatures {
     /// negotiated passthrough reports its `max_stack_depth`, and refuses a
     /// backing file at that depth or deeper.
     pub stack_depth: u8,
+    /// Regular files are generated when read, like procfs's `seq_file`s:
+    /// `st_size` is 0 and does not bound a read, each open file renders
+    /// its content once, at its first read, and the kernel reads them
+    /// straight from the filesystem, never through the page cache. A
+    /// property of the filesystem, not a mount option.
+    pub seq_files: bool,
 }
 
 impl FsFeatures {
@@ -135,6 +141,7 @@ impl FsFeatures {
             keep_cache: true,
             passthrough: false,
             stack_depth: 0,
+            seq_files: false,
         }
     }
 }

@@ -49,8 +49,8 @@ use cntr_fs::{
 };
 use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
-    DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr, SimClock, Stat,
-    Statfs, SysResult, COST,
+    DevId, Dirent, Errno, FileType, IdMap, Ino, Mode, OpenFlags, RenameFlags, SetAttr, SimClock,
+    Stat, Statfs, SysResult, COST,
 };
 use obs::{LazyHistogram, Subsystem};
 use parking_lot::Mutex;
@@ -90,29 +90,29 @@ enum NoSec {
 #[derive(Default)]
 struct ClientState {
     entry_cache: HashMap<(Ino, String), CachedEntry>,
-    attr_cache: HashMap<Ino, Stat>,
+    attr_cache: IdMap<Ino, Stat>,
     /// Next to `attr_cache`: new attributes and xattr changes remove an
     /// inode's entry, so a check whose GETXATTR raced one finds its
     /// `Checking` gone and sets nothing (Linux serializes the two on
     /// `i_rwsem`).
-    nosec: HashMap<Ino, NoSec>,
+    nosec: IdMap<Ino, NoSec>,
     /// Symlink targets, filled only when `cache_symlinks` was negotiated.
     /// A target never changes under one inode number (servers never reuse
     /// one), so only the inode leaving the caches drops it.
-    symlinks: HashMap<Ino, String>,
-    nlookup: HashMap<Ino, u64>,
+    symlinks: IdMap<Ino, String>,
+    nlookup: IdMap<Ino, u64>,
     forget_queue: Vec<(Ino, u64)>,
-    readahead: HashMap<u64, ReadAhead>,
+    readahead: IdMap<u64, ReadAhead>,
     /// Backing ids of the open handles whose OPEN reply carried
     /// `FOPEN_PASSTHROUGH`.
-    passthrough: HashMap<u64, u32>,
+    passthrough: IdMap<u64, u32>,
     tick: u64,
     /// Attribute versions, after Linux's `fc->attr_version`: each change
     /// to an inode's attributes, by a reply or by the client itself (a
     /// write growing the size, an invalidation), takes the next version
     /// into `attr_changed`.
     attr_version: u64,
-    attr_changed: HashMap<Ino, u64>,
+    attr_changed: IdMap<Ino, u64>,
 }
 
 impl ClientState {
@@ -461,6 +461,7 @@ impl Filesystem for FuseClientFs {
             } else {
                 0
             },
+            seq_files: false,
         }
     }
 
@@ -1043,6 +1044,79 @@ mod tests {
         fs.release(st.ino, fh).unwrap();
         fs.unlink(Ino::ROOT, "f").unwrap();
         assert_eq!(fs.lookup(Ino::ROOT, "f"), Err(Errno::ENOENT));
+    }
+
+    impl ClientState {
+        /// Asserts that the entry cache agrees with itself and with the
+        /// lookup counts: ticks are distinct and not ahead of the clock,
+        /// the cache is within its cap, and no inode has more cached
+        /// names than LOOKUPs the server counted for it.
+        fn check(&self) {
+            let mut ticks = std::collections::HashSet::new();
+            let mut per_ino: HashMap<Ino, u64> = HashMap::new();
+            for ((_, name), e) in &self.entry_cache {
+                assert!(e.tick <= self.tick, "tick of {name:?}");
+                assert!(ticks.insert(e.tick), "tick {} twice", e.tick);
+                *per_ino.entry(e.ino).or_default() += 1;
+            }
+            for (ino, n) in per_ino {
+                let looked_up = self.nlookup.get(&ino).copied().unwrap_or(0);
+                assert!(n <= looked_up, "{ino}: {n} names, {looked_up} lookups");
+            }
+            assert!(self.entry_cache.len() <= ENTRY_CACHE_CAP);
+        }
+    }
+
+    #[test]
+    fn entry_cache_invariants_hold_through_eviction_forget_and_drop_caches() {
+        let (fs, _) = mounted(FuseConfig::optimized());
+        let check = || fs.state.lock().check();
+        let cached = |parent: Ino, name: &str| {
+            let key = (parent, name.to_string());
+            fs.state.lock().entry_cache.contains_key(&key)
+        };
+        let dir = fs
+            .mkdir(Ino::ROOT, "d", Mode::RWXR_XR_X, &root_ctx())
+            .unwrap()
+            .ino;
+        // Each create caches its entry: one past the cap evicts the oldest
+        // eighth, `d` first.
+        let mut last = Ino(0);
+        for i in 0..ENTRY_CACHE_CAP {
+            last = fs
+                .mknod(
+                    dir,
+                    &format!("f{i}"),
+                    FileType::Regular,
+                    Mode::RW_R__R__,
+                    0,
+                    &root_ctx(),
+                )
+                .unwrap()
+                .ino;
+        }
+        check();
+        let evicted = (ENTRY_CACHE_CAP + 1) / 8 + 1;
+        assert_eq!(
+            fs.state.lock().entry_cache.len(),
+            ENTRY_CACHE_CAP + 1 - evicted
+        );
+        assert!(!cached(Ino::ROOT, "d"));
+        assert!(!cached(dir, &format!("f{}", evicted - 2)));
+        assert!(cached(dir, &format!("f{}", evicted - 1)));
+        let newest = format!("f{}", ENTRY_CACHE_CAP - 1);
+        assert!(cached(dir, &newest));
+        assert_eq!(fs.lookup(dir, &newest).unwrap().ino, last);
+        check();
+
+        // FORGET drops every name of the inode.
+        fs.forget(last, 1);
+        assert!(!cached(dir, &newest));
+        check();
+
+        fs.drop_caches();
+        assert!(fs.state.lock().entry_cache.is_empty());
+        check();
     }
 
     #[test]

@@ -9,9 +9,8 @@
 
 use crate::proto::{InitFlags, Reply, Request, RequestCtx};
 use cntr_fs::{Filesystem, FilesystemExt, FsContext};
-use cntr_types::{Gid, Ino, SysResult, Uid};
+use cntr_types::{Gid, IdMap, Ino, SysResult, Uid};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A FUSE request handler (the userspace daemon).
@@ -43,7 +42,7 @@ fn reply<T>(r: SysResult<T>, f: impl FnOnce(T) -> Reply) -> Reply {
 pub struct FsHandler {
     fs: Arc<dyn Filesystem>,
     supported: InitFlags,
-    nlookup: Mutex<HashMap<Ino, u64>>,
+    nlookup: Mutex<IdMap<Ino, u64>>,
 }
 
 impl FsHandler {
@@ -52,7 +51,7 @@ impl FsHandler {
         FsHandler {
             fs,
             supported: InitFlags::cntr_default(),
-            nlookup: Mutex::new_class("fuse.server.nlookup", HashMap::new()),
+            nlookup: Mutex::new_class("fuse.server.nlookup", IdMap::default()),
         }
     }
 

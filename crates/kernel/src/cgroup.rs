@@ -5,8 +5,8 @@
 //! appropriately setting the /sys/ option") so that tool resource usage is
 //! billed to the container. The one limit enforced is `pids.max`.
 
-use cntr_types::{Errno, Pid, SysResult};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use cntr_types::{Errno, IdMap, Pid, SysResult};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Unbounded};
 
 /// A cgroup's position in the hierarchy, e.g.
@@ -48,7 +48,7 @@ pub struct CgroupTree {
     nodes: BTreeMap<CgroupPath, CgroupNode>,
     /// Each member pid's cgroup, as Linux keeps `task->cgroups`: attach,
     /// exit and lookup touch one group, not the whole hierarchy.
-    of: HashMap<Pid, CgroupPath>,
+    of: IdMap<Pid, CgroupPath>,
 }
 
 impl CgroupTree {

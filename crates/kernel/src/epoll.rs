@@ -5,9 +5,8 @@
 //! virtual time never blocks, `wait` returns the currently-ready set.
 
 use crate::pipe::Pollable;
-use cntr_types::{Errno, SysResult};
+use cntr_types::{Errno, IdMap, SysResult};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,7 +66,7 @@ struct Watch {
 /// higher tokens when more sources are ready than the caller's per-wait
 /// budget.
 pub struct Epoll {
-    watches: Mutex<HashMap<u64, Watch>>,
+    watches: Mutex<IdMap<u64, Watch>>,
     /// Rotation cursor of the budgeted wait: the token after which the
     /// next sweep starts (wrapping). Relaxed is fine — it only steers
     /// fairness, never correctness.
@@ -77,7 +76,7 @@ pub struct Epoll {
 impl Default for Epoll {
     fn default() -> Epoll {
         Epoll {
-            watches: Mutex::new_class("kernel.epoll.watches", HashMap::new()),
+            watches: Mutex::new_class("kernel.epoll.watches", IdMap::default()),
             cursor: AtomicU64::new(0),
         }
     }

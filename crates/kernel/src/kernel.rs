@@ -18,10 +18,10 @@ use crate::table::{lock_class, MountTable, NsRefs, ProcTable};
 use cntr_fs::Filesystem;
 use cntr_types::cost::PAGE_SIZE;
 use cntr_types::{
-    Capability, DevId, Errno, Ino, OpenFlags, Pid, RlimitSet, SimClock, SysResult, COST,
+    Capability, DevId, Errno, IdMap, Ino, OpenFlags, Pid, RlimitSet, SimClock, SysResult, COST,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -152,16 +152,16 @@ pub(crate) struct KernelInner {
     /// The cgroup hierarchy.
     pub cgroups: Mutex<CgroupTree>,
     /// UTS-namespace hostnames.
-    pub hostnames: RwLock<HashMap<NamespaceId, String>>,
+    pub hostnames: RwLock<IdMap<NamespaceId, String>>,
     /// Listening Unix sockets, keyed by the socket inode they are bound to
     /// and removed on unlink, last listener-fd close, or mount-namespace GC.
-    pub socket_nodes: Mutex<HashMap<(DevId, Ino), BoundSocket>>,
+    pub socket_nodes: Mutex<IdMap<(DevId, Ino), BoundSocket>>,
     /// fanotify-style access recording (Docker Slim's mechanism), scoped
     /// by mount namespace: when a namespace's recorder is armed,
     /// successful opens/execs from processes *in that namespace* append
     /// events to its slot — two concurrent `cntr-slim` analyses never
     /// interleave each other's events.
-    pub fanotify: Mutex<HashMap<NamespaceId, Vec<FanotifyEvent>>>,
+    pub fanotify: Mutex<IdMap<NamespaceId, Vec<FanotifyEvent>>>,
     /// FUSE passthrough connections: backing ids and inode I/O modes.
     pub passthrough: Arc<BackingTables>,
 }
@@ -231,7 +231,7 @@ impl Kernel {
             },
             env: BTreeMap::new(),
             rlimits: RlimitSet::default(),
-            fds: HashMap::new(),
+            fds: IdMap::default(),
             next_fd: 0,
             cgroup: CgroupPath::root(),
             state: ProcessState::Running,
@@ -240,7 +240,7 @@ impl Kernel {
         cgroups
             .attach(Pid::INIT, &CgroupPath::root())
             .expect("root cgroup exists");
-        let mut hostnames = HashMap::new();
+        let mut hostnames = IdMap::default();
         hostnames.insert(ns_id, "host".to_string());
         let init_ns = init.ns;
         Kernel {
@@ -259,8 +259,8 @@ impl Kernel {
                 next_ns: AtomicU64::new(2),
                 cgroups: Mutex::new_class(lock_class::CGROUPS, cgroups),
                 hostnames: RwLock::new_class(lock_class::HOSTNAMES, hostnames),
-                socket_nodes: Mutex::new_class(lock_class::SOCKET_NODES, HashMap::new()),
-                fanotify: Mutex::new_class(lock_class::FANOTIFY, HashMap::new()),
+                socket_nodes: Mutex::new_class(lock_class::SOCKET_NODES, IdMap::default()),
+                fanotify: Mutex::new_class(lock_class::FANOTIFY, IdMap::default()),
                 passthrough: BackingTables::new(),
             }),
         }

@@ -42,7 +42,8 @@ pub enum Propagation {
 /// its source mount's policy. For an ordinary disk filesystem both caches
 /// are on. For a FUSE mount they are what INIT *negotiated*: `keep_cache` is
 /// `FOPEN_KEEP_CACHE`, `writeback` is `FUSE_WRITEBACK_CACHE` — two of the
-/// paper's four optimizations (§3.3). `/proc` caches nothing.
+/// paper's four optimizations (§3.3). `/proc` bypasses the cache: its
+/// files are `seq_file`s ([`FsFeatures::seq_files`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheMode {
     /// Writes are buffered dirty in the page cache and flushed in batches.
@@ -53,6 +54,9 @@ pub struct CacheMode {
     pub(crate) keep_cache: bool,
     /// Pages carry no real bytes (see [`MountFlags::synthetic`]).
     pub(crate) synthetic: bool,
+    /// Reads bypass the page cache and `st_size`: the filesystem's files
+    /// are generated when read ([`FsFeatures::seq_files`]).
+    pub(crate) seq_files: bool,
 }
 
 impl CacheMode {
@@ -63,6 +67,7 @@ impl CacheMode {
             writeback: features.writeback_cache,
             keep_cache: features.keep_cache,
             synthetic: flags.synthetic,
+            seq_files: features.seq_files,
         }
     }
 
@@ -72,6 +77,7 @@ impl CacheMode {
             writeback: true,
             keep_cache: true,
             synthetic: false,
+            seq_files: false,
         }
     }
 
@@ -81,6 +87,7 @@ impl CacheMode {
             writeback: false,
             keep_cache: false,
             synthetic: false,
+            seq_files: false,
         }
     }
 }

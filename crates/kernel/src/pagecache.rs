@@ -68,11 +68,11 @@ use crate::table::lock_class;
 use bytes::Bytes;
 use cntr_fs::{Fh, Filesystem, FilesystemExt};
 use cntr_types::cost::PAGE_SIZE;
-use cntr_types::{DevId, Errno, Ino, SimClock, SysResult, COST};
+use cntr_types::{DevId, Errno, IdMap, Ino, SimClock, SysResult, COST};
 use obs::{LazyCounter, LazyGauge, LazyHistogram, Subsystem};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -346,7 +346,7 @@ struct CacheState {
     /// Page slab; `free` holds recycled slot indices.
     slots: Vec<Option<Page>>,
     free: Vec<u32>,
-    files: HashMap<(DevId, Ino), FileState>,
+    files: IdMap<(DevId, Ino), FileState>,
     active: LruList,
     inactive: LruList,
     dirty_total: usize,

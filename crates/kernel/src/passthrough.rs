@@ -21,10 +21,9 @@ use crate::pagecache::FileRef;
 use crate::process::FileKind;
 use crate::table::lock_class;
 use cntr_fs::Filesystem;
-use cntr_types::{AccessMode, Capability, DevId, Errno, Ino, OpenFlags, Pid, SysResult};
+use cntr_types::{AccessMode, Capability, DevId, Errno, IdMap, Ino, OpenFlags, Pid, SysResult};
 use obs::{LazyCounter, LazyGauge, Subsystem};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Backing files opened for passthrough opens.
@@ -41,10 +40,10 @@ struct Conn {
     /// The mount's `max_stack_depth`: a backing file must stack less deep.
     max_stack_depth: u8,
     /// Backing id → the registered file.
-    backing: HashMap<u32, BackingPath>,
+    backing: IdMap<u32, BackingPath>,
     next_id: u32,
     /// The I/O mode of every inode with an open file.
-    inodes: HashMap<Ino, IoMode>,
+    inodes: IdMap<Ino, IoMode>,
 }
 
 /// Where a registered backing file lives: what `backing_file_open` opens
@@ -71,13 +70,13 @@ struct IoMode {
 
 /// The backing tables of a machine's passthrough connections.
 pub(crate) struct BackingTables {
-    conns: Mutex<HashMap<DevId, Conn>>,
+    conns: Mutex<IdMap<DevId, Conn>>,
 }
 
 impl BackingTables {
     pub(crate) fn new() -> Arc<BackingTables> {
         Arc::new(BackingTables {
-            conns: Mutex::new_class(lock_class::FUSE_BACKING, HashMap::new()),
+            conns: Mutex::new_class(lock_class::FUSE_BACKING, IdMap::default()),
         })
     }
 
@@ -90,9 +89,9 @@ impl BackingTables {
             let _ = (OPENS.get(), BACKING_IDS.get(), REFUSED.get());
             self.conns.lock().entry(fs.fs_id()).or_insert(Conn {
                 max_stack_depth: features.stack_depth,
-                backing: HashMap::new(),
+                backing: IdMap::default(),
                 next_id: 1,
-                inodes: HashMap::new(),
+                inodes: IdMap::default(),
             });
         }
     }

@@ -10,9 +10,9 @@ use crate::passthrough::IoOpen;
 use crate::pipe::Pipe;
 use crate::socket::{SocketEnd, SocketListener};
 use cntr_fs::Filesystem;
-use cntr_types::{DevId, Ino, OpenFlags, Pid, RlimitSet};
+use cntr_types::{DevId, IdMap, Ino, OpenFlags, Pid, RlimitSet};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A location in the VFS: a mount plus an inode within it.
@@ -168,7 +168,7 @@ pub struct Process {
     /// Resource limits.
     pub rlimits: RlimitSet,
     /// File descriptor table.
-    pub fds: HashMap<u32, FdEntry>,
+    pub fds: IdMap<u32, FdEntry>,
     /// Next fd number to hand out.
     pub next_fd: u32,
     /// Cgroup membership (kept in sync with the cgroup tree).
@@ -234,7 +234,7 @@ mod tests {
             },
             env: BTreeMap::new(),
             rlimits: RlimitSet::default(),
-            fds: HashMap::new(),
+            fds: IdMap::default(),
             next_fd: 0,
             cgroup: CgroupPath::root(),
             state: ProcessState::Running,

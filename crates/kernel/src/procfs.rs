@@ -16,6 +16,13 @@
 //! a special node, no matter how large pids grow (the previous
 //! `pid * 1000 + k` layout collided once any index reached the stride).
 //!
+//! Files read like Linux's `seq_file`s under `single_open`: `st_size` is
+//! 0, an open file renders its content once, at its first read, and later
+//! reads of that open file slice the same snapshot, so a reader that reads
+//! a few bytes at a time never sees two renderings spliced together. The
+//! kernel reads them straight from here, never through the page cache
+//! ([`FsFeatures::seq_files`]).
+//!
 //! `/proc/namespaces` is this simulation's observability hook for
 //! namespace GC: one line per live `(kind, id)` pair with its process
 //! refcount, so tests and `cntr-slim` can watch namespaces appear on
@@ -23,12 +30,14 @@
 
 use crate::kernel::KernelInner;
 use crate::ns::{NamespaceKind, ALL_KINDS};
+use crate::table::lock_class;
 use bytes::Bytes;
 use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags};
 use cntr_types::{
-    DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, RenameFlags, SetAttr, Stat,
-    Statfs, SysResult, Timespec, Uid,
+    DevId, Dirent, Errno, FileType, Gid, IdMap, Ino, Mode, OpenFlags, Pid, RenameFlags, SetAttr,
+    Stat, Statfs, SysResult, Timespec, Uid,
 };
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -53,6 +62,11 @@ pub struct ProcFs {
     dev: DevId,
     kernel: Weak<KernelInner>,
     next_fh: AtomicU64,
+    /// Each open file's rendered content, from its first read until its
+    /// release (the `seq_file` buffer). Held only to look up or store a
+    /// snapshot: rendering, which reads the process and mount tables,
+    /// happens outside it.
+    open_files: Mutex<IdMap<Fh, Option<Bytes>>>,
 }
 
 impl ProcFs {
@@ -62,6 +76,7 @@ impl ProcFs {
             dev,
             kernel,
             next_fh: AtomicU64::new(1),
+            open_files: Mutex::new_class(lock_class::PROCFS_OPEN, IdMap::default()),
         })
     }
 
@@ -100,29 +115,6 @@ impl ProcFs {
         self.kernel()
             .map(|k| k.procs.contains(pid))
             .unwrap_or(false)
-    }
-
-    /// The fields a `/proc/<pid>/*` file is generated from, cloned out of
-    /// the process table in **one** lock acquisition. A concurrent `fork`
-    /// or `exit` can therefore never produce a torn read: every line of a
-    /// rendered file describes the same instant of the process.
-    fn snapshot(&self, pid: Pid) -> SysResult<ProcSnapshot> {
-        let kernel = self.kernel()?;
-        kernel
-            .procs
-            .with(pid, |p| {
-                Ok(ProcSnapshot {
-                    name: p.name.clone(),
-                    state: p.state,
-                    pid: p.pid,
-                    ppid: p.ppid,
-                    creds: p.creds.clone(),
-                    env: p.env.clone(),
-                    cgroup: p.cgroup.clone(),
-                    ns: p.ns,
-                })
-            })
-            .map_err(|_| Errno::ENOENT)
     }
 
     /// `/proc/namespaces`: one `kind id refcount` line per live namespace,
@@ -168,64 +160,77 @@ impl ProcFs {
         out.into_bytes()
     }
 
+    /// Renders a `/proc/<pid>/*` file under **one** process-table
+    /// acquisition, formatting straight from the process: a concurrent
+    /// `fork` or `exit` can never produce a torn read, since every line
+    /// describes the same instant of the process, and nothing is cloned
+    /// out of it.
     fn content(&self, pid: Pid, file: ProcFile) -> SysResult<Vec<u8>> {
-        let p = self.snapshot(pid)?;
-        let out = match file {
-            ProcFile::Status => format!(
-                "Name:\t{}\nState:\t{}\nPid:\t{}\nPPid:\t{}\nUid:\t{} {} {} {}\nGid:\t{} {} {} {}\nCapEff:\t{:016x}\nCapBnd:\t{:016x}\nSeccomp:\t0\n",
-                p.name,
-                match p.state {
-                    crate::process::ProcessState::Running => "R (running)",
-                    crate::process::ProcessState::Zombie => "Z (zombie)",
-                },
-                p.pid,
-                p.ppid,
-                p.creds.uid, p.creds.uid, p.creds.uid, p.creds.uid,
-                p.creds.gid, p.creds.gid, p.creds.gid, p.creds.gid,
-                p.creds.caps.raw(),
-                p.creds.bounding.raw(),
-            )
-            .into_bytes(),
-            ProcFile::Environ => {
-                let mut buf = Vec::new();
-                for (k, v) in &p.env {
-                    buf.extend_from_slice(k.as_bytes());
-                    buf.push(b'=');
-                    buf.extend_from_slice(v.as_bytes());
-                    buf.push(0);
-                }
-                buf
-            }
-            ProcFile::Cmdline => {
-                let mut b = p.name.clone().into_bytes();
-                b.push(0);
-                b
-            }
-            ProcFile::Cgroup => format!("0::{}\n", p.cgroup.0).into_bytes(),
-            ProcFile::Mounts => {
-                // Processes-before-mounts: the process table was released
-                // by `snapshot`; the mount table is read afterwards.
-                let kernel = self.kernel()?;
-                let ns = kernel.mounts.snapshot(p.ns.mount).map_err(|_| Errno::EIO)?;
-                let mut out = String::new();
-                for m in ns.iter() {
-                    // The filesystem reports its own option string (stacked
-                    // filesystems expose their layering here); the mount's
-                    // read-only flag overrides the leading rw.
-                    let opts = if m.flags.readonly {
-                        m.fs.fs_options().replacen("rw", "ro", 1)
-                    } else {
-                        m.fs.fs_options()
-                    };
-                    out.push_str(&format!("{} {} {} 0 0\n", m.fs.fs_type(), m.id, opts));
-                }
-                out.into_bytes()
-            }
-            ProcFile::Ns(kind) => {
-                format!("{}:[{}]", kind.proc_name(), p.ns.get(kind).0).into_bytes()
-            }
+        let kernel = self.kernel()?;
+        // `Err(ns)` names the mount namespace of a `mounts` file: the mount
+        // table is read once the process table is released
+        // (processes-before-mounts).
+        let rendered = kernel
+            .procs
+            .with(pid, |p| {
+                Ok(match file {
+                    ProcFile::Status => Ok(format!(
+                        "Name:\t{}\nState:\t{}\nPid:\t{}\nPPid:\t{}\nUid:\t{} {} {} {}\nGid:\t{} {} {} {}\nCapEff:\t{:016x}\nCapBnd:\t{:016x}\nSeccomp:\t0\n",
+                        p.name,
+                        match p.state {
+                            crate::process::ProcessState::Running => "R (running)",
+                            crate::process::ProcessState::Zombie => "Z (zombie)",
+                        },
+                        p.pid,
+                        p.ppid,
+                        p.creds.uid, p.creds.uid, p.creds.uid, p.creds.uid,
+                        p.creds.gid, p.creds.gid, p.creds.gid, p.creds.gid,
+                        p.creds.caps.raw(),
+                        p.creds.bounding.raw(),
+                    )
+                    .into_bytes()),
+                    ProcFile::Environ => {
+                        let mut buf = Vec::new();
+                        for (k, v) in &p.env {
+                            buf.extend_from_slice(k.as_bytes());
+                            buf.push(b'=');
+                            buf.extend_from_slice(v.as_bytes());
+                            buf.push(0);
+                        }
+                        Ok(buf)
+                    }
+                    ProcFile::Cmdline => {
+                        let mut b = Vec::with_capacity(p.name.len() + 1);
+                        b.extend_from_slice(p.name.as_bytes());
+                        b.push(0);
+                        Ok(b)
+                    }
+                    ProcFile::Cgroup => Ok(format!("0::{}\n", p.cgroup.0).into_bytes()),
+                    ProcFile::Ns(kind) => {
+                        Ok(format!("{}:[{}]", kind.proc_name(), p.ns.get(kind).0).into_bytes())
+                    }
+                    ProcFile::Mounts => Err(p.ns.mount),
+                })
+            })
+            .map_err(|_| Errno::ENOENT)?;
+        let mnt_ns = match rendered {
+            Ok(bytes) => return Ok(bytes),
+            Err(ns) => ns,
         };
-        Ok(out)
+        let ns = kernel.mounts.snapshot(mnt_ns).map_err(|_| Errno::EIO)?;
+        let mut out = String::new();
+        for m in ns.iter() {
+            // The filesystem reports its own option string (stacked
+            // filesystems expose their layering here); the mount's
+            // read-only flag overrides the leading rw.
+            let opts = if m.flags.readonly {
+                m.fs.fs_options().replacen("rw", "ro", 1)
+            } else {
+                m.fs.fs_options()
+            };
+            out.push_str(&format!("{} {} {} 0 0\n", m.fs.fs_type(), m.id, opts));
+        }
+        Ok(out.into_bytes())
     }
 
     fn dir_stat(&self, ino: Ino, uid: Uid, gid: Gid) -> Stat {
@@ -247,7 +252,9 @@ impl ProcFs {
         }
     }
 
-    fn file_stat(&self, ino: Ino, uid: Uid, gid: Gid, size: u64) -> Stat {
+    /// A file's attributes: size 0, as procfs reports, since the content
+    /// exists only once a read renders it.
+    fn file_stat(&self, ino: Ino, uid: Uid, gid: Gid) -> Stat {
         Stat {
             dev: self.dev,
             ino,
@@ -257,7 +264,7 @@ impl ProcFs {
             uid,
             gid,
             rdev: 0,
-            size,
+            size: 0,
             blocks: 0,
             blksize: 4096,
             atime: Timespec::ZERO,
@@ -266,56 +273,44 @@ impl ProcFs {
         }
     }
 
-    fn owner_of(&self, pid: Pid) -> (Uid, Gid) {
-        self.kernel()
-            .ok()
-            .and_then(|k| k.procs.with(pid, |p| Ok((p.creds.uid, p.creds.gid))).ok())
-            .unwrap_or((Uid::ROOT, Gid::ROOT))
+    /// The owner of a live process's `/proc` entries, or `ENOENT` once it
+    /// is gone.
+    fn owner_of(&self, pid: Pid) -> SysResult<(Uid, Gid)> {
+        self.kernel()?
+            .procs
+            .with(pid, |p| Ok((p.creds.uid, p.creds.gid)))
+            .map_err(|_| Errno::ENOENT)
+    }
+
+    /// The content of a file node, rendered now.
+    fn render(&self, ino: Ino) -> SysResult<Vec<u8>> {
+        match Self::classify(ino) {
+            ProcNode::File(pid, f) => self.content(pid, f),
+            ProcNode::NsTable => self.namespaces_content(),
+            ProcNode::Lockdep => Ok(self.lockdep_content()),
+            ProcNode::Cntrstats => Ok(self.cntrstats_content()),
+            ProcNode::Unknown => Err(Errno::ENOENT),
+            ProcNode::Root | ProcNode::PidDir(_) | ProcNode::NsDir(_) => Err(Errno::EISDIR),
+        }
     }
 
     fn node_stat(&self, ino: Ino) -> SysResult<Stat> {
         match Self::classify(ino) {
             ProcNode::Root => Ok(self.dir_stat(ino, Uid::ROOT, Gid::ROOT)),
-            ProcNode::NsTable => {
-                let size = self.namespaces_content()?.len() as u64;
-                Ok(self.file_stat(ino, Uid::ROOT, Gid::ROOT, size))
-            }
-            ProcNode::Lockdep => {
-                let size = self.lockdep_content().len() as u64;
-                Ok(self.file_stat(ino, Uid::ROOT, Gid::ROOT, size))
-            }
-            ProcNode::Cntrstats => {
-                let size = self.cntrstats_content().len() as u64;
-                Ok(self.file_stat(ino, Uid::ROOT, Gid::ROOT, size))
+            ProcNode::NsTable | ProcNode::Lockdep | ProcNode::Cntrstats => {
+                Ok(self.file_stat(ino, Uid::ROOT, Gid::ROOT))
             }
             ProcNode::PidDir(pid) | ProcNode::NsDir(pid) => {
-                if !self.pid_exists(pid) {
-                    return Err(Errno::ENOENT);
-                }
-                let (uid, gid) = self.owner_of(pid);
+                let (uid, gid) = self.owner_of(pid)?;
                 Ok(self.dir_stat(ino, uid, gid))
             }
-            ProcNode::File(pid, f) => {
-                let size = self.content(pid, f)?.len() as u64;
-                let (uid, gid) = self.owner_of(pid);
-                Ok(self.file_stat(ino, uid, gid, size))
+            ProcNode::File(pid, _) => {
+                let (uid, gid) = self.owner_of(pid)?;
+                Ok(self.file_stat(ino, uid, gid))
             }
             ProcNode::Unknown => Err(Errno::ENOENT),
         }
     }
-}
-
-/// One process's fields, cloned from the process table in a single
-/// acquisition.
-struct ProcSnapshot {
-    name: String,
-    state: crate::process::ProcessState,
-    pid: Pid,
-    ppid: Pid,
-    creds: crate::cred::Credentials,
-    env: std::collections::BTreeMap<String, String>,
-    cgroup: crate::cgroup::CgroupPath,
-    ns: crate::ns::NamespaceSet,
 }
 
 #[derive(Clone, Copy)]
@@ -354,11 +349,12 @@ impl Filesystem for ProcFs {
     fn features(&self) -> FsFeatures {
         FsFeatures {
             enforces_caller_fsize: true,
-            // Contents are generated on every read: nothing is cached.
+            // Contents are generated when read: nothing is cached.
             writeback_cache: false,
             keep_cache: false,
             passthrough: false,
             stack_depth: 0,
+            seq_files: true,
         }
     }
 
@@ -375,9 +371,6 @@ impl Filesystem for ProcFs {
                     return self.node_stat(Ino(I_CNTRSTATS));
                 }
                 let pid: u32 = name.parse().map_err(|_| Errno::ENOENT)?;
-                if !self.pid_exists(Pid(pid)) {
-                    return Err(Errno::ENOENT);
-                }
                 self.node_stat(Ino(pid_ino(Pid(pid), 0)))
             }
             ProcNode::PidDir(pid) => {
@@ -469,27 +462,36 @@ impl Filesystem for ProcFs {
             return Err(Errno::EACCES);
         }
         self.node_stat(ino)?;
-        Ok(Fh(self.next_fh.fetch_add(1, Ordering::Relaxed)))
+        let fh = Fh(self.next_fh.fetch_add(1, Ordering::Relaxed));
+        self.open_files.lock().insert(fh, None);
+        Ok(fh)
     }
 
-    fn release(&self, _ino: Ino, _fh: Fh) -> SysResult<()> {
+    fn release(&self, _ino: Ino, fh: Fh) -> SysResult<()> {
+        self.open_files.lock().remove(&fh);
         Ok(())
     }
 
-    fn read_bytes(&self, ino: Ino, _fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
-        let content = match Self::classify(ino) {
-            ProcNode::File(pid, f) => self.content(pid, f)?,
-            ProcNode::NsTable => self.namespaces_content()?,
-            ProcNode::Lockdep => self.lockdep_content(),
-            ProcNode::Cntrstats => self.cntrstats_content(),
-            _ => return Err(Errno::EISDIR),
+    /// Slices the open file's snapshot, rendering it at the first read
+    /// (`single_open`'s `seq_read`). A handle this filesystem did not
+    /// hand out reads a fresh rendering.
+    fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
+        let snapshot = self.open_files.lock().get(&fh).cloned().flatten();
+        let content = match snapshot {
+            Some(content) => content,
+            None => {
+                let rendered = Bytes::from(self.render(ino)?);
+                // Of two racing first reads, the first to store wins and
+                // both return its rendering.
+                match self.open_files.lock().get_mut(&fh) {
+                    Some(slot) => slot.get_or_insert(rendered).clone(),
+                    None => rendered,
+                }
+            }
         };
-        if offset >= content.len() as u64 {
-            return Ok(Bytes::new());
-        }
-        let start = offset as usize;
+        let start = offset.min(content.len() as u64) as usize;
         let end = content.len().min(start.saturating_add(len));
-        Ok(Bytes::from(content).slice(start..end))
+        Ok(content.slice(start..end))
     }
 
     fn write_bytes(&self, _ino: Ino, _fh: Fh, _offset: u64, _data: Bytes) -> SysResult<usize> {
@@ -893,6 +895,91 @@ mod tests {
         }
         assert!(text.contains("pagecache.lookups "), "{text}");
         assert!(text.contains("lockdep.classes "), "{text}");
+    }
+
+    /// Reads `path` to its end, `chunk` bytes per `read(2)`.
+    fn read_in_chunks(k: &Kernel, path: &str, chunk: usize) -> Vec<u8> {
+        let fd = k
+            .open(Pid::INIT, path, OpenFlags::RDONLY, Mode::RW_R__R__)
+            .unwrap();
+        let (mut out, mut buf) = (Vec::new(), vec![0u8; chunk]);
+        loop {
+            let n = k.read_fd(Pid::INIT, fd, &mut buf).unwrap();
+            if n == 0 {
+                break;
+            }
+            out.extend_from_slice(&buf[..n]);
+        }
+        k.close(Pid::INIT, fd).unwrap();
+        out
+    }
+
+    #[test]
+    fn small_reads_slice_one_rendering_outside_the_page_cache() {
+        let clock = SimClock::new();
+        let fs = memfs(DevId(1), clock.clone());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
+        k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
+        k.mount_procfs(Pid::INIT, "/proc").unwrap();
+
+        // Like procfs, a file reports size 0: its content exists only once
+        // a read renders it.
+        for path in ["/proc/cntrstats", "/proc/1/status"] {
+            assert_eq!(k.stat(Pid::INIT, path).unwrap().size, 0, "{path}");
+        }
+
+        // Seven bytes at a time, the reads slice one rendering: every
+        // cntrstats line is `name value`, and no NUL appears anywhere.
+        let stats = read_in_chunks(&k, "/proc/cntrstats", 7);
+        assert!(!stats.contains(&0), "NUL in cntrstats");
+        let text = String::from_utf8(stats).unwrap();
+        assert!(text.ends_with('\n'), "{text}");
+        for line in text.lines() {
+            let (name, value) = line.split_once(' ').unwrap_or_else(|| panic!("{line:?}"));
+            assert!(!name.is_empty() && !value.contains(' '), "{line:?}");
+            value.parse::<i64>().unwrap_or_else(|_| panic!("{line:?}"));
+        }
+        let status = read_in_chunks(&k, "/proc/1/status", 7);
+        assert_eq!(status, read_in_chunks(&k, "/proc/1/status", 4096));
+        let status = String::from_utf8(status).unwrap();
+        assert!(status.starts_with("Name:\tinit\nState:\t"), "{status}");
+        assert!(status.ends_with("Seccomp:\t0\n"), "{status}");
+
+        // Opening and reading a /proc file never touches the page cache.
+        let before = k.page_cache_stats();
+        for _ in 0..100 {
+            read_in_chunks(&k, "/proc/1/status", 1024);
+        }
+        let after = k.page_cache_stats();
+        assert_eq!(after.misses - before.misses, 0);
+        assert_eq!(after.invalidations - before.invalidations, 0);
+        let dev = k.stat(Pid::INIT, "/proc/1/status").unwrap().dev;
+        assert_eq!(k.page_cache_resident_pages_of(dev), 0);
+    }
+
+    #[test]
+    fn an_open_file_keeps_its_first_rendering() {
+        let clock = SimClock::new();
+        let fs = memfs(DevId(1), clock.clone());
+        let k = Kernel::with_clock(clock, fs, KernelConfig::default());
+        k.mkdir(Pid::INIT, "/proc", Mode::RWXR_XR_X).unwrap();
+        k.mount_procfs(Pid::INIT, "/proc").unwrap();
+        let fd = k
+            .open(
+                Pid::INIT,
+                "/proc/1/environ",
+                OpenFlags::RDONLY,
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        let mut head = [0u8; 4];
+        assert_eq!(k.read_fd(Pid::INIT, fd, &mut head).unwrap(), 0);
+        // The first read rendered an empty environment; a variable set
+        // afterwards shows up only in a file opened afterwards.
+        k.setenv(Pid::INIT, "LATE", "1").unwrap();
+        assert_eq!(k.read_fd(Pid::INIT, fd, &mut head).unwrap(), 0);
+        k.close(Pid::INIT, fd).unwrap();
+        assert_eq!(read_in_chunks(&k, "/proc/1/environ", 3), b"LATE=1\0");
     }
 
     // Silence the helper-trait dead-code path.

@@ -3,9 +3,9 @@
 //! The kernel state is split into subsystems, each behind one lock, so a
 //! syscall holds only the table it touches:
 //!
-//! * `ProcTable` — the process table, one `Mutex<HashMap<Pid, Process>>`.
+//! * `ProcTable` — the process table, one `Mutex<IdMap<Pid, Process>>`.
 //! * `MountTable` — a copy-on-write registry of mount namespaces, one
-//!   `RwLock<HashMap<NamespaceId, Arc<MountNs>>>`. A path walk takes the
+//!   `RwLock<IdMap<NamespaceId, Arc<MountNs>>>`. A path walk takes the
 //!   read lock just long enough to clone one namespace's `Arc` and then
 //!   walks that immutable snapshot, so a concurrent umount cannot change
 //!   a walk mid-way. `mount`/`umount` take the write lock and change the
@@ -61,9 +61,8 @@
 use crate::mount::{MountId, MountNs};
 use crate::ns::{NamespaceId, NamespaceKind, NamespaceSet, ALL_KINDS};
 use crate::process::Process;
-use cntr_types::{DevId, Errno, Pid, SysResult};
+use cntr_types::{DevId, Errno, IdMap, IdSet, Pid, SysResult};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,6 +90,10 @@ pub mod lock_class {
     /// Namespace refcounts (leaf rank; the rule-2 exception — may nest
     /// under the process table, never acquires anything itself).
     pub const NS_REFS: &str = "kernel.ns_refs";
+    /// The rendered snapshots of `/proc`'s open files (leaf rank): held
+    /// only to look up, store or drop one; a file renders, reading the
+    /// process and mount tables, before it is taken.
+    pub const PROCFS_OPEN: &str = "kernel.procfs_open";
     /// The page-cache LRU state (rank 3): page slots, the active/inactive
     /// lists and the per-file dirty indexes. Ranked *above* every subsystem
     /// lock so teardown paths (namespace GC, unmount) that reach the cache
@@ -122,6 +125,7 @@ pub(crate) fn declare_lock_discipline() {
             lock_class::FANOTIFY,
             lock_class::FUSE_BACKING,
             lock_class::NS_REFS,
+            lock_class::PROCFS_OPEN,
         ],
         &[lock_class::PAGECACHE_LRU],
         &[lock_class::PAGECACHE_FLUSHER],
@@ -130,7 +134,7 @@ pub(crate) fn declare_lock_discipline() {
 
 /// The process table: every process, behind one lock.
 pub(crate) struct ProcTable {
-    procs: Mutex<HashMap<Pid, Process>>,
+    procs: Mutex<IdMap<Pid, Process>>,
     next_pid: AtomicU32,
 }
 
@@ -139,7 +143,7 @@ impl ProcTable {
     pub fn new(init: Process) -> ProcTable {
         declare_lock_discipline();
         ProcTable {
-            procs: Mutex::new_class(lock_class::PROCS, HashMap::from([(init.pid, init)])),
+            procs: Mutex::new_class(lock_class::PROCS, IdMap::from_iter([(init.pid, init)])),
             next_pid: AtomicU32::new(2),
         }
     }
@@ -174,7 +178,7 @@ impl ProcTable {
 
     /// Locks the whole table, for compound operations (`fork`'s
     /// read-parent-insert-child, `reap`'s check-and-remove).
-    pub fn lock(&self) -> MutexGuard<'_, HashMap<Pid, Process>> {
+    pub fn lock(&self) -> MutexGuard<'_, IdMap<Pid, Process>> {
         self.procs.lock()
     }
 
@@ -188,7 +192,7 @@ impl ProcTable {
 
 /// The mount namespaces, copy-on-write behind one reader/writer lock.
 pub(crate) struct MountTable {
-    namespaces: RwLock<HashMap<NamespaceId, Arc<MountNs>>>,
+    namespaces: RwLock<IdMap<NamespaceId, Arc<MountNs>>>,
     next_mount: AtomicU64,
 }
 
@@ -198,7 +202,7 @@ impl MountTable {
         MountTable {
             namespaces: RwLock::new_class(
                 lock_class::MOUNTS_REGISTRY,
-                HashMap::from([(root.id, Arc::new(root))]),
+                IdMap::from_iter([(root.id, Arc::new(root))]),
             ),
             next_mount: AtomicU64::new(2),
         }
@@ -254,14 +258,14 @@ impl MountTable {
     /// through `Arc::make_mut`, as in [`MountTable::with_write`].
     pub fn with_all_write<T>(
         &self,
-        f: impl FnOnce(&mut HashMap<NamespaceId, Arc<MountNs>>) -> T,
+        f: impl FnOnce(&mut IdMap<NamespaceId, Arc<MountNs>>) -> T,
     ) -> T {
         f(&mut self.namespaces.write())
     }
 
     /// The filesystems mounted in any registered namespace, read under
     /// one registry read lock.
-    pub fn live_devs(&self) -> HashSet<DevId> {
+    pub fn live_devs(&self) -> IdSet<DevId> {
         self.namespaces
             .read()
             .values()
@@ -285,14 +289,14 @@ impl MountTable {
 /// the entry; the caller receives the dead pair and reclaims its backing
 /// state outside this lock (rule 4 of the module discipline).
 pub(crate) struct NsRefs {
-    counts: Mutex<HashMap<(NamespaceKind, NamespaceId), u64>>,
+    counts: Mutex<IdMap<(NamespaceKind, NamespaceId), u64>>,
 }
 
 impl NsRefs {
     /// Creates the table holding one reference per kind for `init`'s set.
     pub fn new(init: &NamespaceSet) -> NsRefs {
         let refs = NsRefs {
-            counts: Mutex::new_class(lock_class::NS_REFS, HashMap::new()),
+            counts: Mutex::new_class(lock_class::NS_REFS, IdMap::default()),
         };
         refs.retain_set(init);
         refs
@@ -368,7 +372,7 @@ impl NsRefs {
     }
 
     fn release_one(
-        counts: &mut HashMap<(NamespaceKind, NamespaceId), u64>,
+        counts: &mut IdMap<(NamespaceKind, NamespaceId), u64>,
         kind: NamespaceKind,
         id: NamespaceId,
     ) -> bool {
@@ -444,7 +448,7 @@ mod tests {
             },
             env: BTreeMap::new(),
             rlimits: RlimitSet::default(),
-            fds: HashMap::new(),
+            fds: cntr_types::IdMap::default(),
             next_fd: 0,
             cgroup: CgroupPath::root(),
             state: ProcessState::Running,

@@ -20,8 +20,8 @@ use crate::process::{FdEntry, FileKind, OpenFile, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
 use cntr_fs::{Filesystem, FilesystemExt, FsContext, XattrFlags, XATTR_NAME_CAPS};
 use cntr_types::{
-    AccessMode, AtFlags, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags,
-    Pid, RenameFlags, SetAttr, Stat, SysResult, Uid, COST,
+    AccessMode, AtFlags, Capability, DevId, Dirent, Errno, FileType, Gid, IdMap, Ino, Mode,
+    OpenFlags, Pid, RenameFlags, SetAttr, Stat, SysResult, Uid, COST,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -90,6 +90,11 @@ impl Access {
         w: false,
         x: true,
     };
+}
+
+/// The index of the first byte at or after `at` that is not a `/`.
+fn skip_slashes(text: &str, at: usize) -> usize {
+    text[at..].find(|c| c != '/').map_or(text.len(), |i| at + i)
 }
 
 fn fs_context(creds: &crate::cred::Credentials) -> FsContext {
@@ -219,37 +224,62 @@ impl Kernel {
     /// checks the type through `w.dir_only`. Any component after a
     /// non-directory, `.` and `..` included, is `ENOTDIR` before it is
     /// looked up, as Linux's `link_path_walk` refuses it.
+    ///
+    /// Components are borrowed from `path`. A symlink's target is the only
+    /// string the walk owns: it goes on a stack of the targets still being
+    /// walked, above the rest of the path (Linux's `nd->stack`).
     fn walk(&self, w: &mut WalkState, path: &str, follow_last: bool) -> SysResult<()> {
-        let mut components: Vec<String> = Vec::new();
         if path.starts_with('/') {
             w.restart_at_root()?;
         }
         w.dir_only = path.ends_with('/');
-        components.extend(path.split('/').filter(|c| !c.is_empty()).map(String::from));
-
-        let mut i = 0;
-        while i < components.len() {
-            let name = components[i].clone();
-            let is_last = i == components.len() - 1;
+        // The walk's place in `path`, and in each target still being walked
+        // (innermost last): the start of its next component, or its end.
+        let mut pos = skip_slashes(path, 0);
+        let mut links: Vec<(String, usize)> = Vec::new();
+        loop {
+            let (text, at) = match links.last() {
+                Some((target, at)) => (target.as_str(), *at),
+                None => (path, pos),
+            };
+            if at == text.len() {
+                if links.pop().is_none() {
+                    return Ok(());
+                }
+                continue;
+            }
+            let end = text[at..].find('/').map_or(text.len(), |i| at + i);
+            let next = skip_slashes(text, end);
+            let is_last = next == text.len()
+                && (links.is_empty() || pos == path.len())
+                && links.iter().rev().skip(1).all(|(l, c)| *c == l.len());
+            match links.last_mut() {
+                Some((_, at)) => *at = next,
+                None => pos = next,
+            }
+            let name = match links.last() {
+                Some((target, _)) => &target[at..end],
+                None => &path[at..end],
+            };
             if !w.at_dir {
                 return Err(Errno::ENOTDIR);
             }
-            if name == "." || name == ".." {
-                if name == ".." {
-                    match w.stack.pop() {
-                        Some(prev) => w.cur = prev,
-                        None if w.beneath => return Err(Errno::EXDEV),
-                        // At the root the stack is empty: `..` stays
-                        // (chroot jail).
-                        None => {}
-                    }
-                }
-                i += 1;
+            if name == "." {
                 continue;
             }
-            let mount = w.ns.get(w.cur.mount)?.clone();
+            if name == ".." {
+                match w.stack.pop() {
+                    Some(prev) => w.cur = prev,
+                    None if w.beneath => return Err(Errno::EXDEV),
+                    // At the root the stack is empty: `..` stays (chroot
+                    // jail).
+                    None => {}
+                }
+                continue;
+            }
+            let mount = w.ns.get(w.cur.mount)?;
             self.inner.clock.advance(COST.dcache_hit_ns);
-            let stat = mount.fs.lookup(w.cur.ino, &name)?;
+            let stat = mount.fs.lookup(w.cur.ino, name)?;
             if stat.is_symlink() && (!is_last || follow_last || w.dir_only) {
                 w.symlinks += 1;
                 if w.symlinks > MAX_SYMLINKS {
@@ -260,15 +290,9 @@ impl Kernel {
                     w.restart_at_root()?;
                 }
                 w.dir_only |= is_last && target.ends_with('/');
-                let mut rest: Vec<String> = target
-                    .split('/')
-                    .filter(|c| !c.is_empty())
-                    .map(String::from)
-                    .collect();
-                rest.extend(components.drain(i + 1..));
-                components.truncate(i);
-                components.append(&mut rest);
-                // Restart at the spliced components.
+                // Walk the target's components next, then the rest.
+                let start = skip_slashes(&target, 0);
+                links.push((target, start));
                 continue;
             }
             let next = VfsLoc {
@@ -280,9 +304,7 @@ impl Kernel {
             w.cur = crossed;
             // A mount covers a node of its own root's type.
             w.at_dir = stat.is_dir();
-            i += 1;
         }
-        Ok(())
     }
 
     /// Resolves `path` for `pid`. `follow_last` controls final-symlink
@@ -324,14 +346,14 @@ impl Kernel {
             self.walk(&mut w, &cwd_path, true)?;
         }
         self.walk(&mut w, path, !flags.contains(AtFlags::SYMLINK_NOFOLLOW))?;
-        let mount = w.ns.get(w.cur.mount)?.clone();
+        let mount = w.ns.get(w.cur.mount)?;
         let stat = mount.fs.getattr(w.cur.ino)?;
         if w.dir_only && !stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
         Ok(Resolved {
             loc: w.cur,
-            fs: mount.fs,
+            fs: Arc::clone(&mount.fs),
             stat,
             cache: mount.cache,
             readonly: mount.flags.readonly,
@@ -363,15 +385,15 @@ impl Kernel {
     /// dropped here: each caller applies its own rule for it. A last `.`
     /// or `..` names no entry the call can make or remove: once the
     /// parent walk succeeds, the call answers with its [`LastDots`].
-    fn resolve_parent_at(
+    fn resolve_parent_at<'p>(
         &self,
         pid: Pid,
         dirfd: u32,
-        path: &str,
+        path: &'p str,
         dots: LastDots,
-    ) -> SysResult<(Resolved, String)> {
+    ) -> SysResult<(Resolved, &'p str)> {
         let (parent, name) = self.walk_parent_at(pid, dirfd, path)?;
-        match name.as_str() {
+        match name {
             "." => Err(dots.dot),
             ".." => Err(dots.dotdot),
             _ => Ok((parent, name)),
@@ -380,17 +402,22 @@ impl Kernel {
 
     /// The parent walk of [`Kernel::resolve_parent_at`], which returns a
     /// last `.` or `..` like any other name (Linux's `filename_parentat`).
-    fn walk_parent_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
+    fn walk_parent_at<'p>(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &'p str,
+    ) -> SysResult<(Resolved, &'p str)> {
         let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return Err(Errno::EEXIST);
         }
         let (dir, name) = match trimmed.rsplit_once('/') {
-            Some(("", n)) => ("/".to_string(), n.to_string()),
-            Some((d, n)) => (d.to_string(), n.to_string()),
-            None => (".".to_string(), trimmed.to_string()),
+            Some(("", n)) => ("/", n),
+            Some((d, n)) => (d, n),
+            None => (".", trimmed),
         };
-        let parent = self.resolve_at(pid, dirfd, &dir, AtFlags::NONE)?;
+        let parent = self.resolve_at(pid, dirfd, dir, AtFlags::NONE)?;
         if !parent.stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
@@ -401,10 +428,15 @@ impl Kernel {
     /// than a directory. A trailing slash asks for a directory the call
     /// does not make: Linux's `filename_create` answers `EEXIST` if the
     /// name exists, else `ENOENT`.
-    fn resolve_create_at(&self, pid: Pid, dirfd: u32, path: &str) -> SysResult<(Resolved, String)> {
+    fn resolve_create_at<'p>(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &'p str,
+    ) -> SysResult<(Resolved, &'p str)> {
         let (parent, name) = self.resolve_parent_at(pid, dirfd, path, LastDots::CREATE)?;
         if path.ends_with('/') {
-            parent.fs.lookup(parent.loc.ino, &name)?;
+            parent.fs.lookup(parent.loc.ino, name)?;
             return Err(Errno::EEXIST);
         }
         Ok((parent, name))
@@ -480,10 +512,9 @@ impl Kernel {
                 }
                 check_access(&parent.stat, &creds, Access::W)?;
                 let ctx = fs_context(&creds);
-                let st =
-                    parent
-                        .fs
-                        .mknod(parent.loc.ino, &name, FileType::Regular, mode, 0, &ctx)?;
+                let st = parent
+                    .fs
+                    .mknod(parent.loc.ino, name, FileType::Regular, mode, 0, &ctx)?;
                 Resolved {
                     loc: VfsLoc {
                         mount: parent.loc.mount,
@@ -564,8 +595,9 @@ impl Kernel {
             FileType::Regular => {
                 let dev = resolved.fs.fs_id();
                 self.fanotify_record(mnt_ns, dev, resolved.loc.ino, path);
-                // FOPEN_KEEP_CACHE off: invalidate this file's pages on open.
-                if !resolved.cache.keep_cache {
+                // FOPEN_KEEP_CACHE off: invalidate this file's pages on open
+                // (a `seq_file` never has any).
+                if !resolved.cache.keep_cache && !resolved.cache.seq_files {
                     self.inner
                         .page_cache
                         .invalidate_file(dev, resolved.loc.ino)?;
@@ -689,7 +721,7 @@ impl Kernel {
     }
 
     /// The regular-file part of a read: through the page cache of `dev`,
-    /// or straight to the filesystem for `O_DIRECT`.
+    /// or straight to the filesystem for `O_DIRECT` and for a `seq_file`.
     fn read_file(
         &self,
         dev: DevId,
@@ -699,6 +731,10 @@ impl Kernel {
         offset: u64,
         buf: &mut [u8],
     ) -> SysResult<usize> {
+        if cache.seq_files {
+            // Generated content (`seq_read`): no pages, no size to clamp to.
+            return fref.fs.read(fref.ino, fref.fh, offset, buf);
+        }
         if flags.contains(OpenFlags::DIRECT) {
             // Linux's `filemap_write_and_wait_range`: a direct read
             // sees what buffered writers left dirty.
@@ -1047,7 +1083,7 @@ impl Kernel {
         check_access(&parent.stat, &creds, Access::W)?;
         parent
             .fs
-            .mkdir(parent.loc.ino, &name, mode, &fs_context(&creds))
+            .mkdir(parent.loc.ino, name, mode, &fs_context(&creds))
             .map(|_| ())
     }
 
@@ -1086,14 +1122,7 @@ impl Kernel {
         }
         parent
             .fs
-            .mknod(
-                parent.loc.ino,
-                &name,
-                ftype,
-                mode,
-                rdev,
-                &fs_context(&creds),
-            )
+            .mknod(parent.loc.ino, name, ftype, mode, rdev, &fs_context(&creds))
             .map(|_| ())
     }
 
@@ -1125,7 +1154,7 @@ impl Kernel {
         if !removedir && path.ends_with('/') {
             // A trailing slash names a directory, which unlink does not
             // remove (Linux's `do_unlinkat`, at `slashes:`).
-            let st = parent.fs.lookup(parent.loc.ino, &name)?;
+            let st = parent.fs.lookup(parent.loc.ino, name)?;
             return Err(if st.is_dir() {
                 Errno::EISDIR
             } else {
@@ -1134,11 +1163,11 @@ impl Kernel {
         }
         check_access(&parent.stat, &creds, Access::W)?;
         if removedir {
-            return parent.fs.rmdir(parent.loc.ino, &name);
+            return parent.fs.rmdir(parent.loc.ino, name);
         }
         // Deregister a bound socket if one lived here; connections already
         // accepted stay open, new ones are refused.
-        if let Ok(st) = parent.fs.lookup(parent.loc.ino, &name) {
+        if let Ok(st) = parent.fs.lookup(parent.loc.ino, name) {
             if st.ftype == FileType::Socket {
                 if let Some(bound) = self
                     .inner
@@ -1150,7 +1179,7 @@ impl Kernel {
                 }
             }
         }
-        parent.fs.unlink(parent.loc.ino, &name)
+        parent.fs.unlink(parent.loc.ino, name)
     }
 
     /// `rename(2)`: [`Kernel::renameat2`] at [`AT_FDCWD`].
@@ -1178,10 +1207,10 @@ impl Kernel {
         if src_parent.loc.mount != dst_parent.loc.mount {
             return Err(Errno::EXDEV);
         }
-        if is_dots(&src_name) {
+        if is_dots(src_name) {
             return Err(Errno::EBUSY);
         }
-        if is_dots(&dst_name) {
+        if is_dots(dst_name) {
             return Err(if flags.noreplace {
                 Errno::EEXIST
             } else {
@@ -1198,9 +1227,9 @@ impl Kernel {
         if from_dir || to_dir {
             let is_dir =
                 |p: &Resolved, name: &str| p.fs.lookup(p.loc.ino, name).map(|st| st.is_dir());
-            let src_dir = is_dir(&src_parent, &src_name)?;
+            let src_dir = is_dir(&src_parent, src_name)?;
             let refused = if flags.exchange {
-                (from_dir && !src_dir) || (to_dir && !is_dir(&dst_parent, &dst_name)?)
+                (from_dir && !src_dir) || (to_dir && !is_dir(&dst_parent, dst_name)?)
             } else {
                 !src_dir
             };
@@ -1210,9 +1239,9 @@ impl Kernel {
         }
         src_parent.fs.rename(
             src_parent.loc.ino,
-            &src_name,
+            src_name,
             dst_parent.loc.ino,
-            &dst_name,
+            dst_name,
             flags,
         )
     }
@@ -1244,7 +1273,7 @@ impl Kernel {
         }
         dst_parent
             .fs
-            .link(src.loc.ino, dst_parent.loc.ino, &name)
+            .link(src.loc.ino, dst_parent.loc.ino, name)
             .map(|_| ())
     }
 
@@ -1269,7 +1298,7 @@ impl Kernel {
         }
         parent
             .fs
-            .symlink(parent.loc.ino, &name, target, &fs_context(&creds))
+            .symlink(parent.loc.ino, name, target, &fs_context(&creds))
             .map(|_| ())
     }
 
@@ -1819,8 +1848,7 @@ impl Kernel {
                 flags,
             )?;
             // Breadth-first replication of the mount tree under the source.
-            let mut mapping: std::collections::HashMap<MountId, MountId> =
-                std::collections::HashMap::new();
+            let mut mapping: IdMap<MountId, MountId> = IdMap::default();
             mapping.insert(source.loc.mount, top);
             let mut replicas: Vec<(MountId, Mount)> = Vec::new();
             let mut changed = true;
@@ -2069,7 +2097,7 @@ impl Kernel {
             .fs
             .mknod(
                 parent.loc.ino,
-                &name,
+                name,
                 FileType::Socket,
                 Mode::new(0o666),
                 0,
@@ -2414,6 +2442,36 @@ mod tests {
         k.symlink(P, "/loop2", "/loop1").unwrap();
         k.symlink(P, "/loop1", "/loop2").unwrap();
         assert_eq!(k.stat(P, "/loop1"), Err(Errno::ELOOP));
+    }
+
+    #[test]
+    fn nested_symlink_targets_walk_before_the_rest_of_the_path() {
+        let k = kernel();
+        k.mkdir(P, "/d", Mode::RWXR_XR_X).unwrap();
+        k.mkdir(P, "/d/e", Mode::RWXR_XR_X).unwrap();
+        let fd = k
+            .open(P, "/d/e/f", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.write_fd(P, fd, b"abc").unwrap();
+        k.close(P, fd).unwrap();
+        // s1 -> s2/e (relative, through another link), s2 -> //d/ (absolute,
+        // doubled and trailing slashes), fl -> s1/f (a final link).
+        k.symlink(P, "s2/e", "/s1").unwrap();
+        k.symlink(P, "//d/", "/s2").unwrap();
+        k.symlink(P, "s1//f", "/fl").unwrap();
+        assert_eq!(k.stat(P, "/s1/f").unwrap().size, 3);
+        assert_eq!(k.stat(P, "//s1/./f").unwrap().size, 3);
+        assert_eq!(k.stat(P, "/s1/../e/f").unwrap().size, 3);
+        assert_eq!(k.stat(P, "/fl").unwrap().size, 3);
+        // lstat stops at the last component only: links on the way are
+        // followed, the final one is not.
+        assert!(k.lstat(P, "/fl").unwrap().is_symlink());
+        assert!(k.lstat(P, "/s1").unwrap().is_symlink());
+        assert!(k.lstat(P, "/s1/").unwrap().is_dir());
+        assert!(!k.lstat(P, "/s1/f").unwrap().is_symlink());
+        // A name after a file is ENOTDIR, also when a link spliced it in.
+        assert_eq!(k.stat(P, "/fl/x"), Err(Errno::ENOTDIR));
+        assert_eq!(k.stat(P, "/fl/"), Err(Errno::ENOTDIR));
     }
 
     #[test]

@@ -20,9 +20,9 @@ use bytes::Bytes;
 use cntr_fs::nodefs::NodeFs;
 use cntr_fs::store::{for_each_page, punch_hole_pages, zero_partial_edges, FileStore};
 use cntr_fs::Filesystem;
-use cntr_types::{DevId, Errno, Ino, SimClock, SysResult};
+use cntr_types::{DevId, Errno, IdMap, Ino, SimClock, SysResult};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// The shared all-zero chunk holes read from (the moral equivalent of the
@@ -44,7 +44,7 @@ pub struct BlobBackend {
     /// no store pointer), so the backend tracks them and `Drop` returns
     /// every outstanding reference — a dropped filesystem (a stopped
     /// container's upper layer, a discarded lower) never strands chunks.
-    held: Mutex<HashMap<BlobId, u64>>,
+    held: Mutex<IdMap<BlobId, u64>>,
 }
 
 impl BlobBackend {
@@ -52,7 +52,7 @@ impl BlobBackend {
     pub fn new(store: Arc<BlobStore>) -> BlobBackend {
         BlobBackend {
             store,
-            held: Mutex::new_class(HELD_CLASS, HashMap::new()),
+            held: Mutex::new_class(HELD_CLASS, IdMap::default()),
         }
     }
 

@@ -18,6 +18,7 @@ use bytes::Bytes;
 use cntr_blockdev::BLOCK_SIZE;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::RandomState;
 use std::sync::Arc;
 
 /// Chunk granularity in bytes (one page, matching `cntr_fs::store`).
@@ -127,7 +128,11 @@ struct ChunkSlot {
 
 #[derive(Default)]
 struct BlobState {
-    buckets: HashMap<u64, Vec<ChunkSlot>>,
+    /// Content digest → the chunks stored under it. The digest is an
+    /// unkeyed hash of bytes a tool writes, so whoever writes them can
+    /// choose digests: the map stays on the keyed `RandomState`, never on
+    /// the id tables' fixed hasher.
+    buckets: HashMap<u64, Vec<ChunkSlot>, RandomState>,
     /// Unique bytes physically stored right now.
     physical_bytes: u64,
     /// Live chunks right now (slots whose `data` is `Some`).

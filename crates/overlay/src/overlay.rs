@@ -30,8 +30,8 @@ use crate::backend::{chunk_map, clone_file};
 use crate::blob::CHUNK_SIZE;
 use cntr_fs::{FallocateMode, Fh, Filesystem, FsContext, FsFeatures, XattrFlags, MAX_NAME_LEN};
 use cntr_types::{
-    DevId, Dirent, Errno, FileType, Ino, Mode, OpenFlags, RenameFlags, SetAttr, Stat, Statfs,
-    SysResult,
+    DevId, Dirent, Errno, FileType, IdMap, Ino, Mode, OpenFlags, RenameFlags, SetAttr, Stat,
+    Statfs, SysResult,
 };
 use obs::{LazyCounter, Subsystem};
 use parking_lot::Mutex;
@@ -60,8 +60,9 @@ enum LayerKey {
     Lower(usize),
 }
 
-/// One overlay inode: where it currently resolves in the stack.
-#[derive(Debug, Clone)]
+/// One overlay inode: where it currently resolves in the stack. Read in
+/// place under the state lock: no call copies one out.
+#[derive(Debug)]
 struct OvlNode {
     /// Overlay ino of the parent directory (root's parent is root).
     parent: Ino,
@@ -98,11 +99,11 @@ struct OvlHandle {
 }
 
 struct OvlState {
-    nodes: HashMap<Ino, OvlNode>,
+    nodes: IdMap<Ino, OvlNode>,
     /// `(layer, underlying ino) → overlay ino`: keeps overlay inos stable
     /// across lookups and across copy-up.
-    by_real: HashMap<(LayerKey, Ino), Ino>,
-    handles: HashMap<Fh, OvlHandle>,
+    by_real: IdMap<(LayerKey, Ino), Ino>,
+    handles: IdMap<Fh, OvlHandle>,
     next_ino: u64,
     next_fh: u64,
     /// Dentry cache: parent overlay ino → name → `Some(child)` for a
@@ -115,7 +116,7 @@ struct OvlState {
     /// entries cannot alias a recycled identity. Bounded by
     /// [`DCACHE_CAP`]: on overflow the whole cache is dropped (it is a
     /// cache — correctness never depends on its contents).
-    dcache: HashMap<Ino, HashMap<String, Option<Ino>>>,
+    dcache: IdMap<Ino, HashMap<String, Option<Ino>>>,
     /// Total entries across all of `dcache`'s inner maps.
     dcache_len: usize,
     /// Merged-listing cache per overlay directory: makes repeated
@@ -123,7 +124,7 @@ struct OvlState {
     /// re-reading every contributing layer. Invalidated alongside the
     /// dentry cache whenever the directory's namespace changes; bounded by
     /// [`DIR_CACHE_CAP`] directories.
-    dir_cache: HashMap<Ino, DirCacheEntry>,
+    dir_cache: IdMap<Ino, DirCacheEntry>,
 }
 
 /// Upper bound on cached dentries (positive + negative) per overlay.
@@ -232,8 +233,8 @@ impl OverlayFs {
         lowers: Vec<Arc<dyn Filesystem>>,
         upper: Arc<dyn Filesystem>,
     ) -> Arc<OverlayFs> {
-        let mut nodes = HashMap::new();
-        let mut by_real = HashMap::new();
+        let mut nodes = IdMap::default();
+        let mut by_real = IdMap::default();
         let root = OvlNode {
             parent: Ino::ROOT,
             name: String::new(),
@@ -254,12 +255,12 @@ impl OverlayFs {
                 OvlState {
                     nodes,
                     by_real,
-                    handles: HashMap::new(),
+                    handles: IdMap::default(),
                     next_ino: 2,
                     next_fh: 1,
-                    dcache: HashMap::new(),
+                    dcache: IdMap::default(),
                     dcache_len: 0,
-                    dir_cache: HashMap::new(),
+                    dir_cache: IdMap::default(),
                 },
             ),
         })
@@ -283,6 +284,11 @@ impl OverlayFs {
 
     fn node(st: &OvlState, ino: Ino) -> SysResult<&OvlNode> {
         st.nodes.get(&ino).ok_or(Errno::ENOENT)
+    }
+
+    /// A node's primary realization and its upper inode, if any.
+    fn primary_and_upper(st: &OvlState, ino: Ino) -> SysResult<((LayerKey, Ino), Option<Ino>)> {
+        Self::node(st, ino).map(|n| (n.primary(), n.upper))
     }
 
     /// True if `dir_upper` carries the opaque marker.
@@ -356,7 +362,7 @@ impl OverlayFs {
         parent: Ino,
         name: &str,
     ) -> SysResult<(Ino, Stat)> {
-        let pnode = Self::node(st, parent)?.clone();
+        let pnode = Self::node(st, parent)?;
         // The parent must be a directory in its primary realization.
         let (pk, pi) = pnode.primary();
         if self.layer_fs(pk).getattr(pi)?.ftype != FileType::Directory {
@@ -446,14 +452,14 @@ impl OverlayFs {
     fn fixup_stat(&self, st: &mut OvlState, ovl_ino: Ino, mut stat: Stat) -> Stat {
         stat.dev = self.dev;
         stat.ino = ovl_ino;
-        if stat.ftype == FileType::Directory {
-            let node = st.nodes.get(&ovl_ino).cloned();
-            if let Some(node) = node {
-                if node.realization_count() > 1 {
-                    if let Ok(subdirs) = self.merged_subdir_count(st, ovl_ino, &node) {
-                        stat.nlink = 2 + subdirs;
-                    }
-                }
+        if stat.ftype == FileType::Directory
+            && st
+                .nodes
+                .get(&ovl_ino)
+                .is_some_and(|n| n.realization_count() > 1)
+        {
+            if let Ok(subdirs) = self.merged_subdir_count(st, ovl_ino) {
+                stat.nlink = 2 + subdirs;
             }
         }
         stat
@@ -462,16 +468,11 @@ impl OverlayFs {
     /// The merged directory listing `name → file type` of a node, served
     /// from the per-directory cache when warm (one `BTreeMap` clone instead
     /// of a `readdir` + whiteout scan of every contributing layer).
-    fn merged_names(
-        &self,
-        st: &mut OvlState,
-        dir: Ino,
-        node: &OvlNode,
-    ) -> SysResult<BTreeMap<String, FileType>> {
+    fn merged_names(&self, st: &mut OvlState, dir: Ino) -> SysResult<BTreeMap<String, FileType>> {
         if let Some(cached) = st.dir_cache.get(&dir) {
             return Ok(cached.names.clone());
         }
-        let out = self.merged_names_uncached(node)?;
+        let out = self.merged_names_uncached(Self::node(st, dir)?)?;
         if st.dir_cache.len() >= DIR_CACHE_CAP {
             st.dir_cache.clear();
         }
@@ -487,11 +488,11 @@ impl OverlayFs {
 
     /// The number of subdirectories in a merged directory (what `nlink`
     /// needs) — served from the cache without cloning the listing.
-    fn merged_subdir_count(&self, st: &mut OvlState, dir: Ino, node: &OvlNode) -> SysResult<u32> {
+    fn merged_subdir_count(&self, st: &mut OvlState, dir: Ino) -> SysResult<u32> {
         if let Some(cached) = st.dir_cache.get(&dir) {
             return Ok(cached.subdirs);
         }
-        self.merged_names(st, dir, node).map(|names| {
+        self.merged_names(st, dir).map(|names| {
             names
                 .values()
                 .filter(|t| **t == FileType::Directory)
@@ -573,7 +574,7 @@ impl OverlayFs {
             cur = node.parent;
         }
         for &dir in chain.iter().rev() {
-            let node = Self::node(st, dir)?.clone();
+            let node = Self::node(st, dir)?;
             let parent_up = Self::node(st, node.parent)?.upper.ok_or(Errno::EIO)?;
             let (lk, li) = node.primary();
             let src = self.layer_fs(lk);
@@ -622,11 +623,15 @@ impl OverlayFs {
     /// Copies a non-directory node up to the upper layer. With `skip_data`
     /// (open with `O_TRUNC`), the data copy is elided.
     fn copy_up(&self, st: &mut OvlState, ovl: Ino, skip_data: bool) -> SysResult<Ino> {
-        let node = Self::node(st, ovl)?.clone();
-        if let Some(up) = node.upper {
+        let (upper, parent) = {
+            let node = Self::node(st, ovl)?;
+            (node.upper, node.parent)
+        };
+        if let Some(up) = upper {
             return Ok(up);
         }
-        let parent_up = self.ensure_upper_dir(st, node.parent)?;
+        let parent_up = self.ensure_upper_dir(st, parent)?;
+        let node = Self::node(st, ovl)?;
         let (lk, li) = node.primary();
         let src = Arc::clone(self.layer_fs(lk));
         let stt = src.getattr(li)?;
@@ -707,8 +712,7 @@ impl OverlayFs {
     /// copied root opaque so lower entries stop contributing.
     fn copy_up_tree(&self, st: &mut OvlState, ovl: Ino) -> SysResult<Ino> {
         let up = self.ensure_upper_dir(st, ovl)?;
-        let node = Self::node(st, ovl)?.clone();
-        let names: Vec<String> = self.merged_names(st, ovl, &node)?.into_keys().collect();
+        let names: Vec<String> = self.merged_names(st, ovl)?.into_keys().collect();
         for name in names {
             let (child, child_st) = self.merge_child(st, ovl, &name)?;
             if child_st.ftype == FileType::Directory {
@@ -747,16 +751,14 @@ impl OverlayFs {
     /// always persist: lower layers are immutable, so `(layer, ino)` stays
     /// a valid identity for any remaining aliases.
     fn drop_node_mappings(&self, st: &mut OvlState, ovl: Ino) {
-        if let Some(node) = st.nodes.get(&ovl).cloned() {
-            if let Some(up) = node.upper {
-                let alive = self
-                    .upper
-                    .getattr(up)
-                    .map(|s| s.ftype != FileType::Directory && s.nlink > 0)
-                    .unwrap_or(false);
-                if !alive {
-                    st.by_real.remove(&(LayerKey::Upper, up));
-                }
+        if let Some(up) = st.nodes.get(&ovl).and_then(|n| n.upper) {
+            let alive = self
+                .upper
+                .getattr(up)
+                .map(|s| s.ftype != FileType::Directory && s.nlink > 0)
+                .unwrap_or(false);
+            if !alive {
+                st.by_real.remove(&(LayerKey::Upper, up));
             }
         }
     }
@@ -846,8 +848,7 @@ impl Filesystem for OverlayFs {
     fn lookup(&self, parent: Ino, name: &str) -> SysResult<Stat> {
         let mut st = self.state.lock();
         if name == "." {
-            let node = Self::node(&st, parent)?.clone();
-            let (k, i) = node.primary();
+            let (k, i) = Self::node(&st, parent)?.primary();
             let stt = self.layer_fs(k).getattr(i)?;
             if stt.ftype != FileType::Directory {
                 return Err(Errno::ENOTDIR);
@@ -859,18 +860,16 @@ impl Filesystem for OverlayFs {
 
     fn getattr(&self, ino: Ino) -> SysResult<Stat> {
         let mut st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
+        let (k, i) = Self::node(&st, ino)?.primary();
         let stt = self.layer_fs(k).getattr(i)?;
         Ok(self.fixup_stat(&mut st, ino, stt))
     }
 
     fn setattr(&self, ino: Ino, attr: &SetAttr, ctx: &FsContext) -> SysResult<Stat> {
         let mut st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
+        let ((k, i), upper) = Self::primary_and_upper(&st, ino)?;
         let ftype = self.layer_fs(k).getattr(i)?.ftype;
-        let up = match (node.upper, ftype) {
+        let up = match (upper, ftype) {
             (Some(u), _) => u,
             (None, FileType::Directory) => self.ensure_upper_dir(&mut st, ino)?,
             (None, _) => {
@@ -935,13 +934,13 @@ impl Filesystem for OverlayFs {
         if child_st.ftype == FileType::Directory {
             return Err(Errno::EISDIR);
         }
-        let node = Self::node(&st, child)?.clone();
-        let pnode = Self::node(&st, parent)?.clone();
-        if node.upper.is_some() {
-            let pu = pnode.upper.ok_or(Errno::EIO)?;
+        let child_upper = Self::node(&st, child)?.upper;
+        let parent_upper = Self::node(&st, parent)?.upper;
+        if child_upper.is_some() {
+            let pu = parent_upper.ok_or(Errno::EIO)?;
             self.upper.unlink(pu, name)?;
         }
-        if self.lower_visible(&Self::node(&st, parent)?.clone(), name) {
+        if self.lower_visible(Self::node(&st, parent)?, name) {
             let pu = self.ensure_upper_dir(&mut st, parent)?;
             self.make_whiteout(pu, name)?;
         }
@@ -957,11 +956,11 @@ impl Filesystem for OverlayFs {
         if child_st.ftype != FileType::Directory {
             return Err(Errno::ENOTDIR);
         }
-        let node = Self::node(&st, child)?.clone();
-        if !self.merged_names(&mut st, child, &node)?.is_empty() {
+        let child_upper = Self::node(&st, child)?.upper;
+        if !self.merged_names(&mut st, child)?.is_empty() {
             return Err(Errno::ENOTEMPTY);
         }
-        if let Some(u) = node.upper {
+        if let Some(u) = child_upper {
             // The upper dir can only contain whiteouts at this point.
             let leftovers: Vec<String> =
                 self.upper.readdir(u)?.into_iter().map(|e| e.name).collect();
@@ -971,7 +970,7 @@ impl Filesystem for OverlayFs {
             let pu = Self::node(&st, parent)?.upper.ok_or(Errno::EIO)?;
             self.upper.rmdir(pu, name)?;
         }
-        if self.lower_visible(&Self::node(&st, parent)?.clone(), name) {
+        if self.lower_visible(Self::node(&st, parent)?, name) {
             let pu = self.ensure_upper_dir(&mut st, parent)?;
             self.make_whiteout(pu, name)?;
         }
@@ -996,8 +995,7 @@ impl Filesystem for OverlayFs {
 
     fn readlink(&self, ino: Ino) -> SysResult<String> {
         let st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
+        let (k, i) = Self::node(&st, ino)?.primary();
         self.layer_fs(k).readlink(i)
     }
 
@@ -1005,8 +1003,7 @@ impl Filesystem for OverlayFs {
         validate_name(newname)?;
         let mut st = self.state.lock();
         {
-            let node = Self::node(&st, ino)?.clone();
-            let (k, i) = node.primary();
+            let (k, i) = Self::node(&st, ino)?.primary();
             if self.layer_fs(k).getattr(i)?.ftype == FileType::Directory {
                 return Err(Errno::EPERM);
             }
@@ -1107,14 +1104,17 @@ impl Filesystem for OverlayFs {
                 (false, true) => return Err(Errno::EISDIR),
                 (true, false) => return Err(Errno::ENOTDIR),
                 (true, true) => {
-                    let dnode = Self::node(&st, *dst_ovl)?.clone();
-                    if !self.merged_names(&mut st, *dst_ovl, &dnode)?.is_empty() {
+                    let (dst_upper, dst_lowers) = {
+                        let dnode = Self::node(&st, *dst_ovl)?;
+                        (dnode.upper, !dnode.lowers.is_empty())
+                    };
+                    if !self.merged_names(&mut st, *dst_ovl)?.is_empty() {
                         return Err(Errno::ENOTEMPTY);
                     }
-                    dst_had_lower_dir = !dnode.lowers.is_empty();
+                    dst_had_lower_dir = dst_lowers;
                     // Clear whiteout debris so the upper rename's emptiness
                     // check passes.
-                    if let Some(du) = dnode.upper {
+                    if let Some(du) = dst_upper {
                         let leftovers: Vec<String> = self
                             .upper
                             .readdir(du)?
@@ -1143,8 +1143,7 @@ impl Filesystem for OverlayFs {
 
         match &dst {
             Some((dst_ovl, _)) => {
-                let dnode = Self::node(&st, *dst_ovl)?.clone();
-                if dnode.upper.is_none() {
+                if Self::node(&st, *dst_ovl)?.upper.is_none() {
                     // Destination visible only in lower layers: nothing to
                     // replace in upper; the renamed entry will shadow it.
                     self.clear_whiteout(npu, newname)?;
@@ -1163,7 +1162,7 @@ impl Filesystem for OverlayFs {
         }
 
         // The vacated source name may still be visible from lower layers.
-        if self.lower_visible(&Self::node(&st, parent)?.clone(), name) {
+        if self.lower_visible(Self::node(&st, parent)?, name) {
             self.make_whiteout(pu, name)?;
         }
         // A directory renamed over a merged lower directory must not absorb
@@ -1193,8 +1192,7 @@ impl Filesystem for OverlayFs {
 
     fn open(&self, ino: Ino, flags: OpenFlags) -> SysResult<Fh> {
         let mut st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
+        let (k, i) = Self::node(&st, ino)?.primary();
         let stt = self.layer_fs(k).getattr(i)?;
         let (layer, real_ino) = if flags.mode.writable()
             && matches!(k, LayerKey::Lower(_))
@@ -1260,12 +1258,11 @@ impl Filesystem for OverlayFs {
 
     fn readdir(&self, ino: Ino) -> SysResult<Vec<Dirent>> {
         let mut st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
+        let (k, i) = Self::node(&st, ino)?.primary();
         if self.layer_fs(k).getattr(i)?.ftype != FileType::Directory {
             return Err(Errno::ENOTDIR);
         }
-        let names = self.merged_names(&mut st, ino, &node)?;
+        let names = self.merged_names(&mut st, ino)?;
         let mut out = Vec::with_capacity(names.len());
         for (name, _) in names {
             let (child_ino, child_st) = self.merge_child(&mut st, ino, &name)?;
@@ -1287,8 +1284,7 @@ impl Filesystem for OverlayFs {
             return Err(Errno::ENODATA);
         }
         let st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
+        let (k, i) = Self::node(&st, ino)?.primary();
         self.layer_fs(k).getxattr(i, name)
     }
 
@@ -1297,9 +1293,8 @@ impl Filesystem for OverlayFs {
             return Err(Errno::EPERM);
         }
         let mut st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
-        let up = match node.upper {
+        let ((k, i), upper) = Self::primary_and_upper(&st, ino)?;
+        let up = match upper {
             Some(u) => u,
             None => {
                 if self.layer_fs(k).getattr(i)?.ftype == FileType::Directory {
@@ -1314,8 +1309,7 @@ impl Filesystem for OverlayFs {
 
     fn listxattr(&self, ino: Ino) -> SysResult<Vec<String>> {
         let st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
+        let (k, i) = Self::node(&st, ino)?.primary();
         Ok(self
             .layer_fs(k)
             .listxattr(i)?
@@ -1329,9 +1323,8 @@ impl Filesystem for OverlayFs {
             return Err(Errno::ENODATA);
         }
         let mut st = self.state.lock();
-        let node = Self::node(&st, ino)?.clone();
-        let (k, i) = node.primary();
-        let up = match node.upper {
+        let ((k, i), upper) = Self::primary_and_upper(&st, ino)?;
+        let up = match upper {
             Some(u) => u,
             None => {
                 if self.layer_fs(k).getattr(i)?.ftype == FileType::Directory {

@@ -14,6 +14,7 @@ pub mod clock;
 pub mod cost;
 pub mod errno;
 pub mod flags;
+pub mod hash;
 pub mod ids;
 pub mod rlimit;
 pub mod stat;
@@ -24,6 +25,7 @@ pub use clock::SimClock;
 pub use cost::{CostModel, COST};
 pub use errno::{Errno, SysResult};
 pub use flags::{AccessMode, AtFlags, OpenFlags, RenameFlags};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use ids::{DevId, Fd, Gid, Ino, Pid, Uid};
 pub use rlimit::{Rlimit, RlimitKind, RlimitSet};
 pub use stat::{Dirent, FileType, Mode, SetAttr, Stat, Statfs};

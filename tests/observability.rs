@@ -14,9 +14,9 @@ use cntr_fuse::{
 use cntr_kernel::MountFlags;
 use cntr_types::{DevId, Errno, FileType, Ino, RenameFlags};
 
-/// Reads `/proc/cntrstats` in one 64 KiB read: the page cache fills the
-/// whole report in one run, whose misses count before the report renders,
-/// and no later read of a grown report adds hits.
+/// Reads `/proc/cntrstats` in one 64 KiB read. The report renders at that
+/// read and never passes through the page cache, so the page-cache counters
+/// it shows are the ones `page_cache_stats` reads after it.
 fn read_proc_cntrstats(kernel: &Kernel) -> String {
     let fd = kernel
         .open(
@@ -163,7 +163,8 @@ fn cntrstats_and_tracing_cover_the_stack() {
     }
     proxy.unregister();
 
-    // Read one host file twice: misses, then page-cache hits.
+    // Read one host file twice: misses, then page-cache hits. The file is
+    // sized, not written, so no write leaves its pages cached.
     let fd = kernel
         .open(
             Pid::INIT,
@@ -172,7 +173,7 @@ fn cntrstats_and_tracing_cover_the_stack() {
             Mode::RW_R__R__,
         )
         .unwrap();
-    kernel.write_fd(Pid::INIT, fd, &[7u8; 16 << 10]).unwrap();
+    kernel.ftruncate(Pid::INIT, fd, 16 << 10).unwrap();
     kernel.close(Pid::INIT, fd).unwrap();
     for _ in 0..2 {
         let fd = kernel

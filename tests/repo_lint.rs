@@ -24,6 +24,11 @@
 //! workspace-unique, kebab/dot-cased (`subsystem.noun-phrase`), and carry
 //! the prefix of the subsystem they register under — `/proc/cntrstats` is
 //! sorted by those names, so a malformed one corrupts the report shape.
+//!
+//! A fifth pass keeps the hashing policy of `cntr_types::hash`: a
+//! `HashMap`/`HashSet` keyed by an id type or an integer does not run on
+//! std's default SipHash, and an `IdMap`/`IdSet` is never keyed by a name
+//! or a path (see [`check_map_hashers`]).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -255,6 +260,7 @@ const KERNEL_LOCKS: &[(&str, &str, u32, Acq)] = &[
     ("ns_refs.", "kernel.ns_refs", 2, Acq::Internal),
     ("counts.lock(", "kernel.ns_refs", 2, Acq::Guard),
     ("conns.lock(", "kernel.fuse_backing", 2, Acq::Guard),
+    ("open_files.lock(", "kernel.procfs_open", 2, Acq::Guard),
     ("lru.lock(", "pagecache.lru", 3, Acq::Guard),
     ("flusher.lock(", "pagecache.flusher", 4, Acq::Guard),
 ];
@@ -662,4 +668,179 @@ fn allowlist_entries_still_match_a_line() {
             e.contains
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Rule 5: the hashing policy of id- and name-keyed tables
+// ---------------------------------------------------------------------
+
+/// Key types that the kernel hands out from its own counters: ids, and
+/// the integers fd, fh and block numbers are.
+const ID_KEYS: &[&str] = &[
+    "Ino",
+    "Pid",
+    "DevId",
+    "MountId",
+    "NamespaceId",
+    "Fh",
+    "BlobId",
+    "Uid",
+    "Gid",
+    "Fd",
+    "u8",
+    "u16",
+    "u32",
+    "u64",
+    "usize",
+    "i32",
+    "i64",
+];
+
+/// Key types a user or a tool chooses: names and paths.
+const NAME_KEYS: &[&str] = &["String", "str", "Path", "PathBuf", "OsString", "OsStr"];
+
+/// The top-level, comma-separated generic arguments of the type whose
+/// `<` sits just before `text` (which starts inside the brackets).
+fn generic_args(text: &str) -> Vec<&str> {
+    let (mut depth, mut start, mut args) = (0i32, 0, Vec::new());
+    for (i, c) in text.char_indices() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            '>' if depth == 0 => {
+                args.push(text[start..i].trim());
+                return args;
+            }
+            '>' | ')' | ']' => depth -= 1,
+            ',' if depth == 0 => {
+                args.push(text[start..i].trim());
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    args
+}
+
+fn mentions(ty: &str, names: &[&str]) -> bool {
+    ty.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .any(|word| names.contains(&word))
+}
+
+/// Every `HashMap<..>`/`HashSet<..>`/`IdMap<..>`/`IdSet<..>` type in
+/// non-test product code: a std map whose key mentions an id and no name
+/// must name a hasher (`IdMap`, or a deliberate third argument such as
+/// the blob store's `RandomState`), and an `IdMap`/`IdSet` key must not
+/// mention a name or a path — its fixed hasher lets whoever picks the keys
+/// make them collide. `crates/lockdep` is exempt: it sits below every
+/// crate (the `parking_lot` shim depends on it), so it cannot use
+/// `cntr-types`.
+fn check_map_hashers(root: &Path, violations: &mut Vec<Violation>) {
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    rust_files(&root.join("src"), &mut files);
+    for path in files {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap()
+            .to_string_lossy()
+            .to_string();
+        if rel.starts_with("crates/lockdep/")
+            || path.components().any(|c| {
+                matches!(
+                    c.as_os_str().to_str(),
+                    Some("tests" | "benches" | "examples")
+                )
+            })
+        {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let raw: Vec<&str> = text.lines().collect();
+        let mut code = String::new();
+        for line in &raw {
+            let stripped = strip_code(line);
+            if is_test_marker(&stripped) {
+                break;
+            }
+            code.push_str(&stripped);
+            code.push('\n');
+        }
+        for (ty, default_arity, id_map) in [
+            ("HashMap<", 2, false),
+            ("HashSet<", 1, false),
+            ("IdMap<", 2, true),
+            ("IdSet<", 1, true),
+        ] {
+            for (pos, _) in code.match_indices(ty) {
+                let before = code[..pos].chars().next_back();
+                if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
+                    continue;
+                }
+                let args = generic_args(&code[pos + ty.len()..]);
+                let Some(key) = args.first() else { continue };
+                let named = mentions(key, NAME_KEYS);
+                let message = if id_map && named {
+                    format!("`{ty}..>` keyed by a name or path `{key}`: keep it on `RandomState`")
+                } else if !id_map && args.len() == default_arity && !named && mentions(key, ID_KEYS)
+                {
+                    format!(
+                        "`{ty}..>` keyed by `{key}` on the default SipHash: use \
+                         `cntr_types::IdMap`/`IdSet`, or name the hasher if the keys \
+                         come from outside the kernel"
+                    )
+                } else {
+                    continue;
+                };
+                let line = code[..pos].matches('\n').count();
+                violations.push(Violation {
+                    file: rel.clone(),
+                    line: line + 1,
+                    text: raw[line].to_string(),
+                    message,
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn id_keyed_maps_use_the_id_hasher() {
+    let mut violations = Vec::new();
+    check_map_hashers(&repo_root(), &mut violations);
+    let report: Vec<String> = violations.iter().map(Violation::render).collect();
+    assert!(
+        report.is_empty(),
+        "{} hashing-policy violation(s):\n{}",
+        report.len(),
+        report.join("\n")
+    );
+}
+
+#[test]
+fn the_hashing_lint_flags_both_directions() {
+    let dir = std::env::temp_dir().join(format!("cntr-hash-lint-{}", std::process::id()));
+    let src = dir.join("crates/demo/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "struct S {\n    a: HashMap<Ino, u8>,\n    b: Mutex<HashSet<(DevId, Ino)>>,\n    \
+         c: IdMap<String, u8>,\n    d: HashMap<String, u8>,\n    e: IdMap<Pid, u8>,\n    \
+         f: HashMap<u64, u8, RandomState>,\n    g: HashMap<(String, u64), u8>,\n}\n\
+         #[cfg(test)]\nmod tests {\n    type T = HashMap<Ino, u8>;\n}\n",
+    )
+    .unwrap();
+    let mut violations = Vec::new();
+    check_map_hashers(&dir, &mut violations);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let lines: Vec<usize> = violations.iter().map(|v| v.line).collect();
+    assert_eq!(
+        lines,
+        vec![2, 3, 4],
+        "{}",
+        violations
+            .iter()
+            .map(Violation::render)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
