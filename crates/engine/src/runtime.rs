@@ -445,8 +445,8 @@ pub fn boot_host(clock: cntr_types::SimClock) -> Kernel {
 }
 
 /// [`boot_host`] with an explicit [`cntr_kernel::kernel::KernelConfig`] —
-/// the memory-bound stress tests shrink `page_cache_limit` and flip
-/// `background_writeback` through here.
+/// the memory-bound stress tests shrink `page_cache_limit` and choose
+/// stop-world write-back (`background_writeback: false`) through here.
 pub fn boot_host_with(
     clock: cntr_types::SimClock,
     config: cntr_kernel::kernel::KernelConfig,

@@ -49,15 +49,18 @@ pub struct KernelConfig {
     /// of `page_cache_limit` (Linux's default `vm.dirty_ratio`).
     pub dirty_bytes: u64,
     /// Absolute background threshold in bytes
-    /// (`vm.dirty_background_bytes`); crossing it wakes the flusher, and
-    /// both background and inline write-back drain down to it. Zero means
+    /// (`vm.dirty_background_bytes`); a write ending above it runs one
+    /// background write-back chunk, and a stop-world throttle drains down
+    /// to it. Zero means
     /// 10% of `page_cache_limit` (Linux's default
     /// `vm.dirty_background_ratio`).
     pub dirty_background_bytes: u64,
-    /// Whether a kworker-style flusher thread drains dirty data in the
-    /// background. Off, writers drain inline at the thresholds —
-    /// deterministic, used by the paper profile and the differential
-    /// oracle.
+    /// Paced write-back (on): a write ending above the background
+    /// threshold flushes one bounded chunk, and a writer over the hard
+    /// limit pays a bounded debt. Off (stop-world): nothing is flushed
+    /// until the hard limit, where the writer drains to the background
+    /// threshold — the paper profile and the differential oracle. Both
+    /// run on the caller's thread, so both reproduce exactly.
     pub background_writeback: bool,
 }
 
@@ -76,8 +79,8 @@ impl KernelConfig {
     /// The configuration the paper's numbers were measured under: the
     /// testbed's 12 GiB cache (16 GB RAM minus anonymous memory), the
     /// pre-reclaim 64 MiB hard / 32 MiB background dirty thresholds, and
-    /// no flusher thread — every flush happens inline at a deterministic
-    /// point, so the Phoronix figure bands reproduce byte-exactly.
+    /// stop-world write-back — the batching profile the Phoronix figure
+    /// bands are calibrated against.
     pub fn paper_legacy() -> KernelConfig {
         KernelConfig {
             page_cache_limit: 12 << 30,

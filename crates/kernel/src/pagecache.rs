@@ -36,32 +36,33 @@
 //!   list its tail is aged down (referenced bit cleared, then demoted), so
 //!   a streaming read — one touch per page — can never flush the
 //!   twice-touched hot working set.
-//! * **Dirty-ratio throttling.** A writer crossing the background
-//!   threshold wakes the flusher; one crossing the hard dirty limit is
-//!   backpressured *proportionally* in [`balance_dirty_pages`-style]:
+//! * **Dirty-ratio throttling.** A writer crossing the hard dirty limit
+//!   is backpressured *proportionally* in [`balance_dirty_pages`-style]:
 //!   it synchronously writes back a bounded multiple of what it just
 //!   dirtied, then continues. The debt is per-writer, so 64 containers
 //!   crossing together each pay their own share instead of one victim
-//!   stalling for everybody. Without a flusher (deterministic
-//!   configurations: unit tests, the differential oracle, the paper
-//!   profile) the writer drains to the background threshold itself — the
-//!   old stop-world behaviour, still bounded and reproducible.
-//! * **Background writeback.** A kworker-style flusher thread, spawned
-//!   lazily on the first background-threshold crossing, drains coalesced
-//!   dirty runs through the batched `write_bytes` path (a FUSE mount's
-//!   WRITE requests included). It is woken by dirty-ratio crossings and
-//!   a periodic tick, holds no lock across its park point
-//!   (lockdep-checked), and is joined on cache drop.
+//!   stalling for everybody. In stop-world mode (the paper profile, the
+//!   differential oracle) the writer instead drains to the background
+//!   threshold itself.
+//! * **Background writeback.** In paced mode (the default) a write that
+//!   ends above the background threshold runs the flusher's work item
+//!   itself, as Linux's `wb_workfn` would: one coalesced chunk of at most
+//!   `FLUSHER_CHUNK_PAGES` from the dirtiest file, through the batched
+//!   `write_bytes` path (a FUSE mount's WRITE requests included). The
+//!   chunk runs at a fixed point on the writer's thread and charges the
+//!   same virtual clock, so a seed's virtual time reproduces exactly. A
+//!   failed chunk is counted, not returned: the pages stay dirty and the
+//!   next `fsync` reports the error.
 //!
 //! [`balance_dirty_pages`-style]: https://www.kernel.org/doc/html/latest/admin-guide/sysctl/vm.html
 //!
-//! Lock discipline: the LRU state lock (`pagecache.lru`, rank 3) and the
-//! flusher control lock (`pagecache.flusher`, rank 4) are ranked above the
-//! kernel subsystem table (see [`crate::table::lock_class`]). No
+//! Lock discipline: the LRU state lock (`pagecache.lru`, rank 3) is ranked
+//! above the kernel subsystem table (see [`crate::table::lock_class`]). No
 //! filesystem call — fill, write-back, `FileRef` release — ever runs under
-//! either of them: a FUSE-backed flush re-enters the kernel through the
-//! server, and the PR-3 re-entrancy rules require the transport to be
-//! entered lock-free (`kernel.fd_offset` excepted).
+//! it: a FUSE-backed flush re-enters the kernel through the server, and
+//! the kernel's re-entrancy rules require the transport to be entered
+//! lock-free (`kernel.fd_offset` excepted). The page cache starts no
+//! thread of its own.
 
 use crate::mount::CacheMode;
 use crate::table::lock_class;
@@ -74,10 +75,7 @@ use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeBounds;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
 
 obs::counter_scope! {
     /// Event counters of one page cache, writing through to `pagecache.*`.
@@ -100,8 +98,12 @@ obs::counter_scope! {
         reclaim_scans: "pagecache.reclaim-scans",
         /// Writers stalled at the hard dirty limit.
         throttle_stalls: "pagecache.throttle-stalls",
-        /// Background-flusher wakeups that found work.
+        /// Background write-back chunks run by writers above the
+        /// background threshold.
         writeback_wakeups: "pagecache.writeback-wakeups",
+        /// Background write-back chunks that failed; their pages stay
+        /// dirty and the next `fsync` of the file reports the error.
+        writeback_errors: "pagecache.writeback-errors",
     }
 }
 
@@ -222,7 +224,7 @@ impl PageData {
     /// converted in place to [`PageData::Shared`] (moving the buffer
     /// behind a refcount — no copy) so the snapshot and the resident page
     /// alias the same bytes; a later write to the page COWs away via
-    /// [`PageData::make_mut`]. This is what lets the flusher assemble run
+    /// [`PageData::make_mut`]. This is what lets write-back assemble run
     /// buffers *outside* the LRU lock: the gather under the lock is
     /// pointer work, not memcpy.
     fn share(&mut self) -> PageData {
@@ -620,19 +622,9 @@ fn in_flush() -> bool {
     IN_FLUSH.with(std::cell::Cell::get)
 }
 
-/// The background flusher's control block: the spawn-once state behind the
-/// `pagecache.flusher` lock. The running thread itself never takes this
-/// lock — wake/stop travel through atomics and `unpark`.
-struct FlusherCtl {
-    /// Handle used to wake the parked flusher.
-    thread: Option<std::thread::Thread>,
-    /// Join handle, taken by [`PageCache::drop`].
-    join: Option<JoinHandle<()>>,
-}
-
-/// How many pages the background flusher writes back per chunk: large
+/// How many pages one background write-back chunk writes at most: large
 /// enough that coalesced runs amortize per-request overhead (1 MiB), small
-/// enough that stop/wake latency stays bounded.
+/// enough that the writer running it pays a bounded cost.
 const FLUSHER_CHUNK_PAGES: usize = 256;
 
 /// Minimum foreground write-back debt of a throttled writer, in pages.
@@ -643,75 +635,27 @@ const MIN_THROTTLE_QUOTA: usize = 32;
 /// `max_read` window.
 const FILL_RUN_PAGES: usize = 32;
 
-/// The shared body of a [`PageCache`]: all state and behaviour. The
-/// background flusher holds a [`Weak`] to it, so the cache's lifetime stays
-/// owned by the [`PageCache`] handle (whose drop stops and joins the
-/// flusher).
-#[doc(hidden)]
-pub struct CacheShared {
+/// The page cache shared by all mounts of a [`crate::Kernel`].
+pub struct PageCache {
     clock: SimClock,
     capacity_pages: usize,
     dirty_limit_pages: usize,
-    /// Background write-back starts above this (and the flusher drains down
-    /// to it). Below `dirty_limit_pages`.
+    /// Background write-back starts above this. Below `dirty_limit_pages`.
     dirty_bg_pages: usize,
-    /// Whether a kworker-style flusher thread handles background
-    /// write-back. Off = writers drain inline (deterministic).
-    flusher_enabled: bool,
-    /// Back-reference for spawning the flusher from a `&CacheShared`
-    /// writer path (the thread itself must hold only a `Weak`, or the
-    /// cache could never drop).
-    self_ref: Weak<CacheShared>,
-    /// Tells the flusher to exit (set by drop, checked per chunk).
-    stop: AtomicBool,
+    /// Paced mode: a write ending above the background threshold flushes
+    /// one bounded chunk, and a throttled writer pays a bounded debt.
+    /// Off, a throttled writer drains to the background threshold
+    /// (stop-world).
+    background_writeback: bool,
     lru: Mutex<CacheState>,
-    flusher: Mutex<FlusherCtl>,
     counters: CacheCounters,
-}
-
-/// The page cache shared by all mounts of a [`crate::Kernel`].
-///
-/// Dropping the handle stops and joins the background flusher (if one was
-/// ever spawned), then releases the cached state.
-pub struct PageCache {
-    inner: Arc<CacheShared>,
-}
-
-impl std::ops::Deref for PageCache {
-    type Target = CacheShared;
-
-    fn deref(&self) -> &CacheShared {
-        &self.inner
-    }
-}
-
-impl Drop for PageCache {
-    fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        let (thread, join) = {
-            let mut ctl = self.inner.flusher.lock();
-            (ctl.thread.take(), ctl.join.take())
-        };
-        if let Some(t) = thread {
-            t.unpark();
-        }
-        if let Some(j) = join {
-            // The flusher sees `stop` (or fails to upgrade its Weak once
-            // this handle is gone) and exits; nothing is held while we
-            // wait.
-            let _ = j.join();
-        }
-    }
 }
 
 impl PageCache {
     /// Creates a cache with the given capacity and the hard and background
     /// dirty thresholds (bytes; [`crate::KernelConfig`] resolves them).
-    /// With `background_writeback` a kworker-style flusher thread drains
-    /// dirty data above the background threshold; it is spawned lazily on
-    /// the first crossing, so configurations that never buffer enough
-    /// dirty data stay single-threaded. Without it writers drain inline —
-    /// deterministic.
+    /// `background_writeback` selects paced write-back (see the module
+    /// docs); without it writers drain inline at the hard limit.
     pub fn new(
         clock: SimClock,
         capacity_bytes: u64,
@@ -726,74 +670,16 @@ impl PageCache {
             "background threshold {dirty_bg_pages} pages outside 1..{dirty_limit_pages}"
         );
         PageCache {
-            inner: Arc::new_cyclic(|self_ref| CacheShared {
-                clock,
-                capacity_pages: (capacity_bytes / PAGE_SIZE as u64).max(16) as usize,
-                dirty_limit_pages,
-                dirty_bg_pages,
-                flusher_enabled: background_writeback,
-                self_ref: self_ref.clone(),
-                stop: AtomicBool::new(false),
-                lru: Mutex::new_class(lock_class::PAGECACHE_LRU, CacheState::default()),
-                flusher: Mutex::new_class(
-                    lock_class::PAGECACHE_FLUSHER,
-                    FlusherCtl {
-                        thread: None,
-                        join: None,
-                    },
-                ),
-                counters: CacheCounters::default(),
-            }),
+            clock,
+            capacity_pages: (capacity_bytes / PAGE_SIZE as u64).max(16) as usize,
+            dirty_limit_pages,
+            dirty_bg_pages,
+            background_writeback,
+            lru: Mutex::new_class(lock_class::PAGECACHE_LRU, CacheState::default()),
+            counters: CacheCounters::default(),
         }
     }
-}
 
-/// The flusher main loop: drain coalesced dirty runs while above the
-/// background threshold, then park until woken (dirty-ratio crossing) or
-/// the periodic tick. Holds the cache only through a `Weak` so the owning
-/// [`PageCache`] drop wins, and holds *no lock* across the park point.
-fn flusher_main(cache: Weak<CacheShared>) {
-    loop {
-        {
-            let Some(c) = cache.upgrade() else { return };
-            let mut woke_with_work = false;
-            loop {
-                if c.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                let bg = c.dirty_bg_pages;
-                let victim = {
-                    let st = c.lru.lock();
-                    if st.dirty_total <= bg {
-                        None
-                    } else {
-                        st.dirtiest_file(|_| true)
-                    }
-                };
-                let Some((dev, ino)) = victim else { break };
-                if !woke_with_work {
-                    woke_with_work = true;
-                    c.counters.writeback_wakeups.inc();
-                }
-                // A flush error (EIO, ENOSPC, a torn-down mount) ends this
-                // drain; the dirty pages stay and the next wakeup retries.
-                match c.flush_chunk(dev, ino, FLUSHER_CHUNK_PAGES) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-            }
-            // The Arc dies here, before the park: the owner's drop must be
-            // able to win the race and see its unpark consumed.
-        }
-        // Park checkpoint: write-back may have re-entered FUSE transports,
-        // but nothing may still be held while this thread sleeps.
-        #[cfg(any(debug_assertions, feature = "lockdep"))]
-        lockdep::assert_no_locks_held_except(&[]);
-        std::thread::park_timeout(Duration::from_millis(100));
-    }
-}
-
-impl CacheShared {
     /// Counter snapshot.
     pub fn stats(&self) -> PageCacheStats {
         self.counters.snapshot()
@@ -865,7 +751,7 @@ impl CacheShared {
     /// clips reads to the effective file size.
     ///
     /// A miss fills the whole run of consecutive non-resident pages the
-    /// read covers from that point (up to [`FILL_RUN_PAGES`]) with one
+    /// read covers from that point (up to `FILL_RUN_PAGES`) with one
     /// filesystem read, the way Linux sizes a read to its access: a 4 KiB
     /// read across two cold pages is one 8 KiB request. A resident page,
     /// clean or dirty, ends the run and is served from the cache.
@@ -1040,12 +926,12 @@ impl CacheShared {
     /// Writes through the cache according to `mode`.
     ///
     /// Write-through: the filesystem sees the write immediately and pages are
-    /// updated in place. Writeback: pages go dirty, the dirty-ratio
-    /// throttle backpressures the writer, and the flusher (or an
-    /// over-limit writer) drains coalesced batches. A write covering part
-    /// of a page the cache does not hold first reads that page from the
-    /// filesystem, as Linux's `write_begin` does for a page that is not up
-    /// to date: flushing it must not zero the bytes the write left alone.
+    /// updated in place. Writeback: pages go dirty, and at the dirty
+    /// thresholds the writer itself flushes coalesced batches (see
+    /// `balance_dirty_pages`). A write covering part of a page the cache
+    /// does not hold first reads that page from the filesystem, as Linux's
+    /// `write_begin` does for a page that is not up to date: flushing it
+    /// must not zero the bytes the write left alone.
     pub fn write(
         &self,
         dev: DevId,
@@ -1185,84 +1071,76 @@ impl CacheShared {
     }
 
     /// The `balance_dirty_pages` checkpoint a write-back writer passes
-    /// after dirtying `newly_dirtied` pages. Crossing the background
-    /// threshold wakes the flusher; crossing the hard limit makes the
-    /// writer pay down a bounded multiple of its own debt in foreground
-    /// write-back — paced, proportional, and therefore fair when many
-    /// containers cross together. Without a flusher the writer drains all
-    /// the way to the background threshold itself (deterministic
-    /// stop-world mode).
+    /// after dirtying `newly_dirtied` pages. Crossing the hard limit makes
+    /// the writer pay down a bounded multiple of its own debt in
+    /// foreground write-back — paced, proportional, and therefore fair
+    /// when many containers cross together. In paced mode a write that
+    /// still ends above the background threshold then runs one background
+    /// chunk. In stop-world mode the throttled writer drains all the way
+    /// to the background threshold itself.
     fn balance_dirty_pages(&self, newly_dirtied: usize) -> SysResult<()> {
         if newly_dirtied == 0 || in_flush() {
             return Ok(());
         }
-        let bg = self.dirty_bg_pages;
-        let dirty = { self.lru.lock().dirty_total };
-        if dirty <= bg {
-            return Ok(());
+        let over_limit = self.lru.lock().dirty_total > self.dirty_limit_pages;
+        if over_limit {
+            self.throttle(newly_dirtied)?;
         }
-        self.kick();
-        if dirty <= self.dirty_limit_pages {
-            return Ok(());
+        if self.background_writeback {
+            self.background_chunk();
         }
+        Ok(())
+    }
+
+    /// The hard-limit throttle: foreground write-back of the dirtiest files
+    /// until the background threshold, or in paced mode until the writer
+    /// has paid twice what it dirtied (at least `MIN_THROTTLE_QUOTA`).
+    fn throttle(&self, newly_dirtied: usize) -> SysResult<()> {
         self.counters.throttle_stalls.inc();
         let stall_start = obs::now_ns();
-        let paced = self.flusher_enabled;
+        let paced = self.background_writeback;
         let mut quota = newly_dirtied.saturating_mul(2).max(MIN_THROTTLE_QUOTA);
-        loop {
-            let victim = {
-                let st = self.lru.lock();
-                if st.dirty_total <= bg {
-                    None
-                } else {
-                    st.dirtiest_file(|_| true)
-                }
-            };
-            let Some((vdev, vino)) = victim else { break };
-            // Paced mode flushes a bounded chunk; inline mode drains the
-            // victim file whole — one big coalesced gather per file, the
-            // batching profile of the original stop-world drain (the
-            // Phoronix figure bands are calibrated against it).
+        while let Some((vdev, vino)) = self.background_victim() {
+            // Paced mode flushes a bounded chunk; stop-world mode drains
+            // the victim file whole — one big coalesced gather per file,
+            // the batching profile the Phoronix figure bands are
+            // calibrated against.
             let n = self.flush_chunk(vdev, vino, if paced { quota } else { usize::MAX })?;
             if n == 0 {
                 break;
             }
             if paced {
-                // Paced mode: the writer's debt is bounded; the flusher
-                // (already kicked) finishes the backlog in the background.
                 quota = quota.saturating_sub(n);
                 if quota == 0 {
                     break;
                 }
             }
-            // Flusher disabled: keep draining to the background threshold
-            // — the deterministic inline mode.
         }
         OBS_THROTTLE_STALL_NS.record(obs::now_ns().saturating_sub(stall_start));
         Ok(())
     }
 
-    /// Wakes the background flusher, spawning it on first use. Takes only
-    /// the `pagecache.flusher` lock; the LRU lock is never held here. The
-    /// spawned thread gets a `Weak` (via `self_ref`), so a cache nobody
-    /// writes to again can still be dropped — the flusher fails its
-    /// upgrade and exits.
-    fn kick(&self) {
-        if !self.flusher_enabled {
+    /// The flusher's work item, run by the writer: while the cache is
+    /// above the background threshold, one chunk of at most
+    /// `FLUSHER_CHUNK_PAGES` from the dirtiest file. Like a kworker's, its
+    /// error does not reach the writer; the pages stay dirty for `fsync`.
+    fn background_chunk(&self) {
+        let Some((dev, ino)) = self.background_victim() else {
             return;
+        };
+        self.counters.writeback_wakeups.inc();
+        if self.flush_chunk(dev, ino, FLUSHER_CHUNK_PAGES).is_err() {
+            self.counters.writeback_errors.inc();
         }
-        let mut ctl = self.flusher.lock();
-        if let Some(t) = &ctl.thread {
-            t.unpark();
-            return;
+    }
+
+    /// The dirtiest file while the cache is above the background threshold.
+    fn background_victim(&self) -> Option<(DevId, Ino)> {
+        let st = self.lru.lock();
+        if st.dirty_total <= self.dirty_bg_pages {
+            return None;
         }
-        let weak = self.self_ref.clone();
-        let join = std::thread::Builder::new()
-            .name("cntr-flusher".to_string())
-            .spawn(move || flusher_main(weak))
-            .expect("spawn flusher thread");
-        ctl.thread = Some(join.thread().clone());
-        ctl.join = Some(join);
+        st.dirtiest_file(|_| true)
     }
 
     /// Flushes up to `max_pages` dirty pages of one file (ascending page
@@ -1296,7 +1174,7 @@ impl CacheShared {
             // drops, so a concurrent writer is never stalled behind a
             // megabyte memcpy (it COWs away from the aliased bytes
             // instead).
-            // A bounded flush (flusher chunk, writer pacing) skips pages a
+            // A bounded flush (background chunk, writer pacing) skips pages a
             // concurrent flush already has in flight — submitting them
             // again would double the write traffic for nothing. A full
             // flush must not: `fsync` has to have submitted every dirty
@@ -1665,7 +1543,7 @@ impl CacheShared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cntr_fs::memfs::memfs;
+    use cntr_fs::memfs::{memfs, memfs_with_capacity};
     use cntr_fs::FsContext;
     use cntr_types::{FileType, Mode, OpenFlags, SetAttr};
 
@@ -2034,43 +1912,51 @@ mod tests {
         }
     }
 
-    /// The background flusher drains dirty data below the background
-    /// threshold without the writer flushing inline.
+    /// A paced cache with a 16-page background threshold and a 64-page
+    /// hard limit over `fs`.
+    fn paced_cache(fs: &Arc<dyn Filesystem>, clock: SimClock) -> (PageCache, Arc<FileRef>) {
+        let p = PAGE_SIZE as u64;
+        let cache = PageCache::new(clock, 256 << 20, 64 * p, 16 * p, true);
+        (cache, file_on(fs, "f"))
+    }
+
+    /// A write that ends above the background threshold, but under the
+    /// hard limit, runs one background chunk before it returns: the data
+    /// is on the filesystem, with no thread and no waiting.
     #[test]
-    fn background_flusher_drains_dirty_pages() {
+    fn write_above_background_threshold_runs_one_chunk() {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone()) as Arc<dyn Filesystem>;
-        let file = file_on(&fs, "f");
-        let cache = Arc::new(PageCache::new(
-            clock,
-            256 << 20,
-            64 * PAGE_SIZE as u64,
-            16 * PAGE_SIZE as u64,
-            true,
-        ));
-        let dev = DevId(1);
+        let (cache, file) = paced_cache(&fs, clock);
         let mode = CacheMode::native();
-        // Cross the background threshold but stay under the hard limit:
-        // only the flusher can drain this.
         cache
-            .write(dev, mode, &file, 0, &vec![0xEEu8; 32 * PAGE_SIZE])
+            .write(DevId(1), mode, &file, 0, &vec![0xEEu8; 32 * PAGE_SIZE])
             .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while cache.dirty_bytes() > 16 * PAGE_SIZE as u64 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "flusher never drained: {} dirty bytes",
-                cache.dirty_bytes()
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(cache.stats().writeback_wakeups > 0);
-        // Data landed intact.
-        let mut buf = vec![0u8; PAGE_SIZE];
-        file.fs.read(file.ino, file.fh, 0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0xEE));
-        // Drop joins the flusher cleanly.
-        drop(cache);
+        assert!(cache.dirty_bytes() <= 16 * PAGE_SIZE as u64);
+        let stats = cache.stats();
+        assert_eq!((stats.writeback_wakeups, stats.throttle_stalls), (1, 0));
+        assert_eq!(stats.writeback_errors, 0);
+        assert_eq!(
+            fs_bytes(&file, 32 * PAGE_SIZE),
+            vec![0xEEu8; 32 * PAGE_SIZE]
+        );
+    }
+
+    /// A background chunk that fails is counted, not returned: the write
+    /// succeeds, the pages stay dirty, and `fsync` reports the error.
+    #[test]
+    fn background_chunk_error_reaches_fsync_not_write() {
+        let clock = SimClock::new();
+        let small = 16 * PAGE_SIZE as u64;
+        let fs = memfs_with_capacity(DevId(1), clock.clone(), small) as Arc<dyn Filesystem>;
+        let (cache, file) = paced_cache(&fs, clock);
+        let data = vec![0x11u8; 32 * PAGE_SIZE];
+        let mode = CacheMode::native();
+        assert_eq!(cache.write(DevId(1), mode, &file, 0, &data), Ok(data.len()));
+        let stats = cache.stats();
+        assert_eq!((stats.writeback_wakeups, stats.writeback_errors), (1, 1));
+        assert_eq!(cache.dirty_bytes(), data.len() as u64);
+        assert_eq!(cache.fsync(DevId(1), &file, false), Err(Errno::ENOSPC));
     }
 
     #[test]

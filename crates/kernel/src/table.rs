@@ -101,11 +101,6 @@ pub mod lock_class {
     /// ever acquired while holding it — every fill, write-back and
     /// `FileRef` drop happens after it is released.
     pub const PAGECACHE_LRU: &str = "pagecache.lru";
-    /// The background-flusher control block (rank 4): thread handle of the
-    /// kworker-style write-back thread. Taken only to spawn or wake the
-    /// flusher — never while the flusher itself runs, and never across its
-    /// park point.
-    pub const PAGECACHE_FLUSHER: &str = "pagecache.flusher";
 }
 
 /// Encodes the module-level lock-ordering discipline into the lockdep
@@ -128,7 +123,6 @@ pub(crate) fn declare_lock_discipline() {
             lock_class::PROCFS_OPEN,
         ],
         &[lock_class::PAGECACHE_LRU],
-        &[lock_class::PAGECACHE_FLUSHER],
     ]);
 }
 

@@ -88,9 +88,9 @@ fn fletcher(data: &[u8]) -> u32 {
 /// The kernel every env runs: a ceiling smaller than the op space's total
 /// footprint keeps LRU reclaim (writeback-then-evict) running
 /// mid-sequence, and a small dirty limit forces write-back too, so batched
-/// flushes interleave with the ops. The flusher stays off: every flush
-/// happens at a deterministic point, which the replay-comparison oracle
-/// depends on. The oracle runs under the same ceiling, so a reclaim-path
+/// flushes interleave with the ops. Write-back is stop-world: every flush
+/// is a hard-limit drain or a reclaim at a fixed point, which the
+/// replay-comparison oracle depends on. The oracle runs under the same ceiling, so a reclaim-path
 /// divergence shows up on either side.
 fn tight() -> KernelConfig {
     KernelConfig {

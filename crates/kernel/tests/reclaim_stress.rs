@@ -9,11 +9,16 @@
 //! byte-identical afterwards, so reclaim's writeback-then-evict path is
 //! checked for data integrity, not just accounting.
 //!
-//! The threaded variant runs the same pressure from 8 OS threads with the
-//! background flusher enabled. In debug and `--features lockdep` builds
-//! this drives the flusher's park checkpoint and the `pagecache.lru` /
-//! `pagecache.flusher` rank discipline under real interleavings — the
-//! stress must finish lockdep-green.
+//! The threaded variant runs the same pressure from 8 OS threads in paced
+//! write-back mode, where every write ending above the background
+//! threshold flushes a chunk on its own thread. In debug and
+//! `--features lockdep` builds this drives the `pagecache.lru` rank
+//! discipline under real interleavings of writers, their background
+//! chunks, reclaim and `fsync` — the stress must finish lockdep-green.
+//!
+//! The determinism run replays one seeded single-threaded schedule on two
+//! fresh kernels in the default (paced) mode: virtual time and every
+//! write-back counter must agree exactly.
 
 use cntr_fs::memfs::memfs;
 use cntr_kernel::kernel::KernelConfig;
@@ -94,7 +99,7 @@ fn pure_writes_10x_ceiling_across_64_containers_stay_bounded() {
 
     // Open one data file per container and keep the fds; round-robin the
     // writes so every container's pages age together (the fairest — and
-    // for a per-file-victim flusher, hardest — interleaving).
+    // for per-file-victim write-back, hardest — interleaving).
     let fds: Vec<u32> = cs
         .iter()
         .enumerate()
@@ -169,14 +174,14 @@ fn pure_writes_10x_ceiling_across_64_containers_stay_bounded() {
     assert_eq!(active + inactive, kernel.page_cache_resident_pages());
 }
 
-/// The same pressure from 8 OS threads with the background flusher on.
-/// Exercises the `pagecache.lru`/`pagecache.flusher` lock discipline and
-/// the flusher park checkpoint under real interleavings (lockdep-checked
-/// in debug and `--features lockdep` builds). The bound allows a small
-/// transient overage: each thread detects the crossing only after its own
-/// insert.
+/// The same pressure from 8 OS threads in paced write-back mode.
+/// Exercises the `pagecache.lru` lock discipline under real interleavings
+/// of writers, their background chunks, reclaim and `fsync`
+/// (lockdep-checked in debug and `--features lockdep` builds). The bound
+/// allows a small transient overage: each thread detects the crossing
+/// only after its own insert.
 #[test]
-fn threaded_writers_with_flusher_stay_bounded_and_lossless() {
+fn threaded_paced_writers_stay_bounded_and_lossless() {
     const THREADS: usize = 8;
     let kernel = tight_kernel(true);
     let limit = kernel.page_cache_capacity_pages();
@@ -211,7 +216,7 @@ fn threaded_writers_with_flusher_stay_bounded_and_lossless() {
                     );
                 }
                 // fsync through the cache: must interleave safely with the
-                // concurrent background flusher draining the same files.
+                // other writers' background chunks and reclaim.
                 kernel.fsync(pid, fd, false).expect("fsync");
                 kernel.close(pid, fd).expect("close");
             }
@@ -221,8 +226,9 @@ fn threaded_writers_with_flusher_stay_bounded_and_lossless() {
         h.join().expect("writer thread must not panic");
     }
 
-    // All dirty data eventually drains (flusher or inline), and contents
-    // survive the concurrent reclaim/write-back byte-identically.
+    // All dirty data drains (background chunks, throttle, reclaim or
+    // sync), and contents survive the concurrent reclaim/write-back
+    // byte-identically.
     kernel.sync().expect("final sync");
     assert_eq!(kernel.dirty_bytes(), 0);
     let mut buf = vec![0u8; PAGE];
@@ -249,4 +255,113 @@ fn threaded_writers_with_flusher_stay_bounded_and_lossless() {
         }
         kernel.close(*pid, fd).expect("close");
     }
+}
+
+/// A small splitmix64 stream: the schedule's only source of choice.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Runs one seeded schedule of writes, overwrites, reads and `fsync` over
+/// four files on a fresh default-config kernel, checking every read and
+/// the final contents against a shadow copy. Returns the virtual clock
+/// and the write-back counters.
+fn seeded_schedule(seed: u64) -> (u64, [u64; 4]) {
+    const FILES: usize = 4;
+    const FILE_PAGES: u64 = 160;
+    let clock = SimClock::new();
+    let root = memfs(DevId(1), clock.clone());
+    let kernel = Kernel::with_clock(
+        clock,
+        root,
+        KernelConfig {
+            // 256 pages: background threshold 25 pages, hard limit 51.
+            page_cache_limit: (256 * PAGE) as u64,
+            ..KernelConfig::default()
+        },
+    );
+    let (pid, dir) = containers(&kernel, 1).remove(0);
+    let fds: Vec<u32> = (0..FILES)
+        .map(|f| {
+            kernel
+                .open(
+                    pid,
+                    &format!("{dir}/f{f}"),
+                    OpenFlags::RDWR.with(OpenFlags::CREAT),
+                    Mode::RW_R__R__,
+                )
+                .expect("create file")
+        })
+        .collect();
+    let mut shadow = vec![Vec::<u8>::new(); FILES];
+    let mut rng = Rng(seed);
+    for step in 0..600u64 {
+        let f = rng.below(FILES as u64) as usize;
+        let offset = rng.below(FILE_PAGES * PAGE as u64);
+        let len = match rng.below(10) {
+            0 => 40 * PAGE,
+            1..=5 => 1 + rng.below(8 * PAGE as u64) as usize,
+            _ => 1 + rng.below(PAGE as u64) as usize,
+        };
+        match rng.below(8) {
+            0 => kernel.fsync(pid, fds[f], false).expect("fsync"),
+            1 | 2 => {
+                let mut buf = vec![0u8; len];
+                let n = kernel.pread(pid, fds[f], offset, &mut buf).expect("pread");
+                let start = (offset as usize).min(shadow[f].len());
+                let end = (start + len).min(shadow[f].len());
+                assert_eq!(&buf[..n], &shadow[f][start..end], "step {step} read");
+            }
+            _ => {
+                let data: Vec<u8> = (0..len).map(|i| (step as usize + i * 13) as u8).collect();
+                assert_eq!(kernel.pwrite(pid, fds[f], offset, &data), Ok(len));
+                let end = offset as usize + len;
+                if shadow[f].len() < end {
+                    shadow[f].resize(end, 0);
+                }
+                shadow[f][offset as usize..end].copy_from_slice(&data);
+            }
+        }
+    }
+    for (f, want) in shadow.iter().enumerate() {
+        let mut buf = vec![0u8; want.len() + PAGE];
+        let n = kernel.pread(pid, fds[f], 0, &mut buf).expect("read back");
+        assert_eq!(&buf[..n], &want[..], "file {f} read back");
+    }
+    let s = kernel.page_cache_stats();
+    let now = kernel.clock().now().as_nanos();
+    (
+        now,
+        [
+            s.flushed_pages,
+            s.flush_batches,
+            s.writeback_wakeups,
+            s.throttle_stalls,
+        ],
+    )
+}
+
+/// Paced write-back runs on the writer's thread at fixed points, so two
+/// fresh kernels replaying one schedule agree on virtual time and on every
+/// write-back counter, and the schedule crosses both dirty thresholds.
+#[test]
+fn default_writeback_reproduces_exactly() {
+    let first = seeded_schedule(1);
+    let [flushed, batches, wakeups, stalls] = first.1;
+    assert!(flushed > 0 && batches > 0, "nothing was written back");
+    assert!(wakeups > 0, "the background threshold was never crossed");
+    assert!(stalls > 0, "the hard dirty limit was never crossed");
+    assert_eq!(seeded_schedule(1), first);
 }

@@ -40,8 +40,8 @@ impl PerfEnv {
     /// Builds an environment for `target`. All file content is synthetic
     /// (timing-only), so multi-gigabyte workloads cost no real memory.
     /// Runs under [`KernelConfig::paper_legacy`]: the published testbed's
-    /// 12 GiB cache and inline (flusher-less) write-back, so the figure
-    /// bands stay byte-exact against the paper profile.
+    /// 12 GiB cache and stop-world write-back, so the figure bands stay
+    /// byte-exact against the paper profile.
     pub fn build(target: Target) -> PerfEnv {
         let clock = SimClock::new();
         let root = memfs(DevId(1), clock.clone());

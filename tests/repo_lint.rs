@@ -262,7 +262,6 @@ const KERNEL_LOCKS: &[(&str, &str, u32, Acq)] = &[
     ("conns.lock(", "kernel.fuse_backing", 2, Acq::Guard),
     ("open_files.lock(", "kernel.procfs_open", 2, Acq::Guard),
     ("lru.lock(", "pagecache.lru", 3, Acq::Guard),
-    ("flusher.lock(", "pagecache.flusher", 4, Acq::Guard),
 ];
 
 struct LiveGuard {
