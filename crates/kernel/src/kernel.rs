@@ -1202,8 +1202,9 @@ impl Kernel {
     }
 
     /// What one splice does once the kernel is entered, by `splice(2)` or
-    /// by an io_uring SQE: stage, write, push back the rest, and charge
-    /// the page remaps of what moved.
+    /// by an io_uring SQE: take the source's queued segments, link what
+    /// fits onto the destination, push the rest back, and charge the page
+    /// remaps of what moved.
     pub(crate) fn splice_body(
         &self,
         pid: Pid,
@@ -1216,48 +1217,30 @@ impl Kernel {
             let b = Arc::clone(&p.fds.get(&fd_out).ok_or(Errno::EBADF)?.file);
             Ok((a, b))
         })?;
-        // Stage through a kernel buffer sized to the bytes queued (at most
-        // one pipe's worth); remap cost, not copy cost. An empty source
-        // still gives `EAGAIN`, one at EOF an empty buffer.
-        let cap = len.min(crate::pipe::PIPE_CAPACITY);
-        let buf = match &src.kind {
-            FileKind::PipeRead(pipe) => pipe.read_up_to(cap)?,
-            FileKind::Socket(s) => s.recv_up_to(cap)?,
+        let src = match &src.kind {
+            FileKind::PipeRead(pipe) => pipe,
+            FileKind::Socket(s) => s.in_pipe(),
             _ => return Err(Errno::EINVAL),
         };
-        let n = buf.len();
-        if n == 0 {
+        // At most one pipe's worth moves, by reference: an empty source
+        // still gives `EAGAIN`, one at EOF nothing.
+        let mut segs = src.take(len.min(crate::pipe::PIPE_CAPACITY))?;
+        if segs.is_empty() {
             return Ok(0);
         }
         let written = match &dst.kind {
-            FileKind::PipeWrite(pipe) => pipe.write(&buf),
-            FileKind::Socket(s) => s.send(&buf),
+            FileKind::PipeWrite(pipe) => pipe.put(&mut segs),
+            FileKind::Socket(s) => s.sending(|out| out.put(&mut segs)),
             _ => Err(Errno::EINVAL),
         };
-        let written = match written {
-            Ok(w) => w,
-            Err(e) => {
-                // Destination refused everything: return the staged bytes
-                // to the source before surfacing the error.
-                Self::splice_unread(&src.kind, &buf);
-                return Err(e);
-            }
-        };
-        if written < n {
-            Self::splice_unread(&src.kind, &buf[written..]);
+        // Whatever the destination refused, wholly or in part, returns to
+        // the front of the source before the result surfaces.
+        if !segs.is_empty() {
+            src.push_front(segs);
         }
-        // Charge splice (page-remap) cost for what actually moved.
+        let written = written?;
         self.inner.clock.advance(COST.splice(written as u64));
         Ok(written)
-    }
-
-    /// Returns unconsumed staged bytes to a splice source.
-    fn splice_unread(src: &FileKind, data: &[u8]) {
-        match src {
-            FileKind::PipeRead(pipe) => pipe.unread(data),
-            FileKind::Socket(s) => s.unrecv(data),
-            _ => {}
-        }
     }
 }
 

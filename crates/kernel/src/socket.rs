@@ -60,7 +60,9 @@ impl SocketEnd {
         }
     }
 
-    fn in_pipe(&self) -> &Arc<Pipe> {
+    /// The inbound pipe: what `recv` reads and a `splice` from this
+    /// socket takes from.
+    pub(crate) fn in_pipe(&self) -> &Arc<Pipe> {
         match self.side {
             Side::A => &self.conn.b_to_a,
             Side::B => &self.conn.a_to_b,
@@ -69,7 +71,20 @@ impl SocketEnd {
 
     /// Sends bytes to the peer.
     pub fn send(&self, data: &[u8]) -> SysResult<usize> {
-        self.out_pipe().write(data).map_err(|e| {
+        self.sending(|out| out.write(data))
+    }
+
+    /// Runs `op` on the outbound pipe under `send`'s errno rules, for
+    /// `send` and for a `splice` into this socket: `EPIPE` once this end
+    /// shut its own sending side (checked first, as Linux's
+    /// `unix_stream_sendmsg` checks `SEND_SHUTDOWN`), `ECONNRESET` once
+    /// the peer is gone.
+    pub(crate) fn sending<T>(&self, op: impl FnOnce(&Pipe) -> SysResult<T>) -> SysResult<T> {
+        let out = self.out_pipe();
+        if out.write_closed() {
+            return Err(Errno::EPIPE);
+        }
+        op(out).map_err(|e| {
             if e == Errno::EPIPE {
                 Errno::ECONNRESET
             } else {
@@ -81,12 +96,6 @@ impl SocketEnd {
     /// Receives bytes from the peer (0 = orderly shutdown).
     pub fn recv(&self, buf: &mut [u8]) -> SysResult<usize> {
         self.in_pipe().read(buf)
-    }
-
-    /// Receives up to `max` bytes into a buffer sized to what was queued
-    /// (empty = orderly shutdown); see [`Pipe::read_up_to`].
-    pub fn recv_up_to(&self, max: usize) -> SysResult<Vec<u8>> {
-        self.in_pipe().read_up_to(max)
     }
 
     /// Shuts down this endpoint (both directions).
@@ -101,12 +110,6 @@ impl SocketEnd {
     /// half-close across a forwarded pair.
     pub fn shutdown_write(&self) {
         self.out_pipe().close_write();
-    }
-
-    /// Puts bytes back at the front of the receive queue, undoing a
-    /// `recv` (the `splice` push-back path).
-    pub fn unrecv(&self, data: &[u8]) {
-        self.in_pipe().unread(data);
     }
 
     /// Bytes queued for reading.
@@ -228,5 +231,21 @@ mod tests {
         assert_eq!(b.recv(&mut buf).unwrap(), 0, "EOF after shutdown");
         assert!(b.poll_hangup());
         assert_eq!(b.send(b"x"), Err(Errno::ECONNRESET));
+    }
+
+    #[test]
+    fn send_after_own_shutdown_write_is_epipe() {
+        let (a, b) = SocketEnd::pair();
+        a.shutdown_write();
+        let mut buf = [0u8; 8];
+        assert_eq!(b.recv(&mut buf), Ok(0), "the peer reads EOF");
+        assert_eq!(a.send(b"late"), Err(Errno::EPIPE));
+        assert_eq!(b.recv(&mut buf), Ok(0), "nothing arrives after EOF");
+        // The other direction still works, and the peer closing does not
+        // turn the own-shutdown EPIPE into ECONNRESET.
+        b.send(b"ack").unwrap();
+        assert_eq!(a.recv(&mut buf), Ok(3));
+        b.shutdown();
+        assert_eq!(a.send(b"x"), Err(Errno::EPIPE));
     }
 }

@@ -8,7 +8,8 @@
 //! every forwarded connection, injects the two classic per-session
 //! faults — a dead upstream and a stalled reader — and asserts they
 //! are invisible to the other sessions, that the plane's interest set
-//! stays exactly proportional to live endpoints, and that teardown
+//! stays exactly proportional to live endpoints, that pipes and sockets
+//! hold buffer memory only for the bytes in flight, and that teardown
 //! returns the loop to empty.
 //!
 //! CI runs this in the release stress job under `--features lockdep`;
@@ -17,6 +18,7 @@
 //! scaled down; the release run uses the full 1000.
 
 use cntr::prelude::*;
+use cntr::types::cost::PAGE_SIZE;
 use std::sync::Arc;
 
 /// Sessions per engine flavour. 250 × 4 = 1000 in release; debug
@@ -48,6 +50,28 @@ fn app_image() -> Arc<cntr::engine::Image> {
         .text("/etc/app.conf", "socket=/tmp/app.sock\n")
         .entrypoint("/usr/local/bin/app")
         .build()
+}
+
+/// Segment memory held by every live pipe and socket direction
+/// (`core.pipe.buffer-bytes`; this file's one test is the only user of
+/// its process's gauge).
+fn pipe_bytes() -> usize {
+    cntr::obs::gauge_value("core.pipe.buffer-bytes").unwrap_or(0) as usize
+}
+
+/// Asserts the live buffers hold at least the bytes of `messages` (one
+/// queued per connection) and at most each rounded up to whole pages.
+fn assert_in_flight(messages: &[Vec<u8>], what: &str) {
+    let queued: usize = messages.iter().map(Vec::len).sum();
+    let bound: usize = messages
+        .iter()
+        .map(|m| m.len().div_ceil(PAGE_SIZE) * PAGE_SIZE)
+        .sum();
+    let held = pipe_bytes();
+    assert!(
+        (queued..=bound).contains(&held),
+        "{what}: {held} bytes held for {queued} queued (bound {bound})"
+    );
 }
 
 /// Reads everything currently buffered on `fd` (stops on EAGAIN/EOF).
@@ -113,27 +137,50 @@ fn thousand_sessions_share_one_plane() {
     }
 
     // ---- Stream: request/response over every forwarded connection. ----
+    // Segments move by reference from the client's socket to the host's,
+    // so at every step the live buffers hold at most the queued bytes
+    // rounded up to pages, and nothing once a round is drained.
+    assert_eq!(pipe_bytes(), 0, "set-up left bytes queued");
     for round in 0..3 {
+        let requests: Vec<Vec<u8>> = (0..total)
+            .map(|i| format!("sess-{i}-round-{round}").into_bytes())
+            .collect();
         for (i, (c, _, _)) in sessions.iter().enumerate() {
-            let msg = format!("sess-{i}-round-{round}");
-            kernel.write_fd(c.pid, clients[i], msg.as_bytes()).unwrap();
+            kernel.write_fd(c.pid, clients[i], &requests[i]).unwrap();
         }
+        assert_in_flight(&requests, &format!("round {round} requests sent"));
         plane.pump_until_quiet().unwrap();
+        assert_in_flight(&requests, &format!("round {round} requests spliced"));
         // The host answers on whichever conn carried which payload, so
         // replies route back to the right session by construction.
+        let mut replies = Vec::with_capacity(total);
         for conn in &host_conns {
             let req = drain(&kernel, Pid::INIT, *conn);
             assert!(!req.is_empty(), "round {round}: host saw no request");
             let mut reply = b"ok:".to_vec();
             reply.extend_from_slice(&req);
-            kernel.write_fd(Pid::INIT, *conn, &reply).unwrap();
+            replies.push(reply);
+        }
+        assert_eq!(
+            pipe_bytes(),
+            0,
+            "round {round}: drained requests hold memory"
+        );
+        for (conn, reply) in host_conns.iter().zip(&replies) {
+            kernel.write_fd(Pid::INIT, *conn, reply).unwrap();
         }
         plane.pump_until_quiet().unwrap();
+        assert_in_flight(&replies, &format!("round {round} replies spliced"));
         for (i, (c, _, _)) in sessions.iter().enumerate() {
             let got = drain(&kernel, c.pid, clients[i]);
             let want = format!("ok:sess-{i}-round-{round}");
             assert_eq!(got, want.as_bytes(), "session {i} round {round}");
         }
+        assert_eq!(
+            pipe_bytes(),
+            0,
+            "round {round}: drained replies hold memory"
+        );
     }
 
     // ---- Fault 1: a dead upstream on one session hurts only itself. ----
@@ -209,6 +256,7 @@ fn thousand_sessions_share_one_plane() {
     }
     received.extend_from_slice(&drain(&kernel, Pid::INIT, host_conns[stalled]));
     assert_eq!(received, payload, "stalled session lost or reordered bytes");
+    assert_eq!(pipe_bytes(), 0, "drained streams hold memory");
 
     // ---- Interest set stays bounded: nothing accumulated. ----
     assert_eq!(plane.endpoints(), 3 * total + 2 * total);
@@ -230,6 +278,7 @@ fn thousand_sessions_share_one_plane() {
     }
     assert_eq!(plane.endpoints(), 0, "plane must be empty after teardown");
     assert_eq!(plane.interest_len().unwrap(), 0);
+    assert_eq!(pipe_bytes(), 0, "teardown left pipe memory behind");
 
     // Under `--features lockdep` (the CI stress job) any ordering
     // violation above would have panicked; the plane's classes must

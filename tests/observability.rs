@@ -290,6 +290,13 @@ fn cntrstats_and_tracing_cover_the_stack() {
         Some(16),
         "{text}"
     );
+    // The segment memory of every live pipe and socket direction is one
+    // gauge (other tests of this binary may have bytes in flight, so only
+    // its presence is checked here; `attach_stress` checks its values).
+    assert!(
+        line("core.pipe.buffer-bytes").is_some(),
+        "missing core.pipe.buffer-bytes in:\n{text}"
+    );
 
     // vmstat shape: every line is exactly `name value`.
     for line in text.lines() {
