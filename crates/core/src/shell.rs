@@ -231,12 +231,7 @@ impl Shell {
                 self.kernel.chdir(self.pid, target)?;
                 Ok(String::new())
             }
-            "pwd" => {
-                let info = self.kernel.proc_info(self.pid)?;
-                let _ = info;
-                // The canonical cwd is tracked by the kernel.
-                Ok(format!("{}\n", self.kernel.cwd_path(self.pid)?))
-            }
+            "pwd" => Ok(format!("{}\n", self.kernel.getcwd(self.pid)?)),
             "echo" => Ok(format!("{}\n", args.join(" "))),
             "exit" => Ok(String::new()),
             // Everything else resolves through $PATH and executes.
@@ -306,6 +301,15 @@ mod tests {
         k.mkdir(Pid::INIT, "/work", Mode::RWXR_XR_X).unwrap();
         sh.run("cd /work");
         assert_eq!(sh.run("pwd"), "/work\n");
+        // `pwd` prints the physical path, as `pwd -P` does.
+        k.mkdir(Pid::INIT, "/work/real", Mode::RWXR_XR_X).unwrap();
+        k.symlink(Pid::INIT, "/work/real", "/link").unwrap();
+        sh.run("cd /link");
+        assert_eq!(sh.run("pwd"), "/work/real\n");
+        // The cwd is the directory, so it follows a rename of an ancestor.
+        k.rename(Pid::INIT, "/work", "/job", cntr_types::RenameFlags::NONE)
+            .unwrap();
+        assert_eq!(sh.run("pwd"), "/job/real\n");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! kernel: materialize a rootfs, fork, unshare all seven namespaces, mark
 //! mounts private, mount the rootfs plus `/proc` and `/dev`, chroot, set
 //! the image environment, confine credentials (Docker's default bounding
-//! set + an AppArmor profile), and hand the pid back. CNTR only ever needs
-//! the *name → pid* mapping from an engine (paper §3.2.1) — everything
-//! else it reads from the kernel.
+//! set; the simulated kernel has no LSM), and hand the pid back. CNTR only
+//! ever needs the *name → pid* mapping from an engine (paper §3.2.1) —
+//! everything else it reads from the kernel.
 
 use crate::image::{mkdir_p as fs_mkdir_p, Image, Layer, ROOTFS_SKELETON};
 use crate::registry::Registry;
@@ -347,8 +347,7 @@ impl ContainerRuntime {
         if !image.config.workdir.is_empty() {
             let _ = k.chdir(pid, &image.config.workdir);
         }
-        let profile = format!("{}-default", self.kind.dir_name());
-        k.set_creds(pid, Credentials::container_root(&profile))?;
+        k.set_creds(pid, Credentials::container_root())?;
 
         let container = Container {
             id: id.clone(),
@@ -510,7 +509,6 @@ mod tests {
         let info = k.proc_info(c.pid).unwrap();
         assert_eq!(info.name, "mysqld");
         assert!(!info.creds.caps.has(cntr_types::Capability::SysAdmin));
-        assert!(info.creds.lsm_profile.is_some());
         assert!(info.cgroup.0.starts_with("/docker/"));
     }
 

@@ -177,7 +177,7 @@ pub struct Kernel {
 }
 
 /// Everything CNTR gathers about a process before attaching (paper §3.2.1):
-/// namespaces, cgroup, credentials (capabilities, LSM profile), environment.
+/// namespaces, cgroup, credentials (ids, capabilities), environment.
 #[derive(Debug, Clone)]
 pub struct ProcInfo {
     /// Process id.
@@ -186,7 +186,7 @@ pub struct ProcInfo {
     pub ppid: Pid,
     /// Command name.
     pub name: String,
-    /// Security context (uid/gid/caps/LSM profile).
+    /// Security context (uid/gid/caps).
     pub creds: Credentials,
     /// Namespace membership.
     pub ns: NamespaceSet,
@@ -227,7 +227,7 @@ impl Kernel {
                 mount: mount_id,
                 ino: Ino::ROOT,
             },
-            cwd_path: "/".to_string(),
+            cwd_stack: Vec::new(),
             root: VfsLoc {
                 mount: mount_id,
                 ino: Ino::ROOT,
@@ -641,11 +641,6 @@ impl Kernel {
         self.with_proc(pid, |p| Ok(p.creds.clone()))
     }
 
-    /// The canonical current-working-directory path (what `pwd` prints).
-    pub fn cwd_path(&self, pid: Pid) -> SysResult<String> {
-        self.with_proc(pid, |p| Ok(p.cwd_path.clone()))
-    }
-
     /// Arms fanotify-style access recording (Docker Slim's mechanism:
     /// "records all files that have been accessed during a container run in
     /// an efficient way using the fanotify kernel module", paper §5.3)
@@ -842,9 +837,7 @@ impl Kernel {
                 p.ns.set(kind, new);
             }
             if let Some(root) = new_root {
-                p.root = root;
-                p.cwd = root;
-                p.cwd_path = "/".to_string();
+                p.reset_root(root);
             }
             Ok(dead)
         })?;

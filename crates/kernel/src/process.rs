@@ -156,11 +156,11 @@ pub struct Process {
     pub creds: Credentials,
     /// Namespace membership.
     pub ns: NamespaceSet,
-    /// Current working directory.
+    /// Current working directory: where the `chdir` walk ended (`fs->pwd`).
     pub cwd: VfsLoc,
-    /// Canonical absolute path of `cwd` within the process root (kept
-    /// symlink-free by `chdir`; used to rebuild the `..` walk stack).
-    pub cwd_path: String,
+    /// That walk's `..` stack, from the process root: a relative walk
+    /// resumes with it, so `..` never climbs above the root.
+    pub cwd_stack: Vec<VfsLoc>,
     /// Root directory (changed by `chroot`).
     pub root: VfsLoc,
     /// Environment variables.
@@ -189,6 +189,13 @@ impl Process {
         fd
     }
 
+    /// Makes `root` the root and cwd (`chroot`, `pivot_root`, `setns`).
+    pub fn reset_root(&mut self, root: VfsLoc) {
+        self.root = root;
+        self.cwd = root;
+        self.cwd_stack.clear();
+    }
+
     /// A fork-copy of this process with a new pid: shared open file
     /// descriptions, copied everything else.
     pub fn fork_into(&self, pid: Pid) -> Process {
@@ -199,7 +206,7 @@ impl Process {
             creds: self.creds.clone(),
             ns: self.ns,
             cwd: self.cwd,
-            cwd_path: self.cwd_path.clone(),
+            cwd_stack: self.cwd_stack.clone(),
             root: self.root,
             env: self.env.clone(),
             rlimits: self.rlimits,
@@ -227,7 +234,7 @@ mod tests {
                 mount: MountId(1),
                 ino: Ino::ROOT,
             },
-            cwd_path: "/".into(),
+            cwd_stack: Vec::new(),
             root: VfsLoc {
                 mount: MountId(1),
                 ino: Ino::ROOT,

@@ -435,7 +435,7 @@ mod tests {
                 mount: MountId(1),
                 ino: Ino::ROOT,
             },
-            cwd_path: "/".into(),
+            cwd_stack: Vec::new(),
             root: VfsLoc {
                 mount: MountId(1),
                 ino: Ino::ROOT,

@@ -4,6 +4,7 @@
 //! root (absolute paths) or cwd (relative), cross mountpoints downward into
 //! the topmost stacked mount, handle `..` physically via the walk stack
 //! (never escaping a `chroot` jail), and chase symlinks up to a depth of 40.
+//! A relative walk resumes `chdir`'s: its location and `..` stack (`fs->pwd`).
 //! Reads and writes on regular files go through the shared page cache
 //! according to the mount's [`CacheMode`].
 //!
@@ -199,12 +200,9 @@ impl LastDots {
 }
 
 impl Kernel {
-    fn snapshot_ns(&self, pid: Pid) -> SysResult<(Arc<MountNs>, VfsLoc, VfsLoc)> {
-        // Processes-before-mounts: the process table is released before the
-        // mount table is read; the walk then runs on an immutable snapshot.
-        let (ns_id, root, cwd) = self.with_proc(pid, |p| Ok((p.ns.mount, p.root, p.cwd)))?;
-        let ns = self.inner.mounts.snapshot(ns_id)?;
-        Ok((ns, root, cwd))
+    fn snapshot_ns(&self, pid: Pid) -> SysResult<Arc<MountNs>> {
+        let ns_id = self.with_proc(pid, |p| Ok(p.ns.mount))?;
+        self.inner.mounts.snapshot(ns_id)
     }
 
     /// Descends through stacked mounts at `loc`.
@@ -322,12 +320,30 @@ impl Kernel {
     /// stops at a final symlink; `EMPTY_PATH` lets an empty path name
     /// `dirfd` itself.
     fn resolve_at(&self, pid: Pid, dirfd: u32, path: &str, flags: AtFlags) -> SysResult<Resolved> {
-        let (ns, root, cwd) = self.snapshot_ns(pid)?;
+        self.walk_at(pid, dirfd, path, flags).map(|(r, _)| r)
+    }
+
+    /// [`Kernel::resolve_at`], also returning the `..` stack the walk ended
+    /// with, which `chdir` keeps.
+    fn walk_at(
+        &self,
+        pid: Pid,
+        dirfd: u32,
+        path: &str,
+        flags: AtFlags,
+    ) -> SysResult<(Resolved, Vec<VfsLoc>)> {
+        // A relative walk resumes `chdir`'s (`path_init` takes `fs->pwd`), a
+        // walk from a descriptor has no `..` stack. Processes-before-mounts:
+        // the process table is released before the mount table is read; the
+        // walk then runs on an immutable snapshot.
+        let (ns_id, root, cwd, stack) = self.with_proc(pid, |p| {
+            Ok((p.ns.mount, p.root, p.cwd, p.cwd_stack.clone()))
+        })?;
         let mut w = WalkState {
-            ns,
+            ns: self.inner.mounts.snapshot(ns_id)?,
             root,
             cur: cwd,
-            stack: Vec::new(),
+            stack,
             symlinks: 0,
             at_dir: true,
             beneath: dirfd != AT_FDCWD,
@@ -338,12 +354,7 @@ impl Kernel {
                 return Err(Errno::ENOENT);
             }
             (w.cur, w.at_dir) = self.fd_loc(pid, dirfd)?;
-        } else if !path.starts_with('/') {
-            // Rebuild the ancestor stack for the cwd by resolving the stored
-            // canonical cwd path (kept symlink-free by chdir).
-            let cwd_path = self.with_proc(pid, |p| Ok(p.cwd_path.clone()))?;
-            w.cur = Self::cross_mounts(&w.ns, w.root);
-            self.walk(&mut w, &cwd_path, true)?;
+            w.stack.clear();
         }
         self.walk(&mut w, path, !flags.contains(AtFlags::SYMLINK_NOFOLLOW))?;
         let mount = w.ns.get(w.cur.mount)?;
@@ -351,13 +362,14 @@ impl Kernel {
         if w.dir_only && !stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        Ok(Resolved {
+        let resolved = Resolved {
             loc: w.cur,
             fs: Arc::clone(&mount.fs),
             stat,
             cache: mount.cache,
             readonly: mount.flags.readonly,
-        })
+        };
+        Ok((resolved, w.stack))
     }
 
     /// The inode a descriptor locates, where a walk from it starts, and
@@ -1050,7 +1062,7 @@ impl Kernel {
                 Ok(self.with_cached_attrs(fs.fs_id(), fs.getattr(loc.ino)?))
             }
             FileKind::Directory { mount, ino, .. } => {
-                let (ns, _, _) = self.snapshot_ns(pid)?;
+                let ns = self.snapshot_ns(pid)?;
                 ns.get(*mount)?.fs.getattr(*ino)
             }
             _ => Err(Errno::EBADF),
@@ -1667,17 +1679,16 @@ impl Kernel {
     // Directory / root changes
     // ------------------------------------------------------------------
 
-    /// `chdir(2)`. The canonical cwd path is kept for relative resolution.
+    /// `chdir(2)`: the cwd becomes where the walk ended, with its `..` stack.
     pub fn chdir(&self, pid: Pid, path: &str) -> SysResult<()> {
         self.charge_syscall();
-        let r = self.resolve(pid, path, true)?;
+        let (r, stack) = self.walk_at(pid, AT_FDCWD, path, AtFlags::NONE)?;
         if !r.stat.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        let canon = self.canonicalize(pid, path)?;
         self.with_proc_mut(pid, |p| {
             p.cwd = r.loc;
-            p.cwd_path = canon;
+            p.cwd_stack = stack;
             Ok(())
         })
     }
@@ -1694,33 +1705,36 @@ impl Kernel {
             return Err(Errno::ENOTDIR);
         }
         self.with_proc_mut(pid, |p| {
-            p.root = r.loc;
-            p.cwd = r.loc;
-            p.cwd_path = "/".to_string();
+            p.reset_root(r.loc);
             Ok(())
         })
     }
 
-    /// Lexically canonicalizes `path` against the stored cwd (the walk has
-    /// already validated it resolves).
-    fn canonicalize(&self, pid: Pid, path: &str) -> SysResult<String> {
-        let base = if path.starts_with('/') {
-            String::new()
-        } else {
-            self.with_proc(pid, |p| Ok(p.cwd_path.clone()))?
-        };
-        let joined = format!("{base}/{path}");
-        let mut parts: Vec<&str> = Vec::new();
-        for c in joined.split('/') {
-            match c {
-                "" | "." => {}
-                ".." => {
-                    parts.pop();
-                }
-                other => parts.push(other),
-            }
+    /// `getcwd(2)`, as `pwd -P` prints it: the classic Unix search along the
+    /// saved `..` stack, naming in each directory the entry whose lookup
+    /// lands, mounts crossed, where the next one does. `ENOENT` once the cwd
+    /// or a directory above it was removed or moved to another parent.
+    pub fn getcwd(&self, pid: Pid) -> SysResult<String> {
+        self.charge_syscall();
+        let (ns_id, chain) = self.with_proc(pid, |p| {
+            Ok((p.ns.mount, [&p.cwd_stack[..], &[p.cwd]].concat()))
+        })?;
+        let ns = self.inner.mounts.snapshot(ns_id)?;
+        let mut path = String::new();
+        for pair in chain.windows(2) {
+            let (dir, top) = (pair[0], Self::cross_mounts(&ns, pair[1]));
+            let fs = &ns.get(dir.mount)?.fs;
+            let lands_on_next = |name: &str| {
+                let st = fs.lookup(dir.ino, name);
+                st.is_ok_and(|st| Self::cross_mounts(&ns, VfsLoc { ino: st.ino, ..dir }) == top)
+            };
+            let entry = fs
+                .readdir(dir.ino)?
+                .into_iter()
+                .find(|d| d.name != "." && d.name != ".." && lands_on_next(&d.name));
+            path = path + "/" + &entry.ok_or(Errno::ENOENT)?.name;
         }
-        Ok(format!("/{}", parts.join("/")))
+        Ok(if path.is_empty() { "/".into() } else { path })
     }
 
     // ------------------------------------------------------------------
@@ -2010,9 +2024,7 @@ impl Kernel {
         }
         let root = self.with_proc(target, |p| Ok(p.root))?;
         self.with_proc_mut(pid, |p| {
-            p.root = root;
-            p.cwd = root;
-            p.cwd_path = "/".to_string();
+            p.reset_root(root);
             Ok(())
         })
     }
@@ -2038,9 +2050,7 @@ impl Kernel {
             ns.set_root(at.loc.mount)
         })?;
         self.with_proc_mut(pid, |p| {
-            p.root = at.loc;
-            p.cwd = at.loc;
-            p.cwd_path = "/".to_string();
+            p.reset_root(at.loc);
             Ok(())
         })
     }
@@ -2066,7 +2076,7 @@ impl Kernel {
 
     /// Lists mounts visible to `pid` (`/proc/self/mounts`-ish).
     pub fn mounts(&self, pid: Pid) -> SysResult<Vec<(MountId, &'static str)>> {
-        let (ns, _, _) = self.snapshot_ns(pid)?;
+        let ns = self.snapshot_ns(pid)?;
         Ok(ns.iter().map(|m| (m.id, m.fs.fs_type())).collect())
     }
 
@@ -2488,6 +2498,103 @@ mod tests {
         k.chdir(P, "sub").unwrap();
         assert!(k.stat(P, "file").unwrap().is_file());
         assert!(k.stat(P, "../sub/file").unwrap().is_file());
+    }
+
+    fn mkdirs(k: &Kernel, dirs: &[&str]) {
+        for dir in dirs {
+            k.mkdir(P, dir, Mode::RWXR_XR_X).unwrap();
+        }
+    }
+
+    fn touch(k: &Kernel, path: &str) {
+        let fd = k
+            .open(P, path, OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.close(P, fd).unwrap();
+    }
+
+    #[test]
+    fn cwd_survives_a_rename_of_its_ancestor() {
+        let k = kernel();
+        mkdirs(&k, &["/a", "/a/b"]);
+        touch(&k, "/a/b/f");
+        k.chdir(P, "/a/b").unwrap();
+        k.rename(P, "/a", "/c", RenameFlags::NONE).unwrap();
+        assert!(k.stat(P, "f").unwrap().is_file());
+        assert_eq!(k.getcwd(P).unwrap(), "/c/b");
+    }
+
+    #[test]
+    fn cwd_stays_with_its_directory_not_its_old_name() {
+        let k = kernel();
+        mkdirs(&k, &["/a", "/a/b"]);
+        k.chdir(P, "/a/b").unwrap();
+        k.rename(P, "/a/b", "/a/c", RenameFlags::NONE).unwrap();
+        k.mkdir(P, "/a/b", Mode::RWXR_XR_X).unwrap();
+        touch(&k, "h");
+        assert!(k.stat(P, "/a/c/h").unwrap().is_file());
+        assert_eq!(k.stat(P, "/a/b/h"), Err(Errno::ENOENT));
+    }
+
+    #[test]
+    fn dotdot_after_a_symlink_climbs_from_its_target() {
+        let k = kernel();
+        mkdirs(&k, &["/a", "/x", "/x/y"]);
+        k.symlink(P, "/x/y", "/a/link").unwrap();
+        k.chdir(P, "/a/link/..").unwrap();
+        touch(&k, "g");
+        assert!(k.stat(P, "/x/g").unwrap().is_file());
+        assert_eq!(k.stat(P, "/a/g"), Err(Errno::ENOENT));
+        // `..` from the saved stack climbs no higher than the root.
+        let root = k.stat(P, "/").unwrap().ino;
+        assert_eq!(k.stat(P, "../../../..").unwrap().ino, root);
+    }
+
+    #[test]
+    fn getcwd_names_the_directory_reached() {
+        let k = kernel();
+        mkdirs(&k, &["/a", "/x", "/x/y"]);
+        k.symlink(P, "/x/y", "/a/link").unwrap();
+        assert_eq!(k.getcwd(P).unwrap(), "/");
+        k.chdir(P, "/a/link").unwrap();
+        assert_eq!(k.getcwd(P).unwrap(), "/x/y");
+        k.chdir(P, "..").unwrap();
+        assert_eq!(k.getcwd(P).unwrap(), "/x");
+    }
+
+    #[test]
+    fn a_removed_cwd_takes_no_new_entries() {
+        let k = kernel();
+        mkdirs(&k, &["/d"]);
+        k.chdir(P, "/d").unwrap();
+        k.rmdir(P, "/d").unwrap();
+        // A new directory at the old name is not the cwd.
+        k.mkdir(P, "/d", Mode::RWXR_XR_X).unwrap();
+        assert_eq!(
+            k.open(P, "h", OpenFlags::create(), Mode::RW_R__R__),
+            Err(Errno::ENOENT)
+        );
+        assert_eq!(k.mkdir(P, "e", Mode::RWXR_XR_X), Err(Errno::ENOENT));
+        assert_eq!(k.stat(P, "/d/h"), Err(Errno::ENOENT));
+        assert_eq!(k.getcwd(P), Err(Errno::ENOENT));
+    }
+
+    #[test]
+    fn a_mount_over_the_cwd_is_crossed_only_by_a_walk() {
+        let k = kernel();
+        mkdirs(&k, &["/d"]);
+        touch(&k, "/d/under");
+        k.chdir(P, "/d").unwrap();
+        let sub = memfs(DevId(2), k.clock().clone());
+        k.mount_fs(P, "/d", sub, MountFlags::default()).unwrap();
+        assert_eq!(k.stat(P, ".").unwrap().dev, DevId(1));
+        assert!(k.stat(P, "under").unwrap().is_file());
+        assert_eq!(k.stat(P, "/d/under"), Err(Errno::ENOENT));
+        assert_eq!(k.getcwd(P).unwrap(), "/d");
+        // A walk that passes the mountpoint crosses it.
+        k.chdir(P, "../d").unwrap();
+        assert_eq!(k.stat(P, ".").unwrap().dev, DevId(2));
+        assert_eq!(k.getcwd(P).unwrap(), "/d");
     }
 
     #[test]

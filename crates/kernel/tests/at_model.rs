@@ -8,7 +8,8 @@
 //! * a path call's result and the virtual nanoseconds it charges match a
 //!   reference walker written here from the resolution rules: one
 //!   `dcache_hit_ns` per component looked up (symlink targets included),
-//!   the cwd re-walked for a relative path, and the extra walks of
+//!   a relative path walked from the cwd and the `..` stack `chdir` left
+//!   (nothing walked to reach the cwd), and the extra walks of
 //!   `O_CREAT`, `rename` and `link`, on top of one `syscall_ns`
 //!   (`truncate`, which has no `*at` form, walks its path once), and
 //!   a trailing slash naming a directory as Linux has it: the last
@@ -23,7 +24,9 @@
 //!   `O_PATH` anchor returns what the path call returned and charges only
 //!   the walk beneath the anchor — or fails with `EXDEV` exactly when the
 //!   reference walker says the path climbs above the anchor (the
-//!   `RESOLVE_BENEATH` rule).
+//!   `RESOLVE_BENEATH` rule). When it does not, it charges what the path
+//!   call charged: a relative path call walks from the cwd as the `*at`
+//!   call walks from the cwd anchor.
 //!
 //! Unit tests below pin the `RESOLVE_BENEATH` rule and what an `O_PATH`
 //! descriptor can and cannot do.
@@ -116,8 +119,8 @@ type Loc = (Layer, Ino);
 /// A resolved parent directory and the last component's name.
 type Parent = (Loc, String);
 
-/// Where a reference walk starts: the process root, its cwd (re-walked
-/// from the root), or a descriptor it may not climb above.
+/// Where a reference walk starts: the process root, its cwd (with the
+/// `..` stack `chdir("/w")` left), or a descriptor it may not climb above.
 #[derive(Clone, Copy)]
 enum Start {
     Fdcwd,
@@ -223,7 +226,7 @@ impl World {
     }
 
     /// Resolves `path` from `start`: the location reached and the number
-    /// of components looked up on the way, including the cwd re-walk.
+    /// of components looked up on the way.
     fn resolve(&self, start: Start, path: &str, follow: bool) -> (Result<Loc, Errno>, u64) {
         let mut w = Walk {
             cur: self.cross((Layer::Root, Ino::ROOT)),
@@ -235,9 +238,11 @@ impl World {
             dir_only: false,
         };
         let r = match start {
-            Start::Fdcwd if !path.starts_with('/') => self
-                .walk(&mut w, "/w", true)
-                .and_then(|()| self.walk(&mut w, path, follow)),
+            Start::Fdcwd if !path.starts_with('/') => {
+                w.cur = (Layer::Root, self.cwd_ino());
+                w.stack = vec![(Layer::Root, Ino::ROOT)];
+                self.walk(&mut w, path, follow)
+            }
             Start::Fdcwd => self.walk(&mut w, path, follow),
             // A walk starts with its anchor's type: beneath anything but
             // a directory even `.` and `..` are `ENOTDIR`.
@@ -368,7 +373,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// What an operation returned, minus timestamps (the twin's clock runs
-/// behind: it never re-walks the cwd).
+/// ahead: a call it refuses with `EXDEV` is charged, and then the path
+/// call that keeps its tree in step).
 #[derive(Debug, PartialEq)]
 enum Out {
     Unit,
@@ -736,10 +742,10 @@ proptest! {
             let (n, resolved) = reference(&plain, Via::Path, op);
             let t0 = plain.now();
             let got = run_plain(&plain, op);
-            let charged = plain.now() - t0;
+            let path_charged = plain.now() - t0;
             let got = settle(&plain, got);
             prop_assert_eq!(
-                charged, charge(n),
+                path_charged, charge(n),
                 "{:?}: a path call charges one syscall and its walks", op
             );
             if let Err(e) = resolved {
@@ -768,6 +774,10 @@ proptest! {
                 let _ = settle(&twin, run_plain(&twin, op));
             } else {
                 prop_assert_eq!(&anchored, &got, "{:?}", op);
+                prop_assert_eq!(
+                    charged, path_charged,
+                    "{:?}: the path call walks what the anchored call walks", op
+                );
             }
         }
     }

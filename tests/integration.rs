@@ -4,7 +4,7 @@
 use cntr::fs::Filesystem;
 use cntr::prelude::*;
 use cntr::slim::DockerSlim;
-use cntr::types::Errno;
+use cntr::types::{Errno, RenameFlags};
 use std::sync::Arc;
 
 fn host_with_tools() -> Kernel {
@@ -277,4 +277,69 @@ fn engine_matrix_attach_over_overlayfs_including_nested() {
             stats.physical_bytes
         );
     }
+}
+
+/// Escape probes after Reshetova et al. and Bui: from a shell attached
+/// with a fat container's tools, no `..`, absolute path, planted symlink
+/// or moved cwd reaches a file that exists only in the host root.
+#[test]
+fn escape_probes_never_reach_the_host() {
+    let kernel = host_with_tools();
+    let fd = kernel
+        .open(Pid::INIT, "/marker", OpenFlags::create(), Mode::RW_R__R__)
+        .unwrap();
+    kernel.write_fd(Pid::INIT, fd, b"host-only").unwrap();
+    kernel.close(Pid::INIT, fd).unwrap();
+    let registry = Registry::new();
+    registry.push(fat_nginx());
+    let docker = ContainerRuntime::new(EngineKind::Docker, kernel.clone(), registry);
+    let tools = docker.run("tools", "nginx:fat").unwrap();
+    let app = docker.run("app", "nginx:fat").unwrap();
+    let cntr = Cntr::new(kernel.clone());
+    let opts = CntrOptions {
+        fuse: FuseConfig::optimized(),
+        tools: ToolsLocation::FatContainer(tools.pid),
+    };
+    let session = cntr.attach(app.pid, opts).unwrap();
+    let shell = session.attached;
+    assert!(kernel.stat(Pid::INIT, "/marker").unwrap().is_file());
+    let escapes = |what: &str, path: &str| {
+        assert_eq!(kernel.stat(shell, path), Err(Errno::ENOENT), "{what}");
+    };
+
+    kernel.chdir(shell, "/var/lib/cntr").unwrap();
+    escapes("`..` past the root from the cwd", "../../../../marker");
+    escapes("`..` past the root of an absolute path", "/../../marker");
+
+    // Symlinks the application plants in its own tree.
+    kernel
+        .symlink(app.pid, "../../../../../../marker", "/tmp/rel")
+        .unwrap();
+    kernel.symlink(app.pid, "/marker", "/tmp/abs").unwrap();
+    assert!(kernel
+        .lstat(shell, "/var/lib/cntr/tmp/rel")
+        .unwrap()
+        .is_symlink());
+    escapes("a relative symlink", "/var/lib/cntr/tmp/rel");
+    escapes("an absolute symlink", "/var/lib/cntr/tmp/abs");
+    escapes("a relative symlink from the cwd", "tmp/rel");
+
+    // The application renames the cwd's parent, then moves the cwd itself
+    // under another parent.
+    for dir in ["/tmp/d", "/tmp/d/e"] {
+        kernel.mkdir(app.pid, dir, Mode::RWXR_XR_X).unwrap();
+    }
+    kernel.chdir(shell, "/var/lib/cntr/tmp/d/e").unwrap();
+    let deep = "../../../../../../../../marker";
+    kernel
+        .rename(app.pid, "/tmp/d", "/tmp/moved", RenameFlags::NONE)
+        .unwrap();
+    assert!(kernel.stat(shell, ".").unwrap().is_dir());
+    escapes("`..` from a cwd whose parent was renamed", deep);
+    kernel
+        .rename(app.pid, "/tmp/moved/e", "/e", RenameFlags::NONE)
+        .unwrap();
+    assert!(kernel.stat(shell, ".").unwrap().is_dir());
+    escapes("`..` from a cwd moved under another parent", deep);
+    session.detach().unwrap();
 }
