@@ -329,7 +329,7 @@ fn write_blob(fs: &dyn Filesystem, ino: Ino, h: &BlobHandle, ctx: &FsContext) ->
         let end = (off + bytes.len() as u64).min(h.len());
         let take = (end.saturating_sub(off)) as usize;
         if take > 0 {
-            fs.write_bytes(ino, fh, off, bytes.slice(..take))?;
+            fs.write_bytes(ino, fh, off, &[bytes.slice(..take)])?;
         }
     }
     fs.release(ino, fh)?;

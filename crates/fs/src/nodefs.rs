@@ -821,7 +821,8 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
         }
     }
 
-    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
+    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: &[Bytes]) -> SysResult<usize> {
+        let len: u64 = data.iter().map(|b| b.len() as u64).sum();
         let mut st = self.state.lock();
         let offset = {
             let info = st.handles.get(&fh).ok_or(Errno::EBADF)?;
@@ -845,11 +846,11 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
                 let before = self.store.allocated_bytes(content);
                 // Conservative ENOSPC pre-check: a write can allocate at most
                 // len + one page of slack.
-                let upper = data.len() as u64 + BLOCK_SIZE as u64;
+                let upper = len + BLOCK_SIZE as u64;
                 if used + upper > self.capacity {
                     let exact_after = {
                         // Compute precisely only when near the limit.
-                        let end = offset + data.len() as u64;
+                        let end = offset + len;
                         let pages = end.div_ceil(BLOCK_SIZE as u64) - offset / BLOCK_SIZE as u64;
                         before + pages * BLOCK_SIZE as u64
                     };
@@ -857,16 +858,16 @@ impl<S: FileStore> Filesystem for NodeFs<S> {
                         return Err(Errno::ENOSPC);
                     }
                 }
-                self.store.write_bytes(content, offset, &data);
+                self.store.write_bytes(content, offset, data);
                 let after = self.store.allocated_bytes(content);
                 st.used_bytes = used.saturating_sub(before).saturating_add(after);
                 let node = st.inodes.get_mut(&ino).expect("checked");
-                node.meta.size = node.meta.size.max(offset + data.len() as u64);
+                node.meta.size = node.meta.size.max(offset + len);
                 node.meta.mtime = now;
                 node.meta.ctime = now;
                 // Writes strip setuid/setgid (unprivileged-writer model).
                 node.meta.mode = node.meta.mode.clear_suid_sgid();
-                Ok(data.len())
+                Ok(len as usize)
             }
             NodeKind::Dir(_) => Err(Errno::EISDIR),
             _ => Err(Errno::EINVAL),

@@ -50,13 +50,17 @@ pub trait FileStore: Send + Sync + 'static {
         None
     }
 
-    /// Zero-copy write hook for the splice path: stores `data` at `offset`,
-    /// *retaining* (referencing) as much of the buffer as the store's
-    /// geometry allows instead of copying it. The default copies via
-    /// [`FileStore::write`] — correct for page/block stores, whose
-    /// destination is preallocated storage.
-    fn write_bytes(&self, content: &mut Self::Content, offset: u64, data: &Bytes) {
-        self.write(content, offset, data);
+    /// Zero-copy write hook for the splice path: stores the buffers of
+    /// `data` back to back at `offset`, *retaining* (referencing) as much
+    /// of each as the store's geometry allows instead of copying it. The
+    /// default copies each via [`FileStore::write`] — correct for
+    /// page/block stores, whose destination is preallocated storage.
+    fn write_bytes(&self, content: &mut Self::Content, offset: u64, data: &[Bytes]) {
+        let mut off = offset;
+        for seg in data {
+            self.write(content, off, seg);
+            off += seg.len() as u64;
+        }
     }
 }
 

@@ -266,11 +266,14 @@ pub trait Filesystem: Send + Sync {
     /// use [`FilesystemExt::read_bytes_gather`].
     fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes>;
 
-    /// Writes an owned [`Bytes`] buffer at `offset`: the one write path of
-    /// every filesystem. A filesystem whose storage can *retain* the buffer
-    /// references it instead of copying it. Unlike `read_bytes` this never
-    /// writes short: on success all of `data` is written.
-    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize>;
+    /// Writes owned [`Bytes`] buffers back to back at `offset`: the one
+    /// write path of every filesystem. A caller hands over one buffer, or,
+    /// as page-cache write-back does, one buffer per page (Linux's
+    /// `bio_vec`), so no page is copied to make a run. A filesystem whose
+    /// storage can *retain* the buffers references them instead of copying
+    /// them. Unlike `read_bytes` this never writes short: on success all of
+    /// `data` is written, and the return is its total length.
+    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: &[Bytes]) -> SysResult<usize>;
 
     /// Reads the page at `offset` into `buf` (one page long) for the page
     /// cache, which must complete a page before caching a write that covers
@@ -402,7 +405,7 @@ pub trait FilesystemExt: Filesystem {
 
     /// Writes `data` at `offset`; returns bytes written.
     fn write(&self, ino: Ino, fh: Fh, offset: u64, data: &[u8]) -> SysResult<usize> {
-        self.write_bytes(ino, fh, offset, Bytes::copy_from_slice(data))
+        self.write_bytes(ino, fh, offset, &[Bytes::copy_from_slice(data)])
     }
 }
 

@@ -824,14 +824,15 @@ impl Filesystem for FuseClientFs {
         Ok(n)
     }
 
-    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
-        // splice_write: the owned buffer crosses the boundary by reference
-        // (page remap). Without it the payload is memcpy'd through
-        // /dev/fuse — the copy `charge` prices for non-spliced writes.
-        let payload = if self.config.flags.splice_write {
-            data
-        } else {
-            Bytes::copy_from_slice(&data)
+    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: &[Bytes]) -> SysResult<usize> {
+        // One WRITE carries all of `data`. splice_write: a single owned
+        // buffer crosses the boundary by reference (page remap). Without it
+        // the payload is memcpy'd through /dev/fuse — the copy `charge`
+        // prices for non-spliced writes. Several buffers (write-back's
+        // pages) are gathered into the one payload, that same single copy.
+        let payload = match data {
+            [one] if self.config.flags.splice_write => one.clone(),
+            segs => Bytes::from(segs.concat()),
         };
         let reply = self.call(Request::Write {
             ino,

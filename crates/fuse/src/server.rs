@@ -218,7 +218,7 @@ impl FuseHandler for FsHandler {
                     // The payload Bytes moves into the filesystem by
                     // reference: blob-backed stores retain slices of it
                     // (zero copy).
-                    self.fs.write_bytes(ino, cntr_fs::Fh(fh), offset, data)
+                    self.fs.write_bytes(ino, cntr_fs::Fh(fh), offset, &[data])
                 },
                 |n| Reply::Written(n as u32),
             ),

@@ -135,8 +135,8 @@ impl Transport for CountingTransport {
 
 /// A [`Filesystem`] wrapper recording the payload pointers the server-side
 /// storage produces (`read_bytes` results, hop `"fs-read"`) and receives
-/// (`write_bytes` inputs, hop `"fs-write"`). All other operations delegate
-/// untouched.
+/// (each buffer of a `write_bytes` input, hop `"fs-write"`). All other
+/// operations delegate untouched.
 pub struct InstrumentedFs {
     inner: Arc<dyn Filesystem>,
     log: Arc<PayloadLog>,
@@ -239,8 +239,10 @@ impl Filesystem for InstrumentedFs {
         Ok(out)
     }
 
-    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
-        self.log.record("fs-write", &data);
+    fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: &[Bytes]) -> SysResult<usize> {
+        for seg in data {
+            self.log.record("fs-write", seg);
+        }
         self.inner.write_bytes(ino, fh, offset, data)
     }
 

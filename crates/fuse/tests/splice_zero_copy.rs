@@ -13,13 +13,17 @@
 //!   caller's buffer* — storage retains the wire allocation itself;
 //! * without `splice_write`, the payload is copied at the boundary;
 //! * overlay copy-up hands each stored lower chunk to the upper by
-//!   reference: **0** copies per chunk.
+//!   reference: **0** copies per chunk;
+//! * page-cache write-back hands each dirty page to blob storage as
+//!   itself: the stored chunk *is* the resident page.
 
 use bytes::Bytes;
 use cntr_fs::memfs::memfs;
 use cntr_fs::{Filesystem, FilesystemExt, FsContext};
 use cntr_fuse::testing::{copies_along, CountingTransport, InstrumentedFs, PayloadLog};
 use cntr_fuse::{FsHandler, FuseClientFs, FuseConfig, InitFlags, InlineTransport};
+use cntr_kernel::pagecache::{FileRef, PageCache};
+use cntr_kernel::CacheMode;
 use cntr_overlay::{blobfs, BlobStore, CHUNK_SIZE};
 use cntr_types::{DevId, FileType, Ino, Mode, OpenFlags, SimClock};
 use std::sync::Arc;
@@ -139,7 +143,9 @@ fn write_chain(flags: InitFlags) -> (Bytes, Vec<usize>, Arc<BlobStore>, Arc<Fuse
     log.clear();
 
     let payload = Bytes::from(unique_payload());
-    let n = fs.write_bytes(st.ino, fh, 0, payload.clone()).unwrap();
+    let n = fs
+        .write_bytes(st.ino, fh, 0, std::slice::from_ref(&payload))
+        .unwrap();
     assert_eq!(n, MIB);
 
     let wire = log.last("wire-request").expect("wire hop recorded");
@@ -281,4 +287,71 @@ fn copy_up_moves_chunks_by_reference() {
     let rfh = overlay.open(f.ino, OpenFlags::RDONLY).unwrap();
     assert_eq!(overlay.read(f.ino, rfh, 0, &mut buf).unwrap(), buf.len());
     assert_eq!(&buf[..], &payload[..N * CHUNK_SIZE]);
+}
+
+/// Write-back hands each dirty page to storage by reference, one buffer per
+/// page: over blobfs every stored chunk is its resident page's own
+/// allocation, each run of dirty pages is one batch, and rewriting one page
+/// frees its old chunk while its neighbours keep theirs.
+#[test]
+fn writeback_hands_each_page_to_chunk_storage() {
+    let clock = SimClock::new();
+    let store = BlobStore::new();
+    let dev = DevId(7);
+    let fs = blobfs(dev, clock.clone(), Arc::clone(&store)) as Arc<dyn Filesystem>;
+    let ino = fs
+        .mknod(
+            Ino::ROOT,
+            "wb",
+            FileType::Regular,
+            Mode::RW_R__R__,
+            0,
+            &FsContext::root(),
+        )
+        .unwrap()
+        .ino;
+    let fh = fs.open(ino, OpenFlags::RDWR).unwrap();
+    let file = Arc::new(FileRef {
+        fs: Arc::clone(&fs),
+        ino,
+        fh,
+    });
+    let cache = PageCache::new(clock, 1 << 20, 1 << 20, 1 << 19, false);
+    let payload = unique_payload();
+    let page_bytes = |p: u64| &payload[p as usize * CHUNK_SIZE..][..CHUNK_SIZE];
+    let write = |p: u64, data: &[u8]| {
+        cache
+            .write(dev, CacheMode::native(), &file, p * CHUNK_SIZE as u64, data)
+            .unwrap();
+    };
+    // Four adjacent pages and one apart: two runs.
+    let pages = [0u64, 1, 2, 3, 5];
+    for p in pages {
+        write(p, page_bytes(p));
+    }
+    cache.flush_file(dev, ino).unwrap();
+    assert_eq!(cache.stats().flush_batches, 2);
+    let chunk = |data: &[u8]| {
+        let id = store.lookup_chunk(data).expect("chunk stored");
+        (id, store.chunk_bytes(id).as_ptr() as usize)
+    };
+    for p in pages {
+        assert_eq!(
+            cache.page_ptr(dev, ino, p),
+            Some(chunk(page_bytes(p)).1),
+            "page {p}'s stored chunk must be the page itself"
+        );
+    }
+
+    let (old, _) = chunk(page_bytes(1));
+    let neighbours = [0u64, 2, 3].map(|p| chunk(page_bytes(p)).1);
+    let rewritten = vec![0xA5u8; CHUNK_SIZE];
+    write(1, &rewritten);
+    cache.flush_file(dev, ino).unwrap();
+    assert_eq!(store.refs(old), 0, "the old chunk of page 1 is freed");
+    assert_eq!(cache.page_ptr(dev, ino, 1), Some(chunk(&rewritten).1));
+    for (p, ptr) in [0u64, 2, 3].into_iter().zip(neighbours) {
+        assert_eq!(chunk(page_bytes(p)).1, ptr, "page {p} keeps its chunk");
+        assert_eq!(cache.page_ptr(dev, ino, p), Some(ptr));
+    }
 }

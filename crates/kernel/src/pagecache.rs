@@ -224,15 +224,15 @@ impl PageData {
     /// converted in place to [`PageData::Shared`] (moving the buffer
     /// behind a refcount — no copy) so the snapshot and the resident page
     /// alias the same bytes; a later write to the page COWs away via
-    /// [`PageData::make_mut`]. This is what lets write-back assemble run
-    /// buffers *outside* the LRU lock: the gather under the lock is
-    /// pointer work, not memcpy.
+    /// [`PageData::make_mut`]. The gather under the LRU lock is pointer
+    /// work, and write-back hands the snapshots themselves to the
+    /// filesystem, so no page is copied to write it back.
     fn share(&mut self) -> PageData {
         if let PageData::Owned(_) = self {
             let PageData::Owned(p) = std::mem::replace(self, PageData::Synthetic) else {
                 unreachable!("matched above")
             };
-            *self = PageData::Shared(Bytes::from((p as Box<[u8]>).into_vec()));
+            *self = PageData::Shared(Bytes::from(p as Box<[u8]>));
         }
         match self {
             PageData::Shared(b) => PageData::Shared(b.clone()),
@@ -240,6 +240,24 @@ impl PageData {
             PageData::Owned(_) => unreachable!("converted above"),
         }
     }
+
+    /// The first `len` bytes of a dirty page's [`PageData::share`]
+    /// snapshot as a write-back buffer, not a copy: a shared page is its
+    /// own buffer (whole, since every write made it owned first), a
+    /// synthetic page the zero page.
+    fn writeback_buffer(&self, len: usize) -> Bytes {
+        match self {
+            PageData::Shared(b) => b.slice(..len),
+            PageData::Synthetic => zero_page().slice(..len),
+            PageData::Owned(_) => unreachable!("a snapshot is never owned"),
+        }
+    }
+}
+
+/// One shared page of zeroes (the kernel's `ZERO_PAGE`).
+fn zero_page() -> &'static Bytes {
+    static ZERO: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
+    ZERO.get_or_init(|| Bytes::from(vec![0u8; PAGE_SIZE]))
 }
 
 /// Slab sentinel: "no slot".
@@ -1169,11 +1187,9 @@ impl PageCache {
             };
             // Peel the lowest `max_pages` dirty pages off the sorted
             // per-file index, snapshotting each via an O(1)
-            // [`PageData::share`] alias. No page data is copied under the
-            // lock: the contiguous run buffers are assembled after it
-            // drops, so a concurrent writer is never stalled behind a
-            // megabyte memcpy (it COWs away from the aliased bytes
-            // instead).
+            // [`PageData::share`] alias. No page data is copied, under the
+            // lock or after it: a concurrent writer COWs away from the
+            // aliased bytes instead.
             // A bounded flush (background chunk, writer pacing) skips pages a
             // concurrent flush already has in flight — submitting them
             // again would double the write traffic for nothing. A full
@@ -1209,33 +1225,36 @@ impl PageCache {
         let mut failed = None;
         for (start_page, members) in runs.by_ref() {
             let offset = start_page * PAGE_SIZE as u64;
-            // This assembly is write-back's one copy: from here the run
-            // travels as a single retained `Bytes` buffer through
-            // `write_bytes` (and, over FUSE with splice-write, across the
-            // protocol boundary and into blob storage) without further
-            // copies.
-            let mut buf = vec![0u8; members.len() * PAGE_SIZE];
-            for (i, (_, _, snapshot)) in members.iter().enumerate() {
-                snapshot.read_into(0, &mut buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
-            }
             // Clip the final run to the pending size so flushing does not
             // extend the file past what was written.
+            let mut end = offset + (members.len() * PAGE_SIZE) as u64;
             if let Some(size) = pending {
-                let end = offset + buf.len() as u64;
                 if end > size && size > offset {
-                    buf.truncate((size - offset) as usize);
+                    end = size;
                 }
+            }
+            // The run goes down as its pages themselves, one buffer each
+            // (Linux's `bio_vec`): no page is copied, and a store that
+            // retains buffers keeps each page apart — a blob chunk is its
+            // page's own allocation, and rewriting the page later frees
+            // that page alone.
+            let mut segments = Vec::with_capacity(members.len());
+            for (i, (_, _, snapshot)) in members.iter().enumerate() {
+                let page_off = offset + (i * PAGE_SIZE) as u64;
+                if page_off >= end {
+                    break;
+                }
+                let len = (end - page_off).min(PAGE_SIZE as u64) as usize;
+                segments.push(snapshot.writeback_buffer(len));
             }
             // Writeback is background I/O: it occupies the disk but does not
             // stall the writer. An fsync barrier (`fs.fsync` → device flush)
-            // waits for the backlog. The run moves as one owned buffer —
-            // over FUSE with splice-write negotiated it crosses to the
-            // server (and into chunk storage) by reference.
+            // waits for the backlog.
             let wrote = {
                 let _bg = cntr_blockdev::BackgroundIo::enter();
                 flush_ref
                     .fs
-                    .write_bytes(ino, flush_ref.fh, offset, Bytes::from(buf))
+                    .write_bytes(ino, flush_ref.fh, offset, &segments)
             };
             if wrote.is_ok() {
                 self.counters.flush_batches.inc();
@@ -1284,6 +1303,19 @@ impl PageCache {
         drop(st);
         drop(released);
         Ok(picked)
+    }
+
+    /// The address of the first byte of page `page` of a file, if it is
+    /// resident and holds real bytes: what the zero-copy proofs compare
+    /// with the buffers storage holds.
+    pub fn page_ptr(&self, dev: DevId, ino: Ino, page: u64) -> Option<usize> {
+        let st = self.lru.lock();
+        let slot = st.slot((dev, ino), page)?;
+        match &st.page(slot).data {
+            PageData::Owned(p) => Some(p.as_ptr() as usize),
+            PageData::Shared(b) => Some(b.as_ptr() as usize),
+            PageData::Synthetic => None,
+        }
     }
 
     /// Flushes every dirty page of one file (one pass — pages re-dirtied
@@ -1702,18 +1734,6 @@ mod tests {
         assert_eq!(s2.misses, 1);
     }
 
-    /// The address of the first byte of a resident page, if it is
-    /// resident and holds real bytes.
-    fn page_ptr(cache: &PageCache, dev: DevId, ino: Ino, page: u64) -> Option<usize> {
-        let st = cache.lru.lock();
-        let slot = st.slot((dev, ino), page)?;
-        match &st.page(slot).data {
-            PageData::Owned(p) => Some(p.as_ptr() as usize),
-            PageData::Shared(b) => Some(b.as_ptr() as usize),
-            PageData::Synthetic => None,
-        }
-    }
-
     /// A cold multi-page read fills its run with one filesystem read: every
     /// page is a slice of that one buffer.
     #[test]
@@ -1728,10 +1748,10 @@ mod tests {
             .unwrap();
         assert_eq!((n, buf.iter().all(|&b| b == 4)), (3 * PAGE_SIZE, true));
         assert_eq!(cache.stats().misses, 4, "every page of the run is a miss");
-        let base = page_ptr(&cache, dev, file.ino, 0).unwrap();
+        let base = cache.page_ptr(dev, file.ino, 0).unwrap();
         for page in 1..4u64 {
             assert_eq!(
-                page_ptr(&cache, dev, file.ino, page),
+                cache.page_ptr(dev, file.ino, page),
                 Some(base + page as usize * PAGE_SIZE)
             );
         }
@@ -1762,7 +1782,7 @@ mod tests {
             let chunk = &content[page * PAGE_SIZE..][..PAGE_SIZE];
             let id = store.lookup_chunk(chunk).expect("chunk stored");
             assert_eq!(
-                page_ptr(&cache, dev, file.ino, page as u64),
+                cache.page_ptr(dev, file.ino, page as u64),
                 Some(store.chunk_bytes(id).as_ptr() as usize),
                 "page {page} must be a slice of its stored chunk"
             );
@@ -1782,7 +1802,7 @@ mod tests {
         cache
             .write(dev, mode, &file, 3 * PAGE_SIZE as u64, &[9u8; PAGE_SIZE])
             .unwrap();
-        let dirty = page_ptr(&cache, dev, file.ino, 3);
+        let dirty = cache.page_ptr(dev, file.ino, 3);
         let mut buf = vec![0u8; 8 * PAGE_SIZE];
         cache.read(dev, mode, &file, 0, &mut buf).unwrap();
         for (page, bytes) in buf.chunks(PAGE_SIZE).enumerate() {
@@ -1791,10 +1811,10 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (7, 1));
-        assert_eq!(page_ptr(&cache, dev, file.ino, 3), dirty, "not refilled");
+        assert_eq!(cache.page_ptr(dev, file.ino, 3), dirty, "not refilled");
         assert_eq!(cache.dirty_bytes(), PAGE_SIZE as u64);
         // Two runs, two buffers: 0..3 and 4..8.
-        let ptr = |page| page_ptr(&cache, dev, file.ino, page).unwrap();
+        let ptr = |page| cache.page_ptr(dev, file.ino, page).unwrap();
         assert_eq!(ptr(2), ptr(0) + 2 * PAGE_SIZE);
         assert_eq!(ptr(7), ptr(4) + 3 * PAGE_SIZE);
         cache.flush_file(dev, file.ino).unwrap();
@@ -2248,10 +2268,11 @@ mod tests {
                 .push(DataCall::ReadBytes(ino, offset, len));
             self.inner.read_bytes(ino, fh, offset, len)
         }
-        fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
+        fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: &[Bytes]) -> SysResult<usize> {
+            let len = data.iter().map(Bytes::len).sum();
             self.calls
                 .lock()
-                .push(DataCall::WriteBytes(ino, offset, data.len()));
+                .push(DataCall::WriteBytes(ino, offset, len));
             self.inner.write_bytes(ino, fh, offset, data)
         }
         fn read_page(&self, ino: Ino, fh: Fh, offset: u64, buf: &mut [u8]) -> SysResult<usize> {

@@ -494,7 +494,7 @@ impl Filesystem for ProcFs {
         Ok(content.slice(start..end))
     }
 
-    fn write_bytes(&self, _ino: Ino, _fh: Fh, _offset: u64, _data: Bytes) -> SysResult<usize> {
+    fn write_bytes(&self, _ino: Ino, _fh: Fh, _offset: u64, _data: &[Bytes]) -> SysResult<usize> {
         Err(Errno::EROFS)
     }
 

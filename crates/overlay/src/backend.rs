@@ -231,23 +231,30 @@ impl FileStore for BlobBackend {
         Some(chunk.slice(in_page..in_page + n))
     }
 
-    fn write_bytes(&self, content: &mut BlobContent, offset: u64, data: &Bytes) {
-        for_each_page(offset, data.len(), |page_no, in_page, pos, n| {
-            if in_page == 0 && n == CHUNK_SIZE {
-                // Chunk-aligned: retain a slice of the incoming buffer
-                // (refcount bump on dedup, zero copies either way).
-                let slice = data.slice(pos..pos + n);
-                let id = if is_zero(&slice) {
-                    None
+    fn write_bytes(&self, content: &mut BlobContent, offset: u64, data: &[Bytes]) {
+        let mut off = offset;
+        for seg in data {
+            for_each_page(off, seg.len(), |page_no, in_page, pos, n| {
+                if in_page == 0 && n == CHUNK_SIZE {
+                    // Chunk-aligned: retain the buffer's own chunk (refcount
+                    // bump on dedup, zero copies either way). A one-chunk
+                    // buffer — a written-back page — is kept as itself, so
+                    // the page and its chunk are one allocation; a longer
+                    // buffer is kept as slices of it.
+                    let chunk = seg.slice(pos..pos + n);
+                    let id = if is_zero(&chunk) {
+                        None
+                    } else {
+                        Some(self.store.put_bytes(chunk))
+                    };
+                    self.remap(content, page_no, id);
                 } else {
-                    Some(self.store.put_bytes(slice))
-                };
-                self.remap(content, page_no, id);
-            } else {
-                // Unaligned edge: read-modify-write, as `write` does.
-                self.write(content, offset + pos as u64, &data[pos..pos + n]);
-            }
-        });
+                    // Unaligned edge: read-modify-write, as `write` does.
+                    self.write(content, off + pos as u64, &seg[pos..pos + n]);
+                }
+            });
+            off += seg.len() as u64;
+        }
     }
 }
 

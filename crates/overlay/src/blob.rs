@@ -16,6 +16,7 @@
 
 use bytes::Bytes;
 use cntr_blockdev::BLOCK_SIZE;
+use obs::{LazyGauge, Subsystem};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::RandomState;
@@ -126,6 +127,16 @@ struct ChunkSlot {
     refs: u64,
 }
 
+/// Unique chunk bytes stored, summed over every live store.
+static OBS_PHYSICAL_BYTES: LazyGauge =
+    LazyGauge::new(Subsystem::Overlay, "overlay.blob.physical-bytes");
+/// Chunk slots allocated in the digest index, live or free, summed over
+/// every live store. Equals the live chunks unless digests collide.
+static OBS_INDEX_SLOTS: LazyGauge = LazyGauge::new(Subsystem::Overlay, "overlay.blob.index-slots");
+
+/// The index holds a bucket only while it has a live chunk, and a bucket's
+/// slots end at its last live one: a freed chunk costs no index memory
+/// unless a live chunk of its bucket sits past it.
 #[derive(Default)]
 struct BlobState {
     /// Content digest → the chunks stored under it. The digest is an
@@ -137,6 +148,8 @@ struct BlobState {
     physical_bytes: u64,
     /// Live chunks right now (slots whose `data` is `Some`).
     live_chunks: u64,
+    /// Slots of all buckets, live or free.
+    slots: u64,
 }
 
 impl BlobState {
@@ -152,16 +165,32 @@ impl BlobState {
         len
     }
 
-    /// Drops one reference; frees the chunk's bytes at zero.
+    /// Drops one reference; frees the chunk's bytes at zero, with the
+    /// free slots that end its bucket and the bucket if none is left. A
+    /// live slot never moves, so every live [`BlobId`] stays valid.
     fn dec_ref(&mut self, id: BlobId) {
-        let entry = self.slot_mut(id);
+        let bucket = self.buckets.get_mut(&id.hash).expect("live chunk");
+        let entry = &mut bucket[id.slot as usize];
         entry.refs = entry.refs.saturating_sub(1);
-        if entry.refs == 0 {
-            if let Some(freed) = entry.data.take() {
-                self.physical_bytes -= freed.len() as u64;
-                self.live_chunks -= 1;
-            }
+        if entry.refs > 0 {
+            return;
         }
+        let Some(freed) = entry.data.take() else {
+            return;
+        };
+        let len = bucket.len();
+        while bucket.last().is_some_and(|s| s.data.is_none()) {
+            bucket.pop();
+        }
+        let popped = (len - bucket.len()) as u64;
+        if bucket.is_empty() {
+            self.buckets.remove(&id.hash);
+        }
+        self.slots -= popped;
+        self.physical_bytes -= freed.len() as u64;
+        self.live_chunks -= 1;
+        OBS_INDEX_SLOTS.add(-(popped as i64));
+        OBS_PHYSICAL_BYTES.add(-(freed.len() as i64));
     }
 }
 
@@ -214,11 +243,22 @@ impl Default for BlobStore {
         // Listed in `/proc/cntrstats` from the first store on, so a run
         // without collisions reads 0 rather than nothing.
         counters.digest_collisions.add(0);
+        OBS_PHYSICAL_BYTES.add(0);
+        OBS_INDEX_SLOTS.add(0);
         declare_blob_lock_discipline();
         BlobStore {
             state: Mutex::new_class(STATE_CLASS, BlobState::default()),
             counters,
         }
+    }
+}
+
+impl Drop for BlobStore {
+    fn drop(&mut self) {
+        // Chunks still stored leave the machine-wide gauges with the store.
+        let st = self.state.get_mut();
+        OBS_PHYSICAL_BYTES.add(-(st.physical_bytes as i64));
+        OBS_INDEX_SLOTS.add(-(st.slots as i64));
     }
 }
 
@@ -267,13 +307,13 @@ impl BlobStore {
     /// to [`BlobStore::put`]; a dedup hit drops `data` without retaining
     /// anything.
     ///
-    /// Trade-off, as with real spliced pages: a retained slice pins its
-    /// whole backing allocation. A chunk sliced from a large coalesced
-    /// write-back run keeps that run's buffer alive until the chunk is
-    /// freed or rewritten — memory amplification when most of the run
-    /// dedups away. That is the price of zero-copy ingest; callers that
-    /// would rather pay the memcpy than the pin should use
-    /// [`BlobStore::put`].
+    /// A retained buffer keeps its whole allocation alive, as a spliced
+    /// page does. Page-cache write-back hands each page over as a buffer
+    /// of its own, so a written-back chunk is its page's allocation and
+    /// pins nothing else. A chunk sliced from a longer buffer (a caller's
+    /// spliced 1 MiB WRITE) pins that buffer until its last retained chunk
+    /// is freed or rewritten. Callers that would rather pay the memcpy
+    /// than the pin use [`BlobStore::put`].
     pub fn put_bytes(&self, data: Bytes) -> BlobId {
         // The O(1) clone lets `insert` borrow `data` for the dedup probe
         // and retain the same underlying allocation on a miss.
@@ -289,7 +329,8 @@ impl BlobStore {
     fn insert_with_digest(&self, hash: u64, data: &[u8], retain: Option<Bytes>) -> BlobId {
         debug_assert!(data.len() <= CHUNK_SIZE);
         debug_assert!(!is_zero(data), "zero chunks must be elided by callers");
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         self.counters.ingested_bytes.add(data.len() as u64);
         let bucket = st.buckets.entry(hash).or_default();
         // Existing identical chunk? Bytes, not the digest, decide.
@@ -307,19 +348,24 @@ impl BlobStore {
             data: Some(retain.unwrap_or_else(|| Bytes::copy_from_slice(data))),
             refs: 1,
         };
-        // Reuse a freed slot or append.
+        // Reuse a freed slot or append (a new bucket holds just the one
+        // slot: most digests never collide).
         let slot = match bucket.iter().position(|s| s.data.is_none()) {
             Some(i) => {
                 bucket[i] = entry;
                 i
             }
             None => {
+                bucket.reserve_exact(1);
                 bucket.push(entry);
+                st.slots += 1;
+                OBS_INDEX_SLOTS.inc();
                 bucket.len() - 1
             }
         };
         st.physical_bytes += data.len() as u64;
         st.live_chunks += 1;
+        OBS_PHYSICAL_BYTES.add(data.len() as i64);
         BlobId {
             hash,
             slot: slot as u32,
@@ -714,17 +760,59 @@ mod tests {
             (st.unique_chunks, st.physical_bytes, st.dedup_hits),
             (2, 128, 2)
         );
-        // Free `a`: its slot goes to the next new chunk of the bucket.
+        // Free `a`: `b` keeps its slot and its id, and `a`'s slot goes to
+        // the next new chunk of the bucket.
         s.dec_ref(ia);
         s.dec_ref(ia);
         assert_eq!(s.refs(ia), 0);
         assert_eq!(s.stats().unique_chunks, 1);
+        assert_eq!(s.chunk(ib), b);
+        assert_eq!(s.state.lock().slots, 2, "a live slot never moves");
         let ic = s.insert_with_digest(7, c, None);
         assert_eq!(ic.slot, ia.slot);
         assert_eq!(s.chunk(ic), c);
         assert_eq!(s.refs(ib), 2);
         let st = s.stats();
         assert_eq!((st.unique_chunks, st.physical_bytes), (2, 128));
+        // Freeing the last slot pops it; freeing the only slot left drops
+        // the bucket.
+        s.dec_ref(ib);
+        s.dec_ref(ib);
+        assert_eq!(s.chunk(ic), c);
+        assert_eq!(s.state.lock().slots, 1);
+        s.dec_ref(ic);
+        let st = s.state.lock();
+        assert_eq!((st.buckets.len(), st.slots, st.live_chunks), (0, 0, 0));
+    }
+
+    /// A blobfs page rewritten with 1,000 distinct chunks leaves one
+    /// bucket of one slot: a freed chunk leaves the index with its bytes.
+    #[test]
+    fn distinct_overwrites_leave_one_bucket() {
+        use cntr_fs::{Filesystem, FilesystemExt, FsContext};
+        use cntr_types::{DevId, FileType, Ino, Mode, OpenFlags, SimClock};
+        let s = BlobStore::new();
+        let fs = crate::blobfs(DevId(1), SimClock::new(), Arc::clone(&s));
+        let ino = fs
+            .mknod(
+                Ino::ROOT,
+                "f",
+                FileType::Regular,
+                Mode::RW_R__R__,
+                0,
+                &FsContext::root(),
+            )
+            .unwrap()
+            .ino;
+        let fh = fs.open(ino, OpenFlags::RDWR).unwrap();
+        let mut page = patterned_chunk();
+        for i in 0..1000u32 {
+            page[..4].copy_from_slice(&i.to_le_bytes());
+            fs.write(ino, fh, 0, &page).unwrap();
+        }
+        let st = s.state.lock();
+        assert_eq!((st.buckets.len(), st.slots, st.live_chunks), (1, 1, 1));
+        assert_eq!(st.physical_bytes, CHUNK_SIZE as u64);
     }
 
     #[test]

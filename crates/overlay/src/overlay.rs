@@ -694,7 +694,7 @@ impl OverlayFs {
                 break;
             }
             if !crate::blob::is_zero(&chunk) {
-                self.upper.write_bytes(dst_ino, dfh, off, chunk)?;
+                self.upper.write_bytes(dst_ino, dfh, off, &[chunk])?;
             }
             OBS_COPY_UP_BYTES.add(n);
             off += n;
@@ -1235,7 +1235,13 @@ impl Filesystem for OverlayFs {
             .read_bytes(real_ino, real_fh, offset, len)
     }
 
-    fn write_bytes(&self, _ino: Ino, fh: Fh, offset: u64, data: bytes::Bytes) -> SysResult<usize> {
+    fn write_bytes(
+        &self,
+        _ino: Ino,
+        fh: Fh,
+        offset: u64,
+        data: &[bytes::Bytes],
+    ) -> SysResult<usize> {
         let st = self.state.lock();
         let h = st.handles.get(&fh).ok_or(Errno::EBADF)?;
         let (layer, real_ino, real_fh) = (h.layer, h.real_ino, h.real_fh);

@@ -621,7 +621,7 @@ mod dcache {
         fn read_bytes(&self, ino: Ino, fh: Fh, offset: u64, len: usize) -> SysResult<Bytes> {
             self.inner.read_bytes(ino, fh, offset, len)
         }
-        fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: Bytes) -> SysResult<usize> {
+        fn write_bytes(&self, ino: Ino, fh: Fh, offset: u64, data: &[Bytes]) -> SysResult<usize> {
             self.inner.write_bytes(ino, fh, offset, data)
         }
         fn fsync(&self, ino: Ino, fh: Fh, datasync: bool) -> SysResult<()> {

@@ -9,9 +9,28 @@ use std::sync::Arc;
 /// — the property the FUSE splice path relies on.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
+}
+
+/// Where a buffer's bytes live.
+#[derive(Clone)]
+enum Storage {
+    /// Counts and bytes in one allocation: what a copy builds.
+    Inline(Arc<[u8]>),
+    /// A `Vec` or `Box` taken over as it is: its allocation holds the bytes
+    /// and a small one of its own holds the counts, so nothing is copied.
+    Adopted(Arc<Box<[u8]>>),
+}
+
+impl Storage {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Storage::Inline(data) => data,
+            Storage::Adopted(data) => data,
+        }
+    }
 }
 
 impl Bytes {
@@ -32,7 +51,11 @@ impl Bytes {
     }
 
     fn from_arc(data: Arc<[u8]>) -> Bytes {
-        let end = data.len();
+        Bytes::from_storage(Storage::Inline(data))
+    }
+
+    fn from_storage(data: Storage) -> Bytes {
+        let end = data.as_slice().len();
         Bytes {
             data,
             start: 0,
@@ -65,7 +88,7 @@ impl Bytes {
         };
         assert!(start <= end && end <= self.len(), "slice out of bounds");
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + start,
             end: self.start + end,
         }
@@ -87,7 +110,7 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data.as_slice()[self.start..self.end]
     }
 }
 
@@ -97,9 +120,24 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+impl std::borrow::Borrow<[u8]> for Bytes {
+    fn borrow(&self) -> &[u8] {
+        self
+    }
+}
+
+/// Takes the vector's allocation over without copying, as upstream `bytes`
+/// does (spare capacity is given back first).
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::from_arc(Arc::from(v))
+        Bytes::from(v.into_boxed_slice())
+    }
+}
+
+/// Takes the allocation over without copying.
+impl From<Box<[u8]>> for Bytes {
+    fn from(b: Box<[u8]>) -> Bytes {
+        Bytes::from_storage(Storage::Adopted(Arc::new(b)))
     }
 }
 
@@ -175,5 +213,23 @@ mod tests {
         assert_eq!(&w[..], b"world");
         assert_eq!(w.slice(..2), Bytes::from_static(b"wo"));
         assert!(Bytes::new().is_empty());
+    }
+
+    /// A `Vec` or `Box` becomes a buffer in place: the buffer, its slices
+    /// and its clones all point into the allocation handed over.
+    #[test]
+    fn from_vec_and_box_keep_the_allocation() {
+        let v: Vec<u8> = (0..=255).collect();
+        let ptr = v.as_ptr() as usize;
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr() as usize, ptr);
+        assert_eq!(b.clone().as_ptr() as usize, ptr);
+        assert_eq!(b.slice(16..).as_ptr() as usize, ptr + 16);
+        assert_eq!(b[200], 200);
+        let boxed: Box<[u8]> = vec![5u8; 4096].into_boxed_slice();
+        let ptr = boxed.as_ptr() as usize;
+        assert_eq!(Bytes::from(boxed).as_ptr() as usize, ptr);
+        // A copy is a copy.
+        assert_ne!(Bytes::copy_from_slice(&b).as_ptr(), b.as_ptr());
     }
 }

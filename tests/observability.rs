@@ -91,6 +91,29 @@ fn cntrstats_and_tracing_cover_the_stack() {
     );
     assert_eq!(live_line("fuse.passthrough.backing-ids"), Some(1), "{live}");
     assert_eq!(live_line("fuse.passthrough.refused"), Some(0), "{live}");
+    // The blob store's memory reads from cntrstats: its chunk bytes and
+    // its digest index's slots, one per live chunk unless digests collide
+    // (the gauges sum every live store, so other tests' stores may add).
+    let held = docker
+        .blob_store()
+        .ingest(&[[7u8; 4096], [8u8; 4096]].concat());
+    let blobs = docker.blob_store().stats();
+    assert!(blobs.unique_chunks >= 2, "{blobs:?}");
+    let text = read_proc_cntrstats(&kernel);
+    let gauge = |name: &str| -> i64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} ")))
+            .map_or(-1, |v| v.parse().unwrap())
+    };
+    assert!(
+        gauge("overlay.blob.physical-bytes") >= blobs.physical_bytes as i64,
+        "{text}"
+    );
+    assert!(
+        gauge("overlay.blob.index-slots") >= blobs.unique_chunks as i64,
+        "{text}"
+    );
+    drop(held);
     // Once the entries time out, each name of the path is revalidated by
     // one fstatat. After the host replaces the file, its name's hint is
     // stale and the server opens the name again.
